@@ -1,11 +1,12 @@
 """Difference adapter: per-decoder-layer sliding-window attention blocks.
 
 Each block normalizes its input, runs multi-head attention restricted to a
-symmetric local window (zero padding, padded keys masked out), and projects
-back through a zero-initialized output layer, so a fresh stack leaves the
-backbone's behavior untouched. Block k receives the backbone tap plus the
-accumulated raw outputs of blocks 1..k-1, and the stream handed to the next
-decoder layer is tap + alpha * block_output.
+symmetric local window (the shared attention under a band mask, so edge
+positions see fewer keys), and projects back through a zero-initialized
+output layer, so a fresh stack leaves the backbone's behavior untouched.
+Block k receives the backbone tap plus the accumulated raw outputs of blocks
+1..k-1, and the stream handed to the next decoder layer is
+tap + alpha * block_output.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .denoiser import Backbone, ParamGroup
+from .denoiser import Backbone, ParamGroup, multi_head_attention
 from .errors import ContractError
 
 
@@ -40,49 +41,23 @@ class AdapterConfig:
                 "model_dim": self.model_dim, "alpha": self.alpha}
 
 
-def _window_mask(seq_len: int, window: int, dtype) -> np.ndarray:
-    """(1, W, S, 1) additive mask: 0 where the window slot is a real key, -1e9 on padding."""
-    pad = window // 2
-    w = np.arange(window)[:, None]
-    s = np.arange(seq_len)[None, :]
-    key = s + w - pad
-    valid = (key >= 0) & (key < seq_len)
-    mask = np.where(valid, 0.0, -1e9).astype(dtype)
-    return mask[None, :, :, None]
-
-
 def sliding_window_attention(x: Tensor, window: int, heads: int, params: dict) -> Tensor:
     """Local attention over a centered window of width `window`; keeps sequence length.
 
-    `x` is (B, S, D). The key/value sequence is zero-padded by window//2 on
-    both ends and each position attends to its own W-slot neighborhood, with
-    padded slots masked out of the softmax.
+    `x` is (B, S, D). Full multi-head attention runs under an additive band
+    mask: position i attends to key j only where |i - j| <= window//2, so a
+    window reaching past either end simply sees fewer keys. The (S, S) score
+    matrix makes this O(S^2) rather than O(S * W); at S = 24 that is cheaper
+    than gathering windows, but the crossover should be measured before S grows.
     """
     if window % 2 == 0 or window < 1:
         raise ContractError("window must be odd and >= 1")
-    b, s, dim = x.shape
+    _, s, dim = x.shape
     if dim % heads != 0:
         raise ContractError("feature dim must be divisible by heads")
-    e = dim // heads
-    pad = window // 2
-
-    q = x @ params["wq"] + params["bq"]
-    k = x @ params["wk"] + params["bk"]
-    v = x @ params["wv"] + params["bv"]
-    kp = ad.pad(k, axis=1, before=pad, after=pad)
-    vp = ad.pad(v, axis=1, before=pad, after=pad)
-    # slot w of position p holds padded index p + w, i.e. real key p + w - pad
-    k_win = ad.stack([kp[:, o:o + s, :] for o in range(window)], axis=1)  # (B, W, S, D)
-    v_win = ad.stack([vp[:, o:o + s, :] for o in range(window)], axis=1)
-
-    qh = q.reshape((b, 1, s, heads, e))
-    kh = k_win.reshape((b, window, s, heads, e))
-    vh = v_win.reshape((b, window, s, heads, e))
-    scores = (qh * kh).sum(axis=-1) * (1.0 / np.sqrt(e))  # (B, W, S, heads)
-    scores = scores + Tensor(_window_mask(s, window, x.dtype))
-    att = ad.softmax(scores, axis=1)
-    out = (att.reshape((b, window, s, heads, 1)) * vh).sum(axis=1)  # (B, S, heads, e)
-    return out.reshape((b, s, dim)) @ params["wo"] + params["bo"]
+    pos = np.arange(s)
+    band = np.where(np.abs(pos[:, None] - pos[None, :]) <= window // 2, 0.0, -1e9)
+    return multi_head_attention(x, x, params, heads, mask=band)
 
 
 class AdapterStack:

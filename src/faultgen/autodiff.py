@@ -312,14 +312,15 @@ _GELU_A = 0.044715
 
 
 def gelu(a: Tensor) -> Tensor:
+    # powers are spelled as products: float32 `x**3` goes through pow, ~100x slower
     x = a.data
-    inner = _GELU_C * (x + _GELU_A * x**3)
+    inner = _GELU_C * (x + _GELU_A * (x * x * x))
     t = np.tanh(inner)
     data = 0.5 * x * (1.0 + t)
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * x**2)
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * d_inner
+        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
         _accum(a, g * local)
 
     return _node(data, "gelu", (a,), bw)

@@ -192,7 +192,7 @@ def cmd_finetune(args) -> int:
         normed, base, tcfg, cfg.loss_config(), adapter_cfg=cfg.adapter_config(),
         data_info={"label": fault.label, "corpus_id": fault.id},
         checkpoint_dir=layout.checkpoints,
-        log_path=os.path.join(layout.logs, "loss_curve.csv"),
+        log_path=os.path.join(layout.logs, "loss_curve.csv"), config_hash=cfg.hash(),
     )
     layout.finish()
     print(json.dumps({"phase": "finetune", "steps": tcfg.steps,

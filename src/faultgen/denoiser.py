@@ -124,8 +124,13 @@ class ParamGroup:
         return p
 
 
-def multi_head_attention(q_in: Tensor, kv_in: Tensor, p: dict, heads: int) -> Tensor:
-    """Full scaled dot-product attention with q/k/v/output projections."""
+def multi_head_attention(q_in: Tensor, kv_in: Tensor, p: dict, heads: int,
+                         mask: np.ndarray | None = None) -> Tensor:
+    """Scaled dot-product attention with q/k/v/output projections.
+
+    `mask` is an optional additive (sq, sk) array added to every head's
+    scores before the softmax (0 keeps a key, a large negative drops it).
+    """
     b, sq, dim = q_in.shape
     sk = kv_in.shape[-2]
     e = dim // heads
@@ -133,6 +138,8 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, p: dict, heads: int) -> Te
     k = (kv_in @ p["wk"] + p["bk"]).reshape((b, sk, heads, e)).transpose((0, 2, 1, 3))
     v = (kv_in @ p["wv"] + p["bv"]).reshape((b, sk, heads, e)).transpose((0, 2, 1, 3))
     scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(e))
+    if mask is not None:
+        scores = scores + Tensor(mask)
     att = ad.softmax(scores, axis=-1)
     out = (att @ v).transpose((0, 2, 1, 3)).reshape((b, sq, dim))
     return out @ p["wo"] + p["bo"]

@@ -42,7 +42,8 @@ def sym_eig(a, max_sweeps: int = 64):
     fro = np.sqrt(np.sum(m * m))
     tol = 1e-14 * max(fro, 1.0)
     for _ in range(max_sweeps):
-        off = np.sqrt(np.sum(m * m) - np.sum(m.diagonal() ** 2))
+        # summed directly: ||m||^2 - ||diag||^2 can round below zero
+        off = np.sqrt(np.sum(np.square(m[~np.eye(n, dtype=bool)])))
         if off <= tol:
             break
         for p in range(n - 1):

@@ -150,7 +150,7 @@ class ContextEncoder:
 
     @staticmethod
     def _gelu(x):
-        return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * x**3)))
+        return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x))))
 
     @staticmethod
     def _conv(x, w, b, kernel):

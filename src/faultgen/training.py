@@ -397,11 +397,12 @@ def pretrain(normal: Dataset, cfg: TrainConfig, model: Backbone, sched: NoiseSch
 def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossConfig,
              adapter_cfg: AdapterConfig | None = None, sched: NoiseSchedule | None = None,
              data_info: dict | None = None, checkpoint_dir=None, log_path=None,
-             resume: Checkpoint | None = None) -> Checkpoint:
+             resume: Checkpoint | None = None, config_hash: str = "") -> Checkpoint:
     """Attach a fresh adapter stack to a frozen pretrained backbone and train it.
 
     Only adapter parameters receive updates; backbone arrays in the returned
-    checkpoint are byte-identical to those in `base`.
+    checkpoint are byte-identical to those in `base`. The checkpoint records
+    `config_hash` (the fine-tuning run's own), never the pretrain run's.
     """
     if len(fault) < 2:
         raise ContractError("fine-tuning needs at least 2 fault samples")
@@ -417,6 +418,7 @@ def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossC
         sched = schedule_from_config(base.config["diffusion"])
     normalizer = normalizer_from_checkpoint(base)
     echo = dict(base.config)
+    echo["config_hash"] = config_hash
     echo["adapter"] = adapter_cfg.to_dict()
     echo["train"] = cfg.to_dict()
     echo["loss"] = loss_cfg.to_dict()

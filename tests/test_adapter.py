@@ -12,10 +12,10 @@ from faultgen.adapter import (
     sliding_window_attention,
 )
 from faultgen.autodiff import Tensor
-from faultgen.denoiser import Backbone, DenoiserConfig
-from faultgen.errors import ContractError
+from faultgen.denoiser import Backbone, DenoiserConfig, multi_head_attention
+from faultgen.errors import ContractError, ForwardError
 
-from helpers import full_attention_oracle
+from helpers import full_attention_oracle, grad_check
 
 TOY = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
                      heads=2, ff_dim=16, fourier_terms=1)
@@ -94,6 +94,38 @@ class TestSlidingWindowAttention:
             assert p["wq"].grad is not None
 
 
+def _band(s, w):
+    pos = np.arange(s)
+    return np.where(np.abs(pos[:, None] - pos[None, :]) <= w // 2, 0.0, -1e9)
+
+
+class TestMaskedAttention:
+    def test_band_mask_equals_oracle_at_desk_size(self):
+        b, s, w, dim, heads = 12, 24, 5, 64, 4
+        p = _swa_params(dim, 7)
+        x = np.random.default_rng(8).standard_normal((b, s, dim)).astype(np.float32)
+        out = multi_head_attention(Tensor(x), Tensor(x), p, heads, mask=_band(s, w))
+        oracle = full_attention_oracle(
+            x.astype(np.float64),
+            *(p[k].data.astype(np.float64) for k in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")),
+            heads=heads, band=w // 2,
+        )
+        assert np.max(np.abs(out.data - oracle)) < 1e-4
+
+    def test_masked_gradients_match_central_differences(self):
+        s, w, dim = 6, 3, 4
+        rng = np.random.default_rng(9)
+        arrays = [rng.standard_normal((2, s, dim))] + [rng.normal(0, 0.5, sh) for sh in
+                                                       [(dim, dim), (dim,)] * 4]
+        keys = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+        def loss(ts):
+            out = multi_head_attention(ts[0], ts[0], dict(zip(keys, ts[1:])), 2, mask=_band(s, w))
+            return (out * out).sum()
+
+        assert grad_check(loss, arrays) < 1e-6
+
+
 class TestAdapterForward:
     def _stack(self, n_blocks=2, alpha=1.0, window=3):
         cfg = AdapterConfig(window=window, heads=2, model_dim=8, alpha=alpha)
@@ -165,6 +197,14 @@ class TestAttach:
         comp = attach(bb, stack)
         fused, _ = comp.forward(x, 2)
         assert np.max(np.abs(plain.data - fused.data)) <= 1e-7
+
+    def test_non_finite_adapter_block_names_decoder_layer(self):
+        bb = Backbone(TOY, seed=1)
+        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), TOY.dec_layers, seed=2)
+        stack.blocks[1]["wq"].data[0, 0] = np.nan
+        x = np.random.default_rng(0).standard_normal((6, 2)).astype(np.float32)
+        with pytest.raises(ForwardError, match="decoder layer 1"):
+            bb.forward(x, 3, adapter=stack)
 
     def test_dim_mismatch_rejected(self):
         bb = Backbone(TOY, seed=1)

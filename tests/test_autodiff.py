@@ -157,6 +157,17 @@ def test_op_gradients_match_central_differences(name, build, arrays):
     assert grad_check(build, vals) < 1e-6, name
 
 
+def test_gelu_float32_matches_float64_tanh_reference():
+    x = np.concatenate([np.linspace(-1e3, 1e3, 20001),
+                        np.random.default_rng(4).standard_normal(10000)]).astype(np.float32)
+    out = ad.gelu(Tensor(x)).data
+    assert out.dtype == np.float32
+    x64 = x.astype(np.float64)
+    ref = 0.5 * x64 * (1.0 + np.tanh(np.sqrt(2.0 / np.pi) * (x64 + 0.044715 * np.power(x64, 3))))
+    # floored at 1: far in the negative tail float32 rounds 1 + tanh to exactly 0
+    assert rel_err(out, ref) <= 1e-6
+
+
 def test_cross_entropy_matches_reference_and_fd():
     rng = np.random.default_rng(3)
     logits = rng.standard_normal((6, 4))

@@ -1,5 +1,7 @@
 """Jacobi eigendecomposition against reconstruction and numpy.linalg oracles."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -58,3 +60,15 @@ def test_sqrt_psd():
     a = a @ a.T
     r = sqrt_psd(a)
     np.testing.assert_allclose(r @ r, a, atol=1e-9)
+
+
+def test_covariances_converge_without_warnings():
+    # off-diagonal norm once came from ||m||^2 - ||diag||^2, which rounds below
+    # zero on some of these (NaN, RuntimeWarning, no convergence exit)
+    rng = np.random.default_rng(0)
+    for _ in range(50):
+        cov = np.cov(rng.standard_normal((40, 16)), rowvar=False)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            w, _ = sym_eig(cov)
+        np.testing.assert_allclose(w, np.linalg.eigvalsh(cov), rtol=0, atol=1e-10)
