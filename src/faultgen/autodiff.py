@@ -13,14 +13,13 @@ for finite-difference verification.
 from __future__ import annotations
 
 import contextlib
-import threading
 
 import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
 
 _DTYPE = np.float32
-_STATE = threading.local()  # per-thread grad flag so eval workers can't race
+_GRAD_ENABLED = True
 
 
 def set_dtype(dtype) -> None:
@@ -51,16 +50,17 @@ def precision(dtype):
 @contextlib.contextmanager
 def no_grad():
     """Disable tape recording inside the block (inference / sampling)."""
-    old = grad_enabled()
-    _STATE.grad_enabled = False
+    global _GRAD_ENABLED
+    old = _GRAD_ENABLED
+    _GRAD_ENABLED = False
     try:
         yield
     finally:
-        _STATE.grad_enabled = old
+        _GRAD_ENABLED = old
 
 
 def grad_enabled() -> bool:
-    return getattr(_STATE, "grad_enabled", True)
+    return _GRAD_ENABLED
 
 
 class Tensor:
@@ -164,7 +164,7 @@ class Parameter(Tensor):
         self.requires_grad = self.trainable
 
     def zero_grad(self) -> None:
-        self.grad = np.zeros_like(self.data)
+        self.grad.fill(0)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
@@ -201,7 +201,7 @@ def _accum(t: Tensor, g):
     if t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
-        t.grad = t.grad + np.asarray(g, dtype=t.data.dtype)
+        t.grad += np.asarray(g, dtype=t.data.dtype)
 
 
 def _unbroadcast(grad, shape):

@@ -1,8 +1,8 @@
 """Command-line orchestration: corpora, training phases, generation, evaluation.
 
 Exit codes: 0 ok, 2 usage/validation, 3 checkpoint problems, 4 training
-divergence. Every artifact embeds the resolved config hash and seed so that
-equal-hash runs are byte-identical.
+divergence or a non-finite model/sampler state. Every artifact embeds the
+resolved config hash and seed so that equal-hash runs are byte-identical.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import os
 import sys
 
 from .adapter import AdapterStack, attach
-from .config import RunConfig, resolve_config, worker_count
+from .config import RunConfig, resolve_config
 from .data import (
     FAULT_KINDS,
     fit_normalizer,
@@ -33,6 +33,7 @@ from .errors import (
     CorpusError,
     DivergenceError,
     MetricError,
+    NumericError,
 )
 from .metrics import downstream_eval, evaluate_corpora
 from .training import (
@@ -103,7 +104,6 @@ def cmd_make_data(args) -> int:
     base = generate_normal(
         args.tau, args.dim, args.n, args.seed,
         base_kind=args.base, noise_std=args.noise_std,
-        workers=worker_count(),
     )
     if args.kind == "fault":
         extra = {}
@@ -254,7 +254,7 @@ def cmd_evaluate(args) -> int:
     synth = load_corpus(_require_dir(args.synth, "synthetic"))
     metrics = [m.strip() for m in args.metrics.split(",")]
     seeds = [int(s) for s in args.seeds.split(",")]
-    report = evaluate_corpora(real, synth, metrics, seeds, workers=worker_count())
+    report = evaluate_corpora(real, synth, metrics, seeds, config_hash=_resolved(args).hash())
     os.makedirs(args.out, exist_ok=True)
     with open(os.path.join(args.out, "report.json"), "w") as fh:
         fh.write(report.to_json())
@@ -385,6 +385,9 @@ def main(argv=None) -> int:
         return 3
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
+        return 4
+    except NumericError as e:
+        print(f"numeric error: {e}", file=sys.stderr)
         return 4
 
 

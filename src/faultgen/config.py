@@ -10,7 +10,6 @@ from __future__ import annotations
 import configparser
 import copy
 import hashlib
-import os
 
 from .adapter import AdapterConfig
 from .denoiser import DenoiserConfig
@@ -170,10 +169,3 @@ def resolve_config(preset: str = "desk", config_file=None, overrides=None,
         cfg.set("train", "seed", seed)
     return cfg
 
-
-def worker_count() -> int:
-    """FD_THREADS is the only environment knob: worker count for data/metric jobs."""
-    try:
-        return max(1, int(os.environ.get("FD_THREADS", "1")))
-    except ValueError:
-        return 1

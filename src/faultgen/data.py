@@ -194,7 +194,6 @@ def generate_normal(
     ar_noise_std: float = 0.3,
     label: str = "normal",
     dataset_id: str | None = None,
-    workers: int = 1,
 ) -> Dataset:
     """Seeded stationary multichannel corpus.
 
@@ -203,9 +202,6 @@ def generate_normal(
     that order, from a per-sample rng seeded `seed + index`.
     `ar_process`: per channel, an order-2 autoregression with `ar_coeffs`
     driven by N(0, ar_noise_std^2), with a 128-step burn-in.
-
-    Samples are independent given their derived seeds, so `workers > 1` may
-    generate them in parallel without changing the result.
     """
     if tau < 8 or dim < 1 or n_samples < 1:
         raise ContractError("generate_normal needs tau >= 8, dim >= 1, n_samples >= 1")
@@ -242,13 +238,7 @@ def generate_normal(
                 x[:, c] = z[burn:]
         return TimeSeries(x.astype(np.float32), list(names))
 
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            samples = list(pool.map(build, range(n_samples)))
-    else:
-        samples = [build(i) for i in range(n_samples)]
+    samples = [build(i) for i in range(n_samples)]
     return Dataset(samples, label=label, id=dataset_id or f"{label}-{seed}", seed=seed)
 
 

@@ -344,6 +344,7 @@ def downstream_eval(train_real: list[Dataset], synth_per_class: list[Dataset],
 # report assembly
 
 METRIC_NAMES = ("context_fid", "correlational", "discriminative", "predictive", "diversity")
+SEED_FREE_METRICS = ("context_fid", "correlational", "diversity")  # scored once per call
 
 
 @dataclass
@@ -378,8 +379,11 @@ class MetricReport:
 
 def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,),
                      encoder_seed: int = DEFAULT_ENCODER_SEED, max_lag: int = 8,
-                     config_hash: str = "", workers: int = 1) -> MetricReport:
-    """Run the selected metrics for every seed and report per-seed values plus medians."""
+                     config_hash: str = "") -> MetricReport:
+    """Run the selected metrics for every seed and report per-seed values plus medians.
+
+    Only `discriminative` and `predictive` take a seed; SEED_FREE_METRICS run once each.
+    """
     wanted = list(METRIC_NAMES) if "all" in metrics else list(metrics)
     for m in wanted:
         if m not in METRIC_NAMES:
@@ -399,20 +403,14 @@ def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,)
             return predictive_score(real, synth, seed)
         return diversity_score(real, synth, max_lag)
 
-    jobs = [(m, s) for m in wanted for s in seeds]
-    if workers > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(lambda job: run(*job), jobs))
-    else:
-        results = [run(*job) for job in jobs]
-
     values: dict = {m: {} for m in wanted}
-    for (m, s), v in zip(jobs, results):
-        if not np.isfinite(v):
-            raise MetricError(f"metric {m} produced a non-finite value")
-        values[m][str(s)] = float(v)
+    for m in wanted:
+        for i, s in enumerate(seeds):
+            if i == 0 or m not in SEED_FREE_METRICS:
+                v = run(m, s)
+            if not np.isfinite(v):
+                raise MetricError(f"metric {m} produced a non-finite value")
+            values[m][str(s)] = float(v)
     medians = {m: float(np.median(list(values[m].values()))) for m in wanted}
     meta = {
         "seeds": list(seeds),

@@ -11,6 +11,7 @@ to keep the objective bounded); the literal variant remains selectable via
 from __future__ import annotations
 
 import json
+import math
 import os
 import struct
 from dataclasses import dataclass, field
@@ -128,7 +129,14 @@ def total_loss(eps: Tensor, preds: Tensor, cfg: LossConfig, seed: int = 0):
 
 
 class Adam:
-    """Adaptive-moment gradient descent over trainable parameters."""
+    """Adaptive-moment gradient descent over trainable parameters.
+
+    Parameters, gradients and both moments live in four flat buffers: each
+    trainable parameter's `data` and `grad`, and `m[name]` and `v[name]`, are
+    views into them, so `step` is one elementwise update, bitwise equal to a
+    per-array loop. Once an optimizer holds a parameter, these arrays may only
+    be written in place: a rebound one silently stops training.
+    """
 
     def __init__(self, params: list[Parameter], lr: float,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
@@ -137,24 +145,40 @@ class Adam:
         self.betas = betas
         self.eps = eps
         self.step_count = 0
-        self.m = {p.name: np.zeros_like(p.data) for p in self.params}
-        self.v = {p.name: np.zeros_like(p.data) for p in self.params}
+        dtypes = {p.data.dtype for p in self.params} or {ad.default_dtype()}
+        if len(dtypes) > 1:
+            raise ContractError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
+        size, dtype = sum(p.data.size for p in self.params), dtypes.pop()
+        self._data, self._grad, self._m, self._v = (np.zeros(size, dtype) for _ in range(4))
+        self.m, self.v, lo = {}, {}, 0
+        for p in self.params:
+            hi, shape = lo + p.data.size, p.data.shape
+            self._data[lo:hi] = p.data.ravel()
+            self._grad[lo:hi] = p.grad.ravel()
+            p.data = self._data[lo:hi].reshape(shape)
+            p.grad = self._grad[lo:hi].reshape(shape)
+            self.m[p.name] = self._m[lo:hi].reshape(shape)
+            self.v[p.name] = self._v[lo:hi].reshape(shape)
+            lo = hi
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.zero_grad()
+        self._grad.fill(0)
 
     def step(self, lr_scale: float = 1.0) -> None:
         b1, b2 = self.betas
         self.step_count += 1
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
-        for p in self.params:
-            g = p.grad
-            m = self.m[p.name] = b1 * self.m[p.name] + (1 - b1) * g
-            v = self.v[p.name] = b2 * self.v[p.name] + (1 - b2) * g * g
-            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
-            p.data = p.data - (self.lr * lr_scale) * update.astype(p.data.dtype)
+        g, m, v = self._grad, self._m, self._v
+        m *= b1
+        m += (1 - b1) * g
+        v *= b2
+        v += (1 - b2) * g * g
+        update = np.sqrt(v / c2)
+        update += self.eps
+        np.divide(m / c1, update, out=update)
+        update *= self.lr * lr_scale
+        self._data -= update
 
 
 def _warmup_scale(step: int, warmup: int) -> float:
@@ -222,32 +246,28 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[10:10 + hlen].decode())
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CheckpointError(f"{path}: corrupt header: {e}") from e
+    try:
+        entries = [(e["name"], int(e["offset"]), int(e["nbytes"]), tuple(int(n) for n in e["shape"]))
+                   for e in header["arrays"]]
+        ckpt = Checkpoint(config=header["config"], arrays={}, step=header["step"],
+                          opt_step=header["opt_step"], rng_state=header["rng_state"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"{path}: malformed header: {e!r}") from e
     data = raw[10 + hlen:]
-    arrays = {}
-    for ent in header["arrays"]:
-        lo, nbytes = ent["offset"], ent["nbytes"]
-        if lo + nbytes > len(data):
-            raise CheckpointError(f"{path}: truncated data for array {ent['name']!r}")
-        arr = np.frombuffer(data[lo:lo + nbytes], dtype="<f4").reshape(ent["shape"])
-        if arr.size * 4 != nbytes:
-            raise CheckpointError(f"{path}: shape/size disagreement for {ent['name']!r}")
-        arrays[ent["name"]] = arr.copy()
-    return Checkpoint(
-        config=header["config"],
-        arrays=arrays,
-        step=header["step"],
-        opt_step=header["opt_step"],
-        rng_state=header["rng_state"],
-    )
+    for name, lo, nbytes, shape in entries:
+        if min(shape, default=0) < 0 or 4 * math.prod(shape) != nbytes:
+            raise CheckpointError(f"{path}: shape/size disagreement for {name!r}")
+        if lo < 0 or lo + nbytes > len(data):
+            raise CheckpointError(f"{path}: truncated data for array {name!r}")
+        ckpt.arrays[name] = np.frombuffer(data[lo:lo + nbytes], dtype="<f4").reshape(shape).copy()
+    return ckpt
 
 
 def _snapshot(model, opt: Adam, rng: np.random.Generator | None,
               config: dict, step: int, normalizer: Normalizer | None) -> Checkpoint:
     arrays = {name: p.data.astype(np.float32, copy=True) for name, p in model.params.items()}
-    for p in opt.params:
-        arrays[f"opt.m.{p.name}"] = opt.m[p.name].astype(np.float32, copy=True)
-    for p in opt.params:
-        arrays[f"opt.v.{p.name}"] = opt.v[p.name].astype(np.float32, copy=True)
+    arrays.update({f"opt.m.{name}": m.astype(np.float32, copy=True) for name, m in opt.m.items()})
+    arrays.update({f"opt.v.{name}": v.astype(np.float32, copy=True) for name, v in opt.v.items()})
     if normalizer is not None:
         arrays["norm.lo"] = normalizer.lo.astype(np.float32, copy=True)
         arrays["norm.hi"] = normalizer.hi.astype(np.float32, copy=True)
@@ -258,21 +278,22 @@ def _snapshot(model, opt: Adam, rng: np.random.Generator | None,
                       opt_step=opt.step_count, rng_state=state)
 
 
-def _restore(model, opt: Adam, ckpt: Checkpoint) -> np.random.Generator:
-    params = model.params
-    for name, p in params.items():
-        if name not in ckpt.arrays:
+def _load_arrays(targets: dict, arrays: dict) -> None:
+    """Copy each named checkpoint array into its target in place, keeping `Adam`'s views bound."""
+    for name, dst in targets.items():
+        if name not in arrays:
             raise CheckpointError(f"checkpoint missing array {name!r}")
-        arr = ckpt.arrays[name]
-        if tuple(arr.shape) != tuple(p.data.shape):
-            raise CheckpointError(f"array {name!r} has shape {arr.shape}, model expects {p.data.shape}")
-        p.data = arr.astype(p.data.dtype, copy=True)
-    for p in opt.params:
-        mk, vk = f"opt.m.{p.name}", f"opt.v.{p.name}"
-        if mk in ckpt.arrays:
-            opt.m[p.name] = ckpt.arrays[mk].astype(p.data.dtype, copy=True)
-        if vk in ckpt.arrays:
-            opt.v[p.name] = ckpt.arrays[vk].astype(p.data.dtype, copy=True)
+        arr = arrays[name]
+        if tuple(arr.shape) != dst.shape:
+            raise CheckpointError(f"array {name!r} has shape {arr.shape}, model expects {dst.shape}")
+        dst[...] = arr
+
+
+def _restore(model, opt: Adam, ckpt: Checkpoint) -> np.random.Generator:
+    targets = {name: p.data for name, p in model.params.items()}
+    targets.update({f"opt.m.{name}": m for name, m in opt.m.items()})
+    targets.update({f"opt.v.{name}": v for name, v in opt.v.items()})
+    _load_arrays(targets, ckpt.arrays)
     opt.step_count = ckpt.opt_step
     rng = np.random.default_rng(0)
     if ckpt.rng_state is not None:
@@ -292,13 +313,7 @@ def model_from_checkpoint(ckpt: Checkpoint, trainable: bool | None = None):
         acfg = AdapterConfig(**ckpt.config["adapter"])
         stack = AdapterStack(acfg, dcfg.dec_layers, seed=0)
         model = attach(backbone, stack)
-    for name, p in model.params.items():
-        if name not in ckpt.arrays:
-            raise CheckpointError(f"checkpoint missing array {name!r}")
-        arr = ckpt.arrays[name]
-        if tuple(arr.shape) != tuple(p.data.shape):
-            raise CheckpointError(f"array {name!r} has shape {arr.shape}, model expects {p.data.shape}")
-        p.data = arr.astype(p.data.dtype, copy=True)
+    _load_arrays({name: p.data for name, p in model.params.items()}, ckpt.arrays)
     if trainable is not None:
         backbone.set_trainable(trainable)
     return model
@@ -340,6 +355,8 @@ def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
         start = resume.step
         if start > cfg.steps:
             raise CheckpointError(f"resume step {start} beyond configured steps {cfg.steps}")
+    if checkpoint_dir:
+        os.makedirs(checkpoint_dir, exist_ok=True)
     arr = data.as_array()
     n = arr.shape[0]
     rows = []
@@ -373,7 +390,6 @@ def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
     final = _snapshot(model, opt, rng, config_echo, cfg.steps, normalizer)
     final.loss_rows = rows
     if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
         save_checkpoint(final, os.path.join(checkpoint_dir, "final.ckpt"))
     if log_path:
         _write_loss_csv(rows, log_path)

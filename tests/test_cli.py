@@ -2,8 +2,11 @@
 
 import json
 
+import numpy as np
+
 from faultgen.cli import main
-from faultgen.training import load_checkpoint
+from faultgen.config import resolve_config
+from faultgen.training import load_checkpoint, save_checkpoint
 
 TINY = ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
         "model.ff_dim=16", "model.fourier_terms=1", "adapter.heads=2", "adapter.window=3",
@@ -36,3 +39,30 @@ def test_finetune_checkpoint_records_its_own_config_hash(tmp_path, capsys):
     _run(capsys, "generate", "--checkpoint", fine["checkpoint"], "--n", "2", "--out", gen)
     with open(f"{gen}/generation_log.json") as fh:
         assert json.load(fh)["config_hash"] == fine["config_hash"]
+
+
+def test_evaluate_report_records_the_config_hash(tmp_path, capsys):
+    real, synth = str(tmp_path / "real"), str(tmp_path / "synth")
+    _run(capsys, "make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", real)
+    _run(capsys, "make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--seed", "1",
+         "--out", synth)
+    out = str(tmp_path / "report")
+    _run(capsys, "evaluate", "--real", real, "--synth", synth, "--metrics", "context_fid",
+         "--seed", "5", "--out", out)
+    with open(f"{out}/report.json") as fh:
+        recorded = json.load(fh)["metadata"]["config_hash"]
+    assert recorded and recorded == resolve_config("desk", None, None, 5).hash()
+
+
+def test_non_finite_weight_ends_generate_with_exit_4(tmp_path, capsys):
+    normal = str(tmp_path / "normal")
+    _run(capsys, "make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", normal)
+    pre = _run(capsys, "pretrain", "--data", normal, "--out", str(tmp_path / "pre"),
+               *_overrides("train.pretrain_steps=1"))
+    ckpt = load_checkpoint(pre["checkpoint"])
+    first = next(iter(ckpt.arrays))
+    ckpt.arrays[first].flat[0] = np.nan
+    broken = str(tmp_path / "nan.ckpt")
+    save_checkpoint(ckpt, broken)
+    assert main(["generate", "--checkpoint", broken, "--n", "2", "--out", str(tmp_path / "gen")]) == 4
+    assert "non-finite" in capsys.readouterr().err

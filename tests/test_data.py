@@ -56,12 +56,6 @@ class TestGenerateNormal:
         with pytest.raises(ContractError):
             generate_normal(4, 2, 1, seed=0)
 
-    def test_parallel_generation_identical(self):
-        a = generate_normal(24, 2, 8, seed=3, workers=1)
-        b = generate_normal(24, 2, 8, seed=3, workers=4)
-        for s1, s2 in zip(a.samples, b.samples):
-            assert np.array_equal(s1.values, s2.values)
-
 
 class TestInjectFault:
     def test_sudden_step(self):

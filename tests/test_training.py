@@ -1,0 +1,159 @@
+"""The fused Adam, the checkpoint loader, and resume bit-exactness."""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+
+from faultgen import autodiff as ad
+from faultgen.autodiff import Parameter
+from faultgen.config import resolve_config
+from faultgen.data import generate_normal
+from faultgen.denoiser import Backbone, DenoiserConfig
+from faultgen.errors import CheckpointError
+from faultgen.training import (
+    CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
+    Adam,
+    _restore,
+    _snapshot,
+    load_checkpoint,
+    pretrain,
+)
+
+SHAPES = [(3, 4), (4,), (2, 3, 5), (1,), (7, 2)]
+TINY = DenoiserConfig(tau=8, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=1,
+                      heads=2, ff_dim=16, fourier_terms=1)
+
+
+class LoopAdam:
+    """Reference: the per-array update the fused step must reproduce bit for bit."""
+
+    def __init__(self, arrays, lr, betas=(0.9, 0.999), eps=1e-8):
+        self.data = [a.copy() for a in arrays]
+        self.m = [np.zeros_like(a) for a in arrays]
+        self.v = [np.zeros_like(a) for a in arrays]
+        self.lr, self.betas, self.eps, self.step_count = lr, betas, eps, 0
+
+    def step(self, grads, lr_scale):
+        b1, b2 = self.betas
+        self.step_count += 1
+        c1 = 1.0 - b1**self.step_count
+        c2 = 1.0 - b2**self.step_count
+        for i, g in enumerate(grads):
+            m = self.m[i] = b1 * self.m[i] + (1 - b1) * g
+            v = self.v[i] = b2 * self.v[i] + (1 - b2) * g * g
+            update = (m / c1) / (np.sqrt(v / c2) + self.eps)
+            self.data[i] = self.data[i] - (self.lr * lr_scale) * update.astype(self.data[i].dtype)
+
+
+def _params(rng):
+    return [Parameter(f"p{i}", rng.normal(0, 1, s)) for i, s in enumerate(SHAPES)]
+
+
+def _assert_bound(opt):
+    for p in opt.params:
+        assert np.shares_memory(p.data, opt._data)
+        assert np.shares_memory(p.grad, opt._grad)
+        assert np.shares_memory(opt.m[p.name], opt._m)
+        assert np.shares_memory(opt.v[p.name], opt._v)
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_fused_adam_matches_per_array_loop_bitwise(dtype):
+    rng = np.random.default_rng(0)
+    with ad.precision(dtype):
+        params = _params(rng)
+    assert all(p.data.dtype == np.dtype(dtype) for p in params)
+    ref = LoopAdam([p.data for p in params], lr=1e-2)
+    opt = Adam(params, lr=1e-2)
+    for scale in (0.2, 0.4, 0.6, 0.8, 0.9):
+        opt.zero_grad()
+        grads = [(rng.normal(0, 3, p.data.shape) * (rng.random(p.data.shape) > 0.2)).astype(dtype)
+                 for p in params]
+        for p, g in zip(params, grads):
+            p.grad += g
+        opt.step(scale)
+        ref.step(grads, scale)
+    for i, p in enumerate(params):
+        assert p.data.dtype == np.dtype(dtype)
+        assert np.array_equal(p.data, ref.data[i])
+        assert np.array_equal(opt.m[p.name], ref.m[i])
+        assert np.array_equal(opt.v[p.name], ref.v[i])
+
+
+def test_parameters_stay_views_into_the_optimizer_buffers():
+    model = Backbone(TINY, seed=0)
+    opt = Adam(model.parameters(), lr=1e-3)
+    _assert_bound(opt)
+    before = [p.data.copy() for p in opt.params]
+    for p in opt.params:
+        p.grad += 1.0
+    opt.zero_grad()
+    _assert_bound(opt)
+    assert not np.any(opt._grad)
+    opt.params[0].zero_grad()
+    _assert_bound(opt)
+    for p in opt.params:
+        p.grad += 1.0
+    opt.step()
+    assert all(not np.array_equal(p.data, b) for p, b in zip(opt.params, before))
+    snap = _snapshot(model, opt, None, {}, 1, None)
+    opt.step()
+    _restore(model, opt, snap)
+    _assert_bound(opt)
+    for name, p in model.params.items():
+        assert np.array_equal(p.data, snap.arrays[name])
+        assert np.array_equal(opt.m[name], snap.arrays[f"opt.m.{name}"])
+    assert opt.step_count == 1
+
+
+def test_resume_is_bit_exact(tmp_path):
+    cfg = resolve_config("desk")
+    dcfg = cfg.denoiser_config()
+    data = generate_normal(dcfg.tau, dcfg.d, 16, seed=2)
+    tcfg = cfg.train_config("pretrain")
+    tcfg.steps, tcfg.batch_size, tcfg.warmup_steps, tcfg.checkpoint_every = 6, 2, 4, 3
+    full = pretrain(data, tcfg, Backbone(dcfg, seed=0), cfg.schedule(),
+                    checkpoint_dir=str(tmp_path / "full"))
+    half = load_checkpoint(tmp_path / "full" / "step_000003.ckpt")
+    assert half.step == 3 and half.opt_step == 3
+    resumed = pretrain(data, tcfg, Backbone(dcfg, seed=0), cfg.schedule(),
+                       checkpoint_dir=str(tmp_path / "resumed"), resume=half)
+    assert len(full.arrays) == 498
+    assert list(resumed.arrays) == list(full.arrays)
+    for name, arr in full.arrays.items():
+        assert np.array_equal(resumed.arrays[name], arr), name
+    assert resumed.opt_step == full.opt_step == 6
+    assert resumed.rng_state == full.rng_state
+
+
+def _write_raw(path, header: bytes, data: bytes = b""):
+    with open(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(header)))
+        fh.write(header + data)
+
+
+GOOD_HEADER = {"format_version": CHECKPOINT_VERSION, "config": {}, "step": 0,
+               "opt_step": 0, "rng_state": None}
+
+
+def test_header_that_is_not_an_object_is_a_checkpoint_error(tmp_path):
+    _write_raw(tmp_path / "a.ckpt", b"[1, 2]")
+    with pytest.raises(CheckpointError, match="malformed header"):
+        load_checkpoint(tmp_path / "a.ckpt")
+
+
+def test_header_without_arrays_is_a_checkpoint_error(tmp_path):
+    _write_raw(tmp_path / "a.ckpt", json.dumps(GOOD_HEADER).encode())
+    with pytest.raises(CheckpointError, match="malformed header: KeyError\\('arrays'\\)"):
+        load_checkpoint(tmp_path / "a.ckpt")
+
+
+def test_shape_disagreeing_with_nbytes_is_a_checkpoint_error(tmp_path):
+    entry = {"name": "w", "shape": [3, 3], "offset": 0, "nbytes": 16}
+    _write_raw(tmp_path / "a.ckpt", json.dumps({**GOOD_HEADER, "arrays": [entry]}).encode(),
+               np.zeros(4, dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError, match="shape/size"):
+        load_checkpoint(tmp_path / "a.ckpt")
