@@ -1,7 +1,7 @@
 """Few-shot fault time-series generation with a diffusion backbone and a
 difference adapter, plus the evaluation harness for generated corpora."""
 
-from .adapter import AdapterConfig, AdapterStack, ComposedModel, adapter_forward, attach, sliding_window_attention
+from .adapter import AdapterConfig, AdapterStack, ComposedModel, attach, sliding_window_attention
 from .data import (
     Dataset,
     FaultSpec,

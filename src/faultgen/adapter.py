@@ -4,9 +4,9 @@ Each block normalizes its input, runs multi-head attention restricted to a
 symmetric local window (the shared attention under a band mask, so edge
 positions see fewer keys), and projects back through a zero-initialized
 output layer, so a fresh stack leaves the backbone's behavior untouched.
-Block k receives the backbone tap plus the accumulated raw outputs of blocks
-1..k-1, and the stream handed to the next decoder layer is
-tap + alpha * block_output.
+`AdapterStack.interleave` runs block k after decoder layer k: the block reads
+that layer's output plus the summed raw outputs of the blocks before it, and
+the stream handed to the next decoder layer is layer_output + alpha * block_output.
 """
 
 from __future__ import annotations
@@ -88,25 +88,16 @@ class AdapterStack:
         normed = ad.layer_norm(x, *blk["ln"])
         return sliding_window_attention(normed, self.cfg.window, self.cfg.heads, blk)
 
+    def interleave(self, k: int, h: Tensor, acc: Tensor | None) -> tuple[Tensor, Tensor]:
+        """Run block k on decoder layer k's output `h`; returns (stream, acc).
 
-def adapter_forward(stack: AdapterStack, taps: list[Tensor]):
-    """Run the stack over precomputed per-layer states.
-
-    Block k sees taps[k] plus the sum of raw outputs of earlier blocks; the
-    updated stream for layer k is taps[k] + alpha * output_k. Returns
-    (block outputs, updated taps).
-    """
-    if len(taps) != len(stack.blocks):
-        raise ContractError(f"expected {len(stack.blocks)} taps, got {len(taps)}")
-    locals_, updated = [], []
-    acc = None
-    for k, tap in enumerate(taps):
-        local_in = tap if acc is None else tap + acc
-        local = stack.block_forward(k, local_in)
-        locals_.append(local)
+        The block reads h + acc, where `acc` sums the raw outputs of blocks
+        before k (None before the first block); the stream for the next decoder
+        layer is h + alpha * output, and the returned acc includes this output.
+        """
+        local = self.block_forward(k, h if acc is None else h + acc)
         acc = local if acc is None else acc + local
-        updated.append(tap + stack.alpha * local)
-    return locals_, updated
+        return h + self.alpha * local, acc
 
 
 class ComposedModel:
@@ -117,19 +108,13 @@ class ComposedModel:
         self.stack = stack
         self.cfg = backbone.cfg
 
-    def forward(self, x_t, t: int):
+    def forward(self, x_t, t: int) -> Tensor:
         return self.backbone.forward(x_t, t, adapter=self.stack)
 
-    def predict_noise(self, x, t: int) -> np.ndarray:
-        with ad.no_grad():
-            eps_hat, _ = self.forward(x, t)
-        return eps_hat.data
+    predict_noise = Backbone.predict_noise
 
     def parameters(self) -> list[Parameter]:
         return self.backbone.parameters() + self.stack.parameters()
-
-    def trainable_parameters(self) -> list[Parameter]:
-        return [p for p in self.parameters() if p.trainable]
 
     @property
     def params(self) -> dict[str, Parameter]:

@@ -8,15 +8,16 @@ resolved config hash and seed so that equal-hash runs are byte-identical.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
 import json
 import os
 import sys
 
-from .adapter import AdapterStack, attach
 from .config import RunConfig, resolve_config
 from .data import (
     FAULT_KINDS,
+    Dataset,
     fit_normalizer,
     generate_normal,
     load_corpus,
@@ -37,12 +38,13 @@ from .errors import (
 )
 from .metrics import downstream_eval, evaluate_corpora
 from .training import (
+    denoiser_config_from_checkpoint,
     finetune,
     load_checkpoint,
     model_from_checkpoint,
     normalizer_from_checkpoint,
     pretrain,
-    schedule_from_config,
+    schedule_from_checkpoint,
 )
 
 FAULT_SEED_OFFSET = 1_000_003  # keeps injection rng streams apart from base-signal streams
@@ -63,13 +65,17 @@ class ExperimentLayout:
             os.makedirs(d, exist_ok=True)
         with open(os.path.join(self.root, "config.lock"), "w") as fh:
             fh.write(cfg.canonical_text())
-        with open(os.path.join(self.root, ".partial"), "w") as fh:
-            fh.write("in progress\n")
 
-    def finish(self) -> None:
-        marker = os.path.join(self.root, ".partial")
-        if os.path.exists(marker):
-            os.remove(marker)
+
+@contextlib.contextmanager
+def _in_progress(directory):
+    """Hold a `.partial` marker in `directory` while the block runs; it stays if the block raises."""
+    os.makedirs(directory, exist_ok=True)
+    marker = os.path.join(directory, ".partial")
+    with open(marker, "w") as fh:
+        fh.write("in progress\n")
+    yield
+    os.remove(marker)
 
 
 def _file_sha256(path) -> str:
@@ -123,12 +129,8 @@ def cmd_make_data(args) -> int:
         )
     else:
         ds = base
-    marker = os.path.join(args.out, ".partial")
-    os.makedirs(args.out, exist_ok=True)
-    with open(marker, "w") as fh:
-        fh.write("in progress\n")
-    save_corpus(ds, args.out)
-    os.remove(marker)
+    with _in_progress(args.out):
+        save_corpus(ds, args.out)
     summary = {"id": ds.id, "label": ds.label, "n": len(ds), "tau": ds.tau,
                "dim": ds.dim, "seed": args.seed, "out": args.out}
     print(json.dumps(summary, sort_keys=True))
@@ -145,26 +147,25 @@ def cmd_pretrain(args) -> int:
     cfg.set("model", "tau", corpus.tau)
     cfg.set("model", "dim", corpus.dim)
     layout = ExperimentLayout(args.out)
-    layout.prepare(cfg)
-
-    mode = cfg.get("data", "normalizer")
-    norm = fit_normalizer(corpus, mode)
-    normed = norm.apply_dataset(corpus)
-    tcfg = cfg.train_config("pretrain")
-    model = Backbone(cfg.denoiser_config(), seed=tcfg.seed)
-    echo = {
-        "config_hash": cfg.hash(),
-        "data": {"label": corpus.label, "corpus_id": corpus.id,
-                 "channel_names": list(corpus.samples[0].channel_names),
-                 "normalizer_mode": mode},
-        "diffusion": dict(cfg.sections["diffusion"]),
-    }
-    ckpt = pretrain(
-        normed, tcfg, model, cfg.schedule(), normalizer=norm, config_echo=echo,
-        checkpoint_dir=layout.checkpoints,
-        log_path=os.path.join(layout.logs, "loss_curve.csv"),
-    )
-    layout.finish()
+    with _in_progress(layout.root):
+        layout.prepare(cfg)
+        mode = cfg.get("data", "normalizer")
+        norm = fit_normalizer(corpus, mode)
+        normed = norm.apply_dataset(corpus)
+        tcfg = cfg.train_config("pretrain")
+        model = Backbone(cfg.denoiser_config(), seed=tcfg.seed)
+        echo = {
+            "config_hash": cfg.hash(),
+            "data": {"label": corpus.label, "corpus_id": corpus.id,
+                     "channel_names": list(corpus.samples[0].channel_names),
+                     "normalizer_mode": mode},
+            "diffusion": dict(cfg.sections["diffusion"]),
+        }
+        ckpt = pretrain(
+            normed, tcfg, model, cfg.schedule(), normalizer=norm, config_echo=echo,
+            checkpoint_dir=layout.checkpoints,
+            log_path=os.path.join(layout.logs, "loss_curve.csv"),
+        )
     final_loss = ckpt.loss_rows[-1][3] if ckpt.loss_rows else float("nan")
     print(json.dumps({"phase": "pretrain", "steps": tcfg.steps, "final_loss": final_loss,
                       "checkpoint": os.path.join(layout.checkpoints, "final.ckpt"),
@@ -181,20 +182,19 @@ def cmd_finetune(args) -> int:
     cfg.set("model", "tau", fault.tau)
     cfg.set("model", "dim", fault.dim)
     # the adapter must match the pretrained backbone's width
-    cfg.set("model", "model_dim", base.config["model"]["model_dim"])
+    cfg.set("model", "model_dim", denoiser_config_from_checkpoint(base).model_dim)
     layout = ExperimentLayout(args.out)
-    layout.prepare(cfg)
-
-    norm = normalizer_from_checkpoint(base)
-    normed = norm.apply_dataset(fault) if norm is not None else fault
-    tcfg = cfg.train_config("finetune")
-    finetune(
-        normed, base, tcfg, cfg.loss_config(), adapter_cfg=cfg.adapter_config(),
-        data_info={"label": fault.label, "corpus_id": fault.id},
-        checkpoint_dir=layout.checkpoints,
-        log_path=os.path.join(layout.logs, "loss_curve.csv"), config_hash=cfg.hash(),
-    )
-    layout.finish()
+    with _in_progress(layout.root):
+        layout.prepare(cfg)
+        norm = normalizer_from_checkpoint(base)
+        normed = norm.apply_dataset(fault) if norm is not None else fault
+        tcfg = cfg.train_config("finetune")
+        finetune(
+            normed, base, tcfg, cfg.loss_config(), adapter_cfg=cfg.adapter_config(),
+            data_info={"label": fault.label, "corpus_id": fault.id},
+            checkpoint_dir=layout.checkpoints,
+            log_path=os.path.join(layout.logs, "loss_curve.csv"), config_hash=cfg.hash(),
+        )
     print(json.dumps({"phase": "finetune", "steps": tcfg.steps,
                       "checkpoint": os.path.join(layout.checkpoints, "final.ckpt"),
                       "config_hash": cfg.hash()}, sort_keys=True))
@@ -204,6 +204,8 @@ def cmd_finetune(args) -> int:
 def cmd_generate(args) -> int:
     if not args.checkpoint:
         raise CheckpointError("--checkpoint is required for generate")
+    if args.n < 1:
+        raise ConfigError(f"--n must be >= 1, got {args.n}")
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     for ov in args.override or ():
@@ -214,37 +216,26 @@ def cmd_generate(args) -> int:
             raise ConfigError("adapter.alpha override needs a fine-tuned checkpoint")
         model.stack.alpha = float(ov.split("=", 1)[1])
     norm = normalizer_from_checkpoint(ckpt)
-    mcfg = ckpt.config["model"]
-    sched = schedule_from_config(ckpt.config["diffusion"])
+    sched = schedule_from_checkpoint(ckpt)
     names = ckpt.config.get("data", {}).get("channel_names")
     label = args.label or ckpt.config.get("data", {}).get("label", "synthetic")
 
-    marker_dir = args.out
-    os.makedirs(marker_dir, exist_ok=True)
-    marker = os.path.join(marker_dir, ".partial")
-    with open(marker, "w") as fh:
-        fh.write("in progress\n")
-    series = sample(model, sched, args.n, (mcfg["tau"], mcfg["d"]), args.seed,
-                    normalizer=norm, channel_names=names)
-    from .data import Dataset
-
-    ds = Dataset(series, label=label, id=f"gen-{args.seed}-{args.n}", seed=args.seed) if series else None
-    if ds is None:
-        raise ContractError("generate needs --n >= 1 when writing a corpus")
-    save_corpus(ds, args.out)
-    log = {
-        "seed": args.seed,
-        "n": args.n,
-        "checkpoint": args.checkpoint,
-        "checkpoint_sha256": _file_sha256(args.checkpoint),
-        "config_hash": ckpt.config.get("config_hash", ""),
-        "alpha": getattr(getattr(model, "stack", None), "alpha", None),
-        "label": label,
-    }
-    with open(os.path.join(args.out, "generation_log.json"), "w") as fh:
-        json.dump(log, fh, indent=2, sort_keys=True)
-        fh.write("\n")
-    os.remove(marker)
+    with _in_progress(args.out):
+        series = sample(model, sched, args.n, (model.cfg.tau, model.cfg.d), args.seed,
+                        normalizer=norm, channel_names=names)
+        ds = Dataset(series, label=label, id=f"gen-{args.seed}-{args.n}", seed=args.seed)
+        save_corpus(ds, args.out)
+        log = {
+            "seed": args.seed,
+            "n": args.n,
+            "checkpoint_sha256": _file_sha256(args.checkpoint),
+            "config_hash": ckpt.config.get("config_hash", ""),
+            "alpha": getattr(getattr(model, "stack", None), "alpha", None),
+            "label": label,
+        }
+        with open(os.path.join(args.out, "generation_log.json"), "w") as fh:
+            json.dump(log, fh, indent=2, sort_keys=True)
+            fh.write("\n")
     print(json.dumps({"generated": args.n, "out": args.out, "label": label}, sort_keys=True))
     return 0
 

@@ -13,9 +13,9 @@ import hashlib
 
 from .adapter import AdapterConfig
 from .denoiser import DenoiserConfig
-from .diffusion import NoiseSchedule, make_schedule
+from .diffusion import NoiseSchedule
 from .errors import ConfigError
-from .training import LossConfig, TrainConfig
+from .training import LossConfig, TrainConfig, schedule_from_config
 
 DESK = {
     "model": {
@@ -141,8 +141,7 @@ class RunConfig:
                              model_dim=self.get("model", "model_dim"), alpha=a["alpha"])
 
     def schedule(self) -> NoiseSchedule:
-        d = self.sections["diffusion"]
-        return make_schedule(d["timesteps"], d["schedule"], d["beta_start"], d["beta_end"])
+        return schedule_from_config(self.sections["diffusion"])
 
     def train_config(self, phase: str, seed: int | None = None) -> TrainConfig:
         t = self.sections["train"]

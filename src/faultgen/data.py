@@ -430,9 +430,6 @@ class Normalizer:
     def apply_dataset(self, ds: Dataset) -> Dataset:
         return Dataset([self.apply(s) for s in ds.samples], ds.label, ds.id, ds.seed, ds.fault_spec)
 
-    def invert_dataset(self, ds: Dataset) -> Dataset:
-        return Dataset([self.invert(s) for s in ds.samples], ds.label, ds.id, ds.seed, ds.fault_spec)
-
 
 def fit_normalizer(ds: Dataset, mode: str = "minmax") -> Normalizer:
     arr = ds.as_array()
@@ -489,7 +486,10 @@ def load_corpus(directory) -> Dataset:
     for key in ("id", "label", "tau", "dim", "n"):
         if key not in manifest:
             raise CorpusError(f"manifest {mpath} missing field {key!r}")
-    tau, dim, n = int(manifest["tau"]), int(manifest["dim"]), int(manifest["n"])
+    try:
+        tau, dim, n = int(manifest["tau"]), int(manifest["dim"]), int(manifest["n"])
+    except (TypeError, ValueError) as e:
+        raise CorpusError(f"manifest {mpath}: tau, dim and n must be integers: {e}") from e
 
     files = sorted(f for f in os.listdir(directory) if f.startswith("sample_") and f.endswith(".csv"))
     if len(files) != n:
@@ -523,7 +523,10 @@ def load_corpus(directory) -> Dataset:
             raise CorpusError(f"{path}: {len(rows)} timesteps, manifest says {tau}")
         samples.append(TimeSeries(np.asarray(rows, dtype=np.float32), names))
 
-    spec = FaultSpec.from_dict(manifest["fault_spec"]) if manifest.get("fault_spec") else None
+    try:
+        spec = FaultSpec.from_dict(manifest["fault_spec"]) if manifest.get("fault_spec") else None
+    except (KeyError, TypeError, ValueError) as e:
+        raise CorpusError(f"manifest {mpath}: malformed fault_spec: {e!r}") from e
     return Dataset(
         samples,
         label=manifest["label"],

@@ -3,8 +3,8 @@
 The decoder's final state feeds three heads whose outputs sum to the noise
 estimate: a degree-3 polynomial trend, a Fourier seasonal component, and a
 per-position linear residual. All heads start at zero so a fresh model
-predicts exactly zero noise. Each decoder layer's output is exposed as a
-"tap" so adapter blocks can be interleaved behind a frozen backbone.
+predicts exactly zero noise. `forward` takes an optional adapter stack and
+interleaves its blocks after the decoder layers, behind the frozen backbone.
 """
 
 from __future__ import annotations
@@ -225,11 +225,11 @@ class Backbone:
         h = h + feed_forward(ad.layer_norm(h, *layer["ln3"]), layer["ff"])
         return h
 
-    def forward(self, x_t, t: int, adapter=None):
-        """Noise prediction plus per-decoder-layer hidden states (the taps).
+    def forward(self, x_t, t: int, adapter=None) -> Tensor:
+        """Noise prediction for `x_t`, (tau, d) or (batch, tau, d), at step `t`.
 
-        `x_t` is (tau, d) or (batch, tau, d); an attached adapter is consulted
-        after every decoder layer.
+        An adapter stack, when given, runs after every decoder layer
+        (`AdapterStack.interleave`).
         """
         cfg = self.cfg
         if not 0 <= t < cfg.T:
@@ -255,17 +255,12 @@ class Backbone:
         enc_out = ad.layer_norm(h, *self.enc_ln)
 
         h = base
-        taps = []
         acc = None
         for k, layer in enumerate(self.dec):
             try:
                 h = self._dec_layer(h, enc_out, layer, te)
-                taps.append(h)
                 if adapter is not None:
-                    local_in = h if acc is None else h + acc
-                    local = adapter.block_forward(k, local_in)
-                    acc = local if acc is None else acc + local
-                    h = h + adapter.alpha * local
+                    h, acc = adapter.interleave(k, h, acc)
             except NumericError as e:
                 raise ForwardError(f"decoder layer {k}: {e}") from e
 
@@ -274,8 +269,7 @@ class Backbone:
         eps_hat = trend + seasonal + residual
         if single:
             eps_hat = eps_hat.reshape((cfg.tau, cfg.d))
-            taps = [tp.reshape((cfg.tau, cfg.model_dim)) for tp in taps]
-        return eps_hat, taps
+        return eps_hat
 
     def decompose(self, H):
         """Split a final decoder state into (trend, seasonal, residual) parts."""
@@ -303,5 +297,4 @@ class Backbone:
     def predict_noise(self, x, t: int) -> np.ndarray:
         """Inference-only noise prediction (no tape)."""
         with ad.no_grad():
-            eps_hat, _ = self.forward(x, t)
-        return eps_hat.data
+            return self.forward(x, t).data

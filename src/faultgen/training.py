@@ -301,18 +301,23 @@ def _restore(model, opt: Adam, ckpt: Checkpoint) -> np.random.Generator:
     return rng
 
 
+def denoiser_config_from_checkpoint(ckpt: Checkpoint) -> DenoiserConfig:
+    try:
+        return DenoiserConfig(**ckpt.config["model"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint config lacks a valid model section: {e!r}") from e
+
+
 def model_from_checkpoint(ckpt: Checkpoint, trainable: bool | None = None):
     """Rebuild the model (backbone, or composed if adapter arrays are present)."""
-    try:
-        dcfg = DenoiserConfig(**ckpt.config["model"])
-    except (KeyError, TypeError) as e:
-        raise CheckpointError(f"checkpoint config lacks a valid model section: {e}") from e
-    backbone = Backbone(dcfg, seed=0)
+    backbone = Backbone(denoiser_config_from_checkpoint(ckpt), seed=0)
     model = backbone
     if ckpt.config.get("adapter"):
-        acfg = AdapterConfig(**ckpt.config["adapter"])
-        stack = AdapterStack(acfg, dcfg.dec_layers, seed=0)
-        model = attach(backbone, stack)
+        try:
+            stack = AdapterStack(AdapterConfig(**ckpt.config["adapter"]), backbone.cfg.dec_layers, seed=0)
+            model = attach(backbone, stack)
+        except (TypeError, ValueError) as e:
+            raise CheckpointError(f"checkpoint config has an invalid adapter section: {e!r}") from e
     _load_arrays({name: p.data for name, p in model.params.items()}, ckpt.arrays)
     if trainable is not None:
         backbone.set_trainable(trainable)
@@ -323,12 +328,22 @@ def normalizer_from_checkpoint(ckpt: Checkpoint) -> Normalizer | None:
     if "norm.lo" not in ckpt.arrays:
         return None
     mode = ckpt.config.get("data", {}).get("normalizer_mode", "minmax")
-    return Normalizer(mode, ckpt.arrays["norm.lo"], ckpt.arrays["norm.hi"])
+    try:
+        return Normalizer(mode, ckpt.arrays["norm.lo"], ckpt.arrays["norm.hi"])
+    except (KeyError, ValueError) as e:
+        raise CheckpointError(f"checkpoint holds no valid normalizer: {e!r}") from e
 
 
 def schedule_from_config(diff: dict) -> NoiseSchedule:
-    return make_schedule(int(diff["timesteps"]), diff.get("schedule", "linear"),
+    return make_schedule(int(diff["timesteps"]), diff["schedule"],
                          float(diff["beta_start"]), float(diff["beta_end"]))
+
+
+def schedule_from_checkpoint(ckpt: Checkpoint) -> NoiseSchedule:
+    try:
+        return schedule_from_config(ckpt.config["diffusion"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint config lacks a valid diffusion section: {e!r}") from e
 
 
 def _write_loss_csv(rows, path) -> None:
@@ -367,7 +382,7 @@ def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
         eps = rng.standard_normal(x0.shape).astype(np.float32)
         x_t = forward_sample(x0, t, eps, sched)
         try:
-            eps_hat, _ = model.forward(Tensor(x_t), t)
+            eps_hat = model.forward(Tensor(x_t), t)
             if loss_cfg is None or loss_cfg.weight == 0:
                 loss = base = base_loss(Tensor(eps), eps_hat)
                 div_val = 0.0
@@ -411,9 +426,9 @@ def pretrain(normal: Dataset, cfg: TrainConfig, model: Backbone, sched: NoiseSch
 
 
 def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossConfig,
-             adapter_cfg: AdapterConfig | None = None, sched: NoiseSchedule | None = None,
-             data_info: dict | None = None, checkpoint_dir=None, log_path=None,
-             resume: Checkpoint | None = None, config_hash: str = "") -> Checkpoint:
+             adapter_cfg: AdapterConfig, data_info: dict | None = None,
+             checkpoint_dir=None, log_path=None, resume: Checkpoint | None = None,
+             config_hash: str = "") -> Checkpoint:
     """Attach a fresh adapter stack to a frozen pretrained backbone and train it.
 
     Only adapter parameters receive updates; backbone arrays in the returned
@@ -427,11 +442,8 @@ def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossC
     if base.config.get("adapter"):
         raise CheckpointError("finetune expects a backbone-only (pretrain) checkpoint")
     backbone = model_from_checkpoint(base)
-    if adapter_cfg is None:
-        adapter_cfg = AdapterConfig(model_dim=backbone.cfg.model_dim)
     model = attach(backbone, AdapterStack(adapter_cfg, backbone.cfg.dec_layers, seed=cfg.seed))
-    if sched is None:
-        sched = schedule_from_config(base.config["diffusion"])
+    sched = schedule_from_checkpoint(base)
     normalizer = normalizer_from_checkpoint(base)
     echo = dict(base.config)
     echo["config_hash"] = config_hash

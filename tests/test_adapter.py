@@ -7,7 +7,6 @@ from faultgen import autodiff as ad
 from faultgen.adapter import (
     AdapterConfig,
     AdapterStack,
-    adapter_forward,
     attach,
     sliding_window_attention,
 )
@@ -126,6 +125,16 @@ class TestMaskedAttention:
         assert grad_check(loss, arrays) < 1e-6
 
 
+def _interleave_all(stack, outputs):
+    """Feed decoder-layer outputs through `interleave` as `Backbone.forward` does; (streams, sums)."""
+    streams, sums, acc = [], [], None
+    for k, h in enumerate(outputs):
+        h, acc = stack.interleave(k, h, acc)
+        streams.append(h)
+        sums.append(acc)
+    return streams, sums
+
+
 class TestAdapterForward:
     def _stack(self, n_blocks=2, alpha=1.0, window=3):
         cfg = AdapterConfig(window=window, heads=2, model_dim=8, alpha=alpha)
@@ -135,19 +144,21 @@ class TestAdapterForward:
         stack = self._stack()
         taps = [Tensor(np.random.default_rng(i).standard_normal((1, 6, 8)).astype(np.float32))
                 for i in range(2)]
-        locals_, updated = adapter_forward(stack, taps)
-        for loc, tap, upd in zip(locals_, taps, updated):
-            np.testing.assert_array_equal(loc.data, np.zeros_like(loc.data))
-            np.testing.assert_array_equal(upd.data, tap.data)
+        streams, sums = _interleave_all(stack, taps)
+        for tap, stream, acc in zip(taps, streams, sums):
+            np.testing.assert_array_equal(acc.data, np.zeros_like(acc.data))
+            np.testing.assert_array_equal(stream.data, tap.data)
 
     def test_alpha_zero_keeps_taps(self):
         stack = self._stack(alpha=0.0)
         for blk in stack.blocks:  # make block outputs nonzero
             blk["wo"].data = np.full_like(blk["wo"].data, 0.3)
-        taps = [Tensor(np.ones((1, 6, 8), dtype=np.float32)) for _ in range(2)]
-        _, updated = adapter_forward(stack, taps)
-        for tap, upd in zip(taps, updated):
-            np.testing.assert_array_equal(upd.data, tap.data)
+        taps = [Tensor(np.random.default_rng(i).standard_normal((1, 6, 8)).astype(np.float32))
+                for i in range(2)]
+        streams, sums = _interleave_all(stack, taps)
+        assert np.any(sums[-1].data != 0)
+        for tap, stream in zip(taps, streams):
+            np.testing.assert_array_equal(stream.data, tap.data)
 
     def test_accumulation_hand_trace(self):
         # stub the blocks to constant outputs c1, c2 and check the wiring
@@ -159,16 +170,13 @@ class TestAdapterForward:
                                             Tensor([c1, c2][k]))[1]
         taps = [Tensor(np.random.default_rng(i).standard_normal((1, 4, 8)).astype(np.float32))
                 for i in range(2)]
-        locals_, updated = adapter_forward(stack, taps)
+        streams, sums = _interleave_all(stack, taps)
+        assert [k for k, _ in seen] == [0, 1]
         np.testing.assert_array_equal(seen[0][1], taps[0].data)           # block 1 input = tap 1
         np.testing.assert_allclose(seen[1][1], taps[1].data + c1)         # block 2 input = tap 2 + c1
-        np.testing.assert_allclose(updated[0].data, taps[0].data + 0.5 * c1)
-        np.testing.assert_allclose(updated[1].data, taps[1].data + 0.5 * c2)
-
-    def test_tap_count_mismatch(self):
-        stack = self._stack()
-        with pytest.raises(ContractError):
-            adapter_forward(stack, [Tensor(np.zeros((1, 4, 8), dtype=np.float32))])
+        np.testing.assert_allclose(streams[0].data, taps[0].data + 0.5 * c1)
+        np.testing.assert_allclose(streams[1].data, taps[1].data + 0.5 * c2)
+        np.testing.assert_allclose(sums[1].data, c1 + c2)
 
 
 class TestAttach:
@@ -176,13 +184,13 @@ class TestAttach:
         bb = Backbone(TOY, seed=1)
         stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), TOY.dec_layers, seed=2)
         x = np.random.default_rng(0).standard_normal((6, 2)).astype(np.float32)
-        before, _ = bb.forward(x, 3)
+        before = bb.forward(x, 3)
         comp = attach(bb, stack)
         # trainable set is exactly the adapter parameters
         trainables = {p.name for p in comp.parameters() if p.trainable}
         assert trainables == {p.name for p in stack.parameters()}
         # freshly initialized composed model reproduces the backbone exactly
-        after, _ = comp.forward(x, 3)
+        after = comp.forward(x, 3)
         np.testing.assert_array_equal(before.data, after.data)
 
     def test_alpha_zero_equals_backbone(self):
@@ -193,9 +201,9 @@ class TestAttach:
         for p in stack.parameters():  # non-trivial adapter weights
             p.data = rng.normal(0, 0.2, p.data.shape).astype(np.float32)
         x = rng.standard_normal((6, 2)).astype(np.float32)
-        plain, _ = bb.forward(x, 2)
+        plain = bb.forward(x, 2)
         comp = attach(bb, stack)
-        fused, _ = comp.forward(x, 2)
+        fused = comp.forward(x, 2)
         assert np.max(np.abs(plain.data - fused.data)) <= 1e-7
 
     def test_non_finite_adapter_block_names_decoder_layer(self):
@@ -229,7 +237,7 @@ class TestAttach:
         for _ in range(3):
             x = Tensor(rng.standard_normal((2, 6, 2)).astype(np.float32))
             eps = Tensor(rng.standard_normal((2, 6, 2)).astype(np.float32))
-            eps_hat, _ = comp.forward(x, 1)
+            eps_hat = comp.forward(x, 1)
             loss = base_loss(eps, eps_hat)
             opt.zero_grad()
             loss.backward()

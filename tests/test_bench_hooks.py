@@ -1,0 +1,54 @@
+"""The pipeline benchmark's tracer must find every faultgen name it wraps.
+
+`perfbench/tracing.py` replaces functions and methods by name; a name that a
+change deletes or moves would otherwise surface only in a traced benchmark run.
+"""
+
+import importlib
+import os
+
+import numpy as np
+import pytest
+
+from faultgen.adapter import AdapterConfig, AdapterStack, attach
+from faultgen.denoiser import Backbone, DenoiserConfig
+
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+TOY = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
+                     heads=2, ff_dim=16, fourier_terms=1)
+
+
+@pytest.fixture
+def tracer(monkeypatch):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    tracer = importlib.import_module("tracing").Tracer()
+    try:  # a failed install must not leave the wrappers it did place
+        tracer.install()
+        yield tracer
+    finally:
+        tracer.uninstall()
+
+
+def _owners(tracer):
+    for mod_name, cls_name, attr, _, _ in importlib.import_module("tracing").targets(tracer):
+        owner = importlib.import_module(mod_name)
+        yield (getattr(owner, cls_name) if cls_name else owner), attr
+
+
+def test_install_wraps_every_target_and_uninstall_restores_it(tracer):
+    wrapped = [(owner, attr, vars(owner)[attr]) for owner, attr in _owners(tracer)]
+    assert all(fn.__wrapped__ is not None for _, _, fn in wrapped)
+    tracer.uninstall()
+    for owner, attr, fn in wrapped:
+        assert vars(owner)[attr] is fn.__wrapped__
+
+
+def test_composed_prediction_records_its_adapter_blocks(tracer):
+    backbone = Backbone(TOY, seed=1)
+    model = attach(backbone, AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), 2, seed=2))
+    x = np.random.default_rng(0).standard_normal((3, 6, 2)).astype(np.float32)
+    model.predict_noise(x, 4)
+    names = [tracer.names[i] for i in tracer.name_id]
+    assert names.count("denoiser.predict_noise") == 1
+    assert names.count("denoiser.forward") == 1
+    assert names.count("adapter.block_forward") == TOY.dec_layers

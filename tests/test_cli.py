@@ -1,8 +1,11 @@
 """End-to-end CLI runs on a tiny override config."""
 
 import json
+import os
+import shutil
 
 import numpy as np
+import pytest
 
 from faultgen.cli import main
 from faultgen.config import resolve_config
@@ -66,3 +69,82 @@ def test_non_finite_weight_ends_generate_with_exit_4(tmp_path, capsys):
     save_checkpoint(ckpt, broken)
     assert main(["generate", "--checkpoint", broken, "--n", "2", "--out", str(tmp_path / "gen")]) == 4
     assert "non-finite" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def trained(tmp_path_factory):
+    """A fault corpus, a pretrained checkpoint and a fine-tuned one, each from one step."""
+    root = tmp_path_factory.mktemp("trained")
+    normal, fault = str(root / "normal"), str(root / "fault")
+    assert main(["make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", normal]) == 0
+    assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "8",
+                 "--out", fault]) == 0
+    assert main(["pretrain", "--data", normal, "--out", str(root / "pre"),
+                 *_overrides("train.pretrain_steps=1")]) == 0
+    pre = str(root / "pre" / "checkpoints" / "final.ckpt")
+    assert main(["finetune", "--data", fault, "--checkpoint", pre, "--out", str(root / "fine"),
+                 *_overrides("train.finetune_steps=1")]) == 0
+    return {"normal": normal, "fault": fault, "pre": pre,
+            "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
+
+
+def _edited(src, dst, edit):
+    ckpt = load_checkpoint(src)
+    edit(ckpt.config)
+    save_checkpoint(ckpt, dst)
+    return dst
+
+
+BAD_CONFIGS = {
+    "finetune-no-model": ("finetune", "pre", lambda c: c.pop("model")),
+    "finetune-no-diffusion": ("finetune", "pre", lambda c: c.pop("diffusion")),
+    "generate-no-diffusion": ("generate", "pre", lambda c: c.pop("diffusion")),
+    "beta-start-not-a-number": ("generate", "pre", lambda c: c["diffusion"].update(beta_start="x")),
+    "even-adapter-window": ("generate", "fine", lambda c: c["adapter"].update(window=4)),
+    "unknown-adapter-key": ("generate", "fine", lambda c: c["adapter"].update(depth=2)),
+    "unknown-normalizer-mode": ("generate", "pre", lambda c: c["data"].update(normalizer_mode="l2")),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_bad_checkpoint_config_exits_3(trained, tmp_path, capsys, case):
+    command, which, edit = BAD_CONFIGS[case]
+    ckpt = _edited(trained[which], str(tmp_path / "bad.ckpt"), edit)
+    argv = [command, "--checkpoint", ckpt, "--out", str(tmp_path / "out")]
+    if command == "finetune":
+        argv += ["--data", trained["fault"], *_overrides("train.finetune_steps=1")]
+    else:
+        argv += ["--n", "2"]
+    assert main(argv) == 3
+    assert "checkpoint error" in capsys.readouterr().err
+
+
+def test_bogus_schedule_exits_3_from_a_checkpoint_and_2_from_an_override(trained, tmp_path, capsys):
+    ckpt = _edited(trained["pre"], str(tmp_path / "bad.ckpt"),
+                   lambda c: c["diffusion"].update(schedule="bogus"))
+    assert main(["generate", "--checkpoint", ckpt, "--n", "2", "--out", str(tmp_path / "gen")]) == 3
+    assert main(["pretrain", "--data", trained["normal"], "--out", str(tmp_path / "pre"),
+                 *_overrides("train.pretrain_steps=1", "diffusion.schedule=bogus")]) == 2
+    assert "unknown schedule" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", ["0", "-1"])
+def test_generate_rejects_n_below_1_before_loading(trained, tmp_path, n):
+    for ckpt in (trained["fine"], str(tmp_path / "missing.ckpt")):
+        out = tmp_path / "gen"
+        assert main(["generate", "--checkpoint", ckpt, "--n", n, "--out", str(out)]) == 2
+        assert not out.exists()
+
+
+def test_generate_output_does_not_depend_on_the_checkpoint_path(trained, tmp_path):
+    outs = []
+    for copy in ("a", "b/c"):
+        ckpt = tmp_path / copy / "final.ckpt"
+        ckpt.parent.mkdir(parents=True)
+        shutil.copyfile(trained["fine"], ckpt)
+        outs.append(tmp_path / f"gen_{len(outs)}")
+        assert main(["generate", "--checkpoint", str(ckpt), "--n", "2", "--out", str(outs[-1])]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert "generation_log.json" in names and names == sorted(os.listdir(outs[1]))
+    for name in names:
+        assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name

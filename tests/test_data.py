@@ -1,8 +1,11 @@
 """Corpus generation, the fault catalog, normalization, and corpus I/O."""
 
+import json
+
 import numpy as np
 import pytest
 
+from faultgen.cli import main
 from faultgen.data import (
     FAULT_KINDS,
     Dataset,
@@ -230,3 +233,27 @@ class TestCorpusIO:
         path.write_text("\n".join(lines[:-2]) + "\n")
         with pytest.raises(CorpusError, match="sample_00000"):
             load_corpus(tmp_path / "c")
+
+    @staticmethod
+    def _edit_manifest(directory, edit):
+        path = directory / "manifest.json"
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+
+    @pytest.mark.parametrize("key", ["tau", "dim", "n"])
+    @pytest.mark.parametrize("value", ["x", None])
+    def test_non_integer_manifest_field(self, tmp_path, key, value):
+        save_corpus(generate_normal(24, 2, 2, seed=3), tmp_path / "c")
+        self._edit_manifest(tmp_path / "c", lambda m: m.update({key: value}))
+        with pytest.raises(CorpusError, match="must be integers"):
+            load_corpus(tmp_path / "c")
+
+    def test_fault_spec_without_onset(self, tmp_path):
+        ds = make_fault_dataset(generate_normal(24, 2, 3, seed=3), "sudden", seed=5, magnitude=1.0)
+        save_corpus(ds, tmp_path / "c")
+        self._edit_manifest(tmp_path / "c", lambda m: m["fault_spec"].pop("onset"))
+        with pytest.raises(CorpusError, match="fault_spec"):
+            load_corpus(tmp_path / "c")
+        corpus = str(tmp_path / "c")
+        assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2

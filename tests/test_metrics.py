@@ -1,6 +1,8 @@
-"""Report assembly in evaluate_corpora."""
+"""Report assembly in evaluate_corpora, and the Frechet distance against scipy."""
 
 import numpy as np
+import pytest
+from scipy.linalg import sqrtm
 
 from faultgen import metrics
 from faultgen.data import generate_normal
@@ -26,3 +28,16 @@ def test_seed_free_scores_run_once_and_match_single_seed_calls(monkeypatch):
         assert per_seed == {str(s): single.values[m][str(s)] for s, single in enumerate(singles)}
         assert report.medians[m] == float(np.median(list(per_seed.values())))
     assert len(set(report.values["predictive"].values())) == 5
+
+
+@pytest.mark.parametrize("dim", [1, 6])
+def test_frechet_distance_matches_scipy_sqrtm(dim):
+    rng = np.random.default_rng(dim)
+    a = rng.standard_normal((50, dim))
+    b = rng.standard_normal((40, dim)) @ rng.normal(0, 0.7, (dim, dim)) + 0.3
+    ca = np.atleast_2d(np.cov(a, rowvar=False)) + 1e-6 * np.eye(dim)
+    cb = np.atleast_2d(np.cov(b, rowvar=False)) + 1e-6 * np.eye(dim)
+    expected = (np.sum((a.mean(axis=0) - b.mean(axis=0)) ** 2)
+                + np.trace(ca + cb - 2.0 * np.real(sqrtm(ca @ cb))))
+    got = metrics.frechet_distance(a[:, 0] if dim == 1 else a, b[:, 0] if dim == 1 else b)
+    assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
