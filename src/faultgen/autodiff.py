@@ -2,8 +2,10 @@
 
 A small tape-based engine over numpy arrays, covering exactly the op
 vocabulary the denoiser, adapter, losses, and evaluation networks need:
-matmul, elementwise arithmetic, softmax, layer_norm, gelu, slicing/concat,
-reductions, padding, and a fused cross-entropy. Tensors are immutable
+matmul, elementwise arithmetic, softmax, layer_norm, gelu, reshape and
+transpose, indexing (`take`), reductions, and two fused ops with hand-written
+backwards: multi-head `attention` and `cross_entropy`. `pad`, `concat` and
+`stack` are kept for callers outside the package. Tensors are immutable
 values once created; gradients accumulate on leaves during `backward`.
 
 Training runs in float32; a float64 mode (`set_dtype` / `precision`) exists
@@ -363,10 +365,11 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if x.shape[-1] < 1:
         raise DimensionError("layer_norm needs a non-empty last axis")
-    mu = np.mean(x.data, axis=-1, keepdims=True)
-    var = np.var(x.data, axis=-1, keepdims=True)
+    # centred once: mean(d * d) is np.var's own arithmetic without its second x - mu
+    d = x.data - np.mean(x.data, axis=-1, keepdims=True)
+    var = np.mean(d * d, axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    xhat = d * inv
     data = gain.data * xhat + bias.data
 
     def bw(g):
@@ -378,6 +381,86 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accum(x, inv * (dxhat - m1 - xhat * m2))
 
     return _node(data, "layer_norm", (x, gain, bias), bw)
+
+
+def _affine_bw(x, w: Tensor, bias: Tensor, gy) -> None:
+    """Accumulate the weight and bias gradients of x @ w + bias for output gradient gy."""
+    gy = gy.reshape(-1, gy.shape[-1])
+    if w.requires_grad:
+        _accum(w, x.reshape(-1, x.shape[-1]).T @ gy)
+    if bias.requires_grad:
+        _accum(bias, gy.sum(axis=0))
+
+
+def attention(q_in: Tensor, kv_in: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
+              wv: Tensor, bv: Tensor, wo: Tensor, bo: Tensor, heads: int,
+              mask=None) -> Tensor:
+    """Multi-head scaled dot-product attention with its four projections, as one node.
+
+    `q_in` is (B, Sq, D) and `kv_in` is (B, Sk, D); each projection is
+    x @ w + b with a (D, D) weight. `mask` is an optional additive (Sq, Sk)
+    array added to every head's scores before the softmax (0 keeps a key, a
+    large negative drops it). The forward runs the numpy expressions the
+    composed ops would, in their order, so its output is bitwise the same.
+    The backward reuses the kept heads and attention weights, and sums the
+    q-, k- and v-path gradients when `q_in is kv_in`.
+    """
+    x, y = q_in.data, kv_in.data
+    b, sq, dim = x.shape
+    sk = y.shape[-2]
+    if dim % heads:
+        raise DimensionError(f"attention width {dim} is not divisible by {heads} heads")
+    e = dim // heads
+
+    def split(h, s):  # (B, S, D) -> (B, heads, S, e) view
+        return h.reshape((b, s, heads, e)).transpose((0, 2, 1, 3))
+
+    def merge(h, s):  # (B, heads, S, e) -> (B, S, D)
+        return h.transpose((0, 2, 1, 3)).reshape((b, s, dim))
+
+    q = split(x @ wq.data + bq.data, sq)
+    k = split(y @ wk.data + bk.data, sk)
+    v = split(y @ wv.data + bv.data, sk)
+    scale = np.asarray(1.0 / np.sqrt(e), dtype=x.dtype)
+    att = q @ k.transpose((0, 1, 3, 2))
+    att *= scale
+    if mask is not None:
+        att += np.asarray(mask, dtype=x.dtype)
+    att -= np.max(att, axis=-1, keepdims=True)
+    np.exp(att, out=att)
+    att /= np.sum(att, axis=-1, keepdims=True)
+    merged = merge(att @ v, sq)
+    data = merged @ wo.data
+    data += bo.data
+
+    def bw(g):
+        _affine_bw(merged, wo, bo, g)
+        d_out = split(g @ wo.data.T, sq)
+        need_kv = any(t.requires_grad for t in (kv_in, wk, bk, wv, bv))
+        if need_kv:
+            dv = merge(att.transpose((0, 1, 3, 2)) @ d_out, sk)
+        ds = d_out @ v.transpose((0, 1, 3, 2))
+        ds -= np.sum(ds * att, axis=-1, keepdims=True)
+        ds *= att
+        ds *= scale
+        dq = merge(ds @ k, sq)
+        _affine_bw(x, wq, bq, dq)
+        dx = dq @ wq.data.T if q_in.requires_grad else None
+        if need_kv:
+            dk = merge(ds.transpose((0, 1, 3, 2)) @ q, sk)
+            _affine_bw(y, wk, bk, dk)
+            _affine_bw(y, wv, bv, dv)
+            if kv_in.requires_grad:
+                dy = dk @ wk.data.T
+                dy += dv @ wv.data.T
+                if kv_in is q_in:
+                    dx += dy
+                else:
+                    _accum(kv_in, dy)
+        if dx is not None:
+            _accum(q_in, dx)
+
+    return _node(data, "attention", (q_in, kv_in, wq, bq, wk, bk, wv, bv, wo, bo), bw)
 
 
 # ----------------------------------------------------------------------
@@ -405,12 +488,16 @@ def transpose(a: Tensor, axes) -> Tensor:
 
 
 def take(a: Tensor, key) -> Tensor:
-    """Basic slicing / integer indexing; gradient scatters back into place."""
+    """Slicing or integer-array indexing; gradient scatters back into place.
+
+    The scatter is unbuffered (`np.add.at`), so an index repeated in `key`
+    receives the gradient of every position that read it.
+    """
     data = a.data[key]
 
     def bw(g):
         full = np.zeros_like(a.data)
-        full[key] += g
+        np.add.at(full, key, g)
         _accum(a, full)
 
     return _node(data, "take", (a,), bw)

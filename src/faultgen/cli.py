@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import dataclasses
 import hashlib
 import json
 import os
@@ -178,6 +179,12 @@ def cmd_finetune(args) -> int:
         raise CheckpointError("--checkpoint is required for finetune")
     cfg = _resolved(args)
     base = load_checkpoint(args.checkpoint)
+    # fine-tuning trains with the checkpoint's schedule, so an override may only restate it
+    if any(ov.split("=", 1)[0].split(".", 1)[0].strip() == "diffusion" for ov in args.override or ()):
+        schedule_from_checkpoint(base)  # an unusable stored schedule is a checkpoint error
+        if cfg.sections["diffusion"] != base.config["diffusion"]:
+            raise ConfigError("finetune trains with the checkpoint's diffusion schedule "
+                              f"{base.config['diffusion']}; a diffusion override must match it")
     fault = load_corpus(_require_dir(args.data, "fault"))
     cfg.set("model", "tau", fault.tau)
     cfg.set("model", "dim", fault.dim)
@@ -209,12 +216,17 @@ def cmd_generate(args) -> int:
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
     for ov in args.override or ():
-        dotted = ov.split("=", 1)[0]
+        dotted, _, value = ov.partition("=")
         if dotted != "adapter.alpha":
             raise ConfigError(f"only adapter.alpha can be overridden at generation, got {ov!r}")
         if not hasattr(model, "stack"):
             raise ConfigError("adapter.alpha override needs a fine-tuned checkpoint")
-        model.stack.alpha = float(ov.split("=", 1)[1])
+        try:
+            alpha = float(value)
+        except ValueError as e:
+            raise ConfigError(f"bad value for adapter.alpha: {value!r}") from e
+        # AdapterConfig rejects a non-finite alpha (ContractError, exit 2)
+        model.stack.alpha = dataclasses.replace(model.stack.cfg, alpha=alpha).alpha
     norm = normalizer_from_checkpoint(ckpt)
     sched = schedule_from_checkpoint(ckpt)
     names = ckpt.config.get("data", {}).get("channel_names")

@@ -242,12 +242,6 @@ def generate_normal(
     return Dataset(samples, label=label, id=dataset_id or f"{label}-{seed}", seed=seed)
 
 
-def ar2_stationary_variance(a1: float, a2: float, noise_std: float) -> float:
-    """Closed-form stationary variance of x_t = a1 x_{t-1} + a2 x_{t-2} + N(0, s^2)."""
-    s2 = noise_std**2
-    return s2 * (1 - a2) / ((1 + a2) * ((1 - a2) ** 2 - a1**2))
-
-
 # ----------------------------------------------------------------------
 # fault injection
 
@@ -486,10 +480,10 @@ def load_corpus(directory) -> Dataset:
     for key in ("id", "label", "tau", "dim", "n"):
         if key not in manifest:
             raise CorpusError(f"manifest {mpath} missing field {key!r}")
-    try:
-        tau, dim, n = int(manifest["tau"]), int(manifest["dim"]), int(manifest["n"])
-    except (TypeError, ValueError) as e:
-        raise CorpusError(f"manifest {mpath}: tau, dim and n must be integers: {e}") from e
+    tau, dim, n = (manifest[key] for key in ("tau", "dim", "n"))
+    if not all(type(v) is int for v in (tau, dim, n)):  # bool is an int subclass; 2.5 is not truncated
+        raise CorpusError(f"manifest {mpath}: tau, dim and n must be integers, "
+                          f"got {tau!r}, {dim!r}, {n!r}")
 
     files = sorted(f for f in os.listdir(directory) if f.startswith("sample_") and f.endswith(".csv"))
     if len(files) != n:

@@ -93,18 +93,14 @@ def diversity_loss(preds: Tensor, pair_count: int, margin: float, seed: int) -> 
     n = preds.shape[0]
     if n < 2:
         raise ContractError("diversity loss needs a batch of >= 2 predictions")
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    if pair_count < len(pairs):
-        rng = np.random.default_rng(seed)
-        order = rng.permutation(len(pairs))[:pair_count]
-        pairs = [pairs[k] for k in order]
+    first, second = np.triu_indices(n, 1)  # pairs in i-major order
+    if pair_count < first.size:
+        order = np.random.default_rng(seed).permutation(first.size)[:pair_count]
+        first, second = first[order], second[order]
     entries = int(np.prod(preds.shape[1:]))
-    terms = []
-    for i, j in pairs:
-        diff = preds[i] - preds[j]
-        dist = (diff * diff).sum() * (1.0 / entries)
-        terms.append(ad.minimum(dist, margin))
-    return -ad.stack(terms).mean()
+    diff = ad.take(preds, first) - ad.take(preds, second)
+    dist = (diff * diff).sum(axis=tuple(range(1, preds.ndim))) * (1.0 / entries)
+    return -ad.minimum(dist, margin).mean()
 
 
 def total_loss(eps: Tensor, preds: Tensor, cfg: LossConfig, seed: int = 0):

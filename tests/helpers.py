@@ -1,5 +1,8 @@
 """Shared test oracles: finite differences, full attention, reference math.
 
+The composed attention and the looped diversity loss are the library's own
+earlier spellings, kept here as references for the fused and vectorized forms.
+
 These stay independent of the library's own computation paths — they use
 plain numpy (including numpy.linalg, which the library itself avoids).
 """
@@ -87,3 +90,42 @@ def mean_pairwise_distance(series_list):
     for i in range(n):
         total += float(np.sum(np.sqrt(np.sum((x[i + 1:] - x[i]) ** 2, axis=1))))
     return total / (n * (n - 1) / 2)
+
+
+def ar2_stationary_variance(a1: float, a2: float, noise_std: float) -> float:
+    """Closed-form stationary variance of x_t = a1 x_{t-1} + a2 x_{t-2} + N(0, s^2)."""
+    s2 = noise_std**2
+    return s2 * (1 - a2) / ((1 + a2) * ((1 - a2) ** 2 - a1**2))
+
+
+def composed_attention(q_in, kv_in, p, heads, mask=None):
+    """Multi-head attention built from single tape ops: projections, head split, softmax, merge."""
+    b, sq, dim = q_in.shape
+    sk = kv_in.shape[-2]
+    e = dim // heads
+    q = (q_in @ p["wq"] + p["bq"]).reshape((b, sq, heads, e)).transpose((0, 2, 1, 3))
+    k = (kv_in @ p["wk"] + p["bk"]).reshape((b, sk, heads, e)).transpose((0, 2, 1, 3))
+    v = (kv_in @ p["wv"] + p["bv"]).reshape((b, sk, heads, e)).transpose((0, 2, 1, 3))
+    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(e))
+    if mask is not None:
+        scores = scores + Tensor(mask)
+    att = ad.softmax(scores, axis=-1)
+    out = (att @ v).transpose((0, 2, 1, 3)).reshape((b, sq, dim))
+    return out @ p["wo"] + p["bo"]
+
+
+def loop_diversity_loss(preds, pair_count, margin, seed):
+    """The diversity loss as one small graph per sampled pair (a Python list of all pairs)."""
+    n = preds.shape[0]
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    if pair_count < len(pairs):
+        rng = np.random.default_rng(seed)
+        order = rng.permutation(len(pairs))[:pair_count]
+        pairs = [pairs[k] for k in order]
+    entries = int(np.prod(preds.shape[1:]))
+    terms = []
+    for i, j in pairs:
+        diff = preds[i] - preds[j]
+        dist = (diff * diff).sum() * (1.0 / entries)
+        terms.append(ad.minimum(dist, margin))
+    return -ad.stack(terms).mean()

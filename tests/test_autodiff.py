@@ -5,9 +5,10 @@ import pytest
 
 from faultgen import autodiff as ad
 from faultgen.autodiff import Parameter, Tensor
-from faultgen.errors import ContractError, DimensionError, NumericError
+from faultgen.denoiser import Backbone, DenoiserConfig
+from faultgen.errors import ContractError, DimensionError, ForwardError, NumericError
 
-from helpers import grad_check, rel_err
+from helpers import composed_attention, grad_check, rel_err
 
 RNG = np.random.default_rng(42)
 
@@ -95,6 +96,133 @@ class TestLayerNorm:
             [x, g, b],
         )
         assert err < 1e-6
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape,offset", [((12, 24, 64), 0.0), ((12, 24, 64), 1e4),
+                                              ((5, 7), -3e5), ((4, 129), 1e7), ((3, 1), 2.0)])
+    def test_centred_once_equals_np_var_bitwise(self, dtype, shape, offset):
+        rng = np.random.default_rng(len(shape) + shape[-1])
+        x = (rng.standard_normal(shape) * rng.uniform(0.1, 10.0, shape[:-1] + (1,)) + offset).astype(dtype)
+        gain = rng.standard_normal(shape[-1]).astype(dtype)
+        bias = rng.standard_normal(shape[-1]).astype(dtype)
+        with ad.precision(dtype):
+            out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        mu = np.mean(x, axis=-1, keepdims=True)
+        var = np.var(x, axis=-1, keepdims=True)
+        expected = gain * ((x - mu) * (1.0 / np.sqrt(var + 1e-5))) + bias
+        assert out.dtype == dtype and np.array_equal(out, expected)
+
+
+class TestTake:
+    def test_repeated_index_gets_every_gradient(self):
+        p = Parameter("p", np.arange(12.0).reshape(4, 3))
+        ad.take(p, np.array([0, 0, 2])).sum().backward()
+        np.testing.assert_array_equal(p.grad[:, 0], [2.0, 0.0, 1.0, 0.0])
+
+    def test_repeated_indices_match_central_differences(self):
+        rng = np.random.default_rng(8)
+        w = rng.standard_normal((5, 3))
+        idx = np.array([1, 3, 1, 0, 3])
+        assert grad_check(lambda ts: (ad.take(ts[0], idx) * Tensor(w)).sum(),
+                          [rng.standard_normal((4, 3))]) < 1e-6
+
+
+ATT_KEYS = ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo")
+
+
+def _attention_inputs(rng, b, sq, sk, dim, dtype=np.float64):
+    x = rng.standard_normal((b, sq, dim))
+    y = rng.standard_normal((b, sk, dim))
+    params = [rng.standard_normal((dim, dim)) * 0.5 if k[0] == "w" else rng.standard_normal(dim) * 0.1
+              for k in ATT_KEYS]
+    return [a.astype(dtype) for a in [x, y] + params]
+
+
+def _band(sq, sk, half):
+    i, j = np.arange(sq)[:, None], np.arange(sk)[None, :]
+    return np.where(np.abs(i - j) <= half, 0.0, -1e9)
+
+
+ATT_CASES = {  # name: (shared input, sq, sk, mask)
+    "self": (True, 5, 5, None),
+    "self_band": (True, 5, 5, _band(5, 5, 1)),
+    "cross": (False, 3, 6, None),
+    "cross_band": (False, 3, 6, _band(3, 6, 2)),
+}
+
+
+class TestAttentionOp:
+    """The fused op against the composed tape ops it replaces (`helpers.composed_attention`)."""
+
+    @staticmethod
+    def _both(ts, shared, heads, mask):
+        x, y = ts[0], ts[0] if shared else ts[1]
+        p = dict(zip(ATT_KEYS, ts[2:]))
+        return (ad.attention(x, y, *(p[k] for k in ATT_KEYS), heads, mask),
+                composed_attention(x, y, p, heads, mask))
+
+    @pytest.mark.parametrize("case", list(ATT_CASES))
+    def test_forward_is_bitwise_the_composed_ops(self, case):
+        shared, sq, sk, mask = ATT_CASES[case]
+        arrays = _attention_inputs(np.random.default_rng(1), 3, sq, sk, 8, np.float32)
+        fused, composed = self._both([Tensor(a) for a in arrays], shared, 2, mask)
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused.data, composed.data)
+
+    @pytest.mark.parametrize("case", list(ATT_CASES))
+    def test_gradients_match_central_differences(self, case):
+        shared, sq, sk, mask = ATT_CASES[case]
+        rng = np.random.default_rng(2)
+        arrays = _attention_inputs(rng, 2, sq, sk, 4)
+        w = rng.standard_normal((2, sq, 4))
+        if shared:
+            arrays = arrays[:1] + arrays[2:]
+
+        def loss(ts):
+            x, y = ts[0], ts[0] if shared else ts[1]
+            params = ts[1:] if shared else ts[2:]
+            return (ad.attention(x, y, *params, 2, mask) * Tensor(w)).sum()
+
+        assert grad_check(loss, arrays) < 1e-6
+
+    @pytest.mark.parametrize("case,frozen_kv", [(c, False) for c in ATT_CASES]
+                             + [(c, True) for c in ATT_CASES if not ATT_CASES[c][0]])
+    def test_float32_gradients_match_the_composed_ops(self, case, frozen_kv):
+        shared, sq, sk, mask = ATT_CASES[case]
+        rng = np.random.default_rng(3)
+        arrays = _attention_inputs(rng, 3, sq, sk, 8, np.float32)
+        w = Tensor(rng.standard_normal((3, sq, 8)).astype(np.float32))
+        frozen = {1, 4, 5, 6, 7} if frozen_kv else set()  # kv input, wk, bk, wv, bv
+        grads = []
+        for pick in (0, 1):
+            ts = [Tensor(a, requires_grad=i not in frozen) for i, a in enumerate(arrays)]
+            (self._both(ts, shared, 2, mask)[pick] * w).sum().backward()
+            grads.append([t.grad for t in ts])
+        largest = max(np.abs(g).max() for g in grads[1] if g is not None)
+        for i, (got, ref) in enumerate(zip(*grads)):
+            if shared and i == 1 or i in frozen:
+                assert got is None and ref is None
+            elif i == 5:  # the k bias shifts every score of a row equally: its gradient is 0 up to rounding
+                assert max(np.abs(got).max(), np.abs(ref).max()) <= 1e-6 * largest
+            else:  # float32 rounding of sums over up to B*S*D terms, scaled to the gradient's size
+                np.testing.assert_allclose(got, ref, rtol=0, atol=1e-5 * np.abs(ref).max(),
+                                           err_msg=f"input {i}")
+
+    @pytest.mark.parametrize("where,layer", [("enc", "encoder layer 0"), ("dec", "decoder layer 1")])
+    def test_nan_weight_ends_in_a_forward_error_naming_the_layer(self, where, layer):
+        cfg = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
+                             heads=2, ff_dim=16, fourier_terms=1)
+        model = Backbone(cfg, seed=0)
+        attn = model.enc[0]["attn"] if where == "enc" else model.dec[1]["cross"]
+        attn["wk"].data[0, 0] = np.nan
+        x = np.random.default_rng(0).standard_normal((2, 6, 2))
+        with pytest.raises(ForwardError, match=layer):
+            model.forward(x, 3)
+
+    def test_width_not_divisible_by_heads(self):
+        arrays = _attention_inputs(np.random.default_rng(4), 1, 2, 2, 6)
+        with pytest.raises(DimensionError):
+            ad.attention(*[Tensor(a) for a in arrays], 4)
 
 
 class TestBackward:

@@ -148,3 +148,30 @@ def test_generate_output_does_not_depend_on_the_checkpoint_path(trained, tmp_pat
     assert "generation_log.json" in names and names == sorted(os.listdir(outs[1]))
     for name in names:
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+
+
+@pytest.mark.parametrize("value", ["abc", "nan", "inf", ""])
+def test_generate_rejects_a_bad_alpha_override_with_exit_2(trained, tmp_path, capsys, value):
+    out = tmp_path / "gen"
+    assert main(["generate", "--checkpoint", trained["fine"], "--n", "2", "--out", str(out),
+                 "--override", f"adapter.alpha={value}"]) == 2
+    assert "alpha" in capsys.readouterr().err
+    assert not (out / "generation_log.json").exists()
+
+
+def test_generate_applies_a_finite_alpha_override(trained, tmp_path):
+    out = tmp_path / "gen"
+    assert main(["generate", "--checkpoint", trained["fine"], "--n", "2", "--out", str(out),
+                 "--override", "adapter.alpha=0.5"]) == 0
+    assert json.loads((out / "generation_log.json").read_text())["alpha"] == 0.5
+
+
+@pytest.mark.parametrize("override", ["diffusion.schedule=bogus", "diffusion.schedule=cosine",
+                                      "diffusion.timesteps=20", "diffusion.beta_end=0.1"])
+def test_finetune_rejects_a_diffusion_override_the_checkpoint_does_not_use(trained, tmp_path, capsys,
+                                                                          override):
+    out = tmp_path / "fine"
+    assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"],
+                 "--out", str(out), *_overrides("train.finetune_steps=1", override)]) == 2
+    assert "diffusion schedule" in capsys.readouterr().err
+    assert not out.exists()

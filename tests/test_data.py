@@ -11,7 +11,6 @@ from faultgen.data import (
     Dataset,
     FaultSpec,
     TimeSeries,
-    ar2_stationary_variance,
     effective_window,
     fit_normalizer,
     generate_normal,
@@ -21,6 +20,8 @@ from faultgen.data import (
     save_corpus,
 )
 from faultgen.errors import ContractError, CorpusError
+
+from helpers import ar2_stationary_variance
 
 
 def _series(tau=24, d=2, seed=0):
@@ -242,7 +243,7 @@ class TestCorpusIO:
         path.write_text(json.dumps(manifest))
 
     @pytest.mark.parametrize("key", ["tau", "dim", "n"])
-    @pytest.mark.parametrize("value", ["x", None])
+    @pytest.mark.parametrize("value", ["x", None, 2.5, 3.0, True])
     def test_non_integer_manifest_field(self, tmp_path, key, value):
         save_corpus(generate_normal(24, 2, 2, seed=3), tmp_path / "c")
         self._edit_manifest(tmp_path / "c", lambda m: m.update({key: value}))

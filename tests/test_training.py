@@ -18,9 +18,12 @@ from faultgen.training import (
     Adam,
     _restore,
     _snapshot,
+    diversity_loss,
     load_checkpoint,
     pretrain,
 )
+
+from helpers import loop_diversity_loss
 
 SHAPES = [(3, 4), (4,), (2, 3, 5), (1,), (7, 2)]
 TINY = DenoiserConfig(tau=8, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=1,
@@ -157,3 +160,25 @@ def test_shape_disagreeing_with_nbytes_is_a_checkpoint_error(tmp_path):
                np.zeros(4, dtype="<f4").tobytes())
     with pytest.raises(CheckpointError, match="shape/size"):
         load_checkpoint(tmp_path / "a.ckpt")
+
+
+@pytest.mark.parametrize("n,pair_count,margin", [(8, 8, 1.0), (8, 28, 1.0), (8, 100, 1.0),
+                                                 (2, 8, 1.0), (12, 8, 0.3), (64, 8, 1.0)])
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_diversity_loss_matches_the_per_pair_loop(n, pair_count, margin, dtype):
+    """Same sampled pairs, value and gradient as the loop over a Python list of pairs."""
+    rng = np.random.default_rng(n + pair_count)
+    preds = (rng.standard_normal((n, 6, 2)) * rng.uniform(0.2, 1.5, (n, 1, 1))).astype(dtype)
+    out = []
+    with ad.precision(dtype):
+        for loss_fn in (diversity_loss, loop_diversity_loss):
+            p = ad.Tensor(preds, requires_grad=True)
+            loss = loss_fn(p, pair_count, margin, seed=17)
+            loss.backward()
+            out.append((loss.data, p.grad))
+    (value, grad), (ref_value, ref_grad) = out
+    assert value.dtype == dtype
+    tol = 4 * np.finfo(dtype).eps
+    np.testing.assert_allclose(value, ref_value, rtol=tol, atol=tol)
+    np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=tol * max(np.abs(ref_grad).max(), 1e-3))
+    assert np.any(grad != 0)
