@@ -36,10 +36,6 @@ class AdapterConfig:
         if not np.isfinite(self.alpha):
             raise ContractError("alpha must be finite")
 
-    def to_dict(self) -> dict:
-        return {"window": self.window, "heads": self.heads,
-                "model_dim": self.model_dim, "alpha": self.alpha}
-
 
 def sliding_window_attention(x: Tensor, window: int, heads: int, params: dict) -> Tensor:
     """Local attention over a centered window of width `window`; keeps sequence length.

@@ -100,14 +100,8 @@ class Tensor:
     def __add__(self, other):
         return add(self, other)
 
-    def __radd__(self, other):
-        return add(_lift(other, self), self)
-
     def __sub__(self, other):
         return sub(self, other)
-
-    def __rsub__(self, other):
-        return sub(_lift(other, self), self)
 
     def __mul__(self, other):
         return mul(self, other)

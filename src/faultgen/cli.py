@@ -179,12 +179,12 @@ def cmd_finetune(args) -> int:
         raise CheckpointError("--checkpoint is required for finetune")
     cfg = _resolved(args)
     base = load_checkpoint(args.checkpoint)
-    # fine-tuning trains with the checkpoint's schedule, so an override may only restate it
-    if any(ov.split("=", 1)[0].split(".", 1)[0].strip() == "diffusion" for ov in args.override or ()):
+    # fine-tuning trains with the checkpoint's schedule, so a config file or override may only restate it
+    if "diffusion" in cfg.explicit:
         schedule_from_checkpoint(base)  # an unusable stored schedule is a checkpoint error
         if cfg.sections["diffusion"] != base.config["diffusion"]:
             raise ConfigError("finetune trains with the checkpoint's diffusion schedule "
-                              f"{base.config['diffusion']}; a diffusion override must match it")
+                              f"{base.config['diffusion']}; a diffusion setting must match it")
     fault = load_corpus(_require_dir(args.data, "fault"))
     cfg.set("model", "tau", fault.tau)
     cfg.set("model", "dim", fault.dim)

@@ -31,7 +31,7 @@ DESK = {
         "pretrain_lr": 1e-3, "finetune_lr": 1e-4, "warmup_steps": 100,
         "checkpoint_every": 0, "seed": 0,
     },
-    "loss": {"weight": 0.1, "margin": 1.0, "pair_count": 8, "sign": "intent"},
+    "loss": {"weight": 0.1, "margin": 1.0, "pair_count": 8},
     "data": {"normalizer": "minmax"},
 }
 
@@ -46,10 +46,14 @@ PRESETS = {"desk": DESK, "paper": PAPER}
 
 
 class RunConfig:
-    """Resolved configuration; unknown sections or keys are rejected."""
+    """Resolved configuration; unknown sections or keys are rejected.
+
+    `explicit` holds the sections that a config file or an override wrote to.
+    """
 
     def __init__(self, sections: dict):
         self.sections = sections
+        self.explicit: set[str] = set()
 
     @classmethod
     def from_preset(cls, preset: str = "desk") -> "RunConfig":
@@ -64,8 +68,6 @@ class RunConfig:
             raise ConfigError(f"unknown config key {section}.{key}")
         current = self.sections[section][key]
         try:
-            if isinstance(current, bool):
-                return str(raw).lower() in ("1", "true", "yes")
             if isinstance(current, int):
                 return int(raw)
             if isinstance(current, float):
@@ -91,6 +93,7 @@ class RunConfig:
         for section in parser.sections():
             for key, raw in parser.items(section):
                 self.set(section, key, raw)
+            self.explicit.add(section)
 
     def apply_overrides(self, overrides) -> None:
         """Each override is 'section.key=value'."""
@@ -98,14 +101,13 @@ class RunConfig:
             if "=" not in ov or "." not in ov.split("=", 1)[0]:
                 raise ConfigError(f"override must look like section.key=value, got {ov!r}")
             dotted, value = ov.split("=", 1)
-            section, key = dotted.split(".", 1)
-            self.set(section.strip(), key.strip(), value.strip())
+            section, key = (part.strip() for part in dotted.split(".", 1))
+            self.set(section, key, value.strip())
+            self.explicit.add(section)
 
     # -- canonical form ---------------------------------------------------
     @staticmethod
     def _canon(v) -> str:
-        if isinstance(v, bool):
-            return "true" if v else "false"
         if isinstance(v, float):
             return repr(v)
         return str(v)
@@ -121,9 +123,6 @@ class RunConfig:
 
     def hash(self) -> str:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
-    def to_dict(self) -> dict:
-        return copy.deepcopy(self.sections)
 
     # -- component views ----------------------------------------------------
     def denoiser_config(self) -> DenoiserConfig:
@@ -154,8 +153,7 @@ class RunConfig:
 
     def loss_config(self) -> LossConfig:
         l = self.sections["loss"]
-        return LossConfig(weight=l["weight"], margin=l["margin"],
-                          pair_count=l["pair_count"], sign=l["sign"])
+        return LossConfig(weight=l["weight"], margin=l["margin"], pair_count=l["pair_count"])
 
 
 def resolve_config(preset: str = "desk", config_file=None, overrides=None,

@@ -39,15 +39,6 @@ class DenoiserConfig:
         if self.tau < 2 or self.d < 1 or self.T < 1:
             raise ContractError("need tau >= 2, d >= 1, T >= 1")
 
-    def to_dict(self) -> dict:
-        return {
-            "tau": self.tau, "d": self.d, "T": self.T,
-            "model_dim": self.model_dim, "enc_layers": self.enc_layers,
-            "dec_layers": self.dec_layers, "heads": self.heads,
-            "ff_dim": self.ff_dim, "fourier_terms": self.fourier_terms,
-            "trend_degree": self.trend_degree,
-        }
-
 
 def timestep_embed(t: int, model_dim: int) -> np.ndarray:
     """Sinusoidal embedding of a diffusion step; norm is bounded by sqrt(model_dim)."""
@@ -217,7 +208,7 @@ class Backbone:
         return h
 
     def forward(self, x_t, t: int, adapter=None) -> Tensor:
-        """Noise prediction for `x_t`, (tau, d) or (batch, tau, d), at step `t`.
+        """Noise prediction for a (batch, tau, d) `x_t` at step `t`.
 
         An adapter stack, when given, runs after every decoder layer
         (`AdapterStack.interleave`).
@@ -226,11 +217,8 @@ class Backbone:
         if not 0 <= t < cfg.T:
             raise ContractError(f"t={t} outside [0, {cfg.T})")
         x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t))
-        single = x.ndim == 2
-        if single:
-            x = x.reshape((1,) + x.shape)
         if x.ndim != 3 or x.shape[1] != cfg.tau or x.shape[2] != cfg.d:
-            raise ContractError(f"expected (*, {cfg.tau}, {cfg.d}) input, got {x.shape}")
+            raise ContractError(f"expected (batch, {cfg.tau}, {cfg.d}) input, got {x.shape}")
 
         pe = Tensor(position_encoding(cfg.tau, cfg.model_dim))
         te = self._timestep_vector(t)
@@ -257,18 +245,11 @@ class Backbone:
 
         H = ad.layer_norm(h, *self.final_ln)
         trend, seasonal, residual = self.decompose(H)
-        eps_hat = trend + seasonal + residual
-        if single:
-            eps_hat = eps_hat.reshape((cfg.tau, cfg.d))
-        return eps_hat
+        return trend + seasonal + residual
 
-    def decompose(self, H):
-        """Split a final decoder state into (trend, seasonal, residual) parts."""
+    def decompose(self, h: Tensor):
+        """Split a (batch, tau, model_dim) final decoder state into (trend, seasonal, residual) parts."""
         cfg = self.cfg
-        h = H if isinstance(H, Tensor) else Tensor(np.asarray(H))
-        single = h.ndim == 2
-        if single:
-            h = h.reshape((1,) + h.shape)
         b = h.shape[0]
         pooled = h.mean(axis=-2)  # (B, D)
 
@@ -279,10 +260,6 @@ class Backbone:
         c_seas = (pooled @ self.seas_w + self.seas_b).reshape((b, 2 * cfg.fourier_terms, cfg.d))
         seasonal = four @ c_seas
         residual = h @ self.res_w + self.res_b
-        if single:
-            trend = trend.reshape((cfg.tau, cfg.d))
-            seasonal = seasonal.reshape((cfg.tau, cfg.d))
-            residual = residual.reshape((cfg.tau, cfg.d))
         return trend, seasonal, residual
 
     def predict_noise(self, x, t: int) -> np.ndarray:

@@ -1,4 +1,7 @@
-"""Forward noising, noise schedules, and the reverse generation process."""
+"""Forward noising, noise schedules, and the reverse generation process.
+
+`reverse_step` is the one place the implied clean signal is clipped to +-X0_CLIP.
+"""
 
 from __future__ import annotations
 
@@ -8,6 +11,8 @@ import numpy as np
 
 from .data import Normalizer, TimeSeries
 from .errors import ContractError, SamplingError
+
+X0_CLIP = 4.0  # normalized-domain bound; keeps rare off-manifold trajectories from running away
 
 
 @dataclass
@@ -65,7 +70,11 @@ def forward_sample(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule
 
 
 def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, z: np.ndarray, sched: NoiseSchedule) -> np.ndarray:
-    """One denoising step: posterior mean from predicted noise plus scaled z."""
+    """One denoising step: posterior mean given the clipped clean-signal estimate, plus scaled z.
+
+    x0_hat = clip((x_t - sqrt(1 - abar_t) eps_hat) / sqrt(abar_t), +-X0_CLIP) feeds the
+    mean of q(x_{t-1} | x_t, x0_hat) (Ho et al. 2020, eq. 7); at t = 0 that mean is x0_hat.
+    """
     x_t = np.asarray(x_t)
     eps_hat = np.asarray(eps_hat)
     z = np.asarray(z)
@@ -73,8 +82,11 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, z: np.ndarray, sc
         raise ContractError(f"t={t} outside [0, {sched.T})")
     if t == 0 and np.any(z != 0):
         raise ContractError("z must be zero at t = 0")
-    mu = (x_t - sched.beta[t] / np.sqrt(1.0 - sched.alpha_bar[t]) * eps_hat) / np.sqrt(sched.alpha[t])
-    return (mu + np.sqrt(sched.posterior_var[t]) * z).astype(x_t.dtype)
+    ab = sched.alpha_bar[t]
+    ab_prev = sched.alpha_bar[t - 1] if t > 0 else 1.0
+    x0_hat = np.clip((x_t - np.sqrt(1.0 - ab) * eps_hat) / np.sqrt(ab), -X0_CLIP, X0_CLIP)
+    mean = (np.sqrt(ab_prev) * sched.beta[t] * x0_hat + np.sqrt(sched.alpha[t]) * (1.0 - ab_prev) * x_t) / (1.0 - ab)
+    return (mean + np.sqrt(sched.posterior_var[t]) * z).astype(x_t.dtype)
 
 
 def sample(
@@ -85,39 +97,27 @@ def sample(
     seed: int,
     normalizer: Normalizer | None = None,
     channel_names: list[str] | None = None,
-    clip_x0: float | None = 4.0,
 ) -> list[TimeSeries]:
     """Generate `n` series by iterating reverse_step from pure noise.
 
     Per-sample noise streams are seeded `seed + index`, so a sample's
     trajectory does not depend on how many siblings are generated with it.
-    `model` must expose predict_noise(x, t) -> array of x's shape.
-
-    `clip_x0` bounds the per-step implied clean signal to +-clip_x0 (in the
-    normalized domain) by correcting the predicted noise before the reverse
-    step; this keeps rare off-manifold trajectories from running away at
-    desk scale while leaving the reverse-step formula untouched. Pass None
-    for the unclamped chain.
+    `model` must expose predict_noise(x, t) -> array of x's shape. Each step
+    clips the implied clean signal inside `reverse_step`, so every sample lies
+    in [-X0_CLIP, X0_CLIP] before the normalizer is inverted.
     """
     if n == 0:
         return []
-    tau, d = shape
-    names = channel_names or [f"ch{c}" for c in range(d)]
+    names = channel_names or [f"ch{c}" for c in range(shape[1])]
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
     x = np.stack([r.standard_normal(shape) for r in rngs]).astype(np.float32)
     for t in reversed(range(sched.T)):
         eps_hat = model.predict_noise(x, t)
-        if clip_x0 is not None:
-            root_ab = np.sqrt(sched.alpha_bar[t])
-            root_1mab = np.sqrt(1.0 - sched.alpha_bar[t])
-            x0_hat = (x - root_1mab * eps_hat) / root_ab
-            x0_hat = np.clip(x0_hat, -clip_x0, clip_x0)
-            eps_hat = (x - root_ab * x0_hat) / root_1mab
         if t > 0:
             z = np.stack([r.standard_normal(shape) for r in rngs]).astype(np.float32)
         else:
             z = np.zeros_like(x)
-        x = reverse_step(x, t, eps_hat.astype(np.float32), z, sched)
+        x = reverse_step(x, t, eps_hat, z, sched)
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"non-finite sample state at step t={t}")
     out = []

@@ -9,21 +9,19 @@ from __future__ import annotations
 
 import numpy as np
 
-from .autodiff import Tensor
 from .errors import ContractError
 
 MAX_SIZE = 256
+MAX_SWEEPS = 64
 SYMMETRY_TOL = 1e-6
 
 
-def sym_eig(a, max_sweeps: int = 64):
+def sym_eig(a):
     """Eigenvalues (ascending) and orthonormal eigenvectors of a symmetric matrix.
 
     Returns (w, v) with a == v @ diag(w) @ v.T up to a relative Frobenius
     error well below 1e-5.
     """
-    if isinstance(a, Tensor):
-        a = a.data
     a = np.asarray(a, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ContractError(f"sym_eig expects a square matrix, got shape {a.shape}")
@@ -41,7 +39,7 @@ def sym_eig(a, max_sweeps: int = 64):
 
     fro = np.sqrt(np.sum(m * m))
     tol = 1e-14 * max(fro, 1.0)
-    for _ in range(max_sweeps):
+    for _ in range(MAX_SWEEPS):
         # summed directly: ||m||^2 - ||diag||^2 can round below zero
         off = np.sqrt(np.sum(np.square(m[~np.eye(n, dtype=bool)])))
         if off <= tol:
@@ -76,8 +74,8 @@ def sym_eig(a, max_sweeps: int = 64):
     return w[order], v[:, order]
 
 
-def sqrt_psd(a, clip: float = 0.0):
-    """Symmetric square root of a PSD matrix; tiny negative eigenvalues clip to `clip`."""
+def sqrt_psd(a):
+    """Symmetric square root of a PSD matrix; tiny negative eigenvalues clip to zero."""
     w, v = sym_eig(a)
-    w = np.maximum(w, clip)
+    w = np.maximum(w, 0.0)
     return (v * np.sqrt(w)) @ v.T

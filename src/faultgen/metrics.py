@@ -9,7 +9,7 @@ encoder seed are all pinned by METRIC_VERSION.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -352,18 +352,10 @@ class MetricReport:
     values: dict                  # metric -> {str(seed): value}
     medians: dict                 # metric -> float
     metadata: dict
-    downstream: dict | None = None
     warnings: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        d = {"values": self.values, "medians": self.medians, "metadata": self.metadata,
-             "warnings": self.warnings}
-        if self.downstream is not None:
-            d["downstream"] = self.downstream
-        return d
-
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n"
+        return json.dumps(asdict(self), indent=2, sort_keys=True) + "\n"
 
     def to_csv(self) -> str:
         lines = ["metric,value,seed,corpus_real,corpus_synth,metric_version"]

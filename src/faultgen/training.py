@@ -3,9 +3,8 @@
 The fine-tuning objective is the L1 noise-prediction error plus a weighted
 diversity term over pairs of in-batch predictions. As literally written, a
 positive pairwise-distance term would be *minimized* and shrink diversity,
-so the default implementation negates it (and clamps each pair at `margin`
-to keep the objective bounded); the literal variant remains selectable via
-``LossConfig.sign = "literal"``.
+so the implementation negates it (and clamps each pair at `margin` to keep
+the objective bounded).
 """
 
 from __future__ import annotations
@@ -14,7 +13,7 @@ import json
 import math
 import os
 import struct
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -35,19 +34,12 @@ class LossConfig:
     weight: float = 0.1      # lambda in the combined objective
     margin: float = 1.0      # per-pair distance clamp
     pair_count: int = 8      # sampled prediction pairs per batch
-    sign: str = "intent"     # "intent" maximizes inter-sample distance; "literal" as written
 
     def __post_init__(self):
         if self.weight < 0:
             raise ContractError("diversity weight must be >= 0")
         if self.margin <= 0:
             raise ContractError("margin must be > 0")
-        if self.sign not in ("intent", "literal"):
-            raise ContractError("sign must be 'intent' or 'literal'")
-
-    def to_dict(self) -> dict:
-        return {"weight": self.weight, "margin": self.margin,
-                "pair_count": self.pair_count, "sign": self.sign}
 
 
 @dataclass
@@ -65,11 +57,6 @@ class TrainConfig:
             raise ContractError("phase must be 'pretrain' or 'finetune'")
         if self.steps < 0 or self.batch_size < 1 or self.learning_rate <= 0:
             raise ContractError("steps >= 0, batch_size >= 1, learning_rate > 0 required")
-
-    def to_dict(self) -> dict:
-        return {"phase": self.phase, "steps": self.steps, "batch_size": self.batch_size,
-                "learning_rate": self.learning_rate, "warmup_steps": self.warmup_steps,
-                "seed": self.seed, "checkpoint_every": self.checkpoint_every}
 
 
 # ----------------------------------------------------------------------
@@ -104,20 +91,10 @@ def diversity_loss(preds: Tensor, pair_count: int, margin: float, seed: int) -> 
 
 
 def total_loss(eps: Tensor, preds: Tensor, cfg: LossConfig, seed: int = 0):
-    """Combined objective; returns (total, base, diversity) tensors.
-
-    With weight 0 the diversity term is skipped entirely, so the result is
-    bitwise identical to a base-only objective.
-    """
+    """Combined objective base + weight * diversity; returns (total, base, diversity) tensors."""
     base = base_loss(eps, preds)
-    if cfg.weight == 0:
-        return base, base, None
     div = diversity_loss(preds, cfg.pair_count, cfg.margin, seed)
-    if cfg.sign == "intent":
-        total = base + cfg.weight * div
-    else:
-        total = base - cfg.weight * div
-    return total, base, div
+    return base + cfg.weight * div, base, div
 
 
 # ----------------------------------------------------------------------
@@ -304,7 +281,7 @@ def denoiser_config_from_checkpoint(ckpt: Checkpoint) -> DenoiserConfig:
         raise CheckpointError(f"checkpoint config lacks a valid model section: {e!r}") from e
 
 
-def model_from_checkpoint(ckpt: Checkpoint, trainable: bool | None = None):
+def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild the model (backbone, or composed if adapter arrays are present)."""
     backbone = Backbone(denoiser_config_from_checkpoint(ckpt), seed=0)
     model = backbone
@@ -315,8 +292,6 @@ def model_from_checkpoint(ckpt: Checkpoint, trainable: bool | None = None):
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"checkpoint config has an invalid adapter section: {e!r}") from e
     _load_arrays({name: p.data for name, p in model.params.items()}, ckpt.arrays)
-    if trainable is not None:
-        backbone.set_trainable(trainable)
     return model
 
 
@@ -414,7 +389,7 @@ def pretrain(normal: Dataset, cfg: TrainConfig, model: Backbone, sched: NoiseSch
     if cfg.phase != "pretrain":
         raise ContractError("pretrain called with a non-pretrain config")
     echo = config_echo or {}
-    echo = {**echo, "model": model.cfg.to_dict(), "train": cfg.to_dict(), "adapter": echo.get("adapter")}
+    echo = {**echo, "model": asdict(model.cfg), "train": asdict(cfg), "adapter": echo.get("adapter")}
     echo.setdefault("diffusion", {"timesteps": sched.T, "schedule": sched.kind,
                                   "beta_start": float(sched.beta[0]), "beta_end": float(sched.beta[-1])})
     return _run_loop(model, normal, cfg, sched, None, echo, normalizer,
@@ -443,9 +418,9 @@ def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossC
     normalizer = normalizer_from_checkpoint(base)
     echo = dict(base.config)
     echo["config_hash"] = config_hash
-    echo["adapter"] = adapter_cfg.to_dict()
-    echo["train"] = cfg.to_dict()
-    echo["loss"] = loss_cfg.to_dict()
+    echo["adapter"] = asdict(adapter_cfg)
+    echo["train"] = asdict(cfg)
+    echo["loss"] = asdict(loss_cfg)
     if data_info:
         echo["data"] = {**echo.get("data", {}), **data_info}
     return _run_loop(model, fault, cfg, sched, loss_cfg, echo, normalizer,

@@ -1,7 +1,8 @@
 """Shared test oracles: finite differences, full attention, reference math.
 
-The composed attention and the looped diversity loss are the library's own
-earlier spellings, kept here as references for the fused and vectorized forms.
+The composed attention, the looped diversity loss and the staged reverse step
+are the library's own earlier spellings, kept here as references for the
+fused, vectorized and single-formula forms.
 
 These stay independent of the library's own computation paths — they use
 plain numpy (including numpy.linalg, which the library itself avoids).
@@ -129,3 +130,13 @@ def loop_diversity_loss(preds, pair_count, margin, seed):
         dist = (diff * diff).sum() * (1.0 / entries)
         terms.append(ad.minimum(dist, margin))
     return -ad.stack(terms).mean()
+
+
+def staged_reverse_step(x_t, t, eps_hat, z, sched, clip):
+    """The clipped reverse step in three stages: clip x0_hat, re-derive eps_hat, take the eps-form mean."""
+    root_ab = np.sqrt(sched.alpha_bar[t])
+    root_1mab = np.sqrt(1.0 - sched.alpha_bar[t])
+    x0_hat = np.clip((x_t - root_1mab * eps_hat) / root_ab, -clip, clip)
+    eps = (x_t - root_ab * x0_hat) / root_1mab
+    mean = (x_t - sched.beta[t] / root_1mab * eps) / np.sqrt(sched.alpha[t])
+    return mean + np.sqrt(sched.posterior_var[t]) * z

@@ -183,7 +183,7 @@ class TestAttach:
     def test_partition_and_identity(self):
         bb = Backbone(TOY, seed=1)
         stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), TOY.dec_layers, seed=2)
-        x = np.random.default_rng(0).standard_normal((6, 2)).astype(np.float32)
+        x = np.random.default_rng(0).standard_normal((1, 6, 2)).astype(np.float32)
         before = bb.forward(x, 3)
         comp = attach(bb, stack)
         # trainable set is exactly the adapter parameters
@@ -200,7 +200,7 @@ class TestAttach:
         rng = np.random.default_rng(5)
         for p in stack.parameters():  # non-trivial adapter weights
             p.data = rng.normal(0, 0.2, p.data.shape).astype(np.float32)
-        x = rng.standard_normal((6, 2)).astype(np.float32)
+        x = rng.standard_normal((1, 6, 2)).astype(np.float32)
         plain = bb.forward(x, 2)
         comp = attach(bb, stack)
         fused = comp.forward(x, 2)
@@ -210,7 +210,7 @@ class TestAttach:
         bb = Backbone(TOY, seed=1)
         stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), TOY.dec_layers, seed=2)
         stack.blocks[1]["wq"].data[0, 0] = np.nan
-        x = np.random.default_rng(0).standard_normal((6, 2)).astype(np.float32)
+        x = np.random.default_rng(0).standard_normal((1, 6, 2)).astype(np.float32)
         with pytest.raises(ForwardError, match="decoder layer 1"):
             bb.forward(x, 3, adapter=stack)
 

@@ -175,3 +175,29 @@ def test_finetune_rejects_a_diffusion_override_the_checkpoint_does_not_use(train
                  "--out", str(out), *_overrides("train.finetune_steps=1", override)]) == 2
     assert "diffusion schedule" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _no_diffusion_overrides(*extra):
+    return [arg for ov in TINY + list(extra) if not ov.startswith("diffusion.")
+            for arg in ("--override", ov)]
+
+
+def test_finetune_rejects_a_config_file_diffusion_section_the_checkpoint_does_not_use(trained, tmp_path,
+                                                                                     capsys):
+    config = tmp_path / "run.ini"
+    config.write_text("[diffusion]\ntimesteps = 10\nschedule = cosine\n")
+    out = tmp_path / "fine"
+    assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"], "--out", str(out),
+                 "--config", str(config), *_no_diffusion_overrides("train.finetune_steps=1")]) == 2
+    assert "diffusion schedule" in capsys.readouterr().err
+    assert not (out / "checkpoints" / "final.ckpt").exists()
+
+
+def test_finetune_runs_with_a_config_file_that_restates_the_checkpoint_schedule(trained, tmp_path):
+    stored = load_checkpoint(trained["pre"]).config["diffusion"]
+    config = tmp_path / "run.ini"
+    config.write_text("[diffusion]\n" + "".join(f"{k} = {v}\n" for k, v in stored.items()))
+    out = tmp_path / "fine"
+    assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"], "--out", str(out),
+                 "--config", str(config), *_no_diffusion_overrides("train.finetune_steps=1")]) == 0
+    assert (out / "checkpoints" / "final.ckpt").exists()

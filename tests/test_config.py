@@ -1,9 +1,11 @@
-"""Run configuration: override parsing, value coercion, hashing, the schedule view."""
+"""Run configuration: override parsing, value coercion, hashing, the component views."""
+
+import dataclasses
 
 import numpy as np
 import pytest
 
-from faultgen.config import resolve_config
+from faultgen.config import DESK, resolve_config
 from faultgen.diffusion import make_schedule
 from faultgen.errors import ConfigError, ContractError
 
@@ -15,7 +17,8 @@ def test_malformed_override_rejected(override):
 
 
 @pytest.mark.parametrize("override, what", [("nosuch.tau=12", r"section \[nosuch\]"),
-                                            ("model.nosuch=12", "key model.nosuch")])
+                                            ("model.nosuch=12", "key model.nosuch"),
+                                            ("loss.sign=intent", "key loss.sign")])
 def test_unknown_section_or_key_rejected(override, what):
     with pytest.raises(ConfigError, match=what):
         resolve_config("desk", None, [override])
@@ -50,3 +53,32 @@ def test_schedule_reads_the_diffusion_section():
     np.testing.assert_array_equal(sched.beta, expected.beta)
     with pytest.raises(ContractError, match="unknown schedule"):
         resolve_config("desk", None, ["diffusion.schedule=bogus"]).schedule()
+
+
+OTHER_STRINGS = {"schedule": "cosine", "normalizer": "zscore"}
+
+
+def _other_value(key, value):
+    """A different value the key's consumer still accepts."""
+    if isinstance(value, str):
+        return OTHER_STRINGS[key]
+    if isinstance(value, float):
+        return value / 2.0
+    if key == "window":  # must stay odd
+        return value + 2
+    return 2 * value if value else 1
+
+
+def _views(cfg):
+    sched = cfg.schedule()
+    return (dataclasses.asdict(cfg.denoiser_config()), (sched.kind, sched.beta.tobytes()),
+            dataclasses.asdict(cfg.adapter_config()), dataclasses.asdict(cfg.loss_config()),
+            dataclasses.asdict(cfg.train_config("pretrain")), dataclasses.asdict(cfg.train_config("finetune")),
+            cfg.get("data", "normalizer"))
+
+
+@pytest.mark.parametrize("section, key", [(s, k) for s in DESK for k in DESK[s]])
+def test_every_desk_key_reaches_a_component_view(section, key):
+    base = resolve_config("desk")
+    changed = resolve_config("desk", None, [f"{section}.{key}={_other_value(key, DESK[section][key])}"])
+    assert _views(changed) != _views(base), f"{section}.{key} changes no component view"

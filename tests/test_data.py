@@ -2,8 +2,11 @@
 
 import json
 
+import hypothesis.extra.numpy as hnp
+import hypothesis.strategies as st
 import numpy as np
 import pytest
+from hypothesis import given, settings
 
 from faultgen.cli import main
 from faultgen.data import (
@@ -258,3 +261,48 @@ class TestCorpusIO:
             load_corpus(tmp_path / "c")
         corpus = str(tmp_path / "c")
         assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
+
+
+PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
+
+
+@st.composite
+def fault_cases(draw, kind):
+    """A random series and a valid `kind` fault spec for it."""
+    tau = draw(st.integers(8, 40))
+    dim = draw(st.integers(1, 4))
+    onset = draw(st.integers(0, tau - 2))
+    room = tau - onset - 1 if kind == "sudden_recovery" else tau - onset
+    duration = draw(st.integers(1, room))
+    magnitude = draw(st.floats(-5.0, 5.0))
+    if kind == "random_noise":
+        magnitude = abs(magnitude)
+    channels = draw(st.none() | st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
+    seed = draw(st.integers(0, 2**16))
+    series = _series(tau, dim, seed)
+    return series, FaultSpec(kind, onset, duration, magnitude, channels), seed
+
+
+class TestProperties:
+    @pytest.mark.parametrize("kind", [k for k in FAULT_KINDS if k != "compound"])
+    @PROPERTY_SETTINGS
+    @given(data=st.data())
+    def test_inject_fault_leaves_everything_outside_its_window_bit_identical(self, kind, data):
+        series, spec, seed = data.draw(fault_cases(kind))
+        out = inject_fault(series, spec, seed)
+        lo, hi = effective_window(spec, series.tau)
+        touched = np.zeros(series.values.shape, dtype=bool)
+        touched[lo:hi, spec.channels or slice(None)] = True
+        before, after = series.values.view(np.uint32), out.values.view(np.uint32)
+        assert np.array_equal(after[~touched], before[~touched])
+
+    @PROPERTY_SETTINGS
+    @given(mode=st.sampled_from(["minmax", "zscore"]),
+           values=hnp.arrays(np.float32, st.tuples(st.integers(2, 12), st.integers(1, 3)),
+                             elements=st.floats(-1e4, 1e4, width=32, allow_subnormal=False)))
+    def test_normalizer_apply_then_invert_round_trips(self, mode, values):
+        series = TimeSeries(values, [f"ch{c}" for c in range(values.shape[1])])
+        norm = fit_normalizer(Dataset([series], "normal", "t"), mode)
+        back = norm.invert(norm.apply(series)).values
+        scale = float(np.max(np.abs(values)))
+        np.testing.assert_allclose(back, values, rtol=0, atol=1e-6 * scale)

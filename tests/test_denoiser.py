@@ -32,17 +32,17 @@ def test_config_validation():
 class TestForward:
     def test_zero_init_heads_give_zero_output(self):
         bb = Backbone(TOY, seed=1)
-        x = np.random.default_rng(0).standard_normal((4, 2)).astype(np.float32)
+        x = np.random.default_rng(0).standard_normal((1, 4, 2)).astype(np.float32)
         eps_hat = bb.forward(x, 3)
-        np.testing.assert_array_equal(eps_hat.data, np.zeros((4, 2)))
+        np.testing.assert_array_equal(eps_hat.data, np.zeros((1, 4, 2)))
 
     @pytest.mark.parametrize("tau", [4, 9, 24])
     def test_output_shape(self, tau):
         cfg = DenoiserConfig(tau=tau, d=3, T=10, model_dim=8, enc_layers=1,
                              dec_layers=1, heads=2, ff_dim=16, fourier_terms=1)
         bb = Backbone(cfg, seed=1)
-        x = np.zeros((tau, 3), dtype=np.float32)
-        assert bb.forward(x, 0).shape == (tau, 3)
+        x = np.zeros((1, tau, 3), dtype=np.float32)
+        assert bb.forward(x, 0).shape == (1, tau, 3)
 
     def test_batched_matches_config(self):
         bb = Backbone(TOY, seed=1)
@@ -51,7 +51,7 @@ class TestForward:
 
     def test_deterministic(self):
         bb = Backbone(TOY, seed=1)
-        x = np.random.default_rng(0).standard_normal((4, 2)).astype(np.float32)
+        x = np.random.default_rng(0).standard_normal((1, 4, 2)).astype(np.float32)
         a = bb.forward(x, 3)
         b = bb.forward(x, 3)
         assert np.array_equal(a.data, b.data)
@@ -59,7 +59,7 @@ class TestForward:
     def test_t_out_of_range(self):
         bb = Backbone(TOY, seed=1)
         with pytest.raises(ContractError):
-            bb.forward(np.zeros((4, 2), dtype=np.float32), 10)
+            bb.forward(np.zeros((1, 4, 2), dtype=np.float32), 10)
 
     def test_full_gradient_check_on_toy_input(self):
         # end-to-end: d(base_loss)/d(param) against central differences, 64-bit
@@ -69,8 +69,8 @@ class TestForward:
             for p in bb.parameters():  # randomize zero-init heads so grads are informative
                 if np.all(p.data == 0):
                     p.data = rng.normal(0, 0.05, p.data.shape)
-            x = rng.standard_normal((4, 2))
-            eps = rng.standard_normal((4, 2))
+            x = rng.standard_normal((1, 4, 2))
+            eps = rng.standard_normal((1, 4, 2))
 
             eps_hat = bb.forward(Tensor(x), 3)
             loss = base_loss(Tensor(eps), eps_hat)
@@ -97,10 +97,10 @@ class TestForward:
 class TestDecompose:
     def test_zero_heads_zero_parts(self):
         bb = Backbone(TOY, seed=1)
-        h = np.random.default_rng(0).standard_normal((4, 8)).astype(np.float32)
-        trend, seasonal, residual = bb.decompose(h)
+        h = np.random.default_rng(0).standard_normal((1, 4, 8)).astype(np.float32)
+        trend, seasonal, residual = bb.decompose(Tensor(h))
         for part in (trend, seasonal, residual):
-            np.testing.assert_array_equal(part.data, np.zeros((4, 2)))
+            np.testing.assert_array_equal(part.data, np.zeros((1, 4, 2)))
 
     def test_parts_sum_to_output(self):
         bb = Backbone(TOY, seed=1)
@@ -108,13 +108,13 @@ class TestDecompose:
         for p in bb.parameters():
             if np.all(p.data == 0):
                 p.data = rng.normal(0, 0.1, p.data.shape).astype(np.float32)
-        x = rng.standard_normal((4, 2)).astype(np.float32)
+        x = rng.standard_normal((1, 4, 2)).astype(np.float32)
         layer_outputs = []
         dec_layer = bb._dec_layer
         bb._dec_layer = lambda *args: layer_outputs.append(dec_layer(*args)) or layer_outputs[-1]
         eps_hat = bb.forward(x, 1)
         # reconstruct H from the last decoder layer's output exactly as forward does
-        H = ad.layer_norm(layer_outputs[-1].reshape((4, 8)), *bb.final_ln)
+        H = ad.layer_norm(layer_outputs[-1], *bb.final_ln)
         t, s, r = bb.decompose(H)
         np.testing.assert_allclose((t + s + r).data, eps_hat.data, atol=1e-6)
 

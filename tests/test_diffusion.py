@@ -5,8 +5,10 @@ import pytest
 
 from faultgen.data import Dataset, generate_normal, fit_normalizer
 from faultgen.denoiser import Backbone, DenoiserConfig
-from faultgen.diffusion import forward_sample, make_schedule, reverse_step, sample
+from faultgen.diffusion import X0_CLIP, forward_sample, make_schedule, reverse_step, sample
 from faultgen.errors import ContractError
+
+from helpers import staged_reverse_step
 
 
 class TestSchedule:
@@ -105,6 +107,33 @@ class TestReverseStep:
             reverse_step(x, 10, x, x, s)
         with pytest.raises(ContractError):
             reverse_step(x, 0, x, np.ones_like(x), s)
+
+    @pytest.mark.parametrize("kind,T,b0,b1", [
+        ("linear", 100, 1e-3, 0.2),
+        ("linear", 1000, 1e-4, 0.02),
+        ("cosine", 100, 1e-5, 0.999),
+    ])
+    def test_matches_the_staged_clip_rederive_and_mean(self, kind, T, b0, b1):
+        s = make_schedule(T, kind, b0, b1)
+        rng = np.random.default_rng(11)
+        for t in (T - 1, T // 2, 3, 1, 0):
+            x0 = rng.uniform(-2 * X0_CLIP, 2 * X0_CLIP, (8, 24, 2))  # the clip binds on half the entries
+            eps_hat = rng.standard_normal(x0.shape)
+            x = np.sqrt(s.alpha_bar[t]) * x0 + np.sqrt(1.0 - s.alpha_bar[t]) * eps_hat
+            z = rng.standard_normal(x.shape) if t > 0 else np.zeros_like(x)
+            expected = staged_reverse_step(x, t, eps_hat, z, s, clip=X0_CLIP)
+            got = reverse_step(x, t, eps_hat, z, s)
+            assert np.max(np.abs(got - expected)) <= 1e-6 * np.max(np.abs(expected)), (kind, T, t)
+
+    def test_t0_returns_the_clipped_clean_estimate(self):
+        s = make_schedule(100, "linear", 1e-3, 0.2)
+        rng = np.random.default_rng(12)
+        x = 5.0 * rng.standard_normal((4, 24, 2))
+        eps_hat = rng.standard_normal(x.shape)
+        x0_hat = np.clip((x - np.sqrt(1.0 - s.alpha_bar[0]) * eps_hat) / np.sqrt(s.alpha_bar[0]),
+                         -X0_CLIP, X0_CLIP)
+        assert np.any(np.abs(x0_hat) == X0_CLIP)
+        np.testing.assert_allclose(reverse_step(x, 0, eps_hat, np.zeros_like(x), s), x0_hat, rtol=1e-9)
 
 
 class TestSample:
