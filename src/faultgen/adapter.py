@@ -12,6 +12,7 @@ the stream handed to the next decoder layer is layer_output + alpha * block_outp
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -37,6 +38,12 @@ class AdapterConfig:
             raise ContractError("alpha must be finite")
 
 
+@lru_cache(maxsize=None)
+def _band_mask(s: int, window: int, dtype) -> np.ndarray:
+    """Additive (s, s) mask, built once per shape: 0 where |i - j| <= window//2, else -1e9."""
+    return np.where(np.abs(np.arange(s)[:, None] - np.arange(s)) <= window // 2, 0.0, -1e9).astype(dtype)
+
+
 def sliding_window_attention(x: Tensor, window: int, heads: int, params: dict) -> Tensor:
     """Local attention over a centered window of width `window`; keeps sequence length.
 
@@ -48,12 +55,7 @@ def sliding_window_attention(x: Tensor, window: int, heads: int, params: dict) -
     """
     if window % 2 == 0 or window < 1:
         raise ContractError("window must be odd and >= 1")
-    _, s, dim = x.shape
-    if dim % heads != 0:
-        raise ContractError("feature dim must be divisible by heads")
-    pos = np.arange(s)
-    band = np.where(np.abs(pos[:, None] - pos[None, :]) <= window // 2, 0.0, -1e9)
-    return multi_head_attention(x, x, params, heads, mask=band)
+    return multi_head_attention(x, x, params, heads, mask=_band_mask(x.shape[1], window, x.dtype))
 
 
 class AdapterStack:

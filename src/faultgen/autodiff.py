@@ -3,10 +3,10 @@
 A small tape-based engine over numpy arrays, covering exactly the op
 vocabulary the denoiser, adapter, losses, and evaluation networks need:
 matmul, elementwise arithmetic, softmax, layer_norm, gelu, reshape and
-transpose, indexing (`take`), reductions, and two fused ops with hand-written
-backwards: multi-head `attention` and `cross_entropy`. `pad`, `concat` and
-`stack` are kept for callers outside the package. Tensors are immutable
-values once created; gradients accumulate on leaves during `backward`.
+transpose, indexing (`take`), reductions, and three fused ops with hand-written
+backwards: multi-head `attention`, the `feed_forward` block and `cross_entropy`.
+`pad`, `concat` and `stack` are kept for callers outside the package. Tensors are
+immutable values once created; gradients accumulate on leaves during `backward`.
 
 Training runs in float32; a float64 mode (`set_dtype` / `precision`) exists
 for finite-difference verification.
@@ -177,7 +177,7 @@ def _lift(x, like: Tensor) -> Tensor:
 
 
 def _check_finite(data, op: str):
-    if not np.all(np.isfinite(data)):
+    if not np.isfinite(data).all():
         raise NumericError(f"{op} produced a non-finite value")
 
 
@@ -307,17 +307,30 @@ _GELU_C = 0.7978845608028654  # sqrt(2/pi)
 _GELU_A = 0.044715
 
 
+def gelu_(x: np.ndarray) -> np.ndarray:
+    """Overwrite `x` with gelu(x), bitwise 0.5 * x * (1 + tanh(C * (x + A * x*x*x))); return the tanh."""
+    t = x * x  # powers as products: float32 `x**3` goes through pow, ~100x slower
+    t *= x
+    t *= _GELU_A
+    t += x
+    t *= _GELU_C
+    np.tanh(t, out=t)
+    x *= 0.5
+    x *= t + 1.0
+    return t
+
+
+def _gelu_grad(x, t):
+    d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+
+
 def gelu(a: Tensor) -> Tensor:
-    # powers are spelled as products: float32 `x**3` goes through pow, ~100x slower
-    x = a.data
-    inner = _GELU_C * (x + _GELU_A * (x * x * x))
-    t = np.tanh(inner)
-    data = 0.5 * x * (1.0 + t)
+    data = a.data.copy()
+    t = gelu_(data)
 
     def bw(g):
-        d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
-        local = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
-        _accum(a, g * local)
+        _accum(a, g * _gelu_grad(a.data, t))
 
     return _node(data, "gelu", (a,), bw)
 
@@ -359,9 +372,13 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if x.shape[-1] < 1:
         raise DimensionError("layer_norm needs a non-empty last axis")
+
+    def mean(a):  # np.mean's arithmetic without its Python wrapper
+        return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
     # centred once: mean(d * d) is np.var's own arithmetic without its second x - mu
-    d = x.data - np.mean(x.data, axis=-1, keepdims=True)
-    var = np.mean(d * d, axis=-1, keepdims=True)
+    d = x.data - mean(x.data)
+    var = mean(d * d)
     inv = 1.0 / np.sqrt(var + eps)
     xhat = d * inv
     data = gain.data * xhat + bias.data
@@ -370,9 +387,7 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
         _accum(bias, _unbroadcast(g, bias.data.shape))
         dxhat = g * gain.data
-        m1 = np.mean(dxhat, axis=-1, keepdims=True)
-        m2 = np.mean(dxhat * xhat, axis=-1, keepdims=True)
-        _accum(x, inv * (dxhat - m1 - xhat * m2))
+        _accum(x, inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)))
 
     return _node(data, "layer_norm", (x, gain, bias), bw)
 
@@ -420,7 +435,10 @@ def attention(q_in: Tensor, kv_in: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, b
     att *= scale
     if mask is not None:
         att += np.asarray(mask, dtype=x.dtype)
-    att -= np.max(att, axis=-1, keepdims=True)
+    row_max = att[..., 0].copy()  # a column loop: numpy reduces each short row on its own
+    for j in range(1, sk):
+        np.maximum(row_max, att[..., j], out=row_max)
+    att -= row_max[..., None]
     np.exp(att, out=att)
     att /= np.sum(att, axis=-1, keepdims=True)
     merged = merge(att @ v, sq)
@@ -455,6 +473,26 @@ def attention(q_in: Tensor, kv_in: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, b
             _accum(q_in, dx)
 
     return _node(data, "attention", (q_in, kv_in, wq, bq, wk, bk, wv, bv, wo, bo), bw)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """gelu(x @ w1 + b1) @ w2 + b2 as one node, its output bitwise the composed ops'."""
+    h = x.data @ w1.data
+    h += b1.data
+    pre = h.copy() if grad_enabled() and any(p.requires_grad for p in (x, w1, b1, w2, b2)) else None
+    t = gelu_(h)  # in place; only a recorded node keeps a copy of the pre-activation
+    data = h @ w2.data
+    data += b2.data
+
+    def bw(g):
+        _affine_bw(h, w2, b2, g)
+        dh = g @ w2.data.T
+        dh *= _gelu_grad(pre, t)
+        _affine_bw(x.data, w1, b1, dh)
+        if x.requires_grad:
+            _accum(x, dh @ w1.data.T)
+
+    return _node(data, "feed_forward", (x, w1, b1, w2, b2), bw)
 
 
 # ----------------------------------------------------------------------

@@ -126,6 +126,10 @@ class FaultSpec:
             for c in self.channels:
                 if not 0 <= c < dim:
                     raise ContractError(f"channel {c} outside [0, {dim})")
+        if self.kind == "random_noise" and self.magnitude < 0:
+            raise ContractError("random_noise magnitude is a standard deviation and must be >= 0")
+        if self.kind == "impulse" and self.extra.get("count", 1) < 1:
+            raise ContractError("impulse count must be >= 1")
         if self.kind == "compound" and not self.extra.get("components"):
             raise ContractError("compound fault needs extra['components']")
         if self.kind == "low_frequency_anomaly":

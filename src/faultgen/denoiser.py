@@ -128,7 +128,8 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, p: dict, heads: int,
 
 
 def feed_forward(x: Tensor, p: dict) -> Tensor:
-    return ad.gelu(x @ p["w1"] + p["b1"]) @ p["w2"] + p["b2"]
+    """gelu(x @ w1 + b1) @ w2 + b2 as one tape node (`ad.feed_forward`)."""
+    return ad.feed_forward(x, p["w1"], p["b1"], p["w2"], p["b2"])
 
 
 class Backbone:
@@ -176,8 +177,9 @@ class Backbone:
         self.seas_w, self.seas_b = heads.linear("seasonal", D, 2 * cfg.fourier_terms * cfg.d, rng, zero=True)
         self.res_w, self.res_b = heads.linear("residual", D, cfg.d, rng, zero=True)
 
-        self._poly = trend_basis(cfg.tau, cfg.trend_degree)
-        self._fourier = fourier_basis(cfg.tau, cfg.fourier_terms)
+        self._poly = Tensor(trend_basis(cfg.tau, cfg.trend_degree))
+        self._fourier = Tensor(fourier_basis(cfg.tau, cfg.fourier_terms))
+        self._pe = Tensor(position_encoding(cfg.tau, cfg.model_dim))
 
     # -- parameter access -----------------------------------------------
     def parameters(self) -> list[Parameter]:
@@ -220,10 +222,8 @@ class Backbone:
         if x.ndim != 3 or x.shape[1] != cfg.tau or x.shape[2] != cfg.d:
             raise ContractError(f"expected (batch, {cfg.tau}, {cfg.d}) input, got {x.shape}")
 
-        pe = Tensor(position_encoding(cfg.tau, cfg.model_dim))
         te = self._timestep_vector(t)
-        base = x @ self.in_w + self.in_b
-        base = base + pe
+        base = x @ self.in_w + self.in_b + self._pe
 
         h = base
         for k, layer in enumerate(self.enc):
@@ -253,12 +253,10 @@ class Backbone:
         b = h.shape[0]
         pooled = h.mean(axis=-2)  # (B, D)
 
-        poly = Tensor(self._poly)
-        four = Tensor(self._fourier)
         c_trend = (pooled @ self.trend_w + self.trend_b).reshape((b, cfg.trend_degree + 1, cfg.d))
-        trend = poly @ c_trend
+        trend = self._poly @ c_trend
         c_seas = (pooled @ self.seas_w + self.seas_b).reshape((b, 2 * cfg.fourier_terms, cfg.d))
-        seasonal = four @ c_seas
+        seasonal = self._fourier @ c_seas
         residual = h @ self.res_w + self.res_b
         return trend, seasonal, residual
 

@@ -149,10 +149,6 @@ class ContextEncoder:
         self.b2 = rng.normal(0, 0.1, EMBED_DIM)
 
     @staticmethod
-    def _gelu(x):
-        return 0.5 * x * (1.0 + np.tanh(0.7978845608028654 * (x + 0.044715 * (x * x * x))))
-
-    @staticmethod
     def _conv(x, w, b, kernel):
         pad = kernel // 2
         xp = np.pad(x, ((pad, pad), (0, 0)))
@@ -163,8 +159,10 @@ class ContextEncoder:
         return out + b
 
     def embed(self, values: np.ndarray) -> np.ndarray:
-        h = self._gelu(self._conv(values.astype(np.float64), self.w1, self.b1, self.kernel))
-        h = self._gelu(self._conv(h, self.w2, self.b2, self.kernel))
+        h = self._conv(values.astype(np.float64), self.w1, self.b1, self.kernel)
+        ad.gelu_(h)
+        h = self._conv(h, self.w2, self.b2, self.kernel)
+        ad.gelu_(h)
         return h.mean(axis=0)
 
     def embed_dataset(self, ds: Dataset) -> np.ndarray:

@@ -1,8 +1,8 @@
 """Shared test oracles: finite differences, full attention, reference math.
 
-The composed attention, the looped diversity loss and the staged reverse step
-are the library's own earlier spellings, kept here as references for the
-fused, vectorized and single-formula forms.
+The composed attention and feed-forward block, the looped diversity loss and
+the staged reverse step are the library's own earlier spellings, kept here as
+references for the fused, vectorized and single-formula forms.
 
 These stay independent of the library's own computation paths — they use
 plain numpy (including numpy.linalg, which the library itself avoids).
@@ -113,6 +113,11 @@ def composed_attention(q_in, kv_in, p, heads, mask=None):
     att = ad.softmax(scores, axis=-1)
     out = (att @ v).transpose((0, 2, 1, 3)).reshape((b, sq, dim))
     return out @ p["wo"] + p["bo"]
+
+
+def composed_feed_forward(x, p):
+    """The transformer feed-forward block built from single tape ops: matmul, add, gelu, matmul, add."""
+    return ad.gelu(x @ p["w1"] + p["b1"]) @ p["w2"] + p["b2"]
 
 
 def loop_diversity_loss(preds, pair_count, margin, seed):

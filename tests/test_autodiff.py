@@ -1,5 +1,7 @@
 """Numerics: op semantics, gradient correctness, determinism."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -8,7 +10,7 @@ from faultgen.autodiff import Parameter, Tensor
 from faultgen.denoiser import Backbone, DenoiserConfig
 from faultgen.errors import ContractError, DimensionError, ForwardError, NumericError
 
-from helpers import composed_attention, grad_check, rel_err
+from helpers import central_diff, composed_attention, composed_feed_forward, grad_check, rel_err
 
 RNG = np.random.default_rng(42)
 
@@ -223,6 +225,91 @@ class TestAttentionOp:
         arrays = _attention_inputs(np.random.default_rng(4), 1, 2, 2, 6)
         with pytest.raises(DimensionError):
             ad.attention(*[Tensor(a) for a in arrays], 4)
+
+
+    def test_row_max_keeps_the_bits_under_the_adapter_band_mask(self):
+        # desk sizes: 12 series of 24 positions, 4 heads, window 5 (half-width 2)
+        arrays = _attention_inputs(np.random.default_rng(5), 12, 24, 24, 64, np.float32)
+        arrays[0] *= 8.0  # wide score rows, so the masked -1e9 entries sit far below the max
+        fused, composed = self._both([Tensor(a) for a in arrays], True, 4, _band(24, 24, 2))
+        assert np.array_equal(fused.data, composed.data)
+
+    def test_a_nan_score_still_raises(self):
+        arrays = _attention_inputs(np.random.default_rng(6), 2, 24, 24, 8, np.float32)
+        arrays[1][1, 7, 3] = np.nan  # one key of one series: a NaN score column under the band
+        with pytest.raises(NumericError, match="attention"):
+            self._both([Tensor(a) for a in arrays], False, 2, _band(24, 24, 2))
+
+
+FF_KEYS = ("w1", "b1", "w2", "b2")
+
+
+def _ff_inputs(rng, b, s=24, dim=8, hidden=16, dtype=np.float64):
+    x = rng.standard_normal((b, s, dim)) * 2.0  # wide enough to reach gelu's curved part
+    params = [rng.standard_normal((dim, hidden)) * 0.5, rng.standard_normal(hidden) * 0.1,
+              rng.standard_normal((hidden, dim)) * 0.5, rng.standard_normal(dim) * 0.1]
+    return [a.astype(dtype) for a in [x] + params]
+
+
+class TestFeedForwardOp:
+    """The fused block against the composed tape ops it replaces (`helpers.composed_feed_forward`)."""
+
+    @pytest.mark.parametrize("b", [1, 8, 12])
+    def test_float32_forward_is_bitwise_the_composed_ops(self, b):
+        x, *params = [Tensor(a) for a in _ff_inputs(np.random.default_rng(b), b, dim=64, hidden=128,
+                                                    dtype=np.float32)]
+        fused = ad.feed_forward(x, *params)
+        assert fused.dtype == np.float32
+        assert np.array_equal(fused.data, composed_feed_forward(x, dict(zip(FF_KEYS, params))).data)
+
+    def test_no_grad_output_is_bitwise_the_recorded_one(self):
+        arrays = _ff_inputs(np.random.default_rng(7), 12, dim=64, hidden=128, dtype=np.float32)
+        recorded = ad.feed_forward(*[Tensor(a, requires_grad=True) for a in arrays])
+        assert recorded.requires_grad
+        with ad.no_grad():
+            plain = ad.feed_forward(*[Tensor(a, requires_grad=True) for a in arrays])
+        assert not plain.requires_grad
+        assert np.array_equal(plain.data, recorded.data)
+
+    def test_gradients_of_all_five_inputs_match_central_differences(self):
+        rng = np.random.default_rng(8)
+        arrays = _ff_inputs(rng, 2, s=3, dim=4, hidden=6)
+        w = Tensor(rng.standard_normal((2, 3, 4)))
+        assert grad_check(lambda ts: (ad.feed_forward(*ts) * w).sum(), arrays) < 1e-6
+
+    def test_frozen_weights_pass_a_gradient_to_x_only(self):
+        rng = np.random.default_rng(9)
+        x, *params = _ff_inputs(rng, 2, s=3, dim=4, hidden=6)
+        w = rng.standard_normal((2, 3, 4))
+        with ad.precision("float64"):
+            frozen = [Parameter(k, a, trainable=False) for k, a in zip(FF_KEYS, params)]
+            xt = Tensor(x, requires_grad=True)
+            (ad.feed_forward(xt, *frozen) * Tensor(w)).sum().backward()
+            assert all(not np.any(p.grad) for p in frozen)
+
+            def f(xv):
+                with ad.no_grad():
+                    return float((ad.feed_forward(Tensor(xv), *frozen) * Tensor(w)).sum().data)
+
+            assert rel_err(xt.grad, central_diff(f, x)) < 1e-6
+
+    def test_nan_in_w1_ends_in_a_forward_error_naming_the_layer(self):
+        cfg = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
+                             heads=2, ff_dim=16, fourier_terms=1)
+        model = Backbone(cfg, seed=0)
+        model.dec[1]["ff"]["w1"].data[2, 5] = np.nan
+        x = np.random.default_rng(0).standard_normal((2, 6, 2))
+        with pytest.raises(ForwardError, match="decoder layer 1: feed_forward"):
+            model.forward(x, 3)
+
+
+def test_gelu_is_bitwise_its_plain_numpy_formula():
+    x = np.concatenate([np.linspace(-20, 20, 4001),
+                        np.random.default_rng(11).standard_normal(4096) * 3]).astype(np.float32)
+    c, a = math.sqrt(2.0 / math.pi), 0.044715  # Python floats keep the arithmetic in float32
+    ref = 0.5 * x * (1.0 + np.tanh(c * (x + a * (x * x * x))))
+    assert ref.dtype == np.float32
+    assert np.array_equal(ad.gelu(Tensor(x)).data, ref)
 
 
 class TestBackward:

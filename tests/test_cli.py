@@ -201,3 +201,29 @@ def test_finetune_runs_with_a_config_file_that_restates_the_checkpoint_schedule(
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"], "--out", str(out),
                  "--config", str(config), *_no_diffusion_overrides("train.finetune_steps=1")]) == 0
     assert (out / "checkpoints" / "final.ckpt").exists()
+
+
+def test_a_full_finetune_run_leaves_every_backbone_array_byte_identical(trained, tmp_path):
+    out = tmp_path / "fine"
+    assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"],
+                 "--out", str(out), *_overrides("train.finetune_steps=4")]) == 0
+    before = load_checkpoint(trained["pre"]).arrays
+    after = load_checkpoint(str(out / "checkpoints" / "final.ckpt")).arrays
+    backbone = [name for name in before if name.startswith("backbone.")]
+    assert backbone and backbone == [name for name in after if name.startswith("backbone.")]
+    for name in backbone:
+        assert after[name].dtype == before[name].dtype and after[name].shape == before[name].shape, name
+        assert after[name].tobytes() == before[name].tobytes(), name
+    assert np.any(after["adapter0.attn.o.w"] != 0)  # zero at init: the adapter did train
+
+
+@pytest.mark.parametrize("fault,argv", [("random_noise", ["--magnitude", "-1"]),
+                                        ("impulse", ["--count", "0"]),
+                                        ("impulse", ["--count", "-2"])])
+def test_make_data_rejects_negative_noise_or_an_impulse_count_below_1_with_exit_2(tmp_path, capsys,
+                                                                                fault, argv):
+    out = tmp_path / "fault"
+    assert main(["make-data", "--kind", "fault", "--fault", fault, "--n", "2", "--tau", "8",
+                 "--out", str(out), *argv]) == 2
+    assert "must be" in capsys.readouterr().err
+    assert not out.exists()

@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
+from faultgen import adapter, denoiser
 from faultgen import autodiff as ad
+from faultgen.adapter import AdapterStack, attach
 from faultgen.autodiff import Tensor
+from faultgen.config import RunConfig
 from faultgen.denoiser import (
     Backbone,
     DenoiserConfig,
@@ -16,7 +19,7 @@ from faultgen.denoiser import (
 from faultgen.errors import ContractError
 from faultgen.training import base_loss
 
-from helpers import central_diff, rel_err
+from helpers import central_diff, composed_attention, composed_feed_forward, rel_err
 
 TOY = DenoiserConfig(tau=4, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
                      heads=2, ff_dim=16, fourier_terms=1)
@@ -92,6 +95,33 @@ class TestForward:
                 numeric = central_diff(lambda a, p=p: loss_at(p, a), p.data)
                 worst = max(worst, rel_err(p.grad, numeric))
             assert worst < 1e-6
+
+
+class TestFusedOpsKeepTheComposedBits:
+    """`generate` reads only `predict_noise`; the fused nodes must leave its bits where the composed ops put them."""
+
+    @staticmethod
+    def _models():
+        desk = RunConfig.from_preset("desk")
+        backbone = Backbone(desk.denoiser_config(), seed=3)
+        stack = AdapterStack(desk.adapter_config(), backbone.cfg.dec_layers, seed=4)
+        rng = np.random.default_rng(5)
+        for p in backbone.parameters() + stack.parameters():  # zero-init heads would hide every bit
+            p.data += rng.normal(0, 0.05, p.data.shape).astype(np.float32)
+        return backbone, attach(backbone, stack)
+
+    @pytest.mark.parametrize("b", [1, 12])
+    def test_predict_noise_is_bitwise_the_composed_reference(self, monkeypatch, b):
+        backbone, composed = self._models()
+        x = np.random.default_rng(b).standard_normal((b, backbone.cfg.tau, backbone.cfg.d)).astype(np.float32)
+        fused = [backbone.predict_noise(x, 37), composed.predict_noise(x, 37)]
+        monkeypatch.setattr(denoiser, "feed_forward", composed_feed_forward)
+        monkeypatch.setattr(denoiser, "multi_head_attention", composed_attention)
+        monkeypatch.setattr(adapter, "multi_head_attention", composed_attention)
+        reference = [backbone.predict_noise(x, 37), composed.predict_noise(x, 37)]
+        assert np.any(reference[0] != reference[1])  # the adapter is live
+        for got, ref in zip(fused, reference):
+            assert np.array_equal(got, ref)
 
 
 class TestDecompose:

@@ -34,6 +34,28 @@ def test_tsne_probabilities_are_a_symmetric_distribution():
     assert abs(p.sum() - 1.0) < 1e-9
 
 
+def _vertex_transitive_sets():
+    """Point sets where every point sees the same multiset of distances: a 2-D regular 30-gon, the 5-cube."""
+    angle = 2.0 * np.pi * np.arange(30) / 30
+    polygon = np.stack([np.cos(angle), np.sin(angle)], axis=1) * 3.0
+    cube = ((np.arange(32)[:, None] >> np.arange(5)) & 1).astype(float)
+    return {"30-gon": polygon, "5-cube": cube}
+
+
+@pytest.mark.parametrize("name,perplexity", [("30-gon", 3.0), ("30-gon", 8.0), ("5-cube", 8.0), ("5-cube", 12.0)])
+def test_tsne_bandwidth_search_reaches_the_target_perplexity_in_every_row(name, perplexity):
+    # each perplexity exceeds the count of nearest neighbours tied at one distance (2 and 5)
+    # every row shares one bandwidth here, so the conditional matrix is symmetric and n * p is it
+    x = _vertex_transitive_sets()[name]
+    n = x.shape[0]
+    cond = n * _tsne_probabilities(x, perplexity)
+    np.fill_diagonal(cond, 0.0)
+    np.testing.assert_allclose(cond.sum(axis=1), 1.0, atol=1e-9)
+    entropy = -np.sum(cond * np.log(np.where(cond > 0, cond, 1.0)), axis=1)
+    # the search stops within 1e-5 nats; 1e-4 leaves room for the 1e-12 floor on far pairs
+    np.testing.assert_allclose(entropy, np.log(perplexity), rtol=0, atol=1e-4)
+
+
 def _corpus(label, n, shift, seed):
     rng = np.random.default_rng(seed)
     series = [TimeSeries((rng.standard_normal((8, 2)) + shift).astype(np.float32), ["a", "b"])

@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import sqrtm
 
 from faultgen import metrics
-from faultgen.data import generate_normal
+from faultgen.data import Dataset, TimeSeries, generate_normal
 
 
 def test_seed_free_scores_run_once_and_match_single_seed_calls(monkeypatch):
@@ -41,3 +41,22 @@ def test_frechet_distance_matches_scipy_sqrtm(dim):
                 + np.trace(ca + cb - 2.0 * np.real(sqrtm(ca @ cb))))
     got = metrics.frechet_distance(a[:, 0] if dim == 1 else a, b[:, 0] if dim == 1 else b)
     assert abs(got - expected) <= 1e-9 * max(1.0, abs(expected))
+
+
+def _cluster(label, centres, seed):
+    rng = np.random.default_rng(seed)
+    series = [TimeSeries(np.full((6, 2), c) + 0.05 * rng.standard_normal((6, 2)), ["a", "b"])
+              for c in centres]
+    return Dataset(series, label=label, id=f"{label}-{seed}")
+
+
+def test_downstream_eval_on_two_separable_clusters_with_one_planted_test_error():
+    # class "up" sits at +2, class "down" at -2; one "down" test series sits in the "up" cluster
+    train = [_cluster("up", [2.0] * 10, 0), _cluster("down", [-2.0] * 10, 1)]
+    test = [_cluster("up", [2.0] * 4, 2), _cluster("down", [-2.0] * 3 + [2.0], 3)]
+    result = metrics.downstream_eval(train, [], test, seed=0)
+    # predicted: 5 "up" (4 right, 1 wrong), 3 "down" (all right)
+    assert result["accuracy"] == 7 / 8
+    assert result["precision"] == pytest.approx((4 / 5 + 1.0) / 2)
+    assert result["recall"] == pytest.approx((1.0 + 3 / 4) / 2)
+    assert result["f1"] == pytest.approx((8 / 9 + 6 / 7) / 2)
