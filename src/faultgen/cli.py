@@ -52,17 +52,15 @@ FAULT_SEED_OFFSET = 1_000_003  # keeps injection rng streams apart from base-sig
 
 
 class ExperimentLayout:
-    """Output directory contract: checkpoints/, samples/, reports/, logs/, config.lock."""
+    """Training output directory contract: checkpoints/, logs/, config.lock."""
 
     def __init__(self, root):
         self.root = root
         self.checkpoints = os.path.join(root, "checkpoints")
-        self.samples = os.path.join(root, "samples")
-        self.reports = os.path.join(root, "reports")
         self.logs = os.path.join(root, "logs")
 
     def prepare(self, cfg: RunConfig) -> None:
-        for d in (self.root, self.checkpoints, self.samples, self.reports, self.logs):
+        for d in (self.root, self.checkpoints, self.logs):
             os.makedirs(d, exist_ok=True)
         with open(os.path.join(self.root, "config.lock"), "w") as fh:
             fh.write(cfg.canonical_text())

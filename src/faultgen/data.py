@@ -72,10 +72,8 @@ class Dataset:
     def __post_init__(self):
         if not self.samples:
             raise ContractError("Dataset must be nonempty")
-        shape = self.samples[0].values.shape
-        for s in self.samples:
-            if s.values.shape != shape:
-                raise ContractError("Dataset samples must share one (tau, d) shape")
+        if len({s.values.shape for s in self.samples}) > 1:
+            raise ContractError("Dataset samples must share one (tau, d) shape")
 
     def __len__(self):
         return len(self.samples)
@@ -471,6 +469,32 @@ def save_corpus(ds: Dataset, directory) -> None:
                 fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
+def _read_sample(path, tau: int, dim: int) -> TimeSeries:
+    """One sample CSV: channel names, then tau rows of dim numbers; blank lines are skipped but counted."""
+    with open(path) as fh:
+        header = fh.readline().strip()
+        lines = fh.read().splitlines()
+    names = header.split(",") if header else []
+    if len(names) != dim:
+        raise CorpusError(f"{path}: header has {len(names)} channels, manifest says {dim}")
+    rows = [i for i, line in enumerate(lines) if line.strip()]
+    if len(rows) != tau:
+        raise CorpusError(f"{path}: {len(rows)} timesteps, manifest says {tau}")
+    try:
+        values = np.loadtxt([lines[i] for i in rows], delimiter=",", ndmin=2, comments=None)
+    except ValueError as e:
+        raise CorpusError(f"{path}: {e}") from e
+    if values.shape[1] != dim:
+        raise CorpusError(f"{path}: rows have {values.shape[1]} values, expected {dim}")
+    with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf and is reported below
+        values = values.astype(np.float32)
+    bad = np.argwhere(~np.isfinite(values))
+    if len(bad):
+        row, col = bad[0]
+        raise CorpusError(f"{path}: non-finite value at row {rows[row] + 2}, column {col}")
+    return TimeSeries(values, names)
+
+
 def load_corpus(directory) -> Dataset:
     """Load a corpus directory, validating manifest, shapes, and finiteness."""
     mpath = os.path.join(directory, "manifest.json")
@@ -493,33 +517,7 @@ def load_corpus(directory) -> Dataset:
     if len(files) != n:
         raise CorpusError(f"manifest {mpath} declares {n} samples but {len(files)} files present")
 
-    samples = []
-    for fname in files:
-        path = os.path.join(directory, fname)
-        with open(path) as fh:
-            header = fh.readline().strip()
-            names = header.split(",") if header else []
-            if len(names) != dim:
-                raise CorpusError(f"{path}: header has {len(names)} channels, manifest says {dim}")
-            rows = []
-            for lineno, line in enumerate(fh, start=2):
-                line = line.strip()
-                if not line:
-                    continue
-                cells = line.split(",")
-                if len(cells) != dim:
-                    raise CorpusError(f"{path}: row {lineno} has {len(cells)} values, expected {dim}")
-                try:
-                    vals = [float(c) for c in cells]
-                except ValueError as e:
-                    raise CorpusError(f"{path}: row {lineno}: {e}") from e
-                for col, v in enumerate(vals):
-                    if not np.isfinite(v):
-                        raise CorpusError(f"{path}: non-finite value at row {lineno}, column {col}")
-                rows.append(vals)
-        if len(rows) != tau:
-            raise CorpusError(f"{path}: {len(rows)} timesteps, manifest says {tau}")
-        samples.append(TimeSeries(np.asarray(rows, dtype=np.float32), names))
+    samples = [_read_sample(os.path.join(directory, fname), tau, dim) for fname in files]
 
     try:
         spec = FaultSpec.from_dict(manifest["fault_spec"]) if manifest.get("fault_spec") else None

@@ -22,7 +22,7 @@ class EmbedResult:
     def coords_csv(self) -> str:
         lines = ["label,x,y"]
         for lab, (x, y) in zip(self.labels, self.coords):
-            lines.append(f"{lab},{x!r},{y!r}")
+            lines.append(f"{lab},{float(x)!r},{float(y)!r}")
         return "\n".join(lines) + "\n"
 
     def kde_csv(self) -> str:
@@ -33,18 +33,12 @@ class EmbedResult:
 
 
 def _features(datasets: list[Dataset], kind: str) -> tuple[np.ndarray, list]:
-    labels = []
-    rows = []
+    labels = [ds.label for ds in datasets for _ in range(len(ds))]
     if kind == "context":
         enc = ContextEncoder(datasets[0].dim, DEFAULT_ENCODER_SEED)
-    for ds in datasets:
-        for s in ds.samples:
-            labels.append(ds.label)
-            if kind == "context":
-                rows.append(enc.embed(s.values))
-            else:
-                rows.append(s.values.astype(np.float64).reshape(-1))
-    return np.stack(rows), labels
+        return np.concatenate([enc.embed(ds.as_array()) for ds in datasets]), labels
+    x = np.concatenate([ds.as_array() for ds in datasets]).astype(np.float64)
+    return x.reshape(len(x), -1), labels
 
 
 def pca_2d(x: np.ndarray) -> np.ndarray:
@@ -80,16 +74,14 @@ def _tsne_probabilities(x: np.ndarray, perplexity: float) -> np.ndarray:
     target = np.log(perplexity)
     p = np.zeros((n, n))
     for i in range(n):
+        # shifted by the nearest distance, the nearest neighbour weighs 1 and no row sum underflows
         di = np.delete(d2[i], i)
+        di -= di.min()
         lo, hi = 1e-20, 1e20
         beta = 1.0
         for _ in range(64):
             expd = np.exp(-di * beta)
-            s = expd.sum()
-            if s <= 0:
-                beta /= 2.0
-                continue
-            probs = expd / s
+            probs = expd / expd.sum()
             ent = -np.sum(probs * np.log(np.maximum(probs, 1e-300)))
             if abs(ent - target) < 1e-5:
                 break
@@ -99,8 +91,8 @@ def _tsne_probabilities(x: np.ndarray, perplexity: float) -> np.ndarray:
             else:
                 hi = beta
                 beta = (beta + lo) / 2.0
-        row = np.insert(np.exp(-di * beta) / max(np.exp(-di * beta).sum(), 1e-300), i, 0.0)
-        p[i] = row
+        expd = np.exp(-di * beta)
+        p[i] = np.insert(expd / expd.sum(), i, 0.0)
     p = (p + p.T) / (2.0 * n)
     return np.maximum(p, 1e-12)
 

@@ -53,25 +53,25 @@ class FeedForwardNet:
         return h
 
 
-class _Standardizer:
-    def __init__(self, x: np.ndarray):
-        self.mu = x.mean(axis=0)
-        sd = x.std(axis=0)
-        self.sd = np.where(sd > 0, sd, 1.0)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return ((x - self.mu) / self.sd).astype(ad.default_dtype())
-
-
-def _adam_train(net: FeedForwardNet, loss_fn, steps: int, lr: float) -> None:
+def _fit_predict(x_train: np.ndarray, x_test: np.ndarray, hidden: list[int], out_dim: int,
+                 loss_fn, steps: int, lr: float, seed: int) -> np.ndarray:
+    """Standardize both row sets by the training rows' column mean and std (a constant column is only
+    centred), fit a seeded FeedForwardNet to `loss_fn(outputs on the training rows)` with Adam, and
+    return its outputs on the test rows."""
     from .training import Adam
 
+    mu, sd = x_train.mean(axis=0), x_train.std(axis=0)
+    sd = np.where(sd > 0, sd, 1.0)
+    xt, xe = (Tensor(((x - mu) / sd).astype(ad.default_dtype())) for x in (x_train, x_test))
+    net = FeedForwardNet(x_train.shape[1], hidden, out_dim, seed)
     opt = Adam(net.params, lr)
     for _ in range(steps):
-        loss = loss_fn()
+        loss = loss_fn(net.forward(xt))
         opt.zero_grad()
         loss.backward()
         opt.step()
+    with ad.no_grad():
+        return net.forward(xe).data
 
 
 def _split(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -99,13 +99,8 @@ def discriminative_score(real: Dataset, synth: Dataset, seed: int) -> float:
     x_test = np.concatenate([xr[te_r], xs[te_s]])
     y_test = np.concatenate([np.ones(len(te_r), dtype=int), np.zeros(len(te_s), dtype=int)])
 
-    std = _Standardizer(x_train)
-    xt = Tensor(std(x_train))
-    net = FeedForwardNet(x_train.shape[1], [32, 32], 2, seed)
-    _adam_train(net, lambda: ad.cross_entropy(net.forward(xt), y_train), steps=300, lr=3e-3)
-
-    with ad.no_grad():
-        logits = net.forward(Tensor(std(x_test))).data
+    logits = _fit_predict(x_train, x_test, [32, 32], 2, lambda out: ad.cross_entropy(out, y_train),
+                          steps=300, lr=3e-3, seed=seed)
     acc = float(np.mean(np.argmax(logits, axis=1) == y_test))
     return abs(acc - 0.5)
 
@@ -123,13 +118,9 @@ def predictive_score(real: Dataset, synth: Dataset, seed: int) -> float:
     x_test = xr[:, :-1, :].reshape(len(real), -1)
     y_test = xr[:, -1, :]
 
-    std = _Standardizer(x_train)
-    xt, yt = Tensor(std(x_train)), Tensor(y_train)
-    net = FeedForwardNet(x_train.shape[1], [32], real.dim, seed)
-    _adam_train(net, lambda: ad.absolute(net.forward(xt) - yt).mean(), steps=400, lr=5e-3)
-
-    with ad.no_grad():
-        pred = net.forward(Tensor(std(x_test))).data
+    yt = Tensor(y_train)
+    pred = _fit_predict(x_train, x_test, [32], real.dim, lambda out: ad.absolute(out - yt).mean(),
+                        steps=400, lr=5e-3, seed=seed)
     return float(np.mean(np.abs(pred - y_test)))
 
 
@@ -138,35 +129,33 @@ def predictive_score(real: Dataset, synth: Dataset, seed: int) -> float:
 
 
 class ContextEncoder:
-    """Frozen, seeded random 1-D conv encoder mapping (tau, d) -> EMBED_DIM features."""
+    """Frozen, seeded random 1-D conv encoder mapping (..., tau, d) -> (..., EMBED_DIM) features."""
 
     def __init__(self, d: int, seed: int = DEFAULT_ENCODER_SEED, hidden: int = 32, kernel: int = 5):
         rng = np.random.default_rng(seed)
-        self.kernel = kernel
         self.w1 = rng.normal(0, 1.0 / np.sqrt(kernel * d), (kernel, d, hidden))
         self.b1 = rng.normal(0, 0.1, hidden)
         self.w2 = rng.normal(0, 1.0 / np.sqrt(kernel * hidden), (kernel, hidden, EMBED_DIM))
         self.b2 = rng.normal(0, 0.1, EMBED_DIM)
 
     @staticmethod
-    def _conv(x, w, b, kernel):
-        pad = kernel // 2
-        xp = np.pad(x, ((pad, pad), (0, 0)))
-        tau = x.shape[0]
-        out = np.zeros((tau, w.shape[2]))
-        for k in range(kernel):
-            out += xp[k:k + tau] @ w[k]
+    def _conv(x, w, b):
+        """Same-length convolution along the time axis (-2) of a (..., tau, d) array with (kernel, d, h) taps."""
+        pad = len(w) // 2
+        xp = np.pad(x, [(0, 0)] * (x.ndim - 2) + [(pad, pad), (0, 0)])
+        tau = x.shape[-2]
+        out = np.zeros(x.shape[:-1] + (w.shape[2],))
+        for k, wk in enumerate(w):
+            out += xp[..., k:k + tau, :] @ wk
         return out + b
 
     def embed(self, values: np.ndarray) -> np.ndarray:
-        h = self._conv(values.astype(np.float64), self.w1, self.b1, self.kernel)
+        """Time-pooled features of one (tau, d) series, (EMBED_DIM,), or of a stack (n, tau, d), (n, EMBED_DIM)."""
+        h = self._conv(values.astype(np.float64), self.w1, self.b1)
         ad.gelu_(h)
-        h = self._conv(h, self.w2, self.b2, self.kernel)
+        h = self._conv(h, self.w2, self.b2)
         ad.gelu_(h)
-        return h.mean(axis=0)
-
-    def embed_dataset(self, ds: Dataset) -> np.ndarray:
-        return np.stack([self.embed(s.values) for s in ds.samples])
+        return h.mean(axis=-2)
 
 
 def frechet_distance(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
@@ -201,7 +190,7 @@ def context_fid(real: Dataset, synth: Dataset, encoder_seed: int = DEFAULT_ENCOD
     if real.dim != synth.dim:
         raise ContractError("corpora must share the channel count")
     enc = ContextEncoder(real.dim, encoder_seed)
-    return frechet_distance(enc.embed_dataset(real), enc.embed_dataset(synth))
+    return frechet_distance(enc.embed(real.as_array()), enc.embed(synth.as_array()))
 
 
 # ----------------------------------------------------------------------
@@ -210,19 +199,14 @@ def context_fid(real: Dataset, synth: Dataset, encoder_seed: int = DEFAULT_ENCOD
 
 def _corpus_correlation(ds: Dataset) -> tuple[np.ndarray, bool]:
     """Mean per-sample Pearson channel correlation; constant channels count as 0."""
-    mats = []
-    had_constant = False
-    for s in ds.samples:
-        x = s.values.astype(np.float64)
-        xc = x - x.mean(axis=0)
-        sd = x.std(axis=0)
-        ok = sd > 0
-        had_constant |= not bool(np.all(ok))
-        denom = np.outer(np.where(ok, sd, 1.0), np.where(ok, sd, 1.0))
-        c = (xc.T @ xc / x.shape[0]) / denom
-        mask = np.outer(ok, ok)
-        mats.append(np.where(mask, c, 0.0))
-    return np.mean(mats, axis=0), had_constant
+    x = ds.as_array().astype(np.float64)
+    xc = x - x.mean(axis=1, keepdims=True)
+    sd = x.std(axis=1)
+    ok = sd > 0
+    scale = np.where(ok, sd, 1.0)
+    c = (xc.transpose(0, 2, 1) @ xc / x.shape[1]) / (scale[:, :, None] * scale[:, None, :])
+    c = np.where(ok[:, :, None] & ok[:, None, :], c, 0.0)
+    return c.mean(axis=0), not bool(np.all(ok))
 
 
 def correlational_score(real: Dataset, synth: Dataset, warnings: list | None = None) -> float:
@@ -239,18 +223,15 @@ def correlational_score(real: Dataset, synth: Dataset, warnings: list | None = N
 
 
 def _acf_features(ds: Dataset, max_lag: int) -> np.ndarray:
+    """Per-series autocorrelations at lags 1..lag, laid out lag-major: (n, lag * d)."""
     lag = min(max_lag, ds.tau - 2)
-    feats = []
-    for s in ds.samples:
-        x = s.values.astype(np.float64)
-        xc = x - x.mean(axis=0)
-        denom = np.sum(xc * xc, axis=0)
-        cols = []
-        for k in range(1, lag + 1):
-            num = np.sum(xc[:-k] * xc[k:], axis=0)
-            cols.append(np.where(denom > 0, num / np.where(denom > 0, denom, 1.0), 0.0))
-        feats.append(np.concatenate(cols))
-    return np.stack(feats)
+    x = ds.as_array().astype(np.float64)
+    xc = x - x.mean(axis=1, keepdims=True)
+    denom = np.sum(xc * xc, axis=1)
+    ok = denom > 0
+    safe = np.where(ok, denom, 1.0)
+    return np.concatenate([np.where(ok, np.sum(xc[:, :-k] * xc[:, k:], axis=1) / safe, 0.0)
+                           for k in range(1, lag + 1)], axis=1)
 
 
 def _mean_pairwise_distance(x: np.ndarray) -> float:
@@ -287,10 +268,7 @@ def downstream_eval(train_real: list[Dataset], synth_per_class: list[Dataset],
 
     Returns accuracy plus macro-averaged precision / recall / F1.
     """
-    classes = []
-    for ds in train_real:
-        if ds.label not in classes:
-            classes.append(ds.label)
+    classes = list(dict.fromkeys(ds.label for ds in train_real))
     if len(classes) < 2:
         raise ContractError("downstream evaluation needs >= 2 classes")
     index = {label: i for i, label in enumerate(classes)}
@@ -304,24 +282,16 @@ def downstream_eval(train_real: list[Dataset], synth_per_class: list[Dataset],
             ys.append(np.full(len(ds), index[ds.label], dtype=int))
         return np.concatenate(xs), np.concatenate(ys)
 
-    x_train, y_train = collect(train_real)
-    if synth_per_class:
-        xs_extra, ys_extra = collect(synth_per_class)
-        x_train = np.concatenate([x_train, xs_extra])
-        y_train = np.concatenate([y_train, ys_extra])
+    x_train, y_train = collect([*train_real, *synth_per_class])
     x_test, y_test = collect(test)
     present = set(np.unique(y_test).tolist())
     for label, i in index.items():
         if i not in present:
             raise ContractError(f"class {label!r} has no test samples")
 
-    std = _Standardizer(x_train)
-    xt = Tensor(std(x_train))
-    net = FeedForwardNet(x_train.shape[1], [64, 32], len(classes), seed)
-    _adam_train(net, lambda: ad.cross_entropy(net.forward(xt), y_train), steps=400, lr=3e-3)
-
-    with ad.no_grad():
-        pred = np.argmax(net.forward(Tensor(std(x_test))).data, axis=1)
+    logits = _fit_predict(x_train, x_test, [64, 32], len(classes),
+                          lambda out: ad.cross_entropy(out, y_train), steps=400, lr=3e-3, seed=seed)
+    pred = np.argmax(logits, axis=1)
     acc = float(np.mean(pred == y_test))
     precisions, recalls, f1s = [], [], []
     for i in range(len(classes)):

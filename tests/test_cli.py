@@ -227,3 +227,34 @@ def test_make_data_rejects_negative_noise_or_an_impulse_count_below_1_with_exit_
                  "--out", str(out), *argv]) == 2
     assert "must be" in capsys.readouterr().err
     assert not out.exists()
+
+
+def _every_stage(capsys, root):
+    """make-data, pretrain, finetune, generate, evaluate, embed and downstream into `root`, with tiny step counts."""
+    normal, fault, gen = f"{root}/normal", f"{root}/fault", f"{root}/gen"
+    _run(capsys, "make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", normal)
+    _run(capsys, "make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "8", "--out", fault)
+    pre = _run(capsys, "pretrain", "--data", normal, "--out", f"{root}/pre", *_overrides("train.pretrain_steps=2"))
+    fine = _run(capsys, "finetune", "--data", fault, "--checkpoint", pre["checkpoint"], "--out", f"{root}/fine",
+                *_overrides("train.finetune_steps=2"))
+    _run(capsys, "generate", "--checkpoint", fine["checkpoint"], "--n", "4", "--out", gen)
+    _run(capsys, "evaluate", "--real", fault, "--synth", gen, "--seeds", "0,1", "--out", f"{root}/eval")
+    _run(capsys, "embed", "--corpus", normal, "--corpus", gen, "--perplexity", "2", "--iters", "20",
+         "--out", f"{root}/embed")
+    _run(capsys, "downstream", "--train", normal, "--train", fault, "--synth", gen, "--test", normal,
+         "--test", fault, "--out", f"{root}/downstream")
+
+
+def test_equal_hash_runs_of_every_stage_write_byte_identical_trees(tmp_path, capsys):
+    roots = [tmp_path / "a", tmp_path / "b"]
+    for root in roots:
+        _every_stage(capsys, root)
+    files = [sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()) for root in roots]
+    assert files[0] == files[1]
+    for name in ("fine/checkpoints/final.ckpt", "gen/generation_log.json", "eval/report.json",
+                 "embed/embedding.csv", "downstream/downstream.json"):
+        assert name in files[0]
+    for name in files[0]:
+        assert (roots[0] / name).read_bytes() == (roots[1] / name).read_bytes(), name
+    for stage in ("pre", "fine"):  # nothing else is written into a training output
+        assert sorted(p.name for p in (roots[0] / stage).iterdir()) == ["checkpoints", "config.lock", "logs"]

@@ -262,6 +262,55 @@ class TestCorpusIO:
         corpus = str(tmp_path / "c")
         assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
 
+    @staticmethod
+    def _rewrite_sample(directory, edit):
+        """Save a 24 x 2 corpus of two series and pass sample_00001.csv's lines (header first) through `edit`."""
+        save_corpus(generate_normal(24, 2, 2, seed=3), directory)
+        path = directory / "sample_00001.csv"
+        path.write_bytes(edit(path.read_bytes().split(b"\n")[:-1]))
+        return path
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: b"\n".join(lines[:3] + [b"", b""] + lines[3:]) + b"\n\n",
+        lambda lines: b"\n".join(lines[:3] + [b"  \t "] + lines[3:]) + b"\n",
+        lambda lines: b"\r\n".join(lines) + b"\r\n",
+        lambda lines: b"\n".join(lines),
+    ], ids=["blank-lines", "whitespace-line", "crlf", "no-final-newline"])
+    def test_accepted_line_layouts_load_bit_identical(self, tmp_path, edit):
+        self._rewrite_sample(tmp_path / "c", edit)
+        expected = generate_normal(24, 2, 2, seed=3).as_array()
+        assert load_corpus(tmp_path / "c").as_array().tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("edit", [
+        lambda lines: lines[0] + b"\n",
+        lambda lines: b"\n".join(lines[:4] + [lines[4].split(b",")[0]] + lines[5:]) + b"\n",
+        lambda lines: b"\n".join(lines[:4] + [lines[4] + b",0.5"] + lines[5:]) + b"\n",
+        lambda lines: b"\n".join(lines[:4] + [b"0.5,abc"] + lines[5:]) + b"\n",
+        lambda lines: b"\n".join(lines[:4] + [b"0.5,#1"] + lines[5:]) + b"\n",
+        lambda lines: b"\n".join(lines[:4] + [b"0.5,1 # note"] + lines[5:]) + b"\n",
+        lambda lines: b"\n".join(line + b",0.5" for line in lines) + b"\n",
+    ], ids=["header-only", "short-row", "long-row", "non-number", "hash-cell", "hash-comment",
+            "every-row-long"])
+    def test_malformed_rows_are_corpus_errors_naming_the_file(self, tmp_path, capsys, edit):
+        self._rewrite_sample(tmp_path / "c", edit)
+        with pytest.raises(CorpusError, match="sample_00001.csv"):
+            load_corpus(tmp_path / "c")
+        corpus = str(tmp_path / "c")
+        assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
+        assert "sample_00001.csv" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cell", ["nan", "inf", "-inf", "1e400", "-1e39"])
+    @pytest.mark.parametrize("blank_lines, row", [(0, 6), (2, 8)])
+    def test_non_finite_cell_names_its_file_line_and_column(self, tmp_path, cell, blank_lines, row):
+        # the header is row 1 and blank lines count; the cell sits on the fifth data row.
+        # -1e39 is finite in float64 but overflows the float32 the corpus is held in
+        def edit(lines):
+            lines[5] = lines[5].split(b",")[0] + b"," + cell.encode()
+            return b"\n".join(lines[:2] + [b""] * blank_lines + lines[2:]) + b"\n"
+        self._rewrite_sample(tmp_path / "c", edit)
+        with pytest.raises(CorpusError, match=rf"sample_00001.csv: non-finite value at row {row}, column 1$"):
+            load_corpus(tmp_path / "c")
+
 
 PROPERTY_SETTINGS = settings(max_examples=60, deadline=None, derandomize=True, database=None)
 

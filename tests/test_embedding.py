@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from faultgen.cli import main
-from faultgen.data import Dataset, TimeSeries
+from faultgen.data import Dataset, TimeSeries, load_corpus
 from faultgen.embedding import _tsne_probabilities, embed_2d, pca_2d
 
 
@@ -56,6 +56,18 @@ def test_tsne_bandwidth_search_reaches_the_target_perplexity_in_every_row(name, 
     np.testing.assert_allclose(entropy, np.log(perplexity), rtol=0, atol=1e-4)
 
 
+def test_tsne_rows_stay_distributions_when_the_perplexity_is_below_the_tied_nearest_count():
+    # on the 5-cube every point has 5 nearest neighbours tied at distance 1, so perplexity 3 is out of
+    # reach: the closest a row gets is the uniform weight on those 5, entropy log 5
+    x = _vertex_transitive_sets()["5-cube"]
+    n = x.shape[0]
+    cond = n * _tsne_probabilities(x, 3.0)
+    np.fill_diagonal(cond, 0.0)
+    np.testing.assert_allclose(cond.sum(axis=1), 1.0, atol=1e-9)
+    entropy = -np.sum(cond * np.log(np.where(cond > 0, cond, 1.0)), axis=1)
+    np.testing.assert_allclose(entropy, np.log(5.0), rtol=0, atol=1e-6)
+
+
 def _corpus(label, n, shift, seed):
     rng = np.random.default_rng(seed)
     series = [TimeSeries((rng.standard_normal((8, 2)) + shift).astype(np.float32), ["a", "b"])
@@ -81,6 +93,20 @@ def normal_corpus(tmp_path_factory):
     path = str(tmp_path_factory.mktemp("corpora") / "normal")
     assert main(["make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", path]) == 0
     return path
+
+
+@pytest.mark.parametrize("method", ["pca", "tsne"])
+def test_embedding_csv_is_plain_numbers_equal_to_the_returned_coordinates(normal_corpus, tmp_path, method):
+    out = tmp_path / "emb"
+    assert main(["embed", "--corpus", normal_corpus, "--method", method, "--perplexity", "1.5",
+                 "--iters", "20", "--seed", "4", "--out", str(out)]) == 0
+    expected = embed_2d([load_corpus(normal_corpus)], method=method,
+                        params={"features": "flat", "perplexity": 1.5, "iters": 20}, seed=4)
+    header, *rows = (out / "embedding.csv").read_text().splitlines()
+    assert header == "label,x,y"
+    assert [row.split(",")[0] for row in rows] == expected.labels
+    coords = np.array([[float(cell) for cell in row.split(",")[1:]] for row in rows])
+    assert coords.tobytes() == expected.coords.tobytes()
 
 
 def test_embed_exits_2_on_a_missing_corpus(normal_corpus, tmp_path, capsys):

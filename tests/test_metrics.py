@@ -60,3 +60,37 @@ def test_downstream_eval_on_two_separable_clusters_with_one_planted_test_error()
     assert result["precision"] == pytest.approx((4 / 5 + 1.0) / 2)
     assert result["recall"] == pytest.approx((1.0 + 3 / 4) / 2)
     assert result["f1"] == pytest.approx((8 / 9 + 6 / 7) / 2)
+
+
+def test_context_encoder_embeds_a_stack_bitwise_as_its_series_one_by_one():
+    x = generate_normal(24, 3, 7, seed=4).as_array()
+    enc = metrics.ContextEncoder(3)
+    stacked = enc.embed(x)
+    assert stacked.shape == (7, metrics.EMBED_DIM)
+    assert stacked.tobytes() == np.stack([enc.embed(series) for series in x]).tobytes()
+
+
+def test_corpus_correlation_is_the_mean_corrcoef_with_constant_channels_zeroed():
+    arr = generate_normal(16, 3, 4, seed=7).as_array()
+    arr[1, :, 2] = 0.5
+    ds = Dataset([TimeSeries(x, ["a", "b", "c"]) for x in arr], label="normal", id="c")
+    mats = []
+    for x in arr.astype(np.float64):
+        ok = x.std(axis=0) > 0
+        c = np.zeros((3, 3))
+        c[np.ix_(ok, ok)] = np.corrcoef(x[:, ok], rowvar=False)
+        mats.append(c)
+    got, had_constant = metrics._corpus_correlation(ds)
+    np.testing.assert_allclose(got, np.mean(mats, axis=0), rtol=0, atol=1e-12)
+    assert had_constant
+    assert not metrics._corpus_correlation(generate_normal(16, 3, 4, seed=7))[1]
+
+
+def test_acf_features_are_lag_major_autocorrelations_of_each_series():
+    ds = generate_normal(16, 2, 5, seed=6)
+    feats = metrics._acf_features(ds, 3)
+    assert feats.shape == (5, 3 * 2)
+    for row, x in zip(feats, ds.as_array().astype(np.float64)):
+        xc = x - x.mean(axis=0)
+        want = [xc[:-k, c] @ xc[k:, c] / (xc[:, c] @ xc[:, c]) for k in (1, 2, 3) for c in (0, 1)]
+        np.testing.assert_allclose(row, want, rtol=1e-12)
