@@ -4,8 +4,9 @@ A small tape-based engine over numpy arrays, covering exactly the op
 vocabulary the denoiser, adapter, losses, and evaluation networks need:
 matmul, elementwise arithmetic, softmax, layer_norm, gelu, reshape and
 transpose, indexing (`take`), reductions, and three fused ops with hand-written
-backwards: multi-head `attention`, the `feed_forward` block and `cross_entropy`.
-`pad`, `concat` and `stack` are kept for callers outside the package. Tensors are
+backwards: multi-head `attention`, the `feed_forward` block and `cross_entropy`,
+which sums per-slice mean losses over any leading axes of its logits. `pad`,
+`concat` and `stack` are kept for callers outside the package. Tensors are
 immutable values once created; gradients accumulate on leaves during `backward`.
 
 Training runs in float32; a float64 mode (`set_dtype` / `precision`) exists
@@ -616,20 +617,20 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Mean softmax cross-entropy; `labels` is an int array of shape (B,)."""
+    """Softmax cross-entropy of (..., B, C) logits and (B,) int labels: each slice's mean, summed."""
     labels = np.asarray(labels)
-    if logits.ndim != 2 or labels.shape != (logits.shape[0],):
-        raise DimensionError(f"cross_entropy expects (B,C) logits and (B,) labels, got {logits.shape} / {labels.shape}")
+    if logits.ndim < 2 or labels.shape != logits.shape[-2:-1]:
+        raise DimensionError(f"cross_entropy expects (..., B, C) logits and (B,) labels, got {logits.shape} / {labels.shape}")
     z = logits.data
-    zmax = np.max(z, axis=1, keepdims=True)
-    logsum = zmax + np.log(np.sum(np.exp(z - zmax), axis=1, keepdims=True))
+    zmax = np.max(z, axis=-1, keepdims=True)
+    logsum = zmax + np.log(np.sum(np.exp(z - zmax), axis=-1, keepdims=True))
     logp = z - logsum
-    n = z.shape[0]
-    data = -np.mean(logp[np.arange(n), labels])
+    n = z.shape[-2]
+    data = -np.sum(np.mean(logp[..., np.arange(n), labels], axis=-1))
 
     def bw(g):
         p = np.exp(logp)
-        p[np.arange(n), labels] -= 1.0
+        p[..., np.arange(n), labels] -= 1.0
         _accum(logits, g * p / n)
 
     return _node(np.asarray(data, dtype=z.dtype), "cross_entropy", (logits,), bw)

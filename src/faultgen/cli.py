@@ -62,8 +62,20 @@ class ExperimentLayout:
     def prepare(self, cfg: RunConfig) -> None:
         for d in (self.root, self.checkpoints, self.logs):
             os.makedirs(d, exist_ok=True)
-        with open(os.path.join(self.root, "config.lock"), "w") as fh:
-            fh.write(cfg.canonical_text())
+        _write_atomic(self.root, "config.lock", cfg.canonical_text())
+
+
+def _write_atomic(directory, name: str, text: str) -> None:
+    """Write `text` to a temporary file in `directory` and rename it to `name`: a write that fails
+    midway leaves any earlier file whole and no temporary file behind."""
+    tmp = os.path.join(directory, f"{name}.tmp")
+    try:
+        with open(tmp, "w") as fh:
+            fh.write(text)
+        os.replace(tmp, os.path.join(directory, name))
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
 
 
 @contextlib.contextmanager
@@ -111,15 +123,8 @@ def cmd_make_data(args) -> int:
         base_kind=args.base, noise_std=args.noise_std,
     )
     if args.kind == "fault":
-        extra = {}
-        if args.period is not None:
-            extra["period"] = args.period
-        if args.clip_level is not None:
-            extra["clip_level"] = args.clip_level
-        if args.burst_len is not None:
-            extra["burst_len"] = args.burst_len
-        if args.count is not None:
-            extra["count"] = args.count
+        extra = {k: getattr(args, k) for k in ("period", "clip_level", "burst_len", "count")
+                 if getattr(args, k) is not None}
         channels = [int(c) for c in args.channels.split(",")] if args.channels else None
         ds = make_fault_dataset(
             base, args.fault, args.seed + FAULT_SEED_OFFSET,
@@ -243,41 +248,36 @@ def cmd_generate(args) -> int:
             "alpha": getattr(getattr(model, "stack", None), "alpha", None),
             "label": label,
         }
-        with open(os.path.join(args.out, "generation_log.json"), "w") as fh:
-            json.dump(log, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_atomic(args.out, "generation_log.json", json.dumps(log, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"generated": args.n, "out": args.out, "label": label}, sort_keys=True))
     return 0
 
 
 def cmd_evaluate(args) -> int:
+    try:
+        seeds = [int(s) for s in args.seeds.split(",")]
+    except ValueError as e:
+        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from e
+    if len(set(seeds)) != len(seeds):
+        raise ConfigError(f"--seeds names a seed twice: {args.seeds!r}")
     real = load_corpus(_require_dir(args.real, "real"))
     synth = load_corpus(_require_dir(args.synth, "synthetic"))
     metrics = [m.strip() for m in args.metrics.split(",")]
-    seeds = [int(s) for s in args.seeds.split(",")]
     report = evaluate_corpora(real, synth, metrics, seeds, config_hash=_resolved(args).hash())
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w") as fh:
-        fh.write(report.to_json())
-    with open(os.path.join(args.out, "report.csv"), "w") as fh:
-        fh.write(report.to_csv())
+    _write_atomic(args.out, "report.json", report.to_json())
+    _write_atomic(args.out, "report.csv", report.to_csv())
     print(json.dumps(report.medians, sort_keys=True))
     return 0
 
 
 def cmd_embed(args) -> int:
     datasets = [load_corpus(_require_dir(c, "embedding")) for c in args.corpus]
-    params = {"features": args.features}
-    if args.perplexity is not None:
-        params["perplexity"] = args.perplexity
-    if args.iters is not None:
-        params["iters"] = args.iters
+    params = {k: getattr(args, k) for k in ("features", "perplexity", "iters") if getattr(args, k) is not None}
     result = embed_2d(datasets, method=args.method, params=params, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "embedding.csv"), "w") as fh:
-        fh.write(result.coords_csv())
-    with open(os.path.join(args.out, "kde.csv"), "w") as fh:
-        fh.write(result.kde_csv())
+    _write_atomic(args.out, "embedding.csv", result.coords_csv())
+    _write_atomic(args.out, "kde.csv", result.kde_csv())
     print(json.dumps({"samples": len(result.labels), "method": args.method,
                       "out": args.out}, sort_keys=True))
     return 0
@@ -290,9 +290,7 @@ def cmd_downstream(args) -> int:
     result = downstream_eval(train, synth, test, args.seed)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "downstream.json"), "w") as fh:
-            json.dump(result, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+        _write_atomic(args.out, "downstream.json", json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -33,6 +33,10 @@ class EmbedResult:
 
 
 def _features(datasets: list[Dataset], kind: str) -> tuple[np.ndarray, list]:
+    what = "d" if kind == "context" else "(tau, d)"
+    shapes = {ds.dim if kind == "context" else (ds.tau, ds.dim) for ds in datasets}
+    if len(shapes) > 1:
+        raise ContractError(f"{kind} features need corpora of one {what}, got {sorted(shapes)}")
     labels = [ds.label for ds in datasets for _ in range(len(ds))]
     if kind == "context":
         enc = ContextEncoder(datasets[0].dim, DEFAULT_ENCODER_SEED)

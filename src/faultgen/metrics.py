@@ -1,9 +1,9 @@
 """Generation-quality metrics and the downstream classification harness.
 
-The discriminative and predictive scores use small fixed feed-forward
-networks rather than recurrent models so that runs are fast, seeded, and
-comparable: the architecture, training recipe, and the frozen contextual
-encoder seed are all pinned by METRIC_VERSION.
+The discriminative and predictive scores train small fixed feed-forward
+networks, one per seed and all seeds as one stack, rather than recurrent models
+so that runs are fast, seeded, and comparable: the architecture, training recipe,
+and the frozen contextual encoder seed are all pinned by METRIC_VERSION.
 """
 
 from __future__ import annotations
@@ -29,17 +29,17 @@ EMBED_DIM = 16
 
 
 class FeedForwardNet:
-    """Seeded MLP over flattened windows; gelu activations, linear output."""
+    """Seeded MLPs over flattened windows, one per seed on a leading axis; gelu activations, linear output."""
 
-    def __init__(self, in_dim: int, hidden: list[int], out_dim: int, seed: int):
-        rng = np.random.default_rng(seed)
+    def __init__(self, in_dim: int, hidden: list[int], out_dim: int, seeds):
+        rngs, dt = [np.random.default_rng(s) for s in seeds], ad.default_dtype()
         self.params: list[Parameter] = []
         self.layers = []
         last = in_dim
         for i, h in enumerate(list(hidden) + [out_dim]):
             std = np.sqrt(2.0 / (last + h))
-            w = Parameter(f"w{i}", rng.normal(0, std, (last, h)).astype(ad.default_dtype()))
-            b = Parameter(f"b{i}", np.zeros(h, dtype=ad.default_dtype()))
+            w = Parameter(f"w{i}", np.stack([rng.normal(0, std, (last, h)) for rng in rngs]).astype(dt))
+            b = Parameter(f"b{i}", np.zeros((len(rngs), 1, h), dtype=dt))
             self.params += [w, b]
             self.layers.append((w, b))
             last = h
@@ -54,16 +54,16 @@ class FeedForwardNet:
 
 
 def _fit_predict(x_train: np.ndarray, x_test: np.ndarray, hidden: list[int], out_dim: int,
-                 loss_fn, steps: int, lr: float, seed: int) -> np.ndarray:
-    """Standardize both row sets by the training rows' column mean and std (a constant column is only
-    centred), fit a seeded FeedForwardNet to `loss_fn(outputs on the training rows)` with Adam, and
-    return its outputs on the test rows."""
+                 loss_fn, steps: int, lr: float, seeds) -> np.ndarray:
+    """Standardize each seed's training and test slice by its training rows' column mean and std (a
+    constant column is only centred), fit that seed's FeedForwardNet with Adam to `loss_fn(training
+    outputs)`, which sums the seeds' losses, and return the test outputs, (S, m, out_dim)."""
     from .training import Adam
 
-    mu, sd = x_train.mean(axis=0), x_train.std(axis=0)
+    mu, sd = x_train.mean(axis=1, keepdims=True), x_train.std(axis=1, keepdims=True)
     sd = np.where(sd > 0, sd, 1.0)
     xt, xe = (Tensor(((x - mu) / sd).astype(ad.default_dtype())) for x in (x_train, x_test))
-    net = FeedForwardNet(x_train.shape[1], hidden, out_dim, seed)
+    net = FeedForwardNet(x_train.shape[2], hidden, out_dim, seeds)
     opt = Adam(net.params, lr)
     for _ in range(steps):
         loss = loss_fn(net.forward(xt))
@@ -85,43 +85,43 @@ def _split(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 # discriminative / predictive
 
 
-def discriminative_score(real: Dataset, synth: Dataset, seed: int) -> float:
-    """|held-out accuracy - 0.5| of a real-vs-synthetic classifier; 0 = indistinguishable."""
+def discriminative_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
+    """Per seed, |held-out accuracy - 0.5| of a real-vs-synthetic classifier; 0 = indistinguishable."""
     if (real.tau, real.dim) != (synth.tau, synth.dim):
         raise ContractError("real and synthetic corpora must share (tau, d)")
-    rng = np.random.default_rng(seed)
     xr = real.as_array().reshape(len(real), -1)
     xs = synth.as_array().reshape(len(synth), -1)
-    tr_r, te_r = _split(len(real), rng)
-    tr_s, te_s = _split(len(synth), rng)
-    x_train = np.concatenate([xr[tr_r], xs[tr_s]])
+    rngs = map(np.random.default_rng, seeds)
+    splits = [(_split(len(real), rng), _split(len(synth), rng)) for rng in rngs]
+    x_train = np.stack([np.concatenate([xr[tr_r], xs[tr_s]]) for (tr_r, _), (tr_s, _) in splits])
+    x_test = np.stack([np.concatenate([xr[te_r], xs[te_s]]) for (_, te_r), (_, te_s) in splits])
+    (tr_r, te_r), (tr_s, te_s) = splits[0]  # every seed's split has these sizes: the labels are shared
     y_train = np.concatenate([np.ones(len(tr_r), dtype=int), np.zeros(len(tr_s), dtype=int)])
-    x_test = np.concatenate([xr[te_r], xs[te_s]])
     y_test = np.concatenate([np.ones(len(te_r), dtype=int), np.zeros(len(te_s), dtype=int)])
 
     logits = _fit_predict(x_train, x_test, [32, 32], 2, lambda out: ad.cross_entropy(out, y_train),
-                          steps=300, lr=3e-3, seed=seed)
-    acc = float(np.mean(np.argmax(logits, axis=1) == y_test))
-    return abs(acc - 0.5)
+                          steps=300, lr=3e-3, seeds=seeds)
+    acc = np.mean(np.argmax(logits, axis=2) == y_test, axis=1)
+    return [abs(float(a) - 0.5) for a in acc]
 
 
-def predictive_score(real: Dataset, synth: Dataset, seed: int) -> float:
-    """Train-synthetic-test-real one-step-ahead MAE (lower is better)."""
+def predictive_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
+    """Per seed, train-synthetic-test-real one-step-ahead MAE (lower is better)."""
     if real.tau < 3:
         raise ContractError("predictive score needs tau >= 3")
     if (real.tau, real.dim) != (synth.tau, synth.dim):
         raise ContractError("real and synthetic corpora must share (tau, d)")
     xs = synth.as_array()
     xr = real.as_array()
-    x_train = xs[:, :-1, :].reshape(len(synth), -1)
-    y_train = xs[:, -1, :]
-    x_test = xr[:, :-1, :].reshape(len(real), -1)
+    x_train = np.stack([xs[:, :-1, :].reshape(len(synth), -1)] * len(seeds))
+    x_test = np.stack([xr[:, :-1, :].reshape(len(real), -1)] * len(seeds))
+    yt = Tensor(xs[:, -1, :])
     y_test = xr[:, -1, :]
 
-    yt = Tensor(y_train)
-    pred = _fit_predict(x_train, x_test, [32], real.dim, lambda out: ad.absolute(out - yt).mean(),
-                        steps=400, lr=5e-3, seed=seed)
-    return float(np.mean(np.abs(pred - y_test)))
+    pred = _fit_predict(x_train, x_test, [32], real.dim,
+                        lambda out: ad.absolute(out - yt).mean(axis=(1, 2)).sum(),
+                        steps=400, lr=5e-3, seeds=seeds)
+    return [float(np.mean(np.abs(p - y_test))) for p in pred]
 
 
 # ----------------------------------------------------------------------
@@ -160,12 +160,7 @@ class ContextEncoder:
 
 def frechet_distance(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
     """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^(1/2)), eigendecomposition-based."""
-    a = np.asarray(emb_a, dtype=np.float64)
-    b = np.asarray(emb_b, dtype=np.float64)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
+    a, b = (np.asarray(e, dtype=np.float64).reshape(len(e), -1) for e in (emb_a, emb_b))
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ContractError("frechet distance needs >= 2 samples per side")
     mu_a, mu_b = a.mean(axis=0), b.mean(axis=0)
@@ -289,9 +284,9 @@ def downstream_eval(train_real: list[Dataset], synth_per_class: list[Dataset],
         if i not in present:
             raise ContractError(f"class {label!r} has no test samples")
 
-    logits = _fit_predict(x_train, x_test, [64, 32], len(classes),
-                          lambda out: ad.cross_entropy(out, y_train), steps=400, lr=3e-3, seed=seed)
-    pred = np.argmax(logits, axis=1)
+    logits = _fit_predict(x_train[None], x_test[None], [64, 32], len(classes),
+                          lambda out: ad.cross_entropy(out, y_train), steps=400, lr=3e-3, seeds=(seed,))
+    pred = np.argmax(logits[0], axis=1)
     acc = float(np.mean(pred == y_test))
     precisions, recalls, f1s = [], [], []
     for i in range(len(classes)):
@@ -312,7 +307,6 @@ def downstream_eval(train_real: list[Dataset], synth_per_class: list[Dataset],
 # report assembly
 
 METRIC_NAMES = ("context_fid", "correlational", "discriminative", "predictive", "diversity")
-SEED_FREE_METRICS = ("context_fid", "correlational", "diversity")  # scored once per call
 
 
 @dataclass
@@ -342,32 +336,32 @@ def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,)
                      config_hash: str = "") -> MetricReport:
     """Run the selected metrics for every seed and report per-seed values plus medians.
 
-    Only `discriminative` and `predictive` take a seed; SEED_FREE_METRICS run once each.
+    Every score runs once: `discriminative` and `predictive` train all seeds' networks as one stack.
     """
     wanted = list(METRIC_NAMES) if "all" in metrics else list(metrics)
     for m in wanted:
         if m not in METRIC_NAMES:
             raise ContractError(f"unknown metric {m!r}")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ContractError(f"seeds must be a non-empty list of distinct seeds, got {seeds}")
     if (real.tau, real.dim) != (synth.tau, synth.dim):
         raise ContractError("real and synthetic corpora must share (tau, d)")
     warnings: list = []
 
-    def run(metric: str, seed: int) -> float:
+    def run(metric: str) -> list[float]:
         if metric == "context_fid":
-            return context_fid(real, synth, encoder_seed)
+            return [context_fid(real, synth, encoder_seed)] * len(seeds)
         if metric == "correlational":
-            return correlational_score(real, synth, warnings)
+            return [correlational_score(real, synth, warnings)] * len(seeds)
         if metric == "discriminative":
-            return discriminative_score(real, synth, seed)
+            return discriminative_score(real, synth, seeds)
         if metric == "predictive":
-            return predictive_score(real, synth, seed)
-        return diversity_score(real, synth, max_lag)
+            return predictive_score(real, synth, seeds)
+        return [diversity_score(real, synth, max_lag)] * len(seeds)
 
     values: dict = {m: {} for m in wanted}
     for m in wanted:
-        for i, s in enumerate(seeds):
-            if i == 0 or m not in SEED_FREE_METRICS:
-                v = run(m, s)
+        for s, v in zip(seeds, run(m)):
             if not np.isfinite(v):
                 raise MetricError(f"metric {m} produced a non-finite value")
             values[m][str(s)] = float(v)

@@ -398,6 +398,36 @@ def test_cross_entropy_matches_reference_and_fd():
     assert err < 1e-6
 
 
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cross_entropy_over_a_stack_is_the_sum_of_its_slices_bitwise(dtype):
+    rng = np.random.default_rng(8)
+    logits = rng.standard_normal((3, 7, 4)).astype(dtype)
+    labels = rng.integers(0, 4, 7)
+    with ad.precision(dtype):
+        stacked = Tensor(logits.copy(), requires_grad=True)
+        loss = ad.cross_entropy(stacked, labels)
+        loss.backward()
+        singles = [Tensor(x.copy(), requires_grad=True) for x in logits]
+        losses = [ad.cross_entropy(t, labels) for t in singles]
+        for t in losses:
+            t.backward()
+    assert loss.data.dtype == np.dtype(dtype)
+    assert loss.data.tobytes() == np.asarray(sum(t.data for t in losses), dtype=dtype).tobytes()
+    assert stacked.grad.tobytes() == np.stack([t.grad for t in singles]).tobytes()
+
+
+def test_cross_entropy_over_a_stack_passes_a_finite_difference_check():
+    rng = np.random.default_rng(9)
+    labels = rng.integers(0, 3, 5)
+    assert grad_check(lambda ts: ad.cross_entropy(ts[0], labels), [rng.standard_normal((2, 3, 5, 3))]) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 4, 3)], ids=["1-d", "rows-not-labels"])
+def test_cross_entropy_rejects_logits_that_do_not_fit_five_labels(shape):
+    with pytest.raises(DimensionError):
+        ad.cross_entropy(Tensor(np.zeros(shape)), np.zeros(5, dtype=int))
+
+
 class TestInvariants:
     def test_non_finite_raises(self):
         big = Tensor(np.array([1e38], dtype=np.float32))

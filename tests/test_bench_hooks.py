@@ -10,7 +10,9 @@ import os
 import numpy as np
 import pytest
 
+from faultgen import metrics
 from faultgen.adapter import AdapterConfig, AdapterStack, attach
+from faultgen.data import generate_normal
 from faultgen.denoiser import Backbone, DenoiserConfig
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -52,3 +54,13 @@ def test_composed_prediction_records_its_adapter_blocks(tracer):
     assert names.count("denoiser.predict_noise") == 1
     assert names.count("denoiser.forward") == 1
     assert names.count("adapter.block_forward") == TOY.dec_layers
+
+
+def test_a_traced_evaluation_records_one_span_per_seeded_score_with_its_corpora_key(tracer):
+    real = generate_normal(8, 2, 10, seed=1)
+    synth = generate_normal(8, 2, 10, seed=2, noise_std=0.2)
+    metrics.evaluate_corpora(real, synth, metrics=("discriminative", "predictive"), seeds=(0, 1, 2))
+    names = [tracer.names[i] for i in tracer.name_id]
+    for span in ("metrics.discriminative", "metrics.predictive"):
+        [idx] = [i for i, name in enumerate(names) if name == span]
+        assert tracer.keys[tracer.note[idx]] == f"{real.id}|{synth.id}"

@@ -1,5 +1,6 @@
 """End-to-end CLI runs on a tiny override config."""
 
+import errno
 import json
 import os
 import shutil
@@ -7,8 +8,10 @@ import shutil
 import numpy as np
 import pytest
 
+from faultgen import cli, metrics
 from faultgen.cli import main
 from faultgen.config import resolve_config
+from faultgen.data import load_corpus
 from faultgen.training import load_checkpoint, save_checkpoint
 
 TINY = ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
@@ -258,3 +261,69 @@ def test_equal_hash_runs_of_every_stage_write_byte_identical_trees(tmp_path, cap
         assert (roots[0] / name).read_bytes() == (roots[1] / name).read_bytes(), name
     for stage in ("pre", "fine"):  # nothing else is written into a training output
         assert sorted(p.name for p in (roots[0] / stage).iterdir()) == ["checkpoints", "config.lock", "logs"]
+
+
+@pytest.fixture(scope="module")
+def corpus_pair(tmp_path_factory):
+    root = tmp_path_factory.mktemp("pair")
+    for seed, name in enumerate(("real", "synth")):
+        assert main(["make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--seed", str(seed),
+                     "--out", str(root / name)]) == 0
+    return str(root / "real"), str(root / "synth")
+
+
+@pytest.mark.parametrize("seeds,message", [("", "integers"), ("0,x", "integers"), ("1.5", "integers"),
+                                           ("0,0", "twice"), ("3,1,3", "twice")])
+def test_evaluate_exits_2_on_a_bad_seed_list(corpus_pair, tmp_path, capsys, seeds, message):
+    real, synth = corpus_pair
+    out = tmp_path / "report"
+    assert main(["evaluate", "--real", real, "--synth", synth, "--seeds", seeds, "--out", str(out)]) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_write_atomic_writes_exact_bytes_and_leaves_no_temporary_file(tmp_path):
+    text = "a,b\n1.5,-2\n" * 100
+    cli._write_atomic(str(tmp_path), "out.csv", text)
+    cli._write_atomic(str(tmp_path), "out.csv", text)  # over an existing file too
+    assert (tmp_path / "out.csv").read_bytes() == text.encode()
+    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
+
+
+def _failing_midway(monkeypatch):
+    """Make cli's next file write put half its text on disk and then fail, as a full disk would."""
+    def failing_open(path, mode="r"):
+        fh = open(path, mode)
+        real_write = fh.write
+
+        def write(text):
+            real_write(text[:len(text) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fh.write = write
+        return fh
+    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+
+
+def test_a_write_that_fails_midway_leaves_the_old_file_whole(tmp_path, monkeypatch):
+    (tmp_path / "report.json").write_text("old report\n")
+    _failing_midway(monkeypatch)
+    with pytest.raises(OSError, match="No space"):
+        cli._write_atomic(str(tmp_path), "report.json", "new report " * 1000)
+    assert (tmp_path / "report.json").read_text() == "old report\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
+
+
+def test_evaluate_that_fails_to_write_keeps_the_previous_reports(corpus_pair, tmp_path, capsys, monkeypatch):
+    real, synth = corpus_pair
+    out = tmp_path / "report"
+    argv = ["evaluate", "--real", real, "--synth", synth, "--metrics", "context_fid,diversity", "--out", str(out)]
+    assert main(argv) == 0
+    before = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert before["report.json"] == metrics.evaluate_corpora(
+        load_corpus(real), load_corpus(synth), ["context_fid", "diversity"],
+        config_hash=resolve_config("desk", None, None, 0).hash()).to_json().encode()
+    _failing_midway(monkeypatch)
+    with pytest.raises(OSError):
+        main(argv + ["--seeds", "0,1"])
+    assert {p.name: p.read_bytes() for p in out.iterdir()} == before

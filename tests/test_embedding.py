@@ -127,3 +127,33 @@ def test_downstream_exits_2_on_a_missing_corpus(normal_corpus, tmp_path, capsys,
 def test_downstream_exits_2_on_a_single_class(normal_corpus, capsys):
     assert main(["downstream", "--train", normal_corpus, "--test", normal_corpus]) == 2
     assert ">= 2 classes" in capsys.readouterr().err
+
+
+def _corpus_dir(root, name, tau, dim):
+    path = str(root / name)
+    assert main(["make-data", "--kind", "normal", "--n", "4", "--tau", str(tau), "--dim", str(dim),
+                 "--out", path]) == 0
+    return path
+
+
+@pytest.mark.parametrize("features,shapes,message", [
+    ("flat", [(8, 2), (12, 2)], "(tau, d)"),
+    ("flat", [(8, 2), (8, 3)], "(tau, d)"),
+    ("context", [(8, 2), (8, 3)], "one d"),
+])
+def test_embed_exits_2_on_corpora_of_different_shapes(tmp_path, capsys, features, shapes, message):
+    corpora = [_corpus_dir(tmp_path, f"c{i}", tau, dim) for i, (tau, dim) in enumerate(shapes)]
+    out = tmp_path / "emb"
+    argv = ["embed", *(arg for c in corpora for arg in ("--corpus", c)), "--method", "pca",
+            "--features", features, "--out", str(out)]
+    assert main(argv) == 2
+    assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_context_features_embed_corpora_of_different_lengths(tmp_path):
+    corpora = [_corpus_dir(tmp_path, "short", 8, 2), _corpus_dir(tmp_path, "long", 12, 2)]
+    out = tmp_path / "emb"
+    assert main(["embed", "--corpus", corpora[0], "--corpus", corpora[1], "--method", "pca",
+                 "--features", "context", "--out", str(out)]) == 0
+    assert len((out / "embedding.csv").read_text().splitlines()) == 1 + 8

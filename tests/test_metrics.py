@@ -6,6 +6,7 @@ from scipy.linalg import sqrtm
 
 from faultgen import metrics
 from faultgen.data import Dataset, TimeSeries, generate_normal
+from faultgen.errors import ContractError
 
 
 def test_seed_free_scores_run_once_and_match_single_seed_calls(monkeypatch):
@@ -13,7 +14,8 @@ def test_seed_free_scores_run_once_and_match_single_seed_calls(monkeypatch):
     synth = generate_normal(8, 2, 12, seed=2, noise_std=0.2)
     singles = [metrics.evaluate_corpora(real, synth, seeds=(s,)) for s in range(5)]
 
-    calls = {name: 0 for name in ("context_fid", "correlational_score", "diversity_score")}
+    calls = {name: 0 for name in ("context_fid", "correlational_score", "diversity_score",
+                                  "discriminative_score", "predictive_score")}
     for name in calls:
         def counted(*args, _name=name, _fn=getattr(metrics, name), **kwargs):
             calls[_name] += 1
@@ -28,6 +30,37 @@ def test_seed_free_scores_run_once_and_match_single_seed_calls(monkeypatch):
         assert per_seed == {str(s): single.values[m][str(s)] for s, single in enumerate(singles)}
         assert report.medians[m] == float(np.median(list(per_seed.values())))
     assert len(set(report.values["predictive"].values())) == 5
+
+
+@pytest.mark.parametrize("seeds", [(), (2, 0, 2)], ids=["empty", "duplicate"])
+def test_evaluate_corpora_rejects_an_empty_or_repeated_seed_list(seeds):
+    real = generate_normal(8, 2, 6, seed=1)
+    with pytest.raises(ContractError, match="distinct seeds"):
+        metrics.evaluate_corpora(real, real, seeds=seeds)
+
+
+def test_each_seeds_slice_of_a_stacked_net_is_its_own_default_rng_draw():
+    stacked = metrics.FeedForwardNet(6, [5, 4], 2, seeds=(3, 1, 4))
+    assert [p.data.shape for p in stacked.params] == [(3, 6, 5), (3, 1, 5), (3, 5, 4), (3, 1, 4),
+                                                      (3, 4, 2), (3, 1, 2)]
+    for k, seed in enumerate((3, 1, 4)):
+        single = metrics.FeedForwardNet(6, [5, 4], 2, seeds=(seed,))
+        rng, last = np.random.default_rng(seed), 6
+        for (w, b), (w1, b1), h in zip(stacked.layers, single.layers, (5, 4, 2)):
+            drawn = rng.normal(0, np.sqrt(2.0 / (last + h)), (last, h)).astype(np.float32)
+            assert w.data[k].tobytes() == w1.data[0].tobytes() == drawn.tobytes()
+            assert not b.data[k].any() and not b1.data.any()
+            last = h
+
+
+@pytest.mark.parametrize("score", ["discriminative_score", "predictive_score"])
+def test_seeded_scores_over_a_stack_equal_one_seed_calls_in_seed_order(score):
+    real = generate_normal(8, 2, 14, seed=1)
+    synth = generate_normal(8, 2, 11, seed=2, noise_std=0.2)
+    fn = getattr(metrics, score)
+    stacked = fn(real, synth, (3, 1, 4))
+    assert [repr(v) for v in stacked] == [repr(fn(real, synth, (s,))[0]) for s in (3, 1, 4)]
+    assert len(set(stacked)) > 1
 
 
 @pytest.mark.parametrize("dim", [1, 6])
