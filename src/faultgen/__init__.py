@@ -17,7 +17,6 @@ from .data import (
 )
 from .denoiser import Backbone, DenoiserConfig, timestep_embed
 from .diffusion import NoiseSchedule, forward_sample, make_schedule, reverse_step, sample
-from .eig import sym_eig
 from .training import (
     Adam,
     Checkpoint,

@@ -37,7 +37,7 @@ from .errors import (
     MetricError,
     NumericError,
 )
-from .metrics import downstream_eval, evaluate_corpora
+from .metrics import check_request, downstream_eval, evaluate_corpora
 from .training import (
     denoiser_config_from_checkpoint,
     finetune,
@@ -258,11 +258,10 @@ def cmd_evaluate(args) -> int:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError as e:
         raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from e
-    if len(set(seeds)) != len(seeds):
-        raise ConfigError(f"--seeds names a seed twice: {args.seeds!r}")
+    metrics = [m.strip() for m in args.metrics.split(",")]
+    check_request(metrics, seeds)
     real = load_corpus(_require_dir(args.real, "real"))
     synth = load_corpus(_require_dir(args.synth, "synthetic"))
-    metrics = [m.strip() for m in args.metrics.split(",")]
     report = evaluate_corpora(real, synth, metrics, seeds, config_hash=_resolved(args).hash())
     os.makedirs(args.out, exist_ok=True)
     _write_atomic(args.out, "report.json", report.to_json())

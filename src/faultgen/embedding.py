@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import Dataset
-from .eig import MAX_SIZE, sym_eig
+from .eig import sym_eig
 from .errors import ContractError
 from .metrics import ContextEncoder, DEFAULT_ENCODER_SEED
 
@@ -46,19 +46,15 @@ def _features(datasets: list[Dataset], kind: str) -> tuple[np.ndarray, list]:
 
 
 def pca_2d(x: np.ndarray) -> np.ndarray:
-    """Exact 2-D PCA through the covariance (or Gram) eigendecomposition."""
+    """Exact 2-D PCA through the covariance (or Gram) eigendecomposition, which LAPACK does."""
     n, q = x.shape
     xc = x - x.mean(axis=0)
     if q <= n:
-        if q > MAX_SIZE:
-            raise ContractError(f"PCA feature dim {q} exceeds {MAX_SIZE}; use context features")
         cov = xc.T @ xc / max(n - 1, 1)
         w, v = sym_eig(cov)
         comps = v[:, ::-1][:, :2]  # ascending -> take the top two
         coords = xc @ comps
     else:
-        if n > MAX_SIZE:
-            raise ContractError(f"PCA sample count {n} exceeds {MAX_SIZE} for the Gram route")
         gram = xc @ xc.T / max(n - 1, 1)
         w, u = sym_eig(gram)
         w, u = w[::-1][:2], u[:, ::-1][:, :2]

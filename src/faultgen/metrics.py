@@ -87,6 +87,7 @@ def _split(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 
 def discriminative_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
     """Per seed, |held-out accuracy - 0.5| of a real-vs-synthetic classifier; 0 = indistinguishable."""
+    check_request(["discriminative"], seeds)
     if (real.tau, real.dim) != (synth.tau, synth.dim):
         raise ContractError("real and synthetic corpora must share (tau, d)")
     xr = real.as_array().reshape(len(real), -1)
@@ -107,6 +108,7 @@ def discriminative_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
 
 def predictive_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
     """Per seed, train-synthetic-test-real one-step-ahead MAE (lower is better)."""
+    check_request(["predictive"], seeds)
     if real.tau < 3:
         raise ContractError("predictive score needs tau >= 3")
     if (real.tau, real.dim) != (synth.tau, synth.dim):
@@ -159,7 +161,7 @@ class ContextEncoder:
 
 
 def frechet_distance(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
-    """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^(1/2)), eigendecomposition-based."""
+    """||mu_a - mu_b||^2 + Tr(S_a + S_b - 2 (S_a S_b)^(1/2)), the roots from LAPACK eigendecompositions."""
     a, b = (np.asarray(e, dtype=np.float64).reshape(len(e), -1) for e in (emb_a, emb_b))
     if a.shape[0] < 2 or b.shape[0] < 2:
         raise ContractError("frechet distance needs >= 2 samples per side")
@@ -168,7 +170,7 @@ def frechet_distance(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
     cb = np.atleast_2d(np.cov(b, rowvar=False)) + 1e-6 * np.eye(b.shape[1])
     root_a = sqrt_psd(ca)
     inner = root_a @ cb @ root_a
-    w, _ = sym_eig((inner + inner.T) / 2.0)
+    w, _ = sym_eig(inner)
     if np.min(w) < -1e-6:
         raise MetricError("degenerate covariance in frechet distance")
     trace_term = np.trace(ca) + np.trace(cb) - 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0)))
@@ -309,6 +311,18 @@ def downstream_eval(train_real: list[Dataset], synth_per_class: list[Dataset],
 METRIC_NAMES = ("context_fid", "correlational", "discriminative", "predictive", "diversity")
 
 
+def check_request(metrics, seeds) -> list[str]:
+    """The metric names an evaluation request selects ("all" selects every one), after checking that
+    each is in METRIC_NAMES and that `seeds` is a non-empty list of distinct seeds (ContractError)."""
+    for m in metrics:
+        if m != "all" and m not in METRIC_NAMES:
+            raise ContractError(f"unknown metric {m!r}; choose from all, {', '.join(METRIC_NAMES)}")
+    if not seeds or len(set(seeds)) != len(seeds):
+        raise ContractError(f"seeds must be a non-empty list of distinct seeds, none named twice, "
+                            f"got {list(seeds)}")
+    return list(METRIC_NAMES) if "all" in metrics else list(metrics)
+
+
 @dataclass
 class MetricReport:
     values: dict                  # metric -> {str(seed): value}
@@ -338,12 +352,7 @@ def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,)
 
     Every score runs once: `discriminative` and `predictive` train all seeds' networks as one stack.
     """
-    wanted = list(METRIC_NAMES) if "all" in metrics else list(metrics)
-    for m in wanted:
-        if m not in METRIC_NAMES:
-            raise ContractError(f"unknown metric {m!r}")
-    if not seeds or len(set(seeds)) != len(seeds):
-        raise ContractError(f"seeds must be a non-empty list of distinct seeds, got {seeds}")
+    wanted = check_request(metrics, seeds)
     if (real.tau, real.dim) != (synth.tau, synth.dim):
         raise ContractError("real and synthetic corpora must share (tau, d)")
     warnings: list = []

@@ -282,6 +282,16 @@ def test_evaluate_exits_2_on_a_bad_seed_list(corpus_pair, tmp_path, capsys, seed
     assert not out.exists()
 
 
+@pytest.mark.parametrize("names", ["context_fid,bogus", "all,bogus"])
+def test_evaluate_names_an_unknown_metric_before_it_reads_a_corpus(corpus_pair, tmp_path, capsys, names):
+    out = tmp_path / "report"
+    argv = ["evaluate", "--real", str(tmp_path / "missing"), "--synth", corpus_pair[1],
+            "--metrics", names, "--out", str(out)]
+    assert main(argv) == 2
+    assert "unknown metric 'bogus'" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_write_atomic_writes_exact_bytes_and_leaves_no_temporary_file(tmp_path):
     text = "a,b\n1.5,-2\n" * 100
     cli._write_atomic(str(tmp_path), "out.csv", text)

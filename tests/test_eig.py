@@ -1,4 +1,9 @@
-"""Jacobi eigendecomposition against reconstruction and numpy.linalg oracles."""
+"""Symmetric eigendecomposition against reconstruction, hand cases and matrices of known spectrum.
+
+The known-spectrum matrices are Q diag(w) Q^T with Q a Householder reflection
+I - 2 v v^T / (v^T v), built by hand, so the oracle does not go through the
+LAPACK routine that `sym_eig` calls.
+"""
 
 import warnings
 
@@ -7,6 +12,13 @@ import pytest
 
 from faultgen.eig import sqrt_psd, sym_eig
 from faultgen.errors import ContractError
+
+
+def _known_spectrum(rng, w):
+    """Q diag(w) Q^T and Q, whose column j is the eigenvector of eigenvalue w[j]."""
+    v = rng.standard_normal((len(w), 1))
+    q = np.eye(len(w)) - 2.0 * (v @ v.T) / (v.T @ v)
+    return (q * w) @ q.T, q
 
 
 def test_identity():
@@ -22,7 +34,7 @@ def test_diagonal():
     np.testing.assert_allclose(np.abs(v), np.eye(2)[:, [1, 0]], atol=1e-12)
 
 
-@pytest.mark.parametrize("n", [2, 3, 8, 32])
+@pytest.mark.parametrize("n", [2, 3, 8, 32, 300])
 def test_reconstruction(n):
     rng = np.random.default_rng(n)
     a = rng.standard_normal((n, n))
@@ -34,24 +46,19 @@ def test_reconstruction(n):
     assert np.all(np.diff(w) >= 0)
 
 
-def test_matches_numpy_oracle():
+def test_matches_a_known_spectrum():
     rng = np.random.default_rng(9)
-    a = rng.standard_normal((12, 12))
-    a = a @ a.T  # PSD
+    spectrum = rng.uniform(0.1, 30.0, 12)  # PSD, distinct eigenvalues
+    a, q = _known_spectrum(rng, spectrum)
     w, v = sym_eig(a)
-    w_np = np.linalg.eigvalsh(a)
-    np.testing.assert_allclose(w, w_np, rtol=1e-9, atol=1e-9)
-    np.testing.assert_allclose(np.abs(np.diag(v.T @ np.linalg.eigh(a)[1])), np.ones(12), atol=1e-7)
+    order = np.argsort(spectrum)
+    np.testing.assert_allclose(w, spectrum[order], rtol=1e-9, atol=1e-9)
+    np.testing.assert_allclose(np.abs(np.diag(v.T @ q[:, order])), np.ones(12), atol=1e-7)
 
 
 def test_asymmetric_rejected():
     with pytest.raises(ContractError):
         sym_eig(np.array([[1.0, 2.0], [0.0, 1.0]]))
-
-
-def test_oversize_rejected():
-    with pytest.raises(ContractError):
-        sym_eig(np.eye(300))
 
 
 def test_sqrt_psd():
@@ -62,13 +69,13 @@ def test_sqrt_psd():
     np.testing.assert_allclose(r @ r, a, atol=1e-9)
 
 
-def test_covariances_converge_without_warnings():
-    # off-diagonal norm once came from ||m||^2 - ||diag||^2, which rounds below
-    # zero on some of these (NaN, RuntimeWarning, no convergence exit)
+def test_covariance_spectra_come_back_without_warnings():
+    # spectra shaped like 16-dim covariances of 40 samples: positive, spread over three decades
     rng = np.random.default_rng(0)
     for _ in range(50):
-        cov = np.cov(rng.standard_normal((40, 16)), rowvar=False)
+        spectrum = np.sort(10.0 ** rng.uniform(-2.0, 1.0, 16))
+        cov, _ = _known_spectrum(rng, spectrum)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             w, _ = sym_eig(cov)
-        np.testing.assert_allclose(w, np.linalg.eigvalsh(cov), rtol=0, atol=1e-10)
+        np.testing.assert_allclose(w, spectrum, rtol=0, atol=1e-10)

@@ -19,7 +19,8 @@ def _svd_pca(x):
     return coords
 
 
-@pytest.mark.parametrize("n, q", [(30, 5), (6, 20)], ids=["covariance", "gram"])
+@pytest.mark.parametrize("n, q", [(30, 5), (6, 20), (400, 300), (300, 400)],
+                         ids=["covariance", "gram", "covariance-300", "gram-300"])
 def test_pca_matches_numpy_svd(n, q):
     x = np.random.default_rng(0).standard_normal((n, q)) * np.linspace(3.0, 0.5, q)
     expected = _svd_pca(x)
@@ -129,9 +130,9 @@ def test_downstream_exits_2_on_a_single_class(normal_corpus, capsys):
     assert ">= 2 classes" in capsys.readouterr().err
 
 
-def _corpus_dir(root, name, tau, dim):
+def _corpus_dir(root, name, tau, dim, n=4):
     path = str(root / name)
-    assert main(["make-data", "--kind", "normal", "--n", "4", "--tau", str(tau), "--dim", str(dim),
+    assert main(["make-data", "--kind", "normal", "--n", str(n), "--tau", str(tau), "--dim", str(dim),
                  "--out", path]) == 0
     return path
 
@@ -149,6 +150,13 @@ def test_embed_exits_2_on_corpora_of_different_shapes(tmp_path, capsys, features
     assert main(argv) == 2
     assert message in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_pca_embeds_flat_features_wider_than_256(tmp_path):
+    corpus = _corpus_dir(tmp_path, "wide", 150, 2, n=300)  # 300 features over 300 series
+    out = tmp_path / "emb"
+    assert main(["embed", "--corpus", corpus, "--method", "pca", "--out", str(out)]) == 0
+    assert len((out / "embedding.csv").read_text().splitlines()) == 1 + 300
 
 
 def test_context_features_embed_corpora_of_different_lengths(tmp_path):

@@ -32,11 +32,13 @@ def test_seed_free_scores_run_once_and_match_single_seed_calls(monkeypatch):
     assert len(set(report.values["predictive"].values())) == 5
 
 
-@pytest.mark.parametrize("seeds", [(), (2, 0, 2)], ids=["empty", "duplicate"])
-def test_evaluate_corpora_rejects_an_empty_or_repeated_seed_list(seeds):
+@pytest.mark.parametrize("fn, seeds", [("evaluate_corpora", ()), ("evaluate_corpora", (2, 0, 2)),
+                                       ("discriminative_score", ()), ("predictive_score", ())],
+                         ids=["empty", "duplicate", "discriminative-empty", "predictive-empty"])
+def test_evaluate_corpora_rejects_an_empty_or_repeated_seed_list(fn, seeds):
     real = generate_normal(8, 2, 6, seed=1)
     with pytest.raises(ContractError, match="distinct seeds"):
-        metrics.evaluate_corpora(real, real, seeds=seeds)
+        getattr(metrics, fn)(real, real, seeds=seeds)
 
 
 def test_each_seeds_slice_of_a_stacked_net_is_its_own_default_rng_draw():
