@@ -24,6 +24,7 @@ from .data import (
     load_corpus,
     make_fault_dataset,
     save_corpus,
+    write_atomic,
 )
 from .denoiser import Backbone
 from .diffusion import sample
@@ -62,20 +63,7 @@ class ExperimentLayout:
     def prepare(self, cfg: RunConfig) -> None:
         for d in (self.root, self.checkpoints, self.logs):
             os.makedirs(d, exist_ok=True)
-        _write_atomic(self.root, "config.lock", cfg.canonical_text())
-
-
-def _write_atomic(directory, name: str, text: str) -> None:
-    """Write `text` to a temporary file in `directory` and rename it to `name`: a write that fails
-    midway leaves any earlier file whole and no temporary file behind."""
-    tmp = os.path.join(directory, f"{name}.tmp")
-    try:
-        with open(tmp, "w") as fh:
-            fh.write(text)
-        os.replace(tmp, os.path.join(directory, name))
-    finally:
-        if os.path.exists(tmp):
-            os.remove(tmp)
+        write_atomic(os.path.join(self.root, "config.lock"), cfg.canonical_text())
 
 
 @contextlib.contextmanager
@@ -248,7 +236,8 @@ def cmd_generate(args) -> int:
             "alpha": getattr(getattr(model, "stack", None), "alpha", None),
             "label": label,
         }
-        _write_atomic(args.out, "generation_log.json", json.dumps(log, indent=2, sort_keys=True) + "\n")
+        write_atomic(os.path.join(args.out, "generation_log.json"),
+                     json.dumps(log, indent=2, sort_keys=True) + "\n")
     print(json.dumps({"generated": args.n, "out": args.out, "label": label}, sort_keys=True))
     return 0
 
@@ -264,8 +253,8 @@ def cmd_evaluate(args) -> int:
     synth = load_corpus(_require_dir(args.synth, "synthetic"))
     report = evaluate_corpora(real, synth, metrics, seeds, config_hash=_resolved(args).hash())
     os.makedirs(args.out, exist_ok=True)
-    _write_atomic(args.out, "report.json", report.to_json())
-    _write_atomic(args.out, "report.csv", report.to_csv())
+    write_atomic(os.path.join(args.out, "report.json"), report.to_json())
+    write_atomic(os.path.join(args.out, "report.csv"), report.to_csv())
     print(json.dumps(report.medians, sort_keys=True))
     return 0
 
@@ -275,8 +264,8 @@ def cmd_embed(args) -> int:
     params = {k: getattr(args, k) for k in ("features", "perplexity", "iters") if getattr(args, k) is not None}
     result = embed_2d(datasets, method=args.method, params=params, seed=args.seed)
     os.makedirs(args.out, exist_ok=True)
-    _write_atomic(args.out, "embedding.csv", result.coords_csv())
-    _write_atomic(args.out, "kde.csv", result.kde_csv())
+    write_atomic(os.path.join(args.out, "embedding.csv"), result.coords_csv())
+    write_atomic(os.path.join(args.out, "kde.csv"), result.kde_csv())
     print(json.dumps({"samples": len(result.labels), "method": args.method,
                       "out": args.out}, sort_keys=True))
     return 0
@@ -289,7 +278,8 @@ def cmd_downstream(args) -> int:
     result = downstream_eval(train, synth, test, args.seed)
     if args.out:
         os.makedirs(args.out, exist_ok=True)
-        _write_atomic(args.out, "downstream.json", json.dumps(result, indent=2, sort_keys=True) + "\n")
+        write_atomic(os.path.join(args.out, "downstream.json"),
+                     json.dumps(result, indent=2, sort_keys=True) + "\n")
     print(json.dumps(result, sort_keys=True))
     return 0
 

@@ -184,6 +184,17 @@ def effective_window(spec: FaultSpec, tau: int) -> tuple[int, int]:
 # normal-data generator
 
 
+# Series are generated and written this many values at a time, so the working
+# arrays stay the same size whatever the corpus size.
+_CHUNK_VALUES = 1 << 11
+
+
+def _chunks(n: int, values_per_series: int):
+    """Consecutive ranges covering range(n), each of at most _CHUNK_VALUES values or one series."""
+    step = max(1, _CHUNK_VALUES // values_per_series)
+    return [range(lo, min(lo + step, n)) for lo in range(0, n, step)]
+
+
 def generate_normal(
     tau: int,
     dim: int,
@@ -199,49 +210,85 @@ def generate_normal(
 ) -> Dataset:
     """Seeded stationary multichannel corpus.
 
-    `sine_mixture`: per channel, draws a component count in `components`, then
-    per component (cycles, phase, amplitude), then additive white noise — in
-    that order, from a per-sample rng seeded `seed + index`.
-    `ar_process`: per channel, an order-2 autoregression with `ar_coeffs`
-    driven by N(0, ar_noise_std^2), with a 128-step burn-in.
+    Series i draws from its own `np.random.default_rng(seed + i)`, and the
+    order of its draws is the contract: any rewrite of the arithmetic around
+    the draws must keep it, so that a seed always gives the same corpus bits.
+    `sine_mixture`: per channel, one `integers` call for the component count m
+    in `components`, then one `random(3m)` call giving each component's
+    (cycles, phase, amplitude) as `uniform`'s next doubles in that order, then
+    (if `noise_std` > 0) one `normal` call for tau samples of white noise.
+    Each component is amp * sin(2π·cycles·t/tau + phase), with cycles in
+    [1, 4), phase in [0, 2π) and amp in [0.3, 1) / m, summed in order.
+    `ar_process`: per channel, one `normal` call for tau + 128 innovations of
+    N(0, ar_noise_std^2) driving an order-2 autoregression with `ar_coeffs`
+    from zero; the first 128 steps are burn-in.
     """
     if tau < 8 or dim < 1 or n_samples < 1:
         raise ContractError("generate_normal needs tau >= 8, dim >= 1, n_samples >= 1")
     if base_kind not in ("sine_mixture", "ar_process"):
         raise ContractError(f"unknown base_kind {base_kind!r}")
+    for name, std in (("noise_std", noise_std), ("ar_noise_std", ar_noise_std)):
+        if not (np.isfinite(std) and std >= 0):
+            raise ContractError(f"{name} must be a finite standard deviation >= 0, got {std!r}")
     if base_kind == "ar_process":
         a1, a2 = ar_coeffs
         if abs(a2) >= 1 or abs(a1) >= 1 - a2 or a2 <= abs(a1) - 1:
             raise ContractError("ar_coeffs must satisfy the AR(2) stationarity triangle")
     names = [f"ch{c}" for c in range(dim)]
-
-    def build(i: int) -> TimeSeries:
-        rng = np.random.default_rng(seed + i)
-        x = np.zeros((tau, dim), dtype=np.float64)
-        t = np.arange(tau)
+    samples = []
+    for idx in _chunks(n_samples, tau * dim):
+        seeds = [seed + i for i in idx]
         if base_kind == "sine_mixture":
-            for c in range(dim):
-                n_comp = int(rng.integers(components[0], components[1] + 1))
-                for _ in range(n_comp):
-                    cycles = rng.uniform(1.0, 4.0)
-                    phase = rng.uniform(0.0, 2.0 * np.pi)
-                    amp = rng.uniform(0.3, 1.0) / n_comp
-                    x[:, c] += amp * np.sin(2.0 * np.pi * cycles * t / tau + phase)
-                if noise_std > 0:
-                    x[:, c] += rng.normal(0.0, noise_std, size=tau)
+            x = _sine_mixture(seeds, tau, dim, components, noise_std)
         else:
-            a1, a2 = ar_coeffs
-            burn = 128
-            for c in range(dim):
-                eta = rng.normal(0.0, ar_noise_std, size=tau + burn)
-                z = np.zeros(tau + burn)
-                for k in range(2, tau + burn):
-                    z[k] = a1 * z[k - 1] + a2 * z[k - 2] + eta[k]
-                x[:, c] = z[burn:]
-        return TimeSeries(x.astype(np.float32), list(names))
-
-    samples = [build(i) for i in range(n_samples)]
+            x = _ar_process(seeds, tau, dim, ar_coeffs, ar_noise_std)
+        samples += [TimeSeries(v, list(names)) for v in x.astype(np.float32, order="C")]
     return Dataset(samples, label=label, id=dataset_id or f"{label}-{seed}", seed=seed)
+
+
+def _sine_mixture(seeds, tau: int, dim: int, components: tuple[int, int], noise_std: float) -> np.ndarray:
+    """(len(seeds), tau, dim) float64 sine mixtures, one rng per seed."""
+    lo, hi = components
+    k = len(seeds)
+    m = np.zeros((k, dim), dtype=np.int64)
+    u = np.zeros((k, hi, 3, dim))
+    noise = np.zeros((k, tau, dim))
+    for j, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        for c in range(dim):
+            m[j, c] = rng.integers(lo, hi + 1)
+            u[j, :m[j, c], :, c] = rng.random((m[j, c], 3))
+            if noise_std > 0:
+                noise[j, :, c] = rng.normal(0.0, noise_std, size=tau)
+    # Generator.uniform(a, b) is a + (b - a) * next_double, so these are the bits of
+    # uniform(1, 4), uniform(0, 2π) and uniform(0.3, 1) drawn one at a time.
+    cycles = 1.0 + (4.0 - 1.0) * u[:, :, None, 0]  # (k, hi, 1, dim)
+    phase = 2.0 * np.pi * u[:, :, None, 1]
+    amp = (0.3 + (1.0 - 0.3) * u[:, :, None, 2]) / np.maximum(m, 1)[:, None, None]  # m = 0 uses no amp
+    t = np.arange(tau)[:, None]
+    waves = amp * np.sin(2.0 * np.pi * cycles * t / tau + phase)  # (k, hi, tau, dim)
+    x = np.zeros((k, tau, dim))
+    for q in range(hi):
+        # a missing component is skipped, not added as 0.0, so every sum keeps its bits
+        x = np.where((q < m)[:, None, :], x + waves[:, q], x)
+    if noise_std > 0:
+        x += noise
+    return x
+
+
+def _ar_process(seeds, tau: int, dim: int, coeffs: tuple[float, float], noise_std: float) -> np.ndarray:
+    """(len(seeds), tau, dim) float64 AR(2) series, one rng per seed, after the burn-in."""
+    a1, a2 = coeffs
+    burn = 128
+    eta = np.empty((tau + burn, len(seeds), dim))
+    for j, s in enumerate(seeds):
+        rng = np.random.default_rng(s)
+        for c in range(dim):
+            eta[:, j, c] = rng.normal(0.0, noise_std, size=tau + burn)
+    z = np.zeros_like(eta)
+    for q in range(2, tau + burn):
+        z[q] = a1 * z[q - 1] + a2 * z[q - 2] + eta[q]
+    return z[burn:].transpose(1, 0, 2)
 
 
 # ----------------------------------------------------------------------
@@ -401,8 +448,9 @@ class Normalizer:
         self.lo = np.asarray(lo, dtype=np.float32)  # min (minmax) or mean (zscore)
         self.hi = np.asarray(hi, dtype=np.float32)  # max (minmax) or std  (zscore)
 
-    def apply(self, series: TimeSeries) -> TimeSeries:
-        x = series.values.astype(np.float64)
+    def _scale(self, x: np.ndarray) -> np.ndarray:
+        """Elementwise with a per-channel broadcast, so a stack of series scales as each series would alone."""
+        x = x.astype(np.float64)
         if self.mode == "minmax":
             span = (self.hi - self.lo).astype(np.float64)
             ok = span > 0
@@ -410,7 +458,10 @@ class Normalizer:
         else:
             ok = self.hi > 0
             y = np.where(ok, (x - self.lo) / np.where(ok, self.hi, 1.0), 0.0)
-        return TimeSeries(y.astype(np.float32), list(series.channel_names))
+        return y.astype(np.float32)
+
+    def apply(self, series: TimeSeries) -> TimeSeries:
+        return TimeSeries(self._scale(series.values), list(series.channel_names))
 
     def invert(self, series: TimeSeries) -> TimeSeries:
         y = series.values.astype(np.float64)
@@ -424,7 +475,9 @@ class Normalizer:
         return TimeSeries(x.astype(np.float32), list(series.channel_names))
 
     def apply_dataset(self, ds: Dataset) -> Dataset:
-        return Dataset([self.apply(s) for s in ds.samples], ds.label, ds.id, ds.seed, ds.fault_spec)
+        y = self._scale(ds.as_array())
+        samples = [TimeSeries(v, list(s.channel_names)) for v, s in zip(y, ds.samples)]
+        return Dataset(samples, ds.label, ds.id, ds.seed, ds.fault_spec)
 
 
 def fit_normalizer(ds: Dataset, mode: str = "minmax") -> Normalizer:
@@ -440,12 +493,30 @@ def fit_normalizer(ds: Dataset, mode: str = "minmax") -> Normalizer:
 # corpus I/O
 
 
+def write_atomic(path, content: str | bytes) -> None:
+    """Write `content` to a temporary file beside `path` and rename it to `path`: a write that
+    fails midway leaves any earlier file whole and no temporary file behind."""
+    tmp = f"{path}.tmp"
+    try:
+        with open(tmp, "wb" if isinstance(content, bytes) else "w") as fh:
+            fh.write(content)
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def _fmt(v: np.float32) -> str:
     return np.format_float_positional(v, unique=True, trim="0")
 
 
 def save_corpus(ds: Dataset, directory) -> None:
-    """Write manifest.json plus one CSV per sample (header = channel names)."""
+    """Write manifest.json plus one CSV per sample (header = channel names).
+
+    A cell is float32's shortest round-trip digits in positional form, as
+    `_fmt` writes it (`-0.000016872391`, never `-1.6872391e-05`), so
+    `load_corpus` reads back the same bits.
+    """
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "id": ds.id,
@@ -461,12 +532,19 @@ def save_corpus(ds: Dataset, directory) -> None:
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for i, s in enumerate(ds.samples):
-        path = os.path.join(directory, f"sample_{i:05d}.csv")
-        with open(path, "w") as fh:
-            fh.write(",".join(s.channel_names) + "\n")
-            for row in s.values:
-                fh.write(",".join(_fmt(v) for v in row) + "\n")
+    for idx in _chunks(len(ds), ds.tau * ds.dim):
+        values = np.stack([ds.samples[i].values for i in idx])
+        cells = values.astype(str)
+        rows = cells.tolist()
+        # astype(str) gives the same shortest digits but puts small and large
+        # magnitudes in exponent form; those few cells take _fmt's positional form
+        for j, t, c in np.argwhere(np.char.find(cells, "e") >= 0):
+            rows[j][t][c] = _fmt(values[j, t, c])
+        for i, series in zip(idx, rows):
+            header = ",".join(ds.samples[i].channel_names) + "\n"
+            text = header + "".join([",".join(r) + "\n" for r in series])
+            with open(os.path.join(directory, f"sample_{i:05d}.csv"), "w") as fh:
+                fh.write(text)
 
 
 def _read_sample(path, tau: int, dim: int) -> TimeSeries:

@@ -20,7 +20,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapter import AdapterConfig, AdapterStack, attach
 from .autodiff import Parameter, Tensor
-from .data import Dataset, Normalizer
+from .data import Dataset, Normalizer, write_atomic
 from .denoiser import Backbone, DenoiserConfig
 from .diffusion import NoiseSchedule, forward_sample, make_schedule
 from .errors import CheckpointError, ContractError, DivergenceError, NumericError
@@ -183,7 +183,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         a = np.ascontiguousarray(arr, dtype="<f4")
         entries.append({"name": name, "shape": list(a.shape),
                         "offset": offset, "nbytes": a.nbytes})
-        blobs.append(a.tobytes())
+        blobs.append(a)
         offset += a.nbytes
     header = {
         "format_version": CHECKPOINT_VERSION,
@@ -194,12 +194,8 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "arrays": entries,
     }
     hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write(struct.pack("<HI", CHECKPOINT_VERSION, len(hbytes)))
-        fh.write(hbytes)
-        for b in blobs:
-            fh.write(b)
+    prefix = CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(hbytes)) + hbytes
+    write_atomic(path, b"".join([prefix, *blobs]))
 
 
 def load_checkpoint(path) -> Checkpoint:
@@ -319,10 +315,8 @@ def schedule_from_checkpoint(ckpt: Checkpoint) -> NoiseSchedule:
 
 def _write_loss_csv(rows, path) -> None:
     os.makedirs(os.path.dirname(os.path.abspath(path)), exist_ok=True)
-    with open(path, "w") as fh:
-        fh.write("step,loss_base,loss_div,loss_total\n")
-        for step, lb, ld, lt in rows:
-            fh.write(f"{step},{lb!r},{ld!r},{lt!r}\n")
+    lines = [f"{step},{lb!r},{ld!r},{lt!r}\n" for step, lb, ld, lt in rows]
+    write_atomic(path, "".join(["step,loss_base,loss_div,loss_total\n", *lines]))
 
 
 # ----------------------------------------------------------------------

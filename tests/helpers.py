@@ -1,16 +1,22 @@
 """Shared test oracles: finite differences, full attention, reference math.
 
-The composed attention and feed-forward block, the looped diversity loss and
-the staged reverse step are the library's own earlier spellings, kept here as
-references for the fused, vectorized and single-formula forms.
+The composed attention and feed-forward block, the looped diversity loss, the
+staged reverse step, the per-series corpus generator and the per-value corpus
+writer are the library's own earlier spellings, kept here as references for
+the fused, vectorized and single-formula forms.
 
 These stay independent of the library's own computation paths — they use
 plain numpy (including numpy.linalg, which the library itself avoids).
 """
 
+import errno
+import json
+import os
+
 import numpy as np
 
 from faultgen import autodiff as ad
+from faultgen import data
 from faultgen.autodiff import Tensor
 
 
@@ -145,3 +151,66 @@ def staged_reverse_step(x_t, t, eps_hat, z, sched, clip):
     eps = (x_t - root_ab * x0_hat) / root_1mab
     mean = (x_t - sched.beta[t] / root_1mab * eps) / np.sqrt(sched.alpha[t])
     return mean + np.sqrt(sched.posterior_var[t]) * z
+
+
+def loop_generate_normal(tau, dim, n_samples, seed, base_kind="sine_mixture", noise_std=0.05,
+                         components=(2, 4), ar_coeffs=(0.5, -0.25), ar_noise_std=0.3):
+    """(n, tau, dim) float32 corpus values, one series and one scalar draw at a time."""
+    out = []
+    t = np.arange(tau)
+    for i in range(n_samples):
+        rng = np.random.default_rng(seed + i)
+        x = np.zeros((tau, dim), dtype=np.float64)
+        if base_kind == "sine_mixture":
+            for c in range(dim):
+                n_comp = int(rng.integers(components[0], components[1] + 1))
+                for _ in range(n_comp):
+                    cycles = rng.uniform(1.0, 4.0)
+                    phase = rng.uniform(0.0, 2.0 * np.pi)
+                    amp = rng.uniform(0.3, 1.0) / n_comp
+                    x[:, c] += amp * np.sin(2.0 * np.pi * cycles * t / tau + phase)
+                if noise_std > 0:
+                    x[:, c] += rng.normal(0.0, noise_std, size=tau)
+        else:
+            a1, a2 = ar_coeffs
+            burn = 128
+            for c in range(dim):
+                eta = rng.normal(0.0, ar_noise_std, size=tau + burn)
+                z = np.zeros(tau + burn)
+                for k in range(2, tau + burn):
+                    z[k] = a1 * z[k - 1] + a2 * z[k - 2] + eta[k]
+                x[:, c] = z[burn:]
+        out.append(x.astype(np.float32))
+    return np.stack(out)
+
+
+def value_save_corpus(ds, directory):
+    """save_corpus with every cell formatted on its own by np.format_float_positional."""
+    os.makedirs(directory, exist_ok=True)
+    manifest = {"id": ds.id, "label": ds.label, "tau": ds.tau, "dim": ds.dim, "n": len(ds),
+                "seed": ds.seed, "channel_names": list(ds.samples[0].channel_names)}
+    if ds.fault_spec is not None:
+        manifest["fault_spec"] = ds.fault_spec.to_dict()
+    with open(os.path.join(directory, "manifest.json"), "w") as fh:
+        json.dump(manifest, fh, indent=2, sort_keys=True)
+        fh.write("\n")
+    for i, s in enumerate(ds.samples):
+        with open(os.path.join(directory, f"sample_{i:05d}.csv"), "w") as fh:
+            fh.write(",".join(s.channel_names) + "\n")
+            for row in s.values:
+                fh.write(",".join(np.format_float_positional(v, unique=True, trim="0") for v in row) + "\n")
+
+
+def fail_writes_midway(monkeypatch):
+    """Make each file write in faultgen.data put half its content on disk and then fail, as a full disk would."""
+    def failing_open(path, mode="r"):
+        fh = open(path, mode)
+        real_write = fh.write
+
+        def write(content):
+            real_write(content[:len(content) // 2])
+            fh.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+        fh.write = write
+        return fh
+    monkeypatch.setattr(data, "open", failing_open, raising=False)

@@ -1,6 +1,5 @@
 """End-to-end CLI runs on a tiny override config."""
 
-import errno
 import json
 import os
 import shutil
@@ -8,11 +7,13 @@ import shutil
 import numpy as np
 import pytest
 
-from faultgen import cli, metrics
+from faultgen import metrics
 from faultgen.cli import main
 from faultgen.config import resolve_config
-from faultgen.data import load_corpus
+from faultgen.data import load_corpus, write_atomic
 from faultgen.training import load_checkpoint, save_checkpoint
+
+from helpers import fail_writes_midway
 
 TINY = ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
         "model.ff_dim=16", "model.fourier_terms=1", "adapter.heads=2", "adapter.window=3",
@@ -232,6 +233,16 @@ def test_make_data_rejects_negative_noise_or_an_impulse_count_below_1_with_exit_
     assert not out.exists()
 
 
+@pytest.mark.parametrize("base", ["sine_mixture", "ar_process"])
+@pytest.mark.parametrize("std", ["-1", "nan", "inf"])
+def test_make_data_rejects_a_negative_or_non_finite_noise_std_with_exit_2(tmp_path, capsys, base, std):
+    out = tmp_path / "normal"
+    assert main(["make-data", "--kind", "normal", "--base", base, "--n", "2", "--tau", "8",
+                 "--out", str(out), "--noise-std", std]) == 2
+    assert "noise_std must be a finite standard deviation >= 0" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def _every_stage(capsys, root):
     """make-data, pretrain, finetune, generate, evaluate, embed and downstream into `root`, with tiny step counts."""
     normal, fault, gen = f"{root}/normal", f"{root}/fault", f"{root}/gen"
@@ -294,32 +305,18 @@ def test_evaluate_names_an_unknown_metric_before_it_reads_a_corpus(corpus_pair, 
 
 def test_write_atomic_writes_exact_bytes_and_leaves_no_temporary_file(tmp_path):
     text = "a,b\n1.5,-2\n" * 100
-    cli._write_atomic(str(tmp_path), "out.csv", text)
-    cli._write_atomic(str(tmp_path), "out.csv", text)  # over an existing file too
-    assert (tmp_path / "out.csv").read_bytes() == text.encode()
-    assert [p.name for p in tmp_path.iterdir()] == ["out.csv"]
-
-
-def _failing_midway(monkeypatch):
-    """Make cli's next file write put half its text on disk and then fail, as a full disk would."""
-    def failing_open(path, mode="r"):
-        fh = open(path, mode)
-        real_write = fh.write
-
-        def write(text):
-            real_write(text[:len(text) // 2])
-            fh.flush()
-            raise OSError(errno.ENOSPC, "No space left on device")
-        fh.write = write
-        return fh
-    monkeypatch.setattr(cli, "open", failing_open, raising=False)
+    write_atomic(tmp_path / "out.csv", text)
+    write_atomic(tmp_path / "out.csv", text)  # over an existing file too
+    write_atomic(tmp_path / "out.bin", text.encode())
+    assert (tmp_path / "out.csv").read_bytes() == (tmp_path / "out.bin").read_bytes() == text.encode()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["out.bin", "out.csv"]
 
 
 def test_a_write_that_fails_midway_leaves_the_old_file_whole(tmp_path, monkeypatch):
     (tmp_path / "report.json").write_text("old report\n")
-    _failing_midway(monkeypatch)
+    fail_writes_midway(monkeypatch)
     with pytest.raises(OSError, match="No space"):
-        cli._write_atomic(str(tmp_path), "report.json", "new report " * 1000)
+        write_atomic(tmp_path / "report.json", "new report " * 1000)
     assert (tmp_path / "report.json").read_text() == "old report\n"
     assert [p.name for p in tmp_path.iterdir()] == ["report.json"]
 
@@ -333,7 +330,7 @@ def test_evaluate_that_fails_to_write_keeps_the_previous_reports(corpus_pair, tm
     assert before["report.json"] == metrics.evaluate_corpora(
         load_corpus(real), load_corpus(synth), ["context_fid", "diversity"],
         config_hash=resolve_config("desk", None, None, 0).hash()).to_json().encode()
-    _failing_midway(monkeypatch)
+    fail_writes_midway(monkeypatch)
     with pytest.raises(OSError):
         main(argv + ["--seeds", "0,1"])
     assert {p.name: p.read_bytes() for p in out.iterdir()} == before

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
+from faultgen import data
 from faultgen.cli import main
 from faultgen.data import (
     FAULT_KINDS,
@@ -24,7 +25,7 @@ from faultgen.data import (
 )
 from faultgen.errors import ContractError, CorpusError
 
-from helpers import ar2_stationary_variance
+from helpers import ar2_stationary_variance, loop_generate_normal, value_save_corpus
 
 
 def _series(tau=24, d=2, seed=0):
@@ -62,6 +63,37 @@ class TestGenerateNormal:
     def test_invalid_dims(self):
         with pytest.raises(ContractError):
             generate_normal(4, 2, 1, seed=0)
+
+    @pytest.mark.parametrize("chunk", [None, 40])
+    @pytest.mark.parametrize("components", [(2, 4), (1, 1), (3, 3)])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("tau", [8, 24, 100])
+    def test_sine_mixture_matches_the_per_series_loop_bit_for_bit(self, monkeypatch, tau, dim, components, chunk):
+        if chunk is not None:  # several series per chunk, and one series split from the rest
+            monkeypatch.setattr(data, "_CHUNK_VALUES", chunk)
+        for seed, noise_std in [(0, 0.05), (17, 0.0), (1001, 0.3)]:
+            ds = generate_normal(tau, dim, 7, seed, noise_std=noise_std, components=components)
+            expected = loop_generate_normal(tau, dim, 7, seed, noise_std=noise_std, components=components)
+            assert ds.as_array().tobytes() == expected.tobytes(), (seed, noise_std)
+
+    @pytest.mark.parametrize("chunk", [None, 40])
+    @pytest.mark.parametrize("dim", [1, 3])
+    @pytest.mark.parametrize("tau", [8, 24, 100])
+    def test_ar_process_matches_the_per_series_loop_bit_for_bit(self, monkeypatch, tau, dim, chunk):
+        if chunk is not None:
+            monkeypatch.setattr(data, "_CHUNK_VALUES", chunk)
+        for seed, coeffs, sd in [(0, (0.5, -0.25), 0.3), (9, (-0.9, 0.05), 1.7), (1001, (0.0, 0.0), 0.0)]:
+            ds = generate_normal(tau, dim, 7, seed, base_kind="ar_process", ar_coeffs=coeffs, ar_noise_std=sd)
+            expected = loop_generate_normal(tau, dim, 7, seed, base_kind="ar_process",
+                                            ar_coeffs=coeffs, ar_noise_std=sd)
+            assert ds.as_array().tobytes() == expected.tobytes(), (seed, coeffs, sd)
+
+    @pytest.mark.parametrize("name", ["noise_std", "ar_noise_std"])
+    @pytest.mark.parametrize("value", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
+    def test_negative_or_non_finite_noise_level_is_a_contract_error_naming_it(self, name, value):
+        for base_kind in ("sine_mixture", "ar_process"):
+            with pytest.raises(ContractError, match=f"^{name} must be a finite standard deviation >= 0"):
+                generate_normal(24, 2, 3, seed=0, base_kind=base_kind, **{name: value})
 
 
 class TestInjectFault:
@@ -178,6 +210,19 @@ class TestNormalizer:
         back = norm.invert(out)
         np.testing.assert_allclose(back.values[:, 0], 2.5)
 
+    @pytest.mark.parametrize("mode", ["minmax", "zscore"])
+    def test_apply_dataset_matches_per_series_apply_bitwise(self, mode):
+        base = generate_normal(24, 3, 9, seed=4).as_array()
+        base[:, :, 1] = 2.5  # a constant channel maps to 0 in both modes
+        ds = Dataset([TimeSeries(v, ["a", "const", "b"]) for v in base], "normal", "t")
+        norm = fit_normalizer(ds, mode)
+        out = norm.apply_dataset(ds)
+        assert np.all(out.as_array()[:, :, 1] == 0.0)
+        for s, o in zip(ds.samples, out.samples):
+            assert o.values.tobytes() == norm.apply(s).values.tobytes()
+            assert o.channel_names == s.channel_names
+        assert (out.label, out.id, out.seed, out.fault_spec) == (ds.label, ds.id, ds.seed, ds.fault_spec)
+
     def test_zscore_roundtrip(self):
         ds = generate_normal(24, 2, 6, seed=9)
         norm = fit_normalizer(ds, "zscore")
@@ -194,6 +239,28 @@ class TestCorpusIO:
         for s1, s2 in zip(ds.samples, back.samples):
             assert np.array_equal(s1.values, s2.values)
             assert s1.channel_names == s2.channel_names
+
+    @pytest.mark.parametrize("chunk", [None, 5])
+    def test_save_corpus_writes_the_per_value_writers_bytes(self, tmp_path, monkeypatch, chunk):
+        if chunk is not None:  # one series per chunk
+            monkeypatch.setattr(data, "_CHUNK_VALUES", chunk)
+        edge = np.array([-0.0, 1e-45, 1.1754944e-38, -1.6872391e-05, 1e-4, 1.5e7, 1e16, 3.4e38, -3.4e38],
+                        dtype=np.float32)
+        values = generate_normal(9, 2, 4, seed=3).as_array()
+        values[1, :, 0] = edge
+        values[2, :, 1] = -edge[::-1]
+        ds = Dataset([TimeSeries(v, ["x", "y"]) for v in values], "normal", "edge", seed=3)
+        for name, corpus in [("edge", ds),
+                             ("fault", make_fault_dataset(generate_normal(24, 3, 6, seed=8), "sudden", seed=2))]:
+            save_corpus(corpus, tmp_path / name / "new")
+            value_save_corpus(corpus, tmp_path / name / "old")
+            files = sorted(p.name for p in (tmp_path / name / "old").iterdir())
+            assert sorted(p.name for p in (tmp_path / name / "new").iterdir()) == files
+            for f in files:
+                assert (tmp_path / name / "new" / f).read_bytes() == (tmp_path / name / "old" / f).read_bytes(), f
+        assert "340000000000000000000000000000000000000.0" in (tmp_path / "edge/new/sample_00001.csv").read_text()
+        back = load_corpus(tmp_path / "edge" / "new")
+        assert back.as_array().tobytes() == values.tobytes()
 
     def test_fault_spec_roundtrip(self, tmp_path):
         base = generate_normal(24, 2, 3, seed=3)

@@ -16,14 +16,17 @@ from faultgen.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     Adam,
+    Checkpoint,
     _restore,
     _snapshot,
+    _write_loss_csv,
     diversity_loss,
     load_checkpoint,
     pretrain,
+    save_checkpoint,
 )
 
-from helpers import loop_diversity_loss
+from helpers import fail_writes_midway, loop_diversity_loss
 
 SHAPES = [(3, 4), (4,), (2, 3, 5), (1,), (7, 2)]
 TINY = DenoiserConfig(tau=8, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=1,
@@ -130,6 +133,21 @@ def test_resume_is_bit_exact(tmp_path):
         assert np.array_equal(resumed.arrays[name], arr), name
     assert resumed.opt_step == full.opt_step == 6
     assert resumed.rng_state == full.rng_state
+
+
+def test_checkpoint_and_loss_curve_writes_that_fail_midway_leave_the_earlier_files_whole(tmp_path, monkeypatch):
+    save_checkpoint(Checkpoint({"run": 1}, {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}, step=1),
+                    tmp_path / "step.ckpt")
+    _write_loss_csv([(0, 1.5, 0.0, 1.5)], tmp_path / "loss_curve.csv")
+    before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    fail_writes_midway(monkeypatch)
+    with pytest.raises(OSError, match="No space"):
+        save_checkpoint(Checkpoint({"run": 2}, {"w": np.ones((40, 40), np.float32)}, step=2),
+                        tmp_path / "step.ckpt")
+    with pytest.raises(OSError, match="No space"):
+        _write_loss_csv([(0, 1.5, 0.0, 1.5), (1, 0.75, 0.0, 0.75)], tmp_path / "loss_curve.csv")
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+    assert load_checkpoint(tmp_path / "step.ckpt").step == 1
 
 
 def _write_raw(path, header: bytes, data: bytes = b""):
