@@ -113,7 +113,10 @@ def cmd_make_data(args) -> int:
     if args.kind == "fault":
         extra = {k: getattr(args, k) for k in ("period", "clip_level", "burst_len", "count")
                  if getattr(args, k) is not None}
-        channels = [int(c) for c in args.channels.split(",")] if args.channels else None
+        try:
+            channels = [int(c) for c in args.channels.split(",")] if args.channels else None
+        except ValueError as e:
+            raise ConfigError(f"--channels must be comma-separated integers, got {args.channels!r}") from e
         ds = make_fault_dataset(
             base, args.fault, args.seed + FAULT_SEED_OFFSET,
             magnitude=args.magnitude, onset=args.onset, duration=args.duration,
@@ -364,6 +367,8 @@ def main(argv=None) -> int:
     try:
         if needs_out and not args.out:
             raise ConfigError("--out is required")
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, ContractError, CorpusError, MetricError) as e:
         print(f"error: {e}", file=sys.stderr)

@@ -28,8 +28,7 @@ DESK = {
     "adapter": {"window": 5, "heads": 4, "alpha": 1.0},
     "train": {
         "pretrain_steps": 2000, "finetune_steps": 500, "batch_size": 8,
-        "pretrain_lr": 1e-3, "finetune_lr": 1e-4, "warmup_steps": 100,
-        "checkpoint_every": 0, "seed": 0,
+        "pretrain_lr": 1e-3, "finetune_lr": 1e-4, "warmup_steps": 100, "seed": 0,
     },
     "loss": {"weight": 0.1, "margin": 1.0, "pair_count": 8},
     "data": {"normalizer": "minmax"},
@@ -142,14 +141,12 @@ class RunConfig:
     def schedule(self) -> NoiseSchedule:
         return schedule_from_config(self.sections["diffusion"])
 
-    def train_config(self, phase: str, seed: int | None = None) -> TrainConfig:
+    def train_config(self, phase: str) -> TrainConfig:
         t = self.sections["train"]
         steps = t["pretrain_steps"] if phase == "pretrain" else t["finetune_steps"]
         lr = t["pretrain_lr"] if phase == "pretrain" else t["finetune_lr"]
         return TrainConfig(phase=phase, steps=steps, batch_size=t["batch_size"],
-                           learning_rate=lr, warmup_steps=t["warmup_steps"],
-                           seed=t["seed"] if seed is None else seed,
-                           checkpoint_every=t["checkpoint_every"])
+                           learning_rate=lr, warmup_steps=t["warmup_steps"], seed=t["seed"])
 
     def loss_config(self) -> LossConfig:
         l = self.sections["loss"]

@@ -128,6 +128,12 @@ class FaultSpec:
             raise ContractError("random_noise magnitude is a standard deviation and must be >= 0")
         if self.kind == "impulse" and self.extra.get("count", 1) < 1:
             raise ContractError("impulse count must be >= 1")
+        if self.kind == "intermittent" and int(self.extra.get("burst_len", 1)) < 1:
+            raise ContractError(f"intermittent burst_len must be >= 1, got {self.extra['burst_len']!r}")
+        if self.kind == "saturation" and self.extra.get("clip_level", 0) < 0:
+            raise ContractError(f"saturation clip_level must be >= 0, got {self.extra['clip_level']!r}")
+        if self.kind == "periodic" and self.extra.get("period", 1) <= 0:
+            raise ContractError(f"periodic period must be > 0, got {self.extra['period']!r}")
         if self.kind == "compound" and not self.extra.get("components"):
             raise ContractError("compound fault needs extra['components']")
         if self.kind == "low_frequency_anomaly":
@@ -227,6 +233,10 @@ def generate_normal(
         raise ContractError("generate_normal needs tau >= 8, dim >= 1, n_samples >= 1")
     if base_kind not in ("sine_mixture", "ar_process"):
         raise ContractError(f"unknown base_kind {base_kind!r}")
+    if len(components) != 2 or not 1 <= components[0] <= components[1]:
+        raise ContractError(f"components must be a pair (lo, hi) with 1 <= lo <= hi, got {components!r}")
+    if len(ar_coeffs) != 2:
+        raise ContractError(f"ar_coeffs must hold exactly two coefficients, got {ar_coeffs!r}")
     for name, std in (("noise_std", noise_std), ("ar_noise_std", ar_noise_std)):
         if not (np.isfinite(std) and std >= 0):
             raise ContractError(f"{name} must be a finite standard deviation >= 0, got {std!r}")

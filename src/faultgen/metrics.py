@@ -313,13 +313,15 @@ METRIC_NAMES = ("context_fid", "correlational", "discriminative", "predictive", 
 
 def check_request(metrics, seeds) -> list[str]:
     """The metric names an evaluation request selects ("all" selects every one), after checking that
-    each is in METRIC_NAMES and that `seeds` is a non-empty list of distinct seeds (ContractError)."""
+    each is in METRIC_NAMES and that `seeds` is a non-empty list of distinct seeds >= 0 (ContractError)."""
     for m in metrics:
         if m != "all" and m not in METRIC_NAMES:
             raise ContractError(f"unknown metric {m!r}; choose from all, {', '.join(METRIC_NAMES)}")
     if not seeds or len(set(seeds)) != len(seeds):
         raise ContractError(f"seeds must be a non-empty list of distinct seeds, none named twice, "
                             f"got {list(seeds)}")
+    if min(seeds) < 0:
+        raise ContractError(f"seeds must be >= 0, got {list(seeds)}")
     return list(METRIC_NAMES) if "all" in metrics else list(metrics)
 
 

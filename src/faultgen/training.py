@@ -50,7 +50,6 @@ class TrainConfig:
     learning_rate: float
     warmup_steps: int = 0
     seed: int = 0
-    checkpoint_every: int = 0  # 0 = final checkpoint only
 
     def __post_init__(self):
         if self.phase not in ("pretrain", "finetune"):
@@ -104,11 +103,11 @@ def total_loss(eps: Tensor, preds: Tensor, cfg: LossConfig, seed: int = 0):
 class Adam:
     """Adaptive-moment gradient descent over trainable parameters.
 
-    Parameters, gradients and both moments live in four flat buffers: each
-    trainable parameter's `data` and `grad`, and `m[name]` and `v[name]`, are
-    views into them, so `step` is one elementwise update, bitwise equal to a
-    per-array loop. Once an optimizer holds a parameter, these arrays may only
-    be written in place: a rebound one silently stops training.
+    Parameters, gradients and both moments live in four flat buffers, and each
+    trainable parameter's `data` and `grad` are views into the first two, so
+    `step` is one elementwise update, bitwise equal to a per-array loop. Once
+    an optimizer holds a parameter, these arrays may only be written in place:
+    a rebound one silently stops training.
     """
 
     def __init__(self, params: list[Parameter], lr: float,
@@ -123,15 +122,13 @@ class Adam:
             raise ContractError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         size, dtype = sum(p.data.size for p in self.params), dtypes.pop()
         self._data, self._grad, self._m, self._v = (np.zeros(size, dtype) for _ in range(4))
-        self.m, self.v, lo = {}, {}, 0
+        lo = 0
         for p in self.params:
             hi, shape = lo + p.data.size, p.data.shape
             self._data[lo:hi] = p.data.ravel()
             self._grad[lo:hi] = p.grad.ravel()
             p.data = self._data[lo:hi].reshape(shape)
             p.grad = self._grad[lo:hi].reshape(shape)
-            self.m[p.name] = self._m[lo:hi].reshape(shape)
-            self.v[p.name] = self._v[lo:hi].reshape(shape)
             lo = hi
 
     def zero_grad(self) -> None:
@@ -169,8 +166,6 @@ class Checkpoint:
     config: dict
     arrays: dict            # name -> float32 ndarray, insertion-ordered
     step: int = 0
-    opt_step: int = 0
-    rng_state: dict | None = None
     loss_rows: list = field(default_factory=list, repr=False, compare=False)
 
 
@@ -189,8 +184,6 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "format_version": CHECKPOINT_VERSION,
         "config": ckpt.config,
         "step": ckpt.step,
-        "opt_step": ckpt.opt_step,
-        "rng_state": ckpt.rng_state,
         "arrays": entries,
     }
     hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
@@ -218,8 +211,7 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         entries = [(e["name"], int(e["offset"]), int(e["nbytes"]), tuple(int(n) for n in e["shape"]))
                    for e in header["arrays"]]
-        ckpt = Checkpoint(config=header["config"], arrays={}, step=header["step"],
-                          opt_step=header["opt_step"], rng_state=header["rng_state"])
+        ckpt = Checkpoint(config=header["config"], arrays={}, step=header["step"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed header: {e!r}") from e
     data = raw[10 + hlen:]
@@ -232,42 +224,13 @@ def load_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
-def _snapshot(model, opt: Adam, rng: np.random.Generator | None,
-              config: dict, step: int, normalizer: Normalizer | None) -> Checkpoint:
+def _snapshot(model, config: dict, step: int, normalizer: Normalizer | None) -> Checkpoint:
+    """What a checkpoint's readers need: the model's parameters, the normalizer and the config."""
     arrays = {name: p.data.astype(np.float32, copy=True) for name, p in model.params.items()}
-    arrays.update({f"opt.m.{name}": m.astype(np.float32, copy=True) for name, m in opt.m.items()})
-    arrays.update({f"opt.v.{name}": v.astype(np.float32, copy=True) for name, v in opt.v.items()})
     if normalizer is not None:
         arrays["norm.lo"] = normalizer.lo.astype(np.float32, copy=True)
         arrays["norm.hi"] = normalizer.hi.astype(np.float32, copy=True)
-    state = None
-    if rng is not None:
-        state = json.loads(json.dumps(rng.bit_generator.state))
-    return Checkpoint(config=config, arrays=arrays, step=step,
-                      opt_step=opt.step_count, rng_state=state)
-
-
-def _load_arrays(targets: dict, arrays: dict) -> None:
-    """Copy each named checkpoint array into its target in place, keeping `Adam`'s views bound."""
-    for name, dst in targets.items():
-        if name not in arrays:
-            raise CheckpointError(f"checkpoint missing array {name!r}")
-        arr = arrays[name]
-        if tuple(arr.shape) != dst.shape:
-            raise CheckpointError(f"array {name!r} has shape {arr.shape}, model expects {dst.shape}")
-        dst[...] = arr
-
-
-def _restore(model, opt: Adam, ckpt: Checkpoint) -> np.random.Generator:
-    targets = {name: p.data for name, p in model.params.items()}
-    targets.update({f"opt.m.{name}": m for name, m in opt.m.items()})
-    targets.update({f"opt.v.{name}": v for name, v in opt.v.items()})
-    _load_arrays(targets, ckpt.arrays)
-    opt.step_count = ckpt.opt_step
-    rng = np.random.default_rng(0)
-    if ckpt.rng_state is not None:
-        rng.bit_generator.state = ckpt.rng_state
-    return rng
+    return Checkpoint(config=config, arrays=arrays, step=step)
 
 
 def denoiser_config_from_checkpoint(ckpt: Checkpoint) -> DenoiserConfig:
@@ -287,7 +250,13 @@ def model_from_checkpoint(ckpt: Checkpoint):
             model = attach(backbone, stack)
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"checkpoint config has an invalid adapter section: {e!r}") from e
-    _load_arrays({name: p.data for name, p in model.params.items()}, ckpt.arrays)
+    for name, p in model.params.items():
+        if name not in ckpt.arrays:
+            raise CheckpointError(f"checkpoint missing array {name!r}")
+        arr = ckpt.arrays[name]
+        if arr.shape != p.data.shape:
+            raise CheckpointError(f"array {name!r} has shape {arr.shape}, model expects {p.data.shape}")
+        p.data[...] = arr
     return model
 
 
@@ -325,22 +294,13 @@ def _write_loss_csv(rows, path) -> None:
 
 def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
               loss_cfg: LossConfig | None, config_echo: dict,
-              normalizer: Normalizer | None, checkpoint_dir, log_path,
-              resume: Checkpoint | None) -> Checkpoint:
+              normalizer: Normalizer | None, checkpoint_dir, log_path) -> Checkpoint:
     opt = Adam(model.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    start = 0
-    if resume is not None:
-        rng = _restore(model, opt, resume)
-        start = resume.step
-        if start > cfg.steps:
-            raise CheckpointError(f"resume step {start} beyond configured steps {cfg.steps}")
-    if checkpoint_dir:
-        os.makedirs(checkpoint_dir, exist_ok=True)
     arr = data.as_array()
     n = arr.shape[0]
     rows = []
-    for step in range(start, cfg.steps):
+    for step in range(cfg.steps):
         idx = rng.integers(0, n, cfg.batch_size)
         x0 = arr[idx]
         t = int(rng.integers(0, sched.T))
@@ -364,12 +324,10 @@ def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
             raise DivergenceError(f"training diverged at step {step}: {e}") from e
         opt.step(_warmup_scale(step, cfg.warmup_steps))
         rows.append((step, base.item(), div_val, lval))
-        if checkpoint_dir and cfg.checkpoint_every and (step + 1) % cfg.checkpoint_every == 0 and (step + 1) < cfg.steps:
-            snap = _snapshot(model, opt, rng, config_echo, step + 1, normalizer)
-            save_checkpoint(snap, os.path.join(checkpoint_dir, f"step_{step + 1:06d}.ckpt"))
-    final = _snapshot(model, opt, rng, config_echo, cfg.steps, normalizer)
+    final = _snapshot(model, config_echo, cfg.steps, normalizer)
     final.loss_rows = rows
     if checkpoint_dir:
+        os.makedirs(checkpoint_dir, exist_ok=True)
         save_checkpoint(final, os.path.join(checkpoint_dir, "final.ckpt"))
     if log_path:
         _write_loss_csv(rows, log_path)
@@ -378,7 +336,7 @@ def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
 
 def pretrain(normal: Dataset, cfg: TrainConfig, model: Backbone, sched: NoiseSchedule,
              normalizer: Normalizer | None = None, config_echo: dict | None = None,
-             checkpoint_dir=None, log_path=None, resume: Checkpoint | None = None) -> Checkpoint:
+             checkpoint_dir=None, log_path=None) -> Checkpoint:
     """Train all backbone parameters on normal data with the base loss only."""
     if cfg.phase != "pretrain":
         raise ContractError("pretrain called with a non-pretrain config")
@@ -387,13 +345,12 @@ def pretrain(normal: Dataset, cfg: TrainConfig, model: Backbone, sched: NoiseSch
     echo.setdefault("diffusion", {"timesteps": sched.T, "schedule": sched.kind,
                                   "beta_start": float(sched.beta[0]), "beta_end": float(sched.beta[-1])})
     return _run_loop(model, normal, cfg, sched, None, echo, normalizer,
-                     checkpoint_dir, log_path, resume)
+                     checkpoint_dir, log_path)
 
 
 def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossConfig,
              adapter_cfg: AdapterConfig, data_info: dict | None = None,
-             checkpoint_dir=None, log_path=None, resume: Checkpoint | None = None,
-             config_hash: str = "") -> Checkpoint:
+             checkpoint_dir=None, log_path=None, config_hash: str = "") -> Checkpoint:
     """Attach a fresh adapter stack to a frozen pretrained backbone and train it.
 
     Only adapter parameters receive updates; backbone arrays in the returned
@@ -418,4 +375,4 @@ def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossC
     if data_info:
         echo["data"] = {**echo.get("data", {}), **data_info}
     return _run_loop(model, fault, cfg, sched, loss_cfg, echo, normalizer,
-                     checkpoint_dir, log_path, resume)
+                     checkpoint_dir, log_path)

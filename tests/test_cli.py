@@ -303,6 +303,45 @@ def test_evaluate_names_an_unknown_metric_before_it_reads_a_corpus(corpus_pair, 
     assert not out.exists()
 
 
+BAD_INPUTS = {  # argv with {corpus} and {checkpoint} names from `trained`, exit code, a fragment of the one stderr line
+    "make-data-negative-seed": (["make-data", "--kind", "normal", "--n", "2", "--tau", "8", "--seed", "-1"],
+                                2, "--seed must be >= 0"),
+    "pretrain-negative-seed": (["pretrain", "--data", "{normal}", "--seed", "-1", *_overrides()],
+                               2, "--seed must be >= 0"),
+    "finetune-negative-seed": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}", "--seed", "-1",
+                                *_overrides("train.finetune_steps=1")], 2, "--seed must be >= 0"),
+    "generate-negative-seed": (["generate", "--checkpoint", "{fine}", "--n", "2", "--seed", "-1"],
+                               2, "--seed must be >= 0"),
+    "embed-negative-seed": (["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "pca",
+                             "--seed", "-1"], 2, "--seed must be >= 0"),
+    "downstream-negative-seed": (["downstream", "--train", "{normal}", "--train", "{fault}", "--test", "{normal}",
+                                  "--test", "{fault}", "--seed", "-1"], 2, "--seed must be >= 0"),
+    "evaluate-negative-seed": (["evaluate", "--real", "{fault}", "--synth", "{normal}", "--seeds=-1,2"],
+                               2, "seeds must be >= 0"),
+    "channels-not-integers": (["make-data", "--kind", "fault", "--fault", "sudden", "--n", "2", "--tau", "8",
+                               "--channels", "a"], 2, "--channels must be comma-separated integers"),
+    "burst-len-0": (["make-data", "--kind", "fault", "--fault", "intermittent", "--n", "2", "--tau", "8",
+                     "--burst-len", "0"], 2, "burst_len must be >= 1"),
+    "negative-clip-level": (["make-data", "--kind", "fault", "--fault", "saturation", "--n", "2", "--tau", "8",
+                             "--clip-level", "-1"], 2, "clip_level must be >= 0"),
+    "period-0": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
+                  "--period", "0"], 2, "period must be > 0"),
+    "negative-period": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
+                         "--period", "-2"], 2, "period must be > 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_INPUTS))
+def test_a_bad_input_exits_with_one_error_line_and_writes_nothing(trained, tmp_path, capsys, case):
+    argv, code, fragment = BAD_INPUTS[case]
+    out = tmp_path / "out"
+    assert main([arg.format(**trained) for arg in argv] + ["--out", str(out)]) == code
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "Traceback" not in err
+    assert fragment in err
+    assert not out.exists() or [p.name for p in out.iterdir()] == [".partial"]
+
+
 def test_write_atomic_writes_exact_bytes_and_leaves_no_temporary_file(tmp_path):
     text = "a,b\n1.5,-2\n" * 100
     write_atomic(tmp_path / "out.csv", text)

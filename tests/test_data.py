@@ -96,6 +96,19 @@ class TestGenerateNormal:
                 generate_normal(24, 2, 3, seed=0, base_kind=base_kind, **{name: value})
 
 
+    @pytest.mark.parametrize("kwargs,message", [
+        ({"components": (3, 2)}, "components must be a pair"),
+        ({"components": (0, 2)}, "components must be a pair"),
+        ({"components": (2,)}, "components must be a pair"),
+        ({"components": (1, 2, 3)}, "components must be a pair"),
+        ({"base_kind": "ar_process", "ar_coeffs": (0.5,)}, "ar_coeffs must hold exactly two"),
+        ({"base_kind": "ar_process", "ar_coeffs": (0.5, -0.25, 0.1)}, "ar_coeffs must hold exactly two"),
+    ])
+    def test_a_malformed_components_pair_or_ar_coeffs_is_a_contract_error(self, kwargs, message):
+        with pytest.raises(ContractError, match=f"^{message}"):
+            generate_normal(24, 2, 3, seed=0, **kwargs)
+
+
 class TestInjectFault:
     def test_sudden_step(self):
         s = _series()

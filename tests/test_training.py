@@ -1,6 +1,7 @@
-"""The fused Adam, the checkpoint loader, and resume bit-exactness."""
+"""The fused Adam, the checkpoint writer and loader, and what a checkpoint holds."""
 
 import json
+import os
 import struct
 
 import numpy as np
@@ -8,17 +9,17 @@ import pytest
 
 from faultgen import autodiff as ad
 from faultgen.autodiff import Parameter
-from faultgen.config import resolve_config
-from faultgen.data import generate_normal
+from faultgen.cli import main
+from faultgen.data import fit_normalizer, generate_normal
 from faultgen.denoiser import Backbone, DenoiserConfig
+from faultgen.diffusion import make_schedule
 from faultgen.errors import CheckpointError
 from faultgen.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     Adam,
     Checkpoint,
-    _restore,
-    _snapshot,
+    TrainConfig,
     _write_loss_csv,
     diversity_loss,
     load_checkpoint,
@@ -62,8 +63,6 @@ def _assert_bound(opt):
     for p in opt.params:
         assert np.shares_memory(p.data, opt._data)
         assert np.shares_memory(p.grad, opt._grad)
-        assert np.shares_memory(opt.m[p.name], opt._m)
-        assert np.shares_memory(opt.v[p.name], opt._v)
 
 
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -85,8 +84,8 @@ def test_fused_adam_matches_per_array_loop_bitwise(dtype):
     for i, p in enumerate(params):
         assert p.data.dtype == np.dtype(dtype)
         assert np.array_equal(p.data, ref.data[i])
-        assert np.array_equal(opt.m[p.name], ref.m[i])
-        assert np.array_equal(opt.v[p.name], ref.v[i])
+    assert np.array_equal(opt._m, np.concatenate([m.ravel() for m in ref.m]))
+    assert np.array_equal(opt._v, np.concatenate([v.ravel() for v in ref.v]))
 
 
 def test_parameters_stay_views_into_the_optimizer_buffers():
@@ -105,34 +104,7 @@ def test_parameters_stay_views_into_the_optimizer_buffers():
         p.grad += 1.0
     opt.step()
     assert all(not np.array_equal(p.data, b) for p, b in zip(opt.params, before))
-    snap = _snapshot(model, opt, None, {}, 1, None)
-    opt.step()
-    _restore(model, opt, snap)
     _assert_bound(opt)
-    for name, p in model.params.items():
-        assert np.array_equal(p.data, snap.arrays[name])
-        assert np.array_equal(opt.m[name], snap.arrays[f"opt.m.{name}"])
-    assert opt.step_count == 1
-
-
-def test_resume_is_bit_exact(tmp_path):
-    cfg = resolve_config("desk")
-    dcfg = cfg.denoiser_config()
-    data = generate_normal(dcfg.tau, dcfg.d, 16, seed=2)
-    tcfg = cfg.train_config("pretrain")
-    tcfg.steps, tcfg.batch_size, tcfg.warmup_steps, tcfg.checkpoint_every = 6, 2, 4, 3
-    full = pretrain(data, tcfg, Backbone(dcfg, seed=0), cfg.schedule(),
-                    checkpoint_dir=str(tmp_path / "full"))
-    half = load_checkpoint(tmp_path / "full" / "step_000003.ckpt")
-    assert half.step == 3 and half.opt_step == 3
-    resumed = pretrain(data, tcfg, Backbone(dcfg, seed=0), cfg.schedule(),
-                       checkpoint_dir=str(tmp_path / "resumed"), resume=half)
-    assert len(full.arrays) == 498
-    assert list(resumed.arrays) == list(full.arrays)
-    for name, arr in full.arrays.items():
-        assert np.array_equal(resumed.arrays[name], arr), name
-    assert resumed.opt_step == full.opt_step == 6
-    assert resumed.rng_state == full.rng_state
 
 
 def test_checkpoint_and_loss_curve_writes_that_fail_midway_leave_the_earlier_files_whole(tmp_path, monkeypatch):
@@ -154,6 +126,83 @@ def _write_raw(path, header: bytes, data: bytes = b""):
     with open(path, "wb") as fh:
         fh.write(CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(header)))
         fh.write(header + data)
+
+
+def _header(path) -> dict:
+    raw = path.read_bytes()
+    return json.loads(raw[10:10 + struct.unpack("<I", raw[6:10])[0]])
+
+
+@pytest.mark.parametrize("normalized", [False, True])
+def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_config(tmp_path, normalized):
+    data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
+    norm = fit_normalizer(data, "minmax") if normalized else None
+    model = Backbone(TINY, seed=0)
+    names = list(model.params)
+    pretrain(data, TrainConfig("pretrain", steps=2, batch_size=2, learning_rate=1e-3), model,
+             make_schedule(TINY.T, "linear", 1e-3, 0.2), normalizer=norm, checkpoint_dir=str(tmp_path))
+    path = tmp_path / "final.ckpt"
+    assert os.listdir(tmp_path) == ["final.ckpt"]
+    assert list(load_checkpoint(path).arrays) == names + (["norm.lo", "norm.hi"] if normalized else [])
+    header = _header(path)
+    assert set(header) == {"format_version", "config", "step", "arrays"}
+    assert header["step"] == 2 and "checkpoint_every" not in header["config"]["train"]
+
+
+TINY_RUN = ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
+            "model.ff_dim=16", "model.fourier_terms=1", "diffusion.timesteps=10",
+            "train.batch_size=2", "train.warmup_steps=1", "train.pretrain_steps=2"]
+
+
+@pytest.fixture(scope="module")
+def pretrained(tmp_path_factory):
+    """A tiny normal corpus and a checkpoint pretrained on it for two steps through the CLI."""
+    root = tmp_path_factory.mktemp("pretrained")
+    assert main(["make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", str(root / "normal")]) == 0
+    overrides = [arg for ov in TINY_RUN for arg in ("--override", ov)]
+    assert main(["pretrain", "--data", str(root / "normal"), "--out", str(root / "pre"), *overrides]) == 0
+    return root
+
+
+def _in_the_older_layout(src, dst):
+    """Rewrite `src` as the format-1 writer used to: Adam moments after the parameters, `opt_step`, `rng_state`."""
+    ckpt = load_checkpoint(src)
+    params = {k: a for k, a in ckpt.arrays.items() if not k.startswith("norm.")}
+    moments = {f"opt.{which}.{k}": np.full_like(a, fill) for which, fill in (("m", 0.25), ("v", 0.5))
+               for k, a in params.items()}
+    norm = {k: a for k, a in ckpt.arrays.items() if k.startswith("norm.")}
+    save_checkpoint(Checkpoint(ckpt.config, {**params, **moments, **norm}, step=ckpt.step), dst)
+    raw = dst.read_bytes()
+    header = _header(dst)
+    header.update(opt_step=ckpt.step, rng_state=np.random.default_rng(3).bit_generator.state)
+    _write_raw(dst, json.dumps(header, sort_keys=True, separators=(",", ":")).encode(),
+               raw[10 + struct.unpack("<I", raw[6:10])[0]:])
+    return dst
+
+
+def test_a_checkpoint_in_the_older_layout_still_loads_and_generates_the_same_series(pretrained, tmp_path):
+    current = pretrained / "pre" / "checkpoints" / "final.ckpt"
+    older = _in_the_older_layout(current, tmp_path / "older.ckpt")
+    assert {"opt_step", "rng_state"} <= set(_header(older))
+    outs = [tmp_path / "gen_current", tmp_path / "gen_older"]
+    for ckpt, out in zip((current, older), outs):
+        assert main(["generate", "--checkpoint", str(ckpt), "--n", "3", "--seed", "4", "--out", str(out)]) == 0
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1])) and "sample_00002.csv" in names
+    for name in names:
+        if name != "generation_log.json":
+            assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
+    logs = [json.loads((out / "generation_log.json").read_text()) for out in outs]
+    assert logs[0].pop("checkpoint_sha256") != logs[1].pop("checkpoint_sha256")
+    assert logs[0] == logs[1]
+
+
+def test_checkpoint_every_is_an_unknown_config_key(pretrained, tmp_path, capsys):
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--data", str(pretrained / "normal"), "--out", str(out),
+                 "--override", "train.checkpoint_every=3"]) == 2
+    assert "unknown config key train.checkpoint_every" in capsys.readouterr().err
+    assert not out.exists()
 
 
 GOOD_HEADER = {"format_version": CHECKPOINT_VERSION, "config": {}, "step": 0,
