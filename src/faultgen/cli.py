@@ -152,7 +152,7 @@ def cmd_pretrain(args) -> int:
         echo = {
             "config_hash": cfg.hash(),
             "data": {"label": corpus.label, "corpus_id": corpus.id,
-                     "channel_names": list(corpus.samples[0].channel_names),
+                     "channel_names": list(corpus.channel_names),
                      "normalizer_mode": mode},
             "diffusion": dict(cfg.sections["diffusion"]),
         }
@@ -227,9 +227,8 @@ def cmd_generate(args) -> int:
     label = args.label or ckpt.config.get("data", {}).get("label", "synthetic")
 
     with _in_progress(args.out):
-        series = sample(model, sched, args.n, (model.cfg.tau, model.cfg.d), args.seed,
-                        normalizer=norm, channel_names=names)
-        ds = Dataset(series, label=label, id=f"gen-{args.seed}-{args.n}", seed=args.seed)
+        values = sample(model, sched, args.n, (model.cfg.tau, model.cfg.d), args.seed, normalizer=norm)
+        ds = Dataset(values, label=label, id=f"gen-{args.seed}-{args.n}", seed=args.seed, channel_names=names)
         save_corpus(ds, args.out)
         log = {
             "seed": args.seed,

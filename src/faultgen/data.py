@@ -59,36 +59,56 @@ class TimeSeries:
         return self.values.shape[1]
 
 
-@dataclass
+@dataclass(eq=False)
 class Dataset:
-    """A uniform collection of TimeSeries under one domain label."""
+    """A corpus under one domain label: one read-only float32 (n, tau, d) stack and one list of channel names.
 
-    samples: list[TimeSeries]
+    `values` may be given as that stack, with `channel_names` defaulting to
+    ch0..ch{d-1}, or as a sequence of TimeSeries, stacked once here; the
+    series must agree on shape and on channel names, which become the
+    corpus's. A float32 array is held as a read-only view, not copied.
+    """
+
+    values: np.ndarray
     label: str
     id: str
     seed: int | None = None
     fault_spec: "FaultSpec | None" = None
+    channel_names: list[str] | None = None
 
     def __post_init__(self):
-        if not self.samples:
-            raise ContractError("Dataset must be nonempty")
-        if len({s.values.shape for s in self.samples}) > 1:
-            raise ContractError("Dataset samples must share one (tau, d) shape")
+        if not isinstance(self.values, np.ndarray):
+            series = list(self.values)
+            if not series:
+                raise ContractError("Dataset must be nonempty")
+            first = series[0]
+            if self.channel_names not in (None, first.channel_names) or any(
+                    s.values.shape != first.values.shape or s.channel_names != first.channel_names for s in series):
+                raise ContractError("Dataset series must share one (tau, d) shape and one list of channel names")
+            self.channel_names = first.channel_names
+            self.values = np.stack([s.values for s in series])
+        self.values = np.asarray(self.values, dtype=np.float32).view()
+        self.values.flags.writeable = False
+        if self.values.ndim != 3 or min(self.values.shape) < 1 or self.values.shape[1] < 2:
+            raise ContractError(f"Dataset needs a nonempty (n, tau>=2, d) stack, got {self.values.shape}")
+        if self.channel_names is None:
+            self.channel_names = [f"ch{c}" for c in range(self.dim)]
+        self.channel_names = list(self.channel_names)
+        if len(self.channel_names) != self.dim:
+            raise ContractError("channel_names length must match the channel count")
+        if not np.all(np.isfinite(self.values)):
+            raise ContractError("Dataset values must be finite")
 
     def __len__(self):
-        return len(self.samples)
+        return self.values.shape[0]
 
     @property
     def tau(self) -> int:
-        return self.samples[0].tau
+        return self.values.shape[1]
 
     @property
     def dim(self) -> int:
-        return self.samples[0].dim
-
-    def as_array(self) -> np.ndarray:
-        """(n, tau, d) float32 view of all samples."""
-        return np.stack([s.values for s in self.samples])
+        return self.values.shape[2]
 
 
 @dataclass
@@ -130,10 +150,14 @@ class FaultSpec:
             raise ContractError("impulse count must be >= 1")
         if self.kind == "intermittent" and int(self.extra.get("burst_len", 1)) < 1:
             raise ContractError(f"intermittent burst_len must be >= 1, got {self.extra['burst_len']!r}")
-        if self.kind == "saturation" and self.extra.get("clip_level", 0) < 0:
-            raise ContractError(f"saturation clip_level must be >= 0, got {self.extra['clip_level']!r}")
-        if self.kind == "periodic" and self.extra.get("period", 1) <= 0:
-            raise ContractError(f"periodic period must be > 0, got {self.extra['period']!r}")
+        if self.kind == "saturation":
+            name = "clip_level" if "clip_level" in self.extra else "magnitude"
+            level = self.extra.get("clip_level", self.magnitude)
+            if not level >= 0:
+                raise ContractError(f"saturation {name} must be >= 0 (it is the clip level), got {level!r}")
+        # a period under 2 steps is beyond the Nyquist limit, and 1 or 0.5 sample the sine only at its zeros
+        if self.kind in ("periodic", "low_frequency_anomaly") and not self.extra.get("period", 2) >= 2:
+            raise ContractError(f"{self.kind} period must be >= 2 steps, got {self.extra['period']!r}")
         if self.kind == "compound" and not self.extra.get("components"):
             raise ContractError("compound fault needs extra['components']")
         if self.kind == "low_frequency_anomaly":
@@ -194,6 +218,10 @@ def effective_window(spec: FaultSpec, tau: int) -> tuple[int, int]:
 # arrays stay the same size whatever the corpus size.
 _CHUNK_VALUES = 1 << 11
 
+SINE_COMPONENTS = (2, 4)  # a sine mixture has 2 to 4 components per channel
+AR_COEFFS = (0.5, -0.25)  # inside the AR(2) stationarity triangle
+AR_NOISE_STD = 0.3
+
 
 def _chunks(n: int, values_per_series: int):
     """Consecutive ranges covering range(n), each of at most _CHUNK_VALUES values or one series."""
@@ -208,57 +236,41 @@ def generate_normal(
     seed: int,
     base_kind: str = "sine_mixture",
     noise_std: float = 0.05,
-    components: tuple[int, int] = (2, 4),
-    ar_coeffs: tuple[float, float] = (0.5, -0.25),
-    ar_noise_std: float = 0.3,
-    label: str = "normal",
-    dataset_id: str | None = None,
 ) -> Dataset:
-    """Seeded stationary multichannel corpus.
+    """Seeded stationary multichannel corpus, labelled `normal` with id `normal-<seed>`.
 
     Series i draws from its own `np.random.default_rng(seed + i)`, and the
     order of its draws is the contract: any rewrite of the arithmetic around
     the draws must keep it, so that a seed always gives the same corpus bits.
     `sine_mixture`: per channel, one `integers` call for the component count m
-    in `components`, then one `random(3m)` call giving each component's
+    in SINE_COMPONENTS, then one `random(3m)` call giving each component's
     (cycles, phase, amplitude) as `uniform`'s next doubles in that order, then
     (if `noise_std` > 0) one `normal` call for tau samples of white noise.
     Each component is amp * sin(2π·cycles·t/tau + phase), with cycles in
     [1, 4), phase in [0, 2π) and amp in [0.3, 1) / m, summed in order.
     `ar_process`: per channel, one `normal` call for tau + 128 innovations of
-    N(0, ar_noise_std^2) driving an order-2 autoregression with `ar_coeffs`
+    N(0, AR_NOISE_STD^2) driving an order-2 autoregression with AR_COEFFS
     from zero; the first 128 steps are burn-in.
     """
     if tau < 8 or dim < 1 or n_samples < 1:
         raise ContractError("generate_normal needs tau >= 8, dim >= 1, n_samples >= 1")
     if base_kind not in ("sine_mixture", "ar_process"):
         raise ContractError(f"unknown base_kind {base_kind!r}")
-    if len(components) != 2 or not 1 <= components[0] <= components[1]:
-        raise ContractError(f"components must be a pair (lo, hi) with 1 <= lo <= hi, got {components!r}")
-    if len(ar_coeffs) != 2:
-        raise ContractError(f"ar_coeffs must hold exactly two coefficients, got {ar_coeffs!r}")
-    for name, std in (("noise_std", noise_std), ("ar_noise_std", ar_noise_std)):
-        if not (np.isfinite(std) and std >= 0):
-            raise ContractError(f"{name} must be a finite standard deviation >= 0, got {std!r}")
-    if base_kind == "ar_process":
-        a1, a2 = ar_coeffs
-        if abs(a2) >= 1 or abs(a1) >= 1 - a2 or a2 <= abs(a1) - 1:
-            raise ContractError("ar_coeffs must satisfy the AR(2) stationarity triangle")
-    names = [f"ch{c}" for c in range(dim)]
-    samples = []
+    if not (np.isfinite(noise_std) and noise_std >= 0):
+        raise ContractError(f"noise_std must be a finite standard deviation >= 0, got {noise_std!r}")
+    values = np.empty((n_samples, tau, dim), dtype=np.float32)
     for idx in _chunks(n_samples, tau * dim):
         seeds = [seed + i for i in idx]
         if base_kind == "sine_mixture":
-            x = _sine_mixture(seeds, tau, dim, components, noise_std)
+            values[idx.start:idx.stop] = _sine_mixture(seeds, tau, dim, noise_std)
         else:
-            x = _ar_process(seeds, tau, dim, ar_coeffs, ar_noise_std)
-        samples += [TimeSeries(v, list(names)) for v in x.astype(np.float32, order="C")]
-    return Dataset(samples, label=label, id=dataset_id or f"{label}-{seed}", seed=seed)
+            values[idx.start:idx.stop] = _ar_process(seeds, tau, dim)
+    return Dataset(values, label="normal", id=f"normal-{seed}", seed=seed)
 
 
-def _sine_mixture(seeds, tau: int, dim: int, components: tuple[int, int], noise_std: float) -> np.ndarray:
+def _sine_mixture(seeds, tau: int, dim: int, noise_std: float) -> np.ndarray:
     """(len(seeds), tau, dim) float64 sine mixtures, one rng per seed."""
-    lo, hi = components
+    lo, hi = SINE_COMPONENTS
     k = len(seeds)
     m = np.zeros((k, dim), dtype=np.int64)
     u = np.zeros((k, hi, 3, dim))
@@ -286,15 +298,15 @@ def _sine_mixture(seeds, tau: int, dim: int, components: tuple[int, int], noise_
     return x
 
 
-def _ar_process(seeds, tau: int, dim: int, coeffs: tuple[float, float], noise_std: float) -> np.ndarray:
+def _ar_process(seeds, tau: int, dim: int) -> np.ndarray:
     """(len(seeds), tau, dim) float64 AR(2) series, one rng per seed, after the burn-in."""
-    a1, a2 = coeffs
+    a1, a2 = AR_COEFFS
     burn = 128
     eta = np.empty((tau + burn, len(seeds), dim))
     for j, s in enumerate(seeds):
         rng = np.random.default_rng(s)
         for c in range(dim):
-            eta[:, j, c] = rng.normal(0.0, noise_std, size=tau + burn)
+            eta[:, j, c] = rng.normal(0.0, AR_NOISE_STD, size=tau + burn)
     z = np.zeros_like(eta)
     for q in range(2, tau + burn):
         z[q] = a1 * z[q - 1] + a2 * z[q - 2] + eta[q]
@@ -420,28 +432,17 @@ def make_fault_dataset(
     duration: int | None = None,
     channels: list[int] | None = None,
     extra: dict | None = None,
-    dataset_id: str | None = None,
 ) -> Dataset:
-    """Inject `kind` into every sample of `base` with per-sample derived seeds."""
+    """Inject `kind` into every sample of `base`, each with its own drawn spec and seed `seed + i`."""
     rng = np.random.default_rng(seed)
-    std = float(np.std(base.as_array()))
-    samples = []
-    spec0 = None
-    for i, s in enumerate(base.samples):
-        spec = default_fault_spec(
-            kind, base.tau, base.dim, rng,
-            magnitude=magnitude, onset=onset, duration=duration,
-            channels=channels, channel_std=std, extra=extra,
-        )
-        spec0 = spec0 or spec
-        samples.append(inject_fault(s, spec, seed + i))
-    return Dataset(
-        samples,
-        label=f"fault:{kind}",
-        id=dataset_id or f"fault-{kind}-{seed}",
-        seed=seed,
-        fault_spec=spec0,
-    )
+    std = float(np.std(base.values))
+    specs = [default_fault_spec(kind, base.tau, base.dim, rng, magnitude=magnitude, onset=onset,
+                                duration=duration, channels=channels, channel_std=std, extra=extra)
+             for _ in range(len(base))]
+    values = np.stack([inject_fault(TimeSeries(v, base.channel_names), spec, seed + i).values
+                       for i, (v, spec) in enumerate(zip(base.values, specs))])
+    return Dataset(values, label=f"fault:{kind}", id=f"fault-{kind}-{seed}", seed=seed,
+                   fault_spec=specs[0], channel_names=base.channel_names)
 
 
 # ----------------------------------------------------------------------
@@ -458,7 +459,7 @@ class Normalizer:
         self.lo = np.asarray(lo, dtype=np.float32)  # min (minmax) or mean (zscore)
         self.hi = np.asarray(hi, dtype=np.float32)  # max (minmax) or std  (zscore)
 
-    def _scale(self, x: np.ndarray) -> np.ndarray:
+    def scale(self, x: np.ndarray) -> np.ndarray:
         """Elementwise with a per-channel broadcast, so a stack of series scales as each series would alone."""
         x = x.astype(np.float64)
         if self.mode == "minmax":
@@ -470,28 +471,28 @@ class Normalizer:
             y = np.where(ok, (x - self.lo) / np.where(ok, self.hi, 1.0), 0.0)
         return y.astype(np.float32)
 
-    def apply(self, series: TimeSeries) -> TimeSeries:
-        return TimeSeries(self._scale(series.values), list(series.channel_names))
-
-    def invert(self, series: TimeSeries) -> TimeSeries:
-        y = series.values.astype(np.float64)
+    def unscale(self, y: np.ndarray) -> np.ndarray:
+        """The inverse of `scale`, elementwise in the same way; a zero-width channel maps back to its lo."""
+        y = y.astype(np.float64)
         if self.mode == "minmax":
             span = (self.hi - self.lo).astype(np.float64)
-            ok = span > 0
-            x = np.where(ok, (y + 1.0) / 2.0 * span + self.lo, self.lo)
+            x = np.where(span > 0, (y + 1.0) / 2.0 * span + self.lo, self.lo)
         else:
-            ok = self.hi > 0
-            x = np.where(ok, y * self.hi + self.lo, self.lo)
-        return TimeSeries(x.astype(np.float32), list(series.channel_names))
+            x = np.where(self.hi > 0, y * self.hi + self.lo, self.lo)
+        return x.astype(np.float32)
+
+    def apply(self, series: TimeSeries) -> TimeSeries:
+        return TimeSeries(self.scale(series.values), list(series.channel_names))
+
+    def invert(self, series: TimeSeries) -> TimeSeries:
+        return TimeSeries(self.unscale(series.values), list(series.channel_names))
 
     def apply_dataset(self, ds: Dataset) -> Dataset:
-        y = self._scale(ds.as_array())
-        samples = [TimeSeries(v, list(s.channel_names)) for v, s in zip(y, ds.samples)]
-        return Dataset(samples, ds.label, ds.id, ds.seed, ds.fault_spec)
+        return Dataset(self.scale(ds.values), ds.label, ds.id, ds.seed, ds.fault_spec, ds.channel_names)
 
 
 def fit_normalizer(ds: Dataset, mode: str = "minmax") -> Normalizer:
-    arr = ds.as_array()
+    arr = ds.values
     if mode == "minmax":
         return Normalizer(mode, arr.min(axis=(0, 1)), arr.max(axis=(0, 1)))
     if mode == "zscore":
@@ -535,15 +536,16 @@ def save_corpus(ds: Dataset, directory) -> None:
         "dim": ds.dim,
         "n": len(ds),
         "seed": ds.seed,
-        "channel_names": list(ds.samples[0].channel_names),
+        "channel_names": list(ds.channel_names),
     }
     if ds.fault_spec is not None:
         manifest["fault_spec"] = ds.fault_spec.to_dict()
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
+    header = ",".join(ds.channel_names) + "\n"
     for idx in _chunks(len(ds), ds.tau * ds.dim):
-        values = np.stack([ds.samples[i].values for i in idx])
+        values = ds.values[idx.start:idx.stop]
         cells = values.astype(str)
         rows = cells.tolist()
         # astype(str) gives the same shortest digits but puts small and large
@@ -551,20 +553,19 @@ def save_corpus(ds: Dataset, directory) -> None:
         for j, t, c in np.argwhere(np.char.find(cells, "e") >= 0):
             rows[j][t][c] = _fmt(values[j, t, c])
         for i, series in zip(idx, rows):
-            header = ",".join(ds.samples[i].channel_names) + "\n"
             text = header + "".join([",".join(r) + "\n" for r in series])
             with open(os.path.join(directory, f"sample_{i:05d}.csv"), "w") as fh:
                 fh.write(text)
 
 
-def _read_sample(path, tau: int, dim: int) -> TimeSeries:
-    """One sample CSV: channel names, then tau rows of dim numbers; blank lines are skipped but counted."""
+def _read_sample(path, tau: int, names: list[str]) -> np.ndarray:
+    """One sample CSV as a (tau, d) float32 array: the manifest's channel names, then tau rows of d numbers;
+    blank lines are skipped but counted."""
     with open(path) as fh:
         header = fh.readline().strip()
         lines = fh.read().splitlines()
-    names = header.split(",") if header else []
-    if len(names) != dim:
-        raise CorpusError(f"{path}: header has {len(names)} channels, manifest says {dim}")
+    if header.split(",") != names:
+        raise CorpusError(f"{path}: header {header!r} differs from the manifest's channel_names {names}")
     rows = [i for i, line in enumerate(lines) if line.strip()]
     if len(rows) != tau:
         raise CorpusError(f"{path}: {len(rows)} timesteps, manifest says {tau}")
@@ -572,19 +573,19 @@ def _read_sample(path, tau: int, dim: int) -> TimeSeries:
         values = np.loadtxt([lines[i] for i in rows], delimiter=",", ndmin=2, comments=None)
     except ValueError as e:
         raise CorpusError(f"{path}: {e}") from e
-    if values.shape[1] != dim:
-        raise CorpusError(f"{path}: rows have {values.shape[1]} values, expected {dim}")
+    if values.shape[1] != len(names):
+        raise CorpusError(f"{path}: rows have {values.shape[1]} values, expected {len(names)}")
     with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf and is reported below
         values = values.astype(np.float32)
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         row, col = bad[0]
         raise CorpusError(f"{path}: non-finite value at row {rows[row] + 2}, column {col}")
-    return TimeSeries(values, names)
+    return values
 
 
 def load_corpus(directory) -> Dataset:
-    """Load a corpus directory, validating manifest, shapes, and finiteness."""
+    """Load a corpus directory, validating manifest, shapes, headers and finiteness."""
     mpath = os.path.join(directory, "manifest.json")
     if not os.path.isfile(mpath):
         raise CorpusError(f"missing manifest: {mpath}")
@@ -593,28 +594,29 @@ def load_corpus(directory) -> Dataset:
             manifest = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise CorpusError(f"malformed manifest {mpath}: {e}") from e
-    for key in ("id", "label", "tau", "dim", "n"):
+    for key in ("id", "label", "tau", "dim", "n", "channel_names"):
         if key not in manifest:
             raise CorpusError(f"manifest {mpath} missing field {key!r}")
-    tau, dim, n = (manifest[key] for key in ("tau", "dim", "n"))
+    tau, dim, n, names = (manifest[key] for key in ("tau", "dim", "n", "channel_names"))
     if not all(type(v) is int for v in (tau, dim, n)):  # bool is an int subclass; 2.5 is not truncated
         raise CorpusError(f"manifest {mpath}: tau, dim and n must be integers, "
                           f"got {tau!r}, {dim!r}, {n!r}")
+    if tau < 2 or dim < 1 or n < 1:
+        raise CorpusError(f"manifest {mpath}: needs tau >= 2, dim >= 1 and n >= 1, got {tau}, {dim}, {n}")
+    if not (isinstance(names, list) and len(names) == dim and all(isinstance(c, str) for c in names)):
+        raise CorpusError(f"manifest {mpath}: channel_names must be a list of {dim} strings, got {names!r}")
 
     files = sorted(f for f in os.listdir(directory) if f.startswith("sample_") and f.endswith(".csv"))
     if len(files) != n:
         raise CorpusError(f"manifest {mpath} declares {n} samples but {len(files)} files present")
 
-    samples = [_read_sample(os.path.join(directory, fname), tau, dim) for fname in files]
+    values = np.empty((n, tau, dim), dtype=np.float32)
+    for i, fname in enumerate(files):
+        values[i] = _read_sample(os.path.join(directory, fname), tau, names)
 
     try:
         spec = FaultSpec.from_dict(manifest["fault_spec"]) if manifest.get("fault_spec") else None
     except (KeyError, TypeError, ValueError) as e:
         raise CorpusError(f"manifest {mpath}: malformed fault_spec: {e!r}") from e
-    return Dataset(
-        samples,
-        label=manifest["label"],
-        id=manifest["id"],
-        seed=manifest.get("seed"),
-        fault_spec=spec,
-    )
+    return Dataset(values, label=manifest["label"], id=manifest["id"], seed=manifest.get("seed"),
+                   fault_spec=spec, channel_names=names)

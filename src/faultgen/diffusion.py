@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Normalizer, TimeSeries
+from .data import Normalizer
 from .errors import ContractError, SamplingError
 
 X0_CLIP = 4.0  # normalized-domain bound; keeps rare off-manifold trajectories from running away
@@ -96,19 +96,18 @@ def sample(
     shape: tuple[int, int],
     seed: int,
     normalizer: Normalizer | None = None,
-    channel_names: list[str] | None = None,
-) -> list[TimeSeries]:
-    """Generate `n` series by iterating reverse_step from pure noise.
+) -> np.ndarray:
+    """Generate `n` series by iterating reverse_step from pure noise, as one float32 (n, tau, d) stack.
 
     Per-sample noise streams are seeded `seed + index`, so a sample's
     trajectory does not depend on how many siblings are generated with it.
     `model` must expose predict_noise(x, t) -> array of x's shape. Each step
     clips the implied clean signal inside `reverse_step`, so every sample lies
-    in [-X0_CLIP, X0_CLIP] before the normalizer is inverted.
+    in [-X0_CLIP, X0_CLIP] before the whole stack is inverted through
+    `normalizer`, if one is given.
     """
     if n == 0:
-        return []
-    names = channel_names or [f"ch{c}" for c in range(shape[1])]
+        return np.zeros((0, *shape), dtype=np.float32)
     rngs = [np.random.default_rng(seed + i) for i in range(n)]
     x = np.stack([r.standard_normal(shape) for r in rngs]).astype(np.float32)
     for t in reversed(range(sched.T)):
@@ -120,10 +119,4 @@ def sample(
         x = reverse_step(x, t, eps_hat, z, sched)
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"non-finite sample state at step t={t}")
-    out = []
-    for i in range(n):
-        ts = TimeSeries(x[i], list(names))
-        if normalizer is not None:
-            ts = normalizer.invert(ts)
-        out.append(ts)
-    return out
+    return x if normalizer is None else normalizer.unscale(x)

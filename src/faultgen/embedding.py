@@ -40,8 +40,8 @@ def _features(datasets: list[Dataset], kind: str) -> tuple[np.ndarray, list]:
     labels = [ds.label for ds in datasets for _ in range(len(ds))]
     if kind == "context":
         enc = ContextEncoder(datasets[0].dim, DEFAULT_ENCODER_SEED)
-        return np.concatenate([enc.embed(ds.as_array()) for ds in datasets]), labels
-    x = np.concatenate([ds.as_array() for ds in datasets]).astype(np.float64)
+        return np.concatenate([enc.embed(ds.values) for ds in datasets]), labels
+    x = np.concatenate([ds.values for ds in datasets]).astype(np.float64)
     return x.reshape(len(x), -1), labels
 
 

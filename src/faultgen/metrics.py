@@ -90,8 +90,8 @@ def discriminative_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
     check_request(["discriminative"], seeds)
     if (real.tau, real.dim) != (synth.tau, synth.dim):
         raise ContractError("real and synthetic corpora must share (tau, d)")
-    xr = real.as_array().reshape(len(real), -1)
-    xs = synth.as_array().reshape(len(synth), -1)
+    xr = real.values.reshape(len(real), -1)
+    xs = synth.values.reshape(len(synth), -1)
     rngs = map(np.random.default_rng, seeds)
     splits = [(_split(len(real), rng), _split(len(synth), rng)) for rng in rngs]
     x_train = np.stack([np.concatenate([xr[tr_r], xs[tr_s]]) for (tr_r, _), (tr_s, _) in splits])
@@ -113,8 +113,8 @@ def predictive_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
         raise ContractError("predictive score needs tau >= 3")
     if (real.tau, real.dim) != (synth.tau, synth.dim):
         raise ContractError("real and synthetic corpora must share (tau, d)")
-    xs = synth.as_array()
-    xr = real.as_array()
+    xs = synth.values
+    xr = real.values
     x_train = np.stack([xs[:, :-1, :].reshape(len(synth), -1)] * len(seeds))
     x_test = np.stack([xr[:, :-1, :].reshape(len(real), -1)] * len(seeds))
     yt = Tensor(xs[:, -1, :])
@@ -187,7 +187,7 @@ def context_fid(real: Dataset, synth: Dataset, encoder_seed: int = DEFAULT_ENCOD
     if real.dim != synth.dim:
         raise ContractError("corpora must share the channel count")
     enc = ContextEncoder(real.dim, encoder_seed)
-    return frechet_distance(enc.embed(real.as_array()), enc.embed(synth.as_array()))
+    return frechet_distance(enc.embed(real.values), enc.embed(synth.values))
 
 
 # ----------------------------------------------------------------------
@@ -196,7 +196,7 @@ def context_fid(real: Dataset, synth: Dataset, encoder_seed: int = DEFAULT_ENCOD
 
 def _corpus_correlation(ds: Dataset) -> tuple[np.ndarray, bool]:
     """Mean per-sample Pearson channel correlation; constant channels count as 0."""
-    x = ds.as_array().astype(np.float64)
+    x = ds.values.astype(np.float64)
     xc = x - x.mean(axis=1, keepdims=True)
     sd = x.std(axis=1)
     ok = sd > 0
@@ -222,7 +222,7 @@ def correlational_score(real: Dataset, synth: Dataset, warnings: list | None = N
 def _acf_features(ds: Dataset, max_lag: int) -> np.ndarray:
     """Per-series autocorrelations at lags 1..lag, laid out lag-major: (n, lag * d)."""
     lag = min(max_lag, ds.tau - 2)
-    x = ds.as_array().astype(np.float64)
+    x = ds.values.astype(np.float64)
     xc = x - x.mean(axis=1, keepdims=True)
     denom = np.sum(xc * xc, axis=1)
     ok = denom > 0
@@ -275,7 +275,7 @@ def downstream_eval(train_real: list[Dataset], synth_per_class: list[Dataset],
         for ds in datasets:
             if ds.label not in index:
                 raise ContractError(f"label {ds.label!r} not among training classes")
-            xs.append(ds.as_array().reshape(len(ds), -1))
+            xs.append(ds.values.reshape(len(ds), -1))
             ys.append(np.full(len(ds), index[ds.label], dtype=int))
         return np.concatenate(xs), np.concatenate(ys)
 

@@ -297,7 +297,7 @@ def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
               normalizer: Normalizer | None, checkpoint_dir, log_path) -> Checkpoint:
     opt = Adam(model.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    arr = data.as_array()
+    arr = data.values
     n = arr.shape[0]
     rows = []
     for step in range(cfg.steps):
@@ -342,6 +342,8 @@ def pretrain(normal: Dataset, cfg: TrainConfig, model: Backbone, sched: NoiseSch
         raise ContractError("pretrain called with a non-pretrain config")
     echo = config_echo or {}
     echo = {**echo, "model": asdict(model.cfg), "train": asdict(cfg), "adapter": echo.get("adapter")}
+    if normalizer is not None:  # normalizer_from_checkpoint reads the mode back from here
+        echo["data"] = {**echo.get("data", {}), "normalizer_mode": normalizer.mode}
     echo.setdefault("diffusion", {"timesteps": sched.T, "schedule": sched.kind,
                                   "beta_start": float(sched.beta[0]), "beta_end": float(sched.beta[-1])})
     return _run_loop(model, normal, cfg, sched, None, echo, normalizer,

@@ -153,9 +153,9 @@ def staged_reverse_step(x_t, t, eps_hat, z, sched, clip):
     return mean + np.sqrt(sched.posterior_var[t]) * z
 
 
-def loop_generate_normal(tau, dim, n_samples, seed, base_kind="sine_mixture", noise_std=0.05,
-                         components=(2, 4), ar_coeffs=(0.5, -0.25), ar_noise_std=0.3):
-    """(n, tau, dim) float32 corpus values, one series and one scalar draw at a time."""
+def loop_generate_normal(tau, dim, n_samples, seed, base_kind="sine_mixture", noise_std=0.05):
+    """(n, tau, dim) float32 corpus values, one series and one scalar draw at a time: 2 to 4 sine
+    components per channel, or an AR(2) with coefficients (0.5, -0.25) and innovations N(0, 0.3^2)."""
     out = []
     t = np.arange(tau)
     for i in range(n_samples):
@@ -163,7 +163,7 @@ def loop_generate_normal(tau, dim, n_samples, seed, base_kind="sine_mixture", no
         x = np.zeros((tau, dim), dtype=np.float64)
         if base_kind == "sine_mixture":
             for c in range(dim):
-                n_comp = int(rng.integers(components[0], components[1] + 1))
+                n_comp = int(rng.integers(2, 5))
                 for _ in range(n_comp):
                     cycles = rng.uniform(1.0, 4.0)
                     phase = rng.uniform(0.0, 2.0 * np.pi)
@@ -172,10 +172,10 @@ def loop_generate_normal(tau, dim, n_samples, seed, base_kind="sine_mixture", no
                 if noise_std > 0:
                     x[:, c] += rng.normal(0.0, noise_std, size=tau)
         else:
-            a1, a2 = ar_coeffs
+            a1, a2 = 0.5, -0.25
             burn = 128
             for c in range(dim):
-                eta = rng.normal(0.0, ar_noise_std, size=tau + burn)
+                eta = rng.normal(0.0, 0.3, size=tau + burn)
                 z = np.zeros(tau + burn)
                 for k in range(2, tau + burn):
                     z[k] = a1 * z[k - 1] + a2 * z[k - 2] + eta[k]
@@ -188,16 +188,16 @@ def value_save_corpus(ds, directory):
     """save_corpus with every cell formatted on its own by np.format_float_positional."""
     os.makedirs(directory, exist_ok=True)
     manifest = {"id": ds.id, "label": ds.label, "tau": ds.tau, "dim": ds.dim, "n": len(ds),
-                "seed": ds.seed, "channel_names": list(ds.samples[0].channel_names)}
+                "seed": ds.seed, "channel_names": list(ds.channel_names)}
     if ds.fault_spec is not None:
         manifest["fault_spec"] = ds.fault_spec.to_dict()
     with open(os.path.join(directory, "manifest.json"), "w") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    for i, s in enumerate(ds.samples):
+    for i, series in enumerate(ds.values):
         with open(os.path.join(directory, f"sample_{i:05d}.csv"), "w") as fh:
-            fh.write(",".join(s.channel_names) + "\n")
-            for row in s.values:
+            fh.write(",".join(ds.channel_names) + "\n")
+            for row in series:
                 fh.write(",".join(np.format_float_positional(v, unique=True, trim="0") for v in row) + "\n")
 
 

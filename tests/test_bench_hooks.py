@@ -10,7 +10,7 @@ import os
 import numpy as np
 import pytest
 
-from faultgen import metrics
+from faultgen import data, metrics
 from faultgen.adapter import AdapterConfig, AdapterStack, attach
 from faultgen.data import generate_normal
 from faultgen.denoiser import Backbone, DenoiserConfig
@@ -64,3 +64,11 @@ def test_a_traced_evaluation_records_one_span_per_seeded_score_with_its_corpora_
     for span in ("metrics.discriminative", "metrics.predictive"):
         [idx] = [i for i, name in enumerate(names) if name == span]
         assert tracer.keys[tracer.note[idx]] == f"{real.id}|{synth.id}"
+
+
+@pytest.mark.parametrize("n", [1, 7])
+def test_a_traced_save_and_load_record_the_corpus_series_count_on_both_spans(tracer, tmp_path, n):
+    data.save_corpus(generate_normal(8, 2, n, seed=3), tmp_path / "c")
+    assert len(data.load_corpus(tmp_path / "c")) == n
+    notes = [(tracer.names[nid], note) for nid, note in zip(tracer.name_id, tracer.note)]
+    assert notes == [("data.save_corpus", n), ("data.load_corpus", n)]

@@ -88,7 +88,14 @@ def trained(tmp_path_factory):
     pre = str(root / "pre" / "checkpoints" / "final.ckpt")
     assert main(["finetune", "--data", fault, "--checkpoint", pre, "--out", str(root / "fine"),
                  *_overrides("train.finetune_steps=1")]) == 0
-    return {"normal": normal, "fault": fault, "pre": pre,
+    renamed = str(root / "renamed")  # the normal corpus with one sample file headed x,y instead of ch0,ch1
+    shutil.copytree(normal, renamed)
+    sample3 = os.path.join(renamed, "sample_00003.csv")
+    with open(sample3) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(sample3, "w") as fh:
+        fh.write("".join(["x,y\n", *lines[1:]]))
+    return {"normal": normal, "fault": fault, "renamed": renamed, "pre": pre,
             "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
 
 
@@ -325,9 +332,17 @@ BAD_INPUTS = {  # argv with {corpus} and {checkpoint} names from `trained`, exit
     "negative-clip-level": (["make-data", "--kind", "fault", "--fault", "saturation", "--n", "2", "--tau", "8",
                              "--clip-level", "-1"], 2, "clip_level must be >= 0"),
     "period-0": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
-                  "--period", "0"], 2, "period must be > 0"),
+                  "--period", "0"], 2, "period must be >= 2 steps"),
     "negative-period": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
-                         "--period", "-2"], 2, "period must be > 0"),
+                         "--period", "-2"], 2, "period must be >= 2 steps"),
+    "period-1": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
+                  "--period", "1"], 2, "period must be >= 2 steps"),
+    "period-0.5": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
+                    "--period", "0.5"], 2, "period must be >= 2 steps"),
+    "negative-saturation-magnitude": (["make-data", "--kind", "fault", "--fault", "saturation", "--n", "2",
+                                       "--tau", "8", "--magnitude", "-1"], 2, "magnitude must be >= 0"),
+    "sample-header-not-the-manifests": (["evaluate", "--real", "{renamed}", "--synth", "{normal}"],
+                                        2, "sample_00003.csv: header 'x,y' differs"),
 }
 
 

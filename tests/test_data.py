@@ -37,76 +37,105 @@ class TestGenerateNormal:
     def test_deterministic(self):
         a = generate_normal(24, 2, 5, seed=3)
         b = generate_normal(24, 2, 5, seed=3)
-        for s1, s2 in zip(a.samples, b.samples):
-            assert np.array_equal(s1.values, s2.values)
+        assert a.values.tobytes() == b.values.tobytes()
+        assert (a.label, a.id, a.seed, a.channel_names) == ("normal", "normal-3", 3, ["ch0", "ch1"])
 
-    def test_single_sinusoid_exact(self):
-        # noise 0, one component: recompute from the documented draw order
-        ds = generate_normal(32, 1, 1, seed=11, noise_std=0.0, components=(1, 1))
+    def test_sine_mixture_hand_trace(self):
+        # noise 0, one channel: recompute from the documented draw order over 2 to 4 components
+        ds = generate_normal(32, 1, 1, seed=11, noise_std=0.0)
         rng = np.random.default_rng(11)
-        n_comp = int(rng.integers(1, 2))
-        cycles = rng.uniform(1.0, 4.0)
-        phase = rng.uniform(0.0, 2.0 * np.pi)
-        amp = rng.uniform(0.3, 1.0) / n_comp
+        n_comp = int(rng.integers(2, 5))
         t = np.arange(32)
-        expected = amp * np.sin(2 * np.pi * cycles * t / 32 + phase)
-        np.testing.assert_allclose(ds.samples[0].values[:, 0], expected, atol=1e-6)
+        expected = np.zeros(32)
+        for _ in range(n_comp):
+            cycles = rng.uniform(1.0, 4.0)
+            phase = rng.uniform(0.0, 2.0 * np.pi)
+            amp = rng.uniform(0.3, 1.0) / n_comp
+            expected += amp * np.sin(2 * np.pi * cycles * t / 32 + phase)
+        np.testing.assert_allclose(ds.values[0, :, 0], expected, atol=1e-6)
 
     def test_ar2_variance_matches_closed_form(self):
-        coeffs, sd = (0.5, -0.25), 0.3
-        ds = generate_normal(64, 1, 1000, seed=5, base_kind="ar_process",
-                             ar_coeffs=coeffs, ar_noise_std=sd)
-        emp = float(np.var(ds.as_array()))
-        expected = ar2_stationary_variance(*coeffs, sd)
+        ds = generate_normal(64, 1, 1000, seed=5, base_kind="ar_process")
+        emp = float(np.var(ds.values))
+        expected = ar2_stationary_variance(0.5, -0.25, 0.3)
         assert abs(emp - expected) / expected < 0.2
 
     def test_invalid_dims(self):
         with pytest.raises(ContractError):
             generate_normal(4, 2, 1, seed=0)
 
+    @pytest.mark.parametrize("seed,noise_std", [(0, 0.05), (17, 0.0), (1001, 0.3)])
     @pytest.mark.parametrize("chunk", [None, 40])
-    @pytest.mark.parametrize("components", [(2, 4), (1, 1), (3, 3)])
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("tau", [8, 24, 100])
-    def test_sine_mixture_matches_the_per_series_loop_bit_for_bit(self, monkeypatch, tau, dim, components, chunk):
+    def test_sine_mixture_matches_the_per_series_loop_bit_for_bit(self, monkeypatch, tau, dim, chunk, seed, noise_std):
         if chunk is not None:  # several series per chunk, and one series split from the rest
             monkeypatch.setattr(data, "_CHUNK_VALUES", chunk)
-        for seed, noise_std in [(0, 0.05), (17, 0.0), (1001, 0.3)]:
-            ds = generate_normal(tau, dim, 7, seed, noise_std=noise_std, components=components)
-            expected = loop_generate_normal(tau, dim, 7, seed, noise_std=noise_std, components=components)
-            assert ds.as_array().tobytes() == expected.tobytes(), (seed, noise_std)
+        ds = generate_normal(tau, dim, 7, seed, noise_std=noise_std)
+        assert ds.values.tobytes() == loop_generate_normal(tau, dim, 7, seed, noise_std=noise_std).tobytes()
 
+    @pytest.mark.parametrize("seed", [0, 9, 1001])
     @pytest.mark.parametrize("chunk", [None, 40])
     @pytest.mark.parametrize("dim", [1, 3])
     @pytest.mark.parametrize("tau", [8, 24, 100])
-    def test_ar_process_matches_the_per_series_loop_bit_for_bit(self, monkeypatch, tau, dim, chunk):
+    def test_ar_process_matches_the_per_series_loop_bit_for_bit(self, monkeypatch, tau, dim, chunk, seed):
         if chunk is not None:
             monkeypatch.setattr(data, "_CHUNK_VALUES", chunk)
-        for seed, coeffs, sd in [(0, (0.5, -0.25), 0.3), (9, (-0.9, 0.05), 1.7), (1001, (0.0, 0.0), 0.0)]:
-            ds = generate_normal(tau, dim, 7, seed, base_kind="ar_process", ar_coeffs=coeffs, ar_noise_std=sd)
-            expected = loop_generate_normal(tau, dim, 7, seed, base_kind="ar_process",
-                                            ar_coeffs=coeffs, ar_noise_std=sd)
-            assert ds.as_array().tobytes() == expected.tobytes(), (seed, coeffs, sd)
+        ds = generate_normal(tau, dim, 7, seed, base_kind="ar_process")
+        assert ds.values.tobytes() == loop_generate_normal(tau, dim, 7, seed, base_kind="ar_process").tobytes()
 
-    @pytest.mark.parametrize("name", ["noise_std", "ar_noise_std"])
     @pytest.mark.parametrize("value", [-1.0, -1e-300, float("nan"), float("inf"), float("-inf")])
-    def test_negative_or_non_finite_noise_level_is_a_contract_error_naming_it(self, name, value):
+    def test_negative_or_non_finite_noise_level_is_a_contract_error_naming_it(self, value):
         for base_kind in ("sine_mixture", "ar_process"):
-            with pytest.raises(ContractError, match=f"^{name} must be a finite standard deviation >= 0"):
-                generate_normal(24, 2, 3, seed=0, base_kind=base_kind, **{name: value})
+            with pytest.raises(ContractError, match="^noise_std must be a finite standard deviation >= 0"):
+                generate_normal(24, 2, 3, seed=0, base_kind=base_kind, noise_std=value)
 
 
-    @pytest.mark.parametrize("kwargs,message", [
-        ({"components": (3, 2)}, "components must be a pair"),
-        ({"components": (0, 2)}, "components must be a pair"),
-        ({"components": (2,)}, "components must be a pair"),
-        ({"components": (1, 2, 3)}, "components must be a pair"),
-        ({"base_kind": "ar_process", "ar_coeffs": (0.5,)}, "ar_coeffs must hold exactly two"),
-        ({"base_kind": "ar_process", "ar_coeffs": (0.5, -0.25, 0.1)}, "ar_coeffs must hold exactly two"),
-    ])
-    def test_a_malformed_components_pair_or_ar_coeffs_is_a_contract_error(self, kwargs, message):
-        with pytest.raises(ContractError, match=f"^{message}"):
-            generate_normal(24, 2, 3, seed=0, **kwargs)
+class TestDataset:
+    def test_values_are_a_read_only_float32_stack(self):
+        ds = generate_normal(24, 2, 3, seed=0)
+        assert ds.values.dtype == np.float32 and ds.values.shape == (3, 24, 2)
+        assert (len(ds), ds.tau, ds.dim) == (3, 24, 2)
+        with pytest.raises(ValueError, match="read-only"):
+            ds.values[0, 0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            ds.values += 1.0
+
+    def test_an_array_is_held_as_a_read_only_view_and_the_callers_array_stays_writable(self):
+        x = np.zeros((2, 4, 3), dtype=np.float32)
+        ds = Dataset(x, "normal", "v")
+        assert np.shares_memory(ds.values, x) and x.flags.writeable
+        assert ds.channel_names == ["ch0", "ch1", "ch2"]
+
+    def test_series_are_stacked_once_in_order_with_their_names(self):
+        series = [_series(seed=i) for i in range(3)]
+        ds = Dataset(series, "normal", "s", seed=4)
+        assert ds.values.tobytes() == np.stack([s.values for s in series]).tobytes()
+        assert ds.channel_names == ["ch0", "ch1"] and not ds.values.flags.writeable
+
+    @pytest.mark.parametrize("build", [
+        lambda: [_series(d=2), _series(d=3)],
+        lambda: [_series(tau=24), _series(tau=25)],
+        lambda: [_series(), TimeSeries(_series().values, ["ch0", "other"])],
+        lambda: [_series(), TimeSeries(_series().values, ["ch1", "ch0"])],
+        lambda: [],
+    ], ids=["dims", "taus", "names", "name-order", "empty"])
+    def test_series_that_disagree_are_a_contract_error(self, build):
+        with pytest.raises(ContractError):
+            Dataset(build(), "normal", "bad")
+
+    @pytest.mark.parametrize("values,names", [
+        (np.zeros((2, 4)), None),
+        (np.zeros((0, 4, 2)), None),
+        (np.zeros((2, 1, 2)), None),
+        (np.zeros((2, 4, 0)), None),
+        (np.zeros((2, 4, 2)), ["a"]),
+        (np.full((2, 4, 2), np.nan), None),
+        (np.full((2, 4, 2), 1e39), None),
+    ], ids=["2d", "no-series", "tau-1", "no-channels", "short-names", "nan", "beyond-float32"])
+    def test_a_malformed_stack_is_a_contract_error(self, values, names):
+        with np.errstate(over="ignore"), pytest.raises(ContractError):
+            Dataset(values, "normal", "bad", channel_names=names)
 
 
 class TestInjectFault:
@@ -164,9 +193,25 @@ class TestInjectFault:
         manual = inject_fault(inject_fault(s, parts[0], seed=9), parts[1], seed=10)
         assert np.array_equal(out.values, manual.values)
 
+    @pytest.mark.parametrize("spec,message", [
+        (FaultSpec("saturation", 4, 6, -1.0), "saturation magnitude must be >= 0"),
+        (FaultSpec("saturation", 4, 6, 1.0, extra={"clip_level": -0.5}), "saturation clip_level must be >= 0"),
+        (FaultSpec("saturation", 4, 6, 1.0, extra={"clip_level": float("nan")}), "saturation clip_level"),
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 1.0}), "periodic period must be >= 2 steps"),
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 0.5}), "periodic period must be >= 2 steps"),
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 1.999}), "periodic period must be >= 2 steps"),
+        (FaultSpec("low_frequency_anomaly", 4, 1, 1.0, extra={"period": 1.0}),
+         "low_frequency_anomaly period must be >= 2 steps"),
+    ], ids=["saturation-magnitude", "clip-level", "clip-level-nan", "period-1", "period-0.5", "period-1.999",
+            "low-frequency-period-1"])
+    def test_a_fault_that_would_not_fault_is_a_contract_error_naming_its_parameter(self, spec, message):
+        with pytest.raises(ContractError, match=f"^{message}"):
+            inject_fault(_series(), spec, seed=0)
+
     def test_saturation_clips(self):
         s = _series(seed=3)
-        out = inject_fault(s, FaultSpec("saturation", 4, 12, 0.5, extra={"clip_level": 0.5}), seed=0)
+        # a given clip_level is the clip level, so the magnitude may be negative
+        out = inject_fault(s, FaultSpec("saturation", 4, 12, -1.0, extra={"clip_level": 0.5}), seed=0)
         assert np.max(np.abs(out.values[4:16])) <= 0.5 + 1e-6
 
     def test_missing_data_holds_last(self):
@@ -202,44 +247,45 @@ class TestInjectFault:
 
 class TestNormalizer:
     def test_minmax_hand_case(self):
-        ds = Dataset([TimeSeries(np.array([[0.0], [10.0]]), ["a"])], "normal", "t")
-        norm = fit_normalizer(ds, "minmax")
-        out = norm.apply(ds.samples[0])
+        series = TimeSeries(np.array([[0.0], [10.0]]), ["a"])
+        norm = fit_normalizer(Dataset([series], "normal", "t"), "minmax")
+        out = norm.apply(series)
         np.testing.assert_allclose(out.values, [[-1.0], [1.0]])
 
     def test_roundtrip(self):
         ds = generate_normal(24, 3, 6, seed=8)
         norm = fit_normalizer(ds, "minmax")
-        for s in ds.samples:
-            back = norm.invert(norm.apply(s))
-            np.testing.assert_allclose(back.values, s.values, atol=1e-6)
+        np.testing.assert_allclose(norm.unscale(norm.scale(ds.values)), ds.values, atol=1e-6)
+        for v in ds.values:
+            back = norm.invert(norm.apply(TimeSeries(v, ds.channel_names)))
+            np.testing.assert_allclose(back.values, v, atol=1e-6)
 
     def test_constant_channel(self):
         vals = np.stack([np.full(10, 2.5), np.arange(10, dtype=np.float32)], axis=1)
-        ds = Dataset([TimeSeries(vals, ["const", "ramp"])], "normal", "t")
-        norm = fit_normalizer(ds, "minmax")
-        out = norm.apply(ds.samples[0])
+        series = TimeSeries(vals, ["const", "ramp"])
+        norm = fit_normalizer(Dataset([series], "normal", "t"), "minmax")
+        out = norm.apply(series)
         np.testing.assert_allclose(out.values[:, 0], 0.0)
         back = norm.invert(out)
         np.testing.assert_allclose(back.values[:, 0], 2.5)
 
     @pytest.mark.parametrize("mode", ["minmax", "zscore"])
     def test_apply_dataset_matches_per_series_apply_bitwise(self, mode):
-        base = generate_normal(24, 3, 9, seed=4).as_array()
+        base = generate_normal(24, 3, 9, seed=4).values.copy()
         base[:, :, 1] = 2.5  # a constant channel maps to 0 in both modes
         ds = Dataset([TimeSeries(v, ["a", "const", "b"]) for v in base], "normal", "t")
         norm = fit_normalizer(ds, mode)
         out = norm.apply_dataset(ds)
-        assert np.all(out.as_array()[:, :, 1] == 0.0)
-        for s, o in zip(ds.samples, out.samples):
-            assert o.values.tobytes() == norm.apply(s).values.tobytes()
-            assert o.channel_names == s.channel_names
+        assert np.all(out.values[:, :, 1] == 0.0)
+        for v, o in zip(base, out.values):
+            assert o.tobytes() == norm.apply(TimeSeries(v, ds.channel_names)).values.tobytes()
+        assert out.channel_names == ["a", "const", "b"]
         assert (out.label, out.id, out.seed, out.fault_spec) == (ds.label, ds.id, ds.seed, ds.fault_spec)
 
     def test_zscore_roundtrip(self):
         ds = generate_normal(24, 2, 6, seed=9)
         norm = fit_normalizer(ds, "zscore")
-        s = ds.samples[0]
+        s = TimeSeries(ds.values[0], ds.channel_names)
         np.testing.assert_allclose(norm.invert(norm.apply(s)).values, s.values, atol=1e-5)
 
 
@@ -249,9 +295,8 @@ class TestCorpusIO:
         save_corpus(ds, tmp_path / "c")
         back = load_corpus(tmp_path / "c")
         assert back.label == ds.label and back.id == ds.id and back.seed == ds.seed
-        for s1, s2 in zip(ds.samples, back.samples):
-            assert np.array_equal(s1.values, s2.values)
-            assert s1.channel_names == s2.channel_names
+        assert back.values.tobytes() == ds.values.tobytes()
+        assert back.channel_names == ds.channel_names
 
     @pytest.mark.parametrize("chunk", [None, 5])
     def test_save_corpus_writes_the_per_value_writers_bytes(self, tmp_path, monkeypatch, chunk):
@@ -259,7 +304,7 @@ class TestCorpusIO:
             monkeypatch.setattr(data, "_CHUNK_VALUES", chunk)
         edge = np.array([-0.0, 1e-45, 1.1754944e-38, -1.6872391e-05, 1e-4, 1.5e7, 1e16, 3.4e38, -3.4e38],
                         dtype=np.float32)
-        values = generate_normal(9, 2, 4, seed=3).as_array()
+        values = generate_normal(9, 2, 4, seed=3).values.copy()
         values[1, :, 0] = edge
         values[2, :, 1] = -edge[::-1]
         ds = Dataset([TimeSeries(v, ["x", "y"]) for v in values], "normal", "edge", seed=3)
@@ -273,7 +318,7 @@ class TestCorpusIO:
                 assert (tmp_path / name / "new" / f).read_bytes() == (tmp_path / name / "old" / f).read_bytes(), f
         assert "340000000000000000000000000000000000000.0" in (tmp_path / "edge/new/sample_00001.csv").read_text()
         back = load_corpus(tmp_path / "edge" / "new")
-        assert back.as_array().tobytes() == values.tobytes()
+        assert back.values.tobytes() == values.tobytes()
 
     def test_fault_spec_roundtrip(self, tmp_path):
         base = generate_normal(24, 2, 3, seed=3)
@@ -358,8 +403,8 @@ class TestCorpusIO:
     ], ids=["blank-lines", "whitespace-line", "crlf", "no-final-newline"])
     def test_accepted_line_layouts_load_bit_identical(self, tmp_path, edit):
         self._rewrite_sample(tmp_path / "c", edit)
-        expected = generate_normal(24, 2, 2, seed=3).as_array()
-        assert load_corpus(tmp_path / "c").as_array().tobytes() == expected.tobytes()
+        expected = generate_normal(24, 2, 2, seed=3).values
+        assert load_corpus(tmp_path / "c").values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("edit", [
         lambda lines: lines[0] + b"\n",
@@ -369,8 +414,11 @@ class TestCorpusIO:
         lambda lines: b"\n".join(lines[:4] + [b"0.5,#1"] + lines[5:]) + b"\n",
         lambda lines: b"\n".join(lines[:4] + [b"0.5,1 # note"] + lines[5:]) + b"\n",
         lambda lines: b"\n".join(line + b",0.5" for line in lines) + b"\n",
+        lambda lines: b"\n".join([b"x,y"] + lines[1:]) + b"\n",
+        lambda lines: b"\n".join([b"ch1,ch0"] + lines[1:]) + b"\n",
+        lambda lines: b"\n".join([b"ch0"] + lines[1:]) + b"\n",
     ], ids=["header-only", "short-row", "long-row", "non-number", "hash-cell", "hash-comment",
-            "every-row-long"])
+            "every-row-long", "other-header", "reordered-header", "short-header"])
     def test_malformed_rows_are_corpus_errors_naming_the_file(self, tmp_path, capsys, edit):
         self._rewrite_sample(tmp_path / "c", edit)
         with pytest.raises(CorpusError, match="sample_00001.csv"):
@@ -404,7 +452,7 @@ def fault_cases(draw, kind):
     room = tau - onset - 1 if kind == "sudden_recovery" else tau - onset
     duration = draw(st.integers(1, room))
     magnitude = draw(st.floats(-5.0, 5.0))
-    if kind == "random_noise":
+    if kind in ("random_noise", "saturation"):  # a standard deviation; a clip level
         magnitude = abs(magnitude)
     channels = draw(st.none() | st.lists(st.integers(0, dim - 1), min_size=1, max_size=dim, unique=True))
     seed = draw(st.integers(0, 2**16))

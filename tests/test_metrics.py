@@ -98,7 +98,7 @@ def test_downstream_eval_on_two_separable_clusters_with_one_planted_test_error()
 
 
 def test_context_encoder_embeds_a_stack_bitwise_as_its_series_one_by_one():
-    x = generate_normal(24, 3, 7, seed=4).as_array()
+    x = generate_normal(24, 3, 7, seed=4).values
     enc = metrics.ContextEncoder(3)
     stacked = enc.embed(x)
     assert stacked.shape == (7, metrics.EMBED_DIM)
@@ -106,7 +106,7 @@ def test_context_encoder_embeds_a_stack_bitwise_as_its_series_one_by_one():
 
 
 def test_corpus_correlation_is_the_mean_corrcoef_with_constant_channels_zeroed():
-    arr = generate_normal(16, 3, 4, seed=7).as_array()
+    arr = generate_normal(16, 3, 4, seed=7).values.copy()
     arr[1, :, 2] = 0.5
     ds = Dataset([TimeSeries(x, ["a", "b", "c"]) for x in arr], label="normal", id="c")
     mats = []
@@ -125,7 +125,7 @@ def test_acf_features_are_lag_major_autocorrelations_of_each_series():
     ds = generate_normal(16, 2, 5, seed=6)
     feats = metrics._acf_features(ds, 3)
     assert feats.shape == (5, 3 * 2)
-    for row, x in zip(feats, ds.as_array().astype(np.float64)):
+    for row, x in zip(feats, ds.values.astype(np.float64)):
         xc = x - x.mean(axis=0)
         want = [xc[:-k, c] @ xc[k:, c] / (xc[:, c] @ xc[:, c]) for k in (1, 2, 3) for c in (0, 1)]
         np.testing.assert_allclose(row, want, rtol=1e-12)

@@ -23,6 +23,7 @@ from faultgen.training import (
     _write_loss_csv,
     diversity_loss,
     load_checkpoint,
+    normalizer_from_checkpoint,
     pretrain,
     save_checkpoint,
 )
@@ -133,20 +134,27 @@ def _header(path) -> dict:
     return json.loads(raw[10:10 + struct.unpack("<I", raw[6:10])[0]])
 
 
-@pytest.mark.parametrize("normalized", [False, True])
-def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_config(tmp_path, normalized):
+@pytest.mark.parametrize("mode", [None, "minmax", "zscore"])
+def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_config(tmp_path, mode):
     data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
-    norm = fit_normalizer(data, "minmax") if normalized else None
+    norm = fit_normalizer(data, mode) if mode else None
     model = Backbone(TINY, seed=0)
     names = list(model.params)
     pretrain(data, TrainConfig("pretrain", steps=2, batch_size=2, learning_rate=1e-3), model,
              make_schedule(TINY.T, "linear", 1e-3, 0.2), normalizer=norm, checkpoint_dir=str(tmp_path))
     path = tmp_path / "final.ckpt"
     assert os.listdir(tmp_path) == ["final.ckpt"]
-    assert list(load_checkpoint(path).arrays) == names + (["norm.lo", "norm.hi"] if normalized else [])
+    ckpt = load_checkpoint(path)
+    assert list(ckpt.arrays) == names + (["norm.lo", "norm.hi"] if mode else [])
     header = _header(path)
     assert set(header) == {"format_version", "config", "step", "arrays"}
     assert header["step"] == 2 and "checkpoint_every" not in header["config"]["train"]
+    back = normalizer_from_checkpoint(ckpt)
+    if mode is None:
+        assert back is None and "data" not in header["config"]
+    else:
+        assert header["config"]["data"] == {"normalizer_mode": mode} and back.mode == mode
+        assert back.lo.tobytes() == norm.lo.tobytes() and back.hi.tobytes() == norm.hi.tobytes()
 
 
 TINY_RUN = ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
