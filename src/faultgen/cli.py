@@ -103,8 +103,6 @@ def cmd_make_data(args) -> int:
             raise ConfigError("--fault is required when --kind fault")
         if args.fault not in FAULT_KINDS:
             raise ConfigError(f"--fault: unknown fault kind {args.fault!r}")
-    if not args.out:
-        raise ConfigError("--out is required")
 
     base = generate_normal(
         args.tau, args.dim, args.n, args.seed,
@@ -144,22 +142,12 @@ def cmd_pretrain(args) -> int:
     layout = ExperimentLayout(args.out)
     with _in_progress(layout.root):
         layout.prepare(cfg)
-        mode = cfg.get("data", "normalizer")
-        norm = fit_normalizer(corpus, mode)
-        normed = norm.apply_dataset(corpus)
         tcfg = cfg.train_config("pretrain")
-        model = Backbone(cfg.denoiser_config(), seed=tcfg.seed)
-        echo = {
-            "config_hash": cfg.hash(),
-            "data": {"label": corpus.label, "corpus_id": corpus.id,
-                     "channel_names": list(corpus.channel_names),
-                     "normalizer_mode": mode},
-            "diffusion": dict(cfg.sections["diffusion"]),
-        }
         ckpt = pretrain(
-            normed, tcfg, model, cfg.schedule(), normalizer=norm, config_echo=echo,
+            corpus, tcfg, Backbone(cfg.denoiser_config(), seed=tcfg.seed), cfg.schedule(),
+            normalizer=fit_normalizer(corpus, cfg.get("data", "normalizer")),
             checkpoint_dir=layout.checkpoints,
-            log_path=os.path.join(layout.logs, "loss_curve.csv"),
+            log_path=os.path.join(layout.logs, "loss_curve.csv"), config_hash=cfg.hash(),
         )
     final_loss = ckpt.loss_rows[-1][3] if ckpt.loss_rows else float("nan")
     print(json.dumps({"phase": "pretrain", "steps": tcfg.steps, "final_loss": final_loss,
@@ -169,8 +157,6 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    if not args.checkpoint:
-        raise CheckpointError("--checkpoint is required for finetune")
     cfg = _resolved(args)
     base = load_checkpoint(args.checkpoint)
     # fine-tuning trains with the checkpoint's schedule, so a config file or override may only restate it
@@ -187,12 +173,9 @@ def cmd_finetune(args) -> int:
     layout = ExperimentLayout(args.out)
     with _in_progress(layout.root):
         layout.prepare(cfg)
-        norm = normalizer_from_checkpoint(base)
-        normed = norm.apply_dataset(fault) if norm is not None else fault
         tcfg = cfg.train_config("finetune")
         finetune(
-            normed, base, tcfg, cfg.loss_config(), adapter_cfg=cfg.adapter_config(),
-            data_info={"label": fault.label, "corpus_id": fault.id},
+            fault, base, tcfg, cfg.loss_config(), adapter_cfg=cfg.adapter_config(),
             checkpoint_dir=layout.checkpoints,
             log_path=os.path.join(layout.logs, "loss_curve.csv"), config_hash=cfg.hash(),
         )
@@ -203,8 +186,6 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if not args.checkpoint:
-        raise CheckpointError("--checkpoint is required for generate")
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     ckpt = load_checkpoint(args.checkpoint)

@@ -155,15 +155,13 @@ class FaultSpec:
             level = self.extra.get("clip_level", self.magnitude)
             if not level >= 0:
                 raise ContractError(f"saturation {name} must be >= 0 (it is the clip level), got {level!r}")
-        # a period under 2 steps is beyond the Nyquist limit, and 1 or 0.5 sample the sine only at its zeros
-        if self.kind in ("periodic", "low_frequency_anomaly") and not self.extra.get("period", 2) >= 2:
-            raise ContractError(f"{self.kind} period must be >= 2 steps, got {self.extra['period']!r}")
+        # a period of 2 steps or less samples the sine only at its zeros (2, 1, 2/3) or beyond the Nyquist limit
+        if self.kind in ("periodic", "low_frequency_anomaly") and not _period(self) > 2:
+            raise ContractError(f"{self.kind} period must be > 2 steps, got {self.extra['period']!r}")
         if self.kind == "compound" and not self.extra.get("components"):
             raise ContractError("compound fault needs extra['components']")
-        if self.kind == "low_frequency_anomaly":
-            period = self.extra.get("period", 2 * self.duration)
-            if period < self.duration:
-                raise ContractError("low_frequency_anomaly needs period >= duration")
+        if self.kind == "low_frequency_anomaly" and _period(self) < self.duration:
+            raise ContractError("low_frequency_anomaly needs period >= duration")
 
     def to_dict(self) -> dict:
         d = {
@@ -194,6 +192,12 @@ class FaultSpec:
             channels=list(d["channels"]) if d.get("channels") is not None else None,
             extra=extra,
         )
+
+
+def _period(spec: FaultSpec) -> float:
+    """The sine period of a periodic or low_frequency_anomaly fault: extra['period'], else a default above 2 steps."""
+    default = max(3, spec.duration // 4) if spec.kind == "periodic" else max(3, 2 * spec.duration)
+    return float(spec.extra.get("period", default))
 
 
 def effective_window(spec: FaultSpec, tau: int) -> tuple[int, int]:
@@ -333,9 +337,8 @@ def inject_fault(series: TimeSeries, spec: FaultSpec, seed: int) -> TimeSeries:
     elif spec.kind == "gradual":
         ramp = (m * (rel + 1) / spec.duration).astype(np.float32)
         out[lo:hi, chans] += ramp[:, None]
-    elif spec.kind == "periodic":
-        period = float(spec.extra.get("period", max(2, spec.duration // 4)))
-        wave = (m * np.sin(2.0 * np.pi * rel / period)).astype(np.float32)
+    elif spec.kind in ("periodic", "low_frequency_anomaly"):
+        wave = (m * np.sin(2.0 * np.pi * rel / _period(spec))).astype(np.float32)
         out[lo:hi, chans] += wave[:, None]
     elif spec.kind == "random_noise":
         noise = rng.normal(0.0, spec.magnitude, size=(hi - lo, len(chans)))
@@ -379,10 +382,6 @@ def inject_fault(series: TimeSeries, spec: FaultSpec, seed: int) -> TimeSeries:
     elif spec.kind == "missing_data":
         hold = series.values[max(lo - 1, 0), chans]
         out[lo:hi, chans] = hold
-    elif spec.kind == "low_frequency_anomaly":
-        period = float(spec.extra.get("period", 2 * spec.duration))
-        wave = (m * np.sin(2.0 * np.pi * rel / period)).astype(np.float32)
-        out[lo:hi, chans] += wave[:, None]
     elif spec.kind == "sudden_recovery":
         out[lo:hi, chans] += m
     else:  # pragma: no cover — FAULT_KINDS is checked in __post_init__
@@ -433,7 +432,8 @@ def make_fault_dataset(
     channels: list[int] | None = None,
     extra: dict | None = None,
 ) -> Dataset:
-    """Inject `kind` into every sample of `base`, each with its own drawn spec and seed `seed + i`."""
+    """Inject `kind` into every sample of `base`, each with its own drawn spec and seed `seed + i`;
+    the corpus's `fault_spec`, which its manifest records, is sample 0's."""
     rng = np.random.default_rng(seed)
     std = float(np.std(base.values))
     specs = [default_fault_spec(kind, base.tau, base.dim, rng, magnitude=magnitude, onset=onset,
@@ -487,9 +487,6 @@ class Normalizer:
     def invert(self, series: TimeSeries) -> TimeSeries:
         return TimeSeries(self.unscale(series.values), list(series.channel_names))
 
-    def apply_dataset(self, ds: Dataset) -> Dataset:
-        return Dataset(self.scale(ds.values), ds.label, ds.id, ds.seed, ds.fault_spec, ds.channel_names)
-
 
 def fit_normalizer(ds: Dataset, mode: str = "minmax") -> Normalizer:
     arr = ds.values
@@ -526,8 +523,11 @@ def save_corpus(ds: Dataset, directory) -> None:
 
     A cell is float32's shortest round-trip digits in positional form, as
     `_fmt` writes it (`-0.000016872391`, never `-1.6872391e-05`), so
-    `load_corpus` reads back the same bits.
+    `load_corpus` reads back the same bits. A channel name no header cell can hold is rejected.
     """
+    for name in ds.channel_names:
+        if any(c in name for c in ",\n\r"):
+            raise ContractError(f"channel name {name!r} holds ',', '\\n' or '\\r' and cannot head a CSV column")
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "id": ds.id,

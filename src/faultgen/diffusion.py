@@ -17,7 +17,7 @@ X0_CLIP = 4.0  # normalized-domain bound; keeps rare off-manifold trajectories f
 
 @dataclass
 class NoiseSchedule:
-    """Per-step variance tables for the diffusion chain."""
+    """Per-step variance tables for the diffusion chain, with the arguments `make_schedule` built them from."""
 
     T: int
     beta: np.ndarray
@@ -25,6 +25,8 @@ class NoiseSchedule:
     alpha_bar: np.ndarray
     posterior_var: np.ndarray
     kind: str = "linear"
+    beta_start: float | None = None
+    beta_end: float | None = None
 
     def __post_init__(self):
         if np.any(self.beta <= 0) or np.any(self.beta >= 1):
@@ -54,7 +56,7 @@ def make_schedule(T: int, kind: str = "linear", beta_start: float = 1e-4, beta_e
     alpha_bar = np.cumprod(alpha)
     prev = np.concatenate([[1.0], alpha_bar[:-1]])
     posterior_var = beta * (1.0 - prev) / (1.0 - alpha_bar)
-    return NoiseSchedule(T, beta, alpha, alpha_bar, posterior_var, kind)
+    return NoiseSchedule(T, beta, alpha, alpha_bar, posterior_var, kind, beta_start, beta_end)
 
 
 def forward_sample(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:

@@ -1,5 +1,9 @@
 """Losses, optimizer, pretraining / fine-tuning loops, and checkpointing.
 
+Both phases hand a raw corpus to one loop, `_run_loop`, which scales it by
+the run's normalizer, trains, and writes the checkpoint whose config header
+`_header` derives from what was trained; callers add only `config_hash`.
+
 The fine-tuning objective is the L1 noise-prediction error plus a weighted
 diversity term over pairs of in-batch predictions. As literally written, a
 positive pairwise-distance term would be *minimized* and shrink diversity,
@@ -292,12 +296,29 @@ def _write_loss_csv(rows, path) -> None:
 # training loops
 
 
+def _header(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule, loss_cfg: LossConfig | None,
+            normalizer: Normalizer | None, config_hash: str) -> dict:
+    """A checkpoint's config, derived from what the loop trained; the `*_from_checkpoint` readers rebuild it."""
+    stack = getattr(model, "stack", None)
+    header = {"config_hash": config_hash, "model": asdict(model.cfg), "train": asdict(cfg),
+              "adapter": asdict(stack.cfg) if stack is not None else None,
+              "diffusion": {"timesteps": sched.T, "schedule": sched.kind,
+                            "beta_start": sched.beta_start, "beta_end": sched.beta_end},
+              "data": {"label": data.label, "corpus_id": data.id, "channel_names": list(data.channel_names)}}
+    if loss_cfg is not None:
+        header["loss"] = asdict(loss_cfg)
+    if normalizer is not None:
+        header["data"]["normalizer_mode"] = normalizer.mode
+    return header
+
+
 def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
-              loss_cfg: LossConfig | None, config_echo: dict,
-              normalizer: Normalizer | None, checkpoint_dir, log_path) -> Checkpoint:
+              loss_cfg: LossConfig | None, normalizer: Normalizer | None,
+              checkpoint_dir, log_path, config_hash: str) -> Checkpoint:
+    """Train on `data` scaled by `normalizer`, then write the checkpoint and the loss curve."""
     opt = Adam(model.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    arr = data.values
+    arr = data.values if normalizer is None else normalizer.scale(data.values)
     n = arr.shape[0]
     rows = []
     for step in range(cfg.steps):
@@ -324,7 +345,8 @@ def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
             raise DivergenceError(f"training diverged at step {step}: {e}") from e
         opt.step(_warmup_scale(step, cfg.warmup_steps))
         rows.append((step, base.item(), div_val, lval))
-    final = _snapshot(model, config_echo, cfg.steps, normalizer)
+    header = _header(model, data, cfg, sched, loss_cfg, normalizer, config_hash)
+    final = _snapshot(model, header, cfg.steps, normalizer)
     final.loss_rows = rows
     if checkpoint_dir:
         os.makedirs(checkpoint_dir, exist_ok=True)
@@ -335,26 +357,20 @@ def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
 
 
 def pretrain(normal: Dataset, cfg: TrainConfig, model: Backbone, sched: NoiseSchedule,
-             normalizer: Normalizer | None = None, config_echo: dict | None = None,
-             checkpoint_dir=None, log_path=None) -> Checkpoint:
-    """Train all backbone parameters on normal data with the base loss only."""
+             normalizer: Normalizer | None = None, checkpoint_dir=None, log_path=None,
+             config_hash: str = "") -> Checkpoint:
+    """Train all backbone parameters on the raw corpus `normal`, scaled by `normalizer`, with the base loss only."""
     if cfg.phase != "pretrain":
         raise ContractError("pretrain called with a non-pretrain config")
-    echo = config_echo or {}
-    echo = {**echo, "model": asdict(model.cfg), "train": asdict(cfg), "adapter": echo.get("adapter")}
-    if normalizer is not None:  # normalizer_from_checkpoint reads the mode back from here
-        echo["data"] = {**echo.get("data", {}), "normalizer_mode": normalizer.mode}
-    echo.setdefault("diffusion", {"timesteps": sched.T, "schedule": sched.kind,
-                                  "beta_start": float(sched.beta[0]), "beta_end": float(sched.beta[-1])})
-    return _run_loop(model, normal, cfg, sched, None, echo, normalizer,
-                     checkpoint_dir, log_path)
+    return _run_loop(model, normal, cfg, sched, None, normalizer, checkpoint_dir, log_path, config_hash)
 
 
 def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossConfig,
-             adapter_cfg: AdapterConfig, data_info: dict | None = None,
-             checkpoint_dir=None, log_path=None, config_hash: str = "") -> Checkpoint:
-    """Attach a fresh adapter stack to a frozen pretrained backbone and train it.
+             adapter_cfg: AdapterConfig, checkpoint_dir=None, log_path=None,
+             config_hash: str = "") -> Checkpoint:
+    """Attach a fresh adapter stack to a frozen pretrained backbone and train it on the raw corpus `fault`.
 
+    `fault` is scaled by `base`'s normalizer and noised on `base`'s schedule.
     Only adapter parameters receive updates; backbone arrays in the returned
     checkpoint are byte-identical to those in `base`. The checkpoint records
     `config_hash` (the fine-tuning run's own), never the pretrain run's.
@@ -367,14 +383,5 @@ def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossC
         raise CheckpointError("finetune expects a backbone-only (pretrain) checkpoint")
     backbone = model_from_checkpoint(base)
     model = attach(backbone, AdapterStack(adapter_cfg, backbone.cfg.dec_layers, seed=cfg.seed))
-    sched = schedule_from_checkpoint(base)
-    normalizer = normalizer_from_checkpoint(base)
-    echo = dict(base.config)
-    echo["config_hash"] = config_hash
-    echo["adapter"] = asdict(adapter_cfg)
-    echo["train"] = asdict(cfg)
-    echo["loss"] = asdict(loss_cfg)
-    if data_info:
-        echo["data"] = {**echo.get("data", {}), **data_info}
-    return _run_loop(model, fault, cfg, sched, loss_cfg, echo, normalizer,
-                     checkpoint_dir, log_path)
+    return _run_loop(model, fault, cfg, schedule_from_checkpoint(base), loss_cfg,
+                     normalizer_from_checkpoint(base), checkpoint_dir, log_path, config_hash)

@@ -332,13 +332,18 @@ BAD_INPUTS = {  # argv with {corpus} and {checkpoint} names from `trained`, exit
     "negative-clip-level": (["make-data", "--kind", "fault", "--fault", "saturation", "--n", "2", "--tau", "8",
                              "--clip-level", "-1"], 2, "clip_level must be >= 0"),
     "period-0": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
-                  "--period", "0"], 2, "period must be >= 2 steps"),
+                  "--period", "0"], 2, "period must be > 2 steps"),
     "negative-period": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
-                         "--period", "-2"], 2, "period must be >= 2 steps"),
+                         "--period", "-2"], 2, "period must be > 2 steps"),
     "period-1": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
-                  "--period", "1"], 2, "period must be >= 2 steps"),
+                  "--period", "1"], 2, "period must be > 2 steps"),
     "period-0.5": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
-                    "--period", "0.5"], 2, "period must be >= 2 steps"),
+                    "--period", "0.5"], 2, "period must be > 2 steps"),
+    "period-2": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
+                  "--period", "2"], 2, "period must be > 2 steps"),
+    "finetune-empty-checkpoint": (["finetune", "--data", "{fault}", "--checkpoint", "", *_overrides()],
+                                  3, "cannot read checkpoint"),
+    "generate-empty-checkpoint": (["generate", "--checkpoint", "", "--n", "2"], 3, "cannot read checkpoint"),
     "negative-saturation-magnitude": (["make-data", "--kind", "fault", "--fault", "saturation", "--n", "2",
                                        "--tau", "8", "--magnitude", "-1"], 2, "magnitude must be >= 0"),
     "sample-header-not-the-manifests": (["evaluate", "--real", "{renamed}", "--synth", "{normal}"],

@@ -1,6 +1,7 @@
 """Corpus generation, the fault catalog, normalization, and corpus I/O."""
 
 import json
+import re
 
 import hypothesis.extra.numpy as hnp
 import hypothesis.strategies as st
@@ -197,16 +198,26 @@ class TestInjectFault:
         (FaultSpec("saturation", 4, 6, -1.0), "saturation magnitude must be >= 0"),
         (FaultSpec("saturation", 4, 6, 1.0, extra={"clip_level": -0.5}), "saturation clip_level must be >= 0"),
         (FaultSpec("saturation", 4, 6, 1.0, extra={"clip_level": float("nan")}), "saturation clip_level"),
-        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 1.0}), "periodic period must be >= 2 steps"),
-        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 0.5}), "periodic period must be >= 2 steps"),
-        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 1.999}), "periodic period must be >= 2 steps"),
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 1.0}), "periodic period must be > 2 steps"),
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 0.5}), "periodic period must be > 2 steps"),
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 1.999}), "periodic period must be > 2 steps"),
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 2.0}), "periodic period must be > 2 steps"),
         (FaultSpec("low_frequency_anomaly", 4, 1, 1.0, extra={"period": 1.0}),
-         "low_frequency_anomaly period must be >= 2 steps"),
+         "low_frequency_anomaly period must be > 2 steps"),
+        (FaultSpec("low_frequency_anomaly", 4, 1, 1.0, extra={"period": 2}),
+         "low_frequency_anomaly period must be > 2 steps"),
     ], ids=["saturation-magnitude", "clip-level", "clip-level-nan", "period-1", "period-0.5", "period-1.999",
-            "low-frequency-period-1"])
+            "period-2", "low-frequency-period-1", "low-frequency-period-2"])
     def test_a_fault_that_would_not_fault_is_a_contract_error_naming_its_parameter(self, spec, message):
         with pytest.raises(ContractError, match=f"^{message}"):
             inject_fault(_series(), spec, seed=0)
+
+    def test_a_default_periodic_fault_changes_every_corpus(self):
+        # a default period of 2 sampled the sine only at its zeros and left most short-window corpora unchanged
+        for seed in range(50):
+            base = generate_normal(24, 2, 4, seed=seed)
+            fault = make_fault_dataset(base, "periodic", seed=seed + 1_000_003)
+            assert not np.array_equal(fault.values, base.values), seed
 
     def test_saturation_clips(self):
         s = _series(seed=3)
@@ -270,17 +281,15 @@ class TestNormalizer:
         np.testing.assert_allclose(back.values[:, 0], 2.5)
 
     @pytest.mark.parametrize("mode", ["minmax", "zscore"])
-    def test_apply_dataset_matches_per_series_apply_bitwise(self, mode):
+    def test_scaling_a_stack_matches_per_series_apply_bitwise(self, mode):
         base = generate_normal(24, 3, 9, seed=4).values.copy()
         base[:, :, 1] = 2.5  # a constant channel maps to 0 in both modes
         ds = Dataset([TimeSeries(v, ["a", "const", "b"]) for v in base], "normal", "t")
         norm = fit_normalizer(ds, mode)
-        out = norm.apply_dataset(ds)
-        assert np.all(out.values[:, :, 1] == 0.0)
-        for v, o in zip(base, out.values):
+        out = norm.scale(ds.values)
+        assert out.dtype == np.float32 and np.all(out[:, :, 1] == 0.0)
+        for v, o in zip(base, out):
             assert o.tobytes() == norm.apply(TimeSeries(v, ds.channel_names)).values.tobytes()
-        assert out.channel_names == ["a", "const", "b"]
-        assert (out.label, out.id, out.seed, out.fault_spec) == (ds.label, ds.id, ds.seed, ds.fault_spec)
 
     def test_zscore_roundtrip(self):
         ds = generate_normal(24, 2, 6, seed=9)
@@ -327,6 +336,13 @@ class TestCorpusIO:
         back = load_corpus(tmp_path / "c")
         assert back.fault_spec.kind == "periodic"
         assert back.fault_spec.extra["period"] == 6.0
+
+    @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
+    def test_a_channel_name_a_csv_header_cannot_carry_is_rejected_before_writing(self, tmp_path, name):
+        ds = Dataset(np.zeros((2, 4, 2)), "normal", "t", channel_names=[name, "c"])
+        with pytest.raises(ContractError, match=re.escape(f"channel name {name!r}")):
+            save_corpus(ds, tmp_path / "c")
+        assert not (tmp_path / "c").exists()
 
     def test_count_mismatch_rejected(self, tmp_path):
         ds = generate_normal(24, 2, 3, seed=3)

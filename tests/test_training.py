@@ -1,5 +1,6 @@
 """The fused Adam, the checkpoint writer and loader, and what a checkpoint holds."""
 
+import dataclasses
 import json
 import os
 import struct
@@ -10,7 +11,8 @@ import pytest
 from faultgen import autodiff as ad
 from faultgen.autodiff import Parameter
 from faultgen.cli import main
-from faultgen.data import fit_normalizer, generate_normal
+from faultgen.config import resolve_config
+from faultgen.data import fit_normalizer, generate_normal, load_corpus
 from faultgen.denoiser import Backbone, DenoiserConfig
 from faultgen.diffusion import make_schedule
 from faultgen.errors import CheckpointError
@@ -22,10 +24,12 @@ from faultgen.training import (
     TrainConfig,
     _write_loss_csv,
     diversity_loss,
+    finetune,
     load_checkpoint,
     normalizer_from_checkpoint,
     pretrain,
     save_checkpoint,
+    schedule_from_checkpoint,
 )
 
 from helpers import fail_writes_midway, loop_diversity_loss
@@ -150,11 +154,23 @@ def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_confi
     assert set(header) == {"format_version", "config", "step", "arrays"}
     assert header["step"] == 2 and "checkpoint_every" not in header["config"]["train"]
     back = normalizer_from_checkpoint(ckpt)
+    corpus = {"label": "normal", "corpus_id": "normal-1", "channel_names": ["ch0", "ch1"]}
+    assert header["config"]["config_hash"] == ""
     if mode is None:
-        assert back is None and "data" not in header["config"]
+        assert back is None and header["config"]["data"] == corpus
     else:
-        assert header["config"]["data"] == {"normalizer_mode": mode} and back.mode == mode
+        assert header["config"]["data"] == {**corpus, "normalizer_mode": mode} and back.mode == mode
         assert back.lo.tobytes() == norm.lo.tobytes() and back.hi.tobytes() == norm.hi.tobytes()
+
+
+def test_a_library_pretrain_records_the_schedule_it_was_given(tmp_path):
+    sched = make_schedule(50, "cosine", 1e-3, 0.2)
+    pretrain(generate_normal(TINY.tau, TINY.d, 4, seed=1), TrainConfig("pretrain", steps=1, batch_size=2,
+             learning_rate=1e-3), Backbone(dataclasses.replace(TINY, T=50), seed=0), sched,
+             checkpoint_dir=str(tmp_path))
+    ckpt = load_checkpoint(tmp_path / "final.ckpt")
+    assert ckpt.config["diffusion"] == {"timesteps": 50, "schedule": "cosine", "beta_start": 1e-3, "beta_end": 0.2}
+    assert schedule_from_checkpoint(ckpt).beta.tobytes() == sched.beta.tobytes()
 
 
 TINY_RUN = ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
@@ -170,6 +186,31 @@ def pretrained(tmp_path_factory):
     overrides = [arg for ov in TINY_RUN for arg in ("--override", ov)]
     assert main(["pretrain", "--data", str(root / "normal"), "--out", str(root / "pre"), *overrides]) == 0
     return root
+
+
+def test_library_pretrain_and_finetune_write_the_clis_checkpoint_bytes(tmp_path):
+    normal, fault = str(tmp_path / "normal"), str(tmp_path / "fault")
+    assert main(["make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", normal]) == 0
+    assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "8", "--out", fault]) == 0
+    run = TINY_RUN + ["adapter.heads=2", "adapter.window=3", "train.finetune_steps=2"]
+    overrides = [arg for ov in run for arg in ("--override", ov)]
+    assert main(["pretrain", "--data", normal, "--seed", "3", "--out", str(tmp_path / "pre"), *overrides]) == 0
+    assert main(["finetune", "--data", fault, "--checkpoint", str(tmp_path / "pre" / "checkpoints" / "final.ckpt"),
+                 "--seed", "3", "--out", str(tmp_path / "fine"), *overrides]) == 0
+
+    corpus = load_corpus(normal)
+    cfg = resolve_config("desk", None, run, 3)  # both phases run with these overrides, so with this config
+    cfg.set("model", "tau", corpus.tau)
+    cfg.set("model", "dim", corpus.dim)
+    tcfg = cfg.train_config("pretrain")
+    base = pretrain(corpus, tcfg, Backbone(cfg.denoiser_config(), seed=tcfg.seed), cfg.schedule(),
+                    normalizer=fit_normalizer(corpus, cfg.get("data", "normalizer")),
+                    checkpoint_dir=str(tmp_path / "lib_pre"), config_hash=cfg.hash())
+    finetune(load_corpus(fault), base, cfg.train_config("finetune"), cfg.loss_config(), cfg.adapter_config(),
+             checkpoint_dir=str(tmp_path / "lib_fine"), config_hash=cfg.hash())
+    for stage in ("pre", "fine"):
+        cli = (tmp_path / stage / "checkpoints" / "final.ckpt").read_bytes()
+        assert (tmp_path / f"lib_{stage}" / "final.ckpt").read_bytes() == cli, stage
 
 
 def _in_the_older_layout(src, dst):
