@@ -65,7 +65,6 @@ class AdapterStack:
         if n_blocks < 1:
             raise ContractError("adapter needs at least one block")
         self.cfg = cfg
-        self.alpha = cfg.alpha
         self.params: dict[str, Parameter] = {}
         rng = np.random.default_rng(seed)
         dim = cfg.model_dim
@@ -95,7 +94,7 @@ class AdapterStack:
         """
         local = self.block_forward(k, h if acc is None else h + acc)
         acc = local if acc is None else acc + local
-        return h + self.alpha * local, acc
+        return h + self.cfg.alpha * local, acc
 
 
 class ComposedModel:

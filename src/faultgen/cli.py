@@ -1,8 +1,8 @@
 """Command-line orchestration: corpora, training phases, generation, evaluation.
 
 Exit codes: 0 ok, 2 usage/validation, 3 checkpoint problems, 4 training
-divergence or a non-finite model/sampler state. Every artifact embeds the
-resolved config hash and seed so that equal-hash runs are byte-identical.
+divergence or a non-finite model/sampler state. Equal arguments and inputs
+give byte-identical artifacts.
 """
 
 from __future__ import annotations
@@ -96,18 +96,9 @@ def _require_dir(path, what: str):
 
 
 def cmd_make_data(args) -> int:
-    if args.kind not in ("normal", "fault"):
-        raise ConfigError(f"--kind must be normal or fault, got {args.kind!r}")
-    if args.kind == "fault":
-        if not args.fault:
-            raise ConfigError("--fault is required when --kind fault")
-        if args.fault not in FAULT_KINDS:
-            raise ConfigError(f"--fault: unknown fault kind {args.fault!r}")
-
-    base = generate_normal(
-        args.tau, args.dim, args.n, args.seed,
-        base_kind=args.base, noise_std=args.noise_std,
-    )
+    if args.kind == "fault" and not args.fault:
+        raise ConfigError("--fault is required when --kind fault")
+    ds = generate_normal(args.tau, args.dim, args.n, args.seed, base_kind=args.base, noise_std=args.noise_std)
     if args.kind == "fault":
         extra = {k: getattr(args, k) for k in ("period", "clip_level", "burst_len", "count")
                  if getattr(args, k) is not None}
@@ -115,13 +106,8 @@ def cmd_make_data(args) -> int:
             channels = [int(c) for c in args.channels.split(",")] if args.channels else None
         except ValueError as e:
             raise ConfigError(f"--channels must be comma-separated integers, got {args.channels!r}") from e
-        ds = make_fault_dataset(
-            base, args.fault, args.seed + FAULT_SEED_OFFSET,
-            magnitude=args.magnitude, onset=args.onset, duration=args.duration,
-            channels=channels, extra=extra,
-        )
-    else:
-        ds = base
+        ds = make_fault_dataset(ds, args.fault, args.seed + FAULT_SEED_OFFSET, magnitude=args.magnitude,
+                                onset=args.onset, duration=args.duration, channels=channels, extra=extra)
     with _in_progress(args.out):
         save_corpus(ds, args.out)
     summary = {"id": ds.id, "label": ds.label, "n": len(ds), "tau": ds.tau,
@@ -137,14 +123,12 @@ def _resolved(args) -> RunConfig:
 def cmd_pretrain(args) -> int:
     cfg = _resolved(args)
     corpus = load_corpus(_require_dir(args.data, "training"))
-    cfg.set("model", "tau", corpus.tau)
-    cfg.set("model", "dim", corpus.dim)
     layout = ExperimentLayout(args.out)
     with _in_progress(layout.root):
         layout.prepare(cfg)
         tcfg = cfg.train_config("pretrain")
         ckpt = pretrain(
-            corpus, tcfg, Backbone(cfg.denoiser_config(), seed=tcfg.seed), cfg.schedule(),
+            corpus, tcfg, Backbone(cfg.denoiser_config(corpus.tau, corpus.dim), seed=tcfg.seed), cfg.schedule(),
             normalizer=fit_normalizer(corpus, cfg.get("data", "normalizer")),
             checkpoint_dir=layout.checkpoints,
             log_path=os.path.join(layout.logs, "loss_curve.csv"), config_hash=cfg.hash(),
@@ -159,17 +143,11 @@ def cmd_pretrain(args) -> int:
 def cmd_finetune(args) -> int:
     cfg = _resolved(args)
     base = load_checkpoint(args.checkpoint)
-    # fine-tuning trains with the checkpoint's schedule, so a config file or override may only restate it
-    if "diffusion" in cfg.explicit:
-        schedule_from_checkpoint(base)  # an unusable stored schedule is a checkpoint error
-        if cfg.sections["diffusion"] != base.config["diffusion"]:
-            raise ConfigError("finetune trains with the checkpoint's diffusion schedule "
-                              f"{base.config['diffusion']}; a diffusion setting must match it")
+    # fine-tuning trains the checkpoint's backbone on its schedule; a written model or diffusion key must restate them
+    model = denoiser_config_from_checkpoint(base)
+    cfg.derive("model", {key: getattr(model, key) for key in cfg.sections["model"]}, "the checkpoint's model")
+    cfg.derive("diffusion", schedule_from_checkpoint(base).config(), "the checkpoint's diffusion schedule")
     fault = load_corpus(_require_dir(args.data, "fault"))
-    cfg.set("model", "tau", fault.tau)
-    cfg.set("model", "dim", fault.dim)
-    # the adapter must match the pretrained backbone's width
-    cfg.set("model", "model_dim", denoiser_config_from_checkpoint(base).model_dim)
     layout = ExperimentLayout(args.out)
     with _in_progress(layout.root):
         layout.prepare(cfg)
@@ -190,18 +168,13 @@ def cmd_generate(args) -> int:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     ckpt = load_checkpoint(args.checkpoint)
     model = model_from_checkpoint(ckpt)
-    for ov in args.override or ():
-        dotted, _, value = ov.partition("=")
-        if dotted != "adapter.alpha":
-            raise ConfigError(f"only adapter.alpha can be overridden at generation, got {ov!r}")
+    if args.override:
         if not hasattr(model, "stack"):
             raise ConfigError("adapter.alpha override needs a fine-tuned checkpoint")
-        try:
-            alpha = float(value)
-        except ValueError as e:
-            raise ConfigError(f"bad value for adapter.alpha: {value!r}") from e
+        given = RunConfig({"adapter": {"alpha": 1.0}})  # the one key generation reads, a float
+        given.apply_overrides(args.override)
         # AdapterConfig rejects a non-finite alpha (ContractError, exit 2)
-        model.stack.alpha = dataclasses.replace(model.stack.cfg, alpha=alpha).alpha
+        model.stack.cfg = dataclasses.replace(model.stack.cfg, alpha=given.get("adapter", "alpha"))
     norm = normalizer_from_checkpoint(ckpt)
     sched = schedule_from_checkpoint(ckpt)
     names = ckpt.config.get("data", {}).get("channel_names")
@@ -216,7 +189,7 @@ def cmd_generate(args) -> int:
             "n": args.n,
             "checkpoint_sha256": _file_sha256(args.checkpoint),
             "config_hash": ckpt.config.get("config_hash", ""),
-            "alpha": getattr(getattr(model, "stack", None), "alpha", None),
+            "alpha": model.stack.cfg.alpha if hasattr(model, "stack") else None,
             "label": label,
         }
         write_atomic(os.path.join(args.out, "generation_log.json"),
@@ -234,7 +207,7 @@ def cmd_evaluate(args) -> int:
     check_request(metrics, seeds)
     real = load_corpus(_require_dir(args.real, "real"))
     synth = load_corpus(_require_dir(args.synth, "synthetic"))
-    report = evaluate_corpora(real, synth, metrics, seeds, config_hash=_resolved(args).hash())
+    report = evaluate_corpora(real, synth, metrics, seeds)
     os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "report.json"), report.to_json())
     write_atomic(os.path.join(args.out, "report.csv"), report.to_csv())
@@ -271,21 +244,32 @@ def cmd_downstream(args) -> int:
 # argument parsing
 
 
-def build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--config", help="key=value config file with [sections]")
-    common.add_argument("--seed", type=int, default=0)
-    common.add_argument("--out", help="output directory")
-    common.add_argument("--preset", default="desk", choices=["desk", "paper"])
-    common.add_argument("--override", action="append", metavar="SECTION.KEY=VALUE")
+class _Parser(argparse.ArgumentParser):
+    """Takes whole flag names only; its errors end, as every bad input does, in one stderr line and exit 2."""
 
-    parser = argparse.ArgumentParser(prog="faultgen",
-                                     description="Few-shot fault time-series generation toolkit")
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
+def build_parser() -> argparse.ArgumentParser:
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=0)
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", required=True, help="output directory")
+    run = argparse.ArgumentParser(add_help=False)  # the settings only the training phases read
+    run.add_argument("--preset", default="desk", choices=["desk", "paper"])
+    run.add_argument("--config", help="key=value config file with [sections]")
+    run.add_argument("--override", action="append", metavar="SECTION.KEY=VALUE")
+
+    parser = _Parser(prog="faultgen", description="Few-shot fault time-series generation toolkit")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("make-data", parents=[common], help="write a normal or fault corpus")
-    p.add_argument("--kind", required=True)
-    p.add_argument("--fault", help=f"one of: {', '.join(FAULT_KINDS)}")
+    p = sub.add_parser("make-data", parents=[seed, out], help="write a normal or fault corpus")
+    p.add_argument("--kind", required=True, choices=["normal", "fault"])
+    p.add_argument("--fault", choices=FAULT_KINDS)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--tau", type=int, default=24)
     p.add_argument("--dim", type=int, default=2)
@@ -301,29 +285,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count", type=int)
     p.set_defaults(func=cmd_make_data)
 
-    p = sub.add_parser("pretrain", parents=[common], help="pretrain the backbone on normal data")
+    p = sub.add_parser("pretrain", parents=[seed, out, run], help="pretrain the backbone on normal data")
     p.add_argument("--data", required=True, help="normal corpus directory")
     p.set_defaults(func=cmd_pretrain)
 
-    p = sub.add_parser("finetune", parents=[common], help="adapter fine-tuning on fault data")
+    p = sub.add_parser("finetune", parents=[seed, out, run], help="adapter fine-tuning on fault data")
     p.add_argument("--data", required=True, help="fault corpus directory")
     p.add_argument("--checkpoint", required=True, help="pretrained checkpoint path")
     p.set_defaults(func=cmd_finetune)
 
-    p = sub.add_parser("generate", parents=[common], help="sample a synthetic corpus")
+    p = sub.add_parser("generate", parents=[seed, out], help="sample a synthetic corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--label", help="label for the generated corpus")
+    p.add_argument("--override", action="append", metavar="adapter.alpha=VALUE")
     p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("evaluate", parents=[common], help="run generation-quality metrics")
+    p = sub.add_parser("evaluate", parents=[out], help="run generation-quality metrics")
     p.add_argument("--real", required=True)
     p.add_argument("--synth", required=True)
     p.add_argument("--metrics", default="all")
     p.add_argument("--seeds", default="0")
     p.set_defaults(func=cmd_evaluate)
 
-    p = sub.add_parser("embed", parents=[common], help="2-D projection CSVs (pca or tsne)")
+    p = sub.add_parser("embed", parents=[seed, out], help="2-D projection CSVs (pca or tsne)")
     p.add_argument("--corpus", action="append", required=True)
     p.add_argument("--method", default="tsne", choices=["pca", "tsne"])
     p.add_argument("--perplexity", type=float)
@@ -331,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="flat", choices=["flat", "context"])
     p.set_defaults(func=cmd_embed)
 
-    p = sub.add_parser("downstream", parents=[common], help="downstream classification harness")
+    p = sub.add_parser("downstream", parents=[seed], help="downstream classification harness")
+    p.add_argument("--out", help="output directory")
     p.add_argument("--train", action="append", required=True)
     p.add_argument("--synth", action="append")
     p.add_argument("--test", action="append", required=True)
@@ -341,13 +327,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    needs_out = args.command in ("make-data", "pretrain", "finetune", "generate", "evaluate", "embed")
     try:
-        if needs_out and not args.out:
-            raise ConfigError("--out is required")
-        if args.seed < 0:
+        args = build_parser().parse_args(argv)
+        if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         return args.func(args)
     except (ConfigError, ContractError, CorpusError, MetricError) as e:

@@ -19,8 +19,8 @@ from .training import LossConfig, TrainConfig, schedule_from_config
 
 DESK = {
     "model": {
-        "tau": 24, "dim": 2, "model_dim": 64, "enc_layers": 3, "dec_layers": 4,
-        "heads": 4, "ff_dim": 128, "fourier_terms": 4, "trend_degree": 3,
+        "model_dim": 64, "enc_layers": 3, "dec_layers": 4, "heads": 4,
+        "ff_dim": 128, "fourier_terms": 4, "trend_degree": 3,
     },
     "diffusion": {
         "timesteps": 100, "schedule": "linear", "beta_start": 1e-3, "beta_end": 0.2,
@@ -47,12 +47,13 @@ PRESETS = {"desk": DESK, "paper": PAPER}
 class RunConfig:
     """Resolved configuration; unknown sections or keys are rejected.
 
-    `explicit` holds the sections that a config file or an override wrote to.
+    `explicit` holds the (section, key) pairs a config file or an override wrote;
+    `derive` takes a value from a run's input and rejects an explicit one that disagrees.
     """
 
     def __init__(self, sections: dict):
         self.sections = sections
-        self.explicit: set[str] = set()
+        self.explicit: set[tuple[str, str]] = set()
 
     @classmethod
     def from_preset(cls, preset: str = "desk") -> "RunConfig":
@@ -76,7 +77,18 @@ class RunConfig:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from e
 
     def set(self, section: str, key: str, raw) -> None:
+        """Write a key as a config file or an override does; it becomes explicit."""
         self.sections[section][key] = self._coerce(section, key, raw)
+        self.explicit.add((section, key))
+
+    def derive(self, section: str, values: dict, source: str) -> None:
+        """Take `values` for `section` from a run's input, named by `source`; an explicit key must agree."""
+        for key, raw in values.items():
+            value = self._coerce(section, key, raw)
+            if (section, key) in self.explicit and self.sections[section][key] != value:
+                raise ConfigError(f"{section}.{key} = {self._canon(self.sections[section][key])} "
+                                  f"disagrees with {self._canon(value)} from {source}")
+            self.sections[section][key] = value
 
     def get(self, section: str, key: str):
         try:
@@ -92,7 +104,6 @@ class RunConfig:
         for section in parser.sections():
             for key, raw in parser.items(section):
                 self.set(section, key, raw)
-            self.explicit.add(section)
 
     def apply_overrides(self, overrides) -> None:
         """Each override is 'section.key=value'."""
@@ -102,7 +113,6 @@ class RunConfig:
             dotted, value = ov.split("=", 1)
             section, key = (part.strip() for part in dotted.split(".", 1))
             self.set(section, key, value.strip())
-            self.explicit.add(section)
 
     # -- canonical form ---------------------------------------------------
     @staticmethod
@@ -124,10 +134,11 @@ class RunConfig:
         return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
 
     # -- component views ----------------------------------------------------
-    def denoiser_config(self) -> DenoiserConfig:
+    def denoiser_config(self, tau: int, d: int) -> DenoiserConfig:
+        """The denoiser for series of shape (tau, d), which a run takes from its corpus."""
         m = self.sections["model"]
         return DenoiserConfig(
-            tau=m["tau"], d=m["dim"], T=self.get("diffusion", "timesteps"),
+            tau=tau, d=d, T=self.get("diffusion", "timesteps"),
             model_dim=m["model_dim"], enc_layers=m["enc_layers"], dec_layers=m["dec_layers"],
             heads=m["heads"], ff_dim=m["ff_dim"], fourier_terms=m["fourier_terms"],
             trend_degree=m["trend_degree"],
@@ -160,6 +171,6 @@ def resolve_config(preset: str = "desk", config_file=None, overrides=None,
         cfg.load_file(config_file)
     cfg.apply_overrides(overrides)
     if seed is not None:
-        cfg.set("train", "seed", seed)
+        cfg.derive("train", {"seed": seed}, "--seed")
     return cfg
 

@@ -158,6 +158,9 @@ class FaultSpec:
         # a period of 2 steps or less samples the sine only at its zeros (2, 1, 2/3) or beyond the Nyquist limit
         if self.kind in ("periodic", "low_frequency_anomaly") and not _period(self) > 2:
             raise ContractError(f"{self.kind} period must be > 2 steps, got {self.extra['period']!r}")
+        # a one-step window samples the sine only at its phase origin, sin(0) = 0
+        if self.kind in ("periodic", "low_frequency_anomaly") and self.duration < 2:
+            raise ContractError(f"{self.kind} duration must be >= 2 steps, got {self.duration}")
         if self.kind == "compound" and not self.extra.get("components"):
             raise ContractError("compound fault needs extra['components']")
         if self.kind == "low_frequency_anomaly" and _period(self) < self.duration:

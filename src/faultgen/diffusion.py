@@ -34,6 +34,10 @@ class NoiseSchedule:
         if np.any(np.diff(self.alpha_bar) >= 0):
             raise ContractError("alpha_bar must be strictly decreasing")
 
+    def config(self) -> dict:
+        """The `diffusion` config section this schedule was built from."""
+        return {"timesteps": self.T, "schedule": self.kind, "beta_start": self.beta_start, "beta_end": self.beta_end}
+
 
 def make_schedule(T: int, kind: str = "linear", beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
     """Build the beta/alpha tables. posterior_var[t] = beta_t * (1 - abar_{t-1}) / (1 - abar_t)."""

@@ -19,7 +19,7 @@ from .data import Dataset
 from .eig import sqrt_psd, sym_eig
 from .errors import ContractError, MetricError
 
-METRIC_VERSION = "fg-metrics-1"
+METRIC_VERSION = "fg-metrics-2"
 DEFAULT_ENCODER_SEED = 1234
 EMBED_DIM = 16
 
@@ -86,7 +86,8 @@ def _split(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
 
 
 def discriminative_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
-    """Per seed, |held-out accuracy - 0.5| of a real-vs-synthetic classifier; 0 = indistinguishable."""
+    """Per seed, |held-out balanced accuracy - 0.5| of a real-vs-synthetic classifier; 0 = indistinguishable.
+    Balanced accuracy, the mean of the two recalls, scores a majority-class guess 0 at any corpus sizes."""
     check_request(["discriminative"], seeds)
     if (real.tau, real.dim) != (synth.tau, synth.dim):
         raise ContractError("real and synthetic corpora must share (tau, d)")
@@ -102,8 +103,9 @@ def discriminative_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
 
     logits = _fit_predict(x_train, x_test, [32, 32], 2, lambda out: ad.cross_entropy(out, y_train),
                           steps=300, lr=3e-3, seeds=seeds)
-    acc = np.mean(np.argmax(logits, axis=2) == y_test, axis=1)
-    return [abs(float(a) - 0.5) for a in acc]
+    hit = np.argmax(logits, axis=2) == y_test
+    balanced = (hit[:, y_test == 1].mean(axis=1) + hit[:, y_test == 0].mean(axis=1)) / 2
+    return [abs(float(b) - 0.5) for b in balanced]
 
 
 def predictive_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
@@ -348,8 +350,7 @@ class MetricReport:
 
 
 def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,),
-                     encoder_seed: int = DEFAULT_ENCODER_SEED, max_lag: int = 8,
-                     config_hash: str = "") -> MetricReport:
+                     encoder_seed: int = DEFAULT_ENCODER_SEED, max_lag: int = 8) -> MetricReport:
     """Run the selected metrics for every seed and report per-seed values plus medians.
 
     Every score runs once: `discriminative` and `predictive` train all seeds' networks as one stack.
@@ -381,7 +382,6 @@ def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,)
         "seeds": list(seeds),
         "corpus_real": real.id,
         "corpus_synth": synth.id,
-        "config_hash": config_hash,
         "metric_version": METRIC_VERSION,
         "encoder_seed": encoder_seed,
     }

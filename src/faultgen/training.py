@@ -302,8 +302,7 @@ def _header(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule, loss_c
     stack = getattr(model, "stack", None)
     header = {"config_hash": config_hash, "model": asdict(model.cfg), "train": asdict(cfg),
               "adapter": asdict(stack.cfg) if stack is not None else None,
-              "diffusion": {"timesteps": sched.T, "schedule": sched.kind,
-                            "beta_start": sched.beta_start, "beta_end": sched.beta_end},
+              "diffusion": sched.config(),
               "data": {"label": data.label, "corpus_id": data.id, "channel_names": list(data.channel_names)}}
     if loss_cfg is not None:
         header["loss"] = asdict(loss_cfg)

@@ -1,5 +1,7 @@
 """End-to-end CLI runs on a tiny override config."""
 
+import argparse
+import configparser
 import json
 import os
 import shutil
@@ -8,8 +10,7 @@ import numpy as np
 import pytest
 
 from faultgen import metrics
-from faultgen.cli import main
-from faultgen.config import resolve_config
+from faultgen.cli import build_parser, main
 from faultgen.data import load_corpus, write_atomic
 from faultgen.training import load_checkpoint, save_checkpoint
 
@@ -48,17 +49,18 @@ def test_finetune_checkpoint_records_its_own_config_hash(tmp_path, capsys):
         assert json.load(fh)["config_hash"] == fine["config_hash"]
 
 
-def test_evaluate_report_records_the_config_hash(tmp_path, capsys):
+def test_evaluate_report_metadata_names_its_inputs_and_no_config(tmp_path, capsys):
     real, synth = str(tmp_path / "real"), str(tmp_path / "synth")
     _run(capsys, "make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", real)
     _run(capsys, "make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--seed", "1",
          "--out", synth)
     out = str(tmp_path / "report")
     _run(capsys, "evaluate", "--real", real, "--synth", synth, "--metrics", "context_fid",
-         "--seed", "5", "--out", out)
+         "--seeds", "5", "--out", out)
     with open(f"{out}/report.json") as fh:
-        recorded = json.load(fh)["metadata"]["config_hash"]
-    assert recorded and recorded == resolve_config("desk", None, None, 5).hash()
+        meta = json.load(fh)["metadata"]
+    assert meta == {"seeds": [5], "corpus_real": load_corpus(real).id, "corpus_synth": load_corpus(synth).id,
+                    "metric_version": metrics.METRIC_VERSION, "encoder_seed": metrics.DEFAULT_ENCODER_SEED}
 
 
 def test_non_finite_weight_ends_generate_with_exit_4(tmp_path, capsys):
@@ -175,6 +177,15 @@ def test_generate_applies_a_finite_alpha_override(trained, tmp_path):
     assert main(["generate", "--checkpoint", trained["fine"], "--n", "2", "--out", str(out),
                  "--override", "adapter.alpha=0.5"]) == 0
     assert json.loads((out / "generation_log.json").read_text())["alpha"] == 0.5
+
+
+def test_an_alpha_override_of_0_generates_what_the_backbone_does(trained, tmp_path):
+    runs = {"pre": (trained["pre"],), "alpha0": (trained["fine"], "--override", "adapter.alpha=0"),
+            "trained": (trained["fine"],)}
+    for name, (ckpt, *override) in runs.items():
+        assert main(["generate", "--checkpoint", ckpt, "--n", "2", "--out", str(tmp_path / name), *override]) == 0
+    samples = {name: [(tmp_path / name / f"sample_0000{i}.csv").read_bytes() for i in (0, 1)] for name in runs}
+    assert samples["alpha0"] == samples["pre"] != samples["trained"]
 
 
 @pytest.mark.parametrize("override", ["diffusion.schedule=bogus", "diffusion.schedule=cosine",
@@ -341,6 +352,33 @@ BAD_INPUTS = {  # argv with {corpus} and {checkpoint} names from `trained`, exit
                     "--period", "0.5"], 2, "period must be > 2 steps"),
     "period-2": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
                   "--period", "2"], 2, "period must be > 2 steps"),
+    "periodic-duration-1": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "4", "--tau", "8",
+                             "--duration", "1"], 2, "periodic duration must be >= 2 steps"),
+    "low-frequency-duration-1": (["make-data", "--kind", "fault", "--fault", "low_frequency_anomaly", "--n", "4",
+                                  "--tau", "8", "--duration", "1"], 2, "low_frequency_anomaly duration must be >= 2"),
+    "make-data-n-not-an-integer": (["make-data", "--kind", "normal", "--n", "abc"],
+                                   2, "argument --n: invalid int value: 'abc'"),
+    "evaluate-unknown-flag": (["evaluate", "--real", "{fault}", "--synth", "{normal}", "--bogus", "1"],
+                              2, "unrecognized arguments: --bogus 1"),
+    "generate-override-other-key": (["generate", "--checkpoint", "{fine}", "--n", "2", "--override",
+                                     "adapter.window=3"], 2, "unknown config key adapter.window"),
+    "make-data-config": (["make-data", "--kind", "normal", "--n", "2", "--tau", "8", "--config", "x"],
+                         2, "unrecognized arguments: --config x"),
+    "generate-preset": (["generate", "--checkpoint", "{fine}", "--n", "2", "--preset", "paper"],
+                        2, "unrecognized arguments: --preset paper"),
+    "evaluate-override": (["evaluate", "--real", "{fault}", "--synth", "{normal}", "--override", "a.b=c"],
+                          2, "unrecognized arguments: --override a.b=c"),
+    "evaluate-seed": (["evaluate", "--real", "{fault}", "--synth", "{normal}", "--seed", "1"],
+                      2, "unrecognized arguments: --seed 1"),
+    "embed-preset": (["embed", "--corpus", "{normal}", "--method", "pca", "--preset", "paper"],
+                     2, "unrecognized arguments: --preset paper"),
+    "pretrain-model-tau": (["pretrain", "--data", "{normal}", *_overrides("model.tau=12")],
+                           2, "unknown config key model.tau"),
+    "pretrain-seed-override-without-seed": (["pretrain", "--data", "{normal}", *_overrides("train.seed=3")],
+                                            2, "train.seed = 3 disagrees with 0 from --seed"),
+    "finetune-enc-layers": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
+                             *_overrides("train.finetune_steps=1", "model.enc_layers=7")],
+                            2, "model.enc_layers = 7 disagrees with 1 from the checkpoint's model"),
     "finetune-empty-checkpoint": (["finetune", "--data", "{fault}", "--checkpoint", "", *_overrides()],
                                   3, "cannot read checkpoint"),
     "generate-empty-checkpoint": (["generate", "--checkpoint", "", "--n", "2"], 3, "cannot read checkpoint"),
@@ -360,6 +398,89 @@ def test_a_bad_input_exits_with_one_error_line_and_writes_nothing(trained, tmp_p
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert fragment in err
     assert not out.exists() or [p.name for p in out.iterdir()] == [".partial"]
+
+
+FLAGS = {  # every flag each subcommand's parser exposes, besides --help
+    "make-data": {"--seed", "--out", "--kind", "--fault", "--n", "--tau", "--dim", "--base", "--noise-std",
+                  "--magnitude", "--onset", "--duration", "--channels", "--period", "--clip-level", "--burst-len",
+                  "--count"},
+    "pretrain": {"--seed", "--out", "--preset", "--config", "--override", "--data"},
+    "finetune": {"--seed", "--out", "--preset", "--config", "--override", "--data", "--checkpoint"},
+    "generate": {"--seed", "--out", "--override", "--checkpoint", "--n", "--label"},
+    "evaluate": {"--out", "--real", "--synth", "--metrics", "--seeds"},
+    "embed": {"--seed", "--out", "--corpus", "--method", "--perplexity", "--iters", "--features"},
+    "downstream": {"--seed", "--out", "--train", "--synth", "--test"},
+}
+
+
+def test_each_subcommand_exposes_exactly_the_flags_it_reads():
+    parser = build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    exposed = {name: {flag for action in p._actions for flag in action.option_strings} - {"-h", "--help"}
+               for name, p in sub.choices.items()}
+    assert exposed == FLAGS
+
+
+@pytest.mark.parametrize("command", ["make-data", "pretrain", "finetune", "generate", "evaluate", "embed"])
+def test_a_command_that_writes_a_directory_names_a_missing_out_in_one_line(capsys, command):
+    assert main([command]) == 2
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and "--out" in err and "required" in err
+
+
+def test_a_written_train_seed_runs_when_it_restates_the_seed(trained, tmp_path):
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--data", trained["normal"], "--seed", "3", "--out", str(out),
+                 *_overrides("train.pretrain_steps=1", "train.seed=3")]) == 0
+    assert "seed = 3\n" in (out / "config.lock").read_text()
+
+
+@pytest.fixture(scope="module")
+def paper_backbone(trained, tmp_path_factory):
+    """A one-step `--preset paper` pretrain, whose schedule (T=1000, betas 1e-4..0.02) no desk key restates."""
+    root = tmp_path_factory.mktemp("paper")
+    assert main(["pretrain", "--preset", "paper", "--data", trained["normal"], "--out", str(root / "pre"),
+                 *_no_diffusion_overrides("train.pretrain_steps=1")]) == 0
+    return str(root / "pre" / "checkpoints" / "final.ckpt")
+
+
+def _run_dir(ckpt):
+    return os.path.dirname(os.path.dirname(ckpt))
+
+
+def _lock_matches_header(run_dir):
+    """Each key config.lock shares with its checkpoint's header holds the same value."""
+    lock = configparser.ConfigParser()
+    lock.read(os.path.join(run_dir, "config.lock"))
+    header = load_checkpoint(os.path.join(run_dir, "checkpoints", "final.ckpt")).config
+    for section in ["model", "diffusion"] + (["adapter"] if header["adapter"] else []):
+        assert set(lock[section]) <= set(header[section]), section
+        for key in lock[section]:
+            assert lock[section][key] == str(header[section][key]), f"{section}.{key}"
+    assert lock["train"]["seed"] == str(header["train"]["seed"])
+
+
+def test_every_training_runs_config_lock_agrees_with_its_checkpoint(trained, paper_backbone, tmp_path):
+    desk_fine = str(tmp_path / "fine")
+    assert main(["finetune", "--data", trained["fault"], "--checkpoint", paper_backbone, "--seed", "2",
+                 "--out", desk_fine, *_no_diffusion_overrides("train.finetune_steps=1")]) == 0
+    for run_dir in (_run_dir(trained["pre"]), _run_dir(trained["fine"]), _run_dir(paper_backbone), desk_fine):
+        _lock_matches_header(run_dir)
+
+
+def test_a_desk_finetune_of_a_paper_backbone_restates_its_timesteps(trained, paper_backbone, tmp_path, capsys):
+    out = tmp_path / "fine"
+    assert main(["finetune", "--data", trained["fault"], "--checkpoint", paper_backbone, "--out", str(out),
+                 *_no_diffusion_overrides("train.finetune_steps=1"), "--override", "diffusion.timesteps=1000"]) == 0
+    lock = configparser.ConfigParser()
+    lock.read(out / "config.lock")
+    assert dict(lock["diffusion"]) == {"timesteps": "1000", "schedule": "linear", "beta_start": "0.0001",
+                                       "beta_end": "0.02"}
+    assert main(["finetune", "--data", trained["fault"], "--checkpoint", paper_backbone,
+                 "--out", str(tmp_path / "desk"),
+                 *_no_diffusion_overrides("train.finetune_steps=1"), "--override", "diffusion.timesteps=100"]) == 2
+    err = capsys.readouterr().err
+    assert "diffusion.timesteps = 100 disagrees with 1000 from the checkpoint's diffusion schedule" in err
 
 
 def test_write_atomic_writes_exact_bytes_and_leaves_no_temporary_file(tmp_path):
@@ -387,8 +508,7 @@ def test_evaluate_that_fails_to_write_keeps_the_previous_reports(corpus_pair, tm
     assert main(argv) == 0
     before = {p.name: p.read_bytes() for p in out.iterdir()}
     assert before["report.json"] == metrics.evaluate_corpora(
-        load_corpus(real), load_corpus(synth), ["context_fid", "diversity"],
-        config_hash=resolve_config("desk", None, None, 0).hash()).to_json().encode()
+        load_corpus(real), load_corpus(synth), ["context_fid", "diversity"]).to_json().encode()
     fail_writes_midway(monkeypatch)
     with pytest.raises(OSError):
         main(argv + ["--seeds", "0,1"])

@@ -24,7 +24,7 @@ def test_unknown_section_or_key_rejected(override, what):
         resolve_config("desk", None, [override])
 
 
-@pytest.mark.parametrize("override", ["model.tau=twelve", "model.tau=1.5", "train.pretrain_lr=fast"])
+@pytest.mark.parametrize("override", ["model.heads=twelve", "model.heads=1.5", "train.pretrain_lr=fast"])
 def test_bad_number_rejected(override):
     with pytest.raises(ConfigError, match="bad value"):
         resolve_config("desk", None, [override])
@@ -38,7 +38,7 @@ def test_bad_config_file_value_rejected(tmp_path):
 
 
 def test_hash_ignores_override_order():
-    overrides = ["model.tau=12", "train.seed=3", "loss.weight=0.5", "data.normalizer=zscore"]
+    overrides = ["model.heads=2", "train.seed=3", "loss.weight=0.5", "data.normalizer=zscore"]
     first = resolve_config("desk", None, overrides).hash()
     assert first == resolve_config("desk", None, overrides[::-1]).hash()
     assert first != resolve_config("desk", None, overrides[:-1]).hash()
@@ -71,7 +71,7 @@ def _other_value(key, value):
 
 def _views(cfg):
     sched = cfg.schedule()
-    return (dataclasses.asdict(cfg.denoiser_config()), (sched.kind, sched.beta.tobytes()),
+    return (dataclasses.asdict(cfg.denoiser_config(24, 2)), (sched.kind, sched.beta.tobytes()),
             dataclasses.asdict(cfg.adapter_config()), dataclasses.asdict(cfg.loss_config()),
             dataclasses.asdict(cfg.train_config("pretrain")), dataclasses.asdict(cfg.train_config("finetune")),
             cfg.get("data", "normalizer"))

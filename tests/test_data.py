@@ -206,11 +206,22 @@ class TestInjectFault:
          "low_frequency_anomaly period must be > 2 steps"),
         (FaultSpec("low_frequency_anomaly", 4, 1, 1.0, extra={"period": 2}),
          "low_frequency_anomaly period must be > 2 steps"),
+        (FaultSpec("periodic", 4, 1, 1.0), "periodic duration must be >= 2 steps, got 1"),
+        (FaultSpec("low_frequency_anomaly", 4, 1, 1.0), "low_frequency_anomaly duration must be >= 2 steps, got 1"),
     ], ids=["saturation-magnitude", "clip-level", "clip-level-nan", "period-1", "period-0.5", "period-1.999",
-            "period-2", "low-frequency-period-1", "low-frequency-period-2"])
+            "period-2", "low-frequency-period-1", "low-frequency-period-2", "periodic-duration-1",
+            "low-frequency-duration-1"])
     def test_a_fault_that_would_not_fault_is_a_contract_error_naming_its_parameter(self, spec, message):
         with pytest.raises(ContractError, match=f"^{message}"):
             inject_fault(_series(), spec, seed=0)
+
+    @pytest.mark.parametrize("kind", ["periodic", "low_frequency_anomaly"])
+    def test_a_drawn_sine_fault_duration_is_at_least_2_steps(self, kind):
+        # onset and duration are drawn from [tau//4, tau//2], so the window has room for tau//4 >= 2 steps
+        for tau in range(8, 65):
+            rng = np.random.default_rng(tau)
+            for _ in range(20):
+                assert data.default_fault_spec(kind, tau, 2, rng).duration >= 2, tau
 
     def test_a_default_periodic_fault_changes_every_corpus(self):
         # a default period of 2 sampled the sine only at its zeros and left most short-window corpora unchanged
@@ -466,7 +477,7 @@ def fault_cases(draw, kind):
     dim = draw(st.integers(1, 4))
     onset = draw(st.integers(0, tau - 2))
     room = tau - onset - 1 if kind == "sudden_recovery" else tau - onset
-    duration = draw(st.integers(1, room))
+    duration = draw(st.integers(2 if kind in ("periodic", "low_frequency_anomaly") else 1, room))
     magnitude = draw(st.floats(-5.0, 5.0))
     if kind in ("random_noise", "saturation"):  # a standard deviation; a clip level
         magnitude = abs(magnitude)

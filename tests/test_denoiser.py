@@ -103,7 +103,7 @@ class TestFusedOpsKeepTheComposedBits:
     @staticmethod
     def _models():
         desk = RunConfig.from_preset("desk")
-        backbone = Backbone(desk.denoiser_config(), seed=3)
+        backbone = Backbone(desk.denoiser_config(24, 2), seed=3)
         stack = AdapterStack(desk.adapter_config(), backbone.cfg.dec_layers, seed=4)
         rng = np.random.default_rng(5)
         for p in backbone.parameters() + stack.parameters():  # zero-init heads would hide every bit

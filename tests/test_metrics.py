@@ -5,7 +5,7 @@ import pytest
 from scipy.linalg import sqrtm
 
 from faultgen import metrics
-from faultgen.data import Dataset, TimeSeries, generate_normal
+from faultgen.data import Dataset, TimeSeries, generate_normal, make_fault_dataset
 from faultgen.errors import ContractError
 
 
@@ -63,6 +63,32 @@ def test_seeded_scores_over_a_stack_equal_one_seed_calls_in_seed_order(score):
     stacked = fn(real, synth, (3, 1, 4))
     assert [repr(v) for v in stacked] == [repr(fn(real, synth, (s,))[0]) for s in (3, 1, 4)]
     assert len(set(stacked)) > 1
+
+
+@pytest.mark.parametrize("predict, expected", [("real", 0.0), ("synth", 0.0), ("truth", 0.5)])
+def test_discriminative_score_is_balanced_accuracy_off_one_half(monkeypatch, predict, expected):
+    # 20 real against 6 synthetic: a test split of 4 real and 1 synthetic series, real rows first
+    labels = np.array([1] * 4 + [0])
+    predicted = {"real": np.ones_like(labels), "synth": np.zeros_like(labels), "truth": labels}[predict]
+
+    def fit_predict(x_train, x_test, *args, **kwargs):
+        assert x_test.shape[1] == len(labels)
+        return np.stack([np.eye(2)[predicted]] * len(x_train))
+    monkeypatch.setattr(metrics, "_fit_predict", fit_predict)
+    real, synth = generate_normal(8, 2, 20, seed=1), generate_normal(8, 2, 6, seed=2)
+    assert metrics.discriminative_score(real, synth, (0, 1)) == [expected, expected]
+
+
+def _sudden(n, seed):
+    return make_fault_dataset(generate_normal(24, 2, n, seed=seed), "sudden", seed=seed + 1_000_003)
+
+
+def test_a_small_real_corpus_scores_no_higher_than_an_equal_sized_one():
+    # plain accuracy scored the majority-class rate: 0.43 for 200 against 8 series of the same kind
+    real = _sudden(200, 9)
+    unequal = metrics.discriminative_score(real, _sudden(8, 7), (0, 1, 2))
+    equal = metrics.discriminative_score(real, _sudden(200, 7), (0, 1, 2))
+    assert max(unequal) <= max(equal)
 
 
 @pytest.mark.parametrize("dim", [1, 6])

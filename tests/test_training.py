@@ -200,10 +200,8 @@ def test_library_pretrain_and_finetune_write_the_clis_checkpoint_bytes(tmp_path)
 
     corpus = load_corpus(normal)
     cfg = resolve_config("desk", None, run, 3)  # both phases run with these overrides, so with this config
-    cfg.set("model", "tau", corpus.tau)
-    cfg.set("model", "dim", corpus.dim)
     tcfg = cfg.train_config("pretrain")
-    base = pretrain(corpus, tcfg, Backbone(cfg.denoiser_config(), seed=tcfg.seed), cfg.schedule(),
+    base = pretrain(corpus, tcfg, Backbone(cfg.denoiser_config(corpus.tau, corpus.dim), seed=tcfg.seed), cfg.schedule(),
                     normalizer=fit_normalizer(corpus, cfg.get("data", "normalizer")),
                     checkpoint_dir=str(tmp_path / "lib_pre"), config_hash=cfg.hash())
     finetune(load_corpus(fault), base, cfg.train_config("finetune"), cfg.loss_config(), cfg.adapter_config(),
