@@ -9,6 +9,10 @@ which sums per-slice mean losses over any leading axes of its logits. `pad`,
 `concat` and `stack` are kept for callers outside the package. Tensors are
 immutable values once created; gradients accumulate on leaves during `backward`.
 
+A backward computes a parent's gradient only when the parent requires one (`_accum`), and
+multiplies by a weight's transpose through a C-contiguous copy (`_t`), not the strided view. That
+keeps every gradient bit, except that for series under 19 steps BLAS may round the two differently.
+
 Training runs in float32; a float64 mode (`set_dtype` / `precision`) exists
 for finite-difference verification.
 """
@@ -193,8 +197,10 @@ def _node(data, op: str, parents, backward_fn):
 
 
 def _accum(t: Tensor, g):
+    """Add gradient `g` into t.grad; a callable `g` computes it, and runs only when `t` requires a gradient."""
     if not t.requires_grad:
         return
+    g = g() if callable(g) else g
     if t.grad is None:
         t.grad = np.array(g, dtype=t.data.dtype)
     else:
@@ -246,8 +252,8 @@ def add(a: Tensor, b) -> Tensor:
     data = a.data + b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(g, b.data.shape))
+        _accum(a, lambda: _unbroadcast(g, a.data.shape))
+        _accum(b, lambda: _unbroadcast(g, b.data.shape))
 
     return _node(data, "add", (a, b), bw)
 
@@ -257,8 +263,8 @@ def sub(a: Tensor, b) -> Tensor:
     data = a.data - b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g, a.data.shape))
-        _accum(b, _unbroadcast(-g, b.data.shape))
+        _accum(a, lambda: _unbroadcast(g, a.data.shape))
+        _accum(b, lambda: _unbroadcast(-g, b.data.shape))
 
     return _node(data, "sub", (a, b), bw)
 
@@ -268,8 +274,8 @@ def mul(a: Tensor, b) -> Tensor:
     data = a.data * b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g * b.data, a.data.shape))
-        _accum(b, _unbroadcast(g * a.data, b.data.shape))
+        _accum(a, lambda: _unbroadcast(g * b.data, a.data.shape))
+        _accum(b, lambda: _unbroadcast(g * a.data, b.data.shape))
 
     return _node(data, "mul", (a, b), bw)
 
@@ -279,8 +285,8 @@ def div(a: Tensor, b) -> Tensor:
     data = a.data / b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g / b.data, a.data.shape))
-        _accum(b, _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
+        _accum(a, lambda: _unbroadcast(g / b.data, a.data.shape))
+        _accum(b, lambda: _unbroadcast(-g * a.data / (b.data * b.data), b.data.shape))
 
     return _node(data, "div", (a, b), bw)
 
@@ -322,8 +328,17 @@ def gelu_(x: np.ndarray) -> np.ndarray:
 
 
 def _gelu_grad(x, t):
-    d_inner = _GELU_C * (1.0 + 3.0 * _GELU_A * (x * x))
-    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+    """gelu'(x) for t = gelu_'s tanh, rounded as 0.5 * (1 + t) + 0.5 * x * (1 - t*t) * (C * (1 + 3A * x*x))."""
+    d = x * x
+    d *= 3.0 * _GELU_A
+    d += 1.0
+    d *= _GELU_C
+    s = t * t
+    np.subtract(1.0, s, out=s)
+    s *= 0.5 * x
+    d *= s
+    d += np.multiply(np.add(t, 1.0, out=s), 0.5, out=s)
+    return d
 
 
 def gelu(a: Tensor) -> Tensor:
@@ -350,8 +365,8 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def bw(g):
-        _accum(a, _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
-        _accum(b, _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
+        _accum(a, lambda: _unbroadcast(g @ b.data.swapaxes(-1, -2), a.data.shape))
+        _accum(b, lambda: _unbroadcast(a.data.swapaxes(-1, -2) @ g, b.data.shape))
 
     return _node(data, "matmul", (a, b), bw)
 
@@ -385,21 +400,28 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
     data = gain.data * xhat + bias.data
 
     def bw(g):
-        _accum(gain, _unbroadcast(g * xhat, gain.data.shape))
-        _accum(bias, _unbroadcast(g, bias.data.shape))
-        dxhat = g * gain.data
-        _accum(x, inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat)))
+        _accum(gain, lambda: _unbroadcast(g * xhat, gain.data.shape))
+        _accum(bias, lambda: _unbroadcast(g, bias.data.shape))
+        dx = g * gain.data  # then inv * (dx - mean(dx) - xhat * mean(dx * xhat)), rounded in that order
+        s = dx * xhat
+        dx -= mean(dx)
+        dx -= np.multiply(xhat, mean(s), out=s)
+        dx *= inv
+        _accum(x, dx)
 
     return _node(data, "layer_norm", (x, gain, bias), bw)
+
+
+def _t(w: Tensor) -> np.ndarray:
+    """w.T as a C-contiguous copy: numpy multiplies a 3-D array by it 2-2.5x faster than by the view."""
+    return np.ascontiguousarray(w.data.T)
 
 
 def _affine_bw(x, w: Tensor, bias: Tensor, gy) -> None:
     """Accumulate the weight and bias gradients of x @ w + bias for output gradient gy."""
     gy = gy.reshape(-1, gy.shape[-1])
-    if w.requires_grad:
-        _accum(w, x.reshape(-1, x.shape[-1]).T @ gy)
-    if bias.requires_grad:
-        _accum(bias, gy.sum(axis=0))
+    _accum(w, lambda: x.reshape(-1, x.shape[-1]).T @ gy)
+    _accum(bias, lambda: gy.sum(axis=0))
 
 
 def attention(q_in: Tensor, kv_in: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, bk: Tensor,
@@ -436,9 +458,8 @@ def attention(q_in: Tensor, kv_in: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, b
     att *= scale
     if mask is not None:
         att += np.asarray(mask, dtype=x.dtype)
-    row_max = att[..., 0].copy()  # a column loop: numpy reduces each short row on its own
-    for j in range(1, sk):
-        np.maximum(row_max, att[..., j], out=row_max)
+    # elementwise maxima down a key-major copy: numpy's reduce along each short row is slower, and a max is exact
+    row_max = np.maximum.reduce(np.ascontiguousarray(np.moveaxis(att, -1, 0)))
     att -= row_max[..., None]
     np.exp(att, out=att)
     att /= np.sum(att, axis=-1, keepdims=True)
@@ -448,7 +469,7 @@ def attention(q_in: Tensor, kv_in: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, b
 
     def bw(g):
         _affine_bw(merged, wo, bo, g)
-        d_out = split(g @ wo.data.T, sq)
+        d_out = split(g @ _t(wo), sq)
         need_kv = any(t.requires_grad for t in (kv_in, wk, bk, wv, bv))
         if need_kv:
             dv = merge(att.transpose((0, 1, 3, 2)) @ d_out, sk)
@@ -458,14 +479,14 @@ def attention(q_in: Tensor, kv_in: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, b
         ds *= scale
         dq = merge(ds @ k, sq)
         _affine_bw(x, wq, bq, dq)
-        dx = dq @ wq.data.T if q_in.requires_grad else None
+        dx = dq @ _t(wq) if q_in.requires_grad else None
         if need_kv:
             dk = merge(ds.transpose((0, 1, 3, 2)) @ q, sk)
             _affine_bw(y, wk, bk, dk)
             _affine_bw(y, wv, bv, dv)
             if kv_in.requires_grad:
-                dy = dk @ wk.data.T
-                dy += dv @ wv.data.T
+                dy = dk @ _t(wk)
+                dy += dv @ _t(wv)
                 if kv_in is q_in:
                     dx += dy
                 else:
@@ -487,11 +508,10 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
 
     def bw(g):
         _affine_bw(h, w2, b2, g)
-        dh = g @ w2.data.T
+        dh = g @ _t(w2)
         dh *= _gelu_grad(pre, t)
         _affine_bw(x.data, w1, b1, dh)
-        if x.requires_grad:
-            _accum(x, dh @ w1.data.T)
+        _accum(x, lambda: dh @ _t(w1))
 
     return _node(data, "feed_forward", (x, w1, b1, w2, b2), bw)
 

@@ -148,6 +148,9 @@ def cmd_finetune(args) -> int:
     cfg.derive("model", {key: getattr(model, key) for key in cfg.sections["model"]}, "the checkpoint's model")
     cfg.derive("diffusion", schedule_from_checkpoint(base).config(), "the checkpoint's diffusion schedule")
     fault = load_corpus(_require_dir(args.data, "fault"))
+    if (fault.tau, fault.dim) != (model.tau, model.d):
+        raise ContractError(f"fault corpus {args.data} holds (tau, dim) = ({fault.tau}, {fault.dim}), "
+                            f"but checkpoint {args.checkpoint} models ({model.tau}, {model.d})")
     layout = ExperimentLayout(args.out)
     with _in_progress(layout.root):
         layout.prepare(cfg)

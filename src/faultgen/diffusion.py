@@ -105,8 +105,9 @@ def sample(
 ) -> np.ndarray:
     """Generate `n` series by iterating reverse_step from pure noise, as one float32 (n, tau, d) stack.
 
-    Per-sample noise streams are seeded `seed + index`, so a sample's
-    trajectory does not depend on how many siblings are generated with it.
+    Per-sample noise streams are seeded `seed + index`, so a sample's bits do not depend on
+    how many siblings (n >= 2) are generated with it; alone (n = 1), BLAS computes the heads'
+    (1, D) @ (D, k) products with another kernel, which can move its last float32 bits.
     `model` must expose predict_noise(x, t) -> array of x's shape. Each step
     clips the implied clean signal inside `reverse_step`, so every sample lies
     in [-X0_CLIP, X0_CLIP] before the whole stack is inverted through

@@ -109,9 +109,9 @@ class Adam:
 
     Parameters, gradients and both moments live in four flat buffers, and each
     trainable parameter's `data` and `grad` are views into the first two, so
-    `step` is one elementwise update, bitwise equal to a per-array loop. Once
-    an optimizer holds a parameter, these arrays may only be written in place:
-    a rebound one silently stops training.
+    `step` is one elementwise update through two transient scratch buffers,
+    bitwise equal to a per-array loop. Once an optimizer holds a parameter,
+    these arrays may only be written in place: a rebound one silently stops training.
     """
 
     def __init__(self, params: list[Parameter], lr: float,
@@ -144,15 +144,16 @@ class Adam:
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
         g, m, v = self._grad, self._m, self._v
+        s = np.multiply(g, 1 - b1)
         m *= b1
-        m += (1 - b1) * g
+        m += s
         v *= b2
-        v += (1 - b2) * g * g
-        update = np.sqrt(v / c2)
-        update += self.eps
-        np.divide(m / c1, update, out=update)
-        update *= self.lr * lr_scale
-        self._data -= update
+        v += np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
+        np.sqrt(np.divide(v, c2, out=s), out=s)
+        s += self.eps
+        np.divide(m / c1, s, out=s)
+        s *= self.lr * lr_scale
+        self._data -= s
 
 
 def _warmup_scale(step: int, warmup: int) -> float:

@@ -1,9 +1,10 @@
 """Shared test oracles: finite differences, full attention, reference math.
 
 The composed attention and feed-forward block, the looped diversity loss, the
-staged reverse step, the per-series corpus generator and the per-value corpus
-writer are the library's own earlier spellings, kept here as references for
-the fused, vectorized and single-formula forms.
+staged reverse step, the per-series corpus generator, the per-value corpus
+writer, the one-expression gelu and layer_norm gradients and the transposed
+weight view are the library's own earlier spellings, kept here as references
+for the fused, vectorized, in-place and single-formula forms.
 
 These stay independent of the library's own computation paths — they use
 plain numpy (including numpy.linalg, which the library itself avoids).
@@ -11,6 +12,7 @@ plain numpy (including numpy.linalg, which the library itself avoids).
 
 import errno
 import json
+import math
 import os
 
 import numpy as np
@@ -124,6 +126,29 @@ def composed_attention(q_in, kv_in, p, heads, mask=None):
 def composed_feed_forward(x, p):
     """The transformer feed-forward block built from single tape ops: matmul, add, gelu, matmul, add."""
     return ad.gelu(x @ p["w1"] + p["b1"]) @ p["w2"] + p["b2"]
+
+
+def formula_gelu_grad(x, t):
+    """gelu'(x) as one expression, for t = tanh(sqrt(2/pi) * (x + 0.044715 * x^3)); Python floats stay weak."""
+    d_inner = math.sqrt(2.0 / math.pi) * (1.0 + 3.0 * 0.044715 * (x * x))
+    return 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t * t) * d_inner
+
+
+def formula_layer_norm_input_grad(x, gain, g, eps=1e-5):
+    """d(sum(g * layer_norm(x)))/dx as one expression over the forward's centred values and inverse deviation."""
+    def mean(a):
+        return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
+
+    d = x - mean(x)
+    inv = 1.0 / np.sqrt(mean(d * d) + eps)
+    xhat = d * inv
+    dxhat = g * gain
+    return inv * (dxhat - mean(dxhat) - xhat * mean(dxhat * xhat))
+
+
+def view_transpose(w):
+    """A weight's transpose as the strided view, a stand-in for `autodiff._t`'s C-contiguous copy."""
+    return w.data.T
 
 
 def loop_diversity_loss(preds, pair_count, margin, seed):

@@ -10,7 +10,16 @@ from faultgen.autodiff import Parameter, Tensor
 from faultgen.denoiser import Backbone, DenoiserConfig
 from faultgen.errors import ContractError, DimensionError, ForwardError, NumericError
 
-from helpers import central_diff, composed_attention, composed_feed_forward, grad_check, rel_err
+from helpers import (
+    central_diff,
+    composed_attention,
+    composed_feed_forward,
+    formula_gelu_grad,
+    formula_layer_norm_input_grad,
+    grad_check,
+    rel_err,
+    view_transpose,
+)
 
 RNG = np.random.default_rng(42)
 
@@ -310,6 +319,104 @@ def test_gelu_is_bitwise_its_plain_numpy_formula():
     ref = 0.5 * x * (1.0 + np.tanh(c * (x + a * (x * x * x))))
     assert ref.dtype == np.float32
     assert np.array_equal(ad.gelu(Tensor(x)).data, ref)
+
+
+KERNEL_CASES = [(dtype, b, width) for dtype in ("float32", "float64") for b in (1, 8, 12) for width in (64, 128)]
+
+
+class TestRewrittenKernelsKeepTheirBits:
+    """The in-place and contiguous backward kernels against the expressions they replaced.
+
+    Series are 24 steps long, as on the desk. At 18 rows of width 64 or fewer, OpenBLAS multiplies
+    by a view and by a copy with two different small-matrix kernels, which round differently.
+    """
+
+    @pytest.mark.parametrize("dtype,b,width", KERNEL_CASES)
+    def test_gelu_grad_is_bitwise_its_one_expression(self, dtype, b, width):
+        x = (np.random.default_rng(b + width).standard_normal((b, 24, width)) * 3.0).astype(dtype)
+        t = ad.gelu_(x.copy())
+        assert np.array_equal(ad._gelu_grad(x, t), formula_gelu_grad(x, t))
+
+    @pytest.mark.parametrize("dtype,b,width", KERNEL_CASES)
+    def test_layer_norm_input_gradient_is_bitwise_its_one_expression(self, dtype, b, width):
+        rng = np.random.default_rng(b + width)
+        x, g = (rng.standard_normal((2, b, 24, width)) * 2.0 + 0.5).astype(dtype)
+        gain, bias = (rng.standard_normal((2, width)) * 0.1 + [[1.0], [0.0]]).astype(dtype)
+        with ad.precision(dtype):
+            xt = Tensor(x, requires_grad=True)
+            (ad.layer_norm(xt, Tensor(gain), Tensor(bias)) * Tensor(g)).sum().backward()
+        assert xt.grad.dtype == np.dtype(dtype)
+        assert np.array_equal(xt.grad, formula_layer_norm_input_grad(x, gain, g))
+
+    @pytest.mark.parametrize("dtype,b,width", KERNEL_CASES)
+    def test_a_product_by_the_contiguous_transpose_is_bitwise_the_views(self, dtype, b, width):
+        rng = np.random.default_rng(b + width)
+        g = rng.standard_normal((b, 24, width)).astype(dtype)
+        for rows in (64, 128):  # (64, 64), (64, 128) and (128, 64) are the desk's projection and feed-forward weights
+            w = Tensor(rng.standard_normal((rows, width)).astype(dtype))
+            assert np.array_equal(g @ ad._t(w), g @ view_transpose(w))
+
+    @staticmethod
+    def _fused_grads(dtype, b):
+        rng = np.random.default_rng(b)
+        att = _attention_inputs(rng, b, 24, 24, 64, dtype)
+        cross = _attention_inputs(rng, b, 24, 24, 64, dtype)
+        ff = _ff_inputs(rng, b, dim=64, hidden=128, dtype=dtype)
+        with ad.precision(dtype):
+            ts = [Tensor(a, requires_grad=True) for a in att + cross + ff]
+            h = ad.attention(ts[0], ts[0], *ts[2:10], 4, _band(24, 24, 2))
+            h = h + ad.attention(ts[10], ts[11], *ts[12:20], 4)
+            (ad.feed_forward(h * ts[20], *ts[21:]) * h).sum().backward()
+        return [t.grad for t in ts]
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    @pytest.mark.parametrize("b", [1, 8, 12])
+    def test_fused_backwards_give_the_gradients_of_the_view_products(self, dtype, b, monkeypatch):
+        new = self._fused_grads(dtype, b)
+        monkeypatch.setattr(ad, "_t", view_transpose)
+        old = self._fused_grads(dtype, b)
+        for i, (got, ref) in enumerate(zip(new, old)):
+            assert (got is None) == (i == 1) == (ref is None)  # the shared self-attention input's second slot
+            assert got is None or np.array_equal(got, ref), f"input {i}"
+
+
+BINARY_OPS = {  # name: (op, a's shape, b's shape), b broadcast against a where the op allows
+    "matmul": (ad.matmul, (3, 4, 5), (5, 6)),
+    "add": (ad.add, (3, 4, 5), (5,)),
+    "sub": (ad.sub, (3, 4, 5), (4, 1)),
+    "mul": (ad.mul, (3, 4, 5), (4, 5)),
+    "div": (ad.div, (3, 4, 5), (1, 5)),
+}
+
+
+@pytest.mark.parametrize("frozen", [0, 1])
+@pytest.mark.parametrize("name", list(BINARY_OPS))
+def test_a_frozen_parent_gets_no_gradient_and_the_other_keeps_its_bits(name, frozen):
+    op, *shapes = BINARY_OPS[name]
+    rng = np.random.default_rng(len(name) + frozen)
+    arrays = [rng.standard_normal(shapes[0]), rng.uniform(0.5, 2.0, shapes[1])]  # b stays away from 0 for div
+    w = Tensor(rng.standard_normal(op(*[Tensor(a) for a in arrays]).shape))
+    grads = []
+    for freeze in (None, frozen):
+        ts = [Tensor(a, requires_grad=i != freeze) for i, a in enumerate(arrays)]
+        (op(*ts) * w).sum().backward()
+        grads.append([t.grad for t in ts])
+    assert grads[1][frozen] is None
+    assert np.array_equal(grads[1][1 - frozen], grads[0][1 - frozen])
+
+
+def test_layer_norm_with_a_frozen_gain_and_bias_gives_x_the_same_bits():
+    rng = np.random.default_rng(12)
+    x, g = rng.standard_normal((2, 3, 4, 8))
+    gain, bias = rng.standard_normal((2, 8))
+    grads = []
+    for trainable in (True, False):
+        ts = [Tensor(x, requires_grad=True), Tensor(gain, requires_grad=trainable),
+              Tensor(bias, requires_grad=trainable)]
+        (ad.layer_norm(*ts) * Tensor(g)).sum().backward()
+        grads.append([t.grad for t in ts])
+    assert grads[1][1] is None and grads[1][2] is None
+    assert np.array_equal(grads[1][0], grads[0][0])
 
 
 class TestBackward:

@@ -85,6 +85,9 @@ def trained(tmp_path_factory):
     assert main(["make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", normal]) == 0
     assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "8",
                  "--out", fault]) == 0
+    fault12 = str(root / "fault12")  # a fault corpus longer than the models' tau = 8
+    assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "12",
+                 "--out", fault12]) == 0
     assert main(["pretrain", "--data", normal, "--out", str(root / "pre"),
                  *_overrides("train.pretrain_steps=1")]) == 0
     pre = str(root / "pre" / "checkpoints" / "final.ckpt")
@@ -97,7 +100,7 @@ def trained(tmp_path_factory):
         lines = fh.read().splitlines(keepends=True)
     with open(sample3, "w") as fh:
         fh.write("".join(["x,y\n", *lines[1:]]))
-    return {"normal": normal, "fault": fault, "renamed": renamed, "pre": pre,
+    return {"normal": normal, "fault": fault, "fault12": fault12, "renamed": renamed, "pre": pre,
             "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
 
 
@@ -321,7 +324,7 @@ def test_evaluate_names_an_unknown_metric_before_it_reads_a_corpus(corpus_pair, 
     assert not out.exists()
 
 
-BAD_INPUTS = {  # argv with {corpus} and {checkpoint} names from `trained`, exit code, a fragment of the one stderr line
+BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} in argv or fragment is a path from `trained`
     "make-data-negative-seed": (["make-data", "--kind", "normal", "--n", "2", "--tau", "8", "--seed", "-1"],
                                 2, "--seed must be >= 0"),
     "pretrain-negative-seed": (["pretrain", "--data", "{normal}", "--seed", "-1", *_overrides()],
@@ -379,6 +382,10 @@ BAD_INPUTS = {  # argv with {corpus} and {checkpoint} names from `trained`, exit
     "finetune-enc-layers": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
                              *_overrides("train.finetune_steps=1", "model.enc_layers=7")],
                             2, "model.enc_layers = 7 disagrees with 1 from the checkpoint's model"),
+    "finetune-corpus-tau-not-the-checkpoints": (["finetune", "--data", "{fault12}", "--checkpoint", "{pre}",
+                                                 *_overrides("train.finetune_steps=1")],
+                                                2, "fault corpus {fault12} holds (tau, dim) = (12, 2), "
+                                                   "but checkpoint {pre} models (8, 2)"),
     "finetune-empty-checkpoint": (["finetune", "--data", "{fault}", "--checkpoint", "", *_overrides()],
                                   3, "cannot read checkpoint"),
     "generate-empty-checkpoint": (["generate", "--checkpoint", "", "--n", "2"], 3, "cannot read checkpoint"),
@@ -396,7 +403,7 @@ def test_a_bad_input_exits_with_one_error_line_and_writes_nothing(trained, tmp_p
     assert main([arg.format(**trained) for arg in argv] + ["--out", str(out)]) == code
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
-    assert fragment in err
+    assert fragment.format(**trained) in err
     assert not out.exists() or [p.name for p in out.iterdir()] == [".partial"]
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from faultgen.config import RunConfig
 from faultgen.data import Dataset, TimeSeries, generate_normal, fit_normalizer
 from faultgen.denoiser import Backbone, DenoiserConfig
 from faultgen.diffusion import X0_CLIP, forward_sample, make_schedule, reverse_step, sample
@@ -161,6 +162,18 @@ class TestSample:
         out = sample(model, sched, 2, (12, 2), seed=9)
         assert out.shape == (2, 12, 2) and out.dtype == np.float32
         assert np.all(np.isfinite(out))
+
+    def test_a_series_keeps_its_bits_among_any_siblings_and_its_value_alone(self):
+        # desk widths: at model_dim 64 BLAS multiplies a one-row head product with another kernel
+        model = Backbone(RunConfig.from_preset("desk").denoiser_config(24, 2), seed=0)
+        rng = np.random.default_rng(0)
+        for head in (model.trend_w, model.seas_w, model.res_w):  # zero at init; a briefly trained head's scale
+            head.data[...] = rng.normal(0.0, 0.01, head.data.shape)
+        sched = make_schedule(20, "linear", 1e-3, 0.2)
+        out = {n: sample(model, sched, n, (24, 2), seed=5) for n in (1, 2, 5, 12)}
+        for n in (2, 5):
+            assert out[n].tobytes() == out[12][:n].tobytes()
+        np.testing.assert_allclose(out[1], out[12][:1], rtol=0, atol=1e-6)  # about 2 float32 ulps at X0_CLIP
 
     def test_denormalization_applied(self, setup):
         model, sched = setup

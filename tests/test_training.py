@@ -112,6 +112,18 @@ def test_parameters_stay_views_into_the_optimizer_buffers():
     _assert_bound(opt)
 
 
+def test_a_step_leaves_no_array_behind_beyond_the_four_flat_buffers():
+    opt = Adam(Backbone(TINY, seed=0).parameters(), lr=1e-3)
+    for p in opt.params:
+        p.grad += 1.0
+    opt.step()
+    buffers = [opt._data, opt._grad, opt._m, opt._v]
+    held = [a for a in vars(opt).values() if isinstance(a, np.ndarray)]
+    assert len(held) == 4 and all(any(a is b for b in buffers) for a in held)
+    views = [a for p in opt.params for a in (p.data, p.grad)]
+    assert all(any(a.base is b for b in buffers) for a in views)  # scratch kept on a parameter would show here
+
+
 def test_checkpoint_and_loss_curve_writes_that_fail_midway_leave_the_earlier_files_whole(tmp_path, monkeypatch):
     save_checkpoint(Checkpoint({"run": 1}, {"w": np.arange(6, dtype=np.float32).reshape(2, 3)}, step=1),
                     tmp_path / "step.ckpt")
