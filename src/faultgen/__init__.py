@@ -24,13 +24,12 @@ from .training import (
     TrainConfig,
     base_loss,
     diversity_loss,
-    finetune,
     load_checkpoint,
     model_from_checkpoint,
     normalizer_from_checkpoint,
-    pretrain,
     save_checkpoint,
     total_loss,
+    train,
 )
 
 __version__ = "0.1.0"

@@ -15,6 +15,7 @@ import json
 import os
 import sys
 
+from .adapter import AdapterStack, attach
 from .config import RunConfig, resolve_config
 from .data import (
     FAULT_KINDS,
@@ -40,30 +41,16 @@ from .errors import (
 )
 from .metrics import check_request, downstream_eval, evaluate_corpora
 from .training import (
-    denoiser_config_from_checkpoint,
-    finetune,
     load_checkpoint,
     model_from_checkpoint,
     normalizer_from_checkpoint,
-    pretrain,
     schedule_from_checkpoint,
+    train,
 )
 
 FAULT_SEED_OFFSET = 1_000_003  # keeps injection rng streams apart from base-signal streams
-
-
-class ExperimentLayout:
-    """Training output directory contract: checkpoints/, logs/, config.lock."""
-
-    def __init__(self, root):
-        self.root = root
-        self.checkpoints = os.path.join(root, "checkpoints")
-        self.logs = os.path.join(root, "logs")
-
-    def prepare(self, cfg: RunConfig) -> None:
-        for d in (self.root, self.checkpoints, self.logs):
-            os.makedirs(d, exist_ok=True)
-        write_atomic(os.path.join(self.root, "config.lock"), cfg.canonical_text())
+EXTRA_FLAGS = ("period", "clip_level", "burst_len", "count")  # the flags that fill a FaultSpec's `extra`
+FAULT_FLAGS = ("fault", "magnitude", "onset", "duration", "channels", *EXTRA_FLAGS)  # read by --kind fault only
 
 
 @contextlib.contextmanager
@@ -96,12 +83,14 @@ def _require_dir(path, what: str):
 
 
 def cmd_make_data(args) -> int:
+    given = [key for key in FAULT_FLAGS if getattr(args, key) is not None]
+    if args.kind == "normal" and given:
+        raise ConfigError(f"{', '.join('--' + key.replace('_', '-') for key in given)} apply only to --kind fault")
     if args.kind == "fault" and not args.fault:
         raise ConfigError("--fault is required when --kind fault")
     ds = generate_normal(args.tau, args.dim, args.n, args.seed, base_kind=args.base, noise_std=args.noise_std)
     if args.kind == "fault":
-        extra = {k: getattr(args, k) for k in ("period", "clip_level", "burst_len", "count")
-                 if getattr(args, k) is not None}
+        extra = {k: getattr(args, k) for k in EXTRA_FLAGS if getattr(args, k) is not None}
         try:
             channels = [int(c) for c in args.channels.split(",")] if args.channels else None
         except ValueError as e:
@@ -120,50 +109,49 @@ def _resolved(args) -> RunConfig:
     return resolve_config(args.preset, args.config, args.override, args.seed)
 
 
+def _train(args, cfg: RunConfig, phase: str, data: Dataset, model, sched, normalizer, loss_cfg=None) -> int:
+    """Write config.lock, train `model` into checkpoints/ and logs/ under --out, and print the summary line."""
+    tcfg = cfg.train_config(phase)
+    checkpoints = os.path.join(args.out, "checkpoints")
+    with _in_progress(args.out):
+        write_atomic(os.path.join(args.out, "config.lock"), cfg.canonical_text())
+        ckpt = train(data, model, tcfg, sched, normalizer, loss_cfg, checkpoints,
+                     os.path.join(args.out, "logs", "loss_curve.csv"), cfg.hash())
+    summary = {"phase": phase, "steps": tcfg.steps, "checkpoint": os.path.join(checkpoints, "final.ckpt"),
+               "config_hash": cfg.hash()}
+    if phase == "pretrain":
+        summary["final_loss"] = ckpt.loss_rows[-1][3] if ckpt.loss_rows else float("nan")
+    print(json.dumps(summary, sort_keys=True))
+    return 0
+
+
 def cmd_pretrain(args) -> int:
     cfg = _resolved(args)
-    corpus = load_corpus(_require_dir(args.data, "training"))
-    layout = ExperimentLayout(args.out)
-    with _in_progress(layout.root):
-        layout.prepare(cfg)
-        tcfg = cfg.train_config("pretrain")
-        ckpt = pretrain(
-            corpus, tcfg, Backbone(cfg.denoiser_config(corpus.tau, corpus.dim), seed=tcfg.seed), cfg.schedule(),
-            normalizer=fit_normalizer(corpus, cfg.get("data", "normalizer")),
-            checkpoint_dir=layout.checkpoints,
-            log_path=os.path.join(layout.logs, "loss_curve.csv"), config_hash=cfg.hash(),
-        )
-    final_loss = ckpt.loss_rows[-1][3] if ckpt.loss_rows else float("nan")
-    print(json.dumps({"phase": "pretrain", "steps": tcfg.steps, "final_loss": final_loss,
-                      "checkpoint": os.path.join(layout.checkpoints, "final.ckpt"),
-                      "config_hash": cfg.hash()}, sort_keys=True))
-    return 0
+    normal = load_corpus(_require_dir(args.data, "training"))
+    model = Backbone(cfg.denoiser_config(normal.tau, normal.dim), seed=cfg.get("train", "seed"))
+    return _train(args, cfg, "pretrain", normal, model, cfg.schedule(),
+                  fit_normalizer(normal, cfg.get("data", "normalizer")))
 
 
 def cmd_finetune(args) -> int:
     cfg = _resolved(args)
     base = load_checkpoint(args.checkpoint)
+    if base.config.get("adapter"):
+        raise CheckpointError("finetune expects a backbone-only (pretrain) checkpoint")
+    backbone, sched = model_from_checkpoint(base), schedule_from_checkpoint(base)
+    arch = backbone.cfg
     # fine-tuning trains the checkpoint's backbone on its schedule; a written model or diffusion key must restate them
-    model = denoiser_config_from_checkpoint(base)
-    cfg.derive("model", {key: getattr(model, key) for key in cfg.sections["model"]}, "the checkpoint's model")
-    cfg.derive("diffusion", schedule_from_checkpoint(base).config(), "the checkpoint's diffusion schedule")
+    cfg.derive("model", {key: getattr(arch, key) for key in cfg.sections["model"]}, "the checkpoint's model")
+    cfg.derive("diffusion", sched.config(), "the checkpoint's diffusion schedule")
     fault = load_corpus(_require_dir(args.data, "fault"))
-    if (fault.tau, fault.dim) != (model.tau, model.d):
+    if len(fault) < 2:
+        raise ContractError(f"fine-tuning needs at least 2 fault series, but {args.data} holds {len(fault)}")
+    if (fault.tau, fault.dim) != (arch.tau, arch.d):
         raise ContractError(f"fault corpus {args.data} holds (tau, dim) = ({fault.tau}, {fault.dim}), "
-                            f"but checkpoint {args.checkpoint} models ({model.tau}, {model.d})")
-    layout = ExperimentLayout(args.out)
-    with _in_progress(layout.root):
-        layout.prepare(cfg)
-        tcfg = cfg.train_config("finetune")
-        finetune(
-            fault, base, tcfg, cfg.loss_config(), adapter_cfg=cfg.adapter_config(),
-            checkpoint_dir=layout.checkpoints,
-            log_path=os.path.join(layout.logs, "loss_curve.csv"), config_hash=cfg.hash(),
-        )
-    print(json.dumps({"phase": "finetune", "steps": tcfg.steps,
-                      "checkpoint": os.path.join(layout.checkpoints, "final.ckpt"),
-                      "config_hash": cfg.hash()}, sort_keys=True))
-    return 0
+                            f"but checkpoint {args.checkpoint} models ({arch.tau}, {arch.d})")
+    stack = AdapterStack(cfg.adapter_config(), arch.dec_layers, seed=cfg.get("train", "seed"))
+    return _train(args, cfg, "finetune", fault, attach(backbone, stack), sched,
+                  normalizer_from_checkpoint(base), cfg.loss_config())
 
 
 def cmd_generate(args) -> int:
@@ -219,9 +207,11 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_embed(args) -> int:
+    tsne = {k: getattr(args, k) for k in ("perplexity", "iters") if getattr(args, k) is not None}
+    if tsne and args.method != "tsne":
+        raise ConfigError(f"{', '.join('--' + k for k in tsne)} apply only to --method tsne")
     datasets = [load_corpus(_require_dir(c, "embedding")) for c in args.corpus]
-    params = {k: getattr(args, k) for k in ("features", "perplexity", "iters") if getattr(args, k) is not None}
-    result = embed_2d(datasets, method=args.method, params=params, seed=args.seed)
+    result = embed_2d(datasets, method=args.method, features=args.features, seed=args.seed, **tsne)
     os.makedirs(args.out, exist_ok=True)
     write_atomic(os.path.join(args.out, "embedding.csv"), result.coords_csv())
     write_atomic(os.path.join(args.out, "kde.csv"), result.kde_csv())
@@ -272,7 +262,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-data", parents=[seed, out], help="write a normal or fault corpus")
     p.add_argument("--kind", required=True, choices=["normal", "fault"])
-    p.add_argument("--fault", choices=FAULT_KINDS)
+    # a compound fault is built from component specs, which no flag gives; the library alone makes one
+    p.add_argument("--fault", choices=[kind for kind in FAULT_KINDS if kind != "compound"])
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--tau", type=int, default=24)
     p.add_argument("--dim", type=int, default=2)

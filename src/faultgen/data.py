@@ -33,6 +33,10 @@ FAULT_KINDS = (
     "sudden_recovery",
 )
 
+# the `extra` keys each fault kind reads; a kind not named here reads none
+FAULT_EXTRAS = {"periodic": ("period",), "low_frequency_anomaly": ("period",), "saturation": ("clip_level",),
+                "intermittent": ("burst_len",), "impulse": ("count",), "compound": ("components",)}
+
 
 @dataclass
 class TimeSeries:
@@ -129,6 +133,9 @@ class FaultSpec:
             raise ContractError("fault magnitude must be finite")
 
     def validate(self, tau: int, dim: int) -> None:
+        unread = sorted(set(self.extra) - set(FAULT_EXTRAS.get(self.kind, ())))
+        if unread:
+            raise ContractError(f"a {self.kind} fault does not read {', '.join(unread)}")
         if not 0 <= self.onset < tau:
             raise ContractError(f"onset {self.onset} outside [0, {tau})")
         if self.duration < 1:

@@ -12,6 +12,9 @@ from .eig import sym_eig
 from .errors import ContractError
 from .metrics import ContextEncoder, DEFAULT_ENCODER_SEED
 
+TSNE_LEARNING_RATE = 100.0  # step size of the t-SNE gradient descent
+KDE_GRID_POINTS = 64  # density evaluations per KDE curve
+
 
 @dataclass
 class EmbedResult:
@@ -97,9 +100,10 @@ def _tsne_probabilities(x: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum(p, 1e-12)
 
 
-def tsne_2d(x: np.ndarray, perplexity: float = 30.0, iters: int = 500,
-            learning_rate: float = 100.0, seed: int = 0) -> np.ndarray:
+def tsne_2d(x: np.ndarray, perplexity: float = 30.0, iters: int = 500, seed: int = 0) -> np.ndarray:
     """Exact O(n^2) t-SNE with early exaggeration and momentum; seeded init."""
+    if iters < 1:
+        raise ContractError(f"t-SNE iters must be >= 1, got {iters}")
     n = x.shape[0]
     eff = min(perplexity, (n - 1) / 3.0)
     if eff < 1.0:
@@ -118,7 +122,7 @@ def tsne_2d(x: np.ndarray, perplexity: float = 30.0, iters: int = 500,
         w = (pp - q) * num
         grad = 4.0 * ((np.diag(w.sum(axis=1)) - w) @ y)
         momentum = 0.5 if it < 250 else 0.8
-        vel = momentum * vel - learning_rate * grad
+        vel = momentum * vel - TSNE_LEARNING_RATE * grad
         y = y + vel
         y = y - y.mean(axis=0)
     return y
@@ -135,12 +139,12 @@ def _silverman_bandwidth(x: np.ndarray) -> float:
     return 0.9 * scale * n ** (-0.2)
 
 
-def _kde_rows(labels: list, coords: np.ndarray, grid_points: int = 64) -> list:
+def _kde_rows(labels: list, coords: np.ndarray) -> list:
     rows = []
     for axis, name in enumerate(("x", "y")):
         vals = coords[:, axis]
         h_all = _silverman_bandwidth(vals)
-        grid = np.linspace(vals.min() - 3 * h_all, vals.max() + 3 * h_all, grid_points)
+        grid = np.linspace(vals.min() - 3 * h_all, vals.max() + 3 * h_all, KDE_GRID_POINTS)
         for lab in dict.fromkeys(labels):
             sel = np.array([l == lab for l in labels])
             pts = vals[sel]
@@ -152,27 +156,20 @@ def _kde_rows(labels: list, coords: np.ndarray, grid_points: int = 64) -> list:
     return rows
 
 
-def embed_2d(datasets: list[Dataset], method: str = "pca", params: dict | None = None,
-             seed: int = 0) -> EmbedResult:
+def embed_2d(datasets: list[Dataset], method: str = "pca", features: str = "flat", perplexity: float = 30.0,
+             iters: int = 500, seed: int = 0) -> EmbedResult:
     """Project labeled corpora to 2-D and attach per-axis KDE curves.
 
-    params: perplexity / iters / learning_rate (t-SNE), features: "flat"|"context".
+    `features` is "flat" or "context"; only t-SNE reads `perplexity` and `iters`.
     """
-    params = dict(params or {})
     total = sum(len(ds) for ds in datasets)
     if total < 3:
         raise ContractError("embedding needs >= 3 samples in total")
-    x, labels = _features(datasets, params.get("features", "flat"))
+    x, labels = _features(datasets, features)
     if method == "pca":
         coords = pca_2d(x)
     elif method == "tsne":
-        coords = tsne_2d(
-            x,
-            perplexity=float(params.get("perplexity", 30.0)),
-            iters=int(params.get("iters", 500)),
-            learning_rate=float(params.get("learning_rate", 100.0)),
-            seed=seed,
-        )
+        coords = tsne_2d(x, perplexity, iters, seed)
     else:
         raise ContractError(f"unknown embedding method {method!r}")
     return EmbedResult(labels=labels, coords=coords, kde=_kde_rows(labels, coords))

@@ -22,6 +22,9 @@ from .errors import ContractError, MetricError
 METRIC_VERSION = "fg-metrics-2"
 DEFAULT_ENCODER_SEED = 1234
 EMBED_DIM = 16
+ENCODER_HIDDEN = 32  # channels between the encoder's two convolutions
+ENCODER_KERNEL = 5   # taps of each encoder convolution
+ACF_MAX_LAG = 8      # autocorrelation lags the diversity score compares
 
 
 # ----------------------------------------------------------------------
@@ -135,8 +138,9 @@ def predictive_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
 class ContextEncoder:
     """Frozen, seeded random 1-D conv encoder mapping (..., tau, d) -> (..., EMBED_DIM) features."""
 
-    def __init__(self, d: int, seed: int = DEFAULT_ENCODER_SEED, hidden: int = 32, kernel: int = 5):
+    def __init__(self, d: int, seed: int = DEFAULT_ENCODER_SEED):
         rng = np.random.default_rng(seed)
+        kernel, hidden = ENCODER_KERNEL, ENCODER_HIDDEN
         self.w1 = rng.normal(0, 1.0 / np.sqrt(kernel * d), (kernel, d, hidden))
         self.b1 = rng.normal(0, 0.1, hidden)
         self.w2 = rng.normal(0, 1.0 / np.sqrt(kernel * hidden), (kernel, hidden, EMBED_DIM))
@@ -182,13 +186,13 @@ def frechet_distance(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
     return fid
 
 
-def context_fid(real: Dataset, synth: Dataset, encoder_seed: int = DEFAULT_ENCODER_SEED) -> float:
+def context_fid(real: Dataset, synth: Dataset) -> float:
     """Frechet distance between frozen-encoder embedding clouds of the two corpora."""
     if len(real) < 2 or len(synth) < 2:
         raise ContractError("context_fid needs >= 2 samples per corpus")
     if real.dim != synth.dim:
         raise ContractError("corpora must share the channel count")
-    enc = ContextEncoder(real.dim, encoder_seed)
+    enc = ContextEncoder(real.dim, DEFAULT_ENCODER_SEED)
     return frechet_distance(enc.embed(real.values), enc.embed(synth.values))
 
 
@@ -241,7 +245,7 @@ def _mean_pairwise_distance(x: np.ndarray) -> float:
     return total / (n * (n - 1) / 2)
 
 
-def diversity_score(real: Dataset, synth: Dataset, max_lag: int = 8) -> float:
+def diversity_score(real: Dataset, synth: Dataset) -> float:
     """Mean pairwise distance of synthetic autocorrelation features, relative to real."""
     if len(synth) < 2:
         raise ContractError("diversity score needs >= 2 synthetic samples")
@@ -249,8 +253,8 @@ def diversity_score(real: Dataset, synth: Dataset, max_lag: int = 8) -> float:
         raise ContractError("diversity score needs >= 2 real samples")
     if real.dim != synth.dim:
         raise ContractError("corpora must share the channel count")
-    fr = _acf_features(real, max_lag)
-    fs = _acf_features(synth, max_lag)
+    fr = _acf_features(real, ACF_MAX_LAG)
+    fs = _acf_features(synth, ACF_MAX_LAG)
     denom = _mean_pairwise_distance(fr)
     if denom == 0:
         raise MetricError("real corpus has zero feature diversity; ratio undefined")
@@ -349,8 +353,7 @@ class MetricReport:
         return "\n".join(lines) + "\n"
 
 
-def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,),
-                     encoder_seed: int = DEFAULT_ENCODER_SEED, max_lag: int = 8) -> MetricReport:
+def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,)) -> MetricReport:
     """Run the selected metrics for every seed and report per-seed values plus medians.
 
     Every score runs once: `discriminative` and `predictive` train all seeds' networks as one stack.
@@ -362,14 +365,14 @@ def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,)
 
     def run(metric: str) -> list[float]:
         if metric == "context_fid":
-            return [context_fid(real, synth, encoder_seed)] * len(seeds)
+            return [context_fid(real, synth)] * len(seeds)
         if metric == "correlational":
             return [correlational_score(real, synth, warnings)] * len(seeds)
         if metric == "discriminative":
             return discriminative_score(real, synth, seeds)
         if metric == "predictive":
             return predictive_score(real, synth, seeds)
-        return [diversity_score(real, synth, max_lag)] * len(seeds)
+        return [diversity_score(real, synth)] * len(seeds)
 
     values: dict = {m: {} for m in wanted}
     for m in wanted:
@@ -383,6 +386,6 @@ def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,)
         "corpus_real": real.id,
         "corpus_synth": synth.id,
         "metric_version": METRIC_VERSION,
-        "encoder_seed": encoder_seed,
+        "encoder_seed": DEFAULT_ENCODER_SEED,
     }
     return MetricReport(values=values, medians=medians, metadata=meta, warnings=sorted(set(warnings)))

@@ -1,6 +1,8 @@
-"""Losses, optimizer, pretraining / fine-tuning loops, and checkpointing.
+"""Losses, optimizer, the training loop, and checkpointing.
 
-Both phases hand a raw corpus to one loop, `_run_loop`, which scales it by
+Both phases run one loop, `train`, over the parameters the model leaves
+trainable: a `Backbone` is pretrained whole, and a model from `attach` trains
+only its adapter behind the frozen backbone. `train` scales the raw corpus by
 the run's normalizer, trains, and writes the checkpoint whose config header
 `_header` derives from what was trained; callers add only `config_hash`.
 
@@ -31,6 +33,8 @@ from .errors import CheckpointError, ContractError, DivergenceError, NumericErro
 
 CHECKPOINT_MAGIC = b"FDCK"
 CHECKPOINT_VERSION = 1
+ADAM_BETAS = (0.9, 0.999)  # decay rates of Adam's first and second moments
+ADAM_EPS = 1e-8
 
 
 @dataclass
@@ -114,12 +118,9 @@ class Adam:
     these arrays may only be written in place: a rebound one silently stops training.
     """
 
-    def __init__(self, params: list[Parameter], lr: float,
-                 betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8):
+    def __init__(self, params: list[Parameter], lr: float):
         self.params = [p for p in params if p.trainable]
         self.lr = lr
-        self.betas = betas
-        self.eps = eps
         self.step_count = 0
         dtypes = {p.data.dtype for p in self.params} or {ad.default_dtype()}
         if len(dtypes) > 1:
@@ -139,7 +140,7 @@ class Adam:
         self._grad.fill(0)
 
     def step(self, lr_scale: float = 1.0) -> None:
-        b1, b2 = self.betas
+        b1, b2 = ADAM_BETAS
         self.step_count += 1
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
@@ -150,7 +151,7 @@ class Adam:
         v *= b2
         v += np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
         np.sqrt(np.divide(v, c2, out=s), out=s)
-        s += self.eps
+        s += ADAM_EPS
         np.divide(m / c1, s, out=s)
         s *= self.lr * lr_scale
         self._data -= s
@@ -238,16 +239,13 @@ def _snapshot(model, config: dict, step: int, normalizer: Normalizer | None) -> 
     return Checkpoint(config=config, arrays=arrays, step=step)
 
 
-def denoiser_config_from_checkpoint(ckpt: Checkpoint) -> DenoiserConfig:
-    try:
-        return DenoiserConfig(**ckpt.config["model"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"checkpoint config lacks a valid model section: {e!r}") from e
-
-
 def model_from_checkpoint(ckpt: Checkpoint):
     """Rebuild the model (backbone, or composed if adapter arrays are present)."""
-    backbone = Backbone(denoiser_config_from_checkpoint(ckpt), seed=0)
+    try:
+        cfg = DenoiserConfig(**ckpt.config["model"])
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint config lacks a valid model section: {e!r}") from e
+    backbone = Backbone(cfg, seed=0)
     model = backbone
     if ckpt.config.get("adapter"):
         try:
@@ -294,7 +292,7 @@ def _write_loss_csv(rows, path) -> None:
 
 
 # ----------------------------------------------------------------------
-# training loops
+# training loop
 
 
 def _header(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule, loss_cfg: LossConfig | None,
@@ -312,10 +310,15 @@ def _header(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule, loss_c
     return header
 
 
-def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
-              loss_cfg: LossConfig | None, normalizer: Normalizer | None,
-              checkpoint_dir, log_path, config_hash: str) -> Checkpoint:
-    """Train on `data` scaled by `normalizer`, then write the checkpoint and the loss curve."""
+def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normalizer: Normalizer | None = None,
+          loss_cfg: LossConfig | None = None, checkpoint_dir=None, log_path=None,
+          config_hash: str = "") -> Checkpoint:
+    """Train `model`'s trainable parameters on the raw corpus `data`, scaled by `normalizer`,
+    then write the checkpoint and the loss curve.
+
+    The loss is the base loss, plus `loss_cfg`'s weighted diversity term when one is given.
+    A model from `attach` trains only its adapter; its backbone's arrays are left byte-identical.
+    """
     opt = Adam(model.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     arr = data.values if normalizer is None else normalizer.scale(data.values)
@@ -354,34 +357,3 @@ def _run_loop(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule,
     if log_path:
         _write_loss_csv(rows, log_path)
     return final
-
-
-def pretrain(normal: Dataset, cfg: TrainConfig, model: Backbone, sched: NoiseSchedule,
-             normalizer: Normalizer | None = None, checkpoint_dir=None, log_path=None,
-             config_hash: str = "") -> Checkpoint:
-    """Train all backbone parameters on the raw corpus `normal`, scaled by `normalizer`, with the base loss only."""
-    if cfg.phase != "pretrain":
-        raise ContractError("pretrain called with a non-pretrain config")
-    return _run_loop(model, normal, cfg, sched, None, normalizer, checkpoint_dir, log_path, config_hash)
-
-
-def finetune(fault: Dataset, base: Checkpoint, cfg: TrainConfig, loss_cfg: LossConfig,
-             adapter_cfg: AdapterConfig, checkpoint_dir=None, log_path=None,
-             config_hash: str = "") -> Checkpoint:
-    """Attach a fresh adapter stack to a frozen pretrained backbone and train it on the raw corpus `fault`.
-
-    `fault` is scaled by `base`'s normalizer and noised on `base`'s schedule.
-    Only adapter parameters receive updates; backbone arrays in the returned
-    checkpoint are byte-identical to those in `base`. The checkpoint records
-    `config_hash` (the fine-tuning run's own), never the pretrain run's.
-    """
-    if len(fault) < 2:
-        raise ContractError("fine-tuning needs at least 2 fault samples")
-    if cfg.phase != "finetune":
-        raise ContractError("finetune called with a non-finetune config")
-    if base.config.get("adapter"):
-        raise CheckpointError("finetune expects a backbone-only (pretrain) checkpoint")
-    backbone = model_from_checkpoint(base)
-    model = attach(backbone, AdapterStack(adapter_cfg, backbone.cfg.dec_layers, seed=cfg.seed))
-    return _run_loop(model, fault, cfg, schedule_from_checkpoint(base), loss_cfg,
-                     normalizer_from_checkpoint(base), checkpoint_dir, log_path, config_hash)

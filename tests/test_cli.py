@@ -88,6 +88,9 @@ def trained(tmp_path_factory):
     fault12 = str(root / "fault12")  # a fault corpus longer than the models' tau = 8
     assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "12",
                  "--out", fault12]) == 0
+    fault1 = str(root / "fault1")  # too few series to fine-tune on
+    assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "1", "--tau", "8",
+                 "--out", fault1]) == 0
     assert main(["pretrain", "--data", normal, "--out", str(root / "pre"),
                  *_overrides("train.pretrain_steps=1")]) == 0
     pre = str(root / "pre" / "checkpoints" / "final.ckpt")
@@ -100,7 +103,7 @@ def trained(tmp_path_factory):
         lines = fh.read().splitlines(keepends=True)
     with open(sample3, "w") as fh:
         fh.write("".join(["x,y\n", *lines[1:]]))
-    return {"normal": normal, "fault": fault, "fault12": fault12, "renamed": renamed, "pre": pre,
+    return {"normal": normal, "fault": fault, "fault12": fault12, "fault1": fault1, "renamed": renamed, "pre": pre,
             "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
 
 
@@ -393,6 +396,38 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                        "--tau", "8", "--magnitude", "-1"], 2, "magnitude must be >= 0"),
     "sample-header-not-the-manifests": (["evaluate", "--real", "{renamed}", "--synth", "{normal}"],
                                         2, "sample_00003.csv: header 'x,y' differs"),
+    "pretrain-heads-not-dividing-model-dim": (["pretrain", "--data", "{normal}", *_overrides("model.heads=3")],
+                                              2, "model_dim must be divisible by heads"),
+    "pretrain-bogus-schedule": (["pretrain", "--data", "{normal}", *_overrides("diffusion.schedule=bogus")],
+                                2, "unknown schedule"),
+    "pretrain-bogus-normalizer": (["pretrain", "--data", "{normal}", *_overrides("data.normalizer=bogus")],
+                                  2, "unknown normalizer mode 'bogus'"),
+    "finetune-one-series": (["finetune", "--data", "{fault1}", "--checkpoint", "{pre}",
+                             *_overrides("train.finetune_steps=1")],
+                            2, "fine-tuning needs at least 2 fault series, but {fault1} holds 1"),
+    "finetune-a-finetuned-checkpoint": (["finetune", "--data", "{fault}", "--checkpoint", "{fine}",
+                                         *_overrides("train.finetune_steps=1")],
+                                        3, "finetune expects a backbone-only (pretrain) checkpoint"),
+    "finetune-even-adapter-window": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
+                                      *_overrides("train.finetune_steps=1", "adapter.window=4")],
+                                     2, "window must be an odd positive integer"),
+    "make-data-compound": (["make-data", "--kind", "fault", "--fault", "compound", "--n", "2", "--tau", "8"],
+                           2, "argument --fault: invalid choice: 'compound'"),
+    "make-data-normal-with-fault-flags": (["make-data", "--kind", "normal", "--fault", "sudden", "--magnitude", "3",
+                                           "--onset", "2", "--n", "2", "--tau", "8"],
+                                          2, "--fault, --magnitude, --onset apply only to --kind fault"),
+    "sudden-with-period-and-count": (["make-data", "--kind", "fault", "--fault", "sudden", "--period", "5",
+                                      "--count", "3", "--n", "2", "--tau", "8"],
+                                     2, "a sudden fault does not read count, period"),
+    "periodic-with-clip-level": (["make-data", "--kind", "fault", "--fault", "periodic", "--clip-level", "1",
+                                  "--n", "2", "--tau", "8"], 2, "a periodic fault does not read clip_level"),
+    "embed-pca-with-tsne-flags": (["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "pca",
+                                   "--perplexity", "0.001", "--iters", "-5"],
+                                  2, "--perplexity, --iters apply only to --method tsne"),
+    "embed-tsne-negative-iters": (["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "tsne",
+                                   "--iters", "-5"], 2, "t-SNE iters must be >= 1, got -5"),
+    "embed-tsne-zero-iters": (["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "tsne",
+                               "--iters", "0"], 2, "t-SNE iters must be >= 1, got 0"),
 }
 
 

@@ -215,6 +215,11 @@ class TestInjectFault:
         with pytest.raises(ContractError, match=f"^{message}"):
             inject_fault(_series(), spec, seed=0)
 
+    @pytest.mark.parametrize("kind", [k for k in FAULT_KINDS if k != "impulse"])
+    def test_an_extra_the_kind_does_not_read_is_a_contract_error(self, kind):
+        with pytest.raises(ContractError, match=f"^a {kind} fault does not read count$"):
+            inject_fault(_series(), FaultSpec(kind, 4, 6, 1.0, extra={"count": 3}), seed=0)
+
     @pytest.mark.parametrize("kind", ["periodic", "low_frequency_anomaly"])
     def test_a_drawn_sine_fault_duration_is_at_least_2_steps(self, kind):
         # onset and duration are drawn from [tau//4, tau//2], so the window has room for tau//4 >= 2 steps

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from faultgen import autodiff as ad
+from faultgen.adapter import AdapterStack, attach
 from faultgen.autodiff import Parameter
 from faultgen.cli import main
 from faultgen.config import resolve_config
@@ -24,12 +25,11 @@ from faultgen.training import (
     TrainConfig,
     _write_loss_csv,
     diversity_loss,
-    finetune,
     load_checkpoint,
     normalizer_from_checkpoint,
-    pretrain,
     save_checkpoint,
     schedule_from_checkpoint,
+    train,
 )
 
 from helpers import fail_writes_midway, loop_diversity_loss
@@ -156,8 +156,8 @@ def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_confi
     norm = fit_normalizer(data, mode) if mode else None
     model = Backbone(TINY, seed=0)
     names = list(model.params)
-    pretrain(data, TrainConfig("pretrain", steps=2, batch_size=2, learning_rate=1e-3), model,
-             make_schedule(TINY.T, "linear", 1e-3, 0.2), normalizer=norm, checkpoint_dir=str(tmp_path))
+    train(data, model, TrainConfig("pretrain", steps=2, batch_size=2, learning_rate=1e-3),
+          make_schedule(TINY.T, "linear", 1e-3, 0.2), normalizer=norm, checkpoint_dir=str(tmp_path))
     path = tmp_path / "final.ckpt"
     assert os.listdir(tmp_path) == ["final.ckpt"]
     ckpt = load_checkpoint(path)
@@ -177,9 +177,8 @@ def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_confi
 
 def test_a_library_pretrain_records_the_schedule_it_was_given(tmp_path):
     sched = make_schedule(50, "cosine", 1e-3, 0.2)
-    pretrain(generate_normal(TINY.tau, TINY.d, 4, seed=1), TrainConfig("pretrain", steps=1, batch_size=2,
-             learning_rate=1e-3), Backbone(dataclasses.replace(TINY, T=50), seed=0), sched,
-             checkpoint_dir=str(tmp_path))
+    train(generate_normal(TINY.tau, TINY.d, 4, seed=1), Backbone(dataclasses.replace(TINY, T=50), seed=0),
+          TrainConfig("pretrain", steps=1, batch_size=2, learning_rate=1e-3), sched, checkpoint_dir=str(tmp_path))
     ckpt = load_checkpoint(tmp_path / "final.ckpt")
     assert ckpt.config["diffusion"] == {"timesteps": 50, "schedule": "cosine", "beta_start": 1e-3, "beta_end": 0.2}
     assert schedule_from_checkpoint(ckpt).beta.tobytes() == sched.beta.tobytes()
@@ -212,12 +211,13 @@ def test_library_pretrain_and_finetune_write_the_clis_checkpoint_bytes(tmp_path)
 
     corpus = load_corpus(normal)
     cfg = resolve_config("desk", None, run, 3)  # both phases run with these overrides, so with this config
-    tcfg = cfg.train_config("pretrain")
-    base = pretrain(corpus, tcfg, Backbone(cfg.denoiser_config(corpus.tau, corpus.dim), seed=tcfg.seed), cfg.schedule(),
-                    normalizer=fit_normalizer(corpus, cfg.get("data", "normalizer")),
-                    checkpoint_dir=str(tmp_path / "lib_pre"), config_hash=cfg.hash())
-    finetune(load_corpus(fault), base, cfg.train_config("finetune"), cfg.loss_config(), cfg.adapter_config(),
-             checkpoint_dir=str(tmp_path / "lib_fine"), config_hash=cfg.hash())
+    backbone, sched = Backbone(cfg.denoiser_config(corpus.tau, corpus.dim), seed=3), cfg.schedule()
+    norm = fit_normalizer(corpus, cfg.get("data", "normalizer"))
+    train(corpus, backbone, cfg.train_config("pretrain"), sched, norm,
+          checkpoint_dir=str(tmp_path / "lib_pre"), config_hash=cfg.hash())
+    model = attach(backbone, AdapterStack(cfg.adapter_config(), backbone.cfg.dec_layers, seed=3))
+    train(load_corpus(fault), model, cfg.train_config("finetune"), sched, norm, cfg.loss_config(),
+          checkpoint_dir=str(tmp_path / "lib_fine"), config_hash=cfg.hash())
     for stage in ("pre", "fine"):
         cli = (tmp_path / stage / "checkpoints" / "final.ckpt").read_bytes()
         assert (tmp_path / f"lib_{stage}" / "final.ckpt").read_bytes() == cli, stage
