@@ -24,10 +24,10 @@ from .errors import ContractError
 
 @dataclass
 class AdapterConfig:
-    window: int = 5
-    heads: int = 4
-    model_dim: int = 64
-    alpha: float = 1.0
+    window: int
+    heads: int
+    model_dim: int
+    alpha: float
 
     def __post_init__(self):
         if self.window < 1 or self.window % 2 == 0:

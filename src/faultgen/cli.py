@@ -120,7 +120,7 @@ def _train(args, cfg: RunConfig, phase: str, data: Dataset, model, sched, normal
     summary = {"phase": phase, "steps": tcfg.steps, "checkpoint": os.path.join(checkpoints, "final.ckpt"),
                "config_hash": cfg.hash()}
     if phase == "pretrain":
-        summary["final_loss"] = ckpt.loss_rows[-1][3] if ckpt.loss_rows else float("nan")
+        summary["final_loss"] = ckpt.loss_rows[-1][3] if ckpt.loss_rows else None  # JSON has no NaN
     print(json.dumps(summary, sort_keys=True))
     return 0
 

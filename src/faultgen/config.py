@@ -3,6 +3,9 @@
 Two presets ship: `paper` mirrors the large-scale recipe (T=1000 steps,
 25k-step pretraining, small learning rates), `desk` is the scaled-down
 single-core preset the acceptance suite pins (T=100, 2000/500 steps).
+The presets are the one home of every run setting: components take each
+value as an argument and declare no default, and each view below builds its
+component from a section by field name.
 """
 
 from __future__ import annotations
@@ -56,7 +59,7 @@ class RunConfig:
         self.explicit: set[tuple[str, str]] = set()
 
     @classmethod
-    def from_preset(cls, preset: str = "desk") -> "RunConfig":
+    def from_preset(cls, preset: str) -> "RunConfig":
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
         return cls(copy.deepcopy(PRESETS[preset]))
@@ -136,36 +139,25 @@ class RunConfig:
     # -- component views ----------------------------------------------------
     def denoiser_config(self, tau: int, d: int) -> DenoiserConfig:
         """The denoiser for series of shape (tau, d), which a run takes from its corpus."""
-        m = self.sections["model"]
-        return DenoiserConfig(
-            tau=tau, d=d, T=self.get("diffusion", "timesteps"),
-            model_dim=m["model_dim"], enc_layers=m["enc_layers"], dec_layers=m["dec_layers"],
-            heads=m["heads"], ff_dim=m["ff_dim"], fourier_terms=m["fourier_terms"],
-            trend_degree=m["trend_degree"],
-        )
+        return DenoiserConfig(tau=tau, d=d, T=self.get("diffusion", "timesteps"), **self.sections["model"])
 
     def adapter_config(self) -> AdapterConfig:
-        a = self.sections["adapter"]
-        return AdapterConfig(window=a["window"], heads=a["heads"],
-                             model_dim=self.get("model", "model_dim"), alpha=a["alpha"])
+        return AdapterConfig(model_dim=self.get("model", "model_dim"), **self.sections["adapter"])
 
     def schedule(self) -> NoiseSchedule:
         return schedule_from_config(self.sections["diffusion"])
 
     def train_config(self, phase: str) -> TrainConfig:
+        """The `pretrain` or `finetune` phase's steps and learning rate, with the shared settings."""
         t = self.sections["train"]
-        steps = t["pretrain_steps"] if phase == "pretrain" else t["finetune_steps"]
-        lr = t["pretrain_lr"] if phase == "pretrain" else t["finetune_lr"]
-        return TrainConfig(phase=phase, steps=steps, batch_size=t["batch_size"],
-                           learning_rate=lr, warmup_steps=t["warmup_steps"], seed=t["seed"])
+        return TrainConfig(steps=t[f"{phase}_steps"], batch_size=t["batch_size"], learning_rate=t[f"{phase}_lr"],
+                           warmup_steps=t["warmup_steps"], seed=t["seed"])
 
     def loss_config(self) -> LossConfig:
-        l = self.sections["loss"]
-        return LossConfig(weight=l["weight"], margin=l["margin"], pair_count=l["pair_count"])
+        return LossConfig(**self.sections["loss"])
 
 
-def resolve_config(preset: str = "desk", config_file=None, overrides=None,
-                   seed: int | None = None) -> RunConfig:
+def resolve_config(preset: str, config_file=None, overrides=None, seed: int | None = None) -> RunConfig:
     cfg = RunConfig.from_preset(preset)
     if config_file:
         cfg.load_file(config_file)
@@ -173,4 +165,3 @@ def resolve_config(preset: str = "desk", config_file=None, overrides=None,
     if seed is not None:
         cfg.derive("train", {"seed": seed}, "--seed")
     return cfg
-

@@ -153,10 +153,14 @@ class FaultSpec:
                     raise ContractError(f"channel {c} outside [0, {dim})")
         if self.kind == "random_noise" and self.magnitude < 0:
             raise ContractError("random_noise magnitude is a standard deviation and must be >= 0")
-        if self.kind == "impulse" and self.extra.get("count", 1) < 1:
-            raise ContractError("impulse count must be >= 1")
-        if self.kind == "intermittent" and int(self.extra.get("burst_len", 1)) < 1:
-            raise ContractError(f"intermittent burst_len must be >= 1, got {self.extra['burst_len']!r}")
+        # the default count, max(1, duration // 8), always fits the window
+        if self.kind == "impulse" and not 1 <= self.extra.get("count", 1) <= self.duration:
+            raise ContractError(f"impulse count must be >= 1 and at most the duration {self.duration}, "
+                                f"got {self.extra['count']!r}")
+        # a burst as long as the window never switches off, which is a plain offset
+        if self.kind == "intermittent" and not 1 <= _burst_len(self) < self.duration:
+            raise ContractError(f"intermittent burst_len must be >= 1 and shorter than the duration "
+                                f"{self.duration}, got {_burst_len(self)}")
         if self.kind == "saturation":
             name = "clip_level" if "clip_level" in self.extra else "magnitude"
             level = self.extra.get("clip_level", self.magnitude)
@@ -208,6 +212,11 @@ def _period(spec: FaultSpec) -> float:
     """The sine period of a periodic or low_frequency_anomaly fault: extra['period'], else a default above 2 steps."""
     default = max(3, spec.duration // 4) if spec.kind == "periodic" else max(3, 2 * spec.duration)
     return float(spec.extra.get("period", default))
+
+
+def _burst_len(spec: FaultSpec) -> int:
+    """The on and off run length of an intermittent fault: extra['burst_len'], else a quarter of the window."""
+    return int(spec.extra.get("burst_len", max(1, spec.duration // 4)))
 
 
 def effective_window(spec: FaultSpec, tau: int) -> tuple[int, int]:
@@ -354,12 +363,10 @@ def inject_fault(series: TimeSeries, spec: FaultSpec, seed: int) -> TimeSeries:
         noise = rng.normal(0.0, spec.magnitude, size=(hi - lo, len(chans)))
         out[lo:hi, chans] += noise.astype(np.float32)
     elif spec.kind == "intermittent":
-        burst = int(spec.extra.get("burst_len", max(1, spec.duration // 4)))
-        on = (rel // burst) % 2 == 0
+        on = (rel // _burst_len(spec)) % 2 == 0
         out[lo:hi, chans] += np.where(on, m, np.float32(0.0))[:, None]
     elif spec.kind == "impulse":
         count = int(spec.extra.get("count", max(1, spec.duration // 8)))
-        count = min(count, spec.duration)
         pos = rng.choice(spec.duration, size=count, replace=False)
         for p in np.sort(pos):
             out[lo + int(p), chans] += m
@@ -498,7 +505,7 @@ class Normalizer:
         return TimeSeries(self.unscale(series.values), list(series.channel_names))
 
 
-def fit_normalizer(ds: Dataset, mode: str = "minmax") -> Normalizer:
+def fit_normalizer(ds: Dataset, mode: str) -> Normalizer:
     arr = ds.values
     if mode == "minmax":
         return Normalizer(mode, arr.min(axis=(0, 1)), arr.max(axis=(0, 1)))

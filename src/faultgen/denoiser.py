@@ -1,7 +1,7 @@
 """Transformer encoder-decoder noise-prediction backbone.
 
 The decoder's final state feeds three heads whose outputs sum to the noise
-estimate: a degree-3 polynomial trend, a Fourier seasonal component, and a
+estimate: a polynomial trend, a Fourier seasonal component, and a
 per-position linear residual. All heads start at zero so a fresh model
 predicts exactly zero noise. `forward` takes an optional adapter stack and
 interleaves its blocks after the decoder layers, behind the frozen backbone.
@@ -23,13 +23,13 @@ class DenoiserConfig:
     tau: int
     d: int
     T: int
-    model_dim: int = 64
-    enc_layers: int = 3
-    dec_layers: int = 4
-    heads: int = 4
-    ff_dim: int = 128
-    fourier_terms: int = 4
-    trend_degree: int = 3
+    model_dim: int
+    enc_layers: int
+    dec_layers: int
+    heads: int
+    ff_dim: int
+    fourier_terms: int
+    trend_degree: int
 
     def __post_init__(self):
         if self.model_dim % self.heads != 0:
@@ -61,7 +61,7 @@ def position_encoding(tau: int, model_dim: int) -> np.ndarray:
     return pe.astype(ad.default_dtype())
 
 
-def trend_basis(tau: int, degree: int = 3) -> np.ndarray:
+def trend_basis(tau: int, degree: int) -> np.ndarray:
     """(tau, degree+1) polynomial basis on normalized time in [0, 1]; column 0 is ones."""
     t = np.arange(tau) / max(tau - 1, 1)
     return np.stack([t**p for p in range(degree + 1)], axis=1).astype(ad.default_dtype())

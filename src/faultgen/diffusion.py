@@ -24,9 +24,9 @@ class NoiseSchedule:
     alpha: np.ndarray
     alpha_bar: np.ndarray
     posterior_var: np.ndarray
-    kind: str = "linear"
-    beta_start: float | None = None
-    beta_end: float | None = None
+    kind: str
+    beta_start: float
+    beta_end: float
 
     def __post_init__(self):
         if np.any(self.beta <= 0) or np.any(self.beta >= 1):
@@ -39,7 +39,7 @@ class NoiseSchedule:
         return {"timesteps": self.T, "schedule": self.kind, "beta_start": self.beta_start, "beta_end": self.beta_end}
 
 
-def make_schedule(T: int, kind: str = "linear", beta_start: float = 1e-4, beta_end: float = 0.02) -> NoiseSchedule:
+def make_schedule(T: int, kind: str, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Build the beta/alpha tables. posterior_var[t] = beta_t * (1 - abar_{t-1}) / (1 - abar_t)."""
     if T < 2:
         raise ContractError("schedule needs T >= 2")

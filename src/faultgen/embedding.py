@@ -100,7 +100,7 @@ def _tsne_probabilities(x: np.ndarray, perplexity: float) -> np.ndarray:
     return np.maximum(p, 1e-12)
 
 
-def tsne_2d(x: np.ndarray, perplexity: float = 30.0, iters: int = 500, seed: int = 0) -> np.ndarray:
+def tsne_2d(x: np.ndarray, perplexity: float, iters: int, seed: int) -> np.ndarray:
     """Exact O(n^2) t-SNE with early exaggeration and momentum; seeded init."""
     if iters < 1:
         raise ContractError(f"t-SNE iters must be >= 1, got {iters}")
@@ -156,7 +156,7 @@ def _kde_rows(labels: list, coords: np.ndarray) -> list:
     return rows
 
 
-def embed_2d(datasets: list[Dataset], method: str = "pca", features: str = "flat", perplexity: float = 30.0,
+def embed_2d(datasets: list[Dataset], method: str, features: str = "flat", perplexity: float = 30.0,
              iters: int = 500, seed: int = 0) -> EmbedResult:
     """Project labeled corpora to 2-D and attach per-axis KDE curves.
 

@@ -4,7 +4,9 @@ Both phases run one loop, `train`, over the parameters the model leaves
 trainable: a `Backbone` is pretrained whole, and a model from `attach` trains
 only its adapter behind the frozen backbone. `train` scales the raw corpus by
 the run's normalizer, trains, and writes the checkpoint whose config header
-`_header` derives from what was trained; callers add only `config_hash`.
+`_header` derives from what was trained, its phase from the model; callers add
+only `config_hash`. `TrainConfig` and `LossConfig` declare no defaults, since
+a run's settings live in the presets of `config.py`.
 
 The fine-tuning objective is the L1 noise-prediction error plus a weighted
 diversity term over pairs of in-batch predictions. As literally written, a
@@ -39,31 +41,28 @@ ADAM_EPS = 1e-8
 
 @dataclass
 class LossConfig:
-    weight: float = 0.1      # lambda in the combined objective
-    margin: float = 1.0      # per-pair distance clamp
-    pair_count: int = 8      # sampled prediction pairs per batch
+    weight: float      # lambda in the combined objective
+    margin: float      # per-pair distance clamp
+    pair_count: int    # sampled prediction pairs per batch
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise ContractError("diversity weight must be >= 0")
-        if self.margin <= 0:
-            raise ContractError("margin must be > 0")
+        if not (0 <= self.weight < math.inf and 0 < self.margin < math.inf and self.pair_count >= 1):
+            raise ContractError(f"loss needs a finite weight >= 0, a finite margin > 0 and pair_count >= 1, got {self}")
 
 
 @dataclass
 class TrainConfig:
-    phase: str
     steps: int
     batch_size: int
     learning_rate: float
-    warmup_steps: int = 0
-    seed: int = 0
+    warmup_steps: int
+    seed: int
 
     def __post_init__(self):
-        if self.phase not in ("pretrain", "finetune"):
-            raise ContractError("phase must be 'pretrain' or 'finetune'")
-        if self.steps < 0 or self.batch_size < 1 or self.learning_rate <= 0:
-            raise ContractError("steps >= 0, batch_size >= 1, learning_rate > 0 required")
+        if (min(self.steps, self.warmup_steps, self.seed) < 0 or self.batch_size < 1
+                or not 0 < self.learning_rate < math.inf):
+            raise ContractError(f"train needs steps, warmup_steps and seed >= 0, batch_size >= 1 "
+                                f"and a finite learning_rate > 0, got {self}")
 
 
 # ----------------------------------------------------------------------
@@ -299,7 +298,8 @@ def _header(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule, loss_c
             normalizer: Normalizer | None, config_hash: str) -> dict:
     """A checkpoint's config, derived from what the loop trained; the `*_from_checkpoint` readers rebuild it."""
     stack = getattr(model, "stack", None)
-    header = {"config_hash": config_hash, "model": asdict(model.cfg), "train": asdict(cfg),
+    header = {"config_hash": config_hash, "model": asdict(model.cfg),
+              "train": {"phase": "pretrain" if stack is None else "finetune", **asdict(cfg)},
               "adapter": asdict(stack.cfg) if stack is not None else None,
               "diffusion": sched.config(),
               "data": {"label": data.label, "corpus_id": data.id, "channel_names": list(data.channel_names)}}

@@ -17,7 +17,7 @@ from faultgen.errors import ContractError, ForwardError
 from helpers import full_attention_oracle, grad_check
 
 TOY = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
-                     heads=2, ff_dim=16, fourier_terms=1)
+                     heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
 
 
 def _swa_params(dim, seed, zero_out=False):
@@ -182,7 +182,7 @@ class TestAdapterForward:
 class TestAttach:
     def test_partition_and_identity(self):
         bb = Backbone(TOY, seed=1)
-        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), TOY.dec_layers, seed=2)
+        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8, alpha=1.0), TOY.dec_layers, seed=2)
         x = np.random.default_rng(0).standard_normal((1, 6, 2)).astype(np.float32)
         before = bb.forward(x, 3)
         comp = attach(bb, stack)
@@ -208,7 +208,7 @@ class TestAttach:
 
     def test_non_finite_adapter_block_names_decoder_layer(self):
         bb = Backbone(TOY, seed=1)
-        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), TOY.dec_layers, seed=2)
+        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8, alpha=1.0), TOY.dec_layers, seed=2)
         stack.blocks[1]["wq"].data[0, 0] = np.nan
         x = np.random.default_rng(0).standard_normal((1, 6, 2)).astype(np.float32)
         with pytest.raises(ForwardError, match="decoder layer 1"):
@@ -217,9 +217,9 @@ class TestAttach:
     def test_dim_mismatch_rejected(self):
         bb = Backbone(TOY, seed=1)
         with pytest.raises(ContractError):
-            attach(bb, AdapterStack(AdapterConfig(window=3, heads=2, model_dim=16), TOY.dec_layers))
+            attach(bb, AdapterStack(AdapterConfig(window=3, heads=2, model_dim=16, alpha=1.0), TOY.dec_layers))
         with pytest.raises(ContractError):
-            attach(bb, AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), 5))
+            attach(bb, AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8, alpha=1.0), 5))
 
     def test_finetune_step_never_touches_backbone(self):
         from faultgen.training import Adam, base_loss
@@ -229,7 +229,7 @@ class TestAttach:
         for p in bb.parameters():  # pretrained proxy: heads must be nonzero for grads to flow
             if np.all(p.data == 0):
                 p.data = rng0.normal(0, 0.1, p.data.shape).astype(np.float32)
-        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), TOY.dec_layers, seed=2)
+        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8, alpha=1.0), TOY.dec_layers, seed=2)
         comp = attach(bb, stack)
         before = {p.name: p.data.tobytes() for p in bb.parameters()}
         opt = Adam(comp.parameters(), 1e-2)

@@ -222,7 +222,7 @@ class TestAttentionOp:
     @pytest.mark.parametrize("where,layer", [("enc", "encoder layer 0"), ("dec", "decoder layer 1")])
     def test_nan_weight_ends_in_a_forward_error_naming_the_layer(self, where, layer):
         cfg = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
-                             heads=2, ff_dim=16, fourier_terms=1)
+                             heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
         model = Backbone(cfg, seed=0)
         attn = model.enc[0]["attn"] if where == "enc" else model.dec[1]["cross"]
         attn["wk"].data[0, 0] = np.nan
@@ -304,7 +304,7 @@ class TestFeedForwardOp:
 
     def test_nan_in_w1_ends_in_a_forward_error_naming_the_layer(self):
         cfg = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
-                             heads=2, ff_dim=16, fourier_terms=1)
+                             heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
         model = Backbone(cfg, seed=0)
         model.dec[1]["ff"]["w1"].data[2, 5] = np.nan
         x = np.random.default_rng(0).standard_normal((2, 6, 2))

@@ -17,7 +17,7 @@ from faultgen.denoiser import Backbone, DenoiserConfig
 
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
 TOY = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
-                     heads=2, ff_dim=16, fourier_terms=1)
+                     heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
 
 
 @pytest.fixture
@@ -47,7 +47,7 @@ def test_install_wraps_every_target_and_uninstall_restores_it(tracer):
 
 def test_composed_prediction_records_its_adapter_blocks(tracer):
     backbone = Backbone(TOY, seed=1)
-    model = attach(backbone, AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8), 2, seed=2))
+    model = attach(backbone, AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8, alpha=1.0), 2, seed=2))
     x = np.random.default_rng(0).standard_normal((3, 6, 2)).astype(np.float32)
     model.predict_noise(x, 4)
     names = [tracer.names[i] for i in tracer.name_id]

@@ -327,6 +327,9 @@ def test_evaluate_names_an_unknown_metric_before_it_reads_a_corpus(corpus_pair, 
     assert not out.exists()
 
 
+LOSS_RULE = "error: loss needs a finite weight >= 0, a finite margin > 0 and pair_count >= 1, got LossConfig"
+TRAIN_RULE = ("error: train needs steps, warmup_steps and seed >= 0, batch_size >= 1 and a finite learning_rate > 0, "
+              "got TrainConfig")
 BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} in argv or fragment is a path from `trained`
     "make-data-negative-seed": (["make-data", "--kind", "normal", "--n", "2", "--tau", "8", "--seed", "-1"],
                                 2, "--seed must be >= 0"),
@@ -428,6 +431,27 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                    "--iters", "-5"], 2, "t-SNE iters must be >= 1, got -5"),
     "embed-tsne-zero-iters": (["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "tsne",
                                "--iters", "0"], 2, "t-SNE iters must be >= 1, got 0"),
+    "impulse-count-above-duration": (["make-data", "--kind", "fault", "--fault", "impulse", "--count", "50",
+                                      "--duration", "4", "--n", "2", "--tau", "24"],
+                                     2, "impulse count must be >= 1 and at most the duration 4, got 50"),
+    "burst-len-as-long-as-the-window": (["make-data", "--kind", "fault", "--fault", "intermittent", "--burst-len",
+                                         "100", "--duration", "6", "--n", "2", "--tau", "24"],
+                                        2, "burst_len must be >= 1 and shorter than the duration 6, got 100"),
+    **{f"finetune-{key}-{value}": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
+                                    *_overrides("train.finetune_steps=1", f"{key}={value}")], 2, message)
+       for key, value, message in [
+           ("loss.pair_count", "0", f"{LOSS_RULE}(weight=0.1, margin=1.0, pair_count=0)"),
+           ("loss.pair_count", "-1", f"{LOSS_RULE}(weight=0.1, margin=1.0, pair_count=-1)"),
+           ("loss.weight", "nan", f"{LOSS_RULE}(weight=nan, margin=1.0, pair_count=8)"),
+           ("loss.margin", "nan", f"{LOSS_RULE}(weight=0.1, margin=nan, pair_count=8)"),
+           ("loss.margin", "inf", f"{LOSS_RULE}(weight=0.1, margin=inf, pair_count=8)"),
+           ("train.warmup_steps", "-5", f"{TRAIN_RULE}(steps=1, batch_size=2, learning_rate=0.0001, "
+                                        "warmup_steps=-5, seed=0)"),
+           ("train.finetune_lr", "nan", f"{TRAIN_RULE}(steps=1, batch_size=2, learning_rate=nan, "
+                                        "warmup_steps=1, seed=0)"),
+           ("train.finetune_lr", "inf", f"{TRAIN_RULE}(steps=1, batch_size=2, learning_rate=inf, "
+                                        "warmup_steps=1, seed=0)"),
+       ]},
 }
 
 
@@ -468,6 +492,17 @@ def test_a_command_that_writes_a_directory_names_a_missing_out_in_one_line(capsy
     assert main([command]) == 2
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "--out" in err and "required" in err
+
+
+def test_a_pretrain_of_no_steps_prints_strict_json_with_a_null_final_loss(trained, tmp_path, capsys):
+    assert main(["pretrain", "--data", trained["normal"], "--out", str(tmp_path / "pre"),
+                 *_overrides("train.pretrain_steps=0")]) == 0
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not JSON")
+
+    summary = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert summary["steps"] == 0 and summary["final_loss"] is None
 
 
 def test_a_written_train_seed_runs_when_it_restates_the_seed(trained, tmp_path):

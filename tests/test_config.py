@@ -1,13 +1,19 @@
 """Run configuration: override parsing, value coercion, hashing, the component views."""
 
 import dataclasses
+import inspect
 
 import numpy as np
 import pytest
 
-from faultgen.config import DESK, resolve_config
+from faultgen.adapter import AdapterConfig
+from faultgen.config import DESK, RunConfig, resolve_config
+from faultgen.data import fit_normalizer
+from faultgen.denoiser import DenoiserConfig, trend_basis
 from faultgen.diffusion import make_schedule
+from faultgen.embedding import embed_2d, tsne_2d
 from faultgen.errors import ConfigError, ContractError
+from faultgen.training import LossConfig, TrainConfig
 
 
 @pytest.mark.parametrize("override", ["model.tau", "tau=12", "=12", "model.tau 12"])
@@ -82,3 +88,19 @@ def test_every_desk_key_reaches_a_component_view(section, key):
     base = resolve_config("desk")
     changed = resolve_config("desk", None, [f"{section}.{key}={_other_value(key, DESK[section][key])}"])
     assert _views(changed) != _views(base), f"{section}.{key} changes no component view"
+
+
+@pytest.mark.parametrize("component", [DenoiserConfig, AdapterConfig, LossConfig, TrainConfig])
+def test_a_run_setting_component_declares_no_default(component):
+    # the presets are the one home of a run's values; a default here would be a second copy
+    assert [f.name for f in dataclasses.fields(component)
+            if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING] == []
+
+
+@pytest.mark.parametrize("function, names", [(make_schedule, ["T", "kind", "beta_start", "beta_end"]),
+                                             (fit_normalizer, ["mode"]), (trend_basis, ["degree"]),
+                                             (resolve_config, ["preset"]), (RunConfig.from_preset, ["preset"]),
+                                             (embed_2d, ["method"]), (tsne_2d, ["perplexity", "iters", "seed"])])
+def test_a_run_setting_argument_has_no_default(function, names):
+    params = inspect.signature(function).parameters
+    assert [name for name in names if params[name].default is not inspect.Parameter.empty] == []

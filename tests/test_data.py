@@ -1,5 +1,6 @@
 """Corpus generation, the fault catalog, normalization, and corpus I/O."""
 
+import dataclasses
 import json
 import re
 
@@ -208,9 +209,14 @@ class TestInjectFault:
          "low_frequency_anomaly period must be > 2 steps"),
         (FaultSpec("periodic", 4, 1, 1.0), "periodic duration must be >= 2 steps, got 1"),
         (FaultSpec("low_frequency_anomaly", 4, 1, 1.0), "low_frequency_anomaly duration must be >= 2 steps, got 1"),
+        (FaultSpec("impulse", 4, 4, 1.0, extra={"count": 5}), "impulse count must be >= 1 and at most the duration 4"),
+        (FaultSpec("intermittent", 4, 6, 1.0, extra={"burst_len": 6}),
+         "intermittent burst_len must be >= 1 and shorter than the duration 6, got 6"),
+        (FaultSpec("intermittent", 4, 1, 1.0), "intermittent burst_len must be >= 1 and shorter than the duration 1"),
     ], ids=["saturation-magnitude", "clip-level", "clip-level-nan", "period-1", "period-0.5", "period-1.999",
             "period-2", "low-frequency-period-1", "low-frequency-period-2", "periodic-duration-1",
-            "low-frequency-duration-1"])
+            "low-frequency-duration-1", "impulse-count-above-duration", "burst-as-long-as-the-window",
+            "default-burst-of-a-one-step-window"])
     def test_a_fault_that_would_not_fault_is_a_contract_error_naming_its_parameter(self, spec, message):
         with pytest.raises(ContractError, match=f"^{message}"):
             inject_fault(_series(), spec, seed=0)
@@ -234,6 +240,12 @@ class TestInjectFault:
             base = generate_normal(24, 2, 4, seed=seed)
             fault = make_fault_dataset(base, "periodic", seed=seed + 1_000_003)
             assert not np.array_equal(fault.values, base.values), seed
+
+    @pytest.mark.parametrize("count", [1, 3, 6])
+    def test_an_impulse_fault_adds_as_many_impulses_as_its_count(self, count):
+        s = _series()
+        out = inject_fault(s, FaultSpec("impulse", 4, 6, 2.0, extra={"count": count}), seed=0)
+        assert np.count_nonzero(np.any(out.values != s.values, axis=1)) == count
 
     def test_saturation_clips(self):
         s = _series(seed=3)
@@ -482,7 +494,7 @@ def fault_cases(draw, kind):
     dim = draw(st.integers(1, 4))
     onset = draw(st.integers(0, tau - 2))
     room = tau - onset - 1 if kind == "sudden_recovery" else tau - onset
-    duration = draw(st.integers(2 if kind in ("periodic", "low_frequency_anomaly") else 1, room))
+    duration = draw(st.integers(2 if kind in ("periodic", "low_frequency_anomaly", "intermittent") else 1, room))
     magnitude = draw(st.floats(-5.0, 5.0))
     if kind in ("random_noise", "saturation"):  # a standard deviation; a clip level
         magnitude = abs(magnitude)
@@ -504,6 +516,22 @@ class TestProperties:
         touched[lo:hi, spec.channels or slice(None)] = True
         before, after = series.values.view(np.uint32), out.values.view(np.uint32)
         assert np.array_equal(after[~touched], before[~touched])
+
+    @PROPERTY_SETTINGS
+    @given(data=st.data(), burst_len=st.none() | st.integers(1, 48), magnitude=st.floats(0.5, 5.0),
+           sign=st.sampled_from([-1.0, 1.0]))
+    def test_an_accepted_intermittent_fault_is_never_a_plain_offset(self, data, burst_len, magnitude, sign):
+        series, spec, seed = data.draw(fault_cases("intermittent"))
+        spec.magnitude = sign * magnitude
+        if burst_len is not None:
+            spec.extra["burst_len"] = burst_len
+        try:
+            out = inject_fault(series, spec, seed)
+        except ContractError:
+            assert burst_len is not None and burst_len >= spec.duration  # the default burst is always accepted
+            return
+        offset = inject_fault(series, dataclasses.replace(spec, kind="offset", extra={}), seed)
+        assert not np.array_equal(out.values, offset.values)
 
     @PROPERTY_SETTINGS
     @given(mode=st.sampled_from(["minmax", "zscore"]),

@@ -22,14 +22,16 @@ from faultgen.training import base_loss
 from helpers import central_diff, composed_attention, composed_feed_forward, rel_err
 
 TOY = DenoiserConfig(tau=4, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
-                     heads=2, ff_dim=16, fourier_terms=1)
+                     heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
 
 
 def test_config_validation():
     with pytest.raises(ContractError):
-        DenoiserConfig(tau=8, d=2, T=10, model_dim=10, heads=4)
+        DenoiserConfig(tau=8, d=2, T=10, model_dim=10, enc_layers=3, dec_layers=4, heads=4, ff_dim=128,
+                       fourier_terms=4, trend_degree=3)
     with pytest.raises(ContractError):
-        DenoiserConfig(tau=8, d=2, T=10, enc_layers=0)
+        DenoiserConfig(tau=8, d=2, T=10, model_dim=64, enc_layers=0, dec_layers=4, heads=4, ff_dim=128,
+                       fourier_terms=4, trend_degree=3)
 
 
 class TestForward:
@@ -42,7 +44,7 @@ class TestForward:
     @pytest.mark.parametrize("tau", [4, 9, 24])
     def test_output_shape(self, tau):
         cfg = DenoiserConfig(tau=tau, d=3, T=10, model_dim=8, enc_layers=1,
-                             dec_layers=1, heads=2, ff_dim=16, fourier_terms=1)
+                             dec_layers=1, heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
         bb = Backbone(cfg, seed=1)
         x = np.zeros((1, tau, 3), dtype=np.float32)
         assert bb.forward(x, 0).shape == (1, tau, 3)

@@ -141,7 +141,7 @@ class TestSample:
     @pytest.fixture(scope="class")
     def setup(self):
         cfg = DenoiserConfig(tau=12, d=2, T=20, model_dim=16, enc_layers=1,
-                             dec_layers=1, heads=2, ff_dim=32, fourier_terms=2)
+                             dec_layers=1, heads=2, ff_dim=32, fourier_terms=2, trend_degree=3)
         model = Backbone(cfg, seed=0)
         sched = make_schedule(20, "linear", 1e-3, 0.2)
         return model, sched
@@ -178,7 +178,7 @@ class TestSample:
     def test_denormalization_applied(self, setup):
         model, sched = setup
         ds = generate_normal(12, 2, 4, seed=3)
-        norm = fit_normalizer(ds)
+        norm = fit_normalizer(ds, "minmax")
         raw = sample(model, sched, 2, (12, 2), seed=5)
         out = sample(model, sched, 2, (12, 2), seed=5, normalizer=norm)
         assert out.dtype == np.float32

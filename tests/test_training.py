@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import struct
 
@@ -9,19 +10,20 @@ import numpy as np
 import pytest
 
 from faultgen import autodiff as ad
-from faultgen.adapter import AdapterStack, attach
+from faultgen.adapter import AdapterConfig, AdapterStack, attach
 from faultgen.autodiff import Parameter
 from faultgen.cli import main
 from faultgen.config import resolve_config
 from faultgen.data import fit_normalizer, generate_normal, load_corpus
 from faultgen.denoiser import Backbone, DenoiserConfig
 from faultgen.diffusion import make_schedule
-from faultgen.errors import CheckpointError
+from faultgen.errors import CheckpointError, ContractError
 from faultgen.training import (
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     Adam,
     Checkpoint,
+    LossConfig,
     TrainConfig,
     _write_loss_csv,
     diversity_loss,
@@ -36,7 +38,7 @@ from helpers import fail_writes_midway, loop_diversity_loss
 
 SHAPES = [(3, 4), (4,), (2, 3, 5), (1,), (7, 2)]
 TINY = DenoiserConfig(tau=8, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=1,
-                      heads=2, ff_dim=16, fourier_terms=1)
+                      heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
 
 
 class LoopAdam:
@@ -156,7 +158,7 @@ def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_confi
     norm = fit_normalizer(data, mode) if mode else None
     model = Backbone(TINY, seed=0)
     names = list(model.params)
-    train(data, model, TrainConfig("pretrain", steps=2, batch_size=2, learning_rate=1e-3),
+    train(data, model, TrainConfig(steps=2, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
           make_schedule(TINY.T, "linear", 1e-3, 0.2), normalizer=norm, checkpoint_dir=str(tmp_path))
     path = tmp_path / "final.ckpt"
     assert os.listdir(tmp_path) == ["final.ckpt"]
@@ -178,10 +180,39 @@ def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_confi
 def test_a_library_pretrain_records_the_schedule_it_was_given(tmp_path):
     sched = make_schedule(50, "cosine", 1e-3, 0.2)
     train(generate_normal(TINY.tau, TINY.d, 4, seed=1), Backbone(dataclasses.replace(TINY, T=50), seed=0),
-          TrainConfig("pretrain", steps=1, batch_size=2, learning_rate=1e-3), sched, checkpoint_dir=str(tmp_path))
+          TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0), sched,
+          checkpoint_dir=str(tmp_path))
     ckpt = load_checkpoint(tmp_path / "final.ckpt")
     assert ckpt.config["diffusion"] == {"timesteps": 50, "schedule": "cosine", "beta_start": 1e-3, "beta_end": 0.2}
     assert schedule_from_checkpoint(ckpt).beta.tobytes() == sched.beta.tobytes()
+
+
+def test_train_records_the_phase_of_the_model_it_trained(tmp_path):
+    data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
+    cfg = TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0)
+    sched = make_schedule(TINY.T, "linear", 1e-3, 0.2)
+    backbone = Backbone(TINY, seed=0)
+    pre = train(data, backbone, cfg, sched)
+    stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=TINY.model_dim, alpha=1.0), TINY.dec_layers)
+    fine = train(data, attach(backbone, stack), cfg, sched, loss_cfg=LossConfig(weight=0.1, margin=1.0, pair_count=2))
+    assert pre.config["train"] == {"phase": "pretrain", **dataclasses.asdict(cfg)} and pre.config["adapter"] is None
+    assert fine.config["train"] == {"phase": "finetune", **dataclasses.asdict(cfg)} and fine.config["adapter"]
+
+
+@pytest.mark.parametrize("make", [
+    lambda: TrainConfig(steps=-1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
+    lambda: TrainConfig(steps=1, batch_size=0, learning_rate=1e-3, warmup_steps=0, seed=0),
+    lambda: TrainConfig(steps=1, batch_size=2, learning_rate=0.0, warmup_steps=0, seed=0),
+    lambda: TrainConfig(steps=1, batch_size=2, learning_rate=-math.inf, warmup_steps=0, seed=0),
+    lambda: TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=-1),
+    lambda: LossConfig(weight=-0.1, margin=1.0, pair_count=8),
+    lambda: LossConfig(weight=math.inf, margin=1.0, pair_count=8),
+    lambda: LossConfig(weight=0.1, margin=0.0, pair_count=8),
+], ids=["negative-steps", "batch-size-0", "learning-rate-0", "learning-rate-minus-inf", "negative-seed",
+        "negative-weight", "infinite-weight", "margin-0"])
+def test_a_train_or_loss_setting_no_run_can_use_is_a_contract_error(make):
+    with pytest.raises(ContractError, match="^(train|loss) needs "):
+        make()
 
 
 TINY_RUN = ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
