@@ -152,23 +152,18 @@ class Tensor:
 class Parameter(Tensor):
     """Named, trainable leaf. Frozen parameters never accumulate gradient."""
 
-    __slots__ = ("name", "trainable")
+    __slots__ = ("name",)
 
     def __init__(self, name: str, data, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
         self.name = name
-        self.trainable = bool(trainable)
         self.grad = np.zeros_like(self.data)
-
-    def set_trainable(self, flag: bool) -> None:
-        self.trainable = bool(flag)
-        self.requires_grad = self.trainable
 
     def zero_grad(self) -> None:
         self.grad.fill(0)
 
     def __repr__(self):
-        return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.trainable})"
+        return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.requires_grad})"
 
 
 # ----------------------------------------------------------------------

@@ -3,6 +3,10 @@
 Exit codes: 0 ok, 2 usage/validation, 3 checkpoint problems, 4 training
 divergence or a non-finite model/sampler state. Equal arguments and inputs
 give byte-identical artifacts.
+
+`pretrain` and `finetune` each accept only the config keys their phase reads
+(`config.PHASES`). `config.lock` also records what a run takes from its
+inputs: the seed and, for `finetune`, the checkpoint's model and schedule.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ import os
 import sys
 
 from .adapter import AdapterStack, attach
-from .config import RunConfig, resolve_config
+from .config import PRESETS, RunConfig, resolve_config
 from .data import (
     FAULT_KINDS,
     Dataset,
@@ -105,13 +109,13 @@ def cmd_make_data(args) -> int:
     return 0
 
 
-def _resolved(args) -> RunConfig:
-    return resolve_config(args.preset, args.config, args.override, args.seed)
+def _resolved(args, phase: str) -> RunConfig:
+    return resolve_config(args.preset, phase, args.seed, args.config, args.override)
 
 
-def _train(args, cfg: RunConfig, phase: str, data: Dataset, model, sched, normalizer, loss_cfg=None) -> int:
+def _train(args, cfg: RunConfig, data: Dataset, model, sched, normalizer, loss_cfg=None) -> int:
     """Write config.lock, train `model` into checkpoints/ and logs/ under --out, and print the summary line."""
-    tcfg = cfg.train_config(phase)
+    tcfg, phase = cfg.train_config(), cfg.phase
     checkpoints = os.path.join(args.out, "checkpoints")
     with _in_progress(args.out):
         write_atomic(os.path.join(args.out, "config.lock"), cfg.canonical_text())
@@ -126,23 +130,23 @@ def _train(args, cfg: RunConfig, phase: str, data: Dataset, model, sched, normal
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _resolved(args)
+    cfg = _resolved(args, "pretrain")
     normal = load_corpus(_require_dir(args.data, "training"))
     model = Backbone(cfg.denoiser_config(normal.tau, normal.dim), seed=cfg.get("train", "seed"))
-    return _train(args, cfg, "pretrain", normal, model, cfg.schedule(),
+    return _train(args, cfg, normal, model, cfg.schedule(),
                   fit_normalizer(normal, cfg.get("data", "normalizer")))
 
 
 def cmd_finetune(args) -> int:
-    cfg = _resolved(args)
+    cfg = _resolved(args, "finetune")
     base = load_checkpoint(args.checkpoint)
     if base.config.get("adapter"):
         raise CheckpointError("finetune expects a backbone-only (pretrain) checkpoint")
     backbone, sched = model_from_checkpoint(base), schedule_from_checkpoint(base)
     arch = backbone.cfg
-    # fine-tuning trains the checkpoint's backbone on its schedule; a written model or diffusion key must restate them
-    cfg.derive("model", {key: getattr(arch, key) for key in cfg.sections["model"]}, "the checkpoint's model")
-    cfg.derive("diffusion", sched.config(), "the checkpoint's diffusion schedule")
+    # fine-tuning trains the checkpoint's backbone on its schedule, so the lock records both
+    cfg.record("model", {key: getattr(arch, key) for key in PRESETS[args.preset]["model"]})
+    cfg.record("diffusion", sched.config())
     fault = load_corpus(_require_dir(args.data, "fault"))
     if len(fault) < 2:
         raise ContractError(f"fine-tuning needs at least 2 fault series, but {args.data} holds {len(fault)}")
@@ -150,7 +154,7 @@ def cmd_finetune(args) -> int:
         raise ContractError(f"fault corpus {args.data} holds (tau, dim) = ({fault.tau}, {fault.dim}), "
                             f"but checkpoint {args.checkpoint} models ({arch.tau}, {arch.d})")
     stack = AdapterStack(cfg.adapter_config(), arch.dec_layers, seed=cfg.get("train", "seed"))
-    return _train(args, cfg, "finetune", fault, attach(backbone, stack), sched,
+    return _train(args, cfg, fault, attach(backbone, stack), sched,
                   normalizer_from_checkpoint(base), cfg.loss_config())
 
 
@@ -162,7 +166,7 @@ def cmd_generate(args) -> int:
     if args.override:
         if not hasattr(model, "stack"):
             raise ConfigError("adapter.alpha override needs a fine-tuned checkpoint")
-        given = RunConfig({"adapter": {"alpha": 1.0}})  # the one key generation reads, a float
+        given = RunConfig({"adapter": {"alpha": 1.0}}, "generate")  # the one key generation reads, a float
         given.apply_overrides(args.override)
         # AdapterConfig rejects a non-finite alpha (ContractError, exit 2)
         model.stack.cfg = dataclasses.replace(model.stack.cfg, alpha=given.get("adapter", "alpha"))

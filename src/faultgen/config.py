@@ -6,6 +6,12 @@ single-core preset the acceptance suite pins (T=100, 2000/500 steps).
 The presets are the one home of every run setting: components take each
 value as an argument and declare no default, and each view below builds its
 component from a section by field name.
+
+Each training phase's config holds only the settings that phase reads
+(`PHASES`). A value a run takes from its inputs, `train.seed` from `--seed`
+and, for `finetune`, the `[model]` and `[diffusion]` sections from the
+checkpoint, is no writable key: `RunConfig.record` adds it after the
+overrides, so `config.lock` records it all the same.
 """
 
 from __future__ import annotations
@@ -16,9 +22,9 @@ import hashlib
 
 from .adapter import AdapterConfig
 from .denoiser import DenoiserConfig
-from .diffusion import NoiseSchedule
+from .diffusion import NoiseSchedule, make_schedule
 from .errors import ConfigError
-from .training import LossConfig, TrainConfig, schedule_from_config
+from .training import LossConfig, TrainConfig
 
 DESK = {
     "model": {
@@ -31,7 +37,7 @@ DESK = {
     "adapter": {"window": 5, "heads": 4, "alpha": 1.0},
     "train": {
         "pretrain_steps": 2000, "finetune_steps": 500, "batch_size": 8,
-        "pretrain_lr": 1e-3, "finetune_lr": 1e-4, "warmup_steps": 100, "seed": 0,
+        "pretrain_lr": 1e-3, "finetune_lr": 1e-4, "warmup_steps": 100,
     },
     "loss": {"weight": 0.1, "margin": 1.0, "pair_count": 8},
     "data": {"normalizer": "minmax"},
@@ -45,30 +51,34 @@ PAPER["train"].update({
 })
 
 PRESETS = {"desk": DESK, "paper": PAPER}
+# the sections each training phase reads; of [train], the shared keys and the phase's own `<phase>_*` keys
+PHASES = {"pretrain": ("model", "diffusion", "train", "data"), "finetune": ("train", "adapter", "loss")}
 
 
 class RunConfig:
-    """Resolved configuration; unknown sections or keys are rejected.
+    """One command's resolved configuration; a section or key it does not hold is rejected."""
 
-    `explicit` holds the (section, key) pairs a config file or an override wrote;
-    `derive` takes a value from a run's input and rejects an explicit one that disagrees.
-    """
-
-    def __init__(self, sections: dict):
+    def __init__(self, sections: dict, phase: str):
         self.sections = sections
-        self.explicit: set[tuple[str, str]] = set()
+        self.phase = phase
 
     @classmethod
-    def from_preset(cls, preset: str) -> "RunConfig":
+    def from_preset(cls, preset: str, phase: str) -> "RunConfig":
+        """The preset's settings that `phase` reads."""
         if preset not in PRESETS:
             raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        return cls(copy.deepcopy(PRESETS[preset]))
+        if phase not in PHASES:
+            raise ConfigError(f"unknown training phase {phase!r}; choose from {sorted(PHASES)}")
+        others = PHASES.keys() - {phase}
+        sections = {s: dict(PRESETS[preset][s]) for s in PHASES[phase]}
+        sections["train"] = {k: v for k, v in sections["train"].items() if k.partition("_")[0] not in others}
+        return cls(sections, phase)
 
     def _coerce(self, section: str, key: str, raw):
         if section not in self.sections:
-            raise ConfigError(f"unknown config section [{section}]")
+            raise ConfigError(f"unknown config section [{section}] for {self.phase}")
         if key not in self.sections[section]:
-            raise ConfigError(f"unknown config key {section}.{key}")
+            raise ConfigError(f"unknown config key {section}.{key} for {self.phase}")
         current = self.sections[section][key]
         try:
             if isinstance(current, int):
@@ -80,18 +90,12 @@ class RunConfig:
             raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from e
 
     def set(self, section: str, key: str, raw) -> None:
-        """Write a key as a config file or an override does; it becomes explicit."""
+        """Write a key as a config file or an override does."""
         self.sections[section][key] = self._coerce(section, key, raw)
-        self.explicit.add((section, key))
 
-    def derive(self, section: str, values: dict, source: str) -> None:
-        """Take `values` for `section` from a run's input, named by `source`; an explicit key must agree."""
-        for key, raw in values.items():
-            value = self._coerce(section, key, raw)
-            if (section, key) in self.explicit and self.sections[section][key] != value:
-                raise ConfigError(f"{section}.{key} = {self._canon(self.sections[section][key])} "
-                                  f"disagrees with {self._canon(value)} from {source}")
-            self.sections[section][key] = value
+    def record(self, section: str, values: dict) -> None:
+        """Add `values` that a run took from its inputs; they are locked and hashed, never written."""
+        self.sections.setdefault(section, {}).update(values)
 
     def get(self, section: str, key: str):
         try:
@@ -118,18 +122,12 @@ class RunConfig:
             self.set(section, key, value.strip())
 
     # -- canonical form ---------------------------------------------------
-    @staticmethod
-    def _canon(v) -> str:
-        if isinstance(v, float):
-            return repr(v)
-        return str(v)
-
     def canonical_text(self) -> str:
         lines = []
         for section in sorted(self.sections):
             lines.append(f"[{section}]")
-            for key in sorted(self.sections[section]):
-                lines.append(f"{key} = {self._canon(self.sections[section][key])}")
+            for key, value in sorted(self.sections[section].items()):
+                lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
             lines.append("")
         return "\n".join(lines)
 
@@ -145,11 +143,11 @@ class RunConfig:
         return AdapterConfig(model_dim=self.get("model", "model_dim"), **self.sections["adapter"])
 
     def schedule(self) -> NoiseSchedule:
-        return schedule_from_config(self.sections["diffusion"])
+        return make_schedule(**self.sections["diffusion"])
 
-    def train_config(self, phase: str) -> TrainConfig:
-        """The `pretrain` or `finetune` phase's steps and learning rate, with the shared settings."""
-        t = self.sections["train"]
+    def train_config(self) -> TrainConfig:
+        """This phase's steps and learning rate, with the shared settings and the recorded seed."""
+        t, phase = self.sections["train"], self.phase
         return TrainConfig(steps=t[f"{phase}_steps"], batch_size=t["batch_size"], learning_rate=t[f"{phase}_lr"],
                            warmup_steps=t["warmup_steps"], seed=t["seed"])
 
@@ -157,11 +155,11 @@ class RunConfig:
         return LossConfig(**self.sections["loss"])
 
 
-def resolve_config(preset: str, config_file=None, overrides=None, seed: int | None = None) -> RunConfig:
-    cfg = RunConfig.from_preset(preset)
+def resolve_config(preset: str, phase: str, seed: int, config_file=None, overrides=None) -> RunConfig:
+    """The preset's `phase` settings, then the config file, then each override; then the recorded seed."""
+    cfg = RunConfig.from_preset(preset, phase)
     if config_file:
         cfg.load_file(config_file)
     cfg.apply_overrides(overrides)
-    if seed is not None:
-        cfg.derive("train", {"seed": seed}, "--seed")
+    cfg.record("train", {"seed": seed})
     return cfg

@@ -498,9 +498,6 @@ class Normalizer:
             x = np.where(self.hi > 0, y * self.hi + self.lo, self.lo)
         return x.astype(np.float32)
 
-    def apply(self, series: TimeSeries) -> TimeSeries:
-        return TimeSeries(self.scale(series.values), list(series.channel_names))
-
     def invert(self, series: TimeSeries) -> TimeSeries:
         return TimeSeries(self.unscale(series.values), list(series.channel_names))
 

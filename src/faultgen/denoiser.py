@@ -187,7 +187,7 @@ class Backbone:
 
     def set_trainable(self, flag: bool) -> None:
         for p in self.params.values():
-            p.set_trainable(flag)
+            p.requires_grad = flag
 
     # -- forward ----------------------------------------------------------
     def _timestep_vector(self, t: int) -> Tensor:

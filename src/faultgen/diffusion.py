@@ -39,28 +39,28 @@ class NoiseSchedule:
         return {"timesteps": self.T, "schedule": self.kind, "beta_start": self.beta_start, "beta_end": self.beta_end}
 
 
-def make_schedule(T: int, kind: str, beta_start: float, beta_end: float) -> NoiseSchedule:
-    """Build the beta/alpha tables. posterior_var[t] = beta_t * (1 - abar_{t-1}) / (1 - abar_t)."""
-    if T < 2:
+def make_schedule(timesteps: int, schedule: str, beta_start: float, beta_end: float) -> NoiseSchedule:
+    """Build a `diffusion` section's beta/alpha tables. posterior_var[t] = beta_t * (1 - abar_{t-1}) / (1 - abar_t)."""
+    if timesteps < 2:
         raise ContractError("schedule needs T >= 2")
     if not (0 < beta_start <= beta_end < 1):
         raise ContractError("need 0 < beta_start <= beta_end < 1")
-    if kind == "linear":
-        beta = np.linspace(beta_start, beta_end, T, dtype=np.float64)
-    elif kind == "cosine":
+    if schedule == "linear":
+        beta = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
+    elif schedule == "cosine":
         # squared-cosine cumulative signal level; beta_start/beta_end act as clip bounds
         s = 0.008
-        steps = np.arange(T + 1, dtype=np.float64)
-        f = np.cos((steps / T + s) / (1 + s) * np.pi / 2.0) ** 2
+        steps = np.arange(timesteps + 1, dtype=np.float64)
+        f = np.cos((steps / timesteps + s) / (1 + s) * np.pi / 2.0) ** 2
         abar = f / f[0]
         beta = np.clip(1.0 - abar[1:] / abar[:-1], beta_start, min(beta_end, 0.999))
     else:
-        raise ContractError(f"unknown schedule kind {kind!r}")
+        raise ContractError(f"unknown schedule kind {schedule!r}")
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
     prev = np.concatenate([[1.0], alpha_bar[:-1]])
     posterior_var = beta * (1.0 - prev) / (1.0 - alpha_bar)
-    return NoiseSchedule(T, beta, alpha, alpha_bar, posterior_var, kind, beta_start, beta_end)
+    return NoiseSchedule(timesteps, beta, alpha, alpha_bar, posterior_var, schedule, beta_start, beta_end)
 
 
 def forward_sample(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:

@@ -106,8 +106,8 @@ def tsne_2d(x: np.ndarray, perplexity: float, iters: int, seed: int) -> np.ndarr
         raise ContractError(f"t-SNE iters must be >= 1, got {iters}")
     n = x.shape[0]
     eff = min(perplexity, (n - 1) / 3.0)
-    if eff < 1.0:
-        raise ContractError(f"perplexity infeasible for n={n}")
+    if not eff >= 1.0:  # also a NaN perplexity
+        raise ContractError(f"perplexity infeasible for n={n}, got {perplexity}")
     p = _tsne_probabilities(x, eff)
     rng = np.random.default_rng(seed)
     y = rng.normal(0, 1e-4, (n, 2))

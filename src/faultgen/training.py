@@ -118,7 +118,7 @@ class Adam:
     """
 
     def __init__(self, params: list[Parameter], lr: float):
-        self.params = [p for p in params if p.trainable]
+        self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.step_count = 0
         dtypes = {p.data.dtype for p in self.params} or {ad.default_dtype()}
@@ -272,14 +272,9 @@ def normalizer_from_checkpoint(ckpt: Checkpoint) -> Normalizer | None:
         raise CheckpointError(f"checkpoint holds no valid normalizer: {e!r}") from e
 
 
-def schedule_from_config(diff: dict) -> NoiseSchedule:
-    return make_schedule(int(diff["timesteps"]), diff["schedule"],
-                         float(diff["beta_start"]), float(diff["beta_end"]))
-
-
 def schedule_from_checkpoint(ckpt: Checkpoint) -> NoiseSchedule:
     try:
-        return schedule_from_config(ckpt.config["diffusion"])
+        return make_schedule(**ckpt.config["diffusion"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint config lacks a valid diffusion section: {e!r}") from e
 

@@ -187,7 +187,7 @@ class TestAttach:
         before = bb.forward(x, 3)
         comp = attach(bb, stack)
         # trainable set is exactly the adapter parameters
-        trainables = {p.name for p in comp.parameters() if p.trainable}
+        trainables = {p.name for p in comp.parameters() if p.requires_grad}
         assert trainables == {p.name for p in stack.parameters()}
         # freshly initialized composed model reproduces the backbone exactly
         after = comp.forward(x, 3)

@@ -16,9 +16,12 @@ from faultgen.training import load_checkpoint, save_checkpoint
 
 from helpers import fail_writes_midway
 
-TINY = ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
-        "model.ff_dim=16", "model.fourier_terms=1", "adapter.heads=2", "adapter.window=3",
-        "diffusion.timesteps=10", "train.batch_size=2", "train.warmup_steps=1"]
+TINY = {  # a tiny run's settings, each phase's only the keys it accepts
+    "pretrain": ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1",
+                 "model.ff_dim=16", "model.fourier_terms=1", "diffusion.timesteps=10",
+                 "train.batch_size=2", "train.warmup_steps=1"],
+    "finetune": ["adapter.heads=2", "adapter.window=3", "train.batch_size=2", "train.warmup_steps=1"],
+}
 
 
 def _run(capsys, *argv):
@@ -26,8 +29,8 @@ def _run(capsys, *argv):
     return json.loads(capsys.readouterr().out.strip().splitlines()[-1])
 
 
-def _overrides(*extra):
-    return [arg for ov in TINY + list(extra) for arg in ("--override", ov)]
+def _overrides(phase, *extra):
+    return [arg for ov in TINY[phase] + list(extra) for arg in ("--override", ov)]
 
 
 def test_finetune_checkpoint_records_its_own_config_hash(tmp_path, capsys):
@@ -36,9 +39,9 @@ def test_finetune_checkpoint_records_its_own_config_hash(tmp_path, capsys):
     _run(capsys, "make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "8",
          "--out", fault)
     pre = _run(capsys, "pretrain", "--data", normal, "--out", str(tmp_path / "pre"),
-               *_overrides("train.pretrain_steps=2"))
+               *_overrides("pretrain", "train.pretrain_steps=2"))
     fine = _run(capsys, "finetune", "--data", fault, "--checkpoint", pre["checkpoint"],
-                "--out", str(tmp_path / "fine"), *_overrides("train.finetune_steps=2"))
+                "--out", str(tmp_path / "fine"), *_overrides("finetune", "train.finetune_steps=2"))
     assert fine["config_hash"] != pre["config_hash"]
     assert load_checkpoint(pre["checkpoint"]).config["config_hash"] == pre["config_hash"]
     assert load_checkpoint(fine["checkpoint"]).config["config_hash"] == fine["config_hash"]
@@ -67,7 +70,7 @@ def test_non_finite_weight_ends_generate_with_exit_4(tmp_path, capsys):
     normal = str(tmp_path / "normal")
     _run(capsys, "make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", normal)
     pre = _run(capsys, "pretrain", "--data", normal, "--out", str(tmp_path / "pre"),
-               *_overrides("train.pretrain_steps=1"))
+               *_overrides("pretrain", "train.pretrain_steps=1"))
     ckpt = load_checkpoint(pre["checkpoint"])
     first = next(iter(ckpt.arrays))
     ckpt.arrays[first].flat[0] = np.nan
@@ -92,10 +95,10 @@ def trained(tmp_path_factory):
     assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "1", "--tau", "8",
                  "--out", fault1]) == 0
     assert main(["pretrain", "--data", normal, "--out", str(root / "pre"),
-                 *_overrides("train.pretrain_steps=1")]) == 0
+                 *_overrides("pretrain", "train.pretrain_steps=1")]) == 0
     pre = str(root / "pre" / "checkpoints" / "final.ckpt")
     assert main(["finetune", "--data", fault, "--checkpoint", pre, "--out", str(root / "fine"),
-                 *_overrides("train.finetune_steps=1")]) == 0
+                 *_overrides("finetune", "train.finetune_steps=1")]) == 0
     renamed = str(root / "renamed")  # the normal corpus with one sample file headed x,y instead of ch0,ch1
     shutil.copytree(normal, renamed)
     sample3 = os.path.join(renamed, "sample_00003.csv")
@@ -131,7 +134,7 @@ def test_bad_checkpoint_config_exits_3(trained, tmp_path, capsys, case):
     ckpt = _edited(trained[which], str(tmp_path / "bad.ckpt"), edit)
     argv = [command, "--checkpoint", ckpt, "--out", str(tmp_path / "out")]
     if command == "finetune":
-        argv += ["--data", trained["fault"], *_overrides("train.finetune_steps=1")]
+        argv += ["--data", trained["fault"], *_overrides("finetune", "train.finetune_steps=1")]
     else:
         argv += ["--n", "2"]
     assert main(argv) == 3
@@ -143,7 +146,7 @@ def test_bogus_schedule_exits_3_from_a_checkpoint_and_2_from_an_override(trained
                    lambda c: c["diffusion"].update(schedule="bogus"))
     assert main(["generate", "--checkpoint", ckpt, "--n", "2", "--out", str(tmp_path / "gen")]) == 3
     assert main(["pretrain", "--data", trained["normal"], "--out", str(tmp_path / "pre"),
-                 *_overrides("train.pretrain_steps=1", "diffusion.schedule=bogus")]) == 2
+                 *_overrides("pretrain", "train.pretrain_steps=1", "diffusion.schedule=bogus")]) == 2
     assert "unknown schedule" in capsys.readouterr().err
 
 
@@ -200,14 +203,9 @@ def test_finetune_rejects_a_diffusion_override_the_checkpoint_does_not_use(train
                                                                           override):
     out = tmp_path / "fine"
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"],
-                 "--out", str(out), *_overrides("train.finetune_steps=1", override)]) == 2
-    assert "diffusion schedule" in capsys.readouterr().err
+                 "--out", str(out), *_overrides("finetune", "train.finetune_steps=1", override)]) == 2
+    assert "unknown config section [diffusion] for finetune" in capsys.readouterr().err
     assert not out.exists()
-
-
-def _no_diffusion_overrides(*extra):
-    return [arg for ov in TINY + list(extra) if not ov.startswith("diffusion.")
-            for arg in ("--override", ov)]
 
 
 def test_finetune_rejects_a_config_file_diffusion_section_the_checkpoint_does_not_use(trained, tmp_path,
@@ -216,25 +214,15 @@ def test_finetune_rejects_a_config_file_diffusion_section_the_checkpoint_does_no
     config.write_text("[diffusion]\ntimesteps = 10\nschedule = cosine\n")
     out = tmp_path / "fine"
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"], "--out", str(out),
-                 "--config", str(config), *_no_diffusion_overrides("train.finetune_steps=1")]) == 2
-    assert "diffusion schedule" in capsys.readouterr().err
+                 "--config", str(config), *_overrides("finetune", "train.finetune_steps=1")]) == 2
+    assert "unknown config section [diffusion] for finetune" in capsys.readouterr().err
     assert not (out / "checkpoints" / "final.ckpt").exists()
-
-
-def test_finetune_runs_with_a_config_file_that_restates_the_checkpoint_schedule(trained, tmp_path):
-    stored = load_checkpoint(trained["pre"]).config["diffusion"]
-    config = tmp_path / "run.ini"
-    config.write_text("[diffusion]\n" + "".join(f"{k} = {v}\n" for k, v in stored.items()))
-    out = tmp_path / "fine"
-    assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"], "--out", str(out),
-                 "--config", str(config), *_no_diffusion_overrides("train.finetune_steps=1")]) == 0
-    assert (out / "checkpoints" / "final.ckpt").exists()
 
 
 def test_a_full_finetune_run_leaves_every_backbone_array_byte_identical(trained, tmp_path):
     out = tmp_path / "fine"
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"],
-                 "--out", str(out), *_overrides("train.finetune_steps=4")]) == 0
+                 "--out", str(out), *_overrides("finetune", "train.finetune_steps=4")]) == 0
     before = load_checkpoint(trained["pre"]).arrays
     after = load_checkpoint(str(out / "checkpoints" / "final.ckpt")).arrays
     backbone = [name for name in before if name.startswith("backbone.")]
@@ -272,9 +260,10 @@ def _every_stage(capsys, root):
     normal, fault, gen = f"{root}/normal", f"{root}/fault", f"{root}/gen"
     _run(capsys, "make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", normal)
     _run(capsys, "make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "8", "--out", fault)
-    pre = _run(capsys, "pretrain", "--data", normal, "--out", f"{root}/pre", *_overrides("train.pretrain_steps=2"))
+    pre = _run(capsys, "pretrain", "--data", normal, "--out", f"{root}/pre",
+               *_overrides("pretrain", "train.pretrain_steps=2"))
     fine = _run(capsys, "finetune", "--data", fault, "--checkpoint", pre["checkpoint"], "--out", f"{root}/fine",
-                *_overrides("train.finetune_steps=2"))
+                *_overrides("finetune", "train.finetune_steps=2"))
     _run(capsys, "generate", "--checkpoint", fine["checkpoint"], "--n", "4", "--out", gen)
     _run(capsys, "evaluate", "--real", fault, "--synth", gen, "--seeds", "0,1", "--out", f"{root}/eval")
     _run(capsys, "embed", "--corpus", normal, "--corpus", gen, "--perplexity", "2", "--iters", "20",
@@ -333,10 +322,10 @@ TRAIN_RULE = ("error: train needs steps, warmup_steps and seed >= 0, batch_size 
 BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} in argv or fragment is a path from `trained`
     "make-data-negative-seed": (["make-data", "--kind", "normal", "--n", "2", "--tau", "8", "--seed", "-1"],
                                 2, "--seed must be >= 0"),
-    "pretrain-negative-seed": (["pretrain", "--data", "{normal}", "--seed", "-1", *_overrides()],
+    "pretrain-negative-seed": (["pretrain", "--data", "{normal}", "--seed", "-1", *_overrides("pretrain")],
                                2, "--seed must be >= 0"),
     "finetune-negative-seed": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}", "--seed", "-1",
-                                *_overrides("train.finetune_steps=1")], 2, "--seed must be >= 0"),
+                                *_overrides("finetune", "train.finetune_steps=1")], 2, "--seed must be >= 0"),
     "generate-negative-seed": (["generate", "--checkpoint", "{fine}", "--n", "2", "--seed", "-1"],
                                2, "--seed must be >= 0"),
     "embed-negative-seed": (["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "pca",
@@ -381,38 +370,39 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                       2, "unrecognized arguments: --seed 1"),
     "embed-preset": (["embed", "--corpus", "{normal}", "--method", "pca", "--preset", "paper"],
                      2, "unrecognized arguments: --preset paper"),
-    "pretrain-model-tau": (["pretrain", "--data", "{normal}", *_overrides("model.tau=12")],
+    "pretrain-model-tau": (["pretrain", "--data", "{normal}", *_overrides("pretrain", "model.tau=12")],
                            2, "unknown config key model.tau"),
-    "pretrain-seed-override-without-seed": (["pretrain", "--data", "{normal}", *_overrides("train.seed=3")],
-                                            2, "train.seed = 3 disagrees with 0 from --seed"),
+    "pretrain-seed-override-without-seed": (["pretrain", "--data", "{normal}", *_overrides("pretrain", "train.seed=3")],
+                                            2, "unknown config key train.seed for pretrain"),
     "finetune-enc-layers": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
-                             *_overrides("train.finetune_steps=1", "model.enc_layers=7")],
-                            2, "model.enc_layers = 7 disagrees with 1 from the checkpoint's model"),
+                             *_overrides("finetune", "train.finetune_steps=1", "model.enc_layers=7")],
+                            2, "unknown config section [model] for finetune"),
     "finetune-corpus-tau-not-the-checkpoints": (["finetune", "--data", "{fault12}", "--checkpoint", "{pre}",
-                                                 *_overrides("train.finetune_steps=1")],
+                                                 *_overrides("finetune", "train.finetune_steps=1")],
                                                 2, "fault corpus {fault12} holds (tau, dim) = (12, 2), "
                                                    "but checkpoint {pre} models (8, 2)"),
-    "finetune-empty-checkpoint": (["finetune", "--data", "{fault}", "--checkpoint", "", *_overrides()],
+    "finetune-empty-checkpoint": (["finetune", "--data", "{fault}", "--checkpoint", "", *_overrides("finetune")],
                                   3, "cannot read checkpoint"),
     "generate-empty-checkpoint": (["generate", "--checkpoint", "", "--n", "2"], 3, "cannot read checkpoint"),
     "negative-saturation-magnitude": (["make-data", "--kind", "fault", "--fault", "saturation", "--n", "2",
                                        "--tau", "8", "--magnitude", "-1"], 2, "magnitude must be >= 0"),
     "sample-header-not-the-manifests": (["evaluate", "--real", "{renamed}", "--synth", "{normal}"],
                                         2, "sample_00003.csv: header 'x,y' differs"),
-    "pretrain-heads-not-dividing-model-dim": (["pretrain", "--data", "{normal}", *_overrides("model.heads=3")],
+    "pretrain-heads-not-dividing-model-dim": (["pretrain", "--data", "{normal}",
+                                               *_overrides("pretrain", "model.heads=3")],
                                               2, "model_dim must be divisible by heads"),
-    "pretrain-bogus-schedule": (["pretrain", "--data", "{normal}", *_overrides("diffusion.schedule=bogus")],
+    "pretrain-bogus-schedule": (["pretrain", "--data", "{normal}", *_overrides("pretrain", "diffusion.schedule=bogus")],
                                 2, "unknown schedule"),
-    "pretrain-bogus-normalizer": (["pretrain", "--data", "{normal}", *_overrides("data.normalizer=bogus")],
+    "pretrain-bogus-normalizer": (["pretrain", "--data", "{normal}", *_overrides("pretrain", "data.normalizer=bogus")],
                                   2, "unknown normalizer mode 'bogus'"),
     "finetune-one-series": (["finetune", "--data", "{fault1}", "--checkpoint", "{pre}",
-                             *_overrides("train.finetune_steps=1")],
+                             *_overrides("finetune", "train.finetune_steps=1")],
                             2, "fine-tuning needs at least 2 fault series, but {fault1} holds 1"),
     "finetune-a-finetuned-checkpoint": (["finetune", "--data", "{fault}", "--checkpoint", "{fine}",
-                                         *_overrides("train.finetune_steps=1")],
+                                         *_overrides("finetune", "train.finetune_steps=1")],
                                         3, "finetune expects a backbone-only (pretrain) checkpoint"),
     "finetune-even-adapter-window": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
-                                      *_overrides("train.finetune_steps=1", "adapter.window=4")],
+                                      *_overrides("finetune", "train.finetune_steps=1", "adapter.window=4")],
                                      2, "window must be an odd positive integer"),
     "make-data-compound": (["make-data", "--kind", "fault", "--fault", "compound", "--n", "2", "--tau", "8"],
                            2, "argument --fault: invalid choice: 'compound'"),
@@ -437,8 +427,24 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
     "burst-len-as-long-as-the-window": (["make-data", "--kind", "fault", "--fault", "intermittent", "--burst-len",
                                          "100", "--duration", "6", "--n", "2", "--tau", "24"],
                                         2, "burst_len must be >= 1 and shorter than the duration 6, got 100"),
+    "embed-tsne-nan-perplexity": (["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "tsne",
+                                   "--perplexity", "nan", "--iters", "5"],
+                                  2, "perplexity infeasible for n=10, got nan"),
+    # each phase accepts only the keys it reads; the seed and a finetune's model and schedule come from its inputs
+    **{f"{phase}-{key}-{value}": ([phase, "--data", "{normal}" if phase == "pretrain" else "{fault}",
+                                   *(["--checkpoint", "{pre}"] if phase == "finetune" else []),
+                                   *_overrides(phase, f"{key}={value}")], 2, message)
+       for phase, key, value, message in [
+           ("pretrain", "loss.pair_count", "0", "unknown config section [loss] for pretrain"),
+           ("pretrain", "adapter.window", "4", "unknown config section [adapter] for pretrain"),
+           ("pretrain", "train.finetune_lr", "nan", "unknown config key train.finetune_lr for pretrain"),
+           ("finetune", "data.normalizer", "zscore", "unknown config section [data] for finetune"),
+           ("finetune", "train.pretrain_steps", "5", "unknown config key train.pretrain_steps for finetune"),
+           ("finetune", "model.heads", "2", "unknown config section [model] for finetune"),
+           ("finetune", "train.seed", "3", "unknown config key train.seed for finetune"),
+       ]},
     **{f"finetune-{key}-{value}": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
-                                    *_overrides("train.finetune_steps=1", f"{key}={value}")], 2, message)
+                                    *_overrides("finetune", "train.finetune_steps=1", f"{key}={value}")], 2, message)
        for key, value, message in [
            ("loss.pair_count", "0", f"{LOSS_RULE}(weight=0.1, margin=1.0, pair_count=0)"),
            ("loss.pair_count", "-1", f"{LOSS_RULE}(weight=0.1, margin=1.0, pair_count=-1)"),
@@ -496,7 +502,7 @@ def test_a_command_that_writes_a_directory_names_a_missing_out_in_one_line(capsy
 
 def test_a_pretrain_of_no_steps_prints_strict_json_with_a_null_final_loss(trained, tmp_path, capsys):
     assert main(["pretrain", "--data", trained["normal"], "--out", str(tmp_path / "pre"),
-                 *_overrides("train.pretrain_steps=0")]) == 0
+                 *_overrides("pretrain", "train.pretrain_steps=0")]) == 0
 
     def reject(constant):
         raise ValueError(f"{constant} is not JSON")
@@ -505,11 +511,9 @@ def test_a_pretrain_of_no_steps_prints_strict_json_with_a_null_final_loss(traine
     assert summary["steps"] == 0 and summary["final_loss"] is None
 
 
-def test_a_written_train_seed_runs_when_it_restates_the_seed(trained, tmp_path):
-    out = tmp_path / "pre"
-    assert main(["pretrain", "--data", trained["normal"], "--seed", "3", "--out", str(out),
-                 *_overrides("train.pretrain_steps=1", "train.seed=3")]) == 0
-    assert "seed = 3\n" in (out / "config.lock").read_text()
+def _no_diffusion_overrides(*extra):
+    return [arg for ov in TINY["pretrain"] + list(extra) if not ov.startswith("diffusion.")
+            for arg in ("--override", ov)]
 
 
 @pytest.fixture(scope="module")
@@ -540,24 +544,19 @@ def _lock_matches_header(run_dir):
 def test_every_training_runs_config_lock_agrees_with_its_checkpoint(trained, paper_backbone, tmp_path):
     desk_fine = str(tmp_path / "fine")
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", paper_backbone, "--seed", "2",
-                 "--out", desk_fine, *_no_diffusion_overrides("train.finetune_steps=1")]) == 0
+                 "--out", desk_fine, *_overrides("finetune", "train.finetune_steps=1")]) == 0
     for run_dir in (_run_dir(trained["pre"]), _run_dir(trained["fine"]), _run_dir(paper_backbone), desk_fine):
         _lock_matches_header(run_dir)
 
 
-def test_a_desk_finetune_of_a_paper_backbone_restates_its_timesteps(trained, paper_backbone, tmp_path, capsys):
+def test_a_desk_finetune_of_a_paper_backbone_records_its_schedule(trained, paper_backbone, tmp_path):
     out = tmp_path / "fine"
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", paper_backbone, "--out", str(out),
-                 *_no_diffusion_overrides("train.finetune_steps=1"), "--override", "diffusion.timesteps=1000"]) == 0
+                 *_overrides("finetune", "train.finetune_steps=1")]) == 0
     lock = configparser.ConfigParser()
     lock.read(out / "config.lock")
     assert dict(lock["diffusion"]) == {"timesteps": "1000", "schedule": "linear", "beta_start": "0.0001",
                                        "beta_end": "0.02"}
-    assert main(["finetune", "--data", trained["fault"], "--checkpoint", paper_backbone,
-                 "--out", str(tmp_path / "desk"),
-                 *_no_diffusion_overrides("train.finetune_steps=1"), "--override", "diffusion.timesteps=100"]) == 2
-    err = capsys.readouterr().err
-    assert "diffusion.timesteps = 100 disagrees with 1000 from the checkpoint's diffusion schedule" in err
 
 
 def test_write_atomic_writes_exact_bytes_and_leaves_no_temporary_file(tmp_path):

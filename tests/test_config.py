@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from faultgen.adapter import AdapterConfig
-from faultgen.config import DESK, RunConfig, resolve_config
+from faultgen.config import PHASES, PRESETS, RunConfig, resolve_config
 from faultgen.data import fit_normalizer
 from faultgen.denoiser import DenoiserConfig, trend_basis
 from faultgen.diffusion import make_schedule
@@ -19,46 +19,67 @@ from faultgen.training import LossConfig, TrainConfig
 @pytest.mark.parametrize("override", ["model.tau", "tau=12", "=12", "model.tau 12"])
 def test_malformed_override_rejected(override):
     with pytest.raises(ConfigError, match="section.key=value"):
-        resolve_config("desk", None, [override])
+        resolve_config("desk", "pretrain", 0, None, [override])
 
 
-@pytest.mark.parametrize("override, what", [("nosuch.tau=12", r"section \[nosuch\]"),
-                                            ("model.nosuch=12", "key model.nosuch"),
-                                            ("loss.sign=intent", "key loss.sign")])
-def test_unknown_section_or_key_rejected(override, what):
+@pytest.mark.parametrize("phase, override, what", [("pretrain", "nosuch.tau=12", r"section \[nosuch\] for pretrain"),
+                                                   ("pretrain", "model.nosuch=12", "key model.nosuch for pretrain"),
+                                                   ("finetune", "loss.sign=intent", "key loss.sign for finetune")])
+def test_unknown_section_or_key_rejected(phase, override, what):
     with pytest.raises(ConfigError, match=what):
-        resolve_config("desk", None, [override])
+        resolve_config("desk", phase, 0, None, [override])
 
 
 @pytest.mark.parametrize("override", ["model.heads=twelve", "model.heads=1.5", "train.pretrain_lr=fast"])
 def test_bad_number_rejected(override):
     with pytest.raises(ConfigError, match="bad value"):
-        resolve_config("desk", None, [override])
+        resolve_config("desk", "pretrain", 0, None, [override])
 
 
 def test_bad_config_file_value_rejected(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[train]\nbatch_size = eight\n")
     with pytest.raises(ConfigError, match="train.batch_size"):
-        resolve_config("desk", str(path))
+        resolve_config("desk", "pretrain", 0, str(path))
 
 
 def test_hash_ignores_override_order():
-    overrides = ["model.heads=2", "train.seed=3", "loss.weight=0.5", "data.normalizer=zscore"]
-    first = resolve_config("desk", None, overrides).hash()
-    assert first == resolve_config("desk", None, overrides[::-1]).hash()
-    assert first != resolve_config("desk", None, overrides[:-1]).hash()
-    assert first != resolve_config("paper", None, overrides).hash()
+    overrides = ["model.heads=2", "train.batch_size=3", "diffusion.schedule=cosine", "data.normalizer=zscore"]
+    first = resolve_config("desk", "pretrain", 0, None, overrides).hash()
+    assert first == resolve_config("desk", "pretrain", 0, None, overrides[::-1]).hash()
+    assert first != resolve_config("desk", "pretrain", 0, None, overrides[:-1]).hash()
+    assert first != resolve_config("paper", "pretrain", 0, None, overrides).hash()
+    assert first != resolve_config("desk", "pretrain", 3, None, overrides).hash()  # the recorded seed is hashed
 
 
 def test_schedule_reads_the_diffusion_section():
-    cfg = resolve_config("desk", None, ["diffusion.schedule=cosine", "diffusion.timesteps=50"])
+    cfg = resolve_config("desk", "pretrain", 0, None, ["diffusion.schedule=cosine", "diffusion.timesteps=50"])
     sched = cfg.schedule()
     expected = make_schedule(50, "cosine", 1e-3, 0.2)
     assert sched.kind == "cosine" and sched.T == 50
     np.testing.assert_array_equal(sched.beta, expected.beta)
+    assert make_schedule(**sched.config()).beta.tobytes() == sched.beta.tobytes()
     with pytest.raises(ContractError, match="unknown schedule"):
-        resolve_config("desk", None, ["diffusion.schedule=bogus"]).schedule()
+        resolve_config("desk", "pretrain", 0, None, ["diffusion.schedule=bogus"]).schedule()
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_pretrain_accepts_16_config_keys_and_finetune_10(preset):
+    counts = {phase: sum(map(len, RunConfig.from_preset(preset, phase).sections.values())) for phase in PHASES}
+    assert counts == {"pretrain": 16, "finetune": 10}
+    assert set(RunConfig.from_preset(preset, "pretrain").sections["train"]) == {
+        "pretrain_steps", "pretrain_lr", "batch_size", "warmup_steps"}
+    assert set(RunConfig.from_preset(preset, "finetune").sections) == {"train", "adapter", "loss"}
+
+
+def test_a_value_a_run_takes_from_its_inputs_is_recorded_but_never_written():
+    cfg = resolve_config("desk", "finetune", 7, None, ["loss.weight=0.5"])
+    cfg.record("model", {"model_dim": 64})
+    assert "[model]\nmodel_dim = 64\n" in cfg.canonical_text() and "seed = 7\n" in cfg.canonical_text()
+    assert cfg.train_config().seed == 7 and cfg.adapter_config().model_dim == 64
+    for written in ("train.seed=7", "model.model_dim=64"):
+        with pytest.raises(ConfigError, match="for finetune"):
+            resolve_config("desk", "finetune", 7, None, [written])
 
 
 OTHER_STRINGS = {"schedule": "cosine", "normalizer": "zscore"}
@@ -76,18 +97,24 @@ def _other_value(key, value):
 
 
 def _views(cfg):
-    sched = cfg.schedule()
-    return (dataclasses.asdict(cfg.denoiser_config(24, 2)), (sched.kind, sched.beta.tobytes()),
-            dataclasses.asdict(cfg.adapter_config()), dataclasses.asdict(cfg.loss_config()),
-            dataclasses.asdict(cfg.train_config("pretrain")), dataclasses.asdict(cfg.train_config("finetune")),
-            cfg.get("data", "normalizer"))
+    """The component views the config's phase builds; fine-tuning's adapter takes model_dim from the checkpoint."""
+    if cfg.phase == "pretrain":
+        sched = cfg.schedule()
+        return (dataclasses.asdict(cfg.denoiser_config(24, 2)), (sched.kind, sched.beta.tobytes()),
+                dataclasses.asdict(cfg.train_config()), cfg.get("data", "normalizer"))
+    cfg.record("model", {"model_dim": 64})
+    return (dataclasses.asdict(cfg.adapter_config()), dataclasses.asdict(cfg.loss_config()),
+            dataclasses.asdict(cfg.train_config()))
 
 
-@pytest.mark.parametrize("section, key", [(s, k) for s in DESK for k in DESK[s]])
-def test_every_desk_key_reaches_a_component_view(section, key):
-    base = resolve_config("desk")
-    changed = resolve_config("desk", None, [f"{section}.{key}={_other_value(key, DESK[section][key])}"])
-    assert _views(changed) != _views(base), f"{section}.{key} changes no component view"
+@pytest.mark.parametrize("preset, phase, section, key", [
+    (preset, phase, section, key) for preset in sorted(PRESETS) for phase in PHASES
+    for section, keys in RunConfig.from_preset(preset, phase).sections.items() for key in keys])
+def test_every_key_a_phase_accepts_reaches_a_view_it_builds(preset, phase, section, key):
+    base = resolve_config(preset, phase, 0)
+    value = _other_value(key, base.get(section, key))
+    changed = resolve_config(preset, phase, 0, None, [f"{section}.{key}={value}"])
+    assert _views(changed) != _views(base), f"{preset} {phase}: {section}.{key} changes no component view"
 
 
 @pytest.mark.parametrize("component", [DenoiserConfig, AdapterConfig, LossConfig, TrainConfig])
@@ -97,9 +124,10 @@ def test_a_run_setting_component_declares_no_default(component):
             if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING] == []
 
 
-@pytest.mark.parametrize("function, names", [(make_schedule, ["T", "kind", "beta_start", "beta_end"]),
+@pytest.mark.parametrize("function, names", [(make_schedule, ["timesteps", "schedule", "beta_start", "beta_end"]),
                                              (fit_normalizer, ["mode"]), (trend_basis, ["degree"]),
-                                             (resolve_config, ["preset"]), (RunConfig.from_preset, ["preset"]),
+                                             (resolve_config, ["preset", "phase", "seed"]),
+                                             (RunConfig.from_preset, ["preset", "phase"]),
                                              (embed_2d, ["method"]), (tsne_2d, ["perplexity", "iters", "seed"])])
 def test_a_run_setting_argument_has_no_default(function, names):
     params = inspect.signature(function).parameters

@@ -288,28 +288,26 @@ class TestNormalizer:
     def test_minmax_hand_case(self):
         series = TimeSeries(np.array([[0.0], [10.0]]), ["a"])
         norm = fit_normalizer(Dataset([series], "normal", "t"), "minmax")
-        out = norm.apply(series)
-        np.testing.assert_allclose(out.values, [[-1.0], [1.0]])
+        np.testing.assert_allclose(norm.scale(series.values), [[-1.0], [1.0]])
 
     def test_roundtrip(self):
         ds = generate_normal(24, 3, 6, seed=8)
         norm = fit_normalizer(ds, "minmax")
         np.testing.assert_allclose(norm.unscale(norm.scale(ds.values)), ds.values, atol=1e-6)
         for v in ds.values:
-            back = norm.invert(norm.apply(TimeSeries(v, ds.channel_names)))
+            back = norm.invert(TimeSeries(norm.scale(v), ds.channel_names))
             np.testing.assert_allclose(back.values, v, atol=1e-6)
 
     def test_constant_channel(self):
         vals = np.stack([np.full(10, 2.5), np.arange(10, dtype=np.float32)], axis=1)
         series = TimeSeries(vals, ["const", "ramp"])
         norm = fit_normalizer(Dataset([series], "normal", "t"), "minmax")
-        out = norm.apply(series)
-        np.testing.assert_allclose(out.values[:, 0], 0.0)
-        back = norm.invert(out)
-        np.testing.assert_allclose(back.values[:, 0], 2.5)
+        out = norm.scale(series.values)
+        np.testing.assert_allclose(out[:, 0], 0.0)
+        np.testing.assert_allclose(norm.unscale(out)[:, 0], 2.5)
 
     @pytest.mark.parametrize("mode", ["minmax", "zscore"])
-    def test_scaling_a_stack_matches_per_series_apply_bitwise(self, mode):
+    def test_scaling_a_stack_matches_per_series_scaling_bitwise(self, mode):
         base = generate_normal(24, 3, 9, seed=4).values.copy()
         base[:, :, 1] = 2.5  # a constant channel maps to 0 in both modes
         ds = Dataset([TimeSeries(v, ["a", "const", "b"]) for v in base], "normal", "t")
@@ -317,13 +315,14 @@ class TestNormalizer:
         out = norm.scale(ds.values)
         assert out.dtype == np.float32 and np.all(out[:, :, 1] == 0.0)
         for v, o in zip(base, out):
-            assert o.tobytes() == norm.apply(TimeSeries(v, ds.channel_names)).values.tobytes()
+            assert o.tobytes() == norm.scale(v).tobytes()
 
     def test_zscore_roundtrip(self):
         ds = generate_normal(24, 2, 6, seed=9)
         norm = fit_normalizer(ds, "zscore")
         s = TimeSeries(ds.values[0], ds.channel_names)
-        np.testing.assert_allclose(norm.invert(norm.apply(s)).values, s.values, atol=1e-5)
+        np.testing.assert_allclose(norm.invert(TimeSeries(norm.scale(s.values), s.channel_names)).values, s.values,
+                                   atol=1e-5)
 
 
 class TestCorpusIO:
@@ -537,9 +536,9 @@ class TestProperties:
     @given(mode=st.sampled_from(["minmax", "zscore"]),
            values=hnp.arrays(np.float32, st.tuples(st.integers(2, 12), st.integers(1, 3)),
                              elements=st.floats(-1e4, 1e4, width=32, allow_subnormal=False)))
-    def test_normalizer_apply_then_invert_round_trips(self, mode, values):
+    def test_normalizer_scale_then_invert_round_trips(self, mode, values):
         series = TimeSeries(values, [f"ch{c}" for c in range(values.shape[1])])
         norm = fit_normalizer(Dataset([series], "normal", "t"), mode)
-        back = norm.invert(norm.apply(series)).values
+        back = norm.invert(TimeSeries(norm.scale(values), series.channel_names)).values
         scale = float(np.max(np.abs(values)))
         np.testing.assert_allclose(back, values, rtol=0, atol=1e-6 * scale)

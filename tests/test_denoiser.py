@@ -5,9 +5,9 @@ import pytest
 
 from faultgen import adapter, denoiser
 from faultgen import autodiff as ad
-from faultgen.adapter import AdapterStack, attach
+from faultgen.adapter import AdapterConfig, AdapterStack, attach
 from faultgen.autodiff import Tensor
-from faultgen.config import RunConfig
+from faultgen.config import DESK, RunConfig
 from faultgen.denoiser import (
     Backbone,
     DenoiserConfig,
@@ -104,9 +104,9 @@ class TestFusedOpsKeepTheComposedBits:
 
     @staticmethod
     def _models():
-        desk = RunConfig.from_preset("desk")
-        backbone = Backbone(desk.denoiser_config(24, 2), seed=3)
-        stack = AdapterStack(desk.adapter_config(), backbone.cfg.dec_layers, seed=4)
+        backbone = Backbone(RunConfig.from_preset("desk", "pretrain").denoiser_config(24, 2), seed=3)
+        stack = AdapterStack(AdapterConfig(model_dim=backbone.cfg.model_dim, **DESK["adapter"]),
+                             backbone.cfg.dec_layers, seed=4)
         rng = np.random.default_rng(5)
         for p in backbone.parameters() + stack.parameters():  # zero-init heads would hide every bit
             p.data += rng.normal(0, 0.05, p.data.shape).astype(np.float32)

@@ -5,7 +5,8 @@ import pytest
 
 from faultgen.cli import main
 from faultgen.data import Dataset, TimeSeries, load_corpus
-from faultgen.embedding import _tsne_probabilities, embed_2d, pca_2d
+from faultgen.embedding import _tsne_probabilities, embed_2d, pca_2d, tsne_2d
+from faultgen.errors import ContractError
 
 
 def _svd_pca(x):
@@ -25,6 +26,14 @@ def test_pca_matches_numpy_svd(n, q):
     x = np.random.default_rng(0).standard_normal((n, q)) * np.linspace(3.0, 0.5, q)
     expected = _svd_pca(x)
     np.testing.assert_allclose(pca_2d(x), expected, atol=1e-8 * np.max(np.abs(expected)))
+
+
+@pytest.mark.parametrize("perplexity", [float("nan"), 0.5])
+def test_tsne_rejects_a_perplexity_below_1_or_nan_before_it_iterates(perplexity):
+    # a NaN compares false with every bound, so only a check that a NaN fails rejects it
+    x = np.random.default_rng(0).standard_normal((6, 4))
+    with pytest.raises(ContractError, match=f"perplexity infeasible for n=6, got {perplexity}"):
+        tsne_2d(x, perplexity, iters=5, seed=0)
 
 
 def test_tsne_probabilities_are_a_symmetric_distribution():

@@ -234,21 +234,26 @@ def test_library_pretrain_and_finetune_write_the_clis_checkpoint_bytes(tmp_path)
     normal, fault = str(tmp_path / "normal"), str(tmp_path / "fault")
     assert main(["make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", normal]) == 0
     assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "8", "--out", fault]) == 0
-    run = TINY_RUN + ["adapter.heads=2", "adapter.window=3", "train.finetune_steps=2"]
-    overrides = [arg for ov in run for arg in ("--override", ov)]
-    assert main(["pretrain", "--data", normal, "--seed", "3", "--out", str(tmp_path / "pre"), *overrides]) == 0
+    fine_run = ["adapter.heads=2", "adapter.window=3", "train.batch_size=2", "train.warmup_steps=1",
+                "train.finetune_steps=2"]
+    assert main(["pretrain", "--data", normal, "--seed", "3", "--out", str(tmp_path / "pre"),
+                 *[arg for ov in TINY_RUN for arg in ("--override", ov)]]) == 0
     assert main(["finetune", "--data", fault, "--checkpoint", str(tmp_path / "pre" / "checkpoints" / "final.ckpt"),
-                 "--seed", "3", "--out", str(tmp_path / "fine"), *overrides]) == 0
+                 "--seed", "3", "--out", str(tmp_path / "fine"),
+                 *[arg for ov in fine_run for arg in ("--override", ov)]]) == 0
 
     corpus = load_corpus(normal)
-    cfg = resolve_config("desk", None, run, 3)  # both phases run with these overrides, so with this config
-    backbone, sched = Backbone(cfg.denoiser_config(corpus.tau, corpus.dim), seed=3), cfg.schedule()
-    norm = fit_normalizer(corpus, cfg.get("data", "normalizer"))
-    train(corpus, backbone, cfg.train_config("pretrain"), sched, norm,
-          checkpoint_dir=str(tmp_path / "lib_pre"), config_hash=cfg.hash())
-    model = attach(backbone, AdapterStack(cfg.adapter_config(), backbone.cfg.dec_layers, seed=3))
-    train(load_corpus(fault), model, cfg.train_config("finetune"), sched, norm, cfg.loss_config(),
-          checkpoint_dir=str(tmp_path / "lib_fine"), config_hash=cfg.hash())
+    pre = resolve_config("desk", "pretrain", 3, None, TINY_RUN)
+    backbone, sched = Backbone(pre.denoiser_config(corpus.tau, corpus.dim), seed=3), pre.schedule()
+    norm = fit_normalizer(corpus, pre.get("data", "normalizer"))
+    train(corpus, backbone, pre.train_config(), sched, norm,
+          checkpoint_dir=str(tmp_path / "lib_pre"), config_hash=pre.hash())
+    fine = resolve_config("desk", "finetune", 3, None, fine_run)
+    fine.record("model", pre.sections["model"])  # what a finetune takes from its checkpoint
+    fine.record("diffusion", sched.config())
+    model = attach(backbone, AdapterStack(fine.adapter_config(), backbone.cfg.dec_layers, seed=3))
+    train(load_corpus(fault), model, fine.train_config(), sched, norm, fine.loss_config(),
+          checkpoint_dir=str(tmp_path / "lib_fine"), config_hash=fine.hash())
     for stage in ("pre", "fine"):
         cli = (tmp_path / stage / "checkpoints" / "final.ckpt").read_bytes()
         assert (tmp_path / f"lib_{stage}" / "final.ckpt").read_bytes() == cli, stage
