@@ -6,7 +6,6 @@ from .data import (
     Dataset,
     FaultSpec,
     Normalizer,
-    TimeSeries,
     FAULT_KINDS,
     fit_normalizer,
     generate_normal,

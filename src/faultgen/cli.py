@@ -172,8 +172,15 @@ def cmd_generate(args) -> int:
         model.stack.cfg = dataclasses.replace(model.stack.cfg, alpha=given.get("adapter", "alpha"))
     norm = normalizer_from_checkpoint(ckpt)
     sched = schedule_from_checkpoint(ckpt)
-    names = ckpt.config.get("data", {}).get("channel_names")
-    label = args.label or ckpt.config.get("data", {}).get("label", "synthetic")
+    try:
+        label, names = ckpt.config["data"]["label"], ckpt.config["data"]["channel_names"]
+    except (KeyError, TypeError) as e:
+        raise CheckpointError(f"checkpoint config lacks a valid data section: {e!r}") from e
+    if not (isinstance(label, str) and isinstance(names, list) and len(names) == model.cfg.d
+            and all(isinstance(name, str) for name in names)):
+        raise CheckpointError(f"checkpoint data section needs a label and {model.cfg.d} channel names, "
+                              f"got {label!r} and {names!r}")
+    label = args.label or label
 
     with _in_progress(args.out):
         values = sample(model, sched, args.n, (model.cfg.tau, model.cfg.d), args.seed, normalizer=norm)
@@ -266,8 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("make-data", parents=[seed, out], help="write a normal or fault corpus")
     p.add_argument("--kind", required=True, choices=["normal", "fault"])
-    # a compound fault is built from component specs, which no flag gives; the library alone makes one
-    p.add_argument("--fault", choices=[kind for kind in FAULT_KINDS if kind != "compound"])
+    p.add_argument("--fault", choices=FAULT_KINDS)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--tau", type=int, default=24)
     p.add_argument("--dim", type=int, default=2)

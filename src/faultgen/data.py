@@ -1,6 +1,6 @@
 """Time-series containers, synthetic fault injection, normalization, corpus I/O.
 
-The fault catalog names fifteen injectable kinds; their transforms below are
+The fault catalog names fourteen injectable kinds; their transforms below are
 this module's canonical definitions (simplest signal-processing realization
 of each name) so that tests have reproducible ground truth.
 """
@@ -25,7 +25,6 @@ FAULT_KINDS = (
     "trend",
     "saturation",
     "offset",
-    "compound",
     "frequency_shift",
     "amplitude_shift",
     "missing_data",
@@ -35,9 +34,10 @@ FAULT_KINDS = (
 
 # the `extra` keys each fault kind reads; a kind not named here reads none
 FAULT_EXTRAS = {"periodic": ("period",), "low_frequency_anomaly": ("period",), "saturation": ("clip_level",),
-                "intermittent": ("burst_len",), "impulse": ("count",), "compound": ("components",)}
+                "intermittent": ("burst_len",), "impulse": ("count",)}
 
 
+# TimeSeries, Dataset's sequence-of-series branch and Normalizer.invert stay: perfbench/tests/test_oracles.py calls them
 @dataclass
 class TimeSeries:
     """A tau x d matrix of sensor readings plus channel names."""
@@ -53,14 +53,6 @@ class TimeSeries:
             raise ContractError("channel_names length must match the channel count")
         if not np.all(np.isfinite(self.values)):
             raise ContractError("TimeSeries values must be finite")
-
-    @property
-    def tau(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def dim(self) -> int:
-        return self.values.shape[1]
 
 
 @dataclass(eq=False)
@@ -144,13 +136,16 @@ class FaultSpec:
         if self.kind == "sudden_recovery":
             # the recovery point (onset+duration) must land strictly inside the series
             if end >= tau:
-                raise ContractError("sudden_recovery needs a recovery point < tau")
+                raise ContractError(f"sudden_recovery needs its recovery point, onset {self.onset} + duration "
+                                    f"{self.duration} = {end}, below tau={tau}")
         elif end > tau:
-            raise ContractError(f"fault window [{self.onset}, {end}) exceeds tau={tau}")
+            raise ContractError(f"fault window onset {self.onset} + duration {self.duration} = {end} exceeds tau={tau}")
         if self.channels is not None:
             for c in self.channels:
                 if not 0 <= c < dim:
                     raise ContractError(f"channel {c} outside [0, {dim})")
+            if len(set(self.channels)) != len(self.channels):
+                raise ContractError(f"channels {list(self.channels)} name a channel more than once")
         if self.kind == "random_noise" and self.magnitude < 0:
             raise ContractError("random_noise magnitude is a standard deviation and must be >= 0")
         # the default count, max(1, duration // 8), always fits the window
@@ -172,8 +167,6 @@ class FaultSpec:
         # a one-step window samples the sine only at its phase origin, sin(0) = 0
         if self.kind in ("periodic", "low_frequency_anomaly") and self.duration < 2:
             raise ContractError(f"{self.kind} duration must be >= 2 steps, got {self.duration}")
-        if self.kind == "compound" and not self.extra.get("components"):
-            raise ContractError("compound fault needs extra['components']")
         if self.kind == "low_frequency_anomaly" and _period(self) < self.duration:
             raise ContractError("low_frequency_anomaly needs period >= duration")
 
@@ -187,24 +180,18 @@ class FaultSpec:
         if self.channels is not None:
             d["channels"] = list(self.channels)
         if self.extra:
-            extra = dict(self.extra)
-            if "components" in extra:
-                extra["components"] = [c.to_dict() for c in extra["components"]]
-            d["extra"] = extra
+            d["extra"] = dict(self.extra)
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "FaultSpec":
-        extra = dict(d.get("extra", {}))
-        if "components" in extra:
-            extra["components"] = [cls.from_dict(c) for c in extra["components"]]
         return cls(
             kind=d["kind"],
             onset=int(d["onset"]),
             duration=int(d["duration"]),
             magnitude=float(d["magnitude"]),
             channels=list(d["channels"]) if d.get("channels") is not None else None,
-            extra=extra,
+            extra=dict(d.get("extra", {})),
         )
 
 
@@ -227,9 +214,6 @@ def effective_window(spec: FaultSpec, tau: int) -> tuple[int, int]:
     """
     if spec.kind in ("sudden", "trend"):
         return spec.onset, tau
-    if spec.kind == "compound":
-        los, his = zip(*(effective_window(c, tau) for c in spec.extra["components"]))
-        return min(los), max(his)
     return spec.onset, spec.onset + spec.duration
 
 
@@ -340,12 +324,18 @@ def _ar_process(seeds, tau: int, dim: int) -> np.ndarray:
 # fault injection
 
 
-def inject_fault(series: TimeSeries, spec: FaultSpec, seed: int) -> TimeSeries:
-    """Apply one fault transform; timesteps/channels outside the fault stay bit-identical."""
-    spec.validate(series.tau, series.dim)
-    tau = series.tau
-    out = series.values.copy()
-    chans = list(range(series.dim)) if spec.channels is None else list(spec.channels)
+def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int) -> np.ndarray:
+    """A copy of the float32 (tau, d) array `values` with one fault applied;
+    timesteps/channels outside the fault stay bit-identical."""
+    values = np.asarray(values)
+    if values.dtype != np.float32 or values.ndim != 2 or len(values) < 2:
+        raise ContractError(f"inject_fault needs a float32 (tau>=2, d) array, got {values.dtype} {values.shape}")
+    if not np.all(np.isfinite(values)):
+        raise ContractError("inject_fault values must be finite")
+    tau, dim = values.shape
+    spec.validate(tau, dim)
+    out = values.copy()
+    chans = list(range(dim)) if spec.channels is None else list(spec.channels)
     lo, hi = spec.onset, spec.onset + spec.duration
     m = np.float32(spec.magnitude)
     rng = np.random.default_rng(seed)
@@ -379,11 +369,6 @@ def inject_fault(series: TimeSeries, spec: FaultSpec, seed: int) -> TimeSeries:
         out[lo:hi, chans] = np.clip(out[lo:hi, chans], -clip, clip)
     elif spec.kind == "offset":
         out[lo:hi, chans] += m
-    elif spec.kind == "compound":
-        result = series
-        for j, sub in enumerate(spec.extra["components"]):
-            result = inject_fault(result, sub, seed + j)
-        return result
     elif spec.kind == "frequency_shift":
         # time inside the window runs faster by (1+magnitude); resample by linear interp
         src = lo + rel * (1.0 + spec.magnitude)
@@ -392,19 +377,18 @@ def inject_fault(series: TimeSeries, spec: FaultSpec, seed: int) -> TimeSeries:
         i1 = np.minimum(i0 + 1, tau - 1)
         frac = (src - i0).astype(np.float32)
         for c in chans:
-            col = series.values[:, c]
+            col = values[:, c]
             out[lo:hi, c] = (1.0 - frac) * col[i0] + frac * col[i1]
     elif spec.kind == "amplitude_shift":
         out[lo:hi, chans] *= np.float32(1.0 + spec.magnitude)
     elif spec.kind == "missing_data":
-        hold = series.values[max(lo - 1, 0), chans]
+        hold = values[max(lo - 1, 0), chans]
         out[lo:hi, chans] = hold
     elif spec.kind == "sudden_recovery":
         out[lo:hi, chans] += m
     else:  # pragma: no cover — FAULT_KINDS is checked in __post_init__
         raise ContractError(f"unknown fault kind {spec.kind!r}")
-
-    return TimeSeries(out, list(series.channel_names))
+    return out
 
 
 def default_fault_spec(
@@ -423,17 +407,15 @@ def default_fault_spec(
 
     Onset and duration are uniform in [tau/4, tau/2]; magnitude is 1-3x the
     channel standard deviation. These defaults are conventions, exposed as
-    configuration rather than asserted ground truth.
+    configuration rather than asserted ground truth. A drawn duration is
+    shortened to fit the series after the onset; a given one is kept, and
+    `FaultSpec.validate` rejects it if it does not fit.
     """
     if onset is None:
         onset = int(rng.integers(tau // 4, tau // 2 + 1))
     if duration is None:
-        duration = int(rng.integers(tau // 4, tau // 2 + 1))
-    if kind == "sudden_recovery":
-        duration = min(duration, tau - onset - 1)
-        duration = max(duration, 1)
-    else:
-        duration = min(duration, tau - onset)
+        room = tau - onset - 1 if kind == "sudden_recovery" else tau - onset
+        duration = max(1, min(int(rng.integers(tau // 4, tau // 2 + 1)), room))
     if magnitude is None:
         magnitude = float(rng.uniform(1.0, 3.0)) * channel_std
     return FaultSpec(kind, onset, duration, magnitude, channels, dict(extra or {}))
@@ -456,8 +438,7 @@ def make_fault_dataset(
     specs = [default_fault_spec(kind, base.tau, base.dim, rng, magnitude=magnitude, onset=onset,
                                 duration=duration, channels=channels, channel_std=std, extra=extra)
              for _ in range(len(base))]
-    values = np.stack([inject_fault(TimeSeries(v, base.channel_names), spec, seed + i).values
-                       for i, (v, spec) in enumerate(zip(base.values, specs))])
+    values = np.stack([inject_fault(v, spec, seed + i) for i, (v, spec) in enumerate(zip(base.values, specs))])
     return Dataset(values, label=f"fault:{kind}", id=f"fault-{kind}-{seed}", seed=seed,
                    fault_spec=specs[0], channel_names=base.channel_names)
 

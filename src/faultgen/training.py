@@ -219,6 +219,8 @@ def load_checkpoint(path) -> Checkpoint:
         ckpt = Checkpoint(config=header["config"], arrays={}, step=header["step"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"{path}: malformed header: {e!r}") from e
+    if not isinstance(ckpt.config, dict):
+        raise CheckpointError(f"{path}: malformed header: config is a {type(ckpt.config).__name__}, not an object")
     data = raw[10 + hlen:]
     for name, lo, nbytes, shape in entries:
         if min(shape, default=0) < 0 or 4 * math.prod(shape) != nbytes:
@@ -263,13 +265,18 @@ def model_from_checkpoint(ckpt: Checkpoint):
 
 
 def normalizer_from_checkpoint(ckpt: Checkpoint) -> Normalizer | None:
+    """The normalizer the run scaled its corpus with: `data.normalizer_mode` and one lo and hi per model channel."""
     if "norm.lo" not in ckpt.arrays:
         return None
-    mode = ckpt.config.get("data", {}).get("normalizer_mode", "minmax")
     try:
-        return Normalizer(mode, ckpt.arrays["norm.lo"], ckpt.arrays["norm.hi"])
-    except (KeyError, ValueError) as e:
+        norm = Normalizer(ckpt.config["data"]["normalizer_mode"], ckpt.arrays["norm.lo"], ckpt.arrays["norm.hi"])
+        d = ckpt.config["model"]["d"]
+    except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint holds no valid normalizer: {e!r}") from e
+    if norm.lo.shape != (d,) or norm.hi.shape != (d,):
+        raise CheckpointError(f"checkpoint normalizer holds lo {norm.lo.shape} and hi {norm.hi.shape}, "
+                              f"but the model has {d} channels")
+    return norm
 
 
 def schedule_from_checkpoint(ckpt: Checkpoint) -> NoiseSchedule:

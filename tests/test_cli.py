@@ -141,6 +141,40 @@ def test_bad_checkpoint_config_exits_3(trained, tmp_path, capsys, case):
     assert "checkpoint error" in capsys.readouterr().err
 
 
+def _without_normalizer_mode(ckpt):
+    del ckpt.config["data"]["normalizer_mode"]
+
+
+MALFORMED_CHECKPOINTS = {  # an edit of the pretrained checkpoint, and the commands that must refuse it
+    "norm-arrays-for-3-channels": (lambda c: c.arrays.update({"norm.lo": np.zeros(3, np.float32),
+                                                              "norm.hi": np.ones(3, np.float32)}),
+                                   ["generate", "finetune"]),
+    "config-a-list": (lambda c: setattr(c, "config", [c.config]), ["generate", "finetune"]),
+    "data-a-list": (lambda c: c.config.update(data=[c.config["data"]]), ["generate", "finetune"]),
+    "no-normalizer-mode": (_without_normalizer_mode, ["generate", "finetune"]),
+    "channel-names-for-3-channels": (lambda c: c.config["data"].update(channel_names=["a", "b", "c"]),
+                                     ["generate"]),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_CHECKPOINTS))
+def test_a_malformed_checkpoint_exits_3_before_anything_is_written(trained, tmp_path, capsys, case):
+    edit, commands = MALFORMED_CHECKPOINTS[case]
+    ckpt = load_checkpoint(trained["pre"])
+    edit(ckpt)
+    bad = str(tmp_path / "bad.ckpt")
+    save_checkpoint(ckpt, bad)
+    for command in commands:
+        out = tmp_path / command
+        argv = [command, "--checkpoint", bad, "--out", str(out)]
+        if command == "finetune":
+            argv += ["--data", trained["fault"], *_overrides("finetune", "train.finetune_steps=1")]
+        assert main(argv) == 3, command
+        err = capsys.readouterr().err
+        assert len(err.splitlines()) == 1 and err.startswith("checkpoint error: "), command
+        assert not out.exists(), command
+
+
 def test_bogus_schedule_exits_3_from_a_checkpoint_and_2_from_an_override(trained, tmp_path, capsys):
     ckpt = _edited(trained["pre"], str(tmp_path / "bad.ckpt"),
                    lambda c: c["diffusion"].update(schedule="bogus"))
@@ -427,6 +461,14 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
     "burst-len-as-long-as-the-window": (["make-data", "--kind", "fault", "--fault", "intermittent", "--burst-len",
                                          "100", "--duration", "6", "--n", "2", "--tau", "24"],
                                         2, "burst_len must be >= 1 and shorter than the duration 6, got 100"),
+    "make-data-duration-beyond-tau": (["make-data", "--kind", "fault", "--fault", "offset", "--onset", "20",
+                                       "--duration", "100", "--tau", "24", "--n", "2"],
+                                      2, "fault window onset 20 + duration 100 = 120 exceeds tau=24"),
+    "make-data-recovery-at-tau": (["make-data", "--kind", "fault", "--fault", "sudden_recovery", "--onset", "20",
+                                   "--duration", "4", "--tau", "24", "--n", "2"],
+                                  2, "recovery point, onset 20 + duration 4 = 24, below tau=24"),
+    "make-data-repeated-channel": (["make-data", "--kind", "fault", "--fault", "offset", "--channels", "0,0",
+                                    "--tau", "24", "--n", "2"], 2, "channels [0, 0] name a channel more than once"),
     "embed-tsne-nan-perplexity": (["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "tsne",
                                    "--perplexity", "nan", "--iters", "5"],
                                   2, "perplexity infeasible for n=10, got nan"),

@@ -1,6 +1,7 @@
 """Corpus generation, the fault catalog, normalization, and corpus I/O."""
 
 import dataclasses
+import hashlib
 import json
 import re
 
@@ -31,8 +32,12 @@ from helpers import ar2_stationary_variance, loop_generate_normal, value_save_co
 
 
 def _series(tau=24, d=2, seed=0):
-    rng = np.random.default_rng(seed)
-    return TimeSeries(rng.standard_normal((tau, d)).astype(np.float32), [f"ch{i}" for i in range(d)])
+    """A float32 (tau, d) array of standard normal readings."""
+    return np.random.default_rng(seed).standard_normal((tau, d)).astype(np.float32)
+
+
+def _named(values, names=None):
+    return TimeSeries(values, names or [f"ch{i}" for i in range(values.shape[1])])
 
 
 class TestGenerateNormal:
@@ -110,16 +115,16 @@ class TestDataset:
         assert ds.channel_names == ["ch0", "ch1", "ch2"]
 
     def test_series_are_stacked_once_in_order_with_their_names(self):
-        series = [_series(seed=i) for i in range(3)]
+        series = [_named(_series(seed=i)) for i in range(3)]
         ds = Dataset(series, "normal", "s", seed=4)
         assert ds.values.tobytes() == np.stack([s.values for s in series]).tobytes()
         assert ds.channel_names == ["ch0", "ch1"] and not ds.values.flags.writeable
 
     @pytest.mark.parametrize("build", [
-        lambda: [_series(d=2), _series(d=3)],
-        lambda: [_series(tau=24), _series(tau=25)],
-        lambda: [_series(), TimeSeries(_series().values, ["ch0", "other"])],
-        lambda: [_series(), TimeSeries(_series().values, ["ch1", "ch0"])],
+        lambda: [_named(_series(d=2)), _named(_series(d=3))],
+        lambda: [_named(_series(tau=24)), _named(_series(tau=25))],
+        lambda: [_named(_series()), _named(_series(), ["ch0", "other"])],
+        lambda: [_named(_series()), _named(_series(), ["ch1", "ch0"])],
         lambda: [],
     ], ids=["dims", "taus", "names", "name-order", "empty"])
     def test_series_that_disagree_are_a_contract_error(self, build):
@@ -145,26 +150,26 @@ class TestInjectFault:
         s = _series()
         spec = FaultSpec("sudden", onset=6, duration=8, magnitude=1.5)
         out = inject_fault(s, spec, seed=0)
-        diff = out.values - s.values
+        diff = out - s
         np.testing.assert_allclose(diff[:6], 0.0)
         np.testing.assert_allclose(diff[6:], 1.5, atol=1e-6)
 
     def test_offset_zero_magnitude_identity(self):
         s = _series()
         out = inject_fault(s, FaultSpec("offset", 4, 6, 0.0), seed=1)
-        assert np.array_equal(out.values, s.values)
+        assert np.array_equal(out, s)
 
     def test_gradual_ramp_closed_form(self):
         s = _series()
         m, onset, dur = 2.0, 5, 10
         out = inject_fault(s, FaultSpec("gradual", onset, dur, m), seed=0)
-        diff = out.values - s.values
+        diff = out - s
         expected = m * (np.arange(dur) + 1) / dur
-        for c in range(s.dim):
+        for c in range(s.shape[1]):
             np.testing.assert_allclose(diff[onset:onset + dur, c], expected, atol=1e-6)
         np.testing.assert_allclose(diff[onset + dur:], 0.0)
 
-    @pytest.mark.parametrize("kind", [k for k in FAULT_KINDS if k != "compound"])
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_outside_window_untouched(self, kind):
         s = _series(tau=32, d=3, seed=7)
         extra = {}
@@ -172,28 +177,41 @@ class TestInjectFault:
             extra["period"] = 20
         spec = FaultSpec(kind, onset=8, duration=10, magnitude=1.2, channels=[0, 2], extra=extra)
         out = inject_fault(s, spec, seed=3)
-        lo, hi = effective_window(spec, s.tau)
+        lo, hi = effective_window(spec, len(s))
         # untouched timesteps and the unaffected channel are bit-identical
-        assert np.array_equal(out.values[:lo], s.values[:lo])
-        assert np.array_equal(out.values[hi:], s.values[hi:])
-        assert np.array_equal(out.values[:, 1], s.values[:, 1])
+        assert np.array_equal(out[:lo], s[:lo])
+        assert np.array_equal(out[hi:], s[hi:])
+        assert np.array_equal(out[:, 1], s[:, 1])
 
-    @pytest.mark.parametrize("kind", [k for k in FAULT_KINDS if k != "compound"])
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
     def test_deterministic(self, kind):
         s = _series(tau=32)
         extra = {"period": 20} if kind == "low_frequency_anomaly" else {}
         spec = FaultSpec(kind, onset=8, duration=10, magnitude=1.2, extra=extra)
         a = inject_fault(s, spec, seed=5)
         b = inject_fault(s, spec, seed=5)
-        assert np.array_equal(a.values, b.values)
+        assert np.array_equal(a, b)
 
-    def test_compound_equals_sequential(self):
-        s = _series(tau=32)
-        parts = [FaultSpec("offset", 4, 6, 1.0), FaultSpec("amplitude_shift", 12, 8, 0.5)]
-        spec = FaultSpec("compound", 4, 16, 0.0, extra={"components": parts})
-        out = inject_fault(s, spec, seed=9)
-        manual = inject_fault(inject_fault(s, parts[0], seed=9), parts[1], seed=10)
-        assert np.array_equal(out.values, manual.values)
+    def test_the_result_is_a_new_float32_array_and_the_input_is_left_as_it_was(self):
+        s = _series()
+        before = s.copy()
+        s.flags.writeable = False  # a row of a Dataset's read-only stack
+        out = inject_fault(s, FaultSpec("offset", 4, 6, 1.0), seed=0)
+        assert out.dtype == np.float32 and out.shape == s.shape and out.flags.writeable
+        assert not np.shares_memory(out, s) and s.tobytes() == before.tobytes()
+
+    @pytest.mark.parametrize("values,message", [
+        (_series().astype(np.float64), "needs a float32 (tau>=2, d) array, got float64 (24, 2)"),
+        (_series().tolist(), "needs a float32 (tau>=2, d) array, got float64 (24, 2)"),
+        (_series()[:, 0], "needs a float32 (tau>=2, d) array, got float32 (24,)"),
+        (_series()[None], "needs a float32 (tau>=2, d) array, got float32 (1, 24, 2)"),
+        (_series(tau=1), "needs a float32 (tau>=2, d) array, got float32 (1, 2)"),
+        (np.where(np.arange(24)[:, None] == 3, np.float32(np.nan), _series()), "values must be finite"),
+        (np.where(np.arange(24)[:, None] == 3, np.float32(np.inf), _series()), "values must be finite"),
+    ], ids=["float64", "list", "1d", "3d", "tau-1", "nan", "inf"])
+    def test_an_array_that_is_not_a_finite_float32_series_is_a_contract_error(self, values, message):
+        with pytest.raises(ContractError, match=f"^inject_fault {re.escape(message)}$"):
+            inject_fault(values, FaultSpec("offset", 0, 1, 1.0), seed=0)
 
     @pytest.mark.parametrize("spec,message", [
         (FaultSpec("saturation", 4, 6, -1.0), "saturation magnitude must be >= 0"),
@@ -245,30 +263,63 @@ class TestInjectFault:
     def test_an_impulse_fault_adds_as_many_impulses_as_its_count(self, count):
         s = _series()
         out = inject_fault(s, FaultSpec("impulse", 4, 6, 2.0, extra={"count": count}), seed=0)
-        assert np.count_nonzero(np.any(out.values != s.values, axis=1)) == count
+        assert np.count_nonzero(np.any(out != s, axis=1)) == count
 
     def test_saturation_clips(self):
         s = _series(seed=3)
         # a given clip_level is the clip level, so the magnitude may be negative
         out = inject_fault(s, FaultSpec("saturation", 4, 12, -1.0, extra={"clip_level": 0.5}), seed=0)
-        assert np.max(np.abs(out.values[4:16])) <= 0.5 + 1e-6
+        assert np.max(np.abs(out[4:16])) <= 0.5 + 1e-6
 
     def test_missing_data_holds_last(self):
         s = _series()
         out = inject_fault(s, FaultSpec("missing_data", 10, 6, 0.0), seed=0)
         for t in range(10, 16):
-            np.testing.assert_array_equal(out.values[t], s.values[9])
+            np.testing.assert_array_equal(out[t], s[9])
 
     def test_sudden_recovery_recovers(self):
         s = _series()
         out = inject_fault(s, FaultSpec("sudden_recovery", 5, 10, 2.0), seed=0)
-        diff = out.values - s.values
+        diff = out - s
         np.testing.assert_allclose(diff[5:15], 2.0, atol=1e-6)
         np.testing.assert_allclose(diff[15:], 0.0)
 
-    def test_unknown_kind_rejected(self):
-        with pytest.raises(ContractError):
-            FaultSpec("explosion", 0, 1, 1.0)
+    @pytest.mark.parametrize("kind", ["explosion", "compound"])
+    def test_unknown_kind_rejected(self, kind):
+        with pytest.raises(ContractError, match=f"^unknown fault kind '{kind}'$"):
+            FaultSpec(kind, 0, 1, 1.0)
+
+    def test_a_repeated_channel_is_a_contract_error(self):
+        with pytest.raises(ContractError, match=re.escape("channels [0, 1, 0] name a channel more than once")):
+            inject_fault(_series(d=3), FaultSpec("offset", 4, 6, 1.0, channels=[0, 1, 0]), seed=0)
+
+    @pytest.mark.parametrize("kind,message", [
+        ("offset", "fault window onset 20 + duration 100 = 120 exceeds tau=24"),
+        ("sudden_recovery", "sudden_recovery needs its recovery point, onset 20 + duration 100 = 120, below tau=24"),
+    ])
+    def test_a_given_duration_is_never_shortened(self, kind, message):
+        spec = data.default_fault_spec(kind, 24, 2, np.random.default_rng(0), onset=20, duration=100)
+        assert spec.duration == 100
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            make_fault_dataset(generate_normal(24, 2, 2, seed=0), kind, seed=1, onset=20, duration=100)
+
+    @pytest.mark.parametrize("kind,room", [("offset", 4), ("sudden_recovery", 3)])
+    def test_a_drawn_duration_is_shortened_to_fit_after_a_given_onset(self, kind, room):
+        for seed in range(20):
+            assert data.default_fault_spec(kind, 24, 2, np.random.default_rng(seed), onset=20).duration == room
+
+    @pytest.mark.parametrize("kind", ["offset", "sudden_recovery"])
+    def test_default_draws_shorten_only_a_sudden_recovery_window(self, kind):
+        # onset and duration both lie in [tau//4, tau//2], so only the recovery point's extra step can overrun
+        shortened = 0
+        for tau in range(8, 65):
+            for seed in range(10):
+                spec = data.default_fault_spec(kind, tau, 2, np.random.default_rng(seed))
+                rng = np.random.default_rng(seed)
+                onset, drawn = (int(rng.integers(tau // 4, tau // 2 + 1)) for _ in range(2))
+                assert spec.onset == onset and spec.duration <= drawn
+                shortened += spec.duration < drawn
+        assert (shortened > 0) == (kind == "sudden_recovery")
 
     def test_window_out_of_range_rejected(self):
         s = _series()
@@ -276,6 +327,35 @@ class TestInjectFault:
             inject_fault(s, FaultSpec("offset", 20, 10, 1.0), seed=0)
         with pytest.raises(ContractError):
             inject_fault(s, FaultSpec("sudden_recovery", 14, 10, 1.0), seed=0)
+
+    # sha256 of make_fault_dataset(generate_normal(24, 2, 4, seed=5), kind, seed=5): its values' bytes, then its
+    # fault_spec.to_dict() as JSON with sorted keys; a change to any kind's draws or arithmetic shows here
+    CORPUS_SHA256 = {
+        "sudden": "4d32a83cf1cbe2b2d3ab2415b95f7cfde45ab92f843bcf91f587f64239c7cf34",
+        "gradual": "ad53c9574d9d894d8bd3d05c0e2d6a3122bdd76a90b1af275275b9dd6d10c291",
+        "periodic": "68a9cb7d121b49e1bddcd4134923608df0ca7f82b09b25085ca56f571eda97ff",
+        "random_noise": "27f9348305dc2df7c1d9464e22beeeabdac19928d633484fbface7623a0814cb",
+        "intermittent": "20c7c0cbe76f418ee0e237d10cb070e9ac0a60ad2c0742b140abeaffae0e5447",
+        "impulse": "29dd8a0b8ce764147034e0ba604d33e3c89ea11be6165a7cfedd7705bf29b713",
+        "trend": "8ed5bdcd1fb671607021d7002770c9f5d24863128e3bf25ab15b290a63ceed56",
+        "saturation": "118d7ad03ecdf1142281d9a89ecb2fcf1e843146ac244319f25eaceb59432fd6",
+        "offset": "510453c9ba9c40ecc02271c2d7caef1f4ca7d10169e12ed5d744dc1b6f51dc1e",
+        "frequency_shift": "c812c8217e9450f07162a985667da495b817961df48c85e272efa2b93d0e75e1",
+        "amplitude_shift": "539519b9e99e0ba345856286da485e8eca8ca6b2e66c45f8297331ef289aae43",
+        "missing_data": "2ef8267996886b72e95f6234a29bb20259030d7a4b6eb38c9351d9695c4e0ce2",
+        "low_frequency_anomaly": "6553b4f2fe875aebe6fb10d622244d4f2d9ed179d3cbc43a430bc4f3e0b747f5",
+        "sudden_recovery": "3fe8ac9c53363289d9e99c98932705b216eafac47685e9c9efc67531c20f5bf6",
+    }
+
+    @pytest.mark.parametrize("kind", list(CORPUS_SHA256))
+    def test_each_kind_makes_its_pinned_corpus(self, kind):
+        ds = make_fault_dataset(generate_normal(24, 2, 4, seed=5), kind, seed=5)
+        digest = hashlib.sha256(ds.values.tobytes())
+        digest.update(json.dumps(ds.fault_spec.to_dict(), sort_keys=True).encode())
+        assert digest.hexdigest() == self.CORPUS_SHA256[kind]
+
+    def test_the_pinned_kinds_are_the_catalog(self):
+        assert sorted(self.CORPUS_SHA256) == sorted(FAULT_KINDS) and len(FAULT_KINDS) == 14
 
     def test_make_fault_dataset_labels(self):
         base = generate_normal(24, 2, 4, seed=1)
@@ -430,6 +510,17 @@ class TestCorpusIO:
         corpus = str(tmp_path / "c")
         assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
 
+    def test_a_compound_fault_spec_is_a_corpus_error(self, tmp_path, capsys):
+        ds = make_fault_dataset(generate_normal(24, 2, 3, seed=3), "offset", seed=5, magnitude=1.0)
+        save_corpus(ds, tmp_path / "c")
+        self._edit_manifest(tmp_path / "c", lambda m: m["fault_spec"].update(
+            kind="compound", extra={"components": [dict(m["fault_spec"])]}))
+        with pytest.raises(CorpusError, match="malformed fault_spec: .*unknown fault kind 'compound'"):
+            load_corpus(tmp_path / "c")
+        corpus = str(tmp_path / "c")
+        assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
+        assert "unknown fault kind 'compound'" in capsys.readouterr().err
+
     @staticmethod
     def _rewrite_sample(directory, edit):
         """Save a 24 x 2 corpus of two series and pass sample_00001.csv's lines (header first) through `edit`."""
@@ -504,16 +595,16 @@ def fault_cases(draw, kind):
 
 
 class TestProperties:
-    @pytest.mark.parametrize("kind", [k for k in FAULT_KINDS if k != "compound"])
+    @pytest.mark.parametrize("kind", FAULT_KINDS)
     @PROPERTY_SETTINGS
     @given(data=st.data())
     def test_inject_fault_leaves_everything_outside_its_window_bit_identical(self, kind, data):
         series, spec, seed = data.draw(fault_cases(kind))
         out = inject_fault(series, spec, seed)
-        lo, hi = effective_window(spec, series.tau)
-        touched = np.zeros(series.values.shape, dtype=bool)
+        lo, hi = effective_window(spec, len(series))
+        touched = np.zeros(series.shape, dtype=bool)
         touched[lo:hi, spec.channels or slice(None)] = True
-        before, after = series.values.view(np.uint32), out.values.view(np.uint32)
+        before, after = series.view(np.uint32), out.view(np.uint32)
         assert np.array_equal(after[~touched], before[~touched])
 
     @PROPERTY_SETTINGS
@@ -530,7 +621,7 @@ class TestProperties:
             assert burst_len is not None and burst_len >= spec.duration  # the default burst is always accepted
             return
         offset = inject_fault(series, dataclasses.replace(spec, kind="offset", extra={}), seed)
-        assert not np.array_equal(out.values, offset.values)
+        assert not np.array_equal(out, offset)
 
     @PROPERTY_SETTINGS
     @given(mode=st.sampled_from(["minmax", "zscore"]),
