@@ -25,7 +25,7 @@ from .training import (
     diversity_loss,
     load_checkpoint,
     model_from_checkpoint,
-    normalizer_from_checkpoint,
+    restore,
     save_checkpoint,
     total_loss,
     train,

@@ -1,13 +1,15 @@
 """Dense-tensor arithmetic with reverse-mode differentiation.
 
-A small tape-based engine over numpy arrays, covering exactly the op
-vocabulary the denoiser, adapter, losses, and evaluation networks need:
-matmul, elementwise arithmetic, softmax, layer_norm, gelu, reshape and
-transpose, indexing (`take`), reductions, and three fused ops with hand-written
-backwards: multi-head `attention`, the `feed_forward` block and `cross_entropy`,
-which sums per-slice mean losses over any leading axes of its logits. `pad`,
-`concat` and `stack` are kept for callers outside the package. Tensors are
-immutable values once created; gradients accumulate on leaves during `backward`.
+A small tape-based engine over numpy arrays, covering the op vocabulary the
+denoiser, adapter, losses, and evaluation networks need: matmul, elementwise
+arithmetic, layer_norm, gelu, reshape and transpose, indexing (`take`),
+reductions, and three fused ops with hand-written backwards: multi-head
+`attention`, the `feed_forward` block and `cross_entropy`, which sums per-slice
+mean losses over any leading axes of its logits. `pad`, `concat`, `stack` and
+`softmax` have no caller in the package. They stay because the benchmark's
+tracer (`perfbench/tracing.py`) wraps them, and the tests' composed-attention
+reference uses `softmax`. Tensors are immutable values once created; gradients
+accumulate on leaves during `backward`.
 
 A backward computes a parent's gradient only when the parent requires one (`_accum`), and
 multiplies by a weight's transpose through a C-contiguous copy (`_t`), not the strided view. That

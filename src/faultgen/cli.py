@@ -44,13 +44,7 @@ from .errors import (
     NumericError,
 )
 from .metrics import check_request, downstream_eval, evaluate_corpora
-from .training import (
-    load_checkpoint,
-    model_from_checkpoint,
-    normalizer_from_checkpoint,
-    schedule_from_checkpoint,
-    train,
-)
+from .training import load_checkpoint, restore, train
 
 FAULT_SEED_OFFSET = 1_000_003  # keeps injection rng streams apart from base-signal streams
 EXTRA_FLAGS = ("period", "clip_level", "burst_len", "count")  # the flags that fill a FaultSpec's `extra`
@@ -96,7 +90,7 @@ def cmd_make_data(args) -> int:
     if args.kind == "fault":
         extra = {k: getattr(args, k) for k in EXTRA_FLAGS if getattr(args, k) is not None}
         try:
-            channels = [int(c) for c in args.channels.split(",")] if args.channels else None
+            channels = [int(c) for c in args.channels.split(",")] if args.channels is not None else None
         except ValueError as e:
             raise ConfigError(f"--channels must be comma-separated integers, got {args.channels!r}") from e
         ds = make_fault_dataset(ds, args.fault, args.seed + FAULT_SEED_OFFSET, magnitude=args.magnitude,
@@ -139,10 +133,9 @@ def cmd_pretrain(args) -> int:
 
 def cmd_finetune(args) -> int:
     cfg = _resolved(args, "finetune")
-    base = load_checkpoint(args.checkpoint)
-    if base.config.get("adapter"):
+    backbone, sched, norm = restore(load_checkpoint(args.checkpoint))
+    if not isinstance(backbone, Backbone):
         raise CheckpointError("finetune expects a backbone-only (pretrain) checkpoint")
-    backbone, sched = model_from_checkpoint(base), schedule_from_checkpoint(base)
     arch = backbone.cfg
     # fine-tuning trains the checkpoint's backbone on its schedule, so the lock records both
     cfg.record("model", {key: getattr(arch, key) for key in PRESETS[args.preset]["model"]})
@@ -154,15 +147,14 @@ def cmd_finetune(args) -> int:
         raise ContractError(f"fault corpus {args.data} holds (tau, dim) = ({fault.tau}, {fault.dim}), "
                             f"but checkpoint {args.checkpoint} models ({arch.tau}, {arch.d})")
     stack = AdapterStack(cfg.adapter_config(), arch.dec_layers, seed=cfg.get("train", "seed"))
-    return _train(args, cfg, fault, attach(backbone, stack), sched,
-                  normalizer_from_checkpoint(base), cfg.loss_config())
+    return _train(args, cfg, fault, attach(backbone, stack), sched, norm, cfg.loss_config())
 
 
 def cmd_generate(args) -> int:
     if args.n < 1:
         raise ConfigError(f"--n must be >= 1, got {args.n}")
     ckpt = load_checkpoint(args.checkpoint)
-    model = model_from_checkpoint(ckpt)
+    model, sched, norm = restore(ckpt)
     if args.override:
         if not hasattr(model, "stack"):
             raise ConfigError("adapter.alpha override needs a fine-tuned checkpoint")
@@ -170,27 +162,19 @@ def cmd_generate(args) -> int:
         given.apply_overrides(args.override)
         # AdapterConfig rejects a non-finite alpha (ContractError, exit 2)
         model.stack.cfg = dataclasses.replace(model.stack.cfg, alpha=given.get("adapter", "alpha"))
-    norm = normalizer_from_checkpoint(ckpt)
-    sched = schedule_from_checkpoint(ckpt)
-    try:
-        label, names = ckpt.config["data"]["label"], ckpt.config["data"]["channel_names"]
-    except (KeyError, TypeError) as e:
-        raise CheckpointError(f"checkpoint config lacks a valid data section: {e!r}") from e
-    if not (isinstance(label, str) and isinstance(names, list) and len(names) == model.cfg.d
-            and all(isinstance(name, str) for name in names)):
-        raise CheckpointError(f"checkpoint data section needs a label and {model.cfg.d} channel names, "
-                              f"got {label!r} and {names!r}")
-    label = args.label or label
+    data = ckpt.config["data"]
+    label = args.label or data["label"]
 
     with _in_progress(args.out):
-        values = sample(model, sched, args.n, (model.cfg.tau, model.cfg.d), args.seed, normalizer=norm)
-        ds = Dataset(values, label=label, id=f"gen-{args.seed}-{args.n}", seed=args.seed, channel_names=names)
+        values = norm.unscale(sample(model, sched, args.n, (model.cfg.tau, model.cfg.d), args.seed))
+        ds = Dataset(values, label=label, id=f"gen-{args.seed}-{args.n}", seed=args.seed,
+                     channel_names=data["channel_names"])
         save_corpus(ds, args.out)
         log = {
             "seed": args.seed,
             "n": args.n,
             "checkpoint_sha256": _file_sha256(args.checkpoint),
-            "config_hash": ckpt.config.get("config_hash", ""),
+            "config_hash": ckpt.config["config_hash"],
             "alpha": model.stack.cfg.alpha if hasattr(model, "stack") else None,
             "label": label,
         }
@@ -258,14 +242,21 @@ class _Parser(argparse.ArgumentParser):
         raise ConfigError(message)
 
 
+def _non_empty(value: str) -> str:
+    """The type of a flag whose empty value would otherwise read as the flag not given."""
+    if not value:
+        raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     seed = argparse.ArgumentParser(add_help=False)
     seed.add_argument("--seed", type=int, default=0)
     out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", required=True, help="output directory")
+    out.add_argument("--out", type=_non_empty, required=True, help="output directory")
     run = argparse.ArgumentParser(add_help=False)  # the settings only the training phases read
     run.add_argument("--preset", default="desk", choices=["desk", "paper"])
-    run.add_argument("--config", help="key=value config file with [sections]")
+    run.add_argument("--config", type=_non_empty, help="key=value config file with [sections]")
     run.add_argument("--override", action="append", metavar="SECTION.KEY=VALUE")
 
     parser = _Parser(prog="faultgen", description="Few-shot fault time-series generation toolkit")
@@ -282,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--magnitude", type=float)
     p.add_argument("--onset", type=int)
     p.add_argument("--duration", type=int)
-    p.add_argument("--channels", help="comma-separated channel indices")
+    p.add_argument("--channels", type=_non_empty, help="comma-separated channel indices")
     p.add_argument("--period", type=float)
     p.add_argument("--clip-level", type=float)
     p.add_argument("--burst-len", type=int)
@@ -301,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", parents=[seed, out], help="sample a synthetic corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--label", help="label for the generated corpus")
+    p.add_argument("--label", type=_non_empty, help="label for the generated corpus")
     p.add_argument("--override", action="append", metavar="adapter.alpha=VALUE")
     p.set_defaults(func=cmd_generate)
 
@@ -321,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_embed)
 
     p = sub.add_parser("downstream", parents=[seed], help="downstream classification harness")
-    p.add_argument("--out", help="output directory")
+    p.add_argument("--out", type=_non_empty, help="output directory")
     p.add_argument("--train", action="append", required=True)
     p.add_argument("--synth", action="append")
     p.add_argument("--test", action="append", required=True)

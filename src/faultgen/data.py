@@ -141,6 +141,8 @@ class FaultSpec:
         elif end > tau:
             raise ContractError(f"fault window onset {self.onset} + duration {self.duration} = {end} exceeds tau={tau}")
         if self.channels is not None:
+            if not self.channels:
+                raise ContractError("channels must name at least one channel")
             for c in self.channels:
                 if not 0 <= c < dim:
                     raise ContractError(f"channel {c} outside [0, {dim})")

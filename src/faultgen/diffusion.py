@@ -9,7 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import Normalizer
 from .errors import ContractError, SamplingError
 
 X0_CLIP = 4.0  # normalized-domain bound; keeps rare off-manifold trajectories from running away
@@ -95,14 +94,7 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, z: np.ndarray, sc
     return (mean + np.sqrt(sched.posterior_var[t]) * z).astype(x_t.dtype)
 
 
-def sample(
-    model,
-    sched: NoiseSchedule,
-    n: int,
-    shape: tuple[int, int],
-    seed: int,
-    normalizer: Normalizer | None = None,
-) -> np.ndarray:
+def sample(model, sched: NoiseSchedule, n: int, shape: tuple[int, int], seed: int) -> np.ndarray:
     """Generate `n` series by iterating reverse_step from pure noise, as one float32 (n, tau, d) stack.
 
     Per-sample noise streams are seeded `seed + index`, so a sample's bits do not depend on
@@ -110,8 +102,8 @@ def sample(
     (1, D) @ (D, k) products with another kernel, which can move its last float32 bits.
     `model` must expose predict_noise(x, t) -> array of x's shape. Each step
     clips the implied clean signal inside `reverse_step`, so every sample lies
-    in [-X0_CLIP, X0_CLIP] before the whole stack is inverted through
-    `normalizer`, if one is given.
+    in [-X0_CLIP, X0_CLIP]: the series are in the run's scaled space, and the
+    normalizer's `unscale` maps them back to the corpus's units.
     """
     if n == 0:
         return np.zeros((0, *shape), dtype=np.float32)
@@ -126,4 +118,4 @@ def sample(
         x = reverse_step(x, t, eps_hat, z, sched)
         if not np.all(np.isfinite(x)):
             raise SamplingError(f"non-finite sample state at step t={t}")
-    return x if normalizer is None else normalizer.unscale(x)
+    return x

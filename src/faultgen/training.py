@@ -5,8 +5,9 @@ trainable: a `Backbone` is pretrained whole, and a model from `attach` trains
 only its adapter behind the frozen backbone. `train` scales the raw corpus by
 the run's normalizer, trains, and writes the checkpoint whose config header
 `_header` derives from what was trained, its phase from the model; callers add
-only `config_hash`. `TrainConfig` and `LossConfig` declare no defaults, since
-a run's settings live in the presets of `config.py`.
+only `config_hash`. `restore` is the one reader that hands a checkpoint on.
+`TrainConfig` and `LossConfig` declare no defaults, since a run's settings
+live in the presets of `config.py`.
 
 The fine-tuning objective is the L1 noise-prediction error plus a weighted
 diversity term over pairs of in-batch predictions. As literally written, a
@@ -231,12 +232,11 @@ def load_checkpoint(path) -> Checkpoint:
     return ckpt
 
 
-def _snapshot(model, config: dict, step: int, normalizer: Normalizer | None) -> Checkpoint:
-    """What a checkpoint's readers need: the model's parameters, the normalizer and the config."""
+def _snapshot(model, config: dict, step: int, normalizer: Normalizer) -> Checkpoint:
+    """What `restore` needs: the model's parameters, the normalizer and the config."""
     arrays = {name: p.data.astype(np.float32, copy=True) for name, p in model.params.items()}
-    if normalizer is not None:
-        arrays["norm.lo"] = normalizer.lo.astype(np.float32, copy=True)
-        arrays["norm.hi"] = normalizer.hi.astype(np.float32, copy=True)
+    arrays["norm.lo"] = normalizer.lo.astype(np.float32, copy=True)
+    arrays["norm.hi"] = normalizer.hi.astype(np.float32, copy=True)
     return Checkpoint(config=config, arrays=arrays, step=step)
 
 
@@ -264,26 +264,36 @@ def model_from_checkpoint(ckpt: Checkpoint):
     return model
 
 
-def normalizer_from_checkpoint(ckpt: Checkpoint) -> Normalizer | None:
-    """The normalizer the run scaled its corpus with: `data.normalizer_mode` and one lo and hi per model channel."""
-    if "norm.lo" not in ckpt.arrays:
-        return None
+def restore(ckpt: Checkpoint):
+    """The model, the noise schedule and the normalizer that a checkpoint hands on to the next step.
+
+    Before it returns, it checks the `diffusion` section and the run's record: a `data.normalizer_mode`
+    with one `norm.lo` and `norm.hi` value per model channel, a string `label`, one string per
+    channel in `channel_names`, and a string `config_hash`. `sample` returns series in the
+    normalizer's scaled space; `normalizer.unscale` maps them back to the corpus's units.
+    """
+    model = model_from_checkpoint(ckpt)
+    d = model.cfg.d
     try:
-        norm = Normalizer(ckpt.config["data"]["normalizer_mode"], ckpt.arrays["norm.lo"], ckpt.arrays["norm.hi"])
-        d = ckpt.config["model"]["d"]
+        sched = make_schedule(**ckpt.config["diffusion"])
     except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"checkpoint holds no valid normalizer: {e!r}") from e
+        raise CheckpointError(f"checkpoint config lacks a valid diffusion section: {e!r}") from e
+    try:
+        data = ckpt.config["data"]
+        norm = Normalizer(data["normalizer_mode"], ckpt.arrays["norm.lo"], ckpt.arrays["norm.hi"])
+        label, names, config_hash = data["label"], data["channel_names"], ckpt.config["config_hash"]
+    except (KeyError, TypeError, ValueError) as e:
+        raise CheckpointError(f"checkpoint lacks a valid normalizer or data section: {e!r}") from e
     if norm.lo.shape != (d,) or norm.hi.shape != (d,):
         raise CheckpointError(f"checkpoint normalizer holds lo {norm.lo.shape} and hi {norm.hi.shape}, "
                               f"but the model has {d} channels")
-    return norm
-
-
-def schedule_from_checkpoint(ckpt: Checkpoint) -> NoiseSchedule:
-    try:
-        return make_schedule(**ckpt.config["diffusion"])
-    except (KeyError, TypeError, ValueError) as e:
-        raise CheckpointError(f"checkpoint config lacks a valid diffusion section: {e!r}") from e
+    if not (isinstance(label, str) and isinstance(names, list) and len(names) == d
+            and all(isinstance(name, str) for name in names)):
+        raise CheckpointError(f"checkpoint data section needs a label and {d} channel names, "
+                              f"got {label!r} and {names!r}")
+    if not isinstance(config_hash, str):
+        raise CheckpointError(f"checkpoint config_hash must be a string, got {config_hash!r}")
+    return model, sched, norm
 
 
 def _write_loss_csv(rows, path) -> None:
@@ -297,22 +307,21 @@ def _write_loss_csv(rows, path) -> None:
 
 
 def _header(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule, loss_cfg: LossConfig | None,
-            normalizer: Normalizer | None, config_hash: str) -> dict:
-    """A checkpoint's config, derived from what the loop trained; the `*_from_checkpoint` readers rebuild it."""
+            normalizer: Normalizer, config_hash: str) -> dict:
+    """A checkpoint's config, derived from what the loop trained; `restore` rebuilds the run from it."""
     stack = getattr(model, "stack", None)
     header = {"config_hash": config_hash, "model": asdict(model.cfg),
               "train": {"phase": "pretrain" if stack is None else "finetune", **asdict(cfg)},
               "adapter": asdict(stack.cfg) if stack is not None else None,
               "diffusion": sched.config(),
-              "data": {"label": data.label, "corpus_id": data.id, "channel_names": list(data.channel_names)}}
+              "data": {"label": data.label, "corpus_id": data.id, "channel_names": list(data.channel_names),
+                       "normalizer_mode": normalizer.mode}}
     if loss_cfg is not None:
         header["loss"] = asdict(loss_cfg)
-    if normalizer is not None:
-        header["data"]["normalizer_mode"] = normalizer.mode
     return header
 
 
-def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normalizer: Normalizer | None = None,
+def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normalizer: Normalizer,
           loss_cfg: LossConfig | None = None, checkpoint_dir=None, log_path=None,
           config_hash: str = "") -> Checkpoint:
     """Train `model`'s trainable parameters on the raw corpus `data`, scaled by `normalizer`,
@@ -323,7 +332,7 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
     """
     opt = Adam(model.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
-    arr = data.values if normalizer is None else normalizer.scale(data.values)
+    arr = normalizer.scale(data.values)
     n = arr.shape[0]
     rows = []
     for step in range(cfg.steps):

@@ -145,6 +145,10 @@ def _without_normalizer_mode(ckpt):
     del ckpt.config["data"]["normalizer_mode"]
 
 
+def _without_normalizer_arrays(ckpt):  # the header still names the normalizer's mode
+    del ckpt.arrays["norm.lo"], ckpt.arrays["norm.hi"]
+
+
 MALFORMED_CHECKPOINTS = {  # an edit of the pretrained checkpoint, and the commands that must refuse it
     "norm-arrays-for-3-channels": (lambda c: c.arrays.update({"norm.lo": np.zeros(3, np.float32),
                                                               "norm.hi": np.ones(3, np.float32)}),
@@ -152,8 +156,10 @@ MALFORMED_CHECKPOINTS = {  # an edit of the pretrained checkpoint, and the comma
     "config-a-list": (lambda c: setattr(c, "config", [c.config]), ["generate", "finetune"]),
     "data-a-list": (lambda c: c.config.update(data=[c.config["data"]]), ["generate", "finetune"]),
     "no-normalizer-mode": (_without_normalizer_mode, ["generate", "finetune"]),
+    "no-normalizer-arrays": (_without_normalizer_arrays, ["generate", "finetune"]),
+    "no-config-hash": (lambda c: c.config.pop("config_hash"), ["generate", "finetune"]),
     "channel-names-for-3-channels": (lambda c: c.config["data"].update(channel_names=["a", "b", "c"]),
-                                     ["generate"]),
+                                     ["generate", "finetune"]),
 }
 
 
@@ -472,6 +478,12 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
     "embed-tsne-nan-perplexity": (["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "tsne",
                                    "--perplexity", "nan", "--iters", "5"],
                                   2, "perplexity infeasible for n=10, got nan"),
+    "make-data-empty-channels": (["make-data", "--kind", "fault", "--fault", "offset", "--channels", "",
+                                  "--n", "2", "--tau", "8"], 2, "argument --channels: must not be empty"),
+    "pretrain-empty-config": (["pretrain", "--data", "{normal}", "--config", "", *_overrides("pretrain")],
+                              2, "argument --config: must not be empty"),
+    "generate-empty-label": (["generate", "--checkpoint", "{fine}", "--n", "2", "--label", ""],
+                             2, "argument --label: must not be empty"),
     # each phase accepts only the keys it reads; the seed and a finetune's model and schedule come from its inputs
     **{f"{phase}-{key}-{value}": ([phase, "--data", "{normal}" if phase == "pretrain" else "{fault}",
                                    *(["--checkpoint", "{pre}"] if phase == "finetune" else []),
@@ -512,6 +524,28 @@ def test_a_bad_input_exits_with_one_error_line_and_writes_nothing(trained, tmp_p
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert fragment.format(**trained) in err
     assert not out.exists() or [p.name for p in out.iterdir()] == [".partial"]
+
+
+EMPTY_OUT = {  # a command's argv but for --out, which the test gives as the empty string
+    "make-data": ["make-data", "--kind", "normal", "--n", "2", "--tau", "8"],
+    "pretrain": ["pretrain", "--data", "{normal}", *_overrides("pretrain", "train.pretrain_steps=1")],
+    "finetune": ["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
+                 *_overrides("finetune", "train.finetune_steps=1")],
+    "generate": ["generate", "--checkpoint", "{fine}", "--n", "2"],
+    "evaluate": ["evaluate", "--real", "{fault}", "--synth", "{normal}", "--metrics", "context_fid"],
+    "embed": ["embed", "--corpus", "{normal}", "--corpus", "{fault}", "--method", "pca"],
+    "downstream": ["downstream", "--train", "{normal}", "--train", "{fault}", "--test", "{normal}",
+                   "--test", "{fault}"],
+}
+
+
+@pytest.mark.parametrize("command", list(EMPTY_OUT))
+def test_an_empty_out_exits_2_in_one_line_and_writes_nothing(trained, tmp_path, monkeypatch, capsys, command):
+    monkeypatch.chdir(tmp_path)
+    assert main([arg.format(**trained) for arg in EMPTY_OUT[command]] + ["--out", ""]) == 2
+    err = capsys.readouterr().err
+    assert err == "error: argument --out: must not be empty\n"
+    assert list(tmp_path.iterdir()) == []
 
 
 FLAGS = {  # every flag each subcommand's parser exposes, besides --help

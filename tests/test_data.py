@@ -231,10 +231,11 @@ class TestInjectFault:
         (FaultSpec("intermittent", 4, 6, 1.0, extra={"burst_len": 6}),
          "intermittent burst_len must be >= 1 and shorter than the duration 6, got 6"),
         (FaultSpec("intermittent", 4, 1, 1.0), "intermittent burst_len must be >= 1 and shorter than the duration 1"),
+        (FaultSpec("offset", 2, 3, 1.5, channels=[]), "channels must name at least one channel"),
     ], ids=["saturation-magnitude", "clip-level", "clip-level-nan", "period-1", "period-0.5", "period-1.999",
             "period-2", "low-frequency-period-1", "low-frequency-period-2", "periodic-duration-1",
             "low-frequency-duration-1", "impulse-count-above-duration", "burst-as-long-as-the-window",
-            "default-burst-of-a-one-step-window"])
+            "default-burst-of-a-one-step-window", "no-channels"])
     def test_a_fault_that_would_not_fault_is_a_contract_error_naming_its_parameter(self, spec, message):
         with pytest.raises(ContractError, match=f"^{message}"):
             inject_fault(_series(), spec, seed=0)

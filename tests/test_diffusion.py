@@ -3,11 +3,13 @@
 import numpy as np
 import pytest
 
+from faultgen.cli import main
 from faultgen.config import RunConfig
-from faultgen.data import Dataset, TimeSeries, generate_normal, fit_normalizer
+from faultgen.data import fit_normalizer, generate_normal, load_corpus
 from faultgen.denoiser import Backbone, DenoiserConfig
 from faultgen.diffusion import X0_CLIP, forward_sample, make_schedule, reverse_step, sample
 from faultgen.errors import ContractError
+from faultgen.training import TrainConfig, load_checkpoint, restore, train
 
 from helpers import staged_reverse_step
 
@@ -175,12 +177,17 @@ class TestSample:
             assert out[n].tobytes() == out[12][:n].tobytes()
         np.testing.assert_allclose(out[1], out[12][:1], rtol=0, atol=1e-6)  # about 2 float32 ulps at X0_CLIP
 
-    def test_denormalization_applied(self, setup):
+    def test_denormalization_applied(self, setup, tmp_path, capsys):
         model, sched = setup
         ds = generate_normal(12, 2, 4, seed=3)
-        norm = fit_normalizer(ds, "minmax")
-        raw = sample(model, sched, 2, (12, 2), seed=5)
-        out = sample(model, sched, 2, (12, 2), seed=5, normalizer=norm)
-        assert out.dtype == np.float32
-        for r, o in zip(raw, out):  # the stack inverts bitwise as each series would alone
-            assert o.tobytes() == norm.invert(TimeSeries(r, ["a", "b"])).values.tobytes()
+        train(ds, Backbone(model.cfg, seed=0), TrainConfig(steps=0, batch_size=2, learning_rate=1e-3,
+                                                           warmup_steps=0, seed=0),
+              sched, fit_normalizer(ds, "minmax"), checkpoint_dir=str(tmp_path))
+        assert main(["generate", "--checkpoint", str(tmp_path / "final.ckpt"), "--n", "2", "--seed", "5",
+                     "--out", str(tmp_path / "gen")]) == 0
+        capsys.readouterr()
+        back, back_sched, norm = restore(load_checkpoint(tmp_path / "final.ckpt"))
+        raw = sample(back, back_sched, 2, (12, 2), seed=5)
+        out = load_corpus(tmp_path / "gen").values
+        assert out.dtype == np.float32 and not np.array_equal(out, raw)
+        assert out.tobytes() == norm.unscale(raw).tobytes()

@@ -28,9 +28,8 @@ from faultgen.training import (
     _write_loss_csv,
     diversity_loss,
     load_checkpoint,
-    normalizer_from_checkpoint,
+    restore,
     save_checkpoint,
-    schedule_from_checkpoint,
     train,
 )
 
@@ -152,49 +151,48 @@ def _header(path) -> dict:
     return json.loads(raw[10:10 + struct.unpack("<I", raw[6:10])[0]])
 
 
-@pytest.mark.parametrize("mode", [None, "minmax", "zscore"])
+@pytest.mark.parametrize("mode", ["minmax", "zscore"])
 def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_config(tmp_path, mode):
     data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
-    norm = fit_normalizer(data, mode) if mode else None
+    norm = fit_normalizer(data, mode)
     model = Backbone(TINY, seed=0)
     names = list(model.params)
     train(data, model, TrainConfig(steps=2, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
-          make_schedule(TINY.T, "linear", 1e-3, 0.2), normalizer=norm, checkpoint_dir=str(tmp_path))
+          make_schedule(TINY.T, "linear", 1e-3, 0.2), norm, checkpoint_dir=str(tmp_path))
     path = tmp_path / "final.ckpt"
     assert os.listdir(tmp_path) == ["final.ckpt"]
     ckpt = load_checkpoint(path)
-    assert list(ckpt.arrays) == names + (["norm.lo", "norm.hi"] if mode else [])
+    assert list(ckpt.arrays) == names + ["norm.lo", "norm.hi"]
     header = _header(path)
     assert set(header) == {"format_version", "config", "step", "arrays"}
     assert header["step"] == 2 and "checkpoint_every" not in header["config"]["train"]
-    back = normalizer_from_checkpoint(ckpt)
+    _, _, back = restore(ckpt)
     corpus = {"label": "normal", "corpus_id": "normal-1", "channel_names": ["ch0", "ch1"]}
     assert header["config"]["config_hash"] == ""
-    if mode is None:
-        assert back is None and header["config"]["data"] == corpus
-    else:
-        assert header["config"]["data"] == {**corpus, "normalizer_mode": mode} and back.mode == mode
-        assert back.lo.tobytes() == norm.lo.tobytes() and back.hi.tobytes() == norm.hi.tobytes()
+    assert header["config"]["data"] == {**corpus, "normalizer_mode": mode} and back.mode == mode
+    assert back.lo.tobytes() == norm.lo.tobytes() and back.hi.tobytes() == norm.hi.tobytes()
 
 
 def test_a_library_pretrain_records_the_schedule_it_was_given(tmp_path):
     sched = make_schedule(50, "cosine", 1e-3, 0.2)
-    train(generate_normal(TINY.tau, TINY.d, 4, seed=1), Backbone(dataclasses.replace(TINY, T=50), seed=0),
+    data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
+    train(data, Backbone(dataclasses.replace(TINY, T=50), seed=0),
           TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0), sched,
-          checkpoint_dir=str(tmp_path))
+          fit_normalizer(data, "minmax"), checkpoint_dir=str(tmp_path))
     ckpt = load_checkpoint(tmp_path / "final.ckpt")
     assert ckpt.config["diffusion"] == {"timesteps": 50, "schedule": "cosine", "beta_start": 1e-3, "beta_end": 0.2}
-    assert schedule_from_checkpoint(ckpt).beta.tobytes() == sched.beta.tobytes()
+    assert restore(ckpt)[1].beta.tobytes() == sched.beta.tobytes()
 
 
 def test_train_records_the_phase_of_the_model_it_trained(tmp_path):
     data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
     cfg = TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0)
-    sched = make_schedule(TINY.T, "linear", 1e-3, 0.2)
+    sched, norm = make_schedule(TINY.T, "linear", 1e-3, 0.2), fit_normalizer(data, "minmax")
     backbone = Backbone(TINY, seed=0)
-    pre = train(data, backbone, cfg, sched)
+    pre = train(data, backbone, cfg, sched, norm)
     stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=TINY.model_dim, alpha=1.0), TINY.dec_layers)
-    fine = train(data, attach(backbone, stack), cfg, sched, loss_cfg=LossConfig(weight=0.1, margin=1.0, pair_count=2))
+    fine = train(data, attach(backbone, stack), cfg, sched, norm,
+                 loss_cfg=LossConfig(weight=0.1, margin=1.0, pair_count=2))
     assert pre.config["train"] == {"phase": "pretrain", **dataclasses.asdict(cfg)} and pre.config["adapter"] is None
     assert fine.config["train"] == {"phase": "finetune", **dataclasses.asdict(cfg)} and fine.config["adapter"]
 
