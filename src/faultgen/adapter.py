@@ -32,6 +32,8 @@ class AdapterConfig:
     def __post_init__(self):
         if self.window < 1 or self.window % 2 == 0:
             raise ContractError("window must be an odd positive integer")
+        if min(self.model_dim, self.heads) < 1:
+            raise ContractError(f"need model_dim and heads >= 1, got {self}")
         if self.model_dim % self.heads != 0:
             raise ContractError("model_dim must be divisible by heads")
         if not np.isfinite(self.alpha):

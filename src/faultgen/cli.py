@@ -5,8 +5,10 @@ divergence or a non-finite model/sampler state. Equal arguments and inputs
 give byte-identical artifacts.
 
 `pretrain` and `finetune` each accept only the config keys their phase reads
-(`config.PHASES`). `config.lock` also records what a run takes from its
-inputs: the seed and, for `finetune`, the checkpoint's model and schedule.
+(`config.PHASES`). Their run record is the checkpoint's config header, which
+also holds what a run takes from its inputs: the seed, the corpus and, for
+`finetune`, the checkpoint's model and schedule. `config.lock` is a JSON copy
+of it, written once training has finished.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ import os
 import sys
 
 from .adapter import AdapterStack, attach
-from .config import PRESETS, RunConfig, resolve_config
+from .config import RunConfig, resolve_config
 from .data import (
     FAULT_KINDS,
     Dataset,
@@ -103,20 +105,16 @@ def cmd_make_data(args) -> int:
     return 0
 
 
-def _resolved(args, phase: str) -> RunConfig:
-    return resolve_config(args.preset, phase, args.seed, args.config, args.override)
-
-
 def _train(args, cfg: RunConfig, data: Dataset, model, sched, normalizer, loss_cfg=None) -> int:
-    """Write config.lock, train `model` into checkpoints/ and logs/ under --out, and print the summary line."""
-    tcfg, phase = cfg.train_config(), cfg.phase
+    """Train `model` into checkpoints/ and logs/ under --out, copy its header to config.lock, print the summary."""
+    tcfg, phase = cfg.train_config(args.seed), cfg.phase
     checkpoints = os.path.join(args.out, "checkpoints")
     with _in_progress(args.out):
-        write_atomic(os.path.join(args.out, "config.lock"), cfg.canonical_text())
         ckpt = train(data, model, tcfg, sched, normalizer, loss_cfg, checkpoints,
-                     os.path.join(args.out, "logs", "loss_curve.csv"), cfg.hash())
+                     os.path.join(args.out, "logs", "loss_curve.csv"))
+        write_atomic(os.path.join(args.out, "config.lock"), json.dumps(ckpt.config, indent=2, sort_keys=True) + "\n")
     summary = {"phase": phase, "steps": tcfg.steps, "checkpoint": os.path.join(checkpoints, "final.ckpt"),
-               "config_hash": cfg.hash()}
+               "config_hash": ckpt.config["config_hash"]}
     if phase == "pretrain":
         summary["final_loss"] = ckpt.loss_rows[-1][3] if ckpt.loss_rows else None  # JSON has no NaN
     print(json.dumps(summary, sort_keys=True))
@@ -124,29 +122,26 @@ def _train(args, cfg: RunConfig, data: Dataset, model, sched, normalizer, loss_c
 
 
 def cmd_pretrain(args) -> int:
-    cfg = _resolved(args, "pretrain")
+    cfg = resolve_config(args.preset, "pretrain", args.config, args.override)
     normal = load_corpus(_require_dir(args.data, "training"))
-    model = Backbone(cfg.denoiser_config(normal.tau, normal.dim), seed=cfg.get("train", "seed"))
+    model = Backbone(cfg.denoiser_config(normal.tau, normal.dim), seed=args.seed)
     return _train(args, cfg, normal, model, cfg.schedule(),
                   fit_normalizer(normal, cfg.get("data", "normalizer")))
 
 
 def cmd_finetune(args) -> int:
-    cfg = _resolved(args, "finetune")
+    cfg = resolve_config(args.preset, "finetune", args.config, args.override)
     backbone, sched, norm = restore(load_checkpoint(args.checkpoint))
     if not isinstance(backbone, Backbone):
         raise CheckpointError("finetune expects a backbone-only (pretrain) checkpoint")
     arch = backbone.cfg
-    # fine-tuning trains the checkpoint's backbone on its schedule, so the lock records both
-    cfg.record("model", {key: getattr(arch, key) for key in PRESETS[args.preset]["model"]})
-    cfg.record("diffusion", sched.config())
     fault = load_corpus(_require_dir(args.data, "fault"))
     if len(fault) < 2:
         raise ContractError(f"fine-tuning needs at least 2 fault series, but {args.data} holds {len(fault)}")
     if (fault.tau, fault.dim) != (arch.tau, arch.d):
         raise ContractError(f"fault corpus {args.data} holds (tau, dim) = ({fault.tau}, {fault.dim}), "
                             f"but checkpoint {args.checkpoint} models ({arch.tau}, {arch.d})")
-    stack = AdapterStack(cfg.adapter_config(), arch.dec_layers, seed=cfg.get("train", "seed"))
+    stack = AdapterStack(cfg.adapter_config(arch.model_dim), arch.dec_layers, seed=args.seed)
     return _train(args, cfg, fault, attach(backbone, stack), sched, norm, cfg.loss_config())
 
 

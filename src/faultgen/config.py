@@ -1,4 +1,4 @@
-"""Run configuration: flat key=value sections, named presets, stable hashing.
+"""Run configuration: flat key=value sections and named presets.
 
 Two presets ship: `paper` mirrors the large-scale recipe (T=1000 steps,
 25k-step pretraining, small learning rates), `desk` is the scaled-down
@@ -8,17 +8,17 @@ value as an argument and declare no default, and each view below builds its
 component from a section by field name.
 
 Each training phase's config holds only the settings that phase reads
-(`PHASES`). A value a run takes from its inputs, `train.seed` from `--seed`
-and, for `finetune`, the `[model]` and `[diffusion]` sections from the
-checkpoint, is no writable key: `RunConfig.record` adds it after the
-overrides, so `config.lock` records it all the same.
+(`PHASES`). A value a run takes from its inputs is no key: the view that
+needs it takes it as an argument, as `denoiser_config(tau, d)` takes the
+corpus's shape, `train_config(seed)` the `--seed` and, for `finetune`,
+`adapter_config(model_dim)` the checkpoint's width. The checkpoint header
+that `training.train` writes records all of them.
 """
 
 from __future__ import annotations
 
 import configparser
 import copy
-import hashlib
 
 from .adapter import AdapterConfig
 from .denoiser import DenoiserConfig
@@ -93,10 +93,6 @@ class RunConfig:
         """Write a key as a config file or an override does."""
         self.sections[section][key] = self._coerce(section, key, raw)
 
-    def record(self, section: str, values: dict) -> None:
-        """Add `values` that a run took from its inputs; they are locked and hashed, never written."""
-        self.sections.setdefault(section, {}).update(values)
-
     def get(self, section: str, key: str):
         try:
             return self.sections[section][key]
@@ -121,45 +117,32 @@ class RunConfig:
             section, key = (part.strip() for part in dotted.split(".", 1))
             self.set(section, key, value.strip())
 
-    # -- canonical form ---------------------------------------------------
-    def canonical_text(self) -> str:
-        lines = []
-        for section in sorted(self.sections):
-            lines.append(f"[{section}]")
-            for key, value in sorted(self.sections[section].items()):
-                lines.append(f"{key} = {value!r}" if isinstance(value, float) else f"{key} = {value}")
-            lines.append("")
-        return "\n".join(lines)
-
-    def hash(self) -> str:
-        return hashlib.sha256(self.canonical_text().encode()).hexdigest()[:16]
-
     # -- component views ----------------------------------------------------
     def denoiser_config(self, tau: int, d: int) -> DenoiserConfig:
         """The denoiser for series of shape (tau, d), which a run takes from its corpus."""
         return DenoiserConfig(tau=tau, d=d, T=self.get("diffusion", "timesteps"), **self.sections["model"])
 
-    def adapter_config(self) -> AdapterConfig:
-        return AdapterConfig(model_dim=self.get("model", "model_dim"), **self.sections["adapter"])
+    def adapter_config(self, model_dim: int) -> AdapterConfig:
+        """The adapter for a backbone of width `model_dim`, which a fine-tune takes from its checkpoint."""
+        return AdapterConfig(model_dim=model_dim, **self.sections["adapter"])
 
     def schedule(self) -> NoiseSchedule:
         return make_schedule(**self.sections["diffusion"])
 
-    def train_config(self) -> TrainConfig:
-        """This phase's steps and learning rate, with the shared settings and the recorded seed."""
+    def train_config(self, seed: int) -> TrainConfig:
+        """This phase's steps and learning rate, with the shared settings and the run's `seed`."""
         t, phase = self.sections["train"], self.phase
         return TrainConfig(steps=t[f"{phase}_steps"], batch_size=t["batch_size"], learning_rate=t[f"{phase}_lr"],
-                           warmup_steps=t["warmup_steps"], seed=t["seed"])
+                           warmup_steps=t["warmup_steps"], seed=seed)
 
     def loss_config(self) -> LossConfig:
         return LossConfig(**self.sections["loss"])
 
 
-def resolve_config(preset: str, phase: str, seed: int, config_file=None, overrides=None) -> RunConfig:
-    """The preset's `phase` settings, then the config file, then each override; then the recorded seed."""
+def resolve_config(preset: str, phase: str, config_file=None, overrides=None) -> RunConfig:
+    """The preset's `phase` settings, then the config file, then each override."""
     cfg = RunConfig.from_preset(preset, phase)
     if config_file:
         cfg.load_file(config_file)
     cfg.apply_overrides(overrides)
-    cfg.record("train", {"seed": seed})
     return cfg

@@ -32,6 +32,8 @@ class DenoiserConfig:
     trend_degree: int
 
     def __post_init__(self):
+        if min(self.model_dim, self.heads, self.ff_dim, self.fourier_terms) < 1 or self.trend_degree < 0:
+            raise ContractError(f"need model_dim, heads, ff_dim, fourier_terms >= 1 and trend_degree >= 0, got {self}")
         if self.model_dim % self.heads != 0:
             raise ContractError("model_dim must be divisible by heads")
         if self.enc_layers < 1 or self.dec_layers < 1:

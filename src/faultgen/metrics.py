@@ -92,6 +92,8 @@ def discriminative_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
     """Per seed, |held-out balanced accuracy - 0.5| of a real-vs-synthetic classifier; 0 = indistinguishable.
     Balanced accuracy, the mean of the two recalls, scores a majority-class guess 0 at any corpus sizes."""
     check_request(["discriminative"], seeds)
+    if len(real) < 2 or len(synth) < 2:
+        raise ContractError("discriminative score needs >= 2 samples per corpus")
     if (real.tau, real.dim) != (synth.tau, synth.dim):
         raise ContractError("real and synthetic corpora must share (tau, d)")
     xr = real.values.reshape(len(real), -1)

@@ -4,8 +4,8 @@ Both phases run one loop, `train`, over the parameters the model leaves
 trainable: a `Backbone` is pretrained whole, and a model from `attach` trains
 only its adapter behind the frozen backbone. `train` scales the raw corpus by
 the run's normalizer, trains, and writes the checkpoint whose config header
-`_header` derives from what was trained, its phase from the model; callers add
-only `config_hash`. `restore` is the one reader that hands a checkpoint on.
+`_header` derives from what was trained, its phase from the model and its
+`config_hash` from the rest. `restore` is the one reader that hands a checkpoint on.
 `TrainConfig` and `LossConfig` declare no defaults, since a run's settings
 live in the presets of `config.py`.
 
@@ -18,6 +18,7 @@ the objective bounded).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -175,6 +176,10 @@ class Checkpoint:
     loss_rows: list = field(default_factory=list, repr=False, compare=False)
 
 
+def _compact_json(obj) -> bytes:
+    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode()
+
+
 def save_checkpoint(ckpt: Checkpoint, path) -> None:
     """magic FDCK | u16 version | u32 header length | JSON header | float32 LE blobs."""
     entries = []
@@ -192,7 +197,7 @@ def save_checkpoint(ckpt: Checkpoint, path) -> None:
         "step": ckpt.step,
         "arrays": entries,
     }
-    hbytes = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
+    hbytes = _compact_json(header)
     prefix = CHECKPOINT_MAGIC + struct.pack("<HI", CHECKPOINT_VERSION, len(hbytes)) + hbytes
     write_atomic(path, b"".join([prefix, *blobs]))
 
@@ -307,10 +312,11 @@ def _write_loss_csv(rows, path) -> None:
 
 
 def _header(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule, loss_cfg: LossConfig | None,
-            normalizer: Normalizer, config_hash: str) -> dict:
-    """A checkpoint's config, derived from what the loop trained; `restore` rebuilds the run from it."""
+            normalizer: Normalizer) -> dict:
+    """A checkpoint's config, derived from what the loop trained; `restore` rebuilds the run from it.
+    `config_hash` is the first 16 hex digits of the sha256 of the rest, as `save_checkpoint` serializes it."""
     stack = getattr(model, "stack", None)
-    header = {"config_hash": config_hash, "model": asdict(model.cfg),
+    header = {"model": asdict(model.cfg),
               "train": {"phase": "pretrain" if stack is None else "finetune", **asdict(cfg)},
               "adapter": asdict(stack.cfg) if stack is not None else None,
               "diffusion": sched.config(),
@@ -318,12 +324,12 @@ def _header(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule, loss_c
                        "normalizer_mode": normalizer.mode}}
     if loss_cfg is not None:
         header["loss"] = asdict(loss_cfg)
+    header["config_hash"] = hashlib.sha256(_compact_json(header)).hexdigest()[:16]
     return header
 
 
 def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normalizer: Normalizer,
-          loss_cfg: LossConfig | None = None, checkpoint_dir=None, log_path=None,
-          config_hash: str = "") -> Checkpoint:
+          loss_cfg: LossConfig | None = None, checkpoint_dir=None, log_path=None) -> Checkpoint:
     """Train `model`'s trainable parameters on the raw corpus `data`, scaled by `normalizer`,
     then write the checkpoint and the loss curve.
 
@@ -359,7 +365,7 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
             raise DivergenceError(f"training diverged at step {step}: {e}") from e
         opt.step(_warmup_scale(step, cfg.warmup_steps))
         rows.append((step, base.item(), div_val, lval))
-    header = _header(model, data, cfg, sched, loss_cfg, normalizer, config_hash)
+    header = _header(model, data, cfg, sched, loss_cfg, normalizer)
     final = _snapshot(model, header, cfg.steps, normalizer)
     final.loss_rows = rows
     if checkpoint_dir:

@@ -1,7 +1,9 @@
-"""The pipeline benchmark's tracer must find every faultgen name it wraps.
+"""The pipeline benchmark's tracer and checks must find every faultgen name and field they read.
 
-`perfbench/tracing.py` replaces functions and methods by name; a name that a
-change deletes or moves would otherwise surface only in a traced benchmark run.
+`perfbench/tracing.py` replaces functions and methods by name, and
+`perfbench/checks.py` reads checkpoint header fields and calls faultgen's
+loaders; a name or field that a change deletes or moves would otherwise
+surface only in a benchmark run.
 """
 
 import importlib
@@ -12,6 +14,7 @@ import pytest
 
 from faultgen import data, metrics
 from faultgen.adapter import AdapterConfig, AdapterStack, attach
+from faultgen.cli import main
 from faultgen.data import generate_normal
 from faultgen.denoiser import Backbone, DenoiserConfig
 
@@ -72,3 +75,33 @@ def test_a_traced_save_and_load_record_the_corpus_series_count_on_both_spans(tra
     assert len(data.load_corpus(tmp_path / "c")) == n
     notes = [(tracer.names[nid], note) for nid, note in zip(tracer.name_id, tracer.note)]
     assert notes == [("data.save_corpus", n), ("data.load_corpus", n)]
+
+
+TINY_PRETRAIN = ["model.model_dim=8", "model.heads=2", "model.enc_layers=1", "model.dec_layers=1", "model.ff_dim=16",
+                 "model.fourier_terms=1", "diffusion.timesteps=10", "train.batch_size=2", "train.warmup_steps=1",
+                 "train.pretrain_steps=2"]
+TINY_FINETUNE = ["adapter.heads=2", "adapter.window=3", "train.batch_size=2", "train.warmup_steps=1",
+                 "train.finetune_steps=2"]
+
+
+def _with_overrides(argv, overrides):
+    return (*argv, *[arg for ov in overrides for arg in ("--override", ov)])
+
+
+def test_the_benchmarks_finetune_and_generate_checks_pass_on_a_tiny_run(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(PERFBENCH)
+    checks, call = importlib.import_module("checks"), importlib.import_module("workloads").Call
+    d = str(tmp_path)
+    finetune = _with_overrides(["finetune", "--data", f"{d}/fault", "--checkpoint", f"{d}/pre/checkpoints/final.ckpt",
+                                "--seed", "1", "--out", f"{d}/fine"], TINY_FINETUNE)
+    generate = ("generate", "--checkpoint", f"{d}/fine/checkpoints/final.ckpt", "--n", "2", "--seed", "5",
+                "--out", f"{d}/gen")
+    for argv in (("make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", f"{d}/normal"),
+                 ("make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "8", "--out", f"{d}/fault"),
+                 _with_overrides(["pretrain", "--data", f"{d}/normal", "--out", f"{d}/pre"], TINY_PRETRAIN),
+                 finetune, generate):
+        assert main(list(argv)) == 0, argv[0]
+    failures = []  # as round 0, which has no earlier round to compare against: the oracles and a fresh adapter
+    checks.check_finetune(call("stage", 0, finetune), 1, failures.append)
+    checks.check_generate(call("stage", 0, generate), d, failures.append)
+    assert failures == []

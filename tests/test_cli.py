@@ -1,7 +1,6 @@
 """End-to-end CLI runs on a tiny override config."""
 
 import argparse
-import configparser
 import json
 import os
 import shutil
@@ -9,7 +8,7 @@ import shutil
 import numpy as np
 import pytest
 
-from faultgen import metrics
+from faultgen import metrics, training
 from faultgen.cli import build_parser, main
 from faultgen.data import load_corpus, write_atomic
 from faultgen.training import load_checkpoint, save_checkpoint
@@ -359,6 +358,8 @@ def test_evaluate_names_an_unknown_metric_before_it_reads_a_corpus(corpus_pair, 
 LOSS_RULE = "error: loss needs a finite weight >= 0, a finite margin > 0 and pair_count >= 1, got LossConfig"
 TRAIN_RULE = ("error: train needs steps, warmup_steps and seed >= 0, batch_size >= 1 and a finite learning_rate > 0, "
               "got TrainConfig")
+MODEL_RULE = "error: need model_dim, heads, ff_dim, fourier_terms >= 1 and trend_degree >= 0, got DenoiserConfig"
+ADAPTER_RULE = "error: need model_dim and heads >= 1, got AdapterConfig"
 BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} in argv or fragment is a path from `trained`
     "make-data-negative-seed": (["make-data", "--kind", "normal", "--n", "2", "--tau", "8", "--seed", "-1"],
                                 2, "--seed must be >= 0"),
@@ -484,7 +485,11 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                               2, "argument --config: must not be empty"),
     "generate-empty-label": (["generate", "--checkpoint", "{fine}", "--n", "2", "--label", ""],
                              2, "argument --label: must not be empty"),
-    # each phase accepts only the keys it reads; the seed and a finetune's model and schedule come from its inputs
+    "evaluate-discriminative-one-real-series": (["evaluate", "--real", "{fault1}", "--synth", "{normal}",
+                                                 "--metrics", "discriminative"],
+                                                2, "discriminative score needs >= 2 samples per corpus"),
+    # each phase accepts only the keys it reads, the seed and a finetune's model and schedule come from its inputs,
+    # and a model or adapter no network can be built with is rejected before anything is written
     **{f"{phase}-{key}-{value}": ([phase, "--data", "{normal}" if phase == "pretrain" else "{fault}",
                                    *(["--checkpoint", "{pre}"] if phase == "finetune" else []),
                                    *_overrides(phase, f"{key}={value}")], 2, message)
@@ -496,6 +501,11 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
            ("finetune", "train.pretrain_steps", "5", "unknown config key train.pretrain_steps for finetune"),
            ("finetune", "model.heads", "2", "unknown config section [model] for finetune"),
            ("finetune", "train.seed", "3", "unknown config key train.seed for finetune"),
+           *[("pretrain", key, value, MODEL_RULE) for key, value in [
+               ("model.heads", "0"), ("model.model_dim", "0"), ("model.model_dim", "-4"), ("model.ff_dim", "0"),
+               ("model.fourier_terms", "0"), ("model.trend_degree", "-1")]],
+           ("finetune", "adapter.heads", "0", ADAPTER_RULE),
+           ("finetune", "adapter.heads", "-2", ADAPTER_RULE),
        ]},
     **{f"finetune-{key}-{value}": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
                                     *_overrides("finetune", "train.finetune_steps=1", f"{key}={value}")], 2, message)
@@ -524,6 +534,15 @@ def test_a_bad_input_exits_with_one_error_line_and_writes_nothing(trained, tmp_p
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert fragment.format(**trained) in err
     assert not out.exists() or [p.name for p in out.iterdir()] == [".partial"]
+
+
+def test_a_diverged_training_run_leaves_only_its_partial_marker(trained, tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(training, "forward_sample", lambda x0, t, eps, sched: np.full_like(x0, np.nan))
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--data", trained["normal"], "--out", str(out),
+                 *_overrides("pretrain", "train.pretrain_steps=2")]) == 4
+    assert capsys.readouterr().err.startswith("divergence: training diverged at step 0")
+    assert [p.name for p in out.iterdir()] == [".partial"]
 
 
 EMPTY_OUT = {  # a command's argv but for --out, which the test gives as the empty string
@@ -605,34 +624,31 @@ def _run_dir(ckpt):
     return os.path.dirname(os.path.dirname(ckpt))
 
 
-def _lock_matches_header(run_dir):
-    """Each key config.lock shares with its checkpoint's header holds the same value."""
-    lock = configparser.ConfigParser()
-    lock.read(os.path.join(run_dir, "config.lock"))
-    header = load_checkpoint(os.path.join(run_dir, "checkpoints", "final.ckpt")).config
-    for section in ["model", "diffusion"] + (["adapter"] if header["adapter"] else []):
-        assert set(lock[section]) <= set(header[section]), section
-        for key in lock[section]:
-            assert lock[section][key] == str(header[section][key]), f"{section}.{key}"
-    assert lock["train"]["seed"] == str(header["train"]["seed"])
-
-
-def test_every_training_runs_config_lock_agrees_with_its_checkpoint(trained, paper_backbone, tmp_path):
+def test_every_training_runs_config_lock_is_a_copy_of_its_checkpoints_header(trained, paper_backbone, tmp_path):
     desk_fine = str(tmp_path / "fine")
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", paper_backbone, "--seed", "2",
                  "--out", desk_fine, *_overrides("finetune", "train.finetune_steps=1")]) == 0
     for run_dir in (_run_dir(trained["pre"]), _run_dir(trained["fine"]), _run_dir(paper_backbone), desk_fine):
-        _lock_matches_header(run_dir)
+        with open(os.path.join(run_dir, "config.lock")) as fh:
+            assert json.load(fh) == load_checkpoint(os.path.join(run_dir, "checkpoints", "final.ckpt")).config
 
 
 def test_a_desk_finetune_of_a_paper_backbone_records_its_schedule(trained, paper_backbone, tmp_path):
     out = tmp_path / "fine"
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", paper_backbone, "--out", str(out),
                  *_overrides("finetune", "train.finetune_steps=1")]) == 0
-    lock = configparser.ConfigParser()
-    lock.read(out / "config.lock")
-    assert dict(lock["diffusion"]) == {"timesteps": "1000", "schedule": "linear", "beta_start": "0.0001",
-                                       "beta_end": "0.02"}
+    lock = json.loads((out / "config.lock").read_text())
+    assert lock["diffusion"] == {"timesteps": 1000, "schedule": "linear", "beta_start": 0.0001, "beta_end": 0.02}
+
+
+def test_a_checkpoint_whose_hash_is_not_its_headers_still_finetunes_and_generates(trained, tmp_path, capsys):
+    # an older writer hashed another text of the run's settings, so its checkpoints hold some other 16 digits
+    stale = _edited(trained["pre"], str(tmp_path / "stale.ckpt"), lambda c: c.update(config_hash="0123456789abcdef"))
+    fine = _run(capsys, "finetune", "--data", trained["fault"], "--checkpoint", stale, "--out", str(tmp_path / "fine"),
+                *_overrides("finetune", "train.finetune_steps=1"))
+    assert fine["config_hash"] == load_checkpoint(fine["checkpoint"]).config["config_hash"] != "0123456789abcdef"
+    _run(capsys, "generate", "--checkpoint", stale, "--n", "2", "--out", str(tmp_path / "gen"))
+    assert json.loads((tmp_path / "gen" / "generation_log.json").read_text())["config_hash"] == "0123456789abcdef"
 
 
 def test_write_atomic_writes_exact_bytes_and_leaves_no_temporary_file(tmp_path):

@@ -1,4 +1,4 @@
-"""Run configuration: override parsing, value coercion, hashing, the component views."""
+"""Run configuration: override parsing, value coercion, the component views."""
 
 import dataclasses
 import inspect
@@ -19,7 +19,7 @@ from faultgen.training import LossConfig, TrainConfig
 @pytest.mark.parametrize("override", ["model.tau", "tau=12", "=12", "model.tau 12"])
 def test_malformed_override_rejected(override):
     with pytest.raises(ConfigError, match="section.key=value"):
-        resolve_config("desk", "pretrain", 0, None, [override])
+        resolve_config("desk", "pretrain", None, [override])
 
 
 @pytest.mark.parametrize("phase, override, what", [("pretrain", "nosuch.tau=12", r"section \[nosuch\] for pretrain"),
@@ -27,40 +27,31 @@ def test_malformed_override_rejected(override):
                                                    ("finetune", "loss.sign=intent", "key loss.sign for finetune")])
 def test_unknown_section_or_key_rejected(phase, override, what):
     with pytest.raises(ConfigError, match=what):
-        resolve_config("desk", phase, 0, None, [override])
+        resolve_config("desk", phase, None, [override])
 
 
 @pytest.mark.parametrize("override", ["model.heads=twelve", "model.heads=1.5", "train.pretrain_lr=fast"])
 def test_bad_number_rejected(override):
     with pytest.raises(ConfigError, match="bad value"):
-        resolve_config("desk", "pretrain", 0, None, [override])
+        resolve_config("desk", "pretrain", None, [override])
 
 
 def test_bad_config_file_value_rejected(tmp_path):
     path = tmp_path / "run.ini"
     path.write_text("[train]\nbatch_size = eight\n")
     with pytest.raises(ConfigError, match="train.batch_size"):
-        resolve_config("desk", "pretrain", 0, str(path))
-
-
-def test_hash_ignores_override_order():
-    overrides = ["model.heads=2", "train.batch_size=3", "diffusion.schedule=cosine", "data.normalizer=zscore"]
-    first = resolve_config("desk", "pretrain", 0, None, overrides).hash()
-    assert first == resolve_config("desk", "pretrain", 0, None, overrides[::-1]).hash()
-    assert first != resolve_config("desk", "pretrain", 0, None, overrides[:-1]).hash()
-    assert first != resolve_config("paper", "pretrain", 0, None, overrides).hash()
-    assert first != resolve_config("desk", "pretrain", 3, None, overrides).hash()  # the recorded seed is hashed
+        resolve_config("desk", "pretrain", str(path))
 
 
 def test_schedule_reads_the_diffusion_section():
-    cfg = resolve_config("desk", "pretrain", 0, None, ["diffusion.schedule=cosine", "diffusion.timesteps=50"])
+    cfg = resolve_config("desk", "pretrain", None, ["diffusion.schedule=cosine", "diffusion.timesteps=50"])
     sched = cfg.schedule()
     expected = make_schedule(50, "cosine", 1e-3, 0.2)
     assert sched.kind == "cosine" and sched.T == 50
     np.testing.assert_array_equal(sched.beta, expected.beta)
     assert make_schedule(**sched.config()).beta.tobytes() == sched.beta.tobytes()
     with pytest.raises(ContractError, match="unknown schedule"):
-        resolve_config("desk", "pretrain", 0, None, ["diffusion.schedule=bogus"]).schedule()
+        resolve_config("desk", "pretrain", None, ["diffusion.schedule=bogus"]).schedule()
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
@@ -72,14 +63,12 @@ def test_pretrain_accepts_16_config_keys_and_finetune_10(preset):
     assert set(RunConfig.from_preset(preset, "finetune").sections) == {"train", "adapter", "loss"}
 
 
-def test_a_value_a_run_takes_from_its_inputs_is_recorded_but_never_written():
-    cfg = resolve_config("desk", "finetune", 7, None, ["loss.weight=0.5"])
-    cfg.record("model", {"model_dim": 64})
-    assert "[model]\nmodel_dim = 64\n" in cfg.canonical_text() and "seed = 7\n" in cfg.canonical_text()
-    assert cfg.train_config().seed == 7 and cfg.adapter_config().model_dim == 64
+def test_a_value_a_run_takes_from_its_inputs_is_an_argument_of_its_view_never_a_key():
+    cfg = resolve_config("desk", "finetune", None, ["loss.weight=0.5"])
+    assert cfg.train_config(7).seed == 7 and cfg.adapter_config(64).model_dim == 64
     for written in ("train.seed=7", "model.model_dim=64"):
         with pytest.raises(ConfigError, match="for finetune"):
-            resolve_config("desk", "finetune", 7, None, [written])
+            resolve_config("desk", "finetune", None, [written])
 
 
 OTHER_STRINGS = {"schedule": "cosine", "normalizer": "zscore"}
@@ -101,19 +90,18 @@ def _views(cfg):
     if cfg.phase == "pretrain":
         sched = cfg.schedule()
         return (dataclasses.asdict(cfg.denoiser_config(24, 2)), (sched.kind, sched.beta.tobytes()),
-                dataclasses.asdict(cfg.train_config()), cfg.get("data", "normalizer"))
-    cfg.record("model", {"model_dim": 64})
-    return (dataclasses.asdict(cfg.adapter_config()), dataclasses.asdict(cfg.loss_config()),
-            dataclasses.asdict(cfg.train_config()))
+                dataclasses.asdict(cfg.train_config(0)), cfg.get("data", "normalizer"))
+    return (dataclasses.asdict(cfg.adapter_config(64)), dataclasses.asdict(cfg.loss_config()),
+            dataclasses.asdict(cfg.train_config(0)))
 
 
 @pytest.mark.parametrize("preset, phase, section, key", [
     (preset, phase, section, key) for preset in sorted(PRESETS) for phase in PHASES
     for section, keys in RunConfig.from_preset(preset, phase).sections.items() for key in keys])
 def test_every_key_a_phase_accepts_reaches_a_view_it_builds(preset, phase, section, key):
-    base = resolve_config(preset, phase, 0)
+    base = resolve_config(preset, phase)
     value = _other_value(key, base.get(section, key))
-    changed = resolve_config(preset, phase, 0, None, [f"{section}.{key}={value}"])
+    changed = resolve_config(preset, phase, None, [f"{section}.{key}={value}"])
     assert _views(changed) != _views(base), f"{preset} {phase}: {section}.{key} changes no component view"
 
 
@@ -126,8 +114,10 @@ def test_a_run_setting_component_declares_no_default(component):
 
 @pytest.mark.parametrize("function, names", [(make_schedule, ["timesteps", "schedule", "beta_start", "beta_end"]),
                                              (fit_normalizer, ["mode"]), (trend_basis, ["degree"]),
-                                             (resolve_config, ["preset", "phase", "seed"]),
+                                             (resolve_config, ["preset", "phase"]),
                                              (RunConfig.from_preset, ["preset", "phase"]),
+                                             (RunConfig.train_config, ["seed"]),
+                                             (RunConfig.adapter_config, ["model_dim"]),
                                              (embed_2d, ["method"]), (tsne_2d, ["perplexity", "iters", "seed"])])
 def test_a_run_setting_argument_has_no_default(function, names):
     params = inspect.signature(function).parameters

@@ -92,6 +92,16 @@ def test_a_small_real_corpus_scores_no_higher_than_an_equal_sized_one():
     assert max(unequal) <= max(equal)
 
 
+@pytest.mark.parametrize("n_real, n_synth", [(1, 40), (40, 1), (1, 1)])
+def test_the_discriminative_score_rejects_a_corpus_of_fewer_than_2_series(n_real, n_synth):
+    # one real series leaves none to train on: against 40 series offset by +50 it scored 0.0, "indistinguishable"
+    real = generate_normal(8, 2, n_real, seed=1)
+    synth = generate_normal(8, 2, n_synth, seed=2)
+    synth = Dataset(synth.values + 50, label="offset", id="offset")
+    with pytest.raises(ContractError, match="discriminative score needs >= 2 samples per corpus"):
+        metrics.discriminative_score(real, synth, (0, 1, 2))
+
+
 @pytest.mark.parametrize("dim", [1, 6])
 def test_frechet_distance_matches_scipy_sqrtm(dim):
     rng = np.random.default_rng(dim)

@@ -1,6 +1,7 @@
 """The fused Adam, the checkpoint writer and loader, and what a checkpoint holds."""
 
 import dataclasses
+import hashlib
 import json
 import math
 import os
@@ -151,6 +152,12 @@ def _header(path) -> dict:
     return json.loads(raw[10:10 + struct.unpack("<I", raw[6:10])[0]])
 
 
+def _oracle_hash(config: dict) -> str:
+    """The first 16 hex digits of the sha256 of `config` without its hash, as compact JSON with sorted keys."""
+    rest = {key: value for key, value in config.items() if key != "config_hash"}
+    return hashlib.sha256(json.dumps(rest, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+
+
 @pytest.mark.parametrize("mode", ["minmax", "zscore"])
 def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_config(tmp_path, mode):
     data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
@@ -168,7 +175,7 @@ def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_confi
     assert header["step"] == 2 and "checkpoint_every" not in header["config"]["train"]
     _, _, back = restore(ckpt)
     corpus = {"label": "normal", "corpus_id": "normal-1", "channel_names": ["ch0", "ch1"]}
-    assert header["config"]["config_hash"] == ""
+    assert header["config"]["config_hash"] == _oracle_hash(header["config"])
     assert header["config"]["data"] == {**corpus, "normalizer_mode": mode} and back.mode == mode
     assert back.lo.tobytes() == norm.lo.tobytes() and back.hi.tobytes() == norm.hi.tobytes()
 
@@ -195,6 +202,8 @@ def test_train_records_the_phase_of_the_model_it_trained(tmp_path):
                  loss_cfg=LossConfig(weight=0.1, margin=1.0, pair_count=2))
     assert pre.config["train"] == {"phase": "pretrain", **dataclasses.asdict(cfg)} and pre.config["adapter"] is None
     assert fine.config["train"] == {"phase": "finetune", **dataclasses.asdict(cfg)} and fine.config["adapter"]
+    for config in (pre.config, fine.config):
+        assert config["config_hash"] == _oracle_hash(config)
 
 
 @pytest.mark.parametrize("make", [
@@ -241,17 +250,14 @@ def test_library_pretrain_and_finetune_write_the_clis_checkpoint_bytes(tmp_path)
                  *[arg for ov in fine_run for arg in ("--override", ov)]]) == 0
 
     corpus = load_corpus(normal)
-    pre = resolve_config("desk", "pretrain", 3, None, TINY_RUN)
+    pre = resolve_config("desk", "pretrain", None, TINY_RUN)
     backbone, sched = Backbone(pre.denoiser_config(corpus.tau, corpus.dim), seed=3), pre.schedule()
     norm = fit_normalizer(corpus, pre.get("data", "normalizer"))
-    train(corpus, backbone, pre.train_config(), sched, norm,
-          checkpoint_dir=str(tmp_path / "lib_pre"), config_hash=pre.hash())
-    fine = resolve_config("desk", "finetune", 3, None, fine_run)
-    fine.record("model", pre.sections["model"])  # what a finetune takes from its checkpoint
-    fine.record("diffusion", sched.config())
-    model = attach(backbone, AdapterStack(fine.adapter_config(), backbone.cfg.dec_layers, seed=3))
-    train(load_corpus(fault), model, fine.train_config(), sched, norm, fine.loss_config(),
-          checkpoint_dir=str(tmp_path / "lib_fine"), config_hash=fine.hash())
+    train(corpus, backbone, pre.train_config(3), sched, norm, checkpoint_dir=str(tmp_path / "lib_pre"))
+    fine = resolve_config("desk", "finetune", None, fine_run)
+    model = attach(backbone, AdapterStack(fine.adapter_config(backbone.cfg.model_dim), backbone.cfg.dec_layers, seed=3))
+    train(load_corpus(fault), model, fine.train_config(3), sched, norm, fine.loss_config(),
+          checkpoint_dir=str(tmp_path / "lib_fine"))
     for stage in ("pre", "fine"):
         cli = (tmp_path / stage / "checkpoints" / "final.ckpt").read_bytes()
         assert (tmp_path / f"lib_{stage}" / "final.ckpt").read_bytes() == cli, stage
