@@ -136,11 +136,6 @@ class Tensor:
     def transpose(self, axes):
         return transpose(self, axes)
 
-    def swapaxes(self, a, b):
-        axes = list(range(self.ndim))
-        axes[a], axes[b] = axes[b], axes[a]
-        return transpose(self, tuple(axes))
-
     def sum(self, axis=None, keepdims=False):
         return tsum(self, axis=axis, keepdims=keepdims)
 
@@ -160,9 +155,6 @@ class Parameter(Tensor):
         super().__init__(data, requires_grad=trainable)
         self.name = name
         self.grad = np.zeros_like(self.data)
-
-    def zero_grad(self) -> None:
-        self.grad.fill(0)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.requires_grad})"

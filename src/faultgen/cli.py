@@ -4,7 +4,8 @@ Exit codes: 0 ok, 2 usage/validation, 3 checkpoint problems, 4 training
 divergence or a non-finite model/sampler state. Equal arguments and inputs
 give byte-identical artifacts.
 
-`pretrain` and `finetune` each accept only the config keys their phase reads
+`pretrain` and `finetune` take their settings from `--preset`, then each
+`--override SECTION.KEY=VALUE`, and accept only the keys their phase reads
 (`config.PHASES`). Their run record is the checkpoint's config header, which
 also holds what a run takes from its inputs: the seed, the corpus and, for
 `finetune`, the checkpoint's model and schedule. `config.lock` is a JSON copy
@@ -122,7 +123,7 @@ def _train(args, cfg: RunConfig, data: Dataset, model, sched, normalizer, loss_c
 
 
 def cmd_pretrain(args) -> int:
-    cfg = resolve_config(args.preset, "pretrain", args.config, args.override)
+    cfg = resolve_config(args.preset, "pretrain", args.override)
     normal = load_corpus(_require_dir(args.data, "training"))
     model = Backbone(cfg.denoiser_config(normal.tau, normal.dim), seed=args.seed)
     return _train(args, cfg, normal, model, cfg.schedule(),
@@ -130,7 +131,7 @@ def cmd_pretrain(args) -> int:
 
 
 def cmd_finetune(args) -> int:
-    cfg = resolve_config(args.preset, "finetune", args.config, args.override)
+    cfg = resolve_config(args.preset, "finetune", args.override)
     backbone, sched, norm = restore(load_checkpoint(args.checkpoint))
     if not isinstance(backbone, Backbone):
         raise CheckpointError("finetune expects a backbone-only (pretrain) checkpoint")
@@ -142,7 +143,10 @@ def cmd_finetune(args) -> int:
         raise ContractError(f"fault corpus {args.data} holds (tau, dim) = ({fault.tau}, {fault.dim}), "
                             f"but checkpoint {args.checkpoint} models ({arch.tau}, {arch.d})")
     stack = AdapterStack(cfg.adapter_config(arch.model_dim), arch.dec_layers, seed=args.seed)
-    return _train(args, cfg, fault, attach(backbone, stack), sched, norm, cfg.loss_config())
+    loss_cfg = cfg.loss_config()
+    if loss_cfg.weight > 0 and cfg.train_config(args.seed).batch_size < 2:  # caught here, before --out is made
+        raise ContractError("diversity loss needs a batch of >= 2 predictions")
+    return _train(args, cfg, fault, attach(backbone, stack), sched, norm, loss_cfg)
 
 
 def cmd_generate(args) -> int:
@@ -251,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", type=_non_empty, required=True, help="output directory")
     run = argparse.ArgumentParser(add_help=False)  # the settings only the training phases read
     run.add_argument("--preset", default="desk", choices=["desk", "paper"])
-    run.add_argument("--config", type=_non_empty, help="key=value config file with [sections]")
     run.add_argument("--override", action="append", metavar="SECTION.KEY=VALUE")
 
     parser = _Parser(prog="faultgen", description="Few-shot fault time-series generation toolkit")

@@ -1,11 +1,13 @@
-"""Run configuration: flat key=value sections and named presets.
+"""Run configuration: named presets of flat sections, and `section.key=value` overrides.
 
 Two presets ship: `paper` mirrors the large-scale recipe (T=1000 steps,
 25k-step pretraining, small learning rates), `desk` is the scaled-down
 single-core preset the acceptance suite pins (T=100, 2000/500 steps).
 The presets are the one home of every run setting: components take each
 value as an argument and declare no default, and each view below builds its
-component from a section by field name.
+component from a section by field name. `resolve_config` builds a run's
+settings in one way: the preset's values, then each override, which must name
+a key the phase holds and parse as that key's type.
 
 Each training phase's config holds only the settings that phase reads
 (`PHASES`). A value a run takes from its inputs is no key: the view that
@@ -17,7 +19,6 @@ that `training.train` writes records all of them.
 
 from __future__ import annotations
 
-import configparser
 import copy
 
 from .adapter import AdapterConfig
@@ -62,60 +63,27 @@ class RunConfig:
         self.sections = sections
         self.phase = phase
 
-    @classmethod
-    def from_preset(cls, preset: str, phase: str) -> "RunConfig":
-        """The preset's settings that `phase` reads."""
-        if preset not in PRESETS:
-            raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
-        if phase not in PHASES:
-            raise ConfigError(f"unknown training phase {phase!r}; choose from {sorted(PHASES)}")
-        others = PHASES.keys() - {phase}
-        sections = {s: dict(PRESETS[preset][s]) for s in PHASES[phase]}
-        sections["train"] = {k: v for k, v in sections["train"].items() if k.partition("_")[0] not in others}
-        return cls(sections, phase)
-
-    def _coerce(self, section: str, key: str, raw):
-        if section not in self.sections:
-            raise ConfigError(f"unknown config section [{section}] for {self.phase}")
-        if key not in self.sections[section]:
-            raise ConfigError(f"unknown config key {section}.{key} for {self.phase}")
-        current = self.sections[section][key]
-        try:
-            if isinstance(current, int):
-                return int(raw)
-            if isinstance(current, float):
-                return float(raw)
-            return str(raw)
-        except ValueError as e:
-            raise ConfigError(f"bad value for {section}.{key}: {raw!r}") from e
-
-    def set(self, section: str, key: str, raw) -> None:
-        """Write a key as a config file or an override does."""
-        self.sections[section][key] = self._coerce(section, key, raw)
-
     def get(self, section: str, key: str):
         try:
             return self.sections[section][key]
         except KeyError as e:
             raise ConfigError(f"unknown config key {section}.{key}") from e
 
-    def load_file(self, path) -> None:
-        parser = configparser.ConfigParser()
-        read = parser.read(path)
-        if not read:
-            raise ConfigError(f"cannot read config file {path}")
-        for section in parser.sections():
-            for key, raw in parser.items(section):
-                self.set(section, key, raw)
-
     def apply_overrides(self, overrides) -> None:
-        """Each override is 'section.key=value'."""
+        """Each override is 'section.key=value'; its value takes the type of the one it replaces."""
         for ov in overrides or ():
             if "=" not in ov or "." not in ov.split("=", 1)[0]:
                 raise ConfigError(f"override must look like section.key=value, got {ov!r}")
-            dotted, value = ov.split("=", 1)
+            dotted, value = (part.strip() for part in ov.split("=", 1))
             section, key = (part.strip() for part in dotted.split(".", 1))
-            self.set(section, key, value.strip())
+            if section not in self.sections:
+                raise ConfigError(f"unknown config section [{section}] for {self.phase}")
+            if key not in self.sections[section]:
+                raise ConfigError(f"unknown config key {section}.{key} for {self.phase}")
+            try:
+                self.sections[section][key] = type(self.sections[section][key])(value)
+            except ValueError as e:
+                raise ConfigError(f"bad value for {section}.{key}: {value!r}") from e
 
     # -- component views ----------------------------------------------------
     def denoiser_config(self, tau: int, d: int) -> DenoiserConfig:
@@ -139,10 +107,15 @@ class RunConfig:
         return LossConfig(**self.sections["loss"])
 
 
-def resolve_config(preset: str, phase: str, config_file=None, overrides=None) -> RunConfig:
-    """The preset's `phase` settings, then the config file, then each override."""
-    cfg = RunConfig.from_preset(preset, phase)
-    if config_file:
-        cfg.load_file(config_file)
+def resolve_config(preset: str, phase: str, overrides=None) -> RunConfig:
+    """The preset's settings that `phase` reads, then each override."""
+    if preset not in PRESETS:
+        raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+    if phase not in PHASES:
+        raise ConfigError(f"unknown training phase {phase!r}; choose from {sorted(PHASES)}")
+    others = PHASES.keys() - {phase}
+    sections = {s: dict(PRESETS[preset][s]) for s in PHASES[phase]}
+    sections["train"] = {k: v for k, v in sections["train"].items() if k.partition("_")[0] not in others}
+    cfg = RunConfig(sections, phase)
     cfg.apply_overrides(overrides)
     return cfg

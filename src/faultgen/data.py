@@ -208,17 +208,6 @@ def _burst_len(spec: FaultSpec) -> int:
     return int(spec.extra.get("burst_len", max(1, spec.duration // 4)))
 
 
-def effective_window(spec: FaultSpec, tau: int) -> tuple[int, int]:
-    """Timestep range [lo, hi) a fault kind actually touches.
-
-    `sudden` and `trend` persist to the end of the series; every other kind
-    stays inside [onset, onset+duration).
-    """
-    if spec.kind in ("sudden", "trend"):
-        return spec.onset, tau
-    return spec.onset, spec.onset + spec.duration
-
-
 # ----------------------------------------------------------------------
 # normal-data generator
 
@@ -327,8 +316,9 @@ def _ar_process(seeds, tau: int, dim: int) -> np.ndarray:
 
 
 def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int) -> np.ndarray:
-    """A copy of the float32 (tau, d) array `values` with one fault applied;
-    timesteps/channels outside the fault stay bit-identical."""
+    """A copy of the float32 (tau, d) array `values` with one fault applied; timesteps and channels
+    outside the fault stay bit-identical. `sudden` and `trend` run from the onset to the series'
+    end, and every other kind stays inside [onset, onset + duration)."""
     values = np.asarray(values)
     if values.dtype != np.float32 or values.ndim != 2 or len(values) < 2:
         raise ContractError(f"inject_fault needs a float32 (tau>=2, d) array, got {values.dtype} {values.shape}")

@@ -335,36 +335,39 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
 
     The loss is the base loss, plus `loss_cfg`'s weighted diversity term when one is given.
     A model from `attach` trains only its adapter; its backbone's arrays are left byte-identical.
+    A step whose loss is non-finite, or whose arithmetic overflows, goes invalid or divides by zero,
+    raises `DivergenceError` naming the step.
     """
     opt = Adam(model.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     arr = normalizer.scale(data.values)
     n = arr.shape[0]
     rows = []
-    for step in range(cfg.steps):
-        idx = rng.integers(0, n, cfg.batch_size)
-        x0 = arr[idx]
-        t = int(rng.integers(0, sched.T))
-        eps = rng.standard_normal(x0.shape).astype(np.float32)
-        x_t = forward_sample(x0, t, eps, sched)
-        try:
-            eps_hat = model.forward(Tensor(x_t), t)
-            if loss_cfg is None or loss_cfg.weight == 0:
-                loss = base = base_loss(Tensor(eps), eps_hat)
-                div_val = 0.0
-            else:
-                pair_seed = int(rng.integers(0, 2**31 - 1))
-                loss, base, div = total_loss(Tensor(eps), eps_hat, loss_cfg, pair_seed)
-                div_val = div.item()
-            lval = loss.item()
-            if not np.isfinite(lval):
-                raise NumericError("loss is non-finite")
-            opt.zero_grad()
-            loss.backward()
-        except NumericError as e:
-            raise DivergenceError(f"training diverged at step {step}: {e}") from e
-        opt.step(_warmup_scale(step, cfg.warmup_steps))
-        rows.append((step, base.item(), div_val, lval))
+    with np.errstate(over="raise", invalid="raise", divide="raise"):  # an overflowing step diverges, not warns
+        for step in range(cfg.steps):
+            idx = rng.integers(0, n, cfg.batch_size)
+            x0 = arr[idx]
+            t = int(rng.integers(0, sched.T))
+            eps = rng.standard_normal(x0.shape).astype(np.float32)
+            x_t = forward_sample(x0, t, eps, sched)
+            try:
+                eps_hat = model.forward(Tensor(x_t), t)
+                if loss_cfg is None or loss_cfg.weight == 0:
+                    loss = base = base_loss(Tensor(eps), eps_hat)
+                    div_val = 0.0
+                else:
+                    pair_seed = int(rng.integers(0, 2**31 - 1))
+                    loss, base, div = total_loss(Tensor(eps), eps_hat, loss_cfg, pair_seed)
+                    div_val = div.item()
+                lval = loss.item()
+                if not np.isfinite(lval):
+                    raise NumericError("loss is non-finite")
+                opt.zero_grad()
+                loss.backward()
+                opt.step(_warmup_scale(step, cfg.warmup_steps))
+            except (NumericError, FloatingPointError) as e:
+                raise DivergenceError(f"training diverged at step {step}: {e}") from e
+            rows.append((step, base.item(), div_val, lval))
     header = _header(model, data, cfg, sched, loss_cfg, normalizer)
     final = _snapshot(model, header, cfg.steps, normalizer)
     final.loss_rows = rows

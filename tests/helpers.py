@@ -115,7 +115,7 @@ def composed_attention(q_in, kv_in, p, heads, mask=None):
     q = (q_in @ p["wq"] + p["bq"]).reshape((b, sq, heads, e)).transpose((0, 2, 1, 3))
     k = (kv_in @ p["wk"] + p["bk"]).reshape((b, sk, heads, e)).transpose((0, 2, 1, 3))
     v = (kv_in @ p["wv"] + p["bv"]).reshape((b, sk, heads, e)).transpose((0, 2, 1, 3))
-    scores = (q @ k.swapaxes(-1, -2)) * (1.0 / np.sqrt(e))
+    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(e))
     if mask is not None:
         scores = scores + Tensor(mask)
     att = ad.softmax(scores, axis=-1)

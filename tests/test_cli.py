@@ -247,17 +247,6 @@ def test_finetune_rejects_a_diffusion_override_the_checkpoint_does_not_use(train
     assert not out.exists()
 
 
-def test_finetune_rejects_a_config_file_diffusion_section_the_checkpoint_does_not_use(trained, tmp_path,
-                                                                                     capsys):
-    config = tmp_path / "run.ini"
-    config.write_text("[diffusion]\ntimesteps = 10\nschedule = cosine\n")
-    out = tmp_path / "fine"
-    assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"], "--out", str(out),
-                 "--config", str(config), *_overrides("finetune", "train.finetune_steps=1")]) == 2
-    assert "unknown config section [diffusion] for finetune" in capsys.readouterr().err
-    assert not (out / "checkpoints" / "final.ckpt").exists()
-
-
 def test_a_full_finetune_run_leaves_every_backbone_array_byte_identical(trained, tmp_path):
     out = tmp_path / "fine"
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"],
@@ -481,8 +470,14 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                   2, "perplexity infeasible for n=10, got nan"),
     "make-data-empty-channels": (["make-data", "--kind", "fault", "--fault", "offset", "--channels", "",
                                   "--n", "2", "--tau", "8"], 2, "argument --channels: must not be empty"),
-    "pretrain-empty-config": (["pretrain", "--data", "{normal}", "--config", "", *_overrides("pretrain")],
-                              2, "argument --config: must not be empty"),
+    "pretrain-config": (["pretrain", "--data", "{normal}", "--config", "x", *_overrides("pretrain")],
+                        2, "unrecognized arguments: --config x"),
+    "finetune-config": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}", "--config", "x",
+                         *_overrides("finetune", "train.finetune_steps=1")], 2, "unrecognized arguments: --config x"),
+    "finetune-batch-of-1-with-the-diversity-loss": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
+                                                     *_overrides("finetune", "train.finetune_steps=1",
+                                                                 "train.batch_size=1")],
+                                                    2, "diversity loss needs a batch of >= 2 predictions"),
     "generate-empty-label": (["generate", "--checkpoint", "{fine}", "--n", "2", "--label", ""],
                              2, "argument --label: must not be empty"),
     "evaluate-discriminative-one-real-series": (["evaluate", "--real", "{fault1}", "--synth", "{normal}",
@@ -533,7 +528,7 @@ def test_a_bad_input_exits_with_one_error_line_and_writes_nothing(trained, tmp_p
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert fragment.format(**trained) in err
-    assert not out.exists() or [p.name for p in out.iterdir()] == [".partial"]
+    assert not out.exists()
 
 
 def test_a_diverged_training_run_leaves_only_its_partial_marker(trained, tmp_path, capsys, monkeypatch):
@@ -543,6 +538,26 @@ def test_a_diverged_training_run_leaves_only_its_partial_marker(trained, tmp_pat
                  *_overrides("pretrain", "train.pretrain_steps=2")]) == 4
     assert capsys.readouterr().err.startswith("divergence: training diverged at step 0")
     assert [p.name for p in out.iterdir()] == [".partial"]
+
+
+@pytest.mark.parametrize("phase, lr", [("pretrain", "1e30"), ("pretrain", "1e10"), ("pretrain", "1e5"),
+                                       ("finetune", "1e30")])
+def test_a_training_step_whose_arithmetic_overflows_diverges_in_one_line(trained, tmp_path, capsys, phase, lr):
+    out = tmp_path / phase
+    inputs = ["--data", trained["normal"]] if phase == "pretrain" else ["--data", trained["fault"],
+                                                                         "--checkpoint", trained["pre"]]
+    assert main([phase, *inputs, "--out", str(out),
+                 *_overrides(phase, f"train.{phase}_steps=20", f"train.{phase}_lr={lr}")]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("divergence: training diverged at step ")
+    assert [p.name for p in out.iterdir()] == [".partial"]
+
+
+def test_a_finetune_of_batch_size_1_without_the_diversity_loss_runs(trained, tmp_path, capsys):
+    fine = _run(capsys, "finetune", "--data", trained["fault"], "--checkpoint", trained["pre"],
+                "--out", str(tmp_path / "fine"),
+                *_overrides("finetune", "train.finetune_steps=2", "train.batch_size=1", "loss.weight=0"))
+    assert load_checkpoint(fine["checkpoint"]).config["train"]["batch_size"] == 1
 
 
 EMPTY_OUT = {  # a command's argv but for --out, which the test gives as the empty string
@@ -571,8 +586,8 @@ FLAGS = {  # every flag each subcommand's parser exposes, besides --help
     "make-data": {"--seed", "--out", "--kind", "--fault", "--n", "--tau", "--dim", "--base", "--noise-std",
                   "--magnitude", "--onset", "--duration", "--channels", "--period", "--clip-level", "--burst-len",
                   "--count"},
-    "pretrain": {"--seed", "--out", "--preset", "--config", "--override", "--data"},
-    "finetune": {"--seed", "--out", "--preset", "--config", "--override", "--data", "--checkpoint"},
+    "pretrain": {"--seed", "--out", "--preset", "--override", "--data"},
+    "finetune": {"--seed", "--out", "--preset", "--override", "--data", "--checkpoint"},
     "generate": {"--seed", "--out", "--override", "--checkpoint", "--n", "--label"},
     "evaluate": {"--out", "--real", "--synth", "--metrics", "--seeds"},
     "embed": {"--seed", "--out", "--corpus", "--method", "--perplexity", "--iters", "--features"},

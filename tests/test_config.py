@@ -19,7 +19,7 @@ from faultgen.training import LossConfig, TrainConfig
 @pytest.mark.parametrize("override", ["model.tau", "tau=12", "=12", "model.tau 12"])
 def test_malformed_override_rejected(override):
     with pytest.raises(ConfigError, match="section.key=value"):
-        resolve_config("desk", "pretrain", None, [override])
+        resolve_config("desk", "pretrain", [override])
 
 
 @pytest.mark.parametrize("phase, override, what", [("pretrain", "nosuch.tau=12", r"section \[nosuch\] for pretrain"),
@@ -27,48 +27,41 @@ def test_malformed_override_rejected(override):
                                                    ("finetune", "loss.sign=intent", "key loss.sign for finetune")])
 def test_unknown_section_or_key_rejected(phase, override, what):
     with pytest.raises(ConfigError, match=what):
-        resolve_config("desk", phase, None, [override])
+        resolve_config("desk", phase, [override])
 
 
 @pytest.mark.parametrize("override", ["model.heads=twelve", "model.heads=1.5", "train.pretrain_lr=fast"])
 def test_bad_number_rejected(override):
     with pytest.raises(ConfigError, match="bad value"):
-        resolve_config("desk", "pretrain", None, [override])
-
-
-def test_bad_config_file_value_rejected(tmp_path):
-    path = tmp_path / "run.ini"
-    path.write_text("[train]\nbatch_size = eight\n")
-    with pytest.raises(ConfigError, match="train.batch_size"):
-        resolve_config("desk", "pretrain", str(path))
+        resolve_config("desk", "pretrain", [override])
 
 
 def test_schedule_reads_the_diffusion_section():
-    cfg = resolve_config("desk", "pretrain", None, ["diffusion.schedule=cosine", "diffusion.timesteps=50"])
+    cfg = resolve_config("desk", "pretrain", ["diffusion.schedule=cosine", "diffusion.timesteps=50"])
     sched = cfg.schedule()
     expected = make_schedule(50, "cosine", 1e-3, 0.2)
     assert sched.kind == "cosine" and sched.T == 50
     np.testing.assert_array_equal(sched.beta, expected.beta)
     assert make_schedule(**sched.config()).beta.tobytes() == sched.beta.tobytes()
     with pytest.raises(ContractError, match="unknown schedule"):
-        resolve_config("desk", "pretrain", None, ["diffusion.schedule=bogus"]).schedule()
+        resolve_config("desk", "pretrain", ["diffusion.schedule=bogus"]).schedule()
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
 def test_pretrain_accepts_16_config_keys_and_finetune_10(preset):
-    counts = {phase: sum(map(len, RunConfig.from_preset(preset, phase).sections.values())) for phase in PHASES}
+    counts = {phase: sum(map(len, resolve_config(preset, phase).sections.values())) for phase in PHASES}
     assert counts == {"pretrain": 16, "finetune": 10}
-    assert set(RunConfig.from_preset(preset, "pretrain").sections["train"]) == {
+    assert set(resolve_config(preset, "pretrain").sections["train"]) == {
         "pretrain_steps", "pretrain_lr", "batch_size", "warmup_steps"}
-    assert set(RunConfig.from_preset(preset, "finetune").sections) == {"train", "adapter", "loss"}
+    assert set(resolve_config(preset, "finetune").sections) == {"train", "adapter", "loss"}
 
 
 def test_a_value_a_run_takes_from_its_inputs_is_an_argument_of_its_view_never_a_key():
-    cfg = resolve_config("desk", "finetune", None, ["loss.weight=0.5"])
+    cfg = resolve_config("desk", "finetune", ["loss.weight=0.5"])
     assert cfg.train_config(7).seed == 7 and cfg.adapter_config(64).model_dim == 64
     for written in ("train.seed=7", "model.model_dim=64"):
         with pytest.raises(ConfigError, match="for finetune"):
-            resolve_config("desk", "finetune", None, [written])
+            resolve_config("desk", "finetune", [written])
 
 
 OTHER_STRINGS = {"schedule": "cosine", "normalizer": "zscore"}
@@ -97,11 +90,11 @@ def _views(cfg):
 
 @pytest.mark.parametrize("preset, phase, section, key", [
     (preset, phase, section, key) for preset in sorted(PRESETS) for phase in PHASES
-    for section, keys in RunConfig.from_preset(preset, phase).sections.items() for key in keys])
+    for section, keys in resolve_config(preset, phase).sections.items() for key in keys])
 def test_every_key_a_phase_accepts_reaches_a_view_it_builds(preset, phase, section, key):
     base = resolve_config(preset, phase)
     value = _other_value(key, base.get(section, key))
-    changed = resolve_config(preset, phase, None, [f"{section}.{key}={value}"])
+    changed = resolve_config(preset, phase, [f"{section}.{key}={value}"])
     assert _views(changed) != _views(base), f"{preset} {phase}: {section}.{key} changes no component view"
 
 
@@ -115,7 +108,6 @@ def test_a_run_setting_component_declares_no_default(component):
 @pytest.mark.parametrize("function, names", [(make_schedule, ["timesteps", "schedule", "beta_start", "beta_end"]),
                                              (fit_normalizer, ["mode"]), (trend_basis, ["degree"]),
                                              (resolve_config, ["preset", "phase"]),
-                                             (RunConfig.from_preset, ["preset", "phase"]),
                                              (RunConfig.train_config, ["seed"]),
                                              (RunConfig.adapter_config, ["model_dim"]),
                                              (embed_2d, ["method"]), (tsne_2d, ["perplexity", "iters", "seed"])])

@@ -18,7 +18,6 @@ from faultgen.data import (
     Dataset,
     FaultSpec,
     TimeSeries,
-    effective_window,
     fit_normalizer,
     generate_normal,
     inject_fault,
@@ -34,6 +33,12 @@ from helpers import ar2_stationary_variance, loop_generate_normal, value_save_co
 def _series(tau=24, d=2, seed=0):
     """A float32 (tau, d) array of standard normal readings."""
     return np.random.default_rng(seed).standard_normal((tau, d)).astype(np.float32)
+
+
+def _window(spec, tau):
+    """The timesteps [lo, hi) a fault may touch: `sudden` and `trend` run to tau, every other kind to
+    onset + duration."""
+    return spec.onset, tau if spec.kind in ("sudden", "trend") else spec.onset + spec.duration
 
 
 def _named(values, names=None):
@@ -177,7 +182,7 @@ class TestInjectFault:
             extra["period"] = 20
         spec = FaultSpec(kind, onset=8, duration=10, magnitude=1.2, channels=[0, 2], extra=extra)
         out = inject_fault(s, spec, seed=3)
-        lo, hi = effective_window(spec, len(s))
+        lo, hi = _window(spec, len(s))
         # untouched timesteps and the unaffected channel are bit-identical
         assert np.array_equal(out[:lo], s[:lo])
         assert np.array_equal(out[hi:], s[hi:])
@@ -602,7 +607,7 @@ class TestProperties:
     def test_inject_fault_leaves_everything_outside_its_window_bit_identical(self, kind, data):
         series, spec, seed = data.draw(fault_cases(kind))
         out = inject_fault(series, spec, seed)
-        lo, hi = effective_window(spec, len(series))
+        lo, hi = _window(spec, len(series))
         touched = np.zeros(series.shape, dtype=bool)
         touched[lo:hi, spec.channels or slice(None)] = True
         before, after = series.view(np.uint32), out.view(np.uint32)

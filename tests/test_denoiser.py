@@ -7,7 +7,7 @@ from faultgen import adapter, denoiser
 from faultgen import autodiff as ad
 from faultgen.adapter import AdapterConfig, AdapterStack, attach
 from faultgen.autodiff import Tensor
-from faultgen.config import DESK, RunConfig
+from faultgen.config import DESK, resolve_config
 from faultgen.denoiser import (
     Backbone,
     DenoiserConfig,
@@ -104,7 +104,7 @@ class TestFusedOpsKeepTheComposedBits:
 
     @staticmethod
     def _models():
-        backbone = Backbone(RunConfig.from_preset("desk", "pretrain").denoiser_config(24, 2), seed=3)
+        backbone = Backbone(resolve_config("desk", "pretrain").denoiser_config(24, 2), seed=3)
         stack = AdapterStack(AdapterConfig(model_dim=backbone.cfg.model_dim, **DESK["adapter"]),
                              backbone.cfg.dec_layers, seed=4)
         rng = np.random.default_rng(5)

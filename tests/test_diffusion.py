@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from faultgen.cli import main
-from faultgen.config import RunConfig
+from faultgen.config import resolve_config
 from faultgen.data import fit_normalizer, generate_normal, load_corpus
 from faultgen.denoiser import Backbone, DenoiserConfig
 from faultgen.diffusion import X0_CLIP, forward_sample, make_schedule, reverse_step, sample
@@ -167,7 +167,7 @@ class TestSample:
 
     def test_a_series_keeps_its_bits_among_any_siblings_and_its_value_alone(self):
         # desk widths: at model_dim 64 BLAS multiplies a one-row head product with another kernel
-        model = Backbone(RunConfig.from_preset("desk", "pretrain").denoiser_config(24, 2), seed=0)
+        model = Backbone(resolve_config("desk", "pretrain").denoiser_config(24, 2), seed=0)
         rng = np.random.default_rng(0)
         for head in (model.trend_w, model.seas_w, model.res_w):  # zero at init; a briefly trained head's scale
             head.data[...] = rng.normal(0.0, 0.01, head.data.shape)
