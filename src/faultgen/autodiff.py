@@ -1,15 +1,15 @@
 """Dense-tensor arithmetic with reverse-mode differentiation.
 
 A small tape-based engine over numpy arrays, covering the op vocabulary the
-denoiser, adapter, losses, and evaluation networks need: matmul, elementwise
-arithmetic, layer_norm, gelu, reshape and transpose, indexing (`take`),
-reductions, and three fused ops with hand-written backwards: multi-head
-`attention`, the `feed_forward` block and `cross_entropy`, which sums per-slice
-mean losses over any leading axes of its logits. `pad`, `concat`, `stack` and
-`softmax` have no caller in the package. They stay because the benchmark's
-tracer (`perfbench/tracing.py`) wraps them, and the tests' composed-attention
-reference uses `softmax`. Tensors are immutable values once created; gradients
-accumulate on leaves during `backward`.
+denoiser, adapter and training losses need: matmul, elementwise arithmetic,
+layer_norm, reshape and transpose, indexing (`take`), reductions, and two fused
+ops with hand-written backwards: multi-head `attention` and the `feed_forward`
+block. The evaluation networks in `metrics` train off the tape, on `gelu_` and
+`_gelu_grad`. `gelu`, `pad`, `concat`, `stack` and `softmax` have no caller in
+the package. They stay because the benchmark's tracer (`perfbench/tracing.py`)
+wraps them, and the tests' composed references use `gelu` and `softmax`.
+Tensors are immutable values once created; gradients accumulate on leaves
+during `backward`.
 
 A backward computes a parent's gradient only when the parent requires one (`_accum`), and
 multiplies by a weight's transpose through a C-contiguous copy (`_t`), not the strided view. That
@@ -619,27 +619,3 @@ def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
         _accum(a, _expand_reduced(g, a.data.shape, axis, keepdims) / count)
 
     return _node(data, "mean", (a,), bw)
-
-
-# ----------------------------------------------------------------------
-# fused classification loss (evaluation networks)
-
-
-def cross_entropy(logits: Tensor, labels) -> Tensor:
-    """Softmax cross-entropy of (..., B, C) logits and (B,) int labels: each slice's mean, summed."""
-    labels = np.asarray(labels)
-    if logits.ndim < 2 or labels.shape != logits.shape[-2:-1]:
-        raise DimensionError(f"cross_entropy expects (..., B, C) logits and (B,) labels, got {logits.shape} / {labels.shape}")
-    z = logits.data
-    zmax = np.max(z, axis=-1, keepdims=True)
-    logsum = zmax + np.log(np.sum(np.exp(z - zmax), axis=-1, keepdims=True))
-    logp = z - logsum
-    n = z.shape[-2]
-    data = -np.sum(np.mean(logp[..., np.arange(n), labels], axis=-1))
-
-    def bw(g):
-        p = np.exp(logp)
-        p[..., np.arange(n), labels] -= 1.0
-        _accum(logits, g * p / n)
-
-    return _node(np.asarray(data, dtype=z.dtype), "cross_entropy", (logits,), bw)

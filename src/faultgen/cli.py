@@ -1,8 +1,10 @@
 """Command-line orchestration: corpora, training phases, generation, evaluation.
 
 Exit codes: 0 ok, 2 usage/validation, 3 checkpoint problems, 4 training
-divergence or a non-finite model/sampler state. Equal arguments and inputs
-give byte-identical artifacts.
+divergence or any other non-finite value: every command runs with numpy's
+overflow, invalid and divide-by-zero errors raised, so a numeric blow-up ends
+in exit 4, never in a warning and a written artifact. Equal arguments and
+inputs give byte-identical artifacts.
 
 `pretrain` and `finetune` take their settings from `--preset`, then each
 `--override SECTION.KEY=VALUE`, and accept only the keys their phase reads
@@ -21,6 +23,8 @@ import hashlib
 import json
 import os
 import sys
+
+import numpy as np
 
 from .adapter import AdapterStack, attach
 from .config import RunConfig, resolve_config
@@ -324,7 +328,8 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
             raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        return args.func(args)
+        with np.errstate(over="raise", invalid="raise", divide="raise"):
+            return args.func(args)
     except (ConfigError, ContractError, CorpusError, MetricError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -334,7 +339,7 @@ def main(argv=None) -> int:
     except DivergenceError as e:
         print(f"divergence: {e}", file=sys.stderr)
         return 4
-    except NumericError as e:
+    except (NumericError, FloatingPointError) as e:
         print(f"numeric error: {e}", file=sys.stderr)
         return 4
 

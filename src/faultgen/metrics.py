@@ -4,6 +4,12 @@ The discriminative and predictive scores train small fixed feed-forward
 networks, one per seed and all seeds as one stack, rather than recurrent models
 so that runs are fast, seeded, and comparable: the architecture, training recipe,
 and the frozen contextual encoder seed are all pinned by METRIC_VERSION.
+
+The networks train off the autodiff tape: `_fit_predict` runs the forward and a
+closed-form backward from the loss's gradient (`cross_entropy_grad`, `l1_grad`)
+with the numpy expressions of the tape's matmul, add and gelu nodes, in their
+order. So every score is bitwise the tape's, without the per-op bookkeeping that
+cost more than these tiny arrays' arithmetic. A non-finite network is caught once.
 """
 
 from __future__ import annotations
@@ -14,10 +20,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor
+from .autodiff import Parameter
 from .data import Dataset
 from .eig import sqrt_psd, sym_eig
-from .errors import ContractError, MetricError
+from .errors import ContractError, DimensionError, MetricError, NumericError
 
 METRIC_VERSION = "fg-metrics-2"
 DEFAULT_ENCODER_SEED = 1234
@@ -47,34 +53,62 @@ class FeedForwardNet:
             self.layers.append((w, b))
             last = h
 
-    def forward(self, x: Tensor) -> Tensor:
-        h = x
-        for i, (w, b) in enumerate(self.layers):
-            h = h @ w + b
-            if i < len(self.layers) - 1:
-                h = ad.gelu(h)
-        return h
+
+def cross_entropy_grad(logits: np.ndarray, labels) -> np.ndarray:
+    """d/dlogits of the softmax cross-entropy of (..., n, C) logits and (n,) labels, each slice's mean, summed."""
+    labels = np.asarray(labels)
+    if logits.ndim < 2 or labels.shape != logits.shape[-2:-1]:
+        raise DimensionError(f"cross_entropy_grad expects (..., n, C) logits and (n,) labels, "
+                             f"got {logits.shape} / {labels.shape}")
+    zmax = np.max(logits, axis=-1, keepdims=True)
+    p = np.exp(logits - (zmax + np.log(np.sum(np.exp(logits - zmax), axis=-1, keepdims=True))))
+    n = logits.shape[-2]
+    p[..., np.arange(n), labels] -= 1.0
+    return p / n
+
+
+def l1_grad(out: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """d/dout of absolute(out - y).mean(axis=(1, 2)).sum(): each (m, d) slice's mean absolute error, summed."""
+    return np.sign(out - y) / y.size
 
 
 def _fit_predict(x_train: np.ndarray, x_test: np.ndarray, hidden: list[int], out_dim: int,
-                 loss_fn, steps: int, lr: float, seeds) -> np.ndarray:
-    """Standardize each seed's training and test slice by its training rows' column mean and std (a
-    constant column is only centred), fit that seed's FeedForwardNet with Adam to `loss_fn(training
-    outputs)`, which sums the seeds' losses, and return the test outputs, (S, m, out_dim)."""
+                 loss_grad, steps: int, lr: float, seeds) -> np.ndarray:
+    """Standardize each seed's slices by its training rows' column mean and std (a constant column is only centred),
+    fit that seed's FeedForwardNet with Adam on `loss_grad(training outputs)`, the gradient of the seeds' summed loss,
+    and return the test outputs, (S, m, out_dim); a non-finite parameter or output raises NumericError."""
     from .training import Adam
 
     mu, sd = x_train.mean(axis=1, keepdims=True), x_train.std(axis=1, keepdims=True)
     sd = np.where(sd > 0, sd, 1.0)
-    xt, xe = (Tensor(((x - mu) / sd).astype(ad.default_dtype())) for x in (x_train, x_test))
+    xt, xe = (((x - mu) / sd).astype(ad.default_dtype()) for x in (x_train, x_test))
     net = FeedForwardNet(x_train.shape[2], hidden, out_dim, seeds)
     opt = Adam(net.params, lr)
+
+    def forward(h, kept):  # appends each layer's input, and each hidden pre-activation with its tanh, to kept
+        for i, (w, b) in enumerate(net.layers):
+            kept.append(h)
+            h = h @ w.data + b.data
+            if i < len(net.layers) - 1:
+                pre, h = h, h.copy()
+                kept.append((pre, ad.gelu_(h)))
+        return h
+
     for _ in range(steps):
-        loss = loss_fn(net.forward(xt))
+        kept: list = []
+        g = loss_grad(forward(xt, kept))
         opt.zero_grad()
-        loss.backward()
+        for i in reversed(range(len(net.layers))):
+            w, b = net.layers[i]
+            b.grad += g.sum(axis=1, keepdims=True)
+            w.grad += kept[2 * i].swapaxes(-1, -2) @ g
+            if i:
+                g = (g @ w.data.swapaxes(-1, -2)) * ad._gelu_grad(*kept[2 * i - 1])
         opt.step()
-    with ad.no_grad():
-        return net.forward(xe).data
+    out = forward(xe, [])
+    if not (np.isfinite(out).all() and all(np.isfinite(p.data).all() for p in net.params)):
+        raise NumericError("an evaluation network produced a non-finite value")
+    return out
 
 
 def _split(n: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
@@ -106,7 +140,7 @@ def discriminative_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
     y_train = np.concatenate([np.ones(len(tr_r), dtype=int), np.zeros(len(tr_s), dtype=int)])
     y_test = np.concatenate([np.ones(len(te_r), dtype=int), np.zeros(len(te_s), dtype=int)])
 
-    logits = _fit_predict(x_train, x_test, [32, 32], 2, lambda out: ad.cross_entropy(out, y_train),
+    logits = _fit_predict(x_train, x_test, [32, 32], 2, lambda out: cross_entropy_grad(out, y_train),
                           steps=300, lr=3e-3, seeds=seeds)
     hit = np.argmax(logits, axis=2) == y_test
     balanced = (hit[:, y_test == 1].mean(axis=1) + hit[:, y_test == 0].mean(axis=1)) / 2
@@ -124,11 +158,10 @@ def predictive_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
     xr = real.values
     x_train = np.stack([xs[:, :-1, :].reshape(len(synth), -1)] * len(seeds))
     x_test = np.stack([xr[:, :-1, :].reshape(len(real), -1)] * len(seeds))
-    yt = Tensor(xs[:, -1, :])
+    y_train = xs[:, -1, :].astype(ad.default_dtype())
     y_test = xr[:, -1, :]
 
-    pred = _fit_predict(x_train, x_test, [32], real.dim,
-                        lambda out: ad.absolute(out - yt).mean(axis=(1, 2)).sum(),
+    pred = _fit_predict(x_train, x_test, [32], real.dim, lambda out: l1_grad(out, y_train),
                         steps=400, lr=5e-3, seeds=seeds)
     return [float(np.mean(np.abs(p - y_test))) for p in pred]
 
@@ -295,7 +328,7 @@ def downstream_eval(train_real: list[Dataset], synth_per_class: list[Dataset],
             raise ContractError(f"class {label!r} has no test samples")
 
     logits = _fit_predict(x_train[None], x_test[None], [64, 32], len(classes),
-                          lambda out: ad.cross_entropy(out, y_train), steps=400, lr=3e-3, seeds=(seed,))
+                          lambda out: cross_entropy_grad(out, y_train), steps=400, lr=3e-3, seeds=(seed,))
     pred = np.argmax(logits[0], axis=1)
     acc = float(np.mean(pred == y_test))
     precisions, recalls, f1s = [], [], []
@@ -321,10 +354,13 @@ METRIC_NAMES = ("context_fid", "correlational", "discriminative", "predictive", 
 
 def check_request(metrics, seeds) -> list[str]:
     """The metric names an evaluation request selects ("all" selects every one), after checking that
-    each is in METRIC_NAMES and that `seeds` is a non-empty list of distinct seeds >= 0 (ContractError)."""
+    each is in METRIC_NAMES, none named twice, and that `seeds` is a non-empty list of distinct seeds >= 0
+    (ContractError)."""
     for m in metrics:
         if m != "all" and m not in METRIC_NAMES:
             raise ContractError(f"unknown metric {m!r}; choose from all, {', '.join(METRIC_NAMES)}")
+    if len(set(metrics)) != len(metrics):
+        raise ContractError(f"metrics must be distinct, none named twice, got {list(metrics)}")
     if not seeds or len(set(seeds)) != len(seeds):
         raise ContractError(f"seeds must be a non-empty list of distinct seeds, none named twice, "
                             f"got {list(seeds)}")

@@ -336,7 +336,8 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
     The loss is the base loss, plus `loss_cfg`'s weighted diversity term when one is given.
     A model from `attach` trains only its adapter; its backbone's arrays are left byte-identical.
     A step whose loss is non-finite, or whose arithmetic overflows, goes invalid or divides by zero,
-    raises `DivergenceError` naming the step.
+    raises `DivergenceError` naming the step. The CLI raises those floating-point errors around every
+    command already; this loop raises them itself so that a library caller, too, learns which step diverged.
     """
     opt = Adam(model.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)

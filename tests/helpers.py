@@ -2,9 +2,10 @@
 
 The composed attention and feed-forward block, the looped diversity loss, the
 staged reverse step, the per-series corpus generator, the per-value corpus
-writer, the one-expression gelu and layer_norm gradients and the transposed
-weight view are the library's own earlier spellings, kept here as references
-for the fused, vectorized, in-place and single-formula forms.
+writer, the one-expression gelu and layer_norm gradients, the transposed
+weight view and the evaluation networks trained on the tape are the library's
+own earlier spellings, kept here as references for the fused, vectorized,
+in-place, single-formula and closed-form forms.
 
 These stay independent of the library's own computation paths — they use
 plain numpy (including numpy.linalg, which the library itself avoids).
@@ -20,6 +21,8 @@ import numpy as np
 from faultgen import autodiff as ad
 from faultgen import data
 from faultgen.autodiff import Tensor
+from faultgen.errors import DimensionError
+from faultgen.training import Adam
 
 
 def rel_err(analytic, numeric, floor=1.0):
@@ -239,3 +242,50 @@ def fail_writes_midway(monkeypatch):
         fh.write = write
         return fh
     monkeypatch.setattr(data, "open", failing_open, raising=False)
+
+
+def tape_cross_entropy(logits, labels):
+    """Softmax cross-entropy of (..., B, C) logits and (B,) int labels as one tape node: each slice's mean, summed."""
+    labels = np.asarray(labels)
+    if logits.ndim < 2 or labels.shape != logits.shape[-2:-1]:
+        raise DimensionError(f"cross_entropy expects (..., B, C) logits and (B,) labels, "
+                             f"got {logits.shape} / {labels.shape}")
+    z = logits.data
+    zmax = np.max(z, axis=-1, keepdims=True)
+    logsum = zmax + np.log(np.sum(np.exp(z - zmax), axis=-1, keepdims=True))
+    logp = z - logsum
+    n = z.shape[-2]
+    data = -np.sum(np.mean(logp[..., np.arange(n), labels], axis=-1))
+
+    def bw(g):
+        p = np.exp(logp)
+        p[..., np.arange(n), labels] -= 1.0
+        ad._accum(logits, g * p / n)
+
+    return ad._node(np.asarray(data, dtype=z.dtype), "cross_entropy", (logits,), bw)
+
+
+def tape_forward(net, x):
+    """A metrics.FeedForwardNet's stacked forward on the tape: x @ w + b per layer, gelu between layers."""
+    h = x
+    for i, (w, b) in enumerate(net.layers):
+        h = h @ w + b
+        if i < len(net.layers) - 1:
+            h = ad.gelu(h)
+    return h
+
+
+def tape_fit_predict(net, x_train, x_test, loss_fn, steps, lr):
+    """metrics._fit_predict on the tape, over a given FeedForwardNet: standardize by the training rows, train
+    with Adam on `loss_fn(training output tensor)`, a scalar tensor, and return the test outputs."""
+    mu, sd = x_train.mean(axis=1, keepdims=True), x_train.std(axis=1, keepdims=True)
+    sd = np.where(sd > 0, sd, 1.0)
+    xt, xe = (Tensor(((x - mu) / sd).astype(ad.default_dtype())) for x in (x_train, x_test))
+    opt = Adam(net.params, lr)
+    for _ in range(steps):
+        loss = loss_fn(tape_forward(net, xt))
+        opt.zero_grad()
+        loss.backward()
+        opt.step()
+    with ad.no_grad():
+        return tape_forward(net, xe).data

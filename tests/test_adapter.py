@@ -1,4 +1,4 @@
-"""Sliding-window attention oracle equivalence and adapter accumulation rules."""
+"""Sliding-window attention oracle equivalence, adapter accumulation rules, and that fine-tuning learns a fault."""
 
 import numpy as np
 import pytest
@@ -11,8 +11,11 @@ from faultgen.adapter import (
     sliding_window_attention,
 )
 from faultgen.autodiff import Tensor
+from faultgen.data import fit_normalizer, generate_normal, make_fault_dataset
 from faultgen.denoiser import Backbone, DenoiserConfig, multi_head_attention
+from faultgen.diffusion import make_schedule, sample
 from faultgen.errors import ContractError, ForwardError
+from faultgen.training import TrainConfig, train
 
 from helpers import full_attention_oracle, grad_check
 
@@ -246,3 +249,41 @@ class TestAttach:
         assert before == after
         # and the adapter did move
         assert any(np.any(p.grad != 0) for p in stack.parameters())
+
+
+def _mean_jump(values):
+    """The mean, over series, of the second half's mean minus the first half's: a sudden fault's step height."""
+    half = values.shape[1] // 2
+    return float(np.mean(values[:, half:].mean(axis=(1, 2)) - values[:, :half].mean(axis=(1, 2))))
+
+
+def test_a_fine_tuned_adapter_learns_the_jump_of_a_fault_its_backbone_never_saw():
+    """The paper's method on a tiny scale: a backbone pretrained on normal series only, then an adapter
+    fine-tuned on 8 `sudden` faults of magnitude 2 at mid-series. Samples from the backbone show no jump,
+    and samples through the adapter show a good part of the real one.
+
+    Over seeds 0-7 of this set-up, each drawing its own corpora, the backbone's samples jumped at most
+    0.06 of the real jump, and the adapter's recovered 0.33-0.66 of it (0.54 with this test's draws).
+    With fine-tuning made a no-op (0 steps), the zero-initialized adapter equals the backbone and
+    recovers under 0.02. So the bounds are 0.15 and 0.25: each sits between the two sets with margin,
+    and holds on every one of those eight draws, not only on this one."""
+    tau, seed = 12, 0
+    normal = generate_normal(tau, 1, 128, seed=1)
+    fewshot = make_fault_dataset(generate_normal(tau, 1, 8, seed=200), "sudden", seed=300, magnitude=2.0,
+                                 onset=tau // 2)
+    held_out = make_fault_dataset(generate_normal(tau, 1, 64, seed=400), "sudden", seed=500, magnitude=2.0,
+                                  onset=tau // 2)
+    sched = make_schedule(20, "linear", 1e-3, 0.2)
+    norm = fit_normalizer(normal, "minmax")
+    backbone = Backbone(DenoiserConfig(tau=tau, d=1, T=20, model_dim=16, enc_layers=1, dec_layers=1, heads=4,
+                                       ff_dim=32, fourier_terms=2, trend_degree=3), seed=seed)
+    train(normal, backbone, TrainConfig(300, 8, 1e-3, 10, seed), sched, norm)
+    before = norm.unscale(sample(backbone, sched, 64, (tau, 1), seed))
+    model = attach(backbone, AdapterStack(AdapterConfig(window=3, heads=4, model_dim=16, alpha=1.0), 1, seed=seed))
+    train(fewshot, model, TrainConfig(200, 8, 1e-3, 10, seed), sched, norm)
+    after = norm.unscale(sample(model, sched, 64, (tau, 1), seed))
+
+    real = _mean_jump(held_out.values)
+    assert 1.9 < real < 2.1  # the oracle: magnitude 2 on top of normal series whose halves agree
+    assert abs(_mean_jump(before)) < 0.15 * real, _mean_jump(before)
+    assert _mean_jump(after) > 0.25 * real, _mean_jump(after)

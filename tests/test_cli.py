@@ -93,6 +93,9 @@ def trained(tmp_path_factory):
     fault1 = str(root / "fault1")  # too few series to fine-tune on
     assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "1", "--tau", "8",
                  "--out", fault1]) == 0
+    offset30 = str(root / "offset30")  # offset by 1e30: trivially separable, but its std overflows float64
+    assert main(["make-data", "--kind", "fault", "--fault", "offset", "--magnitude", "1e30", "--n", "6",
+                 "--tau", "8", "--out", offset30]) == 0
     assert main(["pretrain", "--data", normal, "--out", str(root / "pre"),
                  *_overrides("pretrain", "train.pretrain_steps=1")]) == 0
     pre = str(root / "pre" / "checkpoints" / "final.ckpt")
@@ -105,8 +108,8 @@ def trained(tmp_path_factory):
         lines = fh.read().splitlines(keepends=True)
     with open(sample3, "w") as fh:
         fh.write("".join(["x,y\n", *lines[1:]]))
-    return {"normal": normal, "fault": fault, "fault12": fault12, "fault1": fault1, "renamed": renamed, "pre": pre,
-            "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
+    return {"normal": normal, "fault": fault, "fault12": fault12, "fault1": fault1, "offset30": offset30,
+            "renamed": renamed, "pre": pre, "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
 
 
 def _edited(src, dst, edit):
@@ -483,6 +486,13 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
     "evaluate-discriminative-one-real-series": (["evaluate", "--real", "{fault1}", "--synth", "{normal}",
                                                  "--metrics", "discriminative"],
                                                 2, "discriminative score needs >= 2 samples per corpus"),
+    "evaluate-metric-twice": (["evaluate", "--real", "{fault}", "--synth", "{normal}",
+                               "--metrics", "discriminative,discriminative"], 2,
+                              "metrics must be distinct, none named twice, got ['discriminative', 'discriminative']"),
+    # every command runs under one numeric boundary: an overflow ends in exit 4, not a warning and a written result
+    "downstream-offset-1e30": (["downstream", "--train", "{normal}", "--train", "{offset30}",
+                                "--test", "{normal}", "--test", "{offset30}"],
+                               4, "numeric error: overflow encountered"),
     # each phase accepts only the keys it reads, the seed and a finetune's model and schedule come from its inputs,
     # and a model or adapter no network can be built with is rejected before anything is written
     **{f"{phase}-{key}-{value}": ([phase, "--data", "{normal}" if phase == "pretrain" else "{fault}",
@@ -537,6 +547,16 @@ def test_a_diverged_training_run_leaves_only_its_partial_marker(trained, tmp_pat
     assert main(["pretrain", "--data", trained["normal"], "--out", str(out),
                  *_overrides("pretrain", "train.pretrain_steps=2")]) == 4
     assert capsys.readouterr().err.startswith("divergence: training diverged at step 0")
+    assert [p.name for p in out.iterdir()] == [".partial"]
+
+
+def test_an_overflowing_generate_exits_4_in_one_line_and_leaves_only_its_partial_marker(trained, tmp_path, capsys):
+    # the adapter's output, scaled by 1e30, overflows the decoder's layer_norm
+    out = tmp_path / "gen"
+    assert main(["generate", "--checkpoint", trained["fine"], "--n", "2", "--out", str(out),
+                 "--override", "adapter.alpha=1e30"]) == 4
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("numeric error: overflow encountered")
     assert [p.name for p in out.iterdir()] == [".partial"]
 
 

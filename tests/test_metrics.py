@@ -4,10 +4,14 @@ import numpy as np
 import pytest
 from scipy.linalg import sqrtm
 
+from faultgen import autodiff as ad
 from faultgen import metrics
+from faultgen.autodiff import Tensor
 from faultgen.cli import FAULT_SEED_OFFSET
 from faultgen.data import Dataset, TimeSeries, generate_normal, make_fault_dataset
-from faultgen.errors import ContractError
+from faultgen.errors import ContractError, DimensionError, NumericError
+
+from helpers import central_diff, rel_err, tape_cross_entropy, tape_fit_predict
 
 
 def test_seed_free_scores_run_once_and_match_single_seed_calls(monkeypatch):
@@ -40,6 +44,20 @@ def test_evaluate_corpora_rejects_an_empty_or_repeated_seed_list(fn, seeds):
     real = generate_normal(8, 2, 6, seed=1)
     with pytest.raises(ContractError, match="distinct seeds"):
         getattr(metrics, fn)(real, real, seeds=seeds)
+
+
+@pytest.mark.parametrize("names", [("discriminative", "discriminative"), ("all", "predictive", "all"),
+                                   ("context_fid", "diversity", "context_fid")],
+                         ids=["discriminative-twice", "all-twice", "context_fid-twice"])
+def test_evaluate_corpora_rejects_a_metric_named_twice(names):
+    # named twice, discriminative trained its networks twice and wrote one value
+    real = generate_normal(8, 2, 6, seed=1)
+    with pytest.raises(ContractError, match="metrics must be distinct, none named twice"):
+        metrics.evaluate_corpora(real, real, names, seeds=(0,))
+
+
+def test_all_together_with_a_metric_name_selects_each_metric_once():
+    assert metrics.check_request(["all", "predictive"], [0]) == list(metrics.METRIC_NAMES)
 
 
 def test_each_seeds_slice_of_a_stacked_net_is_its_own_default_rng_draw():
@@ -78,6 +96,91 @@ def test_discriminative_score_is_balanced_accuracy_off_one_half(monkeypatch, pre
     monkeypatch.setattr(metrics, "_fit_predict", fit_predict)
     real, synth = generate_normal(8, 2, 20, seed=1), generate_normal(8, 2, 6, seed=2)
     assert metrics.discriminative_score(real, synth, (0, 1)) == [expected, expected]
+
+
+@pytest.mark.parametrize("loss", ["cross_entropy", "l1"])
+@pytest.mark.parametrize("seeds", [(3,), (0, 1, 2)], ids=["1-seed", "3-seeds"])
+@pytest.mark.parametrize("hidden", [[32], [32, 32]], ids=["1-hidden", "2-hidden"])
+def test_the_closed_form_backward_trains_bitwise_as_the_tape(monkeypatch, loss, seeds, hidden):
+    rng = np.random.default_rng(len(seeds) + len(hidden))
+    x_train = rng.standard_normal((len(seeds), 40, 12)) * 3 + 1
+    x_test = rng.standard_normal((len(seeds), 9, 12)) * 3 + 1
+    labels, y = rng.integers(0, 3, 40), rng.standard_normal((40, 2)).astype(np.float32)
+    out_dim = 3 if loss == "cross_entropy" else 2
+
+    def grad(out):
+        return metrics.cross_entropy_grad(out, labels) if loss == "cross_entropy" else metrics.l1_grad(out, y)
+
+    def tape_loss(out):
+        if loss == "cross_entropy":
+            return tape_cross_entropy(out, labels)
+        return ad.absolute(out - Tensor(y)).mean(axis=(1, 2)).sum()
+    reference = metrics.FeedForwardNet(12, hidden, out_dim, seeds)
+    initial = [p.data.copy() for p in reference.params]
+    want = tape_fit_predict(reference, x_train, x_test, tape_loss, steps=25, lr=3e-3)
+    nets = []
+
+    class Recorded(metrics.FeedForwardNet):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            nets.append(self)
+    monkeypatch.setattr(metrics, "FeedForwardNet", Recorded)
+    got = metrics._fit_predict(x_train, x_test, hidden, out_dim, grad, steps=25, lr=3e-3, seeds=seeds)
+
+    assert got.shape == (len(seeds), 9, out_dim) and got.dtype == np.float32
+    assert got.tobytes() == want.tobytes()
+    assert len(nets) == 1 and len(nets[0].params) == 2 * (len(hidden) + 1)
+    for p, q, p0 in zip(nets[0].params, reference.params, initial):
+        assert p.data.tobytes() == q.data.tobytes(), p.name
+        assert not np.array_equal(p.data, p0), p.name  # every layer trained
+
+
+def test_a_non_finite_evaluation_network_raises_numeric_error():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((1, 20, 6))
+    labels = rng.integers(0, 2, 20)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NumericError, match="non-finite"):
+        metrics._fit_predict(x, x, [8], 2, lambda out: metrics.cross_entropy_grad(out, labels),
+                             steps=5, lr=1e38, seeds=(0,))
+
+
+def _mean_cross_entropy(logits, labels):
+    """Independent float64 reference: -mean(log softmax(logits)[label]) per (n, C) slice, summed."""
+    z = logits - logits.max(axis=-1, keepdims=True)
+    logp = z - np.log(np.exp(z).sum(axis=-1, keepdims=True))
+    return -float(np.sum(np.mean(logp[..., np.arange(len(labels)), labels], axis=-1)))
+
+
+def test_cross_entropy_grad_matches_central_differences():
+    rng = np.random.default_rng(3)
+    logits = rng.standard_normal((6, 4))
+    labels = rng.integers(0, 4, 6)
+    numeric = central_diff(lambda z: _mean_cross_entropy(z, labels), logits)
+    assert rel_err(metrics.cross_entropy_grad(logits, labels), numeric) < 1e-6
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_cross_entropy_grad_over_a_stack_is_its_slices_gradients_bitwise(dtype):
+    rng = np.random.default_rng(8)
+    logits = rng.standard_normal((3, 7, 4)).astype(dtype)
+    labels = rng.integers(0, 4, 7)
+    stacked = metrics.cross_entropy_grad(logits, labels)
+    assert stacked.dtype == np.dtype(dtype)
+    assert stacked.tobytes() == np.stack([metrics.cross_entropy_grad(x, labels) for x in logits]).tobytes()
+
+
+def test_cross_entropy_grad_over_a_stack_matches_central_differences():
+    rng = np.random.default_rng(9)
+    labels = rng.integers(0, 3, 5)
+    logits = rng.standard_normal((2, 3, 5, 3))
+    numeric = central_diff(lambda z: _mean_cross_entropy(z, labels), logits)
+    assert rel_err(metrics.cross_entropy_grad(logits, labels), numeric) < 1e-6
+
+
+@pytest.mark.parametrize("shape", [(5,), (2, 4, 3)], ids=["1-d", "rows-not-labels"])
+def test_cross_entropy_grad_rejects_logits_that_do_not_fit_five_labels(shape):
+    with pytest.raises(DimensionError):
+        metrics.cross_entropy_grad(np.zeros(shape), np.zeros(5, dtype=int))
 
 
 def _sudden(n, seed):
