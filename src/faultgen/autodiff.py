@@ -8,8 +8,9 @@ block. The evaluation networks in `metrics` train off the tape, on `gelu_` and
 `_gelu_grad`. `gelu`, `pad`, `concat`, `stack` and `softmax` have no caller in
 the package. They stay because the benchmark's tracer (`perfbench/tracing.py`)
 wraps them, and the tests' composed references use `gelu` and `softmax`.
-Tensors are immutable values once created; gradients accumulate on leaves
-during `backward`.
+Tensors are immutable values once created. `backward` consumes the graph it walks: gradients
+accumulate on leaves, which keep them, and each interior node drops its gradient, closure and
+parents once used, so there is one backward per forward and a spent graph raises ContractError.
 
 A backward computes a parent's gradient only when the parent requires one (`_accum`), and
 multiplies by a weight's transpose through a C-contiguous copy (`_t`), not the strided view. That
@@ -73,7 +74,7 @@ def grad_enabled() -> bool:
 
 
 class Tensor:
-    """Immutable value node. `data` is a numpy array; `grad` fills in on backward."""
+    """Immutable value node. `data` is a numpy array; `grad` fills in on a leaf during backward."""
 
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
@@ -147,14 +148,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """Named, trainable leaf. Frozen parameters never accumulate gradient."""
+    """Named, trainable leaf. `grad` is None until a gradient accumulates; a frozen one never does."""
 
     __slots__ = ("name",)
 
     def __init__(self, name: str, data, trainable: bool = True):
         super().__init__(data, requires_grad=trainable)
         self.name = name
-        self.grad = np.zeros_like(self.data)
 
     def __repr__(self):
         return f"Parameter({self.name!r}, shape={self.data.shape}, trainable={self.requires_grad})"
@@ -206,8 +206,14 @@ def _unbroadcast(grad, shape):
     return grad
 
 
+def _spent(g):
+    raise ContractError("backward reached a graph an earlier backward consumed; run the forward again")
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) on every reachable tensor that requires grad."""
+    """Accumulate d(loss)/d(leaf) on every reachable leaf that requires grad, consuming the graph:
+    each interior node drops its gradient, closure and parents once its closure has run, and a later
+    backward that reaches a spent node raises ContractError rather than reuse stale gradients."""
     if loss.data.size != 1:
         raise ContractError(f"backward expects a scalar loss, got shape {loss.data.shape}")
     # iterative topological sort (graphs can be a few hundred nodes deep)
@@ -227,9 +233,12 @@ def backward(loss: Tensor) -> None:
             if id(p) not in visited:
                 stack.append((p, False))
     loss.grad = np.ones_like(loss.data)
-    for node in reversed(topo):
-        if node._backward is not None and node.grad is not None:
-            node._backward(node.grad)
+    while topo:  # popped, so a node and its activations go once its closure has run
+        node = topo.pop()
+        if node._backward is not None:  # a leaf keeps its gradient
+            if node.grad is not None:
+                node._backward(node.grad)
+            node.grad, node._parents, node._backward = None, (), _spent
 
 
 # ----------------------------------------------------------------------

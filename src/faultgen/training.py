@@ -132,7 +132,8 @@ class Adam:
         for p in self.params:
             hi, shape = lo + p.data.size, p.data.shape
             self._data[lo:hi] = p.data.ravel()
-            self._grad[lo:hi] = p.grad.ravel()
+            if p.grad is not None:  # a parameter allocates no gradient until one is accumulated
+                self._grad[lo:hi] = p.grad.ravel()
             p.data = self._data[lo:hi].reshape(shape)
             p.grad = self._grad[lo:hi].reshape(shape)
             lo = hi

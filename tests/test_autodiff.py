@@ -1,6 +1,7 @@
 """Numerics: op semantics, gradient correctness, determinism."""
 
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -426,18 +427,19 @@ class TestBackward:
         loss.backward()
         np.testing.assert_allclose(p.grad, np.ones(3))
 
-    def test_detached_param_gets_zero_grad(self):
+    def test_detached_param_gets_no_grad(self):
         p = Parameter("p", np.ones(3))
         q = Parameter("q", np.ones(3))
+        assert p.grad is None and q.grad is None  # no gradient array until one is accumulated
         loss = q.sum()
         loss.backward()
-        np.testing.assert_allclose(p.grad, np.zeros(3))
+        assert p.grad is None
 
     def test_frozen_param_untouched(self):
         p = Parameter("p", np.array([1.0, 2.0]), trainable=False)
         loss = (p * 3.0).sum()
         loss.backward()
-        np.testing.assert_allclose(p.grad, np.zeros(2))
+        assert p.grad is None
 
     def test_non_scalar_loss_rejected(self):
         with pytest.raises(ContractError):
@@ -449,6 +451,35 @@ class TestBackward:
             loss = (x * x).sum()  # same tensor on both sides
             loss.backward()
             np.testing.assert_allclose(x.grad, [4.0])
+
+    def test_a_second_backward_through_a_spent_graph_raises_and_keeps_the_first_gradients(self):
+        with ad.precision("float64"):
+            x = Tensor(np.array([[1.0, 1.0]]), requires_grad=True)
+            w = Tensor(np.array([[1.0, 2.0], [3.0, 1.0]]), requires_grad=True)
+            h = x @ w
+            loss = (h * 2.0).sum()
+            loss.backward()
+            np.testing.assert_array_equal(x.grad, [[6.0, 8.0]])
+            np.testing.assert_array_equal(w.grad, [[2.0, 2.0], [2.0, 2.0]])
+            with pytest.raises(ContractError, match="consumed"):
+                loss.backward()
+            with pytest.raises(ContractError, match="consumed"):  # a new loss on a spent node, too
+                (h * 3.0).sum().backward()
+            np.testing.assert_array_equal(x.grad, [[6.0, 8.0]])
+            np.testing.assert_array_equal(w.grad, [[2.0, 2.0], [2.0, 2.0]])
+
+    def test_backward_frees_every_interior_array_while_the_loss_is_still_held(self):
+        x = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
+        w = Parameter("w", RNG.standard_normal((4, 5)))
+        h = ad.gelu(x @ w)
+        refs = [weakref.ref(h.data), weakref.ref(h._parents[0].data)]
+        loss = (h * h).mean()
+        del h
+        assert all(r() is not None for r in refs)
+        loss.backward()
+        assert all(r() is None for r in refs)
+        assert loss._parents == () and loss.grad is None
+        assert x.grad.shape == (3, 4) and w.grad.shape == (4, 5)  # leaves keep their gradients
 
 
 @pytest.mark.parametrize("name,build,arrays", [

@@ -6,6 +6,7 @@ import json
 import math
 import os
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -346,3 +347,36 @@ def test_diversity_loss_matches_the_per_pair_loop(n, pair_count, margin, dtype):
     np.testing.assert_allclose(value, ref_value, rtol=tol, atol=tol)
     np.testing.assert_allclose(grad, ref_grad, rtol=0, atol=tol * max(np.abs(ref_grad).max(), 1e-3))
     assert np.any(grad != 0)
+
+
+def test_a_training_step_holds_one_graph_so_five_steps_peak_as_high_as_one():
+    """Backward consumes each step's tape, so no graph outlives its step into the next forward."""
+    cfg = DenoiserConfig(tau=12, d=2, T=20, model_dim=16, enc_layers=1, dec_layers=2,
+                         heads=4, ff_dim=32, fourier_terms=2, trend_degree=3)
+    data = generate_normal(cfg.tau, cfg.d, 16, seed=3)
+    sched, norm = make_schedule(cfg.T, "linear", 1e-3, 0.2), fit_normalizer(data, "minmax")
+    peaks = []
+    for steps in (1, 5):
+        model = Backbone(cfg, seed=0)
+        tracemalloc.start()
+        try:
+            train(data, model, TrainConfig(steps=steps, batch_size=8, learning_rate=1e-3, warmup_steps=0, seed=0),
+                  sched, norm)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+def test_a_frozen_backbone_holds_no_gradient_array_while_its_adapter_trains():
+    data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
+    backbone = Backbone(TINY, seed=0)
+    stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=TINY.model_dim, alpha=1.0), TINY.dec_layers)
+    assert all(p.grad is None for p in backbone.parameters() + stack.parameters())
+    opt = Adam(stack.parameters(), lr=1e-3)
+    assert not np.any(opt._grad)  # a parameter with no gradient yet starts at zero in the flat buffer
+    train(data, attach(backbone, stack), TrainConfig(steps=2, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
+          make_schedule(TINY.T, "linear", 1e-3, 0.2), fit_normalizer(data, "minmax"),
+          loss_cfg=LossConfig(weight=0.1, margin=1.0, pair_count=2))
+    assert all(p.grad is None for p in backbone.parameters())
+    assert all(p.grad is not None for p in stack.parameters())
