@@ -53,7 +53,6 @@ from .errors import (
 from .metrics import check_request, downstream_eval, evaluate_corpora
 from .training import load_checkpoint, restore, train
 
-FAULT_SEED_OFFSET = 1_000_003  # keeps injection rng streams apart from base-signal streams
 EXTRA_FLAGS = ("period", "clip_level", "burst_len", "count")  # the flags that fill a FaultSpec's `extra`
 FAULT_FLAGS = ("fault", "magnitude", "onset", "duration", "channels", *EXTRA_FLAGS)  # read by --kind fault only
 
@@ -100,7 +99,7 @@ def cmd_make_data(args) -> int:
             channels = [int(c) for c in args.channels.split(",")] if args.channels is not None else None
         except ValueError as e:
             raise ConfigError(f"--channels must be comma-separated integers, got {args.channels!r}") from e
-        ds = make_fault_dataset(ds, args.fault, args.seed + FAULT_SEED_OFFSET, magnitude=args.magnitude,
+        ds = make_fault_dataset(ds, args.fault, args.seed, magnitude=args.magnitude,
                                 onset=args.onset, duration=args.duration, channels=channels, extra=extra)
     with _in_progress(args.out):
         save_corpus(ds, args.out)

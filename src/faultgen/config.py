@@ -1,7 +1,8 @@
 """Run configuration: named presets of flat sections, and `section.key=value` overrides.
 
-Two presets ship: `paper` mirrors the large-scale recipe (T=1000 steps,
-25k-step pretraining, small learning rates), `desk` is the scaled-down
+Two presets ship: `paper`, a large-scale recipe (T=1000 steps, 25k-step
+pretraining, small learning rates) whose values are not the source paper's
+and which has not been run end to end, and `desk`, the scaled-down
 single-core preset the acceptance suite pins (T=100, 2000/500 steps).
 The presets are the one home of every run setting: components take each
 value as an argument and declare no default, and each view below builds its

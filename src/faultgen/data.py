@@ -209,7 +209,7 @@ def _burst_len(spec: FaultSpec) -> int:
 
 
 # ----------------------------------------------------------------------
-# normal-data generator
+# per-series random streams and the normal-data generator
 
 
 # Series are generated and written this many values at a time, so the working
@@ -219,6 +219,12 @@ _CHUNK_VALUES = 1 << 11
 SINE_COMPONENTS = (2, 4)  # a sine mixture has 2 to 4 components per channel
 AR_COEFFS = (0.5, -0.25)  # inside the AR(2) stationarity triangle
 AR_NOISE_STD = 0.3
+BASE_STREAM, INJECTION_STREAM, NOISE_STREAM = range(3)  # the roles a per-series stream serves
+
+
+def series_rng(seed: int, role: int, i: int) -> np.random.Generator:
+    """Series i's stream for `role`, keyed by (seed, role, i) alone: apart from other keys' and `default_rng(seed)`."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role, i)))
 
 
 def _chunks(n: int, values_per_series: int):
@@ -237,19 +243,15 @@ def generate_normal(
 ) -> Dataset:
     """Seeded stationary multichannel corpus, labelled `normal` with id `normal-<seed>`.
 
-    Series i draws from its own `np.random.default_rng(seed + i)`, and the
-    order of its draws is the contract: any rewrite of the arithmetic around
-    the draws must keep it, so that a seed always gives the same corpus bits.
-    `sine_mixture`: per channel, one `integers` call for the component count m
-    in SINE_COMPONENTS, then one `random(3m)` call giving each component's
-    (cycles, phase, amplitude) as `uniform`'s next doubles in that order, then
-    (if `noise_std` > 0) one `normal` call for tau samples of white noise.
-    Each component is amp * sin(2π·cycles·t/tau + phase), with cycles in
-    [1, 4), phase in [0, 2π) and amp in [0.3, 1) / m, summed in order.
-    `ar_process`: per channel, one `normal` call for tau + 128 innovations of
-    N(0, AR_NOISE_STD^2) driving an order-2 autoregression with AR_COEFFS
-    from zero; the first 128 steps are burn-in.
-    """
+    Series i draws from its own `series_rng(seed, BASE_STREAM, i)`, so neighbouring seeds share no series,
+    and the order of its draws is the contract: any rewrite of the arithmetic around the draws must keep it,
+    so that a seed always gives the same corpus bits. `sine_mixture`: per channel, one `integers` call for
+    the component count m in SINE_COMPONENTS, then one `random(3m)` call giving each component's (cycles,
+    phase, amplitude) as `uniform`'s next doubles in that order, then (if `noise_std` > 0) one `normal` call
+    for tau samples of white noise. Each component is amp * sin(2π·cycles·t/tau + phase), with cycles in
+    [1, 4), phase in [0, 2π) and amp in [0.3, 1) / m, summed in order. `ar_process`: per channel, one
+    `normal` call for tau + 128 innovations of N(0, AR_NOISE_STD^2) driving an order-2 autoregression with
+    AR_COEFFS from zero; the first 128 steps are burn-in."""
     if tau < 8 or dim < 1 or n_samples < 1:
         raise ContractError("generate_normal needs tau >= 8, dim >= 1, n_samples >= 1")
     if base_kind not in ("sine_mixture", "ar_process"):
@@ -258,23 +260,22 @@ def generate_normal(
         raise ContractError(f"noise_std must be a finite standard deviation >= 0, got {noise_std!r}")
     values = np.empty((n_samples, tau, dim), dtype=np.float32)
     for idx in _chunks(n_samples, tau * dim):
-        seeds = [seed + i for i in idx]
+        rngs = [series_rng(seed, BASE_STREAM, i) for i in idx]
         if base_kind == "sine_mixture":
-            values[idx.start:idx.stop] = _sine_mixture(seeds, tau, dim, noise_std)
+            values[idx.start:idx.stop] = _sine_mixture(rngs, tau, dim, noise_std)
         else:
-            values[idx.start:idx.stop] = _ar_process(seeds, tau, dim)
+            values[idx.start:idx.stop] = _ar_process(rngs, tau, dim)
     return Dataset(values, label="normal", id=f"normal-{seed}", seed=seed)
 
 
-def _sine_mixture(seeds, tau: int, dim: int, noise_std: float) -> np.ndarray:
-    """(len(seeds), tau, dim) float64 sine mixtures, one rng per seed."""
+def _sine_mixture(rngs, tau: int, dim: int, noise_std: float) -> np.ndarray:
+    """(len(rngs), tau, dim) float64 sine mixtures, one series per rng."""
     lo, hi = SINE_COMPONENTS
-    k = len(seeds)
+    k = len(rngs)
     m = np.zeros((k, dim), dtype=np.int64)
     u = np.zeros((k, hi, 3, dim))
     noise = np.zeros((k, tau, dim))
-    for j, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
+    for j, rng in enumerate(rngs):
         for c in range(dim):
             m[j, c] = rng.integers(lo, hi + 1)
             u[j, :m[j, c], :, c] = rng.random((m[j, c], 3))
@@ -296,13 +297,12 @@ def _sine_mixture(seeds, tau: int, dim: int, noise_std: float) -> np.ndarray:
     return x
 
 
-def _ar_process(seeds, tau: int, dim: int) -> np.ndarray:
-    """(len(seeds), tau, dim) float64 AR(2) series, one rng per seed, after the burn-in."""
+def _ar_process(rngs, tau: int, dim: int) -> np.ndarray:
+    """(len(rngs), tau, dim) float64 AR(2) series, one series per rng, after the burn-in."""
     a1, a2 = AR_COEFFS
     burn = 128
-    eta = np.empty((tau + burn, len(seeds), dim))
-    for j, s in enumerate(seeds):
-        rng = np.random.default_rng(s)
+    eta = np.empty((tau + burn, len(rngs), dim))
+    for j, rng in enumerate(rngs):
         for c in range(dim):
             eta[:, j, c] = rng.normal(0.0, AR_NOISE_STD, size=tau + burn)
     z = np.zeros_like(eta)
@@ -315,10 +315,10 @@ def _ar_process(seeds, tau: int, dim: int) -> np.ndarray:
 # fault injection
 
 
-def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int) -> np.ndarray:
-    """A copy of the float32 (tau, d) array `values` with one fault applied; timesteps and channels
-    outside the fault stay bit-identical. `sudden` and `trend` run from the onset to the series'
-    end, and every other kind stays inside [onset, onset + duration)."""
+def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int | np.random.Generator) -> np.ndarray:
+    """A copy of the float32 (tau, d) array `values` with one fault applied; timesteps and channels outside the
+    fault stay bit-identical. `sudden` and `trend` run from the onset to the series' end, every other kind inside
+    [onset, onset + duration). Random kinds draw from `default_rng(seed)`: series i's stream in `make_fault_dataset`."""
     values = np.asarray(values)
     if values.dtype != np.float32 or values.ndim != 2 or len(values) < 2:
         raise ContractError(f"inject_fault needs a float32 (tau>=2, d) array, got {values.dtype} {values.shape}")
@@ -423,14 +423,15 @@ def make_fault_dataset(
     channels: list[int] | None = None,
     extra: dict | None = None,
 ) -> Dataset:
-    """Inject `kind` into every sample of `base`, each with its own drawn spec and seed `seed + i`;
-    the corpus's `fault_spec`, which its manifest records, is sample 0's."""
+    """Inject `kind` into every sample i of `base`, with its spec drawn in turn from `default_rng(seed)` and
+    its injection from `series_rng(seed, INJECTION_STREAM, i)`; the manifest records sample 0's `fault_spec`."""
     rng = np.random.default_rng(seed)
     std = float(np.std(base.values))
     specs = [default_fault_spec(kind, base.tau, base.dim, rng, magnitude=magnitude, onset=onset,
                                 duration=duration, channels=channels, channel_std=std, extra=extra)
              for _ in range(len(base))]
-    values = np.stack([inject_fault(v, spec, seed + i) for i, (v, spec) in enumerate(zip(base.values, specs))])
+    values = np.stack([inject_fault(v, spec, series_rng(seed, INJECTION_STREAM, i))
+                       for i, (v, spec) in enumerate(zip(base.values, specs))])
     return Dataset(values, label=f"fault:{kind}", id=f"fault-{kind}-{seed}", seed=seed,
                    fault_spec=specs[0], channel_names=base.channel_names)
 

@@ -9,6 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .data import NOISE_STREAM, series_rng
 from .errors import ContractError, SamplingError
 
 X0_CLIP = 4.0  # normalized-domain bound; keeps rare off-manifold trajectories from running away
@@ -97,17 +98,15 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, z: np.ndarray, sc
 def sample(model, sched: NoiseSchedule, n: int, shape: tuple[int, int], seed: int) -> np.ndarray:
     """Generate `n` series by iterating reverse_step from pure noise, as one float32 (n, tau, d) stack.
 
-    Per-sample noise streams are seeded `seed + index`, so a sample's bits do not depend on
-    how many siblings (n >= 2) are generated with it; alone (n = 1), BLAS computes the heads'
-    (1, D) @ (D, k) products with another kernel, which can move its last float32 bits.
-    `model` must expose predict_noise(x, t) -> array of x's shape. Each step
-    clips the implied clean signal inside `reverse_step`, so every sample lies
-    in [-X0_CLIP, X0_CLIP]: the series are in the run's scaled space, and the
-    normalizer's `unscale` maps them back to the corpus's units.
-    """
+    Sample i draws its noise from `series_rng(seed, NOISE_STREAM, i)`, so neighbouring seeds share no sample and
+    its bits do not depend on how many siblings (n >= 2) are generated with it; alone (n = 1), BLAS computes the
+    heads' (1, D) @ (D, k) products with another kernel, which can move its last float32 bits. `model` must expose
+    predict_noise(x, t) -> array of x's shape. Each step clips the implied clean signal inside `reverse_step`, so
+    every sample lies in [-X0_CLIP, X0_CLIP]: the series are in the run's scaled space, and the normalizer's
+    `unscale` maps them back to the corpus's units."""
     if n == 0:
         return np.zeros((0, *shape), dtype=np.float32)
-    rngs = [np.random.default_rng(seed + i) for i in range(n)]
+    rngs = [series_rng(seed, NOISE_STREAM, i) for i in range(n)]
     x = np.stack([r.standard_normal(shape) for r in rngs]).astype(np.float32)
     for t in reversed(range(sched.T)):
         eps_hat = model.predict_noise(x, t)

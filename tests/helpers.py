@@ -183,11 +183,12 @@ def staged_reverse_step(x_t, t, eps_hat, z, sched, clip):
 
 def loop_generate_normal(tau, dim, n_samples, seed, base_kind="sine_mixture", noise_std=0.05):
     """(n, tau, dim) float32 corpus values, one series and one scalar draw at a time: 2 to 4 sine
-    components per channel, or an AR(2) with coefficients (0.5, -0.25) and innovations N(0, 0.3^2)."""
+    components per channel, or an AR(2) with coefficients (0.5, -0.25) and innovations N(0, 0.3^2).
+    Series i draws from the stream spawned under key (0, i), the base-series role, of `seed`."""
     out = []
     t = np.arange(tau)
     for i in range(n_samples):
-        rng = np.random.default_rng(seed + i)
+        rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, i)))
         x = np.zeros((tau, dim), dtype=np.float64)
         if base_kind == "sine_mixture":
             for c in range(dim):

@@ -262,11 +262,11 @@ def test_a_fine_tuned_adapter_learns_the_jump_of_a_fault_its_backbone_never_saw(
     fine-tuned on 8 `sudden` faults of magnitude 2 at mid-series. Samples from the backbone show no jump,
     and samples through the adapter show a good part of the real one.
 
-    Over seeds 0-7 of this set-up, each drawing its own corpora, the backbone's samples jumped at most
-    0.06 of the real jump, and the adapter's recovered 0.33-0.66 of it (0.54 with this test's draws).
-    With fine-tuning made a no-op (0 steps), the zero-initialized adapter equals the backbone and
-    recovers under 0.02. So the bounds are 0.15 and 0.25: each sits between the two sets with margin,
-    and holds on every one of those eight draws, not only on this one."""
+    Over seeds 0-7 of this set-up, each drawing its own corpora (every corpus seed plus 1000 per seed),
+    the backbone's samples jumped at most 0.033 of the real jump, and the adapter's recovered 0.24-0.50
+    of it (0.42 with this test's draws). With fine-tuning made a no-op (0 steps), the zero-initialized
+    adapter equals the backbone and recovers at most 0.033. So both bounds are 0.15: it sits between the
+    two sets with margin, and holds on every one of those eight draws, not only on this one."""
     tau, seed = 12, 0
     normal = generate_normal(tau, 1, 128, seed=1)
     fewshot = make_fault_dataset(generate_normal(tau, 1, 8, seed=200), "sudden", seed=300, magnitude=2.0,
@@ -286,4 +286,4 @@ def test_a_fine_tuned_adapter_learns_the_jump_of_a_fault_its_backbone_never_saw(
     real = _mean_jump(held_out.values)
     assert 1.9 < real < 2.1  # the oracle: magnitude 2 on top of normal series whose halves agree
     assert abs(_mean_jump(before)) < 0.15 * real, _mean_jump(before)
-    assert _mean_jump(after) > 0.25 * real, _mean_jump(after)
+    assert _mean_jump(after) > 0.15 * real, _mean_jump(after)

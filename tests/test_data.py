@@ -53,9 +53,10 @@ class TestGenerateNormal:
         assert (a.label, a.id, a.seed, a.channel_names) == ("normal", "normal-3", 3, ["ch0", "ch1"])
 
     def test_sine_mixture_hand_trace(self):
-        # noise 0, one channel: recompute from the documented draw order over 2 to 4 components
+        # noise 0, one channel: recompute from the documented draw order over 2 to 4 components, drawn from
+        # series 0's stream, spawned from seed 11 under key (0, 0): the base-series role, index 0
         ds = generate_normal(32, 1, 1, seed=11, noise_std=0.0)
-        rng = np.random.default_rng(11)
+        rng = np.random.default_rng(np.random.SeedSequence(11, spawn_key=(0, 0)))
         n_comp = int(rng.integers(2, 5))
         t = np.arange(32)
         expected = np.zeros(32)
@@ -101,6 +102,27 @@ class TestGenerateNormal:
         for base_kind in ("sine_mixture", "ar_process"):
             with pytest.raises(ContractError, match="^noise_std must be a finite standard deviation >= 0"):
                 generate_normal(24, 2, 3, seed=0, base_kind=base_kind, noise_std=value)
+
+
+class TestSeriesStreams:
+    def test_no_two_of_a_seeds_streams_start_with_the_same_draws(self):
+        # the fault-spec stream, and base series i, injection i and noise i for i < 64. Under `default_rng(seed + i)`
+        # the spec stream was injection stream 0, and keyed by entropy tuples, `default_rng((seed, 0))` is it again
+        for seed in (0, 5):
+            streams = [np.random.default_rng(seed)] + [
+                data.series_rng(seed, role, i)
+                for role in (data.BASE_STREAM, data.INJECTION_STREAM, data.NOISE_STREAM) for i in range(64)]
+            assert len({rng.integers(0, 2**63, size=4).tobytes() for rng in streams}) == len(streams) == 193
+
+    @pytest.mark.parametrize("build", [
+        lambda seed: generate_normal(24, 2, 64, seed).values,
+        # a constant base and a given spec leave each series only its injection stream's draws
+        lambda seed: make_fault_dataset(Dataset(np.zeros((64, 24, 2), np.float32), "normal", "zeros"),
+                                        "random_noise", seed, magnitude=1.0, onset=0, duration=24).values,
+    ], ids=["generate_normal", "make_fault_dataset"])
+    def test_neighbouring_seeds_share_no_series(self, build):
+        # under `default_rng(seed + i)`, series i of seed 1 was series i + 1 of seed 0: 63 of 64 shared
+        assert len({x.tobytes() for x in build(0)} & {x.tobytes() for x in build(1)}) == 0
 
 
 class TestDataset:
@@ -262,7 +284,7 @@ class TestInjectFault:
         # a default period of 2 sampled the sine only at its zeros and left most short-window corpora unchanged
         for seed in range(50):
             base = generate_normal(24, 2, 4, seed=seed)
-            fault = make_fault_dataset(base, "periodic", seed=seed + 1_000_003)
+            fault = make_fault_dataset(base, "periodic", seed=seed)
             assert not np.array_equal(fault.values, base.values), seed
 
     @pytest.mark.parametrize("count", [1, 3, 6])
@@ -337,20 +359,20 @@ class TestInjectFault:
     # sha256 of make_fault_dataset(generate_normal(24, 2, 4, seed=5), kind, seed=5): its values' bytes, then its
     # fault_spec.to_dict() as JSON with sorted keys; a change to any kind's draws or arithmetic shows here
     CORPUS_SHA256 = {
-        "sudden": "4d32a83cf1cbe2b2d3ab2415b95f7cfde45ab92f843bcf91f587f64239c7cf34",
-        "gradual": "ad53c9574d9d894d8bd3d05c0e2d6a3122bdd76a90b1af275275b9dd6d10c291",
-        "periodic": "68a9cb7d121b49e1bddcd4134923608df0ca7f82b09b25085ca56f571eda97ff",
-        "random_noise": "27f9348305dc2df7c1d9464e22beeeabdac19928d633484fbface7623a0814cb",
-        "intermittent": "20c7c0cbe76f418ee0e237d10cb070e9ac0a60ad2c0742b140abeaffae0e5447",
-        "impulse": "29dd8a0b8ce764147034e0ba604d33e3c89ea11be6165a7cfedd7705bf29b713",
-        "trend": "8ed5bdcd1fb671607021d7002770c9f5d24863128e3bf25ab15b290a63ceed56",
-        "saturation": "118d7ad03ecdf1142281d9a89ecb2fcf1e843146ac244319f25eaceb59432fd6",
-        "offset": "510453c9ba9c40ecc02271c2d7caef1f4ca7d10169e12ed5d744dc1b6f51dc1e",
-        "frequency_shift": "c812c8217e9450f07162a985667da495b817961df48c85e272efa2b93d0e75e1",
-        "amplitude_shift": "539519b9e99e0ba345856286da485e8eca8ca6b2e66c45f8297331ef289aae43",
-        "missing_data": "2ef8267996886b72e95f6234a29bb20259030d7a4b6eb38c9351d9695c4e0ce2",
-        "low_frequency_anomaly": "6553b4f2fe875aebe6fb10d622244d4f2d9ed179d3cbc43a430bc4f3e0b747f5",
-        "sudden_recovery": "3fe8ac9c53363289d9e99c98932705b216eafac47685e9c9efc67531c20f5bf6",
+        "sudden": "43c5d04569250f56f6d2fa8aaa93901bc2653c3a28231d98b37722a015bc8381",
+        "gradual": "f3e820f2931217dca032d5eb229bf7a4df9262ed1338f64e48d3104e7f05c6a5",
+        "periodic": "f587cf58203dbe244841499983b1d20e4a719f1c02590336f1e808617d2371d5",
+        "random_noise": "1107231efa47496c9b1499ced399801b7495745de5b1b0c61f3a18e390457515",
+        "intermittent": "1afabbe08bc4bc6bd7c23d8d0db0b03fbb03b96947386dba79d7a53ab569f040",
+        "impulse": "4a4a874d748d50143b2a69c6140648ecb754150e14e350d85c6f6879e256cd89",
+        "trend": "100ac3341e7bbb7e91b2171fd606bc187698f4da8b65e816bfce97142c272b92",
+        "saturation": "9779036a3bd28e9249df186d97b949514f3330e7c0431e0b3a6d6eb51daf8184",
+        "offset": "c6d32c0038a5146084f6c897507848e3a82461088f63902f32c5e83fad282f84",
+        "frequency_shift": "958e853a2f14efd10ac08667068b7be9dd3c7ab2e04c3fdb13b727f0fa108bc7",
+        "amplitude_shift": "ce21bf4108135ee00a1c130b17186923644c080fb1a997869bbc2bb12c227ffe",
+        "missing_data": "e7ff1fc4f9eb71d17207256117cf0cac37eaf11bd44d677d94617b18166d5ca7",
+        "low_frequency_anomaly": "aaadcbb2e6bd26407af25c560702d88677bdb4586023a607afe2525ce97a0a16",
+        "sudden_recovery": "47b2cc9c3e2cd887ade8d427c6ddd7dda117922824f88904da7e63f10b498e35",
     }
 
     @pytest.mark.parametrize("kind", list(CORPUS_SHA256))

@@ -165,6 +165,12 @@ class TestSample:
         assert out.shape == (2, 12, 2) and out.dtype == np.float32
         assert np.all(np.isfinite(out))
 
+    def test_neighbouring_seeds_share_no_sample(self, setup):
+        # under `default_rng(seed + i)`, sample i of seed 1 was sample i + 1 of seed 0: 63 of 64 shared
+        model, sched = setup
+        a, b = (sample(model, sched, 64, (12, 2), seed=s) for s in (0, 1))
+        assert len({x.tobytes() for x in a} & {x.tobytes() for x in b}) == 0
+
     def test_a_series_keeps_its_bits_among_any_siblings_and_its_value_alone(self):
         # desk widths: at model_dim 64 BLAS multiplies a one-row head product with another kernel
         model = Backbone(resolve_config("desk", "pretrain").denoiser_config(24, 2), seed=0)
