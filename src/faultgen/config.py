@@ -3,7 +3,8 @@
 Two presets ship: `paper`, a large-scale recipe (T=1000 steps, 25k-step
 pretraining, small learning rates) whose values are not the source paper's
 and which has not been run end to end, and `desk`, the scaled-down
-single-core preset the acceptance suite pins (T=100, 2000/500 steps).
+single-core preset the acceptance suite pins (T=100, 2000/500 steps). Both
+run the linear noise schedule, and `diffusion` holds `make_schedule`'s arguments.
 The presets are the one home of every run setting: components take each
 value as an argument and declare no default, and each view below builds its
 component from a section by field name. `resolve_config` builds a run's
@@ -34,7 +35,7 @@ DESK = {
         "ff_dim": 128, "fourier_terms": 4, "trend_degree": 3,
     },
     "diffusion": {
-        "timesteps": 100, "schedule": "linear", "beta_start": 1e-3, "beta_end": 0.2,
+        "timesteps": 100, "beta_start": 1e-3, "beta_end": 0.2,
     },
     "adapter": {"window": 5, "heads": 4, "alpha": 1.0},
     "train": {

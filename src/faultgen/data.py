@@ -128,6 +128,9 @@ class FaultSpec:
         unread = sorted(set(self.extra) - set(FAULT_EXTRAS.get(self.kind, ())))
         if unread:
             raise ContractError(f"a {self.kind} fault does not read {', '.join(unread)}")
+        for name, value in sorted(self.extra.items()):  # an infinite period or clip level injects nothing
+            if not np.isfinite(value):
+                raise ContractError(f"{self.kind} {name} must be finite, got {value!r}")
         if not 0 <= self.onset < tau:
             raise ContractError(f"onset {self.onset} outside [0, {tau})")
         if self.duration < 1:

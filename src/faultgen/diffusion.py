@@ -1,6 +1,6 @@
-"""Forward noising, noise schedules, and the reverse generation process.
+"""Forward noising, the linear noise schedule of Ho et al. (2020), and the reverse generation process.
 
-`reverse_step` is the one place the implied clean signal is clipped to +-X0_CLIP.
+`make_schedule` alone builds and checks a schedule; `reverse_step` alone clips the implied clean signal to +-X0_CLIP.
 """
 
 from __future__ import annotations
@@ -17,50 +17,30 @@ X0_CLIP = 4.0  # normalized-domain bound; keeps rare off-manifold trajectories f
 
 @dataclass
 class NoiseSchedule:
-    """Per-step variance tables for the diffusion chain, with the arguments `make_schedule` built them from."""
+    """Per-step variance tables of the linear diffusion chain; `make_schedule` builds and checks each one."""
 
     T: int
     beta: np.ndarray
     alpha: np.ndarray
     alpha_bar: np.ndarray
     posterior_var: np.ndarray
-    kind: str
-    beta_start: float
-    beta_end: float
-
-    def __post_init__(self):
-        if np.any(self.beta <= 0) or np.any(self.beta >= 1):
-            raise ContractError("beta values must lie in (0, 1)")
-        if np.any(np.diff(self.alpha_bar) >= 0):
-            raise ContractError("alpha_bar must be strictly decreasing")
-
-    def config(self) -> dict:
-        """The `diffusion` config section this schedule was built from."""
-        return {"timesteps": self.T, "schedule": self.kind, "beta_start": self.beta_start, "beta_end": self.beta_end}
 
 
-def make_schedule(timesteps: int, schedule: str, beta_start: float, beta_end: float) -> NoiseSchedule:
-    """Build a `diffusion` section's beta/alpha tables. posterior_var[t] = beta_t * (1 - abar_{t-1}) / (1 - abar_t)."""
+def make_schedule(timesteps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
+    """Linear betas over `timesteps` steps, checked before posterior_var[t] = beta_t (1 - abar_{t-1}) / (1 - abar_t)
+    divides: alpha_bar must fall from below 1 (1 - beta_start must round below 1) and must not underflow to 0."""
     if timesteps < 2:
         raise ContractError("schedule needs T >= 2")
-    if not (0 < beta_start <= beta_end < 1):
-        raise ContractError("need 0 < beta_start <= beta_end < 1")
-    if schedule == "linear":
-        beta = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
-    elif schedule == "cosine":
-        # squared-cosine cumulative signal level; beta_start/beta_end act as clip bounds
-        s = 0.008
-        steps = np.arange(timesteps + 1, dtype=np.float64)
-        f = np.cos((steps / timesteps + s) / (1 + s) * np.pi / 2.0) ** 2
-        abar = f / f[0]
-        beta = np.clip(1.0 - abar[1:] / abar[:-1], beta_start, min(beta_end, 0.999))
-    else:
-        raise ContractError(f"unknown schedule kind {schedule!r}")
+    if not (0 < beta_start <= beta_end < 1 and 1.0 - beta_start < 1.0):
+        raise ContractError("need 0 < beta_start <= beta_end < 1 and 1 - beta_start < 1 in float64")
+    beta = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
     alpha = 1.0 - beta
     alpha_bar = np.cumprod(alpha)
+    if np.any(np.diff(alpha_bar) >= 0) or alpha_bar[-1] == 0:
+        raise ContractError(f"alpha_bar must be strictly decreasing and above 0; it underflows in {timesteps} steps")
     prev = np.concatenate([[1.0], alpha_bar[:-1]])
     posterior_var = beta * (1.0 - prev) / (1.0 - alpha_bar)
-    return NoiseSchedule(timesteps, beta, alpha, alpha_bar, posterior_var, schedule, beta_start, beta_end)
+    return NoiseSchedule(timesteps, beta, alpha, alpha_bar, posterior_var)
 
 
 def forward_sample(x0: np.ndarray, t: int, eps: np.ndarray, sched: NoiseSchedule) -> np.ndarray:

@@ -310,6 +310,12 @@ def downstream_eval(train_real: list[Dataset], synth_per_class: list[Dataset],
     if len(classes) < 2:
         raise ContractError("downstream evaluation needs >= 2 classes")
     index = {label: i for i, label in enumerate(classes)}
+    shape = (train_real[0].tau, train_real[0].dim)
+    for role, corpora in (("training", train_real), ("synthetic", synth_per_class), ("test", test)):
+        for i, ds in enumerate(corpora, 1):
+            if (ds.tau, ds.dim) != shape:
+                raise ContractError(f"{role} corpus {i} ({ds.id}) holds (tau, d) = ({ds.tau}, {ds.dim}), "
+                                    f"but training corpus 1 holds {shape}")
 
     def collect(datasets):
         xs, ys = [], []

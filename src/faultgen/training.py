@@ -273,17 +273,24 @@ def model_from_checkpoint(ckpt: Checkpoint):
 def restore(ckpt: Checkpoint):
     """The model, the noise schedule and the normalizer that a checkpoint hands on to the next step.
 
-    Before it returns, it checks the `diffusion` section and the run's record: a `data.normalizer_mode`
-    with one `norm.lo` and `norm.hi` value per model channel, a string `label`, one string per
-    channel in `channel_names`, and a string `config_hash`. `sample` returns series in the
-    normalizer's scaled space; `normalizer.unscale` maps them back to the corpus's units.
+    Before it returns, it checks the `diffusion` section, a linear schedule of the model's T (an older header
+    also names the kind, `linear`), and the run's record: a `data.normalizer_mode` with one `norm.lo` and
+    `norm.hi` value per model channel, a string `label`, one string per channel in `channel_names`, and a
+    string `config_hash`. `sample` returns series in the normalizer's scaled space; `normalizer.unscale` maps
+    them back to the corpus's units.
     """
     model = model_from_checkpoint(ckpt)
     d = model.cfg.d
     try:
-        sched = make_schedule(**ckpt.config["diffusion"])
+        section = dict(ckpt.config["diffusion"])
+        if section.pop("schedule", "linear") != "linear":  # older headers name the kind, linear or a cosine one
+            raise CheckpointError(f"checkpoint names a {ckpt.config['diffusion']['schedule']!r} noise schedule")
+        sched = make_schedule(**section)
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint config lacks a valid diffusion section: {e!r}") from e
+    if sched.T != model.cfg.T:
+        raise CheckpointError(f"checkpoint's schedule has {sched.T} timesteps, but its model was built for "
+                              f"{model.cfg.T}")
     try:
         data = ckpt.config["data"]
         norm = Normalizer(data["normalizer_mode"], ckpt.arrays["norm.lo"], ckpt.arrays["norm.hi"])
@@ -320,7 +327,7 @@ def _header(model, data: Dataset, cfg: TrainConfig, sched: NoiseSchedule, loss_c
     header = {"model": asdict(model.cfg),
               "train": {"phase": "pretrain" if stack is None else "finetune", **asdict(cfg)},
               "adapter": asdict(stack.cfg) if stack is not None else None,
-              "diffusion": sched.config(),
+              "diffusion": dict(timesteps=sched.T, beta_start=sched.beta[0].item(), beta_end=sched.beta[-1].item()),
               "data": {"label": data.label, "corpus_id": data.id, "channel_names": list(data.channel_names),
                        "normalizer_mode": normalizer.mode}}
     if loss_cfg is not None:
@@ -340,6 +347,8 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
     raises `DivergenceError` naming the step. The CLI raises those floating-point errors around every
     command already; this loop raises them itself so that a library caller, too, learns which step diverged.
     """
+    if sched.T != model.cfg.T:  # `restore` would refuse the checkpoint
+        raise ContractError(f"the schedule has {sched.T} timesteps, but the model was built for {model.cfg.T}")
     opt = Adam(model.parameters(), cfg.learning_rate)
     rng = np.random.default_rng(cfg.seed)
     arr = normalizer.scale(data.values)

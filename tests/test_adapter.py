@@ -273,7 +273,7 @@ def test_a_fine_tuned_adapter_learns_the_jump_of_a_fault_its_backbone_never_saw(
                                  onset=tau // 2)
     held_out = make_fault_dataset(generate_normal(tau, 1, 64, seed=400), "sudden", seed=500, magnitude=2.0,
                                   onset=tau // 2)
-    sched = make_schedule(20, "linear", 1e-3, 0.2)
+    sched = make_schedule(20, 1e-3, 0.2)
     norm = fit_normalizer(normal, "minmax")
     backbone = Backbone(DenoiserConfig(tau=tau, d=1, T=20, model_dim=16, enc_layers=1, dec_layers=1, heads=4,
                                        ff_dim=32, fourier_terms=2, trend_degree=3), seed=seed)

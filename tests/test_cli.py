@@ -187,9 +187,56 @@ def test_bogus_schedule_exits_3_from_a_checkpoint_and_2_from_an_override(trained
     ckpt = _edited(trained["pre"], str(tmp_path / "bad.ckpt"),
                    lambda c: c["diffusion"].update(schedule="bogus"))
     assert main(["generate", "--checkpoint", ckpt, "--n", "2", "--out", str(tmp_path / "gen")]) == 3
+    assert "names a 'bogus' noise schedule" in capsys.readouterr().err
     assert main(["pretrain", "--data", trained["normal"], "--out", str(tmp_path / "pre"),
                  *_overrides("pretrain", "train.pretrain_steps=1", "diffusion.schedule=bogus")]) == 2
-    assert "unknown schedule" in capsys.readouterr().err
+    assert "unknown config key diffusion.schedule for pretrain" in capsys.readouterr().err
+
+
+DIFFUSION_EDITS = {  # an edit of a checkpoint's diffusion section that `restore` must refuse, and its message
+    "cosine": ({"schedule": "cosine"}, "names a 'cosine' noise schedule"),
+    "timesteps-8": ({"timesteps": 8}, "schedule has 8 timesteps, but its model was built for 10"),
+    "timesteps-12": ({"timesteps": 12}, "schedule has 12 timesteps, but its model was built for 10"),
+}
+
+
+@pytest.mark.parametrize("case", list(DIFFUSION_EDITS))
+def test_a_checkpoint_whose_schedule_the_model_cannot_run_exits_3(trained, tmp_path, capsys, case):
+    changes, message = DIFFUSION_EDITS[case]
+    for which in ("pre", "fine"):
+        ckpt = _edited(trained[which], str(tmp_path / f"{which}.ckpt"), lambda c: c["diffusion"].update(changes))
+        commands = {"generate": ["--n", "2"]}
+        if which == "pre":
+            commands["finetune"] = ["--data", trained["fault"], *_overrides("finetune", "train.finetune_steps=1")]
+        for command, args in commands.items():
+            out = tmp_path / f"{which}-{command}"
+            assert main([command, "--checkpoint", ckpt, "--out", str(out), *args]) == 3, (which, command)
+            err = capsys.readouterr().err
+            assert err.startswith("checkpoint error: ") and message in err and len(err.splitlines()) == 1
+            assert not out.exists()
+
+
+def test_a_checkpoint_whose_header_still_names_the_linear_schedule_generates_the_same_series(trained, tmp_path):
+    older = _edited(trained["fine"], str(tmp_path / "older.ckpt"), lambda c: c["diffusion"].update(schedule="linear"))
+    for name, ckpt in (("now", trained["fine"]), ("older", older)):
+        assert main(["generate", "--checkpoint", ckpt, "--n", "2", "--out", str(tmp_path / name)]) == 0
+    for sample in ("sample_00000.csv", "sample_00001.csv", "manifest.json"):
+        assert (tmp_path / "now" / sample).read_bytes() == (tmp_path / "older" / sample).read_bytes()
+
+
+@pytest.mark.parametrize("overrides, message", [
+    (["diffusion.beta_start=1e-17"], "need 0 < beta_start <= beta_end < 1 and 1 - beta_start < 1 in float64"),
+    (["diffusion.timesteps=3000", "diffusion.beta_start=0.5", "diffusion.beta_end=0.99"],
+     "alpha_bar must be strictly decreasing and above 0"),
+])
+def test_a_schedule_override_make_schedule_refuses_exits_2_before_anything_is_written(trained, tmp_path, capsys,
+                                                                                       overrides, message):
+    out = tmp_path / "pre"
+    assert main(["pretrain", "--data", trained["normal"], "--out", str(out),
+                 *_overrides("pretrain", "train.pretrain_steps=1", *overrides)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("n", ["0", "-1"])
@@ -425,7 +472,7 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                                *_overrides("pretrain", "model.heads=3")],
                                               2, "model_dim must be divisible by heads"),
     "pretrain-bogus-schedule": (["pretrain", "--data", "{normal}", *_overrides("pretrain", "diffusion.schedule=bogus")],
-                                2, "unknown schedule"),
+                                2, "unknown config key diffusion.schedule for pretrain"),
     "pretrain-bogus-normalizer": (["pretrain", "--data", "{normal}", *_overrides("pretrain", "data.normalizer=bogus")],
                                   2, "unknown normalizer mode 'bogus'"),
     "finetune-one-series": (["finetune", "--data", "{fault1}", "--checkpoint", "{pre}",
@@ -490,6 +537,24 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                "--metrics", "discriminative,discriminative"], 2,
                               "metrics must be distinct, none named twice, got ['discriminative', 'discriminative']"),
     # every command runs under one numeric boundary: an overflow ends in exit 4, not a warning and a written result
+    "make-data-period-inf": (["make-data", "--kind", "fault", "--fault", "periodic", "--n", "2", "--tau", "8",
+                              "--period", "inf"], 2, "periodic period must be finite, got inf"),
+    "make-data-low-frequency-period-inf": (["make-data", "--kind", "fault", "--fault", "low_frequency_anomaly",
+                                            "--n", "2", "--tau", "8", "--period", "inf"],
+                                           2, "low_frequency_anomaly period must be finite, got inf"),
+    "make-data-clip-level-inf": (["make-data", "--kind", "fault", "--fault", "saturation", "--n", "2", "--tau", "8",
+                                  "--clip-level", "inf"], 2, "saturation clip_level must be finite, got inf"),
+    # every downstream corpus must have the first training corpus's (tau, d); fault12 and fault share an id
+    "downstream-test-of-another-tau": (["downstream", "--train", "{normal}", "--train", "{fault}",
+                                        "--test", "{normal}", "--test", "{fault12}"],
+                                       2, "test corpus 2 (fault-sudden-0) holds (tau, d) = (12, 2), "
+                                          "but training corpus 1 holds (8, 2)"),
+    "downstream-synth-of-another-tau": (["downstream", "--train", "{normal}", "--train", "{fault}",
+                                         "--synth", "{fault12}", "--test", "{normal}", "--test", "{fault}"],
+                                        2, "synthetic corpus 1 (fault-sudden-0) holds (tau, d) = (12, 2)"),
+    "downstream-train-of-another-tau": (["downstream", "--train", "{normal}", "--train", "{fault12}",
+                                         "--test", "{normal}", "--test", "{fault}"],
+                                        2, "training corpus 2 (fault-sudden-0) holds (tau, d) = (12, 2)"),
     "downstream-offset-1e30": (["downstream", "--train", "{normal}", "--train", "{offset30}",
                                 "--test", "{normal}", "--test", "{offset30}"],
                                4, "numeric error: overflow encountered"),
@@ -673,7 +738,7 @@ def test_a_desk_finetune_of_a_paper_backbone_records_its_schedule(trained, paper
     assert main(["finetune", "--data", trained["fault"], "--checkpoint", paper_backbone, "--out", str(out),
                  *_overrides("finetune", "train.finetune_steps=1")]) == 0
     lock = json.loads((out / "config.lock").read_text())
-    assert lock["diffusion"] == {"timesteps": 1000, "schedule": "linear", "beta_start": 0.0001, "beta_end": 0.02}
+    assert lock["diffusion"] == {"timesteps": 1000, "beta_start": 0.0001, "beta_end": 0.02}
 
 
 def test_a_checkpoint_whose_hash_is_not_its_headers_still_finetunes_and_generates(trained, tmp_path, capsys):

@@ -2,6 +2,9 @@
 
 import dataclasses
 import inspect
+import itertools
+import pathlib
+import re
 
 import numpy as np
 import pytest
@@ -37,23 +40,54 @@ def test_bad_number_rejected(override):
 
 
 def test_schedule_reads_the_diffusion_section():
-    cfg = resolve_config("desk", "pretrain", ["diffusion.schedule=cosine", "diffusion.timesteps=50"])
+    cfg = resolve_config("desk", "pretrain", ["diffusion.timesteps=50", "diffusion.beta_end=0.1"])
     sched = cfg.schedule()
-    expected = make_schedule(50, "cosine", 1e-3, 0.2)
-    assert sched.kind == "cosine" and sched.T == 50
+    expected = make_schedule(50, 1e-3, 0.1)
+    assert sched.T == 50
     np.testing.assert_array_equal(sched.beta, expected.beta)
-    assert make_schedule(**sched.config()).beta.tobytes() == sched.beta.tobytes()
-    with pytest.raises(ContractError, match="unknown schedule"):
-        resolve_config("desk", "pretrain", ["diffusion.schedule=bogus"]).schedule()
+    with pytest.raises(ConfigError, match="unknown config key diffusion.schedule for pretrain"):
+        resolve_config("desk", "pretrain", ["diffusion.schedule=linear"])
+    with pytest.raises(ContractError, match="need 0 < beta_start <= beta_end < 1"):
+        resolve_config("desk", "pretrain", ["diffusion.beta_start=0.5"]).schedule()
 
 
 @pytest.mark.parametrize("preset", sorted(PRESETS))
-def test_pretrain_accepts_16_config_keys_and_finetune_10(preset):
+def test_pretrain_accepts_15_config_keys_and_finetune_10(preset):
     counts = {phase: sum(map(len, resolve_config(preset, phase).sections.values())) for phase in PHASES}
-    assert counts == {"pretrain": 16, "finetune": 10}
+    assert counts == {"pretrain": 15, "finetune": 10}
     assert set(resolve_config(preset, "pretrain").sections["train"]) == {
         "pretrain_steps", "pretrain_lr", "batch_size", "warmup_steps"}
     assert set(resolve_config(preset, "finetune").sections) == {"train", "adapter", "loss"}
+
+
+README = pathlib.Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_settings():
+    """The (section, key) pairs README's settings table names in each phase's column, and the count its text states."""
+    text = README.read_text().split("## Which command takes which settings", 1)[1].split("\n## ", 1)[0]
+    lines = text.splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("| Section |"))
+    header, rows = lines[start], itertools.takewhile(lambda line: line.startswith("|"), lines[start + 2:])
+    phases = [re.findall(r"`(\w+)`", cell) for cell in header.strip("|").split("|")[1:]]
+    named = {phase: set() for [phase] in phases}
+    for row in rows:
+        section, *cells = (cell.strip() for cell in row.strip("|").split("|"))
+        for [phase], cell in zip(phases, cells):
+            named[phase] |= {(section.strip("`[]"), key) for key in re.findall(r"`(\w+)`", cell)}
+    stated = re.search(r"(\d+) for `pretrain` and (\d+) for `finetune`", " ".join(text.split()))
+    return named, {"pretrain": int(stated[1]), "finetune": int(stated[2])}
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_readme_names_exactly_the_keys_each_phase_accepts_and_counts_them(preset):
+    named, stated = _readme_settings()
+    assert set(named) == set(stated) == set(PHASES)
+    for phase in PHASES:
+        accepted = {(section, key) for section, keys in resolve_config(preset, phase).sections.items()
+                    for key in keys}
+        assert named[phase] == accepted, phase
+        assert stated[phase] == len(accepted), phase
 
 
 def test_a_value_a_run_takes_from_its_inputs_is_an_argument_of_its_view_never_a_key():
@@ -64,7 +98,7 @@ def test_a_value_a_run_takes_from_its_inputs_is_an_argument_of_its_view_never_a_
             resolve_config("desk", "finetune", [written])
 
 
-OTHER_STRINGS = {"schedule": "cosine", "normalizer": "zscore"}
+OTHER_STRINGS = {"normalizer": "zscore"}
 
 
 def _other_value(key, value):
@@ -82,7 +116,7 @@ def _views(cfg):
     """The component views the config's phase builds; fine-tuning's adapter takes model_dim from the checkpoint."""
     if cfg.phase == "pretrain":
         sched = cfg.schedule()
-        return (dataclasses.asdict(cfg.denoiser_config(24, 2)), (sched.kind, sched.beta.tobytes()),
+        return (dataclasses.asdict(cfg.denoiser_config(24, 2)), (sched.T, sched.beta.tobytes()),
                 dataclasses.asdict(cfg.train_config(0)), cfg.get("data", "normalizer"))
     return (dataclasses.asdict(cfg.adapter_config(64)), dataclasses.asdict(cfg.loss_config()),
             dataclasses.asdict(cfg.train_config(0)))
@@ -105,7 +139,7 @@ def test_a_run_setting_component_declares_no_default(component):
             if f.default is not dataclasses.MISSING or f.default_factory is not dataclasses.MISSING] == []
 
 
-@pytest.mark.parametrize("function, names", [(make_schedule, ["timesteps", "schedule", "beta_start", "beta_end"]),
+@pytest.mark.parametrize("function, names", [(make_schedule, ["timesteps", "beta_start", "beta_end"]),
                                              (fit_normalizer, ["mode"]), (trend_basis, ["degree"]),
                                              (resolve_config, ["preset", "phase"]),
                                              (RunConfig.train_config, ["seed"]),

@@ -3,6 +3,7 @@
 import dataclasses
 import hashlib
 import json
+import math
 import re
 
 import hypothesis.extra.numpy as hnp
@@ -259,13 +260,26 @@ class TestInjectFault:
          "intermittent burst_len must be >= 1 and shorter than the duration 6, got 6"),
         (FaultSpec("intermittent", 4, 1, 1.0), "intermittent burst_len must be >= 1 and shorter than the duration 1"),
         (FaultSpec("offset", 2, 3, 1.5, channels=[]), "channels must name at least one channel"),
+        # an infinite period puts every step at the sine's phase origin, and an infinite clip level clips nothing
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": math.inf}), "periodic period must be finite, got inf"),
+        (FaultSpec("low_frequency_anomaly", 4, 6, 1.0, extra={"period": math.inf}),
+         "low_frequency_anomaly period must be finite, got inf"),
+        (FaultSpec("saturation", 4, 6, 1.0, extra={"clip_level": math.inf}),
+         "saturation clip_level must be finite, got inf"),
     ], ids=["saturation-magnitude", "clip-level", "clip-level-nan", "period-1", "period-0.5", "period-1.999",
             "period-2", "low-frequency-period-1", "low-frequency-period-2", "periodic-duration-1",
             "low-frequency-duration-1", "impulse-count-above-duration", "burst-as-long-as-the-window",
-            "default-burst-of-a-one-step-window", "no-channels"])
+            "default-burst-of-a-one-step-window", "no-channels", "period-inf", "low-frequency-period-inf",
+            "clip-level-inf"])
     def test_a_fault_that_would_not_fault_is_a_contract_error_naming_its_parameter(self, spec, message):
         with pytest.raises(ContractError, match=f"^{message}"):
             inject_fault(_series(), spec, seed=0)
+
+    @pytest.mark.parametrize("kind", ["offset", "sudden", "periodic", "low_frequency_anomaly", "amplitude_shift"])
+    def test_a_finite_magnitude_of_0_stays_a_valid_no_op(self, kind):
+        base = generate_normal(24, 2, 4, seed=5)
+        fault = make_fault_dataset(base, kind, seed=5, magnitude=0.0)
+        assert fault.label == f"fault:{kind}" and fault.values.tobytes() == base.values.tobytes()
 
     @pytest.mark.parametrize("kind", [k for k in FAULT_KINDS if k != "impulse"])
     def test_an_extra_the_kind_does_not_read_is_a_contract_error(self, kind):

@@ -1,5 +1,8 @@
 """Noise schedule tables, forward marginal, reverse step, and sampling."""
 
+import dataclasses
+import inspect
+
 import numpy as np
 import pytest
 
@@ -7,38 +10,36 @@ from faultgen.cli import main
 from faultgen.config import resolve_config
 from faultgen.data import fit_normalizer, generate_normal, load_corpus
 from faultgen.denoiser import Backbone, DenoiserConfig
-from faultgen.diffusion import X0_CLIP, forward_sample, make_schedule, reverse_step, sample
+from faultgen.diffusion import X0_CLIP, NoiseSchedule, forward_sample, make_schedule, reverse_step, sample
 from faultgen.errors import ContractError
 from faultgen.training import TrainConfig, load_checkpoint, restore, train
 
 from helpers import staged_reverse_step
 
+CLI_RAISES = {"over": "raise", "invalid": "raise", "divide": "raise"}  # the floating-point errors every command raises
+
 
 class TestSchedule:
     def test_hand_cumprod(self):
-        s = make_schedule(2, "linear", 0.1, 0.2)
+        s = make_schedule(2, 0.1, 0.2)
         np.testing.assert_allclose(s.beta, [0.1, 0.2])
         np.testing.assert_allclose(s.alpha_bar, [0.9, 0.72])
 
     def test_standard_preset_first_entry(self):
-        s = make_schedule(1000, "linear", 1e-4, 0.02)
+        s = make_schedule(1000, 1e-4, 0.02)
         assert abs(s.alpha_bar[0] - 0.9999) < 1e-12
         # independent cumulative-product oracle
         np.testing.assert_allclose(s.alpha_bar, np.cumprod(1 - np.linspace(1e-4, 0.02, 1000)))
 
-    @pytest.mark.parametrize("kind,T,b0,b1", [
-        ("linear", 100, 1e-3, 0.2),
-        ("linear", 1000, 1e-4, 0.02),
-        ("cosine", 100, 1e-5, 0.999),
-    ])
-    def test_monotone_and_terminal(self, kind, T, b0, b1):
-        s = make_schedule(T, kind, b0, b1)
+    @pytest.mark.parametrize("T,b0,b1", [(100, 1e-3, 0.2), (1000, 1e-4, 0.02)])
+    def test_monotone_and_terminal(self, T, b0, b1):
+        s = make_schedule(T, b0, b1)
         assert np.all(np.diff(s.alpha_bar) < 0)
         assert s.alpha_bar[-1] < 0.05
         assert np.all((s.beta > 0) & (s.beta < 1))
 
     def test_posterior_variance_formula(self):
-        s = make_schedule(5, "linear", 0.1, 0.3)
+        s = make_schedule(5, 0.1, 0.3)
         for t in range(1, 5):
             expected = s.beta[t] * (1 - s.alpha_bar[t - 1]) / (1 - s.alpha_bar[t])
             assert abs(s.posterior_var[t] - expected) < 1e-12
@@ -46,20 +47,45 @@ class TestSchedule:
 
     def test_invalid_range(self):
         with pytest.raises(ContractError):
-            make_schedule(10, "linear", 0.5, 0.2)
+            make_schedule(10, 0.5, 0.2)
         with pytest.raises(ContractError):
-            make_schedule(1, "linear", 0.1, 0.2)
+            make_schedule(1, 0.1, 0.2)
+
+    @pytest.mark.parametrize("b0", [1e-17, 2.0**-54])
+    def test_a_beta_start_that_leaves_1_minus_beta_at_1_is_rejected_before_the_0_over_0(self, b0):
+        # 1 - b0 rounds to 1.0, so alpha_bar[0] = 1 and posterior_var[0] would be 0 / 0
+        assert 1.0 - b0 == 1.0
+        with np.errstate(**CLI_RAISES), pytest.raises(ContractError, match="and 1 - beta_start < 1 in float64"):
+            make_schedule(100, b0, 0.2)
+        assert make_schedule(100, 2.0**-52, 0.2).alpha_bar[0] < 1.0
+
+    def test_an_alpha_bar_that_underflows_is_rejected(self):
+        with np.errstate(**CLI_RAISES), pytest.raises(ContractError, match="strictly decreasing and above 0"):
+            make_schedule(3000, 0.5, 0.99)
+
+    @pytest.mark.parametrize("T,b0,b1", [(2, 0.1, 0.2), (100, 1e-3, 0.2), (1000, 1e-4, 0.02), (10, 2.0**-52, 0.5)])
+    def test_every_table_entry_is_finite_and_in_range(self, T, b0, b1):
+        with np.errstate(**CLI_RAISES):
+            s = make_schedule(T, b0, b1)
+        assert s.T == T and s.beta[0] == b0 and s.beta[-1] == b1
+        assert np.all((s.beta > 0) & (s.beta < 1)) and np.all((s.alpha_bar > 0) & (s.alpha_bar < 1))
+        assert np.all(np.isfinite(s.posterior_var)) and np.all(s.posterior_var[1:] > 0)
+
+    def test_the_schedule_is_linear_only(self):
+        assert list(inspect.signature(make_schedule).parameters) == ["timesteps", "beta_start", "beta_end"]
+        assert [f.name for f in dataclasses.fields(NoiseSchedule)] == ["T", "beta", "alpha", "alpha_bar",
+                                                                       "posterior_var"]
 
 
 class TestForwardSample:
     def test_zero_noise(self):
-        s = make_schedule(10, "linear", 0.05, 0.2)
+        s = make_schedule(10, 0.05, 0.2)
         x0 = np.ones((4, 2), dtype=np.float32)
         out = forward_sample(x0, 3, np.zeros_like(x0), s)
         np.testing.assert_allclose(out, np.sqrt(s.alpha_bar[3]), rtol=1e-6)
 
     def test_near_identity_at_t0(self):
-        s = make_schedule(10, "linear", 1e-5, 1e-4)
+        s = make_schedule(10, 1e-5, 1e-4)
         x0 = np.full((4, 2), 0.7, dtype=np.float32)
         eps = np.ones_like(x0)
         out = forward_sample(x0, 0, eps, s)
@@ -67,7 +93,7 @@ class TestForwardSample:
 
     def test_monte_carlo_moments(self):
         # seeded 10^4-draw check of mean and variance against the closed form
-        s = make_schedule(100, "linear", 1e-3, 0.2)
+        s = make_schedule(100, 1e-3, 0.2)
         rng = np.random.default_rng(77)
         x0 = rng.standard_normal((4, 2)).astype(np.float32)
         t = 40
@@ -81,20 +107,20 @@ class TestForwardSample:
         assert np.all(np.abs(draws.var(axis=0) - (1 - ab)) < 3 * var_se)
 
     def test_shape_mismatch(self):
-        s = make_schedule(10, "linear", 0.05, 0.2)
+        s = make_schedule(10, 0.05, 0.2)
         with pytest.raises(ContractError):
             forward_sample(np.zeros((4, 2)), 1, np.zeros((4, 3)), s)
 
 
 class TestReverseStep:
     def test_zero_inputs_reduce_to_scaling(self):
-        s = make_schedule(10, "linear", 0.05, 0.2)
+        s = make_schedule(10, 0.05, 0.2)
         x = np.random.default_rng(0).standard_normal((4, 2)).astype(np.float32)
         out = reverse_step(x, 3, np.zeros_like(x), np.zeros_like(x), s)
         np.testing.assert_allclose(out, x / np.sqrt(s.alpha[3]), rtol=1e-6)
 
     def test_single_step_chain_inverts_forward(self):
-        s = make_schedule(2, "linear", 0.2, 0.2)
+        s = make_schedule(2, 0.2, 0.2)
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal((6, 3))
         eps = rng.standard_normal((6, 3))
@@ -103,7 +129,7 @@ class TestReverseStep:
         assert np.max(np.abs(back - x0)) < 1e-5
 
     def test_shape_preserved_and_t_checked(self):
-        s = make_schedule(10, "linear", 0.05, 0.2)
+        s = make_schedule(10, 0.05, 0.2)
         x = np.zeros((4, 2))
         assert reverse_step(x, 5, x, x, s).shape == x.shape
         with pytest.raises(ContractError):
@@ -111,13 +137,9 @@ class TestReverseStep:
         with pytest.raises(ContractError):
             reverse_step(x, 0, x, np.ones_like(x), s)
 
-    @pytest.mark.parametrize("kind,T,b0,b1", [
-        ("linear", 100, 1e-3, 0.2),
-        ("linear", 1000, 1e-4, 0.02),
-        ("cosine", 100, 1e-5, 0.999),
-    ])
-    def test_matches_the_staged_clip_rederive_and_mean(self, kind, T, b0, b1):
-        s = make_schedule(T, kind, b0, b1)
+    @pytest.mark.parametrize("T,b0,b1", [(100, 1e-3, 0.2), (1000, 1e-4, 0.02)])
+    def test_matches_the_staged_clip_rederive_and_mean(self, T, b0, b1):
+        s = make_schedule(T, b0, b1)
         rng = np.random.default_rng(11)
         for t in (T - 1, T // 2, 3, 1, 0):
             x0 = rng.uniform(-2 * X0_CLIP, 2 * X0_CLIP, (8, 24, 2))  # the clip binds on half the entries
@@ -126,10 +148,10 @@ class TestReverseStep:
             z = rng.standard_normal(x.shape) if t > 0 else np.zeros_like(x)
             expected = staged_reverse_step(x, t, eps_hat, z, s, clip=X0_CLIP)
             got = reverse_step(x, t, eps_hat, z, s)
-            assert np.max(np.abs(got - expected)) <= 1e-6 * np.max(np.abs(expected)), (kind, T, t)
+            assert np.max(np.abs(got - expected)) <= 1e-6 * np.max(np.abs(expected)), (T, t)
 
     def test_t0_returns_the_clipped_clean_estimate(self):
-        s = make_schedule(100, "linear", 1e-3, 0.2)
+        s = make_schedule(100, 1e-3, 0.2)
         rng = np.random.default_rng(12)
         x = 5.0 * rng.standard_normal((4, 24, 2))
         eps_hat = rng.standard_normal(x.shape)
@@ -145,7 +167,7 @@ class TestSample:
         cfg = DenoiserConfig(tau=12, d=2, T=20, model_dim=16, enc_layers=1,
                              dec_layers=1, heads=2, ff_dim=32, fourier_terms=2, trend_degree=3)
         model = Backbone(cfg, seed=0)
-        sched = make_schedule(20, "linear", 1e-3, 0.2)
+        sched = make_schedule(20, 1e-3, 0.2)
         return model, sched
 
     def test_deterministic(self, setup):
@@ -177,7 +199,7 @@ class TestSample:
         rng = np.random.default_rng(0)
         for head in (model.trend_w, model.seas_w, model.res_w):  # zero at init; a briefly trained head's scale
             head.data[...] = rng.normal(0.0, 0.01, head.data.shape)
-        sched = make_schedule(20, "linear", 1e-3, 0.2)
+        sched = make_schedule(20, 1e-3, 0.2)
         out = {n: sample(model, sched, n, (24, 2), seed=5) for n in (1, 2, 5, 12)}
         for n in (2, 5):
             assert out[n].tobytes() == out[12][:n].tobytes()

@@ -183,15 +183,20 @@ def test_cross_entropy_grad_rejects_logits_that_do_not_fit_five_labels(shape):
 
 
 def _sudden(n, seed):
-    return make_fault_dataset(generate_normal(24, 2, n, seed=seed), "sudden", seed=seed + 1_000_003)
+    """A `sudden` corpus as `make-data --kind fault --fault sudden --n n --tau 24 --seed seed` draws it."""
+    return make_fault_dataset(generate_normal(24, 2, n, seed=seed), "sudden", seed=seed)
 
 
-def test_a_small_real_corpus_scores_no_higher_than_an_equal_sized_one():
-    # plain accuracy scored the majority-class rate: 0.43 for 200 against 8 series of the same kind
-    real = _sudden(200, 9)
-    unequal = metrics.discriminative_score(real, _sudden(8, 7), (0, 1, 2))
-    equal = metrics.discriminative_score(real, _sudden(200, 7), (0, 1, 2))
-    assert max(unequal) <= max(equal)
+@pytest.mark.parametrize("guess", [1, 0], ids=["real", "synthetic"])
+def test_a_one_class_guess_scores_exactly_0_on_200_real_against_8_synthetic_series(monkeypatch, guess):
+    # held out: 40 real and 2 synthetic series, so plain accuracy scored the all-real guess |40/42 - 0.5| = 0.45
+    def one_class(x_train, x_test, hidden, out_dim, loss_grad, steps, lr, seeds):
+        logits = np.zeros((len(seeds), x_test.shape[1], out_dim))
+        logits[..., guess] = 1.0
+        return logits
+
+    monkeypatch.setattr(metrics, "_fit_predict", one_class)
+    assert metrics.discriminative_score(_sudden(200, 9), _sudden(8, 7), (0, 1, 2)) == [0.0, 0.0, 0.0]
 
 
 @pytest.mark.parametrize("n_real, n_synth", [(1, 40), (40, 1), (1, 1)])
@@ -222,6 +227,20 @@ def _cluster(label, centres, seed):
     series = [TimeSeries(np.full((6, 2), c) + 0.05 * rng.standard_normal((6, 2)), ["a", "b"])
               for c in centres]
     return Dataset(series, label=label, id=f"{label}-{seed}")
+
+
+@pytest.mark.parametrize("role, index", [("synthetic", 1), ("test", 2)])
+def test_downstream_eval_rejects_a_corpus_of_another_channel_count_naming_it(role, index):
+    # unchecked, np.concatenate raised a bare ValueError here, and the CLI ended in a traceback
+    def corpus(label, seed, d=2):
+        return Dataset(generate_normal(8, d, 6, seed=seed).values, label=label, id=f"{label}-d{d}")
+
+    train = [corpus("a", 0), corpus("b", 1)]
+    other = corpus("b", 2, d=3)
+    synth, test = ([other], train) if role == "synthetic" else ([], [train[0], other])
+    with pytest.raises(ContractError, match=rf"^{role} corpus {index} \(b-d3\) holds \(tau, d\) = \(8, 3\), "
+                                            rf"but training corpus 1 holds \(8, 2\)$"):
+        metrics.downstream_eval(train, synth, test, seed=0)
 
 
 def test_downstream_eval_on_two_separable_clusters_with_one_planted_test_error():

@@ -164,7 +164,7 @@ def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_confi
     model = Backbone(TINY, seed=0)
     names = list(model.params)
     train(data, model, TrainConfig(steps=2, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
-          make_schedule(TINY.T, "linear", 1e-3, 0.2), norm, checkpoint_dir=str(tmp_path))
+          make_schedule(TINY.T, 1e-3, 0.2), norm, checkpoint_dir=str(tmp_path))
     path = tmp_path / "final.ckpt"
     assert os.listdir(tmp_path) == ["final.ckpt"]
     ckpt = load_checkpoint(path)
@@ -180,20 +180,64 @@ def test_a_pretrain_checkpoint_holds_the_parameters_the_normalizer_and_the_confi
 
 
 def test_a_library_pretrain_records_the_schedule_it_was_given(tmp_path):
-    sched = make_schedule(50, "cosine", 1e-3, 0.2)
+    sched = make_schedule(50, 2e-3, 0.1)
     data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
     train(data, Backbone(dataclasses.replace(TINY, T=50), seed=0),
           TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0), sched,
           fit_normalizer(data, "minmax"), checkpoint_dir=str(tmp_path))
     ckpt = load_checkpoint(tmp_path / "final.ckpt")
-    assert ckpt.config["diffusion"] == {"timesteps": 50, "schedule": "cosine", "beta_start": 1e-3, "beta_end": 0.2}
+    assert ckpt.config["diffusion"] == {"timesteps": 50, "beta_start": 2e-3, "beta_end": 0.1}
     assert restore(ckpt)[1].beta.tobytes() == sched.beta.tobytes()
+
+
+def test_train_rejects_a_schedule_of_another_T_than_its_models_before_writing(tmp_path):
+    data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
+    for T in (TINY.T - 2, TINY.T + 2):
+        with pytest.raises(ContractError, match=f"^the schedule has {T} timesteps, but the model was built for 10$"):
+            train(data, Backbone(TINY, seed=0),
+                  TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
+                  make_schedule(T, 1e-3, 0.2), fit_normalizer(data, "minmax"), checkpoint_dir=str(tmp_path / "c"))
+    assert not (tmp_path / "c").exists()
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint():
+    data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
+    return train(data, Backbone(TINY, seed=0),
+                 TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
+                 make_schedule(TINY.T, 1e-3, 0.2), fit_normalizer(data, "minmax"))
+
+
+def _with_diffusion(ckpt, **changes):
+    return dataclasses.replace(ckpt, config={**ckpt.config, "diffusion": {**ckpt.config["diffusion"], **changes}})
+
+
+def test_restore_reads_an_older_header_that_names_the_linear_schedule(tiny_checkpoint):
+    # headers written while a cosine kind existed hold "schedule": "linear" beside the three keys
+    assert set(tiny_checkpoint.config["diffusion"]) == {"timesteps", "beta_start", "beta_end"}
+    older = _with_diffusion(tiny_checkpoint, schedule="linear")
+    sched, older_sched = restore(tiny_checkpoint)[1], restore(older)[1]
+    assert older_sched.T == sched.T == TINY.T
+    for table in ("beta", "alpha", "alpha_bar", "posterior_var"):
+        assert getattr(older_sched, table).tobytes() == getattr(sched, table).tobytes(), table
+
+
+@pytest.mark.parametrize("kind", ["cosine", "bogus", None])
+def test_restore_rejects_a_header_that_names_another_schedule(tiny_checkpoint, kind):
+    with pytest.raises(CheckpointError, match=f"names a {kind!r} noise schedule"):
+        restore(_with_diffusion(tiny_checkpoint, schedule=kind))
+
+
+@pytest.mark.parametrize("timesteps", [TINY.T - 2, TINY.T + 2])
+def test_restore_rejects_a_diffusion_section_of_another_T_than_the_models(tiny_checkpoint, timesteps):
+    with pytest.raises(CheckpointError, match=f"schedule has {timesteps} timesteps, but its model was built for 10$"):
+        restore(_with_diffusion(tiny_checkpoint, timesteps=timesteps))
 
 
 def test_train_records_the_phase_of_the_model_it_trained(tmp_path):
     data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
     cfg = TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0)
-    sched, norm = make_schedule(TINY.T, "linear", 1e-3, 0.2), fit_normalizer(data, "minmax")
+    sched, norm = make_schedule(TINY.T, 1e-3, 0.2), fit_normalizer(data, "minmax")
     backbone = Backbone(TINY, seed=0)
     pre = train(data, backbone, cfg, sched, norm)
     stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=TINY.model_dim, alpha=1.0), TINY.dec_layers)
@@ -354,7 +398,7 @@ def test_a_training_step_holds_one_graph_so_five_steps_peak_as_high_as_one():
     cfg = DenoiserConfig(tau=12, d=2, T=20, model_dim=16, enc_layers=1, dec_layers=2,
                          heads=4, ff_dim=32, fourier_terms=2, trend_degree=3)
     data = generate_normal(cfg.tau, cfg.d, 16, seed=3)
-    sched, norm = make_schedule(cfg.T, "linear", 1e-3, 0.2), fit_normalizer(data, "minmax")
+    sched, norm = make_schedule(cfg.T, 1e-3, 0.2), fit_normalizer(data, "minmax")
     peaks = []
     for steps in (1, 5):
         model = Backbone(cfg, seed=0)
@@ -376,7 +420,7 @@ def test_a_frozen_backbone_holds_no_gradient_array_while_its_adapter_trains():
     opt = Adam(stack.parameters(), lr=1e-3)
     assert not np.any(opt._grad)  # a parameter with no gradient yet starts at zero in the flat buffer
     train(data, attach(backbone, stack), TrainConfig(steps=2, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
-          make_schedule(TINY.T, "linear", 1e-3, 0.2), fit_normalizer(data, "minmax"),
+          make_schedule(TINY.T, 1e-3, 0.2), fit_normalizer(data, "minmax"),
           loss_cfg=LossConfig(weight=0.1, margin=1.0, pair_count=2))
     assert all(p.grad is None for p in backbone.parameters())
     assert all(p.grad is not None for p in stack.parameters())
