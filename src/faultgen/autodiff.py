@@ -11,6 +11,7 @@ wraps them, and the tests' composed references use `gelu` and `softmax`.
 Tensors are immutable values once created. `backward` consumes the graph it walks: gradients
 accumulate on leaves, which keep them, and each interior node drops its gradient, closure and
 parents once used, so there is one backward per forward and a spent graph raises ContractError.
+The CLI keeps the heap a freed graph leaves (`cli.main`), so the next step reuses it, not fresh pages.
 
 A backward computes a parent's gradient only when the parent requires one (`_accum`), and
 multiplies by a weight's transpose through a C-contiguous copy (`_t`), not the strided view. That

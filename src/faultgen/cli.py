@@ -1,10 +1,11 @@
 """Command-line orchestration: corpora, training phases, generation, evaluation.
 
-Exit codes: 0 ok, 2 usage/validation, 3 checkpoint problems, 4 training
-divergence or any other non-finite value: every command runs with numpy's
-overflow, invalid and divide-by-zero errors raised, so a numeric blow-up ends
-in exit 4, never in a warning and a written artifact. Equal arguments and
-inputs give byte-identical artifacts.
+Exit codes: 0 ok, 2 usage/validation, 3 checkpoint problems, 4 training divergence or any other non-finite
+value: every command runs with numpy's overflow, invalid and divide-by-zero errors raised, so a numeric blow-up
+ends in exit 4, never in a warning and a written artifact. Equal arguments and inputs give byte-identical
+artifacts. `main` keeps freed heap in the process where the libc has glibc's `mallopt`: none is trimmed below
+1 GiB, and arrays up to 1 MiB come from the heap, so a training step reuses the pages its predecessor's graph
+freed instead of faulting fresh ones in.
 
 `pretrain` and `finetune` take their settings from `--preset`, then each
 `--override SECTION.KEY=VALUE`, and accept only the keys their phase reads
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import ctypes
 import dataclasses
 import hashlib
 import json
@@ -55,6 +57,7 @@ from .training import load_checkpoint, restore, train
 
 EXTRA_FLAGS = ("period", "clip_level", "burst_len", "count")  # the flags that fill a FaultSpec's `extra`
 FAULT_FLAGS = ("fault", "magnitude", "onset", "duration", "channels", *EXTRA_FLAGS)  # read by --kind fault only
+M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
 
 
 @contextlib.contextmanager
@@ -323,6 +326,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)  # another libc keeps its own heap policy
+    if mallopt is not None:
+        mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+        mallopt(M_TRIM_THRESHOLD, 1 << 30)
+        mallopt(M_MMAP_THRESHOLD, 1 << 20)  # setting a threshold stops glibc raising this one from 128 KiB
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:

@@ -81,9 +81,11 @@ def sample(model, sched: NoiseSchedule, n: int, shape: tuple[int, int], seed: in
     Sample i draws its noise from `series_rng(seed, NOISE_STREAM, i)`, so neighbouring seeds share no sample and
     its bits do not depend on how many siblings (n >= 2) are generated with it; alone (n = 1), BLAS computes the
     heads' (1, D) @ (D, k) products with another kernel, which can move its last float32 bits. `model` must expose
-    predict_noise(x, t) -> array of x's shape. Each step clips the implied clean signal inside `reverse_step`, so
-    every sample lies in [-X0_CLIP, X0_CLIP]: the series are in the run's scaled space, and the normalizer's
-    `unscale` maps them back to the corpus's units."""
+    predict_noise(x, t) -> array of x's shape, and the `cfg.T` it was built for must be the schedule's T. Each step
+    clips the implied clean signal inside `reverse_step`, so every sample lies in [-X0_CLIP, X0_CLIP]: the series
+    are in the run's scaled space, and the normalizer's `unscale` maps them back to the corpus's units."""
+    if sched.T != model.cfg.T:  # a model runs only the chain it was trained on, as in `train` and `restore`
+        raise ContractError(f"the schedule has {sched.T} timesteps, but the model was built for {model.cfg.T}")
     if n == 0:
         return np.zeros((0, *shape), dtype=np.float32)
     rngs = [series_rng(seed, NOISE_STREAM, i) for i in range(n)]

@@ -1,9 +1,12 @@
 """End-to-end CLI runs on a tiny override config."""
 
 import argparse
+import ctypes
 import json
 import os
 import shutil
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -350,19 +353,60 @@ def _every_stage(capsys, root):
          "--test", fault, "--out", f"{root}/downstream")
 
 
+def _assert_byte_identical(roots):
+    files = [sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()) for root in roots]
+    assert files[0] == files[1]
+    for name in files[0]:
+        assert (roots[0] / name).read_bytes() == (roots[1] / name).read_bytes(), name
+    return files[0]
+
+
 def test_equal_hash_runs_of_every_stage_write_byte_identical_trees(tmp_path, capsys):
     roots = [tmp_path / "a", tmp_path / "b"]
     for root in roots:
         _every_stage(capsys, root)
-    files = [sorted(str(p.relative_to(root)) for p in root.rglob("*") if p.is_file()) for root in roots]
-    assert files[0] == files[1]
+    files = _assert_byte_identical(roots)
     for name in ("fine/checkpoints/final.ckpt", "gen/generation_log.json", "eval/report.json",
                  "embed/embedding.csv", "downstream/downstream.json"):
-        assert name in files[0]
-    for name in files[0]:
-        assert (roots[0] / name).read_bytes() == (roots[1] / name).read_bytes(), name
+        assert name in files
     for stage in ("pre", "fine"):  # nothing else is written into a training output
         assert sorted(p.name for p in (roots[0] / stage).iterdir()) == ["checkpoints", "config.lock", "logs"]
+
+
+HEAP_PROBE = """
+import resource, sys
+import numpy as np
+from faultgen.cli import main
+assert main(["make-data", "--kind", "normal", "--n", "4", "--out", sys.argv[1]]) == 0
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+for _ in range(20):
+    np.ones(120 << 10)  # 960 KiB, written through, then freed
+print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+"""
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the libc has no mallopt")
+def test_a_fresh_cli_process_reuses_the_heap_a_freed_960_kib_array_leaves(tmp_path):
+    """Arrays up to 1 MiB come from the heap. Setting glibc's trim threshold alone pins its mmap threshold where
+    the process has left it (128 KiB, or what importing numpy freed), and each such array is then mapped and
+    faulted in afresh, 240 pages each. A fresh process keeps the test's own allocations from raising it first."""
+    out = subprocess.run([sys.executable, "-c", HEAP_PROBE, str(tmp_path / "normal")], capture_output=True,
+                         text=True, check=True, env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert int(out.stdout.split()[-1]) < 1000, out.stdout
+
+
+def test_a_libc_without_mallopt_runs_every_stage_to_the_same_bytes(tmp_path, capsys, monkeypatch):
+    _every_stage(capsys, tmp_path / "a")
+    opened = []
+
+    def no_mallopt(name):  # a libc such as musl's or macOS's, which exports no mallopt
+        opened.append(name)
+        return object()
+
+    monkeypatch.setattr(ctypes, "CDLL", no_mallopt)
+    _every_stage(capsys, tmp_path / "b")
+    assert opened == [None] * 8  # one per command
+    _assert_byte_identical([tmp_path / "a", tmp_path / "b"])
 
 
 @pytest.fixture(scope="module")

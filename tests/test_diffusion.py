@@ -195,7 +195,7 @@ class TestSample:
 
     def test_a_series_keeps_its_bits_among_any_siblings_and_its_value_alone(self):
         # desk widths: at model_dim 64 BLAS multiplies a one-row head product with another kernel
-        model = Backbone(resolve_config("desk", "pretrain").denoiser_config(24, 2), seed=0)
+        model = Backbone(dataclasses.replace(resolve_config("desk", "pretrain").denoiser_config(24, 2), T=20), seed=0)
         rng = np.random.default_rng(0)
         for head in (model.trend_w, model.seas_w, model.res_w):  # zero at init; a briefly trained head's scale
             head.data[...] = rng.normal(0.0, 0.01, head.data.shape)
@@ -204,6 +204,12 @@ class TestSample:
         for n in (2, 5):
             assert out[n].tobytes() == out[12][:n].tobytes()
         np.testing.assert_allclose(out[1], out[12][:1], rtol=0, atol=1e-6)  # about 2 float32 ulps at X0_CLIP
+
+    @pytest.mark.parametrize("T", [19, 21])
+    def test_a_schedule_of_another_T_than_the_models_is_refused(self, setup, T):
+        model, _ = setup
+        with pytest.raises(ContractError, match=f"schedule has {T} timesteps, but the model was built for 20"):
+            sample(model, make_schedule(T, 1e-3, 0.2), 2, (12, 2), seed=5)
 
     def test_denormalization_applied(self, setup, tmp_path, capsys):
         model, sched = setup

@@ -1,10 +1,12 @@
 """The fused Adam, the checkpoint writer and loader, and what a checkpoint holds."""
 
+import ctypes
 import dataclasses
 import hashlib
 import json
 import math
 import os
+import resource
 import struct
 import tracemalloc
 
@@ -410,6 +412,26 @@ def test_a_training_step_holds_one_graph_so_five_steps_peak_as_high_as_one():
         finally:
             tracemalloc.stop()
     assert peaks[1] <= 1.1 * peaks[0], peaks
+
+
+@pytest.mark.skipif(not hasattr(ctypes.CDLL(None), "mallopt"), reason="the libc has no mallopt")
+def test_once_a_cli_command_has_run_a_training_step_faults_in_no_new_heap(tmp_path, capsys):
+    """The CLI keeps freed heap in its process, so each step reuses the pages its predecessor's graph freed:
+    20 more steps cost no more page faults, where a trimmed heap faults every step's graph back in."""
+    assert main(["make-data", "--kind", "normal", "--n", "4", "--out", str(tmp_path / "normal")]) == 0
+    capsys.readouterr()
+    pre = resolve_config("desk", "pretrain")
+    cfg = pre.denoiser_config(24, 2)
+    data = generate_normal(cfg.tau, cfg.d, 16, seed=0)
+    sched, norm = pre.schedule(), fit_normalizer(data, "minmax")
+    faults = []
+    for steps in (5, 25):
+        model = Backbone(cfg, seed=0)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        train(data, model, TrainConfig(steps=steps, batch_size=8, learning_rate=1e-3, warmup_steps=0, seed=0),
+              sched, norm)
+        faults.append(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)
+    assert faults[1] - faults[0] < 1000, faults
 
 
 def test_a_frozen_backbone_holds_no_gradient_array_while_its_adapter_trains():
