@@ -18,6 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .data import ADAPTER_STREAM, series_rng
 from .denoiser import Backbone, ParamGroup, multi_head_attention
 from .errors import ContractError
 
@@ -68,15 +69,13 @@ class AdapterStack:
             raise ContractError("adapter needs at least one block")
         self.cfg = cfg
         self.params: dict[str, Parameter] = {}
-        rng = np.random.default_rng(seed)
+        rng = series_rng(seed, ADAPTER_STREAM, 0)
         dim = cfg.model_dim
         self.blocks = []
         for k in range(n_blocks):
             g = ParamGroup(self.params, f"adapter{k}")
-            block = {"ln": g.norm("ln", dim)}
-            for tag in ("q", "k", "v"):
-                block[f"w{tag}"], block[f"b{tag}"] = g.linear(f"attn.{tag}", dim, dim, rng)
-            block["wo"], block["bo"] = g.linear("attn.o", dim, dim, rng, zero=True)
+            block = {"ln": g.norm("ln", dim), **g.attention("attn", dim, rng)}
+            block["wo"].data.fill(0)  # a zero output projection: a fresh adapter adds exactly nothing
             self.blocks.append(block)
 
     def parameters(self) -> list[Parameter]:

@@ -212,7 +212,7 @@ def _burst_len(spec: FaultSpec) -> int:
 
 
 # ----------------------------------------------------------------------
-# per-series random streams and the normal-data generator
+# keyed random streams and the normal-data generator
 
 
 # Series are generated and written this many values at a time, so the working
@@ -222,11 +222,13 @@ _CHUNK_VALUES = 1 << 11
 SINE_COMPONENTS = (2, 4)  # a sine mixture has 2 to 4 components per channel
 AR_COEFFS = (0.5, -0.25)  # inside the AR(2) stationarity triangle
 AR_NOISE_STD = 0.3
-BASE_STREAM, INJECTION_STREAM, NOISE_STREAM = range(3)  # the roles a per-series stream serves
+(BASE_STREAM, INJECTION_STREAM, NOISE_STREAM, BACKBONE_STREAM, ADAPTER_STREAM, TRAIN_STREAM, PAIR_STREAM,
+ SPLIT_STREAM, NETWORK_STREAM, TSNE_STREAM) = range(10)  # a role's number is part of its key: add new roles last
 
 
 def series_rng(seed: int, role: int, i: int) -> np.random.Generator:
-    """Series i's stream for `role`, keyed by (seed, role, i) alone: apart from other keys' and `default_rng(seed)`."""
+    """Stream i of `role` (series i of a per-series role, else 0), keyed by (seed, role, i) alone. Every draw starts
+    here but `make_fault_dataset`'s spec stream, `inject_fault`'s pass-through and `ContextEncoder`'s constant."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role, i)))
 
 
@@ -321,7 +323,7 @@ def _ar_process(rngs, tau: int, dim: int) -> np.ndarray:
 def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int | np.random.Generator) -> np.ndarray:
     """A copy of the float32 (tau, d) array `values` with one fault applied; timesteps and channels outside the
     fault stay bit-identical. `sudden` and `trend` run from the onset to the series' end, every other kind inside
-    [onset, onset + duration). Random kinds draw from `default_rng(seed)`: series i's stream in `make_fault_dataset`."""
+    [onset, onset + duration). Random kinds draw from `default_rng(seed)`, which passes a generator through."""
     values = np.asarray(values)
     if values.dtype != np.float32 or values.ndim != 2 or len(values) < 2:
         raise ContractError(f"inject_fault needs a float32 (tau>=2, d) array, got {values.dtype} {values.shape}")
@@ -597,12 +599,14 @@ def load_corpus(directory) -> Dataset:
     if not (isinstance(names, list) and len(names) == dim and all(isinstance(c, str) for c in names)):
         raise CorpusError(f"manifest {mpath}: channel_names must be a list of {dim} strings, got {names!r}")
 
-    files = sorted(f for f in os.listdir(directory) if f.startswith("sample_") and f.endswith(".csv"))
-    if len(files) != n:
-        raise CorpusError(f"manifest {mpath} declares {n} samples but {len(files)} files present")
+    present = {f for f in os.listdir(directory) if f.startswith("sample_") and f.endswith(".csv")}
+    if len(present) != n:
+        raise CorpusError(f"manifest {mpath} declares {n} samples but {len(present)} files present")
 
     values = np.empty((n, tau, dim), dtype=np.float32)
-    for i, fname in enumerate(files):
+    for i, fname in enumerate(f"sample_{i:05d}.csv" for i in range(n)):  # not name order: sample_100000 < sample_10001
+        if fname not in present:
+            raise CorpusError(f"{directory}: {fname} is missing, so series {i} has no file")
         values[i] = _read_sample(os.path.join(directory, fname), tau, names)
 
     try:

@@ -15,6 +15,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
+from .data import BACKBONE_STREAM, series_rng
 from .errors import ContractError, ForwardError, NumericError
 
 
@@ -140,7 +141,7 @@ class Backbone:
     def __init__(self, cfg: DenoiserConfig, seed: int = 0):
         self.cfg = cfg
         self.params: dict[str, Parameter] = {}
-        rng = np.random.default_rng(seed)
+        rng = series_rng(seed, BACKBONE_STREAM, 0)
         D = cfg.model_dim
         root = ParamGroup(self.params, "backbone")
 

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .data import Dataset
+from .data import TSNE_STREAM, Dataset, series_rng
 from .eig import sym_eig
 from .errors import ContractError
 from .metrics import ContextEncoder, DEFAULT_ENCODER_SEED
@@ -109,8 +109,7 @@ def tsne_2d(x: np.ndarray, perplexity: float, iters: int, seed: int) -> np.ndarr
     if not eff >= 1.0:  # also a NaN perplexity
         raise ContractError(f"perplexity infeasible for n={n}, got {perplexity}")
     p = _tsne_probabilities(x, eff)
-    rng = np.random.default_rng(seed)
-    y = rng.normal(0, 1e-4, (n, 2))
+    y = series_rng(seed, TSNE_STREAM, 0).normal(0, 1e-4, (n, 2))
     vel = np.zeros_like(y)
     exaggeration_until = min(100, iters // 4)
     for it in range(iters):

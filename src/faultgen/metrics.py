@@ -1,9 +1,9 @@
 """Generation-quality metrics and the downstream classification harness.
 
-The discriminative and predictive scores train small fixed feed-forward
-networks, one per seed and all seeds as one stack, rather than recurrent models
-so that runs are fast, seeded, and comparable: the architecture, training recipe,
-and the frozen contextual encoder seed are all pinned by METRIC_VERSION.
+The discriminative and predictive scores train small fixed feed-forward networks, one per seed and all seeds as
+one stack, rather than recurrent models so that runs are fast, seeded, and comparable: the architecture, training
+recipe, each seed's split and network streams, `series_rng(seed, SPLIT_STREAM, 0)` and `NETWORK_STREAM`'s, and
+the frozen contextual encoder seed are all pinned by METRIC_VERSION.
 
 The networks train off the autodiff tape: `_fit_predict` runs the forward and a
 closed-form backward from the loss's gradient (`cross_entropy_grad`, `l1_grad`)
@@ -21,11 +21,11 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter
-from .data import Dataset
+from .data import NETWORK_STREAM, SPLIT_STREAM, Dataset, series_rng
 from .eig import sqrt_psd, sym_eig
 from .errors import ContractError, DimensionError, MetricError, NumericError
 
-METRIC_VERSION = "fg-metrics-2"
+METRIC_VERSION = "fg-metrics-3"
 DEFAULT_ENCODER_SEED = 1234
 EMBED_DIM = 16
 ENCODER_HIDDEN = 32  # channels between the encoder's two convolutions
@@ -41,7 +41,7 @@ class FeedForwardNet:
     """Seeded MLPs over flattened windows, one per seed on a leading axis; gelu activations, linear output."""
 
     def __init__(self, in_dim: int, hidden: list[int], out_dim: int, seeds):
-        rngs, dt = [np.random.default_rng(s) for s in seeds], ad.default_dtype()
+        rngs, dt = [series_rng(s, NETWORK_STREAM, 0) for s in seeds], ad.default_dtype()
         self.params: list[Parameter] = []
         self.layers = []
         last = in_dim
@@ -132,7 +132,7 @@ def discriminative_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
         raise ContractError("real and synthetic corpora must share (tau, d)")
     xr = real.values.reshape(len(real), -1)
     xs = synth.values.reshape(len(synth), -1)
-    rngs = map(np.random.default_rng, seeds)
+    rngs = [series_rng(s, SPLIT_STREAM, 0) for s in seeds]
     splits = [(_split(len(real), rng), _split(len(synth), rng)) for rng in rngs]
     x_train = np.stack([np.concatenate([xr[tr_r], xs[tr_s]]) for (tr_r, _), (tr_s, _) in splits])
     x_test = np.stack([np.concatenate([xr[te_r], xs[te_s]]) for (_, te_r), (_, te_s) in splits])

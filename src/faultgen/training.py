@@ -9,11 +9,11 @@ the run's normalizer, trains, and writes the checkpoint whose config header
 `TrainConfig` and `LossConfig` declare no defaults, since a run's settings
 live in the presets of `config.py`.
 
-The fine-tuning objective is the L1 noise-prediction error plus a weighted
-diversity term over pairs of in-batch predictions. As literally written, a
-positive pairwise-distance term would be *minimized* and shrink diversity,
-so the implementation negates it (and clamps each pair at `margin` to keep
-the objective bounded).
+The fine-tuning objective is the L1 noise-prediction error plus a weighted diversity term over pairs of
+in-batch predictions. As literally written, a positive pairwise-distance term would be *minimized* and
+shrink diversity, so the implementation negates it (and clamps each pair at `margin` to keep the objective
+bounded). The pairs come from the run's own stream, `series_rng(seed, PAIR_STREAM, 0)`, and the batches,
+timesteps and noise from `TRAIN_STREAM`'s, so the loss weight moves no other draw.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapter import AdapterConfig, AdapterStack, attach
 from .autodiff import Parameter, Tensor
-from .data import Dataset, Normalizer, write_atomic
+from .data import PAIR_STREAM, TRAIN_STREAM, Dataset, Normalizer, series_rng, write_atomic
 from .denoiser import Backbone, DenoiserConfig
 from .diffusion import NoiseSchedule, forward_sample, make_schedule
 from .errors import CheckpointError, ContractError, DivergenceError, NumericError
@@ -78,8 +78,8 @@ def base_loss(eps: Tensor, eps_hat: Tensor) -> Tensor:
     return ad.absolute(eps - eps_hat).mean()
 
 
-def diversity_loss(preds: Tensor, pair_count: int, margin: float, seed: int) -> Tensor:
-    """Negated mean clamped squared distance over sampled prediction pairs.
+def diversity_loss(preds: Tensor, pair_count: int, margin: float, rng: np.random.Generator) -> Tensor:
+    """Negated mean clamped squared distance over `pair_count` prediction pairs `rng` samples (all, if fewer).
 
     Each pair contributes min(||s_i - s_j||^2 / num_entries, margin); the
     result is the negated mean, so minimizing it pushes predictions apart.
@@ -90,7 +90,7 @@ def diversity_loss(preds: Tensor, pair_count: int, margin: float, seed: int) -> 
         raise ContractError("diversity loss needs a batch of >= 2 predictions")
     first, second = np.triu_indices(n, 1)  # pairs in i-major order
     if pair_count < first.size:
-        order = np.random.default_rng(seed).permutation(first.size)[:pair_count]
+        order = rng.permutation(first.size)[:pair_count]
         first, second = first[order], second[order]
     entries = int(np.prod(preds.shape[1:]))
     diff = ad.take(preds, first) - ad.take(preds, second)
@@ -98,10 +98,10 @@ def diversity_loss(preds: Tensor, pair_count: int, margin: float, seed: int) -> 
     return -ad.minimum(dist, margin).mean()
 
 
-def total_loss(eps: Tensor, preds: Tensor, cfg: LossConfig, seed: int = 0):
+def total_loss(eps: Tensor, preds: Tensor, cfg: LossConfig, rng: np.random.Generator):
     """Combined objective base + weight * diversity; returns (total, base, diversity) tensors."""
     base = base_loss(eps, preds)
-    div = diversity_loss(preds, cfg.pair_count, cfg.margin, seed)
+    div = diversity_loss(preds, cfg.pair_count, cfg.margin, rng)
     return base + cfg.weight * div, base, div
 
 
@@ -252,11 +252,10 @@ def model_from_checkpoint(ckpt: Checkpoint):
         cfg = DenoiserConfig(**ckpt.config["model"])
     except (KeyError, TypeError, ValueError) as e:
         raise CheckpointError(f"checkpoint config lacks a valid model section: {e!r}") from e
-    backbone = Backbone(cfg, seed=0)
-    model = backbone
+    model = backbone = Backbone(cfg)  # its arrays are overwritten below, so no seed matters
     if ckpt.config.get("adapter"):
         try:
-            stack = AdapterStack(AdapterConfig(**ckpt.config["adapter"]), backbone.cfg.dec_layers, seed=0)
+            stack = AdapterStack(AdapterConfig(**ckpt.config["adapter"]), backbone.cfg.dec_layers)
             model = attach(backbone, stack)
         except (TypeError, ValueError) as e:
             raise CheckpointError(f"checkpoint config has an invalid adapter section: {e!r}") from e
@@ -350,13 +349,12 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
     if sched.T != model.cfg.T:  # `restore` would refuse the checkpoint
         raise ContractError(f"the schedule has {sched.T} timesteps, but the model was built for {model.cfg.T}")
     opt = Adam(model.parameters(), cfg.learning_rate)
-    rng = np.random.default_rng(cfg.seed)
+    rng, pairs = series_rng(cfg.seed, TRAIN_STREAM, 0), series_rng(cfg.seed, PAIR_STREAM, 0)
     arr = normalizer.scale(data.values)
-    n = arr.shape[0]
     rows = []
     with np.errstate(over="raise", invalid="raise", divide="raise"):  # an overflowing step diverges, not warns
         for step in range(cfg.steps):
-            idx = rng.integers(0, n, cfg.batch_size)
+            idx = rng.integers(0, len(arr), cfg.batch_size)
             x0 = arr[idx]
             t = int(rng.integers(0, sched.T))
             eps = rng.standard_normal(x0.shape).astype(np.float32)
@@ -367,8 +365,7 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
                     loss = base = base_loss(Tensor(eps), eps_hat)
                     div_val = 0.0
                 else:
-                    pair_seed = int(rng.integers(0, 2**31 - 1))
-                    loss, base, div = total_loss(Tensor(eps), eps_hat, loss_cfg, pair_seed)
+                    loss, base, div = total_loss(Tensor(eps), eps_hat, loss_cfg, pairs)
                     div_val = div.item()
                 lval = loss.item()
                 if not np.isfinite(lval):

@@ -11,6 +11,7 @@ These stay independent of the library's own computation paths — they use
 plain numpy (including numpy.linalg, which the library itself avoids).
 """
 
+import copy
 import errno
 import json
 import math
@@ -23,6 +24,26 @@ from faultgen import data
 from faultgen.autodiff import Tensor
 from faultgen.errors import DimensionError
 from faultgen.training import Adam
+
+
+def first_draws_of_streams(monkeypatch, build):
+    """Call `build()` and return, in order, the first draws of each generator it made through `default_rng`."""
+    made, make = [], np.random.default_rng
+
+    def recording(*args, **kwargs):
+        rng = make(*args, **kwargs)
+        made.append(copy.deepcopy(rng).integers(0, 2**63, size=4).tobytes())
+        return rng
+
+    with monkeypatch.context() as m:
+        m.setattr(np.random, "default_rng", recording)
+        build()
+    return made
+
+
+def keyed_first_draw(seed, role, i=0):
+    """The first draws of stream (seed, role, i), spelled out from numpy's SeedSequence, not `data.series_rng`."""
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role, i))).integers(0, 2**63, 4).tobytes()
 
 
 def rel_err(analytic, numeric, floor=1.0):
@@ -154,12 +175,11 @@ def view_transpose(w):
     return w.data.T
 
 
-def loop_diversity_loss(preds, pair_count, margin, seed):
+def loop_diversity_loss(preds, pair_count, margin, rng):
     """The diversity loss as one small graph per sampled pair (a Python list of all pairs)."""
     n = preds.shape[0]
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
     if pair_count < len(pairs):
-        rng = np.random.default_rng(seed)
         order = rng.permutation(len(pairs))[:pair_count]
         pairs = [pairs[k] for k in order]
     entries = int(np.prod(preds.shape[1:]))

@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import os
 import re
 
 import hypothesis.extra.numpy as hnp
@@ -107,13 +108,15 @@ class TestGenerateNormal:
 
 class TestSeriesStreams:
     def test_no_two_of_a_seeds_streams_start_with_the_same_draws(self):
-        # the fault-spec stream, and base series i, injection i and noise i for i < 64. Under `default_rng(seed + i)`
-        # the spec stream was injection stream 0, and keyed by entropy tuples, `default_rng((seed, 0))` is it again
+        # the fault-spec stream, and stream i < 64 of every role. Under `default_rng(seed + i)` the spec stream was
+        # injection stream 0, and keyed by entropy tuples, `default_rng((seed, 0))` is it again
+        roles = (data.BASE_STREAM, data.INJECTION_STREAM, data.NOISE_STREAM, data.BACKBONE_STREAM,
+                 data.ADAPTER_STREAM, data.TRAIN_STREAM, data.PAIR_STREAM, data.SPLIT_STREAM, data.NETWORK_STREAM,
+                 data.TSNE_STREAM)
         for seed in (0, 5):
-            streams = [np.random.default_rng(seed)] + [
-                data.series_rng(seed, role, i)
-                for role in (data.BASE_STREAM, data.INJECTION_STREAM, data.NOISE_STREAM) for i in range(64)]
-            assert len({rng.integers(0, 2**63, size=4).tobytes() for rng in streams}) == len(streams) == 193
+            streams = [np.random.default_rng(seed)] + [data.series_rng(seed, role, i) for role in roles
+                                                       for i in range(64)]
+            assert len({rng.integers(0, 2**63, size=4).tobytes() for rng in streams}) == len(streams) == 641
 
     @pytest.mark.parametrize("build", [
         lambda seed: generate_normal(24, 2, 64, seed).values,
@@ -499,6 +502,26 @@ class TestCorpusIO:
         (tmp_path / "c" / "sample_00002.csv").unlink()
         with pytest.raises(CorpusError, match="3 samples"):
             load_corpus(tmp_path / "c")
+
+    def test_a_sample_file_under_another_name_is_a_corpus_error(self, tmp_path, capsys):
+        save_corpus(generate_normal(24, 2, 3, seed=3), tmp_path / "c")
+        (tmp_path / "c" / "sample_00002.csv").rename(tmp_path / "c" / "sample_2.csv")
+        with pytest.raises(CorpusError, match="sample_00002.csv is missing, so series 2 has no file"):
+            load_corpus(tmp_path / "c")
+        corpus = str(tmp_path / "c")
+        assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
+        assert "sample_00002.csv is missing" in capsys.readouterr().err
+
+    def test_series_i_is_read_from_its_own_file_past_five_digits(self, tmp_path, monkeypatch):
+        # in name order, sample_100000.csv sorts before sample_10001.csv
+        n = 100_001
+        save_corpus(generate_normal(24, 2, 1, seed=3), tmp_path / "c")
+        self._edit_manifest(tmp_path / "c", lambda m: m.update(n=n))
+        names = [f"sample_{i:05d}.csv" for i in range(n)]
+        monkeypatch.setattr(data.os, "listdir", lambda directory: names[::-1])
+        monkeypatch.setattr(data, "_read_sample", lambda path, tau, channel_names: np.full(
+            (tau, len(channel_names)), int(re.fullmatch(r"sample_(\d+)\.csv", os.path.basename(path))[1]), np.float32))
+        assert np.array_equal(load_corpus(tmp_path / "c").values[:, 0, 0], np.arange(n))
 
     def test_nan_cell_names_row_and_column(self, tmp_path):
         ds = generate_normal(24, 2, 2, seed=3)

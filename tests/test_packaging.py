@@ -1,5 +1,5 @@
 """The package imports only what `pip install .` brings, the standard library and numpy, and keys its
-random streams without arithmetic on seeds."""
+random streams by (seed, role, index) in one place, without arithmetic on seeds."""
 
 import ast
 import pathlib
@@ -31,11 +31,16 @@ def test_the_package_modules_are_found():
     assert {"__init__.py", "cli.py"} <= {path.name for path in MODULES}
 
 
+def _callee(node):
+    """The name a call calls: `f` of `f(...)` and of `a.b.f(...)`."""
+    return getattr(node.func, "attr", getattr(node.func, "id", None))
+
+
 def _seeded_with_arithmetic(tree):
-    """Each `default_rng(...)` or `SeedSequence(...)` call in `tree` with an arithmetic expression in its arguments."""
+    """Each `default_rng(...)`, `SeedSequence(...)` or `series_rng(...)` call in `tree` with an arithmetic expression
+    in its arguments."""
     for node in ast.walk(tree):
-        if isinstance(node, ast.Call) and getattr(node.func, "attr", getattr(node.func, "id", None)) in (
-                "default_rng", "SeedSequence"):
+        if isinstance(node, ast.Call) and _callee(node) in ("default_rng", "SeedSequence", "series_rng"):
             if any(isinstance(sub, (ast.BinOp, ast.UnaryOp)) for arg in (*node.args, *node.keywords)
                    for sub in ast.walk(arg)):
                 yield ast.unparse(node)
@@ -46,3 +51,31 @@ def test_no_module_seeds_a_random_stream_with_arithmetic(path):
     # `default_rng(seed + i)` gave seeds s and s + 1 all but one series in common; `data.series_rng` keys a
     # series' stream by (seed, role, i) instead
     assert list(_seeded_with_arithmetic(ast.parse(path.read_text()))) == []
+
+
+# where a seed may become a generator: the keyed helper, and the three streams left as they are
+STREAM_CONSTRUCTORS = {
+    ("data.py", "series_rng"),                  # the one rule: a stream keyed by (seed, role, index)
+    ("data.py", "make_fault_dataset"),          # the fault-spec stream, which every pinned corpus digest holds
+    ("data.py", "inject_fault"),                # passes its caller's generator through
+    ("metrics.py", "ContextEncoder.__init__"),  # a fixed constant, which keeps context-FID comparable
+}
+
+
+def _stream_constructors(node, scope=""):
+    """(enclosing function's qualified name, source) of each `default_rng(...)` or `SeedSequence(...)` call."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _stream_constructors(child, f"{scope}.{child.name}".lstrip("."))
+            continue
+        if isinstance(child, ast.Call) and _callee(child) in ("default_rng", "SeedSequence"):
+            yield scope, ast.unparse(child)
+        yield from _stream_constructors(child, scope)
+
+
+def test_a_seed_becomes_a_generator_only_in_the_keyed_helper_and_three_named_exceptions():
+    found = {}
+    for path in MODULES:
+        for scope, call in _stream_constructors(ast.parse(path.read_text())):
+            found[path.name, scope] = call
+    assert set(found) == STREAM_CONSTRUCTORS, found

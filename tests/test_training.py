@@ -14,13 +14,14 @@ import numpy as np
 import pytest
 
 from faultgen import autodiff as ad
+from faultgen import training
 from faultgen.adapter import AdapterConfig, AdapterStack, attach
 from faultgen.autodiff import Parameter
 from faultgen.cli import main
 from faultgen.config import resolve_config
 from faultgen.data import fit_normalizer, generate_normal, load_corpus
 from faultgen.denoiser import Backbone, DenoiserConfig
-from faultgen.diffusion import make_schedule
+from faultgen.diffusion import forward_sample, make_schedule
 from faultgen.errors import CheckpointError, ContractError
 from faultgen.training import (
     CHECKPOINT_MAGIC,
@@ -37,7 +38,7 @@ from faultgen.training import (
     train,
 )
 
-from helpers import fail_writes_midway, loop_diversity_loss
+from helpers import fail_writes_midway, first_draws_of_streams, keyed_first_draw, loop_diversity_loss
 
 SHAPES = [(3, 4), (4,), (2, 3, 5), (1,), (7, 2)]
 TINY = DenoiserConfig(tau=8, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=1,
@@ -251,6 +252,45 @@ def test_train_records_the_phase_of_the_model_it_trained(tmp_path):
         assert config["config_hash"] == _oracle_hash(config)
 
 
+def test_a_models_init_and_its_training_draws_share_no_first_draw(monkeypatch):
+    """Backbone init, adapter init, the loop's batches, timesteps and noise, and the diversity pairs take
+    streams (seed, role, 0) of roles 3, 4, 5 and 6."""
+    data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
+    sched, norm = make_schedule(TINY.T, 1e-3, 0.2), fit_normalizer(data, "minmax")
+
+    def build():
+        backbone = Backbone(TINY, seed=5)
+        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=TINY.model_dim, alpha=1.0), TINY.dec_layers,
+                             seed=5)
+        train(data, attach(backbone, stack), TrainConfig(steps=1, batch_size=4, learning_rate=1e-3,
+                                                          warmup_steps=0, seed=5),
+              sched, norm, loss_cfg=LossConfig(weight=0.1, margin=1.0, pair_count=2))
+
+    draws = first_draws_of_streams(monkeypatch, build)
+    assert draws == [keyed_first_draw(5, role) for role in (3, 4, 5, 6)] and len(set(draws)) == 4
+
+
+def test_the_diversity_weight_changes_no_batch_timestep_or_noise_of_a_fine_tune(monkeypatch):
+    """The diversity pairs draw from their own stream, so a weight-0 and a weight-0.1 fine-tune noise the same
+    batches at the same timesteps with the same noise, step for step."""
+    data = generate_normal(TINY.tau, TINY.d, 6, seed=1)
+    sched, norm = make_schedule(TINY.T, 1e-3, 0.2), fit_normalizer(data, "minmax")
+    seen = []
+
+    def spy(x0, t, eps, schedule):
+        seen[-1].append((x0.tobytes(), t, eps.tobytes()))
+        return forward_sample(x0, t, eps, schedule)
+
+    monkeypatch.setattr(training, "forward_sample", spy)
+    for weight in (0.0, 0.1):
+        seen.append([])
+        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=TINY.model_dim, alpha=1.0), TINY.dec_layers)
+        train(data, attach(Backbone(TINY), stack),
+              TrainConfig(steps=5, batch_size=4, learning_rate=1e-3, warmup_steps=0, seed=0),
+              sched, norm, loss_cfg=LossConfig(weight=weight, margin=1.0, pair_count=2))
+    assert len(seen[0]) == 5 and seen[0] == seen[1]
+
+
 @pytest.mark.parametrize("make", [
     lambda: TrainConfig(steps=-1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
     lambda: TrainConfig(steps=1, batch_size=0, learning_rate=1e-3, warmup_steps=0, seed=0),
@@ -384,7 +424,7 @@ def test_diversity_loss_matches_the_per_pair_loop(n, pair_count, margin, dtype):
     with ad.precision(dtype):
         for loss_fn in (diversity_loss, loop_diversity_loss):
             p = ad.Tensor(preds, requires_grad=True)
-            loss = loss_fn(p, pair_count, margin, seed=17)
+            loss = loss_fn(p, pair_count, margin, np.random.default_rng(17))
             loss.backward()
             out.append((loss.data, p.grad))
     (value, grad), (ref_value, ref_grad) = out
