@@ -17,8 +17,9 @@ A backward computes a parent's gradient only when the parent requires one (`_acc
 multiplies by a weight's transpose through a C-contiguous copy (`_t`), not the strided view. That
 keeps every gradient bit, except that for series under 19 steps BLAS may round the two differently.
 
-Training runs in float32; a float64 mode (`set_dtype` / `precision`) exists
-for finite-difference verification.
+A tensor keeps its data's dtype, as a numpy array does: a float32 or float64 array stays as it is, and
+any other input becomes float32. The pipeline runs in float32 throughout; a float64 graph, built from float64
+leaves, serves the finite-difference checks.
 """
 
 from __future__ import annotations
@@ -29,33 +30,9 @@ import numpy as np
 
 from .errors import ContractError, DimensionError, NumericError
 
-_DTYPE = np.float32
 _GRAD_ENABLED = True
-
-
-def set_dtype(dtype) -> None:
-    """Set the default dtype for newly created tensors ('float32'|'float64')."""
-    global _DTYPE
-    dt = np.dtype(dtype)
-    if dt not in (np.dtype(np.float32), np.dtype(np.float64)):
-        raise ContractError(f"unsupported dtype {dtype!r}")
-    _DTYPE = dt.type
-
-
-def default_dtype():
-    return np.dtype(_DTYPE)
-
-
-@contextlib.contextmanager
-def precision(dtype):
-    """Temporarily switch the default dtype (used for 64-bit gradient checks)."""
-    global _DTYPE
-    old = _DTYPE
-    set_dtype(dtype)
-    try:
-        yield
-    finally:
-        _DTYPE = old
+# a set, not a tuple: numpy reads None == np.dtype("f8") as true, so a tuple would hold a missing dtype
+_FLOATS = frozenset((np.dtype(np.float32), np.dtype(np.float64)))
 
 
 @contextlib.contextmanager
@@ -80,7 +57,10 @@ class Tensor:
     __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False):
-        self.data = np.asarray(data, dtype=_DTYPE)
+        if getattr(data, "dtype", None) in _FLOATS:  # a float32 or float64 array or numpy scalar
+            self.data = np.asarray(data)
+        else:
+            self.data = np.asarray(data, dtype=np.float32)
         self.grad = None
         self.requires_grad = bool(requires_grad)
         self._parents = ()

@@ -171,7 +171,7 @@ def cmd_generate(args) -> int:
     label = args.label or data["label"]
 
     with _in_progress(args.out):
-        values = norm.unscale(sample(model, sched, args.n, (model.cfg.tau, model.cfg.d), args.seed))
+        values = norm.unscale(sample(model, sched, args.n, args.seed))
         ds = Dataset(values, label=label, id=f"gen-{args.seed}-{args.n}", seed=args.seed,
                      channel_names=data["channel_names"])
         save_corpus(ds, args.out)
@@ -199,9 +199,9 @@ def cmd_evaluate(args) -> int:
     real = load_corpus(_require_dir(args.real, "real"))
     synth = load_corpus(_require_dir(args.synth, "synthetic"))
     report = evaluate_corpora(real, synth, metrics, seeds)
-    os.makedirs(args.out, exist_ok=True)
-    write_atomic(os.path.join(args.out, "report.json"), report.to_json())
-    write_atomic(os.path.join(args.out, "report.csv"), report.to_csv())
+    with _in_progress(args.out):
+        write_atomic(os.path.join(args.out, "report.json"), report.to_json())
+        write_atomic(os.path.join(args.out, "report.csv"), report.to_csv())
     print(json.dumps(report.medians, sort_keys=True))
     return 0
 
@@ -212,9 +212,9 @@ def cmd_embed(args) -> int:
         raise ConfigError(f"{', '.join('--' + k for k in tsne)} apply only to --method tsne")
     datasets = [load_corpus(_require_dir(c, "embedding")) for c in args.corpus]
     result = embed_2d(datasets, method=args.method, features=args.features, seed=args.seed, **tsne)
-    os.makedirs(args.out, exist_ok=True)
-    write_atomic(os.path.join(args.out, "embedding.csv"), result.coords_csv())
-    write_atomic(os.path.join(args.out, "kde.csv"), result.kde_csv())
+    with _in_progress(args.out):
+        write_atomic(os.path.join(args.out, "embedding.csv"), result.coords_csv())
+        write_atomic(os.path.join(args.out, "kde.csv"), result.kde_csv())
     print(json.dumps({"samples": len(result.labels), "method": args.method,
                       "out": args.out}, sort_keys=True))
     return 0

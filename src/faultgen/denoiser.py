@@ -53,7 +53,7 @@ def timestep_embed(t: int, model_dim: int) -> np.ndarray:
     emb = np.concatenate([np.sin(ang), np.cos(ang)])
     if model_dim % 2:
         emb = np.concatenate([emb, [0.0]])
-    return emb.astype(ad.default_dtype())
+    return emb.astype(np.float32)
 
 
 def position_encoding(tau: int, model_dim: int) -> np.ndarray:
@@ -61,13 +61,13 @@ def position_encoding(tau: int, model_dim: int) -> np.ndarray:
     i = np.arange(model_dim)[None, :]
     ang = pos / np.power(10000.0, (2 * (i // 2)) / model_dim)
     pe = np.where(i % 2 == 0, np.sin(ang), np.cos(ang))
-    return pe.astype(ad.default_dtype())
+    return pe.astype(np.float32)
 
 
 def trend_basis(tau: int, degree: int) -> np.ndarray:
     """(tau, degree+1) polynomial basis on normalized time in [0, 1]; column 0 is ones."""
     t = np.arange(tau) / max(tau - 1, 1)
-    return np.stack([t**p for p in range(degree + 1)], axis=1).astype(ad.default_dtype())
+    return np.stack([t**p for p in range(degree + 1)], axis=1).astype(np.float32)
 
 
 def fourier_basis(tau: int, terms: int) -> np.ndarray:
@@ -77,12 +77,12 @@ def fourier_basis(tau: int, terms: int) -> np.ndarray:
     for k in range(1, terms + 1):
         cols.append(np.cos(2.0 * np.pi * k * t))
         cols.append(np.sin(2.0 * np.pi * k * t))
-    return np.stack(cols, axis=1).astype(ad.default_dtype())
+    return np.stack(cols, axis=1).astype(np.float32)
 
 
 def _glorot(rng: np.random.Generator, fan_in: int, fan_out: int) -> np.ndarray:
     std = np.sqrt(2.0 / (fan_in + fan_out))
-    return rng.normal(0.0, std, size=(fan_in, fan_out)).astype(ad.default_dtype())
+    return rng.normal(0.0, std, size=(fan_in, fan_out)).astype(np.float32)
 
 
 class ParamGroup:
@@ -100,15 +100,15 @@ class ParamGroup:
 
     def linear(self, name: str, fan_in: int, fan_out: int, rng, zero: bool = False):
         if zero:
-            w = np.zeros((fan_in, fan_out), dtype=ad.default_dtype())
+            w = np.zeros((fan_in, fan_out), dtype=np.float32)
         else:
             w = _glorot(rng, fan_in, fan_out)
-        b = np.zeros(fan_out, dtype=ad.default_dtype())
+        b = np.zeros(fan_out, dtype=np.float32)
         return self.add(f"{name}.w", w), self.add(f"{name}.b", b)
 
     def norm(self, name: str, dim: int):
-        g = self.add(f"{name}.g", np.ones(dim, dtype=ad.default_dtype()))
-        b = self.add(f"{name}.b", np.zeros(dim, dtype=ad.default_dtype()))
+        g = self.add(f"{name}.g", np.ones(dim, dtype=np.float32))
+        b = self.add(f"{name}.b", np.zeros(dim, dtype=np.float32))
         return g, b
 
     def attention(self, name: str, dim: int, rng):
@@ -213,7 +213,7 @@ class Backbone:
         return h
 
     def forward(self, x_t, t: int, adapter=None) -> Tensor:
-        """Noise prediction for a (batch, tau, d) `x_t` at step `t`.
+        """Noise prediction for a (batch, tau, d) `x_t` at step `t`; an array `x_t` takes the parameters' dtype.
 
         An adapter stack, when given, runs after every decoder layer
         (`AdapterStack.interleave`).
@@ -221,7 +221,7 @@ class Backbone:
         cfg = self.cfg
         if not 0 <= t < cfg.T:
             raise ContractError(f"t={t} outside [0, {cfg.T})")
-        x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t))
+        x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=self.in_w.dtype))
         if x.ndim != 3 or x.shape[1] != cfg.tau or x.shape[2] != cfg.d:
             raise ContractError(f"expected (batch, {cfg.tau}, {cfg.d}) input, got {x.shape}")
 

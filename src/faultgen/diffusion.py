@@ -75,8 +75,8 @@ def reverse_step(x_t: np.ndarray, t: int, eps_hat: np.ndarray, z: np.ndarray, sc
     return (mean + np.sqrt(sched.posterior_var[t]) * z).astype(x_t.dtype)
 
 
-def sample(model, sched: NoiseSchedule, n: int, shape: tuple[int, int], seed: int) -> np.ndarray:
-    """Generate `n` series by iterating reverse_step from pure noise, as one float32 (n, tau, d) stack.
+def sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
+    """Generate `n` series by iterating reverse_step from pure noise, as one float32 (n, cfg.tau, cfg.d) stack.
 
     Sample i draws its noise from `series_rng(seed, NOISE_STREAM, i)`, so neighbouring seeds share no sample and
     its bits do not depend on how many siblings (n >= 2) are generated with it; alone (n = 1), BLAS computes the
@@ -86,6 +86,7 @@ def sample(model, sched: NoiseSchedule, n: int, shape: tuple[int, int], seed: in
     are in the run's scaled space, and the normalizer's `unscale` maps them back to the corpus's units."""
     if sched.T != model.cfg.T:  # a model runs only the chain it was trained on, as in `train` and `restore`
         raise ContractError(f"the schedule has {sched.T} timesteps, but the model was built for {model.cfg.T}")
+    shape = (model.cfg.tau, model.cfg.d)
     if n == 0:
         return np.zeros((0, *shape), dtype=np.float32)
     rngs = [series_rng(seed, NOISE_STREAM, i) for i in range(n)]

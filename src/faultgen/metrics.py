@@ -41,14 +41,14 @@ class FeedForwardNet:
     """Seeded MLPs over flattened windows, one per seed on a leading axis; gelu activations, linear output."""
 
     def __init__(self, in_dim: int, hidden: list[int], out_dim: int, seeds):
-        rngs, dt = [series_rng(s, NETWORK_STREAM, 0) for s in seeds], ad.default_dtype()
+        rngs = [series_rng(s, NETWORK_STREAM, 0) for s in seeds]
         self.params: list[Parameter] = []
         self.layers = []
         last = in_dim
         for i, h in enumerate(list(hidden) + [out_dim]):
             std = np.sqrt(2.0 / (last + h))
-            w = Parameter(f"w{i}", np.stack([rng.normal(0, std, (last, h)) for rng in rngs]).astype(dt))
-            b = Parameter(f"b{i}", np.zeros((len(rngs), 1, h), dtype=dt))
+            w = Parameter(f"w{i}", np.stack([rng.normal(0, std, (last, h)) for rng in rngs]).astype(np.float32))
+            b = Parameter(f"b{i}", np.zeros((len(rngs), 1, h), dtype=np.float32))
             self.params += [w, b]
             self.layers.append((w, b))
             last = h
@@ -81,7 +81,7 @@ def _fit_predict(x_train: np.ndarray, x_test: np.ndarray, hidden: list[int], out
 
     mu, sd = x_train.mean(axis=1, keepdims=True), x_train.std(axis=1, keepdims=True)
     sd = np.where(sd > 0, sd, 1.0)
-    xt, xe = (((x - mu) / sd).astype(ad.default_dtype()) for x in (x_train, x_test))
+    xt, xe = (((x - mu) / sd).astype(np.float32) for x in (x_train, x_test))
     net = FeedForwardNet(x_train.shape[2], hidden, out_dim, seeds)
     opt = Adam(net.params, lr)
 
@@ -158,7 +158,7 @@ def predictive_score(real: Dataset, synth: Dataset, seeds) -> list[float]:
     xr = real.values
     x_train = np.stack([xs[:, :-1, :].reshape(len(synth), -1)] * len(seeds))
     x_test = np.stack([xr[:, :-1, :].reshape(len(real), -1)] * len(seeds))
-    y_train = xs[:, -1, :].astype(ad.default_dtype())
+    y_train = xs[:, -1, :].astype(np.float32)
     y_test = xr[:, -1, :]
 
     pred = _fit_predict(x_train, x_test, [32], real.dim, lambda out: l1_grad(out, y_train),
@@ -286,6 +286,8 @@ def diversity_score(real: Dataset, synth: Dataset) -> float:
         raise ContractError("diversity score needs >= 2 synthetic samples")
     if len(real) < 2:
         raise ContractError("diversity score needs >= 2 real samples")
+    if min(real.tau, synth.tau) < 3:  # the autocorrelation features need a lag in 1..tau-2
+        raise ContractError("diversity score needs tau >= 3")
     if real.dim != synth.dim:
         raise ContractError("corpora must share the channel count")
     fr = _acf_features(real, ACF_MAX_LAG)

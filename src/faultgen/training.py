@@ -123,7 +123,7 @@ class Adam:
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.step_count = 0
-        dtypes = {p.data.dtype for p in self.params} or {ad.default_dtype()}
+        dtypes = {p.data.dtype for p in self.params} or {np.dtype(np.float32)}
         if len(dtypes) > 1:
             raise ContractError(f"Adam needs parameters of one dtype, got {sorted(map(str, dtypes))}")
         size, dtype = sum(p.data.size for p in self.params), dtypes.pop()
@@ -234,7 +234,9 @@ def load_checkpoint(path) -> Checkpoint:
             raise CheckpointError(f"{path}: shape/size disagreement for {name!r}")
         if lo < 0 or lo + nbytes > len(data):
             raise CheckpointError(f"{path}: truncated data for array {name!r}")
-        ckpt.arrays[name] = np.frombuffer(data[lo:lo + nbytes], dtype="<f4").reshape(shape).copy()
+        arr = ckpt.arrays[name] = np.frombuffer(data[lo:lo + nbytes], dtype="<f4").reshape(shape).copy()
+        if not np.isfinite(arr).all():
+            raise CheckpointError(f"{path}: array {name!r} holds a non-finite value")
     return ckpt
 
 

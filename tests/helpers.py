@@ -72,26 +72,25 @@ def central_diff(f, x: np.ndarray, h: float = 1e-5) -> np.ndarray:
 
 
 def grad_check(build_loss, arrays, h: float = 1e-5):
-    """Compare tape gradients against central differences in 64-bit mode.
+    """Compare tape gradients against central differences on float64 leaves.
 
-    `build_loss(tensors) -> scalar Tensor`; `arrays` is a list of float64
-    numpy arrays treated as differentiable leaves. Returns worst rel_err.
+    `build_loss(tensors) -> scalar Tensor`; each of `arrays` is copied into a
+    float64 leaf that requires a gradient. Returns worst rel_err.
     """
-    with ad.precision("float64"):
-        leaves = [Tensor(a.copy(), requires_grad=True) for a in arrays]
-        loss = build_loss(leaves)
-        loss.backward()
-        worst = 0.0
-        for idx, leaf in enumerate(leaves):
-            def f(x, idx=idx):
-                vals = [l.data for l in leaves]
-                vals[idx] = x
-                with ad.no_grad():
-                    return float(build_loss([Tensor(v) for v in vals]).data)
+    leaves = [Tensor(np.array(a, dtype=np.float64), requires_grad=True) for a in arrays]
+    loss = build_loss(leaves)
+    loss.backward()
+    worst = 0.0
+    for idx, leaf in enumerate(leaves):
+        def f(x, idx=idx):
+            vals = [l.data for l in leaves]
+            vals[idx] = x
+            with ad.no_grad():
+                return float(build_loss([Tensor(v) for v in vals]).data)
 
-            numeric = central_diff(f, leaf.data, h)
-            analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
-            worst = max(worst, rel_err(analytic, numeric))
+        numeric = central_diff(f, leaf.data, h)
+        analytic = leaf.grad if leaf.grad is not None else np.zeros_like(leaf.data)
+        worst = max(worst, rel_err(analytic, numeric))
     return worst
 
 
@@ -141,7 +140,7 @@ def composed_attention(q_in, kv_in, p, heads, mask=None):
     v = (kv_in @ p["wv"] + p["bv"]).reshape((b, sk, heads, e)).transpose((0, 2, 1, 3))
     scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(e))
     if mask is not None:
-        scores = scores + Tensor(mask)
+        scores = scores + mask  # lifted to the scores' dtype
     att = ad.softmax(scores, axis=-1)
     out = (att @ v).transpose((0, 2, 1, 3)).reshape((b, sq, dim))
     return out @ p["wo"] + p["bo"]
@@ -301,7 +300,7 @@ def tape_fit_predict(net, x_train, x_test, loss_fn, steps, lr):
     with Adam on `loss_fn(training output tensor)`, a scalar tensor, and return the test outputs."""
     mu, sd = x_train.mean(axis=1, keepdims=True), x_train.std(axis=1, keepdims=True)
     sd = np.where(sd > 0, sd, 1.0)
-    xt, xe = (Tensor(((x - mu) / sd).astype(ad.default_dtype())) for x in (x_train, x_test))
+    xt, xe = (Tensor(((x - mu) / sd).astype(np.float32)) for x in (x_train, x_test))
     opt = Adam(net.params, lr)
     for _ in range(steps):
         loss = loss_fn(tape_forward(net, xt))

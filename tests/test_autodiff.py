@@ -44,12 +44,11 @@ class TestMatmul:
         # d/da sum(a @ b) = ones(m, n) @ b.T
         a = RNG.standard_normal((5, 4))
         b = RNG.standard_normal((4, 3))
-        with ad.precision("float64"):
-            ta = Tensor(a, requires_grad=True)
-            loss = (ta @ Tensor(b)).sum()
-            loss.backward()
-            expected = np.ones((5, 3)) @ b.T
-            assert rel_err(ta.grad, expected) < 1e-12
+        ta = Tensor(a, requires_grad=True)
+        loss = (ta @ Tensor(b)).sum()
+        loss.backward()
+        expected = np.ones((5, 3)) @ b.T
+        assert rel_err(ta.grad, expected) < 1e-12
 
     def test_batched_grads_match_fd(self):
         a = RNG.standard_normal((2, 3, 4))
@@ -71,8 +70,7 @@ class TestSoftmax:
     def test_reference_values(self):
         # independent high-precision evaluation of softmax([1,2,3])
         expected = [0.09003057317038046, 0.24472847105479764, 0.6652409557748219]
-        with ad.precision("float64"):
-            out = ad.softmax(Tensor(np.array([1.0, 2.0, 3.0])), axis=-1)
+        out = ad.softmax(Tensor(np.array([1.0, 2.0, 3.0])), axis=-1)
         assert rel_err(out.data, expected) < 1e-6
 
     def test_rows_sum_to_one(self):
@@ -117,8 +115,7 @@ class TestLayerNorm:
         x = (rng.standard_normal(shape) * rng.uniform(0.1, 10.0, shape[:-1] + (1,)) + offset).astype(dtype)
         gain = rng.standard_normal(shape[-1]).astype(dtype)
         bias = rng.standard_normal(shape[-1]).astype(dtype)
-        with ad.precision(dtype):
-            out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
+        out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(bias)).data
         mu = np.mean(x, axis=-1, keepdims=True)
         var = np.var(x, axis=-1, keepdims=True)
         expected = gain * ((x - mu) * (1.0 / np.sqrt(var + 1e-5))) + bias
@@ -291,17 +288,16 @@ class TestFeedForwardOp:
         rng = np.random.default_rng(9)
         x, *params = _ff_inputs(rng, 2, s=3, dim=4, hidden=6)
         w = rng.standard_normal((2, 3, 4))
-        with ad.precision("float64"):
-            frozen = [Parameter(k, a, trainable=False) for k, a in zip(FF_KEYS, params)]
-            xt = Tensor(x, requires_grad=True)
-            (ad.feed_forward(xt, *frozen) * Tensor(w)).sum().backward()
-            assert all(not np.any(p.grad) for p in frozen)
+        frozen = [Parameter(k, a, trainable=False) for k, a in zip(FF_KEYS, params)]
+        xt = Tensor(x, requires_grad=True)
+        (ad.feed_forward(xt, *frozen) * Tensor(w)).sum().backward()
+        assert all(not np.any(p.grad) for p in frozen)
 
-            def f(xv):
-                with ad.no_grad():
-                    return float((ad.feed_forward(Tensor(xv), *frozen) * Tensor(w)).sum().data)
+        def f(xv):
+            with ad.no_grad():
+                return float((ad.feed_forward(Tensor(xv), *frozen) * Tensor(w)).sum().data)
 
-            assert rel_err(xt.grad, central_diff(f, x)) < 1e-6
+        assert rel_err(xt.grad, central_diff(f, x)) < 1e-6
 
     def test_nan_in_w1_ends_in_a_forward_error_naming_the_layer(self):
         cfg = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
@@ -343,9 +339,8 @@ class TestRewrittenKernelsKeepTheirBits:
         rng = np.random.default_rng(b + width)
         x, g = (rng.standard_normal((2, b, 24, width)) * 2.0 + 0.5).astype(dtype)
         gain, bias = (rng.standard_normal((2, width)) * 0.1 + [[1.0], [0.0]]).astype(dtype)
-        with ad.precision(dtype):
-            xt = Tensor(x, requires_grad=True)
-            (ad.layer_norm(xt, Tensor(gain), Tensor(bias)) * Tensor(g)).sum().backward()
+        xt = Tensor(x, requires_grad=True)
+        (ad.layer_norm(xt, Tensor(gain), Tensor(bias)) * Tensor(g)).sum().backward()
         assert xt.grad.dtype == np.dtype(dtype)
         assert np.array_equal(xt.grad, formula_layer_norm_input_grad(x, gain, g))
 
@@ -363,11 +358,10 @@ class TestRewrittenKernelsKeepTheirBits:
         att = _attention_inputs(rng, b, 24, 24, 64, dtype)
         cross = _attention_inputs(rng, b, 24, 24, 64, dtype)
         ff = _ff_inputs(rng, b, dim=64, hidden=128, dtype=dtype)
-        with ad.precision(dtype):
-            ts = [Tensor(a, requires_grad=True) for a in att + cross + ff]
-            h = ad.attention(ts[0], ts[0], *ts[2:10], 4, _band(24, 24, 2))
-            h = h + ad.attention(ts[10], ts[11], *ts[12:20], 4)
-            (ad.feed_forward(h * ts[20], *ts[21:]) * h).sum().backward()
+        ts = [Tensor(a, requires_grad=True) for a in att + cross + ff]
+        h = ad.attention(ts[0], ts[0], *ts[2:10], 4, _band(24, 24, 2))
+        h = h + ad.attention(ts[10], ts[11], *ts[12:20], 4)
+        (ad.feed_forward(h * ts[20], *ts[21:]) * h).sum().backward()
         return [t.grad for t in ts]
 
     @pytest.mark.parametrize("dtype", ["float32", "float64"])
@@ -446,27 +440,25 @@ class TestBackward:
             Tensor(np.ones(3), requires_grad=True).backward()
 
     def test_reused_node_accumulates(self):
-        with ad.precision("float64"):
-            x = Tensor(np.array([2.0]), requires_grad=True)
-            loss = (x * x).sum()  # same tensor on both sides
-            loss.backward()
-            np.testing.assert_allclose(x.grad, [4.0])
+        x = Tensor(np.array([2.0]), requires_grad=True)
+        loss = (x * x).sum()  # same tensor on both sides
+        loss.backward()
+        np.testing.assert_allclose(x.grad, [4.0])
 
     def test_a_second_backward_through_a_spent_graph_raises_and_keeps_the_first_gradients(self):
-        with ad.precision("float64"):
-            x = Tensor(np.array([[1.0, 1.0]]), requires_grad=True)
-            w = Tensor(np.array([[1.0, 2.0], [3.0, 1.0]]), requires_grad=True)
-            h = x @ w
-            loss = (h * 2.0).sum()
+        x = Tensor(np.array([[1.0, 1.0]]), requires_grad=True)
+        w = Tensor(np.array([[1.0, 2.0], [3.0, 1.0]]), requires_grad=True)
+        h = x @ w
+        loss = (h * 2.0).sum()
+        loss.backward()
+        np.testing.assert_array_equal(x.grad, [[6.0, 8.0]])
+        np.testing.assert_array_equal(w.grad, [[2.0, 2.0], [2.0, 2.0]])
+        with pytest.raises(ContractError, match="consumed"):
             loss.backward()
-            np.testing.assert_array_equal(x.grad, [[6.0, 8.0]])
-            np.testing.assert_array_equal(w.grad, [[2.0, 2.0], [2.0, 2.0]])
-            with pytest.raises(ContractError, match="consumed"):
-                loss.backward()
-            with pytest.raises(ContractError, match="consumed"):  # a new loss on a spent node, too
-                (h * 3.0).sum().backward()
-            np.testing.assert_array_equal(x.grad, [[6.0, 8.0]])
-            np.testing.assert_array_equal(w.grad, [[2.0, 2.0], [2.0, 2.0]])
+        with pytest.raises(ContractError, match="consumed"):  # a new loss on a spent node, too
+            (h * 3.0).sum().backward()
+        np.testing.assert_array_equal(x.grad, [[6.0, 8.0]])
+        np.testing.assert_array_equal(w.grad, [[2.0, 2.0], [2.0, 2.0]])
 
     def test_backward_frees_every_interior_array_while_the_loss_is_still_held(self):
         x = Tensor(RNG.standard_normal((3, 4)), requires_grad=True)
@@ -539,11 +531,23 @@ class TestInvariants:
         (o1, g1), (o2, g2) = run(), run()
         assert np.array_equal(o1, o2) and np.array_equal(g1, g2)
 
-    def test_dtype_modes(self):
-        assert ad.default_dtype() == np.float32
-        assert Tensor(np.zeros(2, dtype=np.float64)).dtype == np.float32
-        with ad.precision("float64"):
-            assert Tensor(np.zeros(2)).dtype == np.float64
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_leaves_of_one_dtype_give_a_graph_and_gradients_of_that_dtype(self, dtype):
+        rng = np.random.default_rng(5)
+        x = Tensor(rng.standard_normal((2, 3, 4)).astype(dtype), requires_grad=True)
+        w = Parameter("w", rng.standard_normal((4, 4)).astype(dtype))
+        g, b = Parameter("g", np.ones(4, dtype)), Parameter("b", np.zeros(4, dtype))
+        h = ad.layer_norm(x @ w, g, b)
+        nodes = [h, ad.softmax(h), 2.0 * h - 1.0, h / 3.0, ad.gelu(h), h[:, 1:], h.mean(axis=1)]
+        loss = sum((n.sum() for n in nodes[1:]), nodes[0].sum())
+        assert all(n.dtype == dtype for n in nodes) and loss.dtype == dtype
+        loss.backward()
+        assert all(p.grad.dtype == dtype for p in (x, w, g, b))
+
+    def test_other_data_becomes_float32(self):
+        for data in (1.0, [1, 2], np.arange(3), np.ones(2, dtype=np.float16), True):
+            assert Tensor(data).dtype == np.float32
+        assert Tensor(np.float64(2.0)).dtype == np.float64  # a numpy scalar keeps its dtype, as an array does
 
     def test_no_grad_blocks_tape(self):
         x = Tensor(np.ones(3), requires_grad=True)

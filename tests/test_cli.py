@@ -2,6 +2,7 @@
 
 import argparse
 import ctypes
+import errno
 import json
 import os
 import shutil
@@ -11,9 +12,9 @@ import sys
 import numpy as np
 import pytest
 
-from faultgen import metrics, training
+from faultgen import cli, metrics, training
 from faultgen.cli import build_parser, main
-from faultgen.data import load_corpus, write_atomic
+from faultgen.data import Dataset, load_corpus, save_corpus, write_atomic
 from faultgen.training import load_checkpoint, save_checkpoint
 
 from helpers import fail_writes_midway
@@ -66,20 +67,6 @@ def test_evaluate_report_metadata_names_its_inputs_and_no_config(tmp_path, capsy
         meta = json.load(fh)["metadata"]
     assert meta == {"seeds": [5], "corpus_real": load_corpus(real).id, "corpus_synth": load_corpus(synth).id,
                     "metric_version": metrics.METRIC_VERSION, "encoder_seed": metrics.DEFAULT_ENCODER_SEED}
-
-
-def test_non_finite_weight_ends_generate_with_exit_4(tmp_path, capsys):
-    normal = str(tmp_path / "normal")
-    _run(capsys, "make-data", "--kind", "normal", "--n", "6", "--tau", "8", "--out", normal)
-    pre = _run(capsys, "pretrain", "--data", normal, "--out", str(tmp_path / "pre"),
-               *_overrides("pretrain", "train.pretrain_steps=1"))
-    ckpt = load_checkpoint(pre["checkpoint"])
-    first = next(iter(ckpt.arrays))
-    ckpt.arrays[first].flat[0] = np.nan
-    broken = str(tmp_path / "nan.ckpt")
-    save_checkpoint(ckpt, broken)
-    assert main(["generate", "--checkpoint", broken, "--n", "2", "--out", str(tmp_path / "gen")]) == 4
-    assert "non-finite" in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -184,6 +171,23 @@ def test_a_malformed_checkpoint_exits_3_before_anything_is_written(trained, tmp_
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("checkpoint error: "), command
         assert not out.exists(), command
+
+
+@pytest.mark.parametrize("command", ["generate", "finetune"])
+@pytest.mark.parametrize("array,value", [("norm.lo", np.nan), ("backbone.in_proj.w", np.nan), ("norm.hi", np.inf)])
+def test_a_checkpoint_array_holding_a_non_finite_value_exits_3_naming_it(trained, tmp_path, capsys, command,
+                                                                          array, value):
+    ckpt = load_checkpoint(trained["pre"])
+    ckpt.arrays[array].flat[0] = value
+    bad = str(tmp_path / "bad.ckpt")
+    save_checkpoint(ckpt, bad)
+    out = tmp_path / command
+    argv = [command, "--checkpoint", bad, "--out", str(out)]
+    if command == "finetune":
+        argv += ["--data", trained["fault"], *_overrides("finetune", "train.finetune_steps=1")]
+    assert main(argv) == 3
+    assert capsys.readouterr().err == f"checkpoint error: {bad}: array {array!r} holds a non-finite value\n"
+    assert not out.exists()
 
 
 def test_bogus_schedule_exits_3_from_a_checkpoint_and_2_from_an_override(trained, tmp_path, capsys):
@@ -425,6 +429,15 @@ def test_evaluate_exits_2_on_a_bad_seed_list(corpus_pair, tmp_path, capsys, seed
     out = tmp_path / "report"
     assert main(["evaluate", "--real", real, "--synth", synth, "--seeds", seeds, "--out", str(out)]) == 2
     assert message in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_evaluate_of_diversity_on_corpora_of_tau_2_exits_2_in_one_line(tmp_path, capsys):
+    corpus = str(tmp_path / "tau2")  # make-data writes tau >= 8, but load_corpus reads any tau >= 2
+    save_corpus(Dataset(np.random.default_rng(0).standard_normal((4, 2, 2)), label="normal", id="tau2"), corpus)
+    out = tmp_path / "report"
+    assert main(["evaluate", "--real", corpus, "--synth", corpus, "--metrics", "diversity", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: diversity score needs tau >= 3\n"
     assert not out.exists()
 
 
@@ -824,4 +837,30 @@ def test_evaluate_that_fails_to_write_keeps_the_previous_reports(corpus_pair, tm
     fail_writes_midway(monkeypatch)
     with pytest.raises(OSError):
         main(argv + ["--seeds", "0,1"])
-    assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+    after = {p.name: p.read_bytes() for p in out.iterdir()}
+    assert after.pop(".partial") == b"in progress\n" and after == before
+
+
+@pytest.mark.parametrize("argv,files", [
+    (["evaluate", "--metrics", "context_fid", "--real", "{real}", "--synth", "{synth}"], ["report.json", "report.csv"]),
+    (["embed", "--method", "pca", "--corpus", "{real}", "--corpus", "{synth}"], ["embedding.csv", "kde.csv"]),
+])
+def test_evaluate_and_embed_hold_a_partial_marker_until_their_second_file_is_written(corpus_pair, tmp_path, capsys,
+                                                                                    monkeypatch, argv, files):
+    argv = [arg.format(real=corpus_pair[0], synth=corpus_pair[1]) for arg in argv]
+    done = tmp_path / "done"
+    assert main(argv + ["--out", str(done)]) == 0
+    assert sorted(p.name for p in done.iterdir()) == sorted(files)
+    written = []
+
+    def second_write_fails(path, content):
+        written.append(path)
+        if len(written) == 2:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        write_atomic(path, content)
+
+    monkeypatch.setattr(cli, "write_atomic", second_write_fails)
+    cut = tmp_path / "cut"
+    with pytest.raises(OSError):
+        main(argv + ["--out", str(cut)])
+    assert sorted(p.name for p in cut.iterdir()) == [".partial", files[0]]

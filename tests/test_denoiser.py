@@ -61,6 +61,18 @@ class TestForward:
         b = bb.forward(x, 3)
         assert np.array_equal(a.data, b.data)
 
+    def test_a_float64_array_runs_in_the_parameters_float32(self):
+        bb = Backbone(TOY, seed=1)
+        rng = np.random.default_rng(1)
+        for p in bb.parameters():  # randomize the zero-init heads so the output is not all zeros
+            if not np.any(p.data):
+                p.data[...] = rng.normal(0, 0.05, p.data.shape)
+        x = rng.standard_normal((2, 4, 2))
+        out = bb.forward(x, 3)
+        assert out.dtype == np.float32 and np.any(out.data)
+        assert np.array_equal(out.data, bb.forward(x.astype(np.float32), 3).data)
+        assert bb.predict_noise(x, 3).dtype == np.float32
+
     def test_t_out_of_range(self):
         bb = Backbone(TOY, seed=1)
         with pytest.raises(ContractError):
@@ -68,35 +80,33 @@ class TestForward:
 
     def test_full_gradient_check_on_toy_input(self):
         # end-to-end: d(base_loss)/d(param) against central differences, 64-bit
-        with ad.precision("float64"):
-            bb = Backbone(TOY, seed=2)
-            rng = np.random.default_rng(3)
-            for p in bb.parameters():  # randomize zero-init heads so grads are informative
-                if np.all(p.data == 0):
-                    p.data = rng.normal(0, 0.05, p.data.shape)
-            x = rng.standard_normal((1, 4, 2))
-            eps = rng.standard_normal((1, 4, 2))
+        bb = Backbone(TOY, seed=2)
+        rng = np.random.default_rng(3)
+        for p in bb.parameters():  # in float64, with zero-init heads randomized so grads are informative
+            p.data = rng.normal(0, 0.05, p.data.shape) if np.all(p.data == 0) else p.data.astype(np.float64)
+        x = rng.standard_normal((1, 4, 2))
+        eps = rng.standard_normal((1, 4, 2))
 
-            eps_hat = bb.forward(Tensor(x), 3)
-            loss = base_loss(Tensor(eps), eps_hat)
-            loss.backward()
+        eps_hat = bb.forward(Tensor(x), 3)
+        loss = base_loss(Tensor(eps), eps_hat)
+        loss.backward()
 
-            def loss_at(p, arr):
-                old = p.data
-                p.data = arr
-                with ad.no_grad():
-                    eh = bb.forward(Tensor(x), 3)
-                    val = float(base_loss(Tensor(eps), eh).data)
-                p.data = old
-                return val
+        def loss_at(p, arr):
+            old = p.data
+            p.data = arr
+            with ad.no_grad():
+                eh = bb.forward(Tensor(x), 3)
+                val = float(base_loss(Tensor(eps), eh).data)
+            p.data = old
+            return val
 
-            rng2 = np.random.default_rng(0)
-            params = bb.parameters()
-            worst = 0.0
-            for p in params[:: max(1, len(params) // 12)]:
-                numeric = central_diff(lambda a, p=p: loss_at(p, a), p.data)
-                worst = max(worst, rel_err(p.grad, numeric))
-            assert worst < 1e-6
+        rng2 = np.random.default_rng(0)
+        params = bb.parameters()
+        worst = 0.0
+        for p in params[:: max(1, len(params) // 12)]:
+            numeric = central_diff(lambda a, p=p: loss_at(p, a), p.data)
+            worst = max(worst, rel_err(p.grad, numeric))
+        assert worst < 1e-6
 
 
 class TestFusedOpsKeepTheComposedBits:

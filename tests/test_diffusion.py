@@ -172,25 +172,25 @@ class TestSample:
 
     def test_deterministic(self, setup):
         model, sched = setup
-        a = sample(model, sched, 3, (12, 2), seed=5)
-        b = sample(model, sched, 3, (12, 2), seed=5)
+        a = sample(model, sched, 3, seed=5)
+        b = sample(model, sched, 3, seed=5)
         assert a.tobytes() == b.tobytes()
 
     def test_empty(self, setup):
         model, sched = setup
-        out = sample(model, sched, 0, (12, 2), seed=5)
+        out = sample(model, sched, 0, seed=5)
         assert out.shape == (0, 12, 2) and out.dtype == np.float32
 
     def test_untrained_model_finite_and_shaped(self, setup):
         model, sched = setup
-        out = sample(model, sched, 2, (12, 2), seed=9)
+        out = sample(model, sched, 2, seed=9)
         assert out.shape == (2, 12, 2) and out.dtype == np.float32
         assert np.all(np.isfinite(out))
 
     def test_neighbouring_seeds_share_no_sample(self, setup):
         # under `default_rng(seed + i)`, sample i of seed 1 was sample i + 1 of seed 0: 63 of 64 shared
         model, sched = setup
-        a, b = (sample(model, sched, 64, (12, 2), seed=s) for s in (0, 1))
+        a, b = (sample(model, sched, 64, seed=s) for s in (0, 1))
         assert len({x.tobytes() for x in a} & {x.tobytes() for x in b}) == 0
 
     def test_a_series_keeps_its_bits_among_any_siblings_and_its_value_alone(self):
@@ -200,7 +200,7 @@ class TestSample:
         for head in (model.trend_w, model.seas_w, model.res_w):  # zero at init; a briefly trained head's scale
             head.data[...] = rng.normal(0.0, 0.01, head.data.shape)
         sched = make_schedule(20, 1e-3, 0.2)
-        out = {n: sample(model, sched, n, (24, 2), seed=5) for n in (1, 2, 5, 12)}
+        out = {n: sample(model, sched, n, seed=5) for n in (1, 2, 5, 12)}
         for n in (2, 5):
             assert out[n].tobytes() == out[12][:n].tobytes()
         np.testing.assert_allclose(out[1], out[12][:1], rtol=0, atol=1e-6)  # about 2 float32 ulps at X0_CLIP
@@ -209,7 +209,7 @@ class TestSample:
     def test_a_schedule_of_another_T_than_the_models_is_refused(self, setup, T):
         model, _ = setup
         with pytest.raises(ContractError, match=f"schedule has {T} timesteps, but the model was built for 20"):
-            sample(model, make_schedule(T, 1e-3, 0.2), 2, (12, 2), seed=5)
+            sample(model, make_schedule(T, 1e-3, 0.2), 2, seed=5)
 
     def test_denormalization_applied(self, setup, tmp_path, capsys):
         model, sched = setup
@@ -221,7 +221,7 @@ class TestSample:
                      "--out", str(tmp_path / "gen")]) == 0
         capsys.readouterr()
         back, back_sched, norm = restore(load_checkpoint(tmp_path / "final.ckpt"))
-        raw = sample(back, back_sched, 2, (12, 2), seed=5)
+        raw = sample(back, back_sched, 2, seed=5)
         out = load_corpus(tmp_path / "gen").values
         assert out.dtype == np.float32 and not np.array_equal(out, raw)
         assert out.tobytes() == norm.unscale(raw).tobytes()

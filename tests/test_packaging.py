@@ -79,3 +79,11 @@ def test_a_seed_becomes_a_generator_only_in_the_keyed_helper_and_three_named_exc
         for scope, call in _stream_constructors(ast.parse(path.read_text())):
             found[path.name, scope] = call
     assert set(found) == STREAM_CONSTRUCTORS, found
+
+
+def test_no_function_rebinds_a_module_level_name_but_the_tapes_recording_switch():
+    # a module-level setting that a function rebinds is shared by every caller in the process; a tensor's
+    # dtype comes from its data, and `no_grad` keeps the one such switch
+    declared = {(path.name, name) for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+                if isinstance(node, ast.Global) for name in node.names}
+    assert declared <= {("autodiff.py", "_GRAD_ENABLED")}

@@ -66,8 +66,8 @@ class LoopAdam:
             self.data[i] = self.data[i] - (self.lr * lr_scale) * update.astype(self.data[i].dtype)
 
 
-def _params(rng):
-    return [Parameter(f"p{i}", rng.normal(0, 1, s)) for i, s in enumerate(SHAPES)]
+def _params(rng, dtype):
+    return [Parameter(f"p{i}", rng.normal(0, 1, s).astype(dtype)) for i, s in enumerate(SHAPES)]
 
 
 def _assert_bound(opt):
@@ -79,8 +79,7 @@ def _assert_bound(opt):
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_fused_adam_matches_per_array_loop_bitwise(dtype):
     rng = np.random.default_rng(0)
-    with ad.precision(dtype):
-        params = _params(rng)
+    params = _params(rng, dtype)
     assert all(p.data.dtype == np.dtype(dtype) for p in params)
     ref = LoopAdam([p.data for p in params], lr=1e-2)
     opt = Adam(params, lr=1e-2)
@@ -421,12 +420,11 @@ def test_diversity_loss_matches_the_per_pair_loop(n, pair_count, margin, dtype):
     rng = np.random.default_rng(n + pair_count)
     preds = (rng.standard_normal((n, 6, 2)) * rng.uniform(0.2, 1.5, (n, 1, 1))).astype(dtype)
     out = []
-    with ad.precision(dtype):
-        for loss_fn in (diversity_loss, loop_diversity_loss):
-            p = ad.Tensor(preds, requires_grad=True)
-            loss = loss_fn(p, pair_count, margin, np.random.default_rng(17))
-            loss.backward()
-            out.append((loss.data, p.grad))
+    for loss_fn in (diversity_loss, loop_diversity_loss):
+        p = ad.Tensor(preds, requires_grad=True)
+        loss = loss_fn(p, pair_count, margin, np.random.default_rng(17))
+        loss.backward()
+        out.append((loss.data, p.grad))
     (value, grad), (ref_value, ref_grad) = out
     assert value.dtype == dtype
     tol = 4 * np.finfo(dtype).eps
