@@ -31,6 +31,8 @@ class AdapterConfig:
     alpha: float
 
     def __post_init__(self):
+        if not all(type(v) is int for v in (self.window, self.heads, self.model_dim)):  # bool is an int subclass
+            raise ContractError(f"window, heads and model_dim must each be an int, got {self}")
         if self.window < 1 or self.window % 2 == 0:
             raise ContractError("window must be an odd positive integer")
         if min(self.model_dim, self.heads) < 1:

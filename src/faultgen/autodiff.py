@@ -28,7 +28,7 @@ import contextlib
 
 import numpy as np
 
-from .errors import ContractError, DimensionError, NumericError
+from .errors import ContractError, NumericError
 
 _GRAD_ENABLED = True
 # a set, not a tuple: numpy reads None == np.dtype("f8") as true, so a tuple would hold a missing dtype
@@ -338,9 +338,9 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if not isinstance(b, Tensor):
         raise ContractError("matmul expects Tensor operands")
     if a.ndim < 2 or b.ndim < 2:
-        raise DimensionError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
+        raise ContractError(f"matmul needs >=2-D operands, got {a.shape} @ {b.shape}")
     if a.shape[-1] != b.shape[-2]:
-        raise DimensionError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
+        raise ContractError(f"matmul inner dimensions disagree: {a.shape} @ {b.shape}")
     data = a.data @ b.data
 
     def bw(g):
@@ -366,7 +366,7 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then affine."""
     if x.shape[-1] < 1:
-        raise DimensionError("layer_norm needs a non-empty last axis")
+        raise ContractError("layer_norm needs a non-empty last axis")
 
     def mean(a):  # np.mean's arithmetic without its Python wrapper
         return np.add.reduce(a, axis=-1, keepdims=True) / a.shape[-1]
@@ -420,7 +420,7 @@ def attention(q_in: Tensor, kv_in: Tensor, wq: Tensor, bq: Tensor, wk: Tensor, b
     b, sq, dim = x.shape
     sk = y.shape[-2]
     if dim % heads:
-        raise DimensionError(f"attention width {dim} is not divisible by {heads} heads")
+        raise ContractError(f"attention width {dim} is not divisible by {heads} heads")
     e = dim // heads
 
     def split(h, s):  # (B, S, D) -> (B, heads, S, e) view

@@ -33,6 +33,7 @@ from .config import RunConfig, resolve_config
 from .data import (
     FAULT_KINDS,
     Dataset,
+    csv_cell,
     fit_normalizer,
     generate_normal,
     load_corpus,
@@ -43,15 +44,7 @@ from .data import (
 from .denoiser import Backbone
 from .diffusion import sample
 from .embedding import embed_2d
-from .errors import (
-    CheckpointError,
-    ConfigError,
-    ContractError,
-    CorpusError,
-    DivergenceError,
-    MetricError,
-    NumericError,
-)
+from .errors import CheckpointError, ContractError, DivergenceError, NumericError
 from .metrics import check_request, downstream_eval, evaluate_corpora
 from .training import load_checkpoint, restore, train
 
@@ -81,7 +74,7 @@ def _file_sha256(path) -> str:
 
 def _require_dir(path, what: str):
     if not path or not os.path.isdir(path):
-        raise CorpusError(f"missing {what} corpus directory: {path}")
+        raise ContractError(f"missing {what} corpus directory: {path}")
     return path
 
 
@@ -92,16 +85,16 @@ def _require_dir(path, what: str):
 def cmd_make_data(args) -> int:
     given = [key for key in FAULT_FLAGS if getattr(args, key) is not None]
     if args.kind == "normal" and given:
-        raise ConfigError(f"{', '.join('--' + key.replace('_', '-') for key in given)} apply only to --kind fault")
+        raise ContractError(f"{', '.join('--' + key.replace('_', '-') for key in given)} apply only to --kind fault")
     if args.kind == "fault" and not args.fault:
-        raise ConfigError("--fault is required when --kind fault")
+        raise ContractError("--fault is required when --kind fault")
     ds = generate_normal(args.tau, args.dim, args.n, args.seed, base_kind=args.base, noise_std=args.noise_std)
     if args.kind == "fault":
         extra = {k: getattr(args, k) for k in EXTRA_FLAGS if getattr(args, k) is not None}
         try:
             channels = [int(c) for c in args.channels.split(",")] if args.channels is not None else None
         except ValueError as e:
-            raise ConfigError(f"--channels must be comma-separated integers, got {args.channels!r}") from e
+            raise ContractError(f"--channels must be comma-separated integers, got {args.channels!r}") from e
         ds = make_fault_dataset(ds, args.fault, args.seed, magnitude=args.magnitude,
                                 onset=args.onset, duration=args.duration, channels=channels, extra=extra)
     with _in_progress(args.out):
@@ -157,12 +150,12 @@ def cmd_finetune(args) -> int:
 
 def cmd_generate(args) -> int:
     if args.n < 1:
-        raise ConfigError(f"--n must be >= 1, got {args.n}")
+        raise ContractError(f"--n must be >= 1, got {args.n}")
     ckpt = load_checkpoint(args.checkpoint)
     model, sched, norm = restore(ckpt)
     if args.override:
         if not hasattr(model, "stack"):
-            raise ConfigError("adapter.alpha override needs a fine-tuned checkpoint")
+            raise ContractError("adapter.alpha override needs a fine-tuned checkpoint")
         given = RunConfig({"adapter": {"alpha": 1.0}}, "generate")  # the one key generation reads, a float
         given.apply_overrides(args.override)
         # AdapterConfig rejects a non-finite alpha (ContractError, exit 2)
@@ -193,7 +186,7 @@ def cmd_evaluate(args) -> int:
     try:
         seeds = [int(s) for s in args.seeds.split(",")]
     except ValueError as e:
-        raise ConfigError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from e
+        raise ContractError(f"--seeds must be comma-separated integers, got {args.seeds!r}") from e
     metrics = [m.strip() for m in args.metrics.split(",")]
     check_request(metrics, seeds)
     real = load_corpus(_require_dir(args.real, "real"))
@@ -209,7 +202,7 @@ def cmd_evaluate(args) -> int:
 def cmd_embed(args) -> int:
     tsne = {k: getattr(args, k) for k in ("perplexity", "iters") if getattr(args, k) is not None}
     if tsne and args.method != "tsne":
-        raise ConfigError(f"{', '.join('--' + k for k in tsne)} apply only to --method tsne")
+        raise ContractError(f"{', '.join('--' + k for k in tsne)} apply only to --method tsne")
     datasets = [load_corpus(_require_dir(c, "embedding")) for c in args.corpus]
     result = embed_2d(datasets, method=args.method, features=args.features, seed=args.seed, **tsne)
     with _in_progress(args.out):
@@ -244,13 +237,20 @@ class _Parser(argparse.ArgumentParser):
         super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
-        raise ConfigError(message)
+        raise ContractError(message)
 
 
 def _non_empty(value: str) -> str:
     """The type of a flag whose empty value would otherwise read as the flag not given."""
     if not value:
         raise argparse.ArgumentTypeError("must not be empty")
+    return value
+
+
+def _label(value: str) -> str:
+    """The type of --label: a corpus label (`data.csv_cell`), checked before anything is sampled."""
+    if not csv_cell(_non_empty(value)):
+        raise argparse.ArgumentTypeError("must hold no ',', '\\n' or '\\r'")
     return value
 
 
@@ -296,7 +296,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("generate", parents=[seed, out], help="sample a synthetic corpus")
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, default=64)
-    p.add_argument("--label", type=_non_empty, help="label for the generated corpus")
+    p.add_argument("--label", type=_label, help="label for the generated corpus")
     p.add_argument("--override", action="append", metavar="adapter.alpha=VALUE")
     p.set_defaults(func=cmd_generate)
 
@@ -334,10 +334,10 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         if getattr(args, "seed", 0) < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+            raise ContractError(f"--seed must be >= 0, got {args.seed}")
         with np.errstate(over="raise", invalid="raise", divide="raise"):
             return args.func(args)
-    except (ConfigError, ContractError, CorpusError, MetricError) as e:
+    except ContractError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except CheckpointError as e:

@@ -26,7 +26,7 @@ import copy
 from .adapter import AdapterConfig
 from .denoiser import DenoiserConfig
 from .diffusion import NoiseSchedule, make_schedule
-from .errors import ConfigError
+from .errors import ContractError
 from .training import LossConfig, TrainConfig
 
 DESK = {
@@ -69,23 +69,23 @@ class RunConfig:
         try:
             return self.sections[section][key]
         except KeyError as e:
-            raise ConfigError(f"unknown config key {section}.{key}") from e
+            raise ContractError(f"unknown config key {section}.{key}") from e
 
     def apply_overrides(self, overrides) -> None:
         """Each override is 'section.key=value'; its value takes the type of the one it replaces."""
         for ov in overrides or ():
             if "=" not in ov or "." not in ov.split("=", 1)[0]:
-                raise ConfigError(f"override must look like section.key=value, got {ov!r}")
+                raise ContractError(f"override must look like section.key=value, got {ov!r}")
             dotted, value = (part.strip() for part in ov.split("=", 1))
             section, key = (part.strip() for part in dotted.split(".", 1))
             if section not in self.sections:
-                raise ConfigError(f"unknown config section [{section}] for {self.phase}")
+                raise ContractError(f"unknown config section [{section}] for {self.phase}")
             if key not in self.sections[section]:
-                raise ConfigError(f"unknown config key {section}.{key} for {self.phase}")
+                raise ContractError(f"unknown config key {section}.{key} for {self.phase}")
             try:
                 self.sections[section][key] = type(self.sections[section][key])(value)
             except ValueError as e:
-                raise ConfigError(f"bad value for {section}.{key}: {value!r}") from e
+                raise ContractError(f"bad value for {section}.{key}: {value!r}") from e
 
     # -- component views ----------------------------------------------------
     def denoiser_config(self, tau: int, d: int) -> DenoiserConfig:
@@ -112,9 +112,9 @@ class RunConfig:
 def resolve_config(preset: str, phase: str, overrides=None) -> RunConfig:
     """The preset's settings that `phase` reads, then each override."""
     if preset not in PRESETS:
-        raise ConfigError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
+        raise ContractError(f"unknown preset {preset!r}; choose from {sorted(PRESETS)}")
     if phase not in PHASES:
-        raise ConfigError(f"unknown training phase {phase!r}; choose from {sorted(PHASES)}")
+        raise ContractError(f"unknown training phase {phase!r}; choose from {sorted(PHASES)}")
     others = PHASES.keys() - {phase}
     sections = {s: dict(PRESETS[preset][s]) for s in PHASES[phase]}
     sections["train"] = {k: v for k, v in sections["train"].items() if k.partition("_")[0] not in others}

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ContractError, CorpusError
+from .errors import ContractError
 
 FAULT_KINDS = (
     "sudden",
@@ -62,7 +62,8 @@ class Dataset:
     `values` may be given as that stack, with `channel_names` defaulting to
     ch0..ch{d-1}, or as a sequence of TimeSeries, stacked once here; the
     series must agree on shape and on channel names, which become the
-    corpus's. A float32 array is held as a read-only view, not copied.
+    corpus's. A float32 array is held as a read-only view, not copied. The
+    label, the id and each channel name must each fill one CSV cell (`csv_cell`).
     """
 
     values: np.ndarray
@@ -92,6 +93,9 @@ class Dataset:
         self.channel_names = list(self.channel_names)
         if len(self.channel_names) != self.dim:
             raise ContractError("channel_names length must match the channel count")
+        for what, value in [("label", self.label), ("id", self.id), *(("channel name", c) for c in self.channel_names)]:
+            if not csv_cell(value):
+                raise ContractError(f"corpus {what} {value!r} must be a string with no ',', '\\n' or '\\r'")
         if not np.all(np.isfinite(self.values)):
             raise ContractError("Dataset values must be finite")
 
@@ -105,6 +109,11 @@ class Dataset:
     @property
     def dim(self) -> int:
         return self.values.shape[2]
+
+
+def csv_cell(value) -> bool:
+    """Whether `value` is a string that one unquoted CSV cell holds: one with no ',', '\\n' or '\\r'."""
+    return isinstance(value, str) and not any(c in value for c in ",\n\r")
 
 
 @dataclass
@@ -516,11 +525,8 @@ def save_corpus(ds: Dataset, directory) -> None:
 
     A cell is float32's shortest round-trip digits in positional form, as
     `_fmt` writes it (`-0.000016872391`, never `-1.6872391e-05`), so
-    `load_corpus` reads back the same bits. A channel name no header cell can hold is rejected.
+    `load_corpus` reads back the same bits.
     """
-    for name in ds.channel_names:
-        if any(c in name for c in ",\n\r"):
-            raise ContractError(f"channel name {name!r} holds ',', '\\n' or '\\r' and cannot head a CSV column")
     os.makedirs(directory, exist_ok=True)
     manifest = {
         "id": ds.id,
@@ -555,25 +561,25 @@ def _read_sample(path, tau: int, names: list[str]) -> np.ndarray:
     """One sample CSV as a (tau, d) float32 array: the manifest's channel names, then tau rows of d numbers;
     blank lines are skipped but counted."""
     with open(path) as fh:
-        header = fh.readline().strip()
+        header = fh.readline().removesuffix("\n")
         lines = fh.read().splitlines()
     if header.split(",") != names:
-        raise CorpusError(f"{path}: header {header!r} differs from the manifest's channel_names {names}")
+        raise ContractError(f"{path}: header {header!r} differs from the manifest's channel_names {names}")
     rows = [i for i, line in enumerate(lines) if line.strip()]
     if len(rows) != tau:
-        raise CorpusError(f"{path}: {len(rows)} timesteps, manifest says {tau}")
+        raise ContractError(f"{path}: {len(rows)} timesteps, manifest says {tau}")
     try:
         values = np.loadtxt([lines[i] for i in rows], delimiter=",", ndmin=2, comments=None)
     except ValueError as e:
-        raise CorpusError(f"{path}: {e}") from e
+        raise ContractError(f"{path}: {e}") from e
     if values.shape[1] != len(names):
-        raise CorpusError(f"{path}: rows have {values.shape[1]} values, expected {len(names)}")
+        raise ContractError(f"{path}: rows have {values.shape[1]} values, expected {len(names)}")
     with np.errstate(over="ignore"):  # a value beyond float32's range becomes inf and is reported below
         values = values.astype(np.float32)
     bad = np.argwhere(~np.isfinite(values))
     if len(bad):
         row, col = bad[0]
-        raise CorpusError(f"{path}: non-finite value at row {rows[row] + 2}, column {col}")
+        raise ContractError(f"{path}: non-finite value at row {rows[row] + 2}, column {col}")
     return values
 
 
@@ -581,37 +587,40 @@ def load_corpus(directory) -> Dataset:
     """Load a corpus directory, validating manifest, shapes, headers and finiteness."""
     mpath = os.path.join(directory, "manifest.json")
     if not os.path.isfile(mpath):
-        raise CorpusError(f"missing manifest: {mpath}")
+        raise ContractError(f"missing manifest: {mpath}")
     try:
         with open(mpath) as fh:
             manifest = json.load(fh)
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
-        raise CorpusError(f"malformed manifest {mpath}: {e}") from e
+        raise ContractError(f"malformed manifest {mpath}: {e}") from e
     for key in ("id", "label", "tau", "dim", "n", "channel_names"):
         if key not in manifest:
-            raise CorpusError(f"manifest {mpath} missing field {key!r}")
+            raise ContractError(f"manifest {mpath} missing field {key!r}")
     tau, dim, n, names = (manifest[key] for key in ("tau", "dim", "n", "channel_names"))
     if not all(type(v) is int for v in (tau, dim, n)):  # bool is an int subclass; 2.5 is not truncated
-        raise CorpusError(f"manifest {mpath}: tau, dim and n must be integers, "
-                          f"got {tau!r}, {dim!r}, {n!r}")
+        raise ContractError(f"manifest {mpath}: tau, dim and n must be integers, "
+                            f"got {tau!r}, {dim!r}, {n!r}")
     if tau < 2 or dim < 1 or n < 1:
-        raise CorpusError(f"manifest {mpath}: needs tau >= 2, dim >= 1 and n >= 1, got {tau}, {dim}, {n}")
+        raise ContractError(f"manifest {mpath}: needs tau >= 2, dim >= 1 and n >= 1, got {tau}, {dim}, {n}")
     if not (isinstance(names, list) and len(names) == dim and all(isinstance(c, str) for c in names)):
-        raise CorpusError(f"manifest {mpath}: channel_names must be a list of {dim} strings, got {names!r}")
+        raise ContractError(f"manifest {mpath}: channel_names must be a list of {dim} strings, got {names!r}")
 
     present = {f for f in os.listdir(directory) if f.startswith("sample_") and f.endswith(".csv")}
     if len(present) != n:
-        raise CorpusError(f"manifest {mpath} declares {n} samples but {len(present)} files present")
+        raise ContractError(f"manifest {mpath} declares {n} samples but {len(present)} files present")
 
     values = np.empty((n, tau, dim), dtype=np.float32)
     for i, fname in enumerate(f"sample_{i:05d}.csv" for i in range(n)):  # not name order: sample_100000 < sample_10001
         if fname not in present:
-            raise CorpusError(f"{directory}: {fname} is missing, so series {i} has no file")
+            raise ContractError(f"{directory}: {fname} is missing, so series {i} has no file")
         values[i] = _read_sample(os.path.join(directory, fname), tau, names)
 
     try:
         spec = FaultSpec.from_dict(manifest["fault_spec"]) if manifest.get("fault_spec") else None
     except (KeyError, TypeError, ValueError) as e:
-        raise CorpusError(f"manifest {mpath}: malformed fault_spec: {e!r}") from e
-    return Dataset(values, label=manifest["label"], id=manifest["id"], seed=manifest.get("seed"),
-                   fault_spec=spec, channel_names=names)
+        raise ContractError(f"manifest {mpath}: malformed fault_spec: {e!r}") from e
+    try:
+        return Dataset(values, label=manifest["label"], id=manifest["id"], seed=manifest.get("seed"),
+                       fault_spec=spec, channel_names=names)
+    except ContractError as e:  # a label or id no CSV cell holds
+        raise ContractError(f"manifest {mpath}: {e}") from e

@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
 from .data import BACKBONE_STREAM, series_rng
-from .errors import ContractError, ForwardError, NumericError
+from .errors import ContractError, NumericError
 
 
 @dataclass
@@ -33,6 +33,8 @@ class DenoiserConfig:
     trend_degree: int
 
     def __post_init__(self):
+        if not all(type(v) is int for v in vars(self).values()):  # bool is an int subclass
+            raise ContractError(f"every field must be an int, got {self}")
         if min(self.model_dim, self.heads, self.ff_dim, self.fourier_terms) < 1 or self.trend_degree < 0:
             raise ContractError(f"need model_dim, heads, ff_dim, fourier_terms >= 1 and trend_degree >= 0, got {self}")
         if self.model_dim % self.heads != 0:
@@ -233,7 +235,7 @@ class Backbone:
             try:
                 h = self._enc_layer(h, layer, te)
             except NumericError as e:
-                raise ForwardError(f"encoder layer {k}: {e}") from e
+                raise NumericError(f"encoder layer {k}: {e}") from e
         enc_out = ad.layer_norm(h, *self.enc_ln)
 
         h = base
@@ -244,7 +246,7 @@ class Backbone:
                 if adapter is not None:
                     h, acc = adapter.interleave(k, h, acc)
             except NumericError as e:
-                raise ForwardError(f"decoder layer {k}: {e}") from e
+                raise NumericError(f"decoder layer {k}: {e}") from e
 
         H = ad.layer_norm(h, *self.final_ln)
         trend, seasonal, residual = self.decompose(H)

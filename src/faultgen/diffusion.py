@@ -10,7 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .data import NOISE_STREAM, series_rng
-from .errors import ContractError, SamplingError
+from .errors import ContractError, NumericError
 
 X0_CLIP = 4.0  # normalized-domain bound; keeps rare off-manifold trajectories from running away
 
@@ -99,5 +99,5 @@ def sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
             z = np.zeros_like(x)
         x = reverse_step(x, t, eps_hat, z, sched)
         if not np.all(np.isfinite(x)):
-            raise SamplingError(f"non-finite sample state at step t={t}")
+            raise NumericError(f"non-finite sample state at step t={t}")
     return x

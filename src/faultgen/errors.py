@@ -1,41 +1,19 @@
-"""Exception hierarchy shared across the package."""
+"""The package's exceptions: one class per outcome the CLI reports, each with its own exit code."""
 
 
 class ContractError(ValueError):
-    """An argument violates a documented precondition."""
-
-
-class DimensionError(ContractError):
-    """Operand shapes are incompatible."""
-
-
-class NumericError(ArithmeticError):
-    """An operation produced a non-finite value."""
-
-
-class ForwardError(NumericError):
-    """A model layer produced a non-finite activation; message names the layer."""
-
-
-class SamplingError(NumericError):
-    """Reverse diffusion produced a non-finite state; message names the step."""
-
-
-class DivergenceError(RuntimeError):
-    """Training loss became non-finite; message names the step."""
+    """An argument, a configuration, a corpus or a metric's input is invalid; the CLI exits 2."""
 
 
 class CheckpointError(RuntimeError):
-    """Checkpoint file is missing, corrupt, or incompatible."""
+    """A checkpoint file is missing, corrupt or incompatible; the CLI exits 3."""
 
 
-class CorpusError(RuntimeError):
-    """Corpus directory is malformed; message names the offending file."""
+class NumericError(ArithmeticError):
+    """An operation, a model layer, the sampler or an evaluation network produced a non-finite value. A
+    layer's message names the layer (`encoder layer k: ...`), and the sampler's the step (`... step t=...`).
+    The CLI exits 4."""
 
 
-class MetricError(RuntimeError):
-    """A metric could not be computed on the given corpora."""
-
-
-class ConfigError(ValueError):
-    """Run configuration is invalid (unknown key, bad value, bad override)."""
+class DivergenceError(RuntimeError):
+    """Training loss became non-finite; the message names the step. The CLI exits 4."""

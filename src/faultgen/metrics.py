@@ -23,7 +23,7 @@ from . import autodiff as ad
 from .autodiff import Parameter
 from .data import NETWORK_STREAM, SPLIT_STREAM, Dataset, series_rng
 from .eig import sqrt_psd, sym_eig
-from .errors import ContractError, DimensionError, MetricError, NumericError
+from .errors import ContractError, NumericError
 
 METRIC_VERSION = "fg-metrics-3"
 DEFAULT_ENCODER_SEED = 1234
@@ -58,8 +58,8 @@ def cross_entropy_grad(logits: np.ndarray, labels) -> np.ndarray:
     """d/dlogits of the softmax cross-entropy of (..., n, C) logits and (n,) labels, each slice's mean, summed."""
     labels = np.asarray(labels)
     if logits.ndim < 2 or labels.shape != logits.shape[-2:-1]:
-        raise DimensionError(f"cross_entropy_grad expects (..., n, C) logits and (n,) labels, "
-                             f"got {logits.shape} / {labels.shape}")
+        raise ContractError(f"cross_entropy_grad expects (..., n, C) logits and (n,) labels, "
+                            f"got {logits.shape} / {labels.shape}")
     zmax = np.max(logits, axis=-1, keepdims=True)
     p = np.exp(logits - (zmax + np.log(np.sum(np.exp(logits - zmax), axis=-1, keepdims=True))))
     n = logits.shape[-2]
@@ -213,11 +213,11 @@ def frechet_distance(emb_a: np.ndarray, emb_b: np.ndarray) -> float:
     inner = root_a @ cb @ root_a
     w, _ = sym_eig(inner)
     if np.min(w) < -1e-6:
-        raise MetricError("degenerate covariance in frechet distance")
+        raise ContractError("degenerate covariance in frechet distance")
     trace_term = np.trace(ca) + np.trace(cb) - 2.0 * np.sum(np.sqrt(np.maximum(w, 0.0)))
     fid = float(np.sum((mu_a - mu_b) ** 2) + trace_term)
     if not np.isfinite(fid):
-        raise MetricError("frechet distance is non-finite")
+        raise ContractError("frechet distance is non-finite")
     return fid
 
 
@@ -294,7 +294,7 @@ def diversity_score(real: Dataset, synth: Dataset) -> float:
     fs = _acf_features(synth, ACF_MAX_LAG)
     denom = _mean_pairwise_distance(fr)
     if denom == 0:
-        raise MetricError("real corpus has zero feature diversity; ratio undefined")
+        raise ContractError("real corpus has zero feature diversity; ratio undefined")
     return _mean_pairwise_distance(fs) / denom
 
 
@@ -424,7 +424,7 @@ def evaluate_corpora(real: Dataset, synth: Dataset, metrics=("all",), seeds=(0,)
     for m in wanted:
         for s, v in zip(seeds, run(m)):
             if not np.isfinite(v):
-                raise MetricError(f"metric {m} produced a non-finite value")
+                raise ContractError(f"metric {m} produced a non-finite value")
             values[m][str(s)] = float(v)
     medians = {m: float(np.median(list(values[m].values()))) for m in wanted}
     meta = {

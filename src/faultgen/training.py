@@ -30,7 +30,7 @@ import numpy as np
 from . import autodiff as ad
 from .adapter import AdapterConfig, AdapterStack, attach
 from .autodiff import Parameter, Tensor
-from .data import PAIR_STREAM, TRAIN_STREAM, Dataset, Normalizer, series_rng, write_atomic
+from .data import PAIR_STREAM, TRAIN_STREAM, Dataset, Normalizer, csv_cell, series_rng, write_atomic
 from .denoiser import Backbone, DenoiserConfig
 from .diffusion import NoiseSchedule, forward_sample, make_schedule
 from .errors import CheckpointError, ContractError, DivergenceError, NumericError
@@ -276,9 +276,9 @@ def restore(ckpt: Checkpoint):
 
     Before it returns, it checks the `diffusion` section, a linear schedule of the model's T (an older header
     also names the kind, `linear`), and the run's record: a `data.normalizer_mode` with one `norm.lo` and
-    `norm.hi` value per model channel, a string `label`, one string per channel in `channel_names`, and a
-    string `config_hash`. `sample` returns series in the normalizer's scaled space; `normalizer.unscale` maps
-    them back to the corpus's units.
+    `norm.hi` value per model channel, a `label` and one name per channel in `channel_names`, each a string
+    that one CSV cell holds (`data.csv_cell`), and a string `config_hash`. `sample` returns series in the
+    normalizer's scaled space; `normalizer.unscale` maps them back to the corpus's units.
     """
     model = model_from_checkpoint(ckpt)
     d = model.cfg.d
@@ -301,8 +301,7 @@ def restore(ckpt: Checkpoint):
     if norm.lo.shape != (d,) or norm.hi.shape != (d,):
         raise CheckpointError(f"checkpoint normalizer holds lo {norm.lo.shape} and hi {norm.hi.shape}, "
                               f"but the model has {d} channels")
-    if not (isinstance(label, str) and isinstance(names, list) and len(names) == d
-            and all(isinstance(name, str) for name in names)):
+    if not (csv_cell(label) and isinstance(names, list) and len(names) == d and all(map(csv_cell, names))):
         raise CheckpointError(f"checkpoint data section needs a label and {d} channel names, "
                               f"got {label!r} and {names!r}")
     if not isinstance(config_hash, str):

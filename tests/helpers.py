@@ -22,7 +22,7 @@ import numpy as np
 from faultgen import autodiff as ad
 from faultgen import data
 from faultgen.autodiff import Tensor
-from faultgen.errors import DimensionError
+from faultgen.errors import ContractError
 from faultgen.training import Adam
 
 
@@ -268,8 +268,8 @@ def tape_cross_entropy(logits, labels):
     """Softmax cross-entropy of (..., B, C) logits and (B,) int labels as one tape node: each slice's mean, summed."""
     labels = np.asarray(labels)
     if logits.ndim < 2 or labels.shape != logits.shape[-2:-1]:
-        raise DimensionError(f"cross_entropy expects (..., B, C) logits and (B,) labels, "
-                             f"got {logits.shape} / {labels.shape}")
+        raise ContractError(f"cross_entropy expects (..., B, C) logits and (B,) labels, "
+                            f"got {logits.shape} / {labels.shape}")
     z = logits.data
     zmax = np.max(z, axis=-1, keepdims=True)
     logsum = zmax + np.log(np.sum(np.exp(z - zmax), axis=-1, keepdims=True))

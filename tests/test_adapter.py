@@ -14,7 +14,7 @@ from faultgen.autodiff import Tensor
 from faultgen.data import fit_normalizer, generate_normal, make_fault_dataset
 from faultgen.denoiser import Backbone, DenoiserConfig, multi_head_attention
 from faultgen.diffusion import make_schedule, sample
-from faultgen.errors import ContractError, ForwardError
+from faultgen.errors import ContractError, NumericError
 from faultgen.training import TrainConfig, train
 
 from helpers import full_attention_oracle, grad_check
@@ -213,7 +213,7 @@ class TestAttach:
         stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8, alpha=1.0), TOY.dec_layers, seed=2)
         stack.blocks[1]["wq"].data[0, 0] = np.nan
         x = np.random.default_rng(0).standard_normal((1, 6, 2)).astype(np.float32)
-        with pytest.raises(ForwardError, match="decoder layer 1"):
+        with pytest.raises(NumericError, match="decoder layer 1"):
             bb.forward(x, 3, adapter=stack)
 
     def test_dim_mismatch_rejected(self):

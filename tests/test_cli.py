@@ -98,8 +98,16 @@ def trained(tmp_path_factory):
         lines = fh.read().splitlines(keepends=True)
     with open(sample3, "w") as fh:
         fh.write("".join(["x,y\n", *lines[1:]]))
+    relabelled = {}  # the normal corpus under a label that no CSV cell holds
+    for name, label in [("label5", 5), ("pump7", "pump,7")]:
+        relabelled[name] = str(root / name)
+        shutil.copytree(normal, relabelled[name])
+        with open(os.path.join(relabelled[name], "manifest.json")) as fh:
+            manifest = json.load(fh)
+        with open(os.path.join(relabelled[name], "manifest.json"), "w") as fh:
+            json.dump({**manifest, "label": label}, fh)
     return {"normal": normal, "fault": fault, "fault12": fault12, "fault1": fault1, "offset30": offset30,
-            "renamed": renamed, "pre": pre, "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
+            "renamed": renamed, **relabelled, "pre": pre, "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
 
 
 def _edited(src, dst, edit):
@@ -117,6 +125,8 @@ BAD_CONFIGS = {
     "even-adapter-window": ("generate", "fine", lambda c: c["adapter"].update(window=4)),
     "unknown-adapter-key": ("generate", "fine", lambda c: c["adapter"].update(depth=2)),
     "unknown-normalizer-mode": ("generate", "pre", lambda c: c["data"].update(normalizer_mode="l2")),
+    "generate-adapter-window-a-float": ("generate", "fine", lambda c: c["adapter"].update(window=3.0)),
+    "finetune-adapter-window-a-float": ("finetune", "fine", lambda c: c["adapter"].update(window=3.0)),
 }
 
 
@@ -130,7 +140,8 @@ def test_bad_checkpoint_config_exits_3(trained, tmp_path, capsys, case):
     else:
         argv += ["--n", "2"]
     assert main(argv) == 3
-    assert "checkpoint error" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("checkpoint error: ")
 
 
 def _without_normalizer_mode(ckpt):
@@ -152,6 +163,10 @@ MALFORMED_CHECKPOINTS = {  # an edit of the pretrained checkpoint, and the comma
     "no-config-hash": (lambda c: c.config.pop("config_hash"), ["generate", "finetune"]),
     "channel-names-for-3-channels": (lambda c: c.config["data"].update(channel_names=["a", "b", "c"]),
                                      ["generate", "finetune"]),
+    "label-no-csv-cell-holds": (lambda c: c.config["data"].update(label="pump,7"), ["generate", "finetune"]),
+    "model-dim-a-float": (lambda c: c.config["model"].update(model_dim=8.0), ["generate", "finetune"]),
+    "heads-a-float": (lambda c: c.config["model"].update(heads=2.0), ["generate", "finetune"]),
+    "enc-layers-a-bool": (lambda c: c.config["model"].update(enc_layers=True), ["generate", "finetune"]),
 }
 
 
@@ -587,6 +602,13 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                                     2, "diversity loss needs a batch of >= 2 predictions"),
     "generate-empty-label": (["generate", "--checkpoint", "{fine}", "--n", "2", "--label", ""],
                              2, "argument --label: must not be empty"),
+    "generate-label-no-csv-cell-holds": (["generate", "--checkpoint", "{fine}", "--n", "2", "--label", "a,b"],
+                                         2, "argument --label: must hold no ',', '\\n' or '\\r'"),
+    "pretrain-corpus-label-5": (["pretrain", "--data", "{label5}",
+                                 *_overrides("pretrain", "train.pretrain_steps=1")], 2,
+                                "{label5}/manifest.json: corpus label 5 must be a string with no ','"),
+    "embed-corpus-label-pump,7": (["embed", "--corpus", "{pump7}", "--corpus", "{fault}", "--method", "pca"],
+                                  2, "{pump7}/manifest.json: corpus label 'pump,7' must be a string with no ','"),
     "evaluate-discriminative-one-real-series": (["evaluate", "--real", "{fault1}", "--synth", "{normal}",
                                                  "--metrics", "discriminative"],
                                                 2, "discriminative score needs >= 2 samples per corpus"),

@@ -15,13 +15,13 @@ from faultgen.data import fit_normalizer
 from faultgen.denoiser import DenoiserConfig, trend_basis
 from faultgen.diffusion import make_schedule
 from faultgen.embedding import embed_2d, tsne_2d
-from faultgen.errors import ConfigError, ContractError
+from faultgen.errors import ContractError
 from faultgen.training import LossConfig, TrainConfig
 
 
 @pytest.mark.parametrize("override", ["model.tau", "tau=12", "=12", "model.tau 12"])
 def test_malformed_override_rejected(override):
-    with pytest.raises(ConfigError, match="section.key=value"):
+    with pytest.raises(ContractError, match="section.key=value"):
         resolve_config("desk", "pretrain", [override])
 
 
@@ -29,13 +29,13 @@ def test_malformed_override_rejected(override):
                                                    ("pretrain", "model.nosuch=12", "key model.nosuch for pretrain"),
                                                    ("finetune", "loss.sign=intent", "key loss.sign for finetune")])
 def test_unknown_section_or_key_rejected(phase, override, what):
-    with pytest.raises(ConfigError, match=what):
+    with pytest.raises(ContractError, match=what):
         resolve_config("desk", phase, [override])
 
 
 @pytest.mark.parametrize("override", ["model.heads=twelve", "model.heads=1.5", "train.pretrain_lr=fast"])
 def test_bad_number_rejected(override):
-    with pytest.raises(ConfigError, match="bad value"):
+    with pytest.raises(ContractError, match="bad value"):
         resolve_config("desk", "pretrain", [override])
 
 
@@ -45,7 +45,7 @@ def test_schedule_reads_the_diffusion_section():
     expected = make_schedule(50, 1e-3, 0.1)
     assert sched.T == 50
     np.testing.assert_array_equal(sched.beta, expected.beta)
-    with pytest.raises(ConfigError, match="unknown config key diffusion.schedule for pretrain"):
+    with pytest.raises(ContractError, match="unknown config key diffusion.schedule for pretrain"):
         resolve_config("desk", "pretrain", ["diffusion.schedule=linear"])
     with pytest.raises(ContractError, match="need 0 < beta_start <= beta_end < 1"):
         resolve_config("desk", "pretrain", ["diffusion.beta_start=0.5"]).schedule()
@@ -94,7 +94,7 @@ def test_a_value_a_run_takes_from_its_inputs_is_an_argument_of_its_view_never_a_
     cfg = resolve_config("desk", "finetune", ["loss.weight=0.5"])
     assert cfg.train_config(7).seed == 7 and cfg.adapter_config(64).model_dim == 64
     for written in ("train.seed=7", "model.model_dim=64"):
-        with pytest.raises(ConfigError, match="for finetune"):
+        with pytest.raises(ContractError, match="for finetune"):
             resolve_config("desk", "finetune", [written])
 
 
@@ -148,3 +148,13 @@ def test_a_run_setting_component_declares_no_default(component):
 def test_a_run_setting_argument_has_no_default(function, names):
     params = inspect.signature(function).parameters
     assert [name for name in names if params[name].default is not inspect.Parameter.empty] == []
+
+
+@pytest.mark.parametrize("view, key, value", [("denoiser", "model_dim", 8.0), ("denoiser", "heads", 2.0),
+                                              ("denoiser", "tau", True), ("adapter", "window", 3.0),
+                                              ("adapter", "model_dim", False)])
+def test_a_model_size_must_be_an_int_not_a_float_or_a_bool(view, key, value):
+    cfg = {"denoiser": resolve_config("desk", "pretrain").denoiser_config(24, 2),
+           "adapter": resolve_config("desk", "finetune").adapter_config(64)}[view]
+    with pytest.raises(ContractError, match=f"be an int, got .*{key}={value!r}"):
+        dataclasses.replace(cfg, **{key: value})

@@ -27,7 +27,7 @@ from faultgen.data import (
     make_fault_dataset,
     save_corpus,
 )
-from faultgen.errors import ContractError, CorpusError
+from faultgen.errors import ContractError
 
 from helpers import ar2_stationary_variance, loop_generate_normal, value_save_corpus
 
@@ -491,22 +491,36 @@ class TestCorpusIO:
 
     @pytest.mark.parametrize("name", ["a,b", "a\nb", "a\rb"])
     def test_a_channel_name_a_csv_header_cannot_carry_is_rejected_before_writing(self, tmp_path, name):
-        ds = Dataset(np.zeros((2, 4, 2)), "normal", "t", channel_names=[name, "c"])
         with pytest.raises(ContractError, match=re.escape(f"channel name {name!r}")):
-            save_corpus(ds, tmp_path / "c")
+            save_corpus(Dataset(np.zeros((2, 4, 2)), "normal", "t", channel_names=[name, "c"]), tmp_path / "c")
         assert not (tmp_path / "c").exists()
+
+    @pytest.mark.parametrize("what,label,id_", [("label", "pump,7", "t"), ("label", "a\nb", "t"), ("label", 5, "t"),
+                                                ("label", None, "t"), ("id", "normal", "x\ry"), ("id", "normal", 3)])
+    def test_a_label_or_id_one_csv_cell_cannot_hold_is_rejected(self, what, label, id_):
+        bad = label if what == "label" else id_
+        with pytest.raises(ContractError, match=re.escape(f"corpus {what} {bad!r} must be a string")):
+            Dataset(np.zeros((2, 4, 2)), label, id_)
+
+    def test_channel_names_with_spaces_and_tabs_round_trip(self, tmp_path):
+        names = [" a", "b ", "\tc", " d\t "]
+        ds = Dataset(generate_normal(8, 4, 3, seed=3).values, "normal", "t", channel_names=names)
+        save_corpus(ds, tmp_path / "c")
+        back = load_corpus(tmp_path / "c")
+        assert back.channel_names == names
+        assert back.values.tobytes() == ds.values.tobytes()
 
     def test_count_mismatch_rejected(self, tmp_path):
         ds = generate_normal(24, 2, 3, seed=3)
         save_corpus(ds, tmp_path / "c")
         (tmp_path / "c" / "sample_00002.csv").unlink()
-        with pytest.raises(CorpusError, match="3 samples"):
+        with pytest.raises(ContractError, match="3 samples"):
             load_corpus(tmp_path / "c")
 
     def test_a_sample_file_under_another_name_is_a_corpus_error(self, tmp_path, capsys):
         save_corpus(generate_normal(24, 2, 3, seed=3), tmp_path / "c")
         (tmp_path / "c" / "sample_00002.csv").rename(tmp_path / "c" / "sample_2.csv")
-        with pytest.raises(CorpusError, match="sample_00002.csv is missing, so series 2 has no file"):
+        with pytest.raises(ContractError, match="sample_00002.csv is missing, so series 2 has no file"):
             load_corpus(tmp_path / "c")
         corpus = str(tmp_path / "c")
         assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
@@ -532,14 +546,14 @@ class TestCorpusIO:
         cells[1] = "nan"
         lines[5] = ",".join(cells)
         path.write_text("\n".join(lines) + "\n")
-        with pytest.raises(CorpusError, match=r"row 6, column 1"):
+        with pytest.raises(ContractError, match=r"row 6, column 1"):
             load_corpus(tmp_path / "c")
 
     def test_malformed_manifest(self, tmp_path):
         ds = generate_normal(24, 2, 2, seed=3)
         save_corpus(ds, tmp_path / "c")
         (tmp_path / "c" / "manifest.json").write_text("{not json")
-        with pytest.raises(CorpusError, match="manifest"):
+        with pytest.raises(ContractError, match="manifest"):
             load_corpus(tmp_path / "c")
 
     def test_shape_disagreement(self, tmp_path):
@@ -548,7 +562,7 @@ class TestCorpusIO:
         path = tmp_path / "c" / "sample_00000.csv"
         lines = path.read_text().splitlines()
         path.write_text("\n".join(lines[:-2]) + "\n")
-        with pytest.raises(CorpusError, match="sample_00000"):
+        with pytest.raises(ContractError, match="sample_00000"):
             load_corpus(tmp_path / "c")
 
     @staticmethod
@@ -563,14 +577,14 @@ class TestCorpusIO:
     def test_non_integer_manifest_field(self, tmp_path, key, value):
         save_corpus(generate_normal(24, 2, 2, seed=3), tmp_path / "c")
         self._edit_manifest(tmp_path / "c", lambda m: m.update({key: value}))
-        with pytest.raises(CorpusError, match="must be integers"):
+        with pytest.raises(ContractError, match="must be integers"):
             load_corpus(tmp_path / "c")
 
     def test_fault_spec_without_onset(self, tmp_path):
         ds = make_fault_dataset(generate_normal(24, 2, 3, seed=3), "sudden", seed=5, magnitude=1.0)
         save_corpus(ds, tmp_path / "c")
         self._edit_manifest(tmp_path / "c", lambda m: m["fault_spec"].pop("onset"))
-        with pytest.raises(CorpusError, match="fault_spec"):
+        with pytest.raises(ContractError, match="fault_spec"):
             load_corpus(tmp_path / "c")
         corpus = str(tmp_path / "c")
         assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
@@ -580,7 +594,7 @@ class TestCorpusIO:
         save_corpus(ds, tmp_path / "c")
         self._edit_manifest(tmp_path / "c", lambda m: m["fault_spec"].update(
             kind="compound", extra={"components": [dict(m["fault_spec"])]}))
-        with pytest.raises(CorpusError, match="malformed fault_spec: .*unknown fault kind 'compound'"):
+        with pytest.raises(ContractError, match="malformed fault_spec: .*unknown fault kind 'compound'"):
             load_corpus(tmp_path / "c")
         corpus = str(tmp_path / "c")
         assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
@@ -620,7 +634,7 @@ class TestCorpusIO:
             "every-row-long", "other-header", "reordered-header", "short-header"])
     def test_malformed_rows_are_corpus_errors_naming_the_file(self, tmp_path, capsys, edit):
         self._rewrite_sample(tmp_path / "c", edit)
-        with pytest.raises(CorpusError, match="sample_00001.csv"):
+        with pytest.raises(ContractError, match="sample_00001.csv"):
             load_corpus(tmp_path / "c")
         corpus = str(tmp_path / "c")
         assert main(["evaluate", "--real", corpus, "--synth", corpus, "--out", str(tmp_path / "r")]) == 2
@@ -635,7 +649,7 @@ class TestCorpusIO:
             lines[5] = lines[5].split(b",")[0] + b"," + cell.encode()
             return b"\n".join(lines[:2] + [b""] * blank_lines + lines[2:]) + b"\n"
         self._rewrite_sample(tmp_path / "c", edit)
-        with pytest.raises(CorpusError, match=rf"sample_00001.csv: non-finite value at row {row}, column 1$"):
+        with pytest.raises(ContractError, match=rf"sample_00001.csv: non-finite value at row {row}, column 1$"):
             load_corpus(tmp_path / "c")
 
 

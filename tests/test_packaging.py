@@ -1,5 +1,6 @@
-"""The package imports only what `pip install .` brings, the standard library and numpy, and keys its
-random streams by (seed, role, index) in one place, without arithmetic on seeds."""
+"""The package imports only what `pip install .` brings, the standard library and numpy, keys its
+random streams by (seed, role, index) in one place, without arithmetic on seeds, and gives each of its
+error classes one exit code of the CLI."""
 
 import ast
 import pathlib
@@ -87,3 +88,24 @@ def test_no_function_rebinds_a_module_level_name_but_the_tapes_recording_switch(
     declared = {(path.name, name) for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
                 if isinstance(node, ast.Global) for name in node.names}
     assert declared <= {("autodiff.py", "_GRAD_ENABLED")}
+
+
+def _caught(function):
+    """The set of names that each `except` clause in `function` catches."""
+    for node in ast.walk(function):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            types = node.type.elts if isinstance(node.type, ast.Tuple) else [node.type]
+            yield {ast.unparse(t) for t in types}
+
+
+def test_each_error_class_has_one_except_clause_of_cli_main_to_itself():
+    # one class per exit code: a class no clause names, or a clause that names two, is a synonym a raise
+    # site would have to choose among
+    package = pathlib.Path(faultgen.__file__).parent
+    classes = {node.name for node in ast.parse((package / "errors.py").read_text()).body
+               if isinstance(node, ast.ClassDef)}
+    main = next(node for node in ast.parse((package / "cli.py").read_text()).body
+                if isinstance(node, ast.FunctionDef) and node.name == "main")
+    clauses = [names & classes for names in _caught(main) if names & classes]
+    assert all(len(names) == 1 for names in clauses), clauses
+    assert sorted(name for names in clauses for name in names) == sorted(classes)
