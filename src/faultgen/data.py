@@ -162,10 +162,9 @@ class FaultSpec:
                 raise ContractError(f"channels {list(self.channels)} name a channel more than once")
         if self.kind == "random_noise" and self.magnitude < 0:
             raise ContractError("random_noise magnitude is a standard deviation and must be >= 0")
-        # the default count, max(1, duration // 8), always fits the window
-        if self.kind == "impulse" and not 1 <= self.extra.get("count", 1) <= self.duration:
+        if self.kind == "impulse" and not 1 <= _count(self) <= self.duration:
             raise ContractError(f"impulse count must be >= 1 and at most the duration {self.duration}, "
-                                f"got {self.extra['count']!r}")
+                                f"got {_count(self)!r}")
         # a burst as long as the window never switches off, which is a plain offset
         if self.kind == "intermittent" and not 1 <= _burst_len(self) < self.duration:
             raise ContractError(f"intermittent burst_len must be >= 1 and shorter than the duration "
@@ -218,6 +217,11 @@ def _period(spec: FaultSpec) -> float:
 def _burst_len(spec: FaultSpec) -> int:
     """The on and off run length of an intermittent fault: extra['burst_len'], else a quarter of the window."""
     return int(spec.extra.get("burst_len", max(1, spec.duration // 4)))
+
+
+def _count(spec: FaultSpec):
+    """The spike count of an impulse fault, as given: extra['count'], else one per 8 steps of window, at least 1."""
+    return spec.extra.get("count", max(1, spec.duration // 8))
 
 
 # ----------------------------------------------------------------------
@@ -362,8 +366,7 @@ def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int | np.random.Gene
         on = (rel // _burst_len(spec)) % 2 == 0
         out[lo:hi, chans] += np.where(on, m, np.float32(0.0))[:, None]
     elif spec.kind == "impulse":
-        count = int(spec.extra.get("count", max(1, spec.duration // 8)))
-        pos = rng.choice(spec.duration, size=count, replace=False)
+        pos = rng.choice(spec.duration, size=int(_count(spec)), replace=False)
         for p in np.sort(pos):
             out[lo + int(p), chans] += m
     elif spec.kind == "trend":
@@ -373,7 +376,7 @@ def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int | np.random.Gene
     elif spec.kind == "saturation":
         clip = np.float32(spec.extra.get("clip_level", spec.magnitude))
         out[lo:hi, chans] = np.clip(out[lo:hi, chans], -clip, clip)
-    elif spec.kind == "offset":
+    elif spec.kind in ("offset", "sudden_recovery"):
         out[lo:hi, chans] += m
     elif spec.kind == "frequency_shift":
         # time inside the window runs faster by (1+magnitude); resample by linear interp
@@ -390,8 +393,6 @@ def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int | np.random.Gene
     elif spec.kind == "missing_data":
         hold = values[max(lo - 1, 0), chans]
         out[lo:hi, chans] = hold
-    elif spec.kind == "sudden_recovery":
-        out[lo:hi, chans] += m
     else:  # pragma: no cover — FAULT_KINDS is checked in __post_init__
         raise ContractError(f"unknown fault kind {spec.kind!r}")
     return out

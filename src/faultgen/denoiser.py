@@ -1,5 +1,8 @@
 """Transformer encoder-decoder noise-prediction backbone.
 
+Every layer adds the timestep vector, then runs a list of pre-norm sublayers,
+each h = h + f(LN(h)) (Xiong et al., 2020): an encoder layer self-attends, then
+feeds forward; a decoder layer also cross-attends to the encoder output between.
 The decoder's final state feeds three heads whose outputs sum to the noise
 estimate: a polynomial trend, a Fourier seasonal component, and a
 per-position linear residual. All heads start at zero so a fresh model
@@ -119,6 +122,15 @@ class ParamGroup:
             p[tag], p[tag.replace("w", "b")] = self.linear(f"{name}.{tag[1]}", dim, dim, rng)
         return p
 
+    def pre_norm_layer(self, attentions: tuple[str, ...], dim: int, ff_dim: int, rng) -> list:
+        """A layer's (norm, kind, params) sublayers: an attention per name, self then cross, then feed-forward.
+        Each norm (ln1, ln2, ...) registers just before its sublayer, so names and draws follow the layer."""
+        layer = [(self.norm(f"ln{i + 1}", dim), ("self", "cross")[i], self.attention(name, dim, rng))
+                 for i, name in enumerate(attentions)]
+        ln = self.norm(f"ln{len(attentions) + 1}", dim)
+        ff = self.linear("ff1", dim, ff_dim, rng) + self.linear("ff2", ff_dim, dim, rng)
+        return layer + [(ln, "ff", dict(zip(("w1", "b1", "w2", "b2"), ff)))]
+
 
 def multi_head_attention(q_in: Tensor, kv_in: Tensor, p: dict, heads: int,
                          mask: np.ndarray | None = None) -> Tensor:
@@ -150,30 +162,11 @@ class Backbone:
         self.in_w, self.in_b = root.linear("in_proj", cfg.d, D, rng)
         self.t_w, self.t_b = root.linear("t_proj", D, D, rng)
 
-        self.enc = []
-        for k in range(cfg.enc_layers):
-            g = ParamGroup(self.params, f"backbone.enc{k}")
-            self.enc.append({
-                "ln1": g.norm("ln1", D),
-                "attn": g.attention("attn", D, rng),
-                "ln2": g.norm("ln2", D),
-                "ff": dict(zip(("w1", "b1", "w2", "b2"),
-                               g.linear("ff1", D, cfg.ff_dim, rng) + g.linear("ff2", cfg.ff_dim, D, rng))),
-            })
+        self.enc = [ParamGroup(self.params, f"backbone.enc{k}").pre_norm_layer(("attn",), D, cfg.ff_dim, rng)
+                    for k in range(cfg.enc_layers)]
         self.enc_ln = root.norm("enc_ln", D)
-
-        self.dec = []
-        for k in range(cfg.dec_layers):
-            g = ParamGroup(self.params, f"backbone.dec{k}")
-            self.dec.append({
-                "ln1": g.norm("ln1", D),
-                "self": g.attention("self", D, rng),
-                "ln2": g.norm("ln2", D),
-                "cross": g.attention("cross", D, rng),
-                "ln3": g.norm("ln3", D),
-                "ff": dict(zip(("w1", "b1", "w2", "b2"),
-                               g.linear("ff1", D, cfg.ff_dim, rng) + g.linear("ff2", cfg.ff_dim, D, rng))),
-            })
+        self.dec = [ParamGroup(self.params, f"backbone.dec{k}").pre_norm_layer(("self", "cross"), D, cfg.ff_dim, rng)
+                    for k in range(cfg.dec_layers)]
         self.final_ln = root.norm("final_ln", D)
 
         n_trend = cfg.trend_degree + 1
@@ -199,19 +192,15 @@ class Backbone:
         emb = Tensor(timestep_embed(t, self.cfg.model_dim)[None, :])
         return (emb @ self.t_w + self.t_b).reshape((self.cfg.model_dim,))
 
-    def _enc_layer(self, h: Tensor, layer: dict, te: Tensor) -> Tensor:
+    def _layer(self, h: Tensor, layer: list, te: Tensor, memory: Tensor | None = None) -> Tensor:
+        """h + te, then h = h + f(LN(h)) for each sublayer; cross-attention reads `memory`."""
         h = h + te
-        n1 = ad.layer_norm(h, *layer["ln1"])
-        h = h + multi_head_attention(n1, n1, layer["attn"], self.cfg.heads)
-        h = h + feed_forward(ad.layer_norm(h, *layer["ln2"]), layer["ff"])
-        return h
-
-    def _dec_layer(self, h: Tensor, enc_out: Tensor, layer: dict, te: Tensor) -> Tensor:
-        h = h + te
-        n1 = ad.layer_norm(h, *layer["ln1"])
-        h = h + multi_head_attention(n1, n1, layer["self"], self.cfg.heads)
-        h = h + multi_head_attention(ad.layer_norm(h, *layer["ln2"]), enc_out, layer["cross"], self.cfg.heads)
-        h = h + feed_forward(ad.layer_norm(h, *layer["ln3"]), layer["ff"])
+        for norm, kind, p in layer:
+            n = ad.layer_norm(h, *norm)
+            if kind == "ff":
+                h = h + feed_forward(n, p)
+            else:
+                h = h + multi_head_attention(n, n if kind == "self" else memory, p, self.cfg.heads)
         return h
 
     def forward(self, x_t, t: int, adapter=None) -> Tensor:
@@ -233,7 +222,7 @@ class Backbone:
         h = base
         for k, layer in enumerate(self.enc):
             try:
-                h = self._enc_layer(h, layer, te)
+                h = self._layer(h, layer, te)
             except NumericError as e:
                 raise NumericError(f"encoder layer {k}: {e}") from e
         enc_out = ad.layer_norm(h, *self.enc_ln)
@@ -242,7 +231,7 @@ class Backbone:
         acc = None
         for k, layer in enumerate(self.dec):
             try:
-                h = self._dec_layer(h, enc_out, layer, te)
+                h = self._layer(h, layer, te, enc_out)
                 if adapter is not None:
                     h, acc = adapter.interleave(k, h, acc)
             except NumericError as e:

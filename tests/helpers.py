@@ -1,4 +1,4 @@
-"""Shared test oracles: finite differences, full attention, reference math.
+"""Shared test oracles: finite differences, full attention, reference math, a reference forward.
 
 The composed attention and feed-forward block, the looped diversity loss, the
 staged reverse step, the per-series corpus generator, the per-value corpus
@@ -8,7 +8,9 @@ own earlier spellings, kept here as references for the fused, vectorized,
 in-place, single-formula and closed-form forms.
 
 These stay independent of the library's own computation paths — they use
-plain numpy (including numpy.linalg, which the library itself avoids).
+plain numpy (including numpy.linalg, which the library itself avoids). The
+reference forward is spelled from single `ad` ops over parameters looked up by
+name, so it pins the backbone's wiring, not its arithmetic.
 """
 
 import copy
@@ -22,6 +24,7 @@ import numpy as np
 from faultgen import autodiff as ad
 from faultgen import data
 from faultgen.autodiff import Tensor
+from faultgen.denoiser import fourier_basis, position_encoding, timestep_embed, trend_basis
 from faultgen.errors import ContractError
 from faultgen.training import Adam
 
@@ -149,6 +152,65 @@ def composed_attention(q_in, kv_in, p, heads, mask=None):
 def composed_feed_forward(x, p):
     """The transformer feed-forward block built from single tape ops: matmul, add, gelu, matmul, add."""
     return ad.gelu(x @ p["w1"] + p["b1"]) @ p["w2"] + p["b2"]
+
+
+def reference_forward(backbone, x, t, stack=None):
+    """A backbone's noise prediction, or with `stack` its composed model's, in the documented order:
+    - in_proj + pe;
+    - each encoder layer: + te, then ln1 -> self-attention, then ln2 -> feed-forward;
+    - enc_ln;
+    - each decoder layer: + te, then ln1 -> self-attention, ln2 -> cross-attention over the encoder
+      output, ln3 -> feed-forward, then adapter block k;
+    - final_ln, then the trend, seasonal and residual heads.
+    Every sublayer adds its output to the stream it normalized."""
+    cfg, P = backbone.cfg, dict(backbone.params)
+    P.update({} if stack is None else stack.params)
+
+    def linear(h, name):
+        return h @ P[f"{name}.w"] + P[f"{name}.b"]
+
+    def norm(h, name):
+        return ad.layer_norm(h, P[f"{name}.g"], P[f"{name}.b"])
+
+    def attention(q_in, kv_in, name, heads, mask=None):
+        return ad.attention(q_in, kv_in, *[P[f"{name}.{c}.{wb}"] for c in "qkvo" for wb in "wb"], heads, mask)
+
+    def feed_forward(h, name):
+        return ad.feed_forward(h, P[f"{name}.ff1.w"], P[f"{name}.ff1.b"], P[f"{name}.ff2.w"], P[f"{name}.ff2.b"])
+
+    D = cfg.model_dim
+    te = linear(Tensor(timestep_embed(t, D)[None, :]), "backbone.t_proj").reshape((D,))
+    base = linear(Tensor(np.asarray(x, dtype=np.float32)), "backbone.in_proj") + Tensor(position_encoding(cfg.tau, D))
+    h = base
+    for k in range(cfg.enc_layers):
+        name = f"backbone.enc{k}"
+        h = h + te
+        n = norm(h, f"{name}.ln1")
+        h = h + attention(n, n, f"{name}.attn", cfg.heads)
+        h = h + feed_forward(norm(h, f"{name}.ln2"), name)
+    enc_out = norm(h, "backbone.enc_ln")
+    h, acc = base, None
+    for k in range(cfg.dec_layers):
+        name = f"backbone.dec{k}"
+        h = h + te
+        n = norm(h, f"{name}.ln1")
+        h = h + attention(n, n, f"{name}.self", cfg.heads)
+        h = h + attention(norm(h, f"{name}.ln2"), enc_out, f"{name}.cross", cfg.heads)
+        h = h + feed_forward(norm(h, f"{name}.ln3"), name)
+        if stack is not None:  # block k reads h plus the earlier blocks' summed outputs
+            n = norm(h if acc is None else h + acc, f"adapter{k}.ln")
+            i = np.arange(cfg.tau)
+            band = np.where(np.abs(i[:, None] - i[None, :]) <= stack.cfg.window // 2, 0.0, -1e9).astype(np.float32)
+            local = attention(n, n, f"adapter{k}.attn", stack.cfg.heads, band)
+            acc = local if acc is None else acc + local
+            h = h + stack.cfg.alpha * local
+    H = norm(h, "backbone.final_ln")
+    b, pooled = H.shape[0], H.mean(axis=-2)
+    c_trend = linear(pooled, "backbone.head.trend").reshape((b, cfg.trend_degree + 1, cfg.d))
+    c_seas = linear(pooled, "backbone.head.seasonal").reshape((b, 2 * cfg.fourier_terms, cfg.d))
+    trend = Tensor(trend_basis(cfg.tau, cfg.trend_degree)) @ c_trend
+    seasonal = Tensor(fourier_basis(cfg.tau, cfg.fourier_terms)) @ c_seas
+    return trend + seasonal + linear(H, "backbone.head.residual")
 
 
 def formula_gelu_grad(x, t):

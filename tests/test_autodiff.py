@@ -222,8 +222,8 @@ class TestAttentionOp:
         cfg = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
                              heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
         model = Backbone(cfg, seed=0)
-        attn = model.enc[0]["attn"] if where == "enc" else model.dec[1]["cross"]
-        attn["wk"].data[0, 0] = np.nan
+        wk = model.params["backbone.enc0.attn.k.w" if where == "enc" else "backbone.dec1.cross.k.w"]
+        wk.data[0, 0] = np.nan
         x = np.random.default_rng(0).standard_normal((2, 6, 2))
         with pytest.raises(NumericError, match=layer):
             model.forward(x, 3)
@@ -303,7 +303,7 @@ class TestFeedForwardOp:
         cfg = DenoiserConfig(tau=6, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
                              heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
         model = Backbone(cfg, seed=0)
-        model.dec[1]["ff"]["w1"].data[2, 5] = np.nan
+        model.params["backbone.dec1.ff1.w"].data[2, 5] = np.nan
         x = np.random.default_rng(0).standard_normal((2, 6, 2))
         with pytest.raises(NumericError, match="decoder layer 1: feed_forward"):
             model.forward(x, 3)

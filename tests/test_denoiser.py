@@ -8,6 +8,7 @@ from faultgen import autodiff as ad
 from faultgen.adapter import AdapterConfig, AdapterStack, attach
 from faultgen.autodiff import Tensor
 from faultgen.config import DESK, resolve_config
+from faultgen.data import ADAPTER_STREAM, BACKBONE_STREAM, series_rng
 from faultgen.denoiser import (
     Backbone,
     DenoiserConfig,
@@ -19,10 +20,21 @@ from faultgen.denoiser import (
 from faultgen.errors import ContractError
 from faultgen.training import base_loss
 
-from helpers import central_diff, composed_attention, composed_feed_forward, rel_err
+from helpers import central_diff, composed_attention, composed_feed_forward, reference_forward, rel_err
 
 TOY = DenoiserConfig(tau=4, d=2, T=10, model_dim=8, enc_layers=1, dec_layers=2,
                      heads=2, ff_dim=16, fourier_terms=1, trend_degree=3)
+
+
+def _desk_models():
+    """A desk-sized backbone and adapter stack, every weight perturbed (zero-init heads would hide every bit)."""
+    backbone = Backbone(resolve_config("desk", "pretrain").denoiser_config(24, 2), seed=3)
+    stack = AdapterStack(AdapterConfig(model_dim=backbone.cfg.model_dim, **DESK["adapter"]),
+                         backbone.cfg.dec_layers, seed=4)
+    rng = np.random.default_rng(5)
+    for p in backbone.parameters() + stack.parameters():
+        p.data += rng.normal(0, 0.05, p.data.shape).astype(np.float32)
+    return backbone, stack
 
 
 def test_config_validation():
@@ -112,19 +124,10 @@ class TestForward:
 class TestFusedOpsKeepTheComposedBits:
     """`generate` reads only `predict_noise`; the fused nodes must leave its bits where the composed ops put them."""
 
-    @staticmethod
-    def _models():
-        backbone = Backbone(resolve_config("desk", "pretrain").denoiser_config(24, 2), seed=3)
-        stack = AdapterStack(AdapterConfig(model_dim=backbone.cfg.model_dim, **DESK["adapter"]),
-                             backbone.cfg.dec_layers, seed=4)
-        rng = np.random.default_rng(5)
-        for p in backbone.parameters() + stack.parameters():  # zero-init heads would hide every bit
-            p.data += rng.normal(0, 0.05, p.data.shape).astype(np.float32)
-        return backbone, attach(backbone, stack)
-
     @pytest.mark.parametrize("b", [1, 12])
     def test_predict_noise_is_bitwise_the_composed_reference(self, monkeypatch, b):
-        backbone, composed = self._models()
+        backbone, stack = _desk_models()
+        composed = attach(backbone, stack)
         x = np.random.default_rng(b).standard_normal((b, backbone.cfg.tau, backbone.cfg.d)).astype(np.float32)
         fused = [backbone.predict_noise(x, 37), composed.predict_noise(x, 37)]
         monkeypatch.setattr(denoiser, "feed_forward", composed_feed_forward)
@@ -134,6 +137,82 @@ class TestFusedOpsKeepTheComposedBits:
         assert np.any(reference[0] != reference[1])  # the adapter is live
         for got, ref in zip(fused, reference):
             assert np.array_equal(got, ref)
+
+
+class TestWiring:
+    """Every layer's wiring against `helpers.reference_forward`, the documented order spelled op by op."""
+
+    @pytest.mark.parametrize("b", [1, 12])
+    def test_predict_noise_and_a_recorded_forward_are_bitwise_the_reference(self, b):
+        backbone, stack = _desk_models()
+        x = np.random.default_rng(b).standard_normal((b, backbone.cfg.tau, backbone.cfg.d)).astype(np.float32)
+        with ad.no_grad():
+            refs = [reference_forward(backbone, x, 37).data, reference_forward(backbone, x, 37, stack).data]
+        assert np.any(refs[0] != refs[1])  # the adapter is live
+        for s, ref in ((None, refs[0]), (stack, refs[1])):
+            model = backbone if s is None else attach(backbone, s)
+            recorded = model.forward(x, 37)
+            assert recorded.requires_grad
+            assert np.array_equal(recorded.data, ref)
+            assert np.array_equal(model.predict_noise(x, 37), ref)
+
+
+def _linear(name, fan_in, fan_out, init="glorot"):
+    return [(f"{name}.w", (fan_in, fan_out), init), (f"{name}.b", (fan_out,), "zeros")]
+
+
+def _norm(name, dim=8):
+    return [(f"{name}.g", (dim,), "ones"), (f"{name}.b", (dim,), "zeros")]
+
+
+def _attention(name, last="glorot"):
+    return _linear(f"{name}.q", 8, 8) + _linear(f"{name}.k", 8, 8) + _linear(f"{name}.v", 8, 8) \
+        + _linear(f"{name}.o", 8, 8, last)
+
+
+def _ff(name):
+    return _linear(f"{name}.ff1", 8, 16) + _linear(f"{name}.ff2", 16, 8)
+
+
+# TOY's parameters in registration order: (name, shape, init), where "glorot" is the next Glorot draw of the
+# init stream, "drawn-zeroed" a draw that is then zeroed, and "zeros" and "ones" draw nothing
+TOY_BACKBONE = (
+    _linear("backbone.in_proj", 2, 8) + _linear("backbone.t_proj", 8, 8)
+    + _norm("backbone.enc0.ln1") + _attention("backbone.enc0.attn") + _norm("backbone.enc0.ln2")
+    + _ff("backbone.enc0")
+    + _norm("backbone.enc_ln")
+    + _norm("backbone.dec0.ln1") + _attention("backbone.dec0.self") + _norm("backbone.dec0.ln2")
+    + _attention("backbone.dec0.cross") + _norm("backbone.dec0.ln3") + _ff("backbone.dec0")
+    + _norm("backbone.dec1.ln1") + _attention("backbone.dec1.self") + _norm("backbone.dec1.ln2")
+    + _attention("backbone.dec1.cross") + _norm("backbone.dec1.ln3") + _ff("backbone.dec1")
+    + _norm("backbone.final_ln")
+    + _linear("backbone.head.trend", 8, 8, "zeros") + _linear("backbone.head.seasonal", 8, 4, "zeros")
+    + _linear("backbone.head.residual", 8, 2, "zeros")
+)
+TOY_ADAPTER = (_norm("adapter0.ln") + _attention("adapter0.attn", "drawn-zeroed")
+               + _norm("adapter1.ln") + _attention("adapter1.attn", "drawn-zeroed"))
+
+
+class TestParameterLayout:
+    """Names, shapes, order and initial bits: what a checkpoint stores and every loss curve starts from."""
+
+    @staticmethod
+    def _assert_layout(params, expected, rng):
+        assert [(name, p.shape) for name, p in params.items()] == [(name, shape) for name, shape, _ in expected]
+        for name, shape, init in expected:
+            if init in ("glorot", "drawn-zeroed"):
+                want = rng.normal(0.0, np.sqrt(2.0 / sum(shape)), size=shape).astype(np.float32)
+                want = np.zeros_like(want) if init == "drawn-zeroed" else want
+            else:
+                want = np.full(shape, 1.0 if init == "ones" else 0.0, dtype=np.float32)
+            assert params[name].data.dtype == np.float32 and params[name].data.tobytes() == want.tobytes(), name
+
+    def test_a_toy_backbone(self):
+        self._assert_layout(Backbone(TOY, seed=6).params, TOY_BACKBONE, series_rng(6, BACKBONE_STREAM, 0))
+
+    def test_a_toy_adapter_stack(self):
+        stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8, alpha=1.0), TOY.dec_layers, seed=7)
+        self._assert_layout(stack.params, TOY_ADAPTER, series_rng(7, ADAPTER_STREAM, 0))
 
 
 class TestDecompose:
@@ -152,9 +231,10 @@ class TestDecompose:
                 p.data = rng.normal(0, 0.1, p.data.shape).astype(np.float32)
         x = rng.standard_normal((1, 4, 2)).astype(np.float32)
         layer_outputs = []
-        dec_layer = bb._dec_layer
-        bb._dec_layer = lambda *args: layer_outputs.append(dec_layer(*args)) or layer_outputs[-1]
+        run_layer = bb._layer
+        bb._layer = lambda *args: layer_outputs.append(run_layer(*args)) or layer_outputs[-1]
         eps_hat = bb.forward(x, 1)
+        assert len(layer_outputs) == TOY.enc_layers + TOY.dec_layers  # the decoder's layers run last
         # reconstruct H from the last decoder layer's output exactly as forward does
         H = ad.layer_norm(layer_outputs[-1], *bb.final_ln)
         t, s, r = bb.decompose(H)
