@@ -31,6 +31,7 @@ import numpy as np
 from .adapter import AdapterStack, attach
 from .config import RunConfig, resolve_config
 from .data import (
+    FAULT_EXTRAS,
     FAULT_KINDS,
     Dataset,
     csv_cell,
@@ -48,8 +49,7 @@ from .errors import CheckpointError, ContractError, DivergenceError, NumericErro
 from .metrics import check_request, downstream_eval, evaluate_corpora
 from .training import load_checkpoint, restore, train
 
-EXTRA_FLAGS = ("period", "clip_level", "burst_len", "count")  # the flags that fill a FaultSpec's `extra`
-FAULT_FLAGS = ("fault", "magnitude", "onset", "duration", "channels", *EXTRA_FLAGS)  # read by --kind fault only
+FAULT_FLAGS = ("fault", "magnitude", "onset", "duration", "channels", *FAULT_EXTRAS)  # read by --kind fault only
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
 
 
@@ -90,7 +90,7 @@ def cmd_make_data(args) -> int:
         raise ContractError("--fault is required when --kind fault")
     ds = generate_normal(args.tau, args.dim, args.n, args.seed, base_kind=args.base, noise_std=args.noise_std)
     if args.kind == "fault":
-        extra = {k: getattr(args, k) for k in EXTRA_FLAGS if getattr(args, k) is not None}
+        extra = {k: getattr(args, k) for k in FAULT_EXTRAS if getattr(args, k) is not None}
         try:
             channels = [int(c) for c in args.channels.split(",")] if args.channels is not None else None
         except ValueError as e:
@@ -278,10 +278,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--onset", type=int)
     p.add_argument("--duration", type=int)
     p.add_argument("--channels", type=_non_empty, help="comma-separated channel indices")
-    p.add_argument("--period", type=float)
-    p.add_argument("--clip-level", type=float)
-    p.add_argument("--burst-len", type=int)
-    p.add_argument("--count", type=int)
+    for name, extra in FAULT_EXTRAS.items():  # each fills the FaultSpec `extra` of its name
+        p.add_argument("--" + name.replace("_", "-"), type=extra.type)
     p.set_defaults(func=cmd_make_data)
 
     p = sub.add_parser("pretrain", parents=[seed, out, run], help="pretrain the backbone on normal data")

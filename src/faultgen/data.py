@@ -8,7 +8,10 @@ of each name) so that tests have reproducible ground truth.
 from __future__ import annotations
 
 import json
+import numbers
 import os
+import sys
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,9 +35,17 @@ FAULT_KINDS = (
     "sudden_recovery",
 )
 
-# the `extra` keys each fault kind reads; a kind not named here reads none
-FAULT_EXTRAS = {"periodic": ("period",), "low_frequency_anomaly": ("period",), "saturation": ("clip_level",),
-                "intermittent": ("burst_len",), "impulse": ("count",)}
+# A key of `FaultSpec.extra`: the kinds that read it, its type (int or float, never a bool) and its value for a
+# spec that does not give it. FAULT_EXTRAS holds every key, in `make-data`'s flag order; a kind it does not name
+# reads none.
+Extra = namedtuple("Extra", "kinds type default")
+FAULT_EXTRAS = {
+    "period": Extra(("periodic", "low_frequency_anomaly"), float,  # the sine's period, above 2 steps
+                    lambda s: max(3, s.duration // 4) if s.kind == "periodic" else max(3, 2 * s.duration)),
+    "clip_level": Extra(("saturation",), float, lambda s: s.magnitude),
+    "burst_len": Extra(("intermittent",), int, lambda s: max(1, s.duration // 4)),  # the on and off run length
+    "count": Extra(("impulse",), int, lambda s: max(1, s.duration // 8)),  # the spike count
+}
 
 
 # TimeSeries, Dataset's sequence-of-series branch and Normalizer.invert stay: perfbench/tests/test_oracles.py calls them
@@ -116,6 +127,16 @@ def csv_cell(value) -> bool:
     return isinstance(value, str) and not any(c in value for c in ",\n\r")
 
 
+def _require(what: str, value, type_: type) -> None:
+    """Raise ContractError naming `what` unless `value` is an integer (`type_` int) or a real number that float64
+    holds as a finite value (float); a bool is neither."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral if type_ is int else numbers.Real):
+        raise ContractError(f"{what} must be {'an integer' if type_ is int else 'a real number'}, got {value!r}")
+    if type_ is float and not (abs(value) <= sys.float_info.max if isinstance(value, numbers.Integral)
+                               else np.isfinite(value)):  # np.isfinite takes no integer wider than 64 bits
+        raise ContractError(f"{what} must be finite, got {value!r}")
+
+
 @dataclass
 class FaultSpec:
     """Parametrized description of one injectable fault."""
@@ -130,16 +151,19 @@ class FaultSpec:
     def __post_init__(self):
         if self.kind not in FAULT_KINDS:
             raise ContractError(f"unknown fault kind {self.kind!r}")
-        if not np.isfinite(self.magnitude):
-            raise ContractError("fault magnitude must be finite")
+        for name, type_ in (("onset", int), ("duration", int), ("magnitude", float)):
+            _require(f"fault {name}", getattr(self, name), type_)
+        if not (self.channels is None or isinstance(self.channels, list)):
+            raise ContractError(f"fault channels must be None or a list, got {self.channels!r}")
+        for c in self.channels or ():
+            _require("fault channel", c, int)
 
     def validate(self, tau: int, dim: int) -> None:
-        unread = sorted(set(self.extra) - set(FAULT_EXTRAS.get(self.kind, ())))
+        unread = sorted(set(self.extra) - {name for name, e in FAULT_EXTRAS.items() if self.kind in e.kinds})
         if unread:
             raise ContractError(f"a {self.kind} fault does not read {', '.join(unread)}")
         for name, value in sorted(self.extra.items()):  # an infinite period or clip level injects nothing
-            if not np.isfinite(value):
-                raise ContractError(f"{self.kind} {name} must be finite, got {value!r}")
+            _require(f"{self.kind} {name}", value, FAULT_EXTRAS[name].type)
         if not 0 <= self.onset < tau:
             raise ContractError(f"onset {self.onset} outside [0, {tau})")
         if self.duration < 1:
@@ -162,34 +186,28 @@ class FaultSpec:
                 raise ContractError(f"channels {list(self.channels)} name a channel more than once")
         if self.kind == "random_noise" and self.magnitude < 0:
             raise ContractError("random_noise magnitude is a standard deviation and must be >= 0")
-        if self.kind == "impulse" and not 1 <= _count(self) <= self.duration:
+        if self.kind == "impulse" and not 1 <= _extra(self, "count") <= self.duration:
             raise ContractError(f"impulse count must be >= 1 and at most the duration {self.duration}, "
-                                f"got {_count(self)!r}")
+                                f"got {_extra(self, 'count')!r}")
         # a burst as long as the window never switches off, which is a plain offset
-        if self.kind == "intermittent" and not 1 <= _burst_len(self) < self.duration:
+        if self.kind == "intermittent" and not 1 <= _extra(self, "burst_len") < self.duration:
             raise ContractError(f"intermittent burst_len must be >= 1 and shorter than the duration "
-                                f"{self.duration}, got {_burst_len(self)}")
-        if self.kind == "saturation":
+                                f"{self.duration}, got {_extra(self, 'burst_len')}")
+        if self.kind == "saturation" and not _extra(self, "clip_level") >= 0:
             name = "clip_level" if "clip_level" in self.extra else "magnitude"
-            level = self.extra.get("clip_level", self.magnitude)
-            if not level >= 0:
-                raise ContractError(f"saturation {name} must be >= 0 (it is the clip level), got {level!r}")
+            raise ContractError(f"saturation {name} must be >= 0 (it is the clip level), "
+                                f"got {_extra(self, 'clip_level')!r}")
         # a period of 2 steps or less samples the sine only at its zeros (2, 1, 2/3) or beyond the Nyquist limit
-        if self.kind in ("periodic", "low_frequency_anomaly") and not _period(self) > 2:
+        if self.kind in ("periodic", "low_frequency_anomaly") and not _extra(self, "period") > 2:
             raise ContractError(f"{self.kind} period must be > 2 steps, got {self.extra['period']!r}")
         # a one-step window samples the sine only at its phase origin, sin(0) = 0
         if self.kind in ("periodic", "low_frequency_anomaly") and self.duration < 2:
             raise ContractError(f"{self.kind} duration must be >= 2 steps, got {self.duration}")
-        if self.kind == "low_frequency_anomaly" and _period(self) < self.duration:
+        if self.kind == "low_frequency_anomaly" and _extra(self, "period") < self.duration:
             raise ContractError("low_frequency_anomaly needs period >= duration")
 
     def to_dict(self) -> dict:
-        d = {
-            "kind": self.kind,
-            "onset": self.onset,
-            "duration": self.duration,
-            "magnitude": self.magnitude,
-        }
+        d = {"kind": self.kind, "onset": self.onset, "duration": self.duration, "magnitude": self.magnitude}
         if self.channels is not None:
             d["channels"] = list(self.channels)
         if self.extra:
@@ -198,30 +216,13 @@ class FaultSpec:
 
     @classmethod
     def from_dict(cls, d: dict) -> "FaultSpec":
-        return cls(
-            kind=d["kind"],
-            onset=int(d["onset"]),
-            duration=int(d["duration"]),
-            magnitude=float(d["magnitude"]),
-            channels=list(d["channels"]) if d.get("channels") is not None else None,
-            extra=dict(d.get("extra", {})),
-        )
+        """The spec `to_dict` wrote, its values as they are: `__post_init__` checks their types."""
+        return cls(d["kind"], d["onset"], d["duration"], d["magnitude"], d.get("channels"), dict(d.get("extra", {})))
 
 
-def _period(spec: FaultSpec) -> float:
-    """The sine period of a periodic or low_frequency_anomaly fault: extra['period'], else a default above 2 steps."""
-    default = max(3, spec.duration // 4) if spec.kind == "periodic" else max(3, 2 * spec.duration)
-    return float(spec.extra.get("period", default))
-
-
-def _burst_len(spec: FaultSpec) -> int:
-    """The on and off run length of an intermittent fault: extra['burst_len'], else a quarter of the window."""
-    return int(spec.extra.get("burst_len", max(1, spec.duration // 4)))
-
-
-def _count(spec: FaultSpec):
-    """The spike count of an impulse fault, as given: extra['count'], else one per 8 steps of window, at least 1."""
-    return spec.extra.get("count", max(1, spec.duration // 8))
+def _extra(spec: FaultSpec, name: str):
+    """`spec.extra[name]` as given, else `FAULT_EXTRAS[name]`'s default for `spec`."""
+    return spec.extra[name] if name in spec.extra else FAULT_EXTRAS[name].default(spec)
 
 
 # ----------------------------------------------------------------------
@@ -241,7 +242,7 @@ AR_NOISE_STD = 0.3
 
 def series_rng(seed: int, role: int, i: int) -> np.random.Generator:
     """Stream i of `role` (series i of a per-series role, else 0), keyed by (seed, role, i) alone. Every draw starts
-    here but `make_fault_dataset`'s spec stream, `inject_fault`'s pass-through and `ContextEncoder`'s constant."""
+    here but `make_fault_dataset`'s spec stream and `ContextEncoder`'s constant."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role, i)))
 
 
@@ -333,10 +334,10 @@ def _ar_process(rngs, tau: int, dim: int) -> np.ndarray:
 # fault injection
 
 
-def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int | np.random.Generator) -> np.ndarray:
+def inject_fault(values: np.ndarray, spec: FaultSpec, rng: np.random.Generator) -> np.ndarray:
     """A copy of the float32 (tau, d) array `values` with one fault applied; timesteps and channels outside the
     fault stay bit-identical. `sudden` and `trend` run from the onset to the series' end, every other kind inside
-    [onset, onset + duration). Random kinds draw from `default_rng(seed)`, which passes a generator through."""
+    [onset, onset + duration). Random kinds draw from `rng`."""
     values = np.asarray(values)
     if values.dtype != np.float32 or values.ndim != 2 or len(values) < 2:
         raise ContractError(f"inject_fault needs a float32 (tau>=2, d) array, got {values.dtype} {values.shape}")
@@ -348,7 +349,6 @@ def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int | np.random.Gene
     chans = list(range(dim)) if spec.channels is None else list(spec.channels)
     lo, hi = spec.onset, spec.onset + spec.duration
     m = np.float32(spec.magnitude)
-    rng = np.random.default_rng(seed)
     rel = np.arange(lo, hi) - lo
 
     if spec.kind == "sudden":
@@ -357,16 +357,16 @@ def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int | np.random.Gene
         ramp = (m * (rel + 1) / spec.duration).astype(np.float32)
         out[lo:hi, chans] += ramp[:, None]
     elif spec.kind in ("periodic", "low_frequency_anomaly"):
-        wave = (m * np.sin(2.0 * np.pi * rel / _period(spec))).astype(np.float32)
+        wave = (m * np.sin(2.0 * np.pi * rel / _extra(spec, "period"))).astype(np.float32)
         out[lo:hi, chans] += wave[:, None]
     elif spec.kind == "random_noise":
         noise = rng.normal(0.0, spec.magnitude, size=(hi - lo, len(chans)))
         out[lo:hi, chans] += noise.astype(np.float32)
     elif spec.kind == "intermittent":
-        on = (rel // _burst_len(spec)) % 2 == 0
+        on = (rel // _extra(spec, "burst_len")) % 2 == 0
         out[lo:hi, chans] += np.where(on, m, np.float32(0.0))[:, None]
     elif spec.kind == "impulse":
-        pos = rng.choice(spec.duration, size=int(_count(spec)), replace=False)
+        pos = rng.choice(spec.duration, size=_extra(spec, "count"), replace=False)
         for p in np.sort(pos):
             out[lo + int(p), chans] += m
     elif spec.kind == "trend":
@@ -374,7 +374,7 @@ def inject_fault(values: np.ndarray, spec: FaultSpec, seed: int | np.random.Gene
         drift = (slope * (np.arange(lo, tau) - lo)).astype(np.float32)
         out[lo:, chans] += drift[:, None]
     elif spec.kind == "saturation":
-        clip = np.float32(spec.extra.get("clip_level", spec.magnitude))
+        clip = np.float32(_extra(spec, "clip_level"))
         out[lo:hi, chans] = np.clip(out[lo:hi, chans], -clip, clip)
     elif spec.kind in ("offset", "sudden_recovery"):
         out[lo:hi, chans] += m
@@ -522,7 +522,8 @@ def _fmt(v: np.float32) -> str:
 
 
 def save_corpus(ds: Dataset, directory) -> None:
-    """Write manifest.json plus one CSV per sample (header = channel names).
+    """Write one CSV per sample (header = channel names), then manifest.json, atomically: a directory that
+    holds a manifest holds all of its samples.
 
     A cell is float32's shortest round-trip digits in positional form, as
     `_fmt` writes it (`-0.000016872391`, never `-1.6872391e-05`), so
@@ -540,9 +541,6 @@ def save_corpus(ds: Dataset, directory) -> None:
     }
     if ds.fault_spec is not None:
         manifest["fault_spec"] = ds.fault_spec.to_dict()
-    with open(os.path.join(directory, "manifest.json"), "w") as fh:
-        json.dump(manifest, fh, indent=2, sort_keys=True)
-        fh.write("\n")
     header = ",".join(ds.channel_names) + "\n"
     for idx in _chunks(len(ds), ds.tau * ds.dim):
         values = ds.values[idx.start:idx.stop]
@@ -556,6 +554,7 @@ def save_corpus(ds: Dataset, directory) -> None:
             text = header + "".join([",".join(r) + "\n" for r in series])
             with open(os.path.join(directory, f"sample_{i:05d}.csv"), "w") as fh:
                 fh.write(text)
+    write_atomic(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
 def _read_sample(path, tau: int, names: list[str]) -> np.ndarray:

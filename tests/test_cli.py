@@ -6,6 +6,7 @@ import errno
 import json
 import os
 import shutil
+import struct
 import subprocess
 import sys
 
@@ -98,16 +99,32 @@ def trained(tmp_path_factory):
         lines = fh.read().splitlines(keepends=True)
     with open(sample3, "w") as fh:
         fh.write("".join(["x,y\n", *lines[1:]]))
-    relabelled = {}  # the normal corpus under a label that no CSV cell holds
-    for name, label in [("label5", 5), ("pump7", "pump,7")]:
-        relabelled[name] = str(root / name)
-        shutil.copytree(normal, relabelled[name])
-        with open(os.path.join(relabelled[name], "manifest.json")) as fh:
+    wide = str(root / "wide")  # the normal corpus with each data row of one sample file a value too long
+    shutil.copytree(normal, wide)
+    with open(os.path.join(wide, "sample_00002.csv")) as fh:
+        lines = fh.read().splitlines(keepends=True)
+    with open(os.path.join(wide, "sample_00002.csv"), "w") as fh:
+        fh.write("".join([lines[0], *(line.replace("\n", ",0.5\n") for line in lines[1:])]))
+    edited = {}  # a corpus whose manifest `edit` changes
+    for name, source, edit in [
+        ("label5", normal, lambda m: m.update(label=5)),  # a label that no CSV cell holds
+        ("pump7", normal, lambda m: m.update(label="pump,7")),
+        ("no_dim", normal, lambda m: m.pop("dim")),
+        ("tau1", normal, lambda m: m.update(tau=1)),
+        ("numbered", normal, lambda m: m.update(channel_names=[0, 1])),
+        ("onset2_5", fault, lambda m: m["fault_spec"].update(onset=2.5)),  # loaded as onset 2
+        ("duration_true", fault, lambda m: m["fault_spec"].update(duration=True)),  # loaded as duration 1
+    ]:
+        edited[name] = str(root / name)
+        shutil.copytree(source, edited[name])
+        with open(os.path.join(edited[name], "manifest.json")) as fh:
             manifest = json.load(fh)
-        with open(os.path.join(relabelled[name], "manifest.json"), "w") as fh:
-            json.dump({**manifest, "label": label}, fh)
+        edit(manifest)
+        with open(os.path.join(edited[name], "manifest.json"), "w") as fh:
+            json.dump(manifest, fh)
     return {"normal": normal, "fault": fault, "fault12": fault12, "fault1": fault1, "offset30": offset30,
-            "renamed": renamed, **relabelled, "pre": pre, "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
+            "renamed": renamed, "wide": wide, **edited, "pre": pre,
+            "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
 
 
 def _edited(src, dst, edit):
@@ -167,6 +184,10 @@ MALFORMED_CHECKPOINTS = {  # an edit of the pretrained checkpoint, and the comma
     "model-dim-a-float": (lambda c: c.config["model"].update(model_dim=8.0), ["generate", "finetune"]),
     "heads-a-float": (lambda c: c.config["model"].update(heads=2.0), ["generate", "finetune"]),
     "enc-layers-a-bool": (lambda c: c.config["model"].update(enc_layers=True), ["generate", "finetune"]),
+    "config-hash-a-number": (lambda c: c.config.update(config_hash=5), ["generate", "finetune"]),
+    "missing-array": (lambda c: c.arrays.pop("backbone.in_proj.w"), ["generate", "finetune"]),
+    "array-of-another-shape": (lambda c: c.arrays.update({"backbone.in_proj.w": np.zeros((3, 3), np.float32)}),
+                               ["generate", "finetune"]),
 }
 
 
@@ -186,6 +207,37 @@ def test_a_malformed_checkpoint_exits_3_before_anything_is_written(trained, tmp_
         err = capsys.readouterr().err
         assert len(err.splitlines()) == 1 and err.startswith("checkpoint error: "), command
         assert not out.exists(), command
+
+
+def _patched(raw, at, data):
+    return raw[:at] + data + raw[at + len(data):]
+
+
+RAW_CORRUPTIONS = {  # an edit of the pretrained checkpoint file's bytes, and a fragment of the refusal
+    "bad-magic": (lambda raw: _patched(raw, 0, b"XXXX"), "bad magic, not a checkpoint file"),
+    "version-99": (lambda raw: _patched(raw, 4, struct.pack("<H", 99)), "unsupported format version 99"),
+    "truncated-header": (lambda raw: raw[:20], "truncated header"),
+    "header-not-json": (lambda raw: _patched(raw, 10, b"x"), "corrupt header"),
+    "truncated-array-data": (lambda raw: raw[:-4], "truncated data for array"),
+}
+
+
+@pytest.mark.parametrize("command", ["generate", "finetune"])
+@pytest.mark.parametrize("case", list(RAW_CORRUPTIONS))
+def test_a_corrupt_checkpoint_file_exits_3_in_one_line_before_anything_is_written(trained, tmp_path, capsys,
+                                                                                   command, case):
+    edit, fragment = RAW_CORRUPTIONS[case]
+    bad = tmp_path / "bad.ckpt"
+    with open(trained["pre"], "rb") as fh:
+        bad.write_bytes(edit(fh.read()))
+    out = tmp_path / command
+    argv = [command, "--checkpoint", str(bad), "--out", str(out)]
+    if command == "finetune":
+        argv += ["--data", trained["fault"], *_overrides("finetune", "train.finetune_steps=1")]
+    assert main(argv) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"checkpoint error: {bad}: {fragment}") and len(err.splitlines()) == 1
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["generate", "finetune"])
@@ -623,6 +675,39 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                            2, "low_frequency_anomaly period must be finite, got inf"),
     "make-data-clip-level-inf": (["make-data", "--kind", "fault", "--fault", "saturation", "--n", "2", "--tau", "8",
                                   "--clip-level", "inf"], 2, "saturation clip_level must be finite, got inf"),
+    "make-data-count-beyond-int64": (["make-data", "--kind", "fault", "--fault", "impulse", "--n", "2", "--tau", "8",
+                                      "--duration", "4", "--count", str(10**30)],
+                                     2, f"impulse count must be >= 1 and at most the duration 4, got {10**30}"),
+    "make-data-count-2.5": (["make-data", "--kind", "fault", "--fault", "impulse", "--n", "2", "--tau", "8",
+                             "--count", "2.5"], 2, "argument --count: invalid int value: '2.5'"),
+    "make-data-fault-without-a-kind": (["make-data", "--kind", "fault", "--n", "2", "--tau", "8"],
+                                       2, "--fault is required when --kind fault"),
+    "generate-alpha-override-of-a-pretrain-checkpoint": (["generate", "--checkpoint", "{pre}", "--n", "2",
+                                                          "--override", "adapter.alpha=2"],
+                                                         2, "adapter.alpha override needs a fine-tuned checkpoint"),
+    "finetune-adapter-window-beyond-2-tau": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
+                                              *_overrides("finetune", "train.finetune_steps=1", "adapter.window=17")],
+                                             2, "adapter window exceeds 2*tau - 1"),
+    "finetune-adapter-heads-not-dividing-model-dim": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
+                                                       *_overrides("finetune", "train.finetune_steps=1",
+                                                                   "adapter.heads=3")],
+                                                      2, "model_dim must be divisible by heads"),
+    # a corpus whose manifest or sample file `load_corpus` refuses, naming the file
+    "corpus-manifest-without-dim": (["evaluate", "--real", "{no_dim}", "--synth", "{normal}"],
+                                    2, "manifest {no_dim}/manifest.json missing field 'dim'"),
+    "corpus-tau-1": (["evaluate", "--real", "{tau1}", "--synth", "{normal}"],
+                     2, "manifest {tau1}/manifest.json: needs tau >= 2, dim >= 1 and n >= 1, got 1, 2, 6"),
+    "corpus-channel-names-not-strings": (["evaluate", "--real", "{numbered}", "--synth", "{normal}"],
+                                         2, "{numbered}/manifest.json: channel_names must be a list of 2 strings"),
+    "corpus-rows-a-value-too-wide": (["evaluate", "--real", "{wide}", "--synth", "{normal}"],
+                                     2, "{wide}/sample_00002.csv: rows have 3 values, expected 2"),
+    "corpus-fault-onset-2.5": (["evaluate", "--real", "{onset2_5}", "--synth", "{normal}"],
+                               2, "{onset2_5}/manifest.json: malformed fault_spec: "
+                                  "ContractError('fault onset must be an integer, got 2.5')"),
+    "corpus-fault-duration-true": (["finetune", "--data", "{duration_true}", "--checkpoint", "{pre}",
+                                    *_overrides("finetune", "train.finetune_steps=1")],
+                                   2, "{duration_true}/manifest.json: malformed fault_spec: "
+                                      "ContractError('fault duration must be an integer, got True')"),
     # every downstream corpus must have the first training corpus's (tau, d); fault12 and fault share an id
     "downstream-test-of-another-tau": (["downstream", "--train", "{normal}", "--train", "{fault}",
                                         "--test", "{normal}", "--test", "{fault12}"],

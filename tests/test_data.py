@@ -180,20 +180,20 @@ class TestInjectFault:
     def test_sudden_step(self):
         s = _series()
         spec = FaultSpec("sudden", onset=6, duration=8, magnitude=1.5)
-        out = inject_fault(s, spec, seed=0)
+        out = inject_fault(s, spec, np.random.default_rng(0))
         diff = out - s
         np.testing.assert_allclose(diff[:6], 0.0)
         np.testing.assert_allclose(diff[6:], 1.5, atol=1e-6)
 
     def test_offset_zero_magnitude_identity(self):
         s = _series()
-        out = inject_fault(s, FaultSpec("offset", 4, 6, 0.0), seed=1)
+        out = inject_fault(s, FaultSpec("offset", 4, 6, 0.0), np.random.default_rng(1))
         assert np.array_equal(out, s)
 
     def test_gradual_ramp_closed_form(self):
         s = _series()
         m, onset, dur = 2.0, 5, 10
-        out = inject_fault(s, FaultSpec("gradual", onset, dur, m), seed=0)
+        out = inject_fault(s, FaultSpec("gradual", onset, dur, m), np.random.default_rng(0))
         diff = out - s
         expected = m * (np.arange(dur) + 1) / dur
         for c in range(s.shape[1]):
@@ -207,7 +207,7 @@ class TestInjectFault:
         if kind == "low_frequency_anomaly":
             extra["period"] = 20
         spec = FaultSpec(kind, onset=8, duration=10, magnitude=1.2, channels=[0, 2], extra=extra)
-        out = inject_fault(s, spec, seed=3)
+        out = inject_fault(s, spec, np.random.default_rng(3))
         lo, hi = _window(spec, len(s))
         # untouched timesteps and the unaffected channel are bit-identical
         assert np.array_equal(out[:lo], s[:lo])
@@ -219,15 +219,15 @@ class TestInjectFault:
         s = _series(tau=32)
         extra = {"period": 20} if kind == "low_frequency_anomaly" else {}
         spec = FaultSpec(kind, onset=8, duration=10, magnitude=1.2, extra=extra)
-        a = inject_fault(s, spec, seed=5)
-        b = inject_fault(s, spec, seed=5)
+        a = inject_fault(s, spec, np.random.default_rng(5))
+        b = inject_fault(s, spec, np.random.default_rng(5))
         assert np.array_equal(a, b)
 
     def test_the_result_is_a_new_float32_array_and_the_input_is_left_as_it_was(self):
         s = _series()
         before = s.copy()
         s.flags.writeable = False  # a row of a Dataset's read-only stack
-        out = inject_fault(s, FaultSpec("offset", 4, 6, 1.0), seed=0)
+        out = inject_fault(s, FaultSpec("offset", 4, 6, 1.0), np.random.default_rng(0))
         assert out.dtype == np.float32 and out.shape == s.shape and out.flags.writeable
         assert not np.shares_memory(out, s) and s.tobytes() == before.tobytes()
 
@@ -242,7 +242,7 @@ class TestInjectFault:
     ], ids=["float64", "list", "1d", "3d", "tau-1", "nan", "inf"])
     def test_an_array_that_is_not_a_finite_float32_series_is_a_contract_error(self, values, message):
         with pytest.raises(ContractError, match=f"^inject_fault {re.escape(message)}$"):
-            inject_fault(values, FaultSpec("offset", 0, 1, 1.0), seed=0)
+            inject_fault(values, FaultSpec("offset", 0, 1, 1.0), np.random.default_rng(0))
 
     @pytest.mark.parametrize("spec,message", [
         (FaultSpec("saturation", 4, 6, -1.0), "saturation magnitude must be >= 0"),
@@ -269,14 +269,82 @@ class TestInjectFault:
          "low_frequency_anomaly period must be finite, got inf"),
         (FaultSpec("saturation", 4, 6, 1.0, extra={"clip_level": math.inf}),
          "saturation clip_level must be finite, got inf"),
+        # an integer beyond float64's range overflowed where the sine divides by it
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": 10**400}), "periodic period must be finite, got 1000"),
+        (FaultSpec("impulse", 4, 6, 1.0, extra={"count": 10**400}),
+         "impulse count must be >= 1 and at most the duration 6, got 1000"),
     ], ids=["saturation-magnitude", "clip-level", "clip-level-nan", "period-1", "period-0.5", "period-1.999",
             "period-2", "low-frequency-period-1", "low-frequency-period-2", "periodic-duration-1",
             "low-frequency-duration-1", "impulse-count-above-duration", "burst-as-long-as-the-window",
             "default-burst-of-a-one-step-window", "no-channels", "period-inf", "low-frequency-period-inf",
-            "clip-level-inf"])
+            "clip-level-inf", "period-beyond-float64", "count-beyond-float64"])
     def test_a_fault_that_would_not_fault_is_a_contract_error_naming_its_parameter(self, spec, message):
         with pytest.raises(ContractError, match=f"^{message}"):
-            inject_fault(_series(), spec, seed=0)
+            inject_fault(_series(), spec, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("spec,message", [
+        (FaultSpec("impulse", 4, 6, 1.0, extra={"count": 2.5}), "impulse count must be an integer, got 2.5"),
+        (FaultSpec("impulse", 4, 6, 1.0, extra={"count": True}), "impulse count must be an integer, got True"),
+        (FaultSpec("impulse", 4, 6, 1.0, extra={"count": 3.0}), "impulse count must be an integer, got 3.0"),
+        (FaultSpec("intermittent", 4, 6, 1.0, extra={"burst_len": 2.5}),
+         "intermittent burst_len must be an integer, got 2.5"),
+        (FaultSpec("periodic", 4, 6, 1.0, extra={"period": "7"}), "periodic period must be a real number, got '7'"),
+        (FaultSpec("low_frequency_anomaly", 4, 6, 1.0, extra={"period": None}),
+         "low_frequency_anomaly period must be a real number, got None"),
+        (FaultSpec("saturation", 4, 6, 1.0, extra={"clip_level": False}),
+         "saturation clip_level must be a real number, got False"),
+    ], ids=["count-2.5", "count-true", "count-3.0", "burst-len-2.5", "period-a-string", "period-none",
+            "clip-level-false"])
+    def test_an_extra_not_of_its_catalog_type_is_a_contract_error_naming_the_kind_and_the_extra(self, spec, message):
+        # a count of 2.5 injected 2 spikes and True 1, and a string period ended in a TypeError
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            inject_fault(_series(), spec, np.random.default_rng(0))
+
+    @pytest.mark.parametrize("kind,name,value,same", [("impulse", "count", 3, np.int64(3)),
+                                                      ("intermittent", "burst_len", 2, np.int32(2)),
+                                                      ("periodic", "period", 7.0, 7),
+                                                      ("periodic", "period", 7.0, np.float32(7.0)),
+                                                      ("saturation", "clip_level", 0.5, np.float64(0.5))])
+    def test_an_extra_injects_the_same_bits_from_any_number_of_its_type(self, kind, name, value, same):
+        s = _series(seed=4)
+        out = [inject_fault(s, FaultSpec(kind, 4, 12, 1.0, extra={name: v}), np.random.default_rng(1))
+               for v in (value, same)]
+        assert out[0].tobytes() == out[1].tobytes() and out[0].tobytes() != s.tobytes()
+
+    def test_the_catalog_declares_each_extra_for_kinds_it_knows(self):
+        assert list(data.FAULT_EXTRAS) == ["period", "clip_level", "burst_len", "count"]
+        assert {kind for extra in data.FAULT_EXTRAS.values() for kind in extra.kinds} <= set(FAULT_KINDS)
+        assert {name: extra.type for name, extra in data.FAULT_EXTRAS.items()} == {
+            "period": float, "clip_level": float, "burst_len": int, "count": int}
+
+    @pytest.mark.parametrize("fields,message", [
+        ({"onset": 2.5}, "fault onset must be an integer, got 2.5"),
+        ({"onset": True}, "fault onset must be an integer, got True"),
+        ({"duration": True}, "fault duration must be an integer, got True"),
+        ({"duration": "6"}, "fault duration must be an integer, got '6'"),
+        ({"magnitude": "1.5"}, "fault magnitude must be a real number, got '1.5'"),
+        ({"magnitude": False}, "fault magnitude must be a real number, got False"),
+        ({"channels": (0, 1)}, "fault channels must be None or a list, got (0, 1)"),
+        ({"channels": [0, 1.0]}, "fault channel must be an integer, got 1.0"),
+        ({"channels": [True]}, "fault channel must be an integer, got True"),
+    ], ids=["onset-2.5", "onset-true", "duration-true", "duration-a-string", "magnitude-a-string",
+            "magnitude-false", "channels-a-tuple", "channel-1.0", "channel-true"])
+    def test_a_field_not_of_its_type_is_a_contract_error_naming_it(self, fields, message):
+        spec = {"kind": "offset", "onset": 2, "duration": 6, "magnitude": 1.5, "channels": [0], **fields}
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            FaultSpec(**spec)
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):  # from_dict converts nothing
+            FaultSpec.from_dict(spec)
+
+    @pytest.mark.parametrize("magnitude", [math.nan, -math.inf, np.float32(math.inf), 10**400])
+    def test_a_magnitude_that_float64_holds_no_finite_value_of_is_a_contract_error(self, magnitude):
+        with pytest.raises(ContractError, match="^fault magnitude must be finite, got "):
+            FaultSpec("offset", 2, 6, magnitude)
+
+    def test_from_dict_reads_back_what_to_dict_wrote(self):
+        spec = FaultSpec("impulse", 2, 6, 1, channels=[1], extra={"count": 3})
+        back = FaultSpec.from_dict(json.loads(json.dumps(spec.to_dict())))
+        assert back == spec and type(back.magnitude) is int
 
     @pytest.mark.parametrize("kind", ["offset", "sudden", "periodic", "low_frequency_anomaly", "amplitude_shift"])
     def test_a_finite_magnitude_of_0_stays_a_valid_no_op(self, kind):
@@ -287,7 +355,7 @@ class TestInjectFault:
     @pytest.mark.parametrize("kind", [k for k in FAULT_KINDS if k != "impulse"])
     def test_an_extra_the_kind_does_not_read_is_a_contract_error(self, kind):
         with pytest.raises(ContractError, match=f"^a {kind} fault does not read count$"):
-            inject_fault(_series(), FaultSpec(kind, 4, 6, 1.0, extra={"count": 3}), seed=0)
+            inject_fault(_series(), FaultSpec(kind, 4, 6, 1.0, extra={"count": 3}), np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind", ["periodic", "low_frequency_anomaly"])
     def test_a_drawn_sine_fault_duration_is_at_least_2_steps(self, kind):
@@ -307,24 +375,24 @@ class TestInjectFault:
     @pytest.mark.parametrize("count", [1, 3, 6])
     def test_an_impulse_fault_adds_as_many_impulses_as_its_count(self, count):
         s = _series()
-        out = inject_fault(s, FaultSpec("impulse", 4, 6, 2.0, extra={"count": count}), seed=0)
+        out = inject_fault(s, FaultSpec("impulse", 4, 6, 2.0, extra={"count": count}), np.random.default_rng(0))
         assert np.count_nonzero(np.any(out != s, axis=1)) == count
 
     def test_saturation_clips(self):
         s = _series(seed=3)
         # a given clip_level is the clip level, so the magnitude may be negative
-        out = inject_fault(s, FaultSpec("saturation", 4, 12, -1.0, extra={"clip_level": 0.5}), seed=0)
+        out = inject_fault(s, FaultSpec("saturation", 4, 12, -1.0, extra={"clip_level": 0.5}), np.random.default_rng(0))
         assert np.max(np.abs(out[4:16])) <= 0.5 + 1e-6
 
     def test_missing_data_holds_last(self):
         s = _series()
-        out = inject_fault(s, FaultSpec("missing_data", 10, 6, 0.0), seed=0)
+        out = inject_fault(s, FaultSpec("missing_data", 10, 6, 0.0), np.random.default_rng(0))
         for t in range(10, 16):
             np.testing.assert_array_equal(out[t], s[9])
 
     def test_sudden_recovery_recovers(self):
         s = _series()
-        out = inject_fault(s, FaultSpec("sudden_recovery", 5, 10, 2.0), seed=0)
+        out = inject_fault(s, FaultSpec("sudden_recovery", 5, 10, 2.0), np.random.default_rng(0))
         diff = out - s
         np.testing.assert_allclose(diff[5:15], 2.0, atol=1e-6)
         np.testing.assert_allclose(diff[15:], 0.0)
@@ -336,7 +404,7 @@ class TestInjectFault:
 
     def test_a_repeated_channel_is_a_contract_error(self):
         with pytest.raises(ContractError, match=re.escape("channels [0, 1, 0] name a channel more than once")):
-            inject_fault(_series(d=3), FaultSpec("offset", 4, 6, 1.0, channels=[0, 1, 0]), seed=0)
+            inject_fault(_series(d=3), FaultSpec("offset", 4, 6, 1.0, channels=[0, 1, 0]), np.random.default_rng(0))
 
     @pytest.mark.parametrize("kind,message", [
         ("offset", "fault window onset 20 + duration 100 = 120 exceeds tau=24"),
@@ -369,9 +437,9 @@ class TestInjectFault:
     def test_window_out_of_range_rejected(self):
         s = _series()
         with pytest.raises(ContractError):
-            inject_fault(s, FaultSpec("offset", 20, 10, 1.0), seed=0)
+            inject_fault(s, FaultSpec("offset", 20, 10, 1.0), np.random.default_rng(0))
         with pytest.raises(ContractError):
-            inject_fault(s, FaultSpec("sudden_recovery", 14, 10, 1.0), seed=0)
+            inject_fault(s, FaultSpec("sudden_recovery", 14, 10, 1.0), np.random.default_rng(0))
 
     # sha256 of make_fault_dataset(generate_normal(24, 2, 4, seed=5), kind, seed=5): its values' bytes, then its
     # fault_spec.to_dict() as JSON with sorted keys; a change to any kind's draws or arithmetic shows here
@@ -572,6 +640,34 @@ class TestCorpusIO:
         edit(manifest)
         path.write_text(json.dumps(manifest))
 
+    @pytest.mark.parametrize("field,value,message", [("onset", 2.5, "fault onset must be an integer, got 2.5"),
+                                                     ("duration", True, "fault duration must be an integer, got True"),
+                                                     ("magnitude", "2", "fault magnitude must be a real number"),
+                                                     ("channels", [0.0], "fault channel must be an integer")])
+    def test_a_fault_spec_field_not_of_its_type_is_a_corpus_error_naming_the_manifest(self, tmp_path, field, value,
+                                                                                     message):
+        # an onset of 2.5 loaded as 2, and a duration of true as 1
+        save_corpus(make_fault_dataset(generate_normal(24, 2, 2, seed=3), "offset", seed=5), tmp_path / "c")
+        self._edit_manifest(tmp_path / "c", lambda m: m["fault_spec"].update({field: value}))
+        manifest = re.escape(f"manifest {tmp_path / 'c' / 'manifest.json'}: malformed fault_spec: ")
+        with pytest.raises(ContractError, match=f"^{manifest}ContractError..{re.escape(message)}"):
+            load_corpus(tmp_path / "c")
+
+    @pytest.mark.parametrize("failing", ["sample_00000.csv", "sample_00002.csv", "manifest.json.tmp"])
+    def test_a_save_that_fails_midway_leaves_no_manifest(self, tmp_path, monkeypatch, failing):
+        # the manifest is written last, so a directory that holds one holds all of its samples
+        def open_failing(path, mode="r"):
+            if os.path.basename(path) == failing:
+                raise OSError(28, "No space left on device")
+            return open(path, mode)
+
+        monkeypatch.setattr(data, "open", open_failing, raising=False)
+        with pytest.raises(OSError, match="No space"):
+            save_corpus(generate_normal(24, 2, 3, seed=3), tmp_path / "c")
+        assert not (tmp_path / "c" / "manifest.json").exists()
+        with pytest.raises(ContractError, match="^missing manifest"):
+            load_corpus(tmp_path / "c")
+
     @pytest.mark.parametrize("key", ["tau", "dim", "n"])
     @pytest.mark.parametrize("value", ["x", None, 2.5, 3.0, True])
     def test_non_integer_manifest_field(self, tmp_path, key, value):
@@ -679,7 +775,7 @@ class TestProperties:
     @given(data=st.data())
     def test_inject_fault_leaves_everything_outside_its_window_bit_identical(self, kind, data):
         series, spec, seed = data.draw(fault_cases(kind))
-        out = inject_fault(series, spec, seed)
+        out = inject_fault(series, spec, np.random.default_rng(seed))
         lo, hi = _window(spec, len(series))
         touched = np.zeros(series.shape, dtype=bool)
         touched[lo:hi, spec.channels or slice(None)] = True
@@ -695,11 +791,11 @@ class TestProperties:
         if burst_len is not None:
             spec.extra["burst_len"] = burst_len
         try:
-            out = inject_fault(series, spec, seed)
+            out = inject_fault(series, spec, np.random.default_rng(seed))
         except ContractError:
             assert burst_len is not None and burst_len >= spec.duration  # the default burst is always accepted
             return
-        offset = inject_fault(series, dataclasses.replace(spec, kind="offset", extra={}), seed)
+        offset = inject_fault(series, dataclasses.replace(spec, kind="offset", extra={}), np.random.default_rng(seed))
         assert not np.array_equal(out, offset)
 
     @PROPERTY_SETTINGS

@@ -54,11 +54,10 @@ def test_no_module_seeds_a_random_stream_with_arithmetic(path):
     assert list(_seeded_with_arithmetic(ast.parse(path.read_text()))) == []
 
 
-# where a seed may become a generator: the keyed helper, and the three streams left as they are
+# where a seed may become a generator: the keyed helper, and the two streams left as they are
 STREAM_CONSTRUCTORS = {
     ("data.py", "series_rng"),                  # the one rule: a stream keyed by (seed, role, index)
     ("data.py", "make_fault_dataset"),          # the fault-spec stream, which every pinned corpus digest holds
-    ("data.py", "inject_fault"),                # passes its caller's generator through
     ("metrics.py", "ContextEncoder.__init__"),  # a fixed constant, which keeps context-FID comparable
 }
 
@@ -74,7 +73,7 @@ def _stream_constructors(node, scope=""):
         yield from _stream_constructors(child, scope)
 
 
-def test_a_seed_becomes_a_generator_only_in_the_keyed_helper_and_three_named_exceptions():
+def test_a_seed_becomes_a_generator_only_in_the_keyed_helper_and_two_named_exceptions():
     found = {}
     for path in MODULES:
         for scope, call in _stream_constructors(ast.parse(path.read_text())):
