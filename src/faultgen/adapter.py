@@ -80,9 +80,6 @@ class AdapterStack:
             block["wo"].data.fill(0)  # a zero output projection: a fresh adapter adds exactly nothing
             self.blocks.append(block)
 
-    def parameters(self) -> list[Parameter]:
-        return list(self.params.values())
-
     def block_forward(self, k: int, x: Tensor) -> Tensor:
         blk = self.blocks[k]
         normed = ad.layer_norm(x, *blk["ln"])
@@ -113,14 +110,9 @@ class ComposedModel:
 
     predict_noise = Backbone.predict_noise
 
-    def parameters(self) -> list[Parameter]:
-        return self.backbone.parameters() + self.stack.parameters()
-
     @property
     def params(self) -> dict[str, Parameter]:
-        merged = dict(self.backbone.params)
-        merged.update(self.stack.params)
-        return merged
+        return {**self.backbone.params, **self.stack.params}
 
 
 def attach(backbone: Backbone, stack: AdapterStack) -> ComposedModel:

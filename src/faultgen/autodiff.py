@@ -2,12 +2,13 @@
 
 A small tape-based engine over numpy arrays, covering the op vocabulary the
 denoiser, adapter and training losses need: matmul, elementwise arithmetic,
-layer_norm, reshape and transpose, indexing (`take`), reductions, and two fused
-ops with hand-written backwards: multi-head `attention` and the `feed_forward`
-block. The evaluation networks in `metrics` train off the tape, on `gelu_` and
-`_gelu_grad`. `gelu`, `pad`, `concat`, `stack` and `softmax` have no caller in
-the package. They stay because the benchmark's tracer (`perfbench/tracing.py`)
-wraps them, and the tests' composed references use `gelu` and `softmax`.
+layer_norm, reshape, indexing (`take`), reductions, and two fused ops with
+hand-written backwards: multi-head `attention` and the `feed_forward` block.
+The evaluation networks in `metrics` train off the tape, on `gelu_` and
+`_gelu_grad`. Seven ops have no caller in the package: `gelu`, `softmax`, `div`,
+`transpose`, `pad`, `concat` and `stack`. They stay because the benchmark's
+tracer (`perfbench/tracing.py`) wraps them, and the tests' composed references
+use `gelu`, `softmax`, `transpose` and `stack`.
 Tensors are immutable values once created. `backward` consumes the graph it walks: gradients
 accumulate on leaves, which keep them, and each interior node drops its gradient, closure and
 parents once used, so there is one backward per forward and a spent graph raises ContractError.

@@ -7,12 +7,11 @@ artifacts. `main` keeps freed heap in the process where the libc has glibc's `ma
 1 GiB, and arrays up to 1 MiB come from the heap, so a training step reuses the pages its predecessor's graph
 freed instead of faulting fresh ones in.
 
-`pretrain` and `finetune` take their settings from `--preset`, then each
-`--override SECTION.KEY=VALUE`, and accept only the keys their phase reads
-(`config.PHASES`). Their run record is the checkpoint's config header, which
-also holds what a run takes from its inputs: the seed, the corpus and, for
-`finetune`, the checkpoint's model and schedule. `config.lock` is a JSON copy
-of it, written once training has finished.
+Only the training phases, `pretrain` and `finetune`, take a run config and `--override`: their settings
+come from `--preset`, then each `--override SECTION.KEY=VALUE`, and each accepts only the keys its phase reads
+(`config.PHASES`). Their run record is the checkpoint's config header, which also holds what a run takes from
+its inputs: the seed, the corpus and, for `finetune`, the checkpoint's model and schedule. `config.lock` is a
+JSON copy of it, written once training has finished. `generate` samples a checkpoint as it was trained.
 """
 
 from __future__ import annotations
@@ -20,7 +19,6 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
-import dataclasses
 import hashlib
 import json
 import os
@@ -153,13 +151,6 @@ def cmd_generate(args) -> int:
         raise ContractError(f"--n must be >= 1, got {args.n}")
     ckpt = load_checkpoint(args.checkpoint)
     model, sched, norm = restore(ckpt)
-    if args.override:
-        if not hasattr(model, "stack"):
-            raise ContractError("adapter.alpha override needs a fine-tuned checkpoint")
-        given = RunConfig({"adapter": {"alpha": 1.0}}, "generate")  # the one key generation reads, a float
-        given.apply_overrides(args.override)
-        # AdapterConfig rejects a non-finite alpha (ContractError, exit 2)
-        model.stack.cfg = dataclasses.replace(model.stack.cfg, alpha=given.get("adapter", "alpha"))
     data = ckpt.config["data"]
     label = args.label or data["label"]
 
@@ -295,7 +286,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--n", type=int, default=64)
     p.add_argument("--label", type=_label, help="label for the generated corpus")
-    p.add_argument("--override", action="append", metavar="adapter.alpha=VALUE")
     p.set_defaults(func=cmd_generate)
 
     p = sub.add_parser("evaluate", parents=[out], help="run generation-quality metrics")

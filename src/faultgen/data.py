@@ -609,11 +609,12 @@ def load_corpus(directory) -> Dataset:
     if len(present) != n:
         raise ContractError(f"manifest {mpath} declares {n} samples but {len(present)} files present")
 
-    values = np.empty((n, tau, dim), dtype=np.float32)
+    samples = []  # stacked once read, so a manifest's tau or dim allocates nothing that its files do not hold
     for i, fname in enumerate(f"sample_{i:05d}.csv" for i in range(n)):  # not name order: sample_100000 < sample_10001
         if fname not in present:
             raise ContractError(f"{directory}: {fname} is missing, so series {i} has no file")
-        values[i] = _read_sample(os.path.join(directory, fname), tau, names)
+        samples.append(_read_sample(os.path.join(directory, fname), tau, names))
+    values = np.stack(samples)
 
     try:
         spec = FaultSpec.from_dict(manifest["fault_spec"]) if manifest.get("fault_spec") else None

@@ -21,6 +21,10 @@ from .autodiff import Parameter, Tensor
 from .data import BACKBONE_STREAM, series_rng
 from .errors import ContractError, NumericError
 
+# the widest model_dim and ff_dim: 16 times the presets' model_dim (64) and 8 times their ff_dim (128). A
+# desk-depth model with both this wide holds 62M parameters, which Adam's four flat buffers make 1 GB.
+MAX_WIDTH = 1024
+
 
 @dataclass
 class DenoiserConfig:
@@ -46,6 +50,13 @@ class DenoiserConfig:
             raise ContractError("layer counts must be >= 1")
         if self.tau < 2 or self.d < 1 or self.T < 1:
             raise ContractError("need tau >= 2, d >= 1, T >= 1")
+        if max(self.model_dim, self.ff_dim) > MAX_WIDTH:
+            raise ContractError(f"model_dim and ff_dim must be at most {MAX_WIDTH}, "
+                                f"got {self.model_dim} and {self.ff_dim}")
+        # on tau points, degree tau and up is a sum of lower degrees, and frequency k > tau/2 is frequency tau - k
+        if self.trend_degree >= self.tau or self.fourier_terms > self.tau // 2:
+            raise ContractError(f"need trend_degree < tau and fourier_terms <= tau // 2 for tau={self.tau}, "
+                                f"got {self.trend_degree} and {self.fourier_terms}")
 
 
 def timestep_embed(t: int, model_dim: int) -> np.ndarray:
@@ -180,9 +191,6 @@ class Backbone:
         self._pe = Tensor(position_encoding(cfg.tau, cfg.model_dim))
 
     # -- parameter access -----------------------------------------------
-    def parameters(self) -> list[Parameter]:
-        return list(self.params.values())
-
     def set_trainable(self, flag: bool) -> None:
         for p in self.params.values():
             p.requires_grad = flag

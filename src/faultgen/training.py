@@ -23,6 +23,7 @@ import json
 import math
 import os
 import struct
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -39,6 +40,7 @@ CHECKPOINT_MAGIC = b"FDCK"
 CHECKPOINT_VERSION = 1
 ADAM_BETAS = (0.9, 0.999)  # decay rates of Adam's first and second moments
 ADAM_EPS = 1e-8
+MAX_BATCH = 1024  # 16 times the paper preset's 64; a desk step's tape over 512 series of tau 24 peaked at 630 MB
 
 
 @dataclass
@@ -65,6 +67,8 @@ class TrainConfig:
                 or not 0 < self.learning_rate < math.inf):
             raise ContractError(f"train needs steps, warmup_steps and seed >= 0, batch_size >= 1 "
                                 f"and a finite learning_rate > 0, got {self}")
+        if self.batch_size > MAX_BATCH:
+            raise ContractError(f"batch_size must be at most {MAX_BATCH}, got {self.batch_size}")
 
 
 # ----------------------------------------------------------------------
@@ -119,7 +123,7 @@ class Adam:
     these arrays may only be written in place: a rebound one silently stops training.
     """
 
-    def __init__(self, params: list[Parameter], lr: float):
+    def __init__(self, params: Iterable[Parameter], lr: float):
         self.params = [p for p in params if p.requires_grad]
         self.lr = lr
         self.step_count = 0
@@ -230,6 +234,8 @@ def load_checkpoint(path) -> Checkpoint:
         raise CheckpointError(f"{path}: malformed header: config is a {type(ckpt.config).__name__}, not an object")
     data = raw[10 + hlen:]
     for name, lo, nbytes, shape in entries:
+        if not isinstance(name, str):
+            raise CheckpointError(f"{path}: malformed header: array name {name!r} is not a string")
         if min(shape, default=0) < 0 or 4 * math.prod(shape) != nbytes:
             raise CheckpointError(f"{path}: shape/size disagreement for {name!r}")
         if lo < 0 or lo + nbytes > len(data):
@@ -349,7 +355,7 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
     """
     if sched.T != model.cfg.T:  # `restore` would refuse the checkpoint
         raise ContractError(f"the schedule has {sched.T} timesteps, but the model was built for {model.cfg.T}")
-    opt = Adam(model.parameters(), cfg.learning_rate)
+    opt = Adam(model.params.values(), cfg.learning_rate)
     rng, pairs = series_rng(cfg.seed, TRAIN_STREAM, 0), series_rng(cfg.seed, PAIR_STREAM, 0)
     arr = normalizer.scale(data.values)
     rows = []

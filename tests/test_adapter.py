@@ -189,8 +189,8 @@ class TestAttach:
         before = bb.forward(x, 3)
         comp = attach(bb, stack)
         # trainable set is exactly the adapter parameters
-        trainables = {p.name for p in comp.parameters() if p.requires_grad}
-        assert trainables == {p.name for p in stack.parameters()}
+        trainables = {p.name for p in comp.params.values() if p.requires_grad}
+        assert trainables == {p.name for p in stack.params.values()}
         # freshly initialized composed model reproduces the backbone exactly
         after = comp.forward(x, 3)
         np.testing.assert_array_equal(before.data, after.data)
@@ -200,7 +200,7 @@ class TestAttach:
         stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8, alpha=0.0),
                              TOY.dec_layers, seed=2)
         rng = np.random.default_rng(5)
-        for p in stack.parameters():  # non-trivial adapter weights
+        for p in stack.params.values():  # non-trivial adapter weights
             p.data = rng.normal(0, 0.2, p.data.shape).astype(np.float32)
         x = rng.standard_normal((1, 6, 2)).astype(np.float32)
         plain = bb.forward(x, 2)
@@ -228,13 +228,13 @@ class TestAttach:
 
         bb = Backbone(TOY, seed=1)
         rng0 = np.random.default_rng(9)
-        for p in bb.parameters():  # pretrained proxy: heads must be nonzero for grads to flow
+        for p in bb.params.values():  # pretrained proxy: heads must be nonzero for grads to flow
             if np.all(p.data == 0):
                 p.data = rng0.normal(0, 0.1, p.data.shape).astype(np.float32)
         stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=8, alpha=1.0), TOY.dec_layers, seed=2)
         comp = attach(bb, stack)
-        before = {p.name: p.data.tobytes() for p in bb.parameters()}
-        opt = Adam(comp.parameters(), 1e-2)
+        before = {p.name: p.data.tobytes() for p in bb.params.values()}
+        opt = Adam(comp.params.values(), 1e-2)
         rng = np.random.default_rng(0)
         for _ in range(3):
             x = Tensor(rng.standard_normal((2, 6, 2)).astype(np.float32))
@@ -244,10 +244,10 @@ class TestAttach:
             opt.zero_grad()
             loss.backward()
             opt.step()
-        after = {p.name: p.data.tobytes() for p in bb.parameters()}
+        after = {p.name: p.data.tobytes() for p in bb.params.values()}
         assert before == after
         # and the adapter did move
-        assert any(np.any(p.grad != 0) for p in stack.parameters())
+        assert any(np.any(p.grad != 0) for p in stack.params.values())
 
 
 def _mean_jump(values):

@@ -111,6 +111,7 @@ def trained(tmp_path_factory):
         ("pump7", normal, lambda m: m.update(label="pump,7")),
         ("no_dim", normal, lambda m: m.pop("dim")),
         ("tau1", normal, lambda m: m.update(tau=1)),
+        ("tau_huge", normal, lambda m: m.update(tau=10**30)),  # no array of that many rows can be allocated
         ("numbered", normal, lambda m: m.update(channel_names=[0, 1])),
         ("onset2_5", fault, lambda m: m["fault_spec"].update(onset=2.5)),  # loaded as onset 2
         ("duration_true", fault, lambda m: m["fault_spec"].update(duration=True)),  # loaded as duration 1
@@ -188,6 +189,11 @@ MALFORMED_CHECKPOINTS = {  # an edit of the pretrained checkpoint, and the comma
     "missing-array": (lambda c: c.arrays.pop("backbone.in_proj.w"), ["generate", "finetune"]),
     "array-of-another-shape": (lambda c: c.arrays.update({"backbone.in_proj.w": np.zeros((3, 3), np.float32)}),
                                ["generate", "finetune"]),
+    # a size beyond its bound (`DenoiserConfig`) is refused before a model is allocated
+    "fourier-terms-1e30": (lambda c: c.config["model"].update(fourier_terms=10**30), ["generate", "finetune"]),
+    "trend-degree-1e30": (lambda c: c.config["model"].update(trend_degree=10**30), ["generate", "finetune"]),
+    "model-dim-1e12": (lambda c: c.config["model"].update(model_dim=10**12), ["generate", "finetune"]),
+    "ff-dim-1e12": (lambda c: c.config["model"].update(ff_dim=10**12), ["generate", "finetune"]),
 }
 
 
@@ -213,12 +219,23 @@ def _patched(raw, at, data):
     return raw[:at] + data + raw[at + len(data):]
 
 
+def _header_edited(raw, edit):
+    """The checkpoint file `raw` with its JSON header changed by `edit`, which a `Checkpoint` could not hold."""
+    (hlen,) = struct.unpack("<I", raw[6:10])
+    header = json.loads(raw[10:10 + hlen])
+    edit(header)
+    hbytes = json.dumps(header).encode()
+    return raw[:6] + struct.pack("<I", len(hbytes)) + hbytes + raw[10 + hlen:]
+
+
 RAW_CORRUPTIONS = {  # an edit of the pretrained checkpoint file's bytes, and a fragment of the refusal
     "bad-magic": (lambda raw: _patched(raw, 0, b"XXXX"), "bad magic, not a checkpoint file"),
     "version-99": (lambda raw: _patched(raw, 4, struct.pack("<H", 99)), "unsupported format version 99"),
     "truncated-header": (lambda raw: raw[:20], "truncated header"),
     "header-not-json": (lambda raw: _patched(raw, 10, b"x"), "corrupt header"),
     "truncated-array-data": (lambda raw: raw[:-4], "truncated data for array"),
+    "array-name-a-list": (lambda raw: _header_edited(raw, lambda h: h["arrays"][0].update(name=["in_proj.w"])),
+                          "malformed header: array name ['in_proj.w'] is not a string"),
 }
 
 
@@ -335,29 +352,14 @@ def test_generate_output_does_not_depend_on_the_checkpoint_path(trained, tmp_pat
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes(), name
 
 
-@pytest.mark.parametrize("value", ["abc", "nan", "inf", ""])
-def test_generate_rejects_a_bad_alpha_override_with_exit_2(trained, tmp_path, capsys, value):
-    out = tmp_path / "gen"
-    assert main(["generate", "--checkpoint", trained["fine"], "--n", "2", "--out", str(out),
-                 "--override", f"adapter.alpha={value}"]) == 2
-    assert "alpha" in capsys.readouterr().err
-    assert not (out / "generation_log.json").exists()
-
-
-def test_generate_applies_a_finite_alpha_override(trained, tmp_path):
-    out = tmp_path / "gen"
-    assert main(["generate", "--checkpoint", trained["fine"], "--n", "2", "--out", str(out),
-                 "--override", "adapter.alpha=0.5"]) == 0
-    assert json.loads((out / "generation_log.json").read_text())["alpha"] == 0.5
-
-
-def test_an_alpha_override_of_0_generates_what_the_backbone_does(trained, tmp_path):
-    runs = {"pre": (trained["pre"],), "alpha0": (trained["fine"], "--override", "adapter.alpha=0"),
-            "trained": (trained["fine"],)}
-    for name, (ckpt, *override) in runs.items():
-        assert main(["generate", "--checkpoint", ckpt, "--n", "2", "--out", str(tmp_path / name), *override]) == 0
+def test_a_checkpoint_alpha_of_0_generates_what_the_backbone_does_and_logs_it(trained, tmp_path):
+    alpha0 = _edited(trained["fine"], str(tmp_path / "alpha0.ckpt"), lambda c: c["adapter"].update(alpha=0.0))
+    runs = {"pre": trained["pre"], "alpha0": alpha0, "trained": trained["fine"]}
+    for name, ckpt in runs.items():
+        assert main(["generate", "--checkpoint", ckpt, "--n", "2", "--out", str(tmp_path / name)]) == 0
     samples = {name: [(tmp_path / name / f"sample_0000{i}.csv").read_bytes() for i in (0, 1)] for name in runs}
     assert samples["alpha0"] == samples["pre"] != samples["trained"]
+    assert json.loads((tmp_path / "alpha0" / "generation_log.json").read_text())["alpha"] == 0.0
 
 
 @pytest.mark.parametrize("override", ["diffusion.schedule=bogus", "diffusion.schedule=cosine",
@@ -523,6 +525,9 @@ TRAIN_RULE = ("error: train needs steps, warmup_steps and seed >= 0, batch_size 
               "got TrainConfig")
 MODEL_RULE = "error: need model_dim, heads, ff_dim, fourier_terms >= 1 and trend_degree >= 0, got DenoiserConfig"
 ADAPTER_RULE = "error: need model_dim and heads >= 1, got AdapterConfig"
+TAU_RULE = "error: need trend_degree < tau and fourier_terms <= tau // 2 for tau=8, got"
+WIDTH_RULE = "error: model_dim and ff_dim must be at most 1024, got"
+BATCH_RULE = "error: batch_size must be at most 1024, got"
 BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} in argv or fragment is a path from `trained`
     "make-data-negative-seed": (["make-data", "--kind", "normal", "--n", "2", "--tau", "8", "--seed", "-1"],
                                 2, "--seed must be >= 0"),
@@ -562,8 +567,8 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                    2, "argument --n: invalid int value: 'abc'"),
     "evaluate-unknown-flag": (["evaluate", "--real", "{fault}", "--synth", "{normal}", "--bogus", "1"],
                               2, "unrecognized arguments: --bogus 1"),
-    "generate-override-other-key": (["generate", "--checkpoint", "{fine}", "--n", "2", "--override",
-                                     "adapter.window=3"], 2, "unknown config key adapter.window"),
+    "generate-override": (["generate", "--checkpoint", "{fine}", "--n", "2", "--override", "adapter.alpha=2"],
+                          2, "unrecognized arguments: --override adapter.alpha=2"),
     "make-data-config": (["make-data", "--kind", "normal", "--n", "2", "--tau", "8", "--config", "x"],
                          2, "unrecognized arguments: --config x"),
     "generate-preset": (["generate", "--checkpoint", "{fine}", "--n", "2", "--preset", "paper"],
@@ -682,9 +687,6 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                              "--count", "2.5"], 2, "argument --count: invalid int value: '2.5'"),
     "make-data-fault-without-a-kind": (["make-data", "--kind", "fault", "--n", "2", "--tau", "8"],
                                        2, "--fault is required when --kind fault"),
-    "generate-alpha-override-of-a-pretrain-checkpoint": (["generate", "--checkpoint", "{pre}", "--n", "2",
-                                                          "--override", "adapter.alpha=2"],
-                                                         2, "adapter.alpha override needs a fine-tuned checkpoint"),
     "finetune-adapter-window-beyond-2-tau": (["finetune", "--data", "{fault}", "--checkpoint", "{pre}",
                                               *_overrides("finetune", "train.finetune_steps=1", "adapter.window=17")],
                                              2, "adapter window exceeds 2*tau - 1"),
@@ -697,6 +699,8 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                     2, "manifest {no_dim}/manifest.json missing field 'dim'"),
     "corpus-tau-1": (["evaluate", "--real", "{tau1}", "--synth", "{normal}"],
                      2, "manifest {tau1}/manifest.json: needs tau >= 2, dim >= 1 and n >= 1, got 1, 2, 6"),
+    "corpus-tau-1e30": (["evaluate", "--real", "{tau_huge}", "--synth", "{normal}"],
+                        2, f"{{tau_huge}}/sample_00000.csv: 8 timesteps, manifest says {10**30}"),
     "corpus-channel-names-not-strings": (["evaluate", "--real", "{numbered}", "--synth", "{normal}"],
                                          2, "{numbered}/manifest.json: channel_names must be a list of 2 strings"),
     "corpus-rows-a-value-too-wide": (["evaluate", "--real", "{wide}", "--synth", "{normal}"],
@@ -708,6 +712,19 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                     *_overrides("finetune", "train.finetune_steps=1")],
                                    2, "{duration_true}/manifest.json: malformed fault_spec: "
                                       "ContractError('fault duration must be an integer, got True')"),
+    # a size beyond its bound (`DenoiserConfig`, `TrainConfig`) exits 2 before anything is allocated or written
+    **{f"{phase}-{name}": ([phase, "--data", "{normal}" if phase == "pretrain" else "{fault}",
+                            *(["--checkpoint", "{pre}"] if phase == "finetune" else []),
+                            *_overrides(phase, f"{key}={value}")], 2, message)
+       for phase, name, key, value, message in [
+           ("pretrain", "fourier-terms-1e30", "model.fourier_terms", 10**30, f"{TAU_RULE} 3 and {10**30}"),
+           ("pretrain", "fourier-terms-5", "model.fourier_terms", 5, f"{TAU_RULE} 3 and 5"),
+           ("pretrain", "trend-degree-8", "model.trend_degree", 8, f"{TAU_RULE} 8 and 1"),
+           ("pretrain", "model-dim-1e12", "model.model_dim", 10**12, f"{WIDTH_RULE} {10**12} and 16"),
+           ("pretrain", "ff-dim-1025", "model.ff_dim", 1025, f"{WIDTH_RULE} 8 and 1025"),
+           ("pretrain", "batch-size-1e30", "train.batch_size", 10**30, f"{BATCH_RULE} {10**30}"),
+           ("finetune", "batch-size-1025", "train.batch_size", 1025, f"{BATCH_RULE} 1025"),
+       ]},
     # every downstream corpus must have the first training corpus's (tau, d); fault12 and fault share an id
     "downstream-test-of-another-tau": (["downstream", "--train", "{normal}", "--train", "{fault}",
                                         "--test", "{normal}", "--test", "{fault12}"],
@@ -780,10 +797,10 @@ def test_a_diverged_training_run_leaves_only_its_partial_marker(trained, tmp_pat
 
 
 def test_an_overflowing_generate_exits_4_in_one_line_and_leaves_only_its_partial_marker(trained, tmp_path, capsys):
-    # the adapter's output, scaled by 1e30, overflows the decoder's layer_norm
+    # the adapter's output, scaled by a header alpha of 1e30, overflows the decoder's layer_norm
+    ckpt = _edited(trained["fine"], str(tmp_path / "alpha1e30.ckpt"), lambda c: c["adapter"].update(alpha=1e30))
     out = tmp_path / "gen"
-    assert main(["generate", "--checkpoint", trained["fine"], "--n", "2", "--out", str(out),
-                 "--override", "adapter.alpha=1e30"]) == 4
+    assert main(["generate", "--checkpoint", ckpt, "--n", "2", "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("numeric error: overflow encountered")
     assert [p.name for p in out.iterdir()] == [".partial"]
@@ -837,7 +854,7 @@ FLAGS = {  # every flag each subcommand's parser exposes, besides --help
                   "--count"},
     "pretrain": {"--seed", "--out", "--preset", "--override", "--data"},
     "finetune": {"--seed", "--out", "--preset", "--override", "--data", "--checkpoint"},
-    "generate": {"--seed", "--out", "--override", "--checkpoint", "--n", "--label"},
+    "generate": {"--seed", "--out", "--checkpoint", "--n", "--label"},
     "evaluate": {"--out", "--real", "--synth", "--metrics", "--seeds"},
     "embed": {"--seed", "--out", "--corpus", "--method", "--perplexity", "--iters", "--features"},
     "downstream": {"--seed", "--out", "--train", "--synth", "--test"},

@@ -12,11 +12,11 @@ import pytest
 from faultgen.adapter import AdapterConfig
 from faultgen.config import PHASES, PRESETS, RunConfig, resolve_config
 from faultgen.data import fit_normalizer
-from faultgen.denoiser import DenoiserConfig, trend_basis
+from faultgen.denoiser import MAX_WIDTH, DenoiserConfig, trend_basis
 from faultgen.diffusion import make_schedule
 from faultgen.embedding import embed_2d, tsne_2d
 from faultgen.errors import ContractError
-from faultgen.training import LossConfig, TrainConfig
+from faultgen.training import MAX_BATCH, LossConfig, TrainConfig
 
 
 @pytest.mark.parametrize("override", ["model.tau", "tau=12", "=12", "model.tau 12"])
@@ -158,3 +158,36 @@ def test_a_model_size_must_be_an_int_not_a_float_or_a_bool(view, key, value):
            "adapter": resolve_config("desk", "finetune").adapter_config(64)}[view]
     with pytest.raises(ContractError, match=f"be an int, got .*{key}={value!r}"):
         dataclasses.replace(cfg, **{key: value})
+
+
+TAU_RULE = "need trend_degree < tau and fourier_terms <= tau // 2 for tau=24, got"
+
+
+@pytest.mark.parametrize("view, key, value, message", [
+    ("denoiser", "model_dim", MAX_WIDTH + 4, f"model_dim and ff_dim must be at most 1024, got {MAX_WIDTH + 4} and 128"),
+    ("denoiser", "ff_dim", MAX_WIDTH + 1, f"model_dim and ff_dim must be at most 1024, got 64 and {MAX_WIDTH + 1}"),
+    ("denoiser", "fourier_terms", 13, f"{TAU_RULE} 3 and 13"),  # frequency 13 on 24 points is frequency 11
+    ("denoiser", "trend_degree", 24, f"{TAU_RULE} 24 and 4"),  # degree 24 on 24 points sums degrees 0-23
+    ("train", "batch_size", MAX_BATCH + 1, f"batch_size must be at most 1024, got {MAX_BATCH + 1}"),
+])
+def test_a_size_beyond_its_bound_is_a_contract_error_naming_the_bound(view, key, value, message):
+    cfg = {"denoiser": resolve_config("desk", "pretrain").denoiser_config(24, 2),
+           "train": resolve_config("desk", "pretrain").train_config(0)}[view]
+    with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+        dataclasses.replace(cfg, **{key: value})
+
+
+def test_a_size_at_its_bound_is_valid():
+    pre = resolve_config("desk", "pretrain")
+    dataclasses.replace(pre.denoiser_config(24, 2), model_dim=MAX_WIDTH, ff_dim=MAX_WIDTH, fourier_terms=12,
+                        trend_degree=23)
+    dataclasses.replace(pre.train_config(0), batch_size=MAX_BATCH)
+
+
+@pytest.mark.parametrize("preset", sorted(PRESETS))
+def test_each_preset_builds_its_components_for_the_shortest_series_make_data_writes(preset):
+    # generate_normal writes tau >= 8, where the presets' 4 Fourier terms and degree 3 are within their bounds
+    pre, fine = resolve_config(preset, "pretrain"), resolve_config(preset, "finetune")
+    pre.denoiser_config(8, 1)
+    pre.train_config(0)
+    fine.train_config(0)

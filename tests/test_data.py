@@ -668,6 +668,13 @@ class TestCorpusIO:
         with pytest.raises(ContractError, match="^missing manifest"):
             load_corpus(tmp_path / "c")
 
+    def test_a_manifest_tau_beyond_any_array_is_a_contract_error_naming_the_sample(self, tmp_path):
+        # refused at the first sample file, before anything of the manifest's (n, tau, dim) is allocated
+        save_corpus(generate_normal(24, 2, 2, seed=3), tmp_path / "c")
+        self._edit_manifest(tmp_path / "c", lambda m: m.update(tau=10**30))
+        with pytest.raises(ContractError, match=f"sample_00000.csv: 24 timesteps, manifest says {10**30}$"):
+            load_corpus(tmp_path / "c")
+
     @pytest.mark.parametrize("key", ["tau", "dim", "n"])
     @pytest.mark.parametrize("value", ["x", None, 2.5, 3.0, True])
     def test_non_integer_manifest_field(self, tmp_path, key, value):

@@ -32,7 +32,7 @@ def _desk_models():
     stack = AdapterStack(AdapterConfig(model_dim=backbone.cfg.model_dim, **DESK["adapter"]),
                          backbone.cfg.dec_layers, seed=4)
     rng = np.random.default_rng(5)
-    for p in backbone.parameters() + stack.parameters():
+    for p in [*backbone.params.values(), *stack.params.values()]:
         p.data += rng.normal(0, 0.05, p.data.shape).astype(np.float32)
     return backbone, stack
 
@@ -76,7 +76,7 @@ class TestForward:
     def test_a_float64_array_runs_in_the_parameters_float32(self):
         bb = Backbone(TOY, seed=1)
         rng = np.random.default_rng(1)
-        for p in bb.parameters():  # randomize the zero-init heads so the output is not all zeros
+        for p in bb.params.values():  # randomize the zero-init heads so the output is not all zeros
             if not np.any(p.data):
                 p.data[...] = rng.normal(0, 0.05, p.data.shape)
         x = rng.standard_normal((2, 4, 2))
@@ -94,7 +94,7 @@ class TestForward:
         # end-to-end: d(base_loss)/d(param) against central differences, 64-bit
         bb = Backbone(TOY, seed=2)
         rng = np.random.default_rng(3)
-        for p in bb.parameters():  # in float64, with zero-init heads randomized so grads are informative
+        for p in bb.params.values():  # in float64, with zero-init heads randomized so grads are informative
             p.data = rng.normal(0, 0.05, p.data.shape) if np.all(p.data == 0) else p.data.astype(np.float64)
         x = rng.standard_normal((1, 4, 2))
         eps = rng.standard_normal((1, 4, 2))
@@ -113,7 +113,7 @@ class TestForward:
             return val
 
         rng2 = np.random.default_rng(0)
-        params = bb.parameters()
+        params = list(bb.params.values())
         worst = 0.0
         for p in params[:: max(1, len(params) // 12)]:
             numeric = central_diff(lambda a, p=p: loss_at(p, a), p.data)
@@ -226,7 +226,7 @@ class TestDecompose:
     def test_parts_sum_to_output(self):
         bb = Backbone(TOY, seed=1)
         rng = np.random.default_rng(5)
-        for p in bb.parameters():
+        for p in bb.params.values():
             if np.all(p.data == 0):
                 p.data = rng.normal(0, 0.1, p.data.shape).astype(np.float32)
         x = rng.standard_normal((1, 4, 2)).astype(np.float32)

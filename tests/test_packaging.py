@@ -1,6 +1,6 @@
 """The package imports only what `pip install .` brings, the standard library and numpy, keys its
-random streams by (seed, role, index) in one place, without arithmetic on seeds, and gives each of its
-error classes one exit code of the CLI."""
+random streams by (seed, role, index) in one place, without arithmetic on seeds, gives each of its
+error classes one exit code of the CLI, and builds a run config only in `config.py`."""
 
 import ast
 import pathlib
@@ -108,3 +108,11 @@ def test_each_error_class_has_one_except_clause_of_cli_main_to_itself():
     clauses = [names & classes for names in _caught(main) if names & classes]
     assert all(len(names) == 1 for names in clauses), clauses
     assert sorted(name for names in clauses for name in names) == sorted(classes)
+
+
+def test_only_config_builds_a_run_config():
+    # only the training phases read a run config, and they get it from `resolve_config`; a `RunConfig` built
+    # elsewhere would be a second, partial path to a run's settings
+    built = [(path.name, ast.unparse(node)) for path in MODULES for node in ast.walk(ast.parse(path.read_text()))
+             if isinstance(node, ast.Call) and _callee(node) == "RunConfig"]
+    assert {name for name, _ in built} <= {"config.py"}, built

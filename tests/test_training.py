@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import resource
 import struct
 import tracemalloc
@@ -100,7 +101,7 @@ def test_fused_adam_matches_per_array_loop_bitwise(dtype):
 
 def test_parameters_stay_views_into_the_optimizer_buffers():
     model = Backbone(TINY, seed=0)
-    opt = Adam(model.parameters(), lr=1e-3)
+    opt = Adam(model.params.values(), lr=1e-3)
     _assert_bound(opt)
     before = [p.data.copy() for p in opt.params]
     for p in opt.params:
@@ -116,7 +117,7 @@ def test_parameters_stay_views_into_the_optimizer_buffers():
 
 
 def test_a_step_leaves_no_array_behind_beyond_the_four_flat_buffers():
-    opt = Adam(Backbone(TINY, seed=0).parameters(), lr=1e-3)
+    opt = Adam(Backbone(TINY, seed=0).params.values(), lr=1e-3)
     for p in opt.params:
         p.grad += 1.0
     opt.step()
@@ -412,6 +413,16 @@ def test_shape_disagreeing_with_nbytes_is_a_checkpoint_error(tmp_path):
         load_checkpoint(tmp_path / "a.ckpt")
 
 
+@pytest.mark.parametrize("name", [["w"], {"w": 1}, 5, None])
+def test_an_array_name_that_is_not_a_string_is_a_checkpoint_error(tmp_path, name):
+    # a list or an object cannot key the table of arrays, and a number names no parameter
+    entry = {"name": name, "shape": [2], "offset": 0, "nbytes": 8}
+    _write_raw(tmp_path / "a.ckpt", json.dumps({**GOOD_HEADER, "arrays": [entry]}).encode(),
+               np.zeros(2, dtype="<f4").tobytes())
+    with pytest.raises(CheckpointError, match=re.escape(f"malformed header: array name {name!r} is not a string")):
+        load_checkpoint(tmp_path / "a.ckpt")
+
+
 @pytest.mark.parametrize("n,pair_count,margin", [(8, 8, 1.0), (8, 28, 1.0), (8, 100, 1.0),
                                                  (2, 8, 1.0), (12, 8, 0.3), (64, 8, 1.0)])
 @pytest.mark.parametrize("dtype", [np.float32, np.float64])
@@ -476,11 +487,11 @@ def test_a_frozen_backbone_holds_no_gradient_array_while_its_adapter_trains():
     data = generate_normal(TINY.tau, TINY.d, 4, seed=1)
     backbone = Backbone(TINY, seed=0)
     stack = AdapterStack(AdapterConfig(window=3, heads=2, model_dim=TINY.model_dim, alpha=1.0), TINY.dec_layers)
-    assert all(p.grad is None for p in backbone.parameters() + stack.parameters())
-    opt = Adam(stack.parameters(), lr=1e-3)
+    assert all(p.grad is None for p in [*backbone.params.values(), *stack.params.values()])
+    opt = Adam(stack.params.values(), lr=1e-3)
     assert not np.any(opt._grad)  # a parameter with no gradient yet starts at zero in the flat buffer
     train(data, attach(backbone, stack), TrainConfig(steps=2, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
           make_schedule(TINY.T, 1e-3, 0.2), fit_normalizer(data, "minmax"),
           loss_cfg=LossConfig(weight=0.1, margin=1.0, pair_count=2))
-    assert all(p.grad is None for p in backbone.parameters())
-    assert all(p.grad is not None for p in stack.parameters())
+    assert all(p.grad is None for p in backbone.params.values())
+    assert all(p.grad is not None for p in stack.params.values())
