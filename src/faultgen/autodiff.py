@@ -9,6 +9,9 @@ The evaluation networks in `metrics` train off the tape, on `gelu_` and
 `transpose`, `pad`, `concat` and `stack`. They stay because the benchmark's
 tracer (`perfbench/tracing.py`) wraps them, and the tests' composed references
 use `gelu`, `softmax`, `transpose` and `stack`.
+`Tensor` keeps only the operators the package writes: `+`, `-`, `*`, unary `-`, `@`, `reshape` to one shape,
+and `sum` and `mean`, which drop the axes they reduce. Division, transposition and indexing are the ops
+`div`, `transpose` and `take`.
 Tensors are immutable values once created. `backward` consumes the graph it walks: gradients
 accumulate on leaves, which keep them, and each interior node drops its gradient, closure and
 parents once used, so there is one backward per forward and a spent graph raises ContractError.
@@ -99,31 +102,20 @@ class Tensor:
     def __rmul__(self, other):
         return mul(_lift(other, self), self)
 
-    def __truediv__(self, other):
-        return div(self, other)
-
     def __neg__(self):
         return mul(self, -1.0)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
-    def __getitem__(self, key):
-        return take(self, key)
-
-    def reshape(self, *shape):
-        if len(shape) == 1 and isinstance(shape[0], (tuple, list)):
-            shape = tuple(shape[0])
+    def reshape(self, shape):
         return reshape(self, shape)
 
-    def transpose(self, axes):
-        return transpose(self, axes)
+    def sum(self, axis=None):
+        return tsum(self, axis=axis)
 
-    def sum(self, axis=None, keepdims=False):
-        return tsum(self, axis=axis, keepdims=keepdims)
-
-    def mean(self, axis=None, keepdims=False):
-        return tmean(self, axis=axis, keepdims=keepdims)
+    def mean(self, axis=None):
+        return tmean(self, axis=axis)
 
     def backward(self):
         backward(self)
@@ -583,30 +575,24 @@ def stack(tensors, axis: int = 0) -> Tensor:
 # reductions
 
 
-def _expand_reduced(g, shape, axis, keepdims):
-    if axis is None:
-        return np.broadcast_to(g, shape)
-    if not keepdims:
-        axes = axis if isinstance(axis, tuple) else (axis,)
-        for ax in sorted(a % len(shape) for a in axes):
-            g = np.expand_dims(g, ax)
-    return np.broadcast_to(g, shape)
+def _expand_reduced(g, shape, axis):
+    return np.broadcast_to(g if axis is None else np.expand_dims(g, axis), shape)
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = np.sum(a.data, axis=axis, keepdims=keepdims)
+def tsum(a: Tensor, axis=None) -> Tensor:
+    data = np.sum(a.data, axis=axis)
 
     def bw(g):
-        _accum(a, _expand_reduced(g, a.data.shape, axis, keepdims))
+        _accum(a, _expand_reduced(g, a.data.shape, axis))
 
     return _node(data, "sum", (a,), bw)
 
 
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = np.mean(a.data, axis=axis, keepdims=keepdims)
+def tmean(a: Tensor, axis=None) -> Tensor:
+    data = np.mean(a.data, axis=axis)
     count = a.data.size / max(data.size, 1)
 
     def bw(g):
-        _accum(a, _expand_reduced(g, a.data.shape, axis, keepdims) / count)
+        _accum(a, _expand_reduced(g, a.data.shape, axis) / count)
 
     return _node(data, "mean", (a,), bw)

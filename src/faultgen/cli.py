@@ -31,6 +31,7 @@ from .config import RunConfig, resolve_config
 from .data import (
     FAULT_EXTRAS,
     FAULT_KINDS,
+    MAX_SERIES,
     Dataset,
     csv_cell,
     fit_normalizer,
@@ -147,8 +148,8 @@ def cmd_finetune(args) -> int:
 
 
 def cmd_generate(args) -> int:
-    if args.n < 1:
-        raise ContractError(f"--n must be >= 1, got {args.n}")
+    if not 1 <= args.n <= MAX_SERIES:
+        raise ContractError(f"--n must be from 1 to {MAX_SERIES}, got {args.n}")
     ckpt = load_checkpoint(args.checkpoint)
     model, sched, norm = restore(ckpt)
     data = ckpt.config["data"]

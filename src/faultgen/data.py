@@ -233,6 +233,11 @@ def _extra(spec: FaultSpec, name: str):
 # arrays stay the same size whatever the corpus size.
 _CHUNK_VALUES = 1 << 11
 
+# the largest corpus and model sizes. `generate` denoises all its series as one batch: at the desk preset and tau 24,
+# one step over 10,000 series peaked at 730 MB and took 17 s on a 2-core VM. Attention scores grow as tau squared: a
+# desk training step over 8 series of tau 1024 records 11 score arrays of 128 MB. 10,000 series of tau 24 and 256
+# channels are 246 MB of float32.
+MAX_SERIES, MAX_TAU, MAX_DIM = 10_000, 1024, 256
 SINE_COMPONENTS = (2, 4)  # a sine mixture has 2 to 4 components per channel
 AR_COEFFS = (0.5, -0.25)  # inside the AR(2) stationarity triangle
 AR_NOISE_STD = 0.3
@@ -271,8 +276,9 @@ def generate_normal(
     [1, 4), phase in [0, 2π) and amp in [0.3, 1) / m, summed in order. `ar_process`: per channel, one
     `normal` call for tau + 128 innovations of N(0, AR_NOISE_STD^2) driving an order-2 autoregression with
     AR_COEFFS from zero; the first 128 steps are burn-in."""
-    if tau < 8 or dim < 1 or n_samples < 1:
-        raise ContractError("generate_normal needs tau >= 8, dim >= 1, n_samples >= 1")
+    if not (8 <= tau <= MAX_TAU and 1 <= dim <= MAX_DIM and 1 <= n_samples <= MAX_SERIES):
+        raise ContractError(f"generate_normal needs 8 <= tau <= {MAX_TAU}, 1 <= dim <= {MAX_DIM} and "
+                            f"1 <= n_samples <= {MAX_SERIES}, got {tau}, {dim} and {n_samples}")
     if base_kind not in ("sine_mixture", "ar_process"):
         raise ContractError(f"unknown base_kind {base_kind!r}")
     if not (np.isfinite(noise_std) and noise_std >= 0):

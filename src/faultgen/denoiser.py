@@ -18,12 +18,15 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor
-from .data import BACKBONE_STREAM, series_rng
+from .data import BACKBONE_STREAM, MAX_DIM, MAX_TAU, series_rng
 from .errors import ContractError, NumericError
 
 # the widest model_dim and ff_dim: 16 times the presets' model_dim (64) and 8 times their ff_dim (128). A
 # desk-depth model with both this wide holds 62M parameters, which Adam's four flat buffers make 1 GB.
 MAX_WIDTH = 1024
+# the deepest encoder or decoder stack: 8 times the presets' 4 decoder layers. A desk-width model this deep in both
+# holds 2.7M parameters, and its training step over 8 series of tau 24 took 0.18 s, against 0.03 s at 4 and 4.
+MAX_LAYERS = 32
 
 
 @dataclass
@@ -46,10 +49,12 @@ class DenoiserConfig:
             raise ContractError(f"need model_dim, heads, ff_dim, fourier_terms >= 1 and trend_degree >= 0, got {self}")
         if self.model_dim % self.heads != 0:
             raise ContractError("model_dim must be divisible by heads")
-        if self.enc_layers < 1 or self.dec_layers < 1:
-            raise ContractError("layer counts must be >= 1")
-        if self.tau < 2 or self.d < 1 or self.T < 1:
-            raise ContractError("need tau >= 2, d >= 1, T >= 1")
+        if not (1 <= self.enc_layers <= MAX_LAYERS and 1 <= self.dec_layers <= MAX_LAYERS):
+            raise ContractError(f"enc_layers and dec_layers must be from 1 to {MAX_LAYERS}, "
+                                f"got {self.enc_layers} and {self.dec_layers}")
+        if not (2 <= self.tau <= MAX_TAU and 1 <= self.d <= MAX_DIM) or self.T < 1:
+            raise ContractError(f"need 2 <= tau <= {MAX_TAU}, 1 <= d <= {MAX_DIM} and T >= 1, "
+                                f"got {self.tau}, {self.d} and {self.T}")
         if max(self.model_dim, self.ff_dim) > MAX_WIDTH:
             raise ContractError(f"model_dim and ff_dim must be at most {MAX_WIDTH}, "
                                 f"got {self.model_dim} and {self.ff_dim}")
@@ -212,7 +217,7 @@ class Backbone:
         return h
 
     def forward(self, x_t, t: int, adapter=None) -> Tensor:
-        """Noise prediction for a (batch, tau, d) `x_t` at step `t`; an array `x_t` takes the parameters' dtype.
+        """Noise prediction for a (batch, tau, d) array `x_t` at step `t`, cast to the parameters' dtype.
 
         An adapter stack, when given, runs after every decoder layer
         (`AdapterStack.interleave`).
@@ -220,7 +225,7 @@ class Backbone:
         cfg = self.cfg
         if not 0 <= t < cfg.T:
             raise ContractError(f"t={t} outside [0, {cfg.T})")
-        x = x_t if isinstance(x_t, Tensor) else Tensor(np.asarray(x_t, dtype=self.in_w.dtype))
+        x = Tensor(np.asarray(x_t, dtype=self.in_w.dtype))
         if x.ndim != 3 or x.shape[1] != cfg.tau or x.shape[2] != cfg.d:
             raise ContractError(f"expected (batch, {cfg.tau}, {cfg.d}) input, got {x.shape}")
 

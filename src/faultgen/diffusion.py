@@ -9,10 +9,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .data import NOISE_STREAM, series_rng
+from .data import MAX_SERIES, NOISE_STREAM, series_rng
 from .errors import ContractError, NumericError
 
 X0_CLIP = 4.0  # normalized-domain bound; keeps rare off-manifold trajectories from running away
+MAX_TIMESTEPS = 10_000  # 10 times the paper preset's T; generation runs the denoiser once per step
 
 
 @dataclass
@@ -29,8 +30,8 @@ class NoiseSchedule:
 def make_schedule(timesteps: int, beta_start: float, beta_end: float) -> NoiseSchedule:
     """Linear betas over `timesteps` steps, checked before posterior_var[t] = beta_t (1 - abar_{t-1}) / (1 - abar_t)
     divides: alpha_bar must fall from below 1 (1 - beta_start must round below 1) and must not underflow to 0."""
-    if timesteps < 2:
-        raise ContractError("schedule needs T >= 2")
+    if not 2 <= timesteps <= MAX_TIMESTEPS:
+        raise ContractError(f"schedule needs 2 <= T <= {MAX_TIMESTEPS}, got {timesteps}")
     if not (0 < beta_start <= beta_end < 1 and 1.0 - beta_start < 1.0):
         raise ContractError("need 0 < beta_start <= beta_end < 1 and 1 - beta_start < 1 in float64")
     beta = np.linspace(beta_start, beta_end, timesteps, dtype=np.float64)
@@ -86,6 +87,8 @@ def sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
     are in the run's scaled space, and the normalizer's `unscale` maps them back to the corpus's units."""
     if sched.T != model.cfg.T:  # a model runs only the chain it was trained on, as in `train` and `restore`
         raise ContractError(f"the schedule has {sched.T} timesteps, but the model was built for {model.cfg.T}")
+    if not 0 <= n <= MAX_SERIES:
+        raise ContractError(f"sample needs 0 <= n <= {MAX_SERIES} series, got {n}")
     shape = (model.cfg.tau, model.cfg.d)
     if n == 0:
         return np.zeros((0, *shape), dtype=np.float32)

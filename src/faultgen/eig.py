@@ -1,5 +1,5 @@
-"""Symmetric eigendecomposition for the Frechet distance and PCA: LAPACK's `eigh`, through
-numpy.linalg, behind this package's shape and symmetry checks."""
+"""Symmetric eigendecomposition for the Frechet distance: LAPACK's `eigh`, through numpy.linalg,
+behind this package's shape and symmetry checks."""
 
 import numpy as np
 

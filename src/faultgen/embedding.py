@@ -1,5 +1,5 @@
-"""2-D projections of sample corpora for visualization: exact PCA and t-SNE,
-plus per-axis kernel-density estimates, all emitted as plain CSV."""
+"""2-D projections of sample corpora for visualization: exact PCA, one economy SVD of the
+centred data, and t-SNE, plus per-axis kernel-density estimates, all emitted as plain CSV."""
 
 from __future__ import annotations
 
@@ -8,7 +8,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .data import TSNE_STREAM, Dataset, series_rng
-from .eig import sym_eig
 from .errors import ContractError
 from .metrics import ContextEncoder, DEFAULT_ENCODER_SEED
 
@@ -49,19 +48,10 @@ def _features(datasets: list[Dataset], kind: str) -> tuple[np.ndarray, list]:
 
 
 def pca_2d(x: np.ndarray) -> np.ndarray:
-    """Exact 2-D PCA through the covariance (or Gram) eigendecomposition, which LAPACK does."""
-    n, q = x.shape
-    xc = x - x.mean(axis=0)
-    if q <= n:
-        cov = xc.T @ xc / max(n - 1, 1)
-        w, v = sym_eig(cov)
-        comps = v[:, ::-1][:, :2]  # ascending -> take the top two
-        coords = xc @ comps
-    else:
-        gram = xc @ xc.T / max(n - 1, 1)
-        w, u = sym_eig(gram)
-        w, u = w[::-1][:2], u[:, ::-1][:, :2]
-        coords = u * np.sqrt(np.maximum(w, 1e-12) * max(n - 1, 1))
+    """Exact 2-D PCA: the centred data's top two left singular vectors times their singular values,
+    from LAPACK's economy SVD, whether the samples or the features are more."""
+    u, s, _ = np.linalg.svd(x - x.mean(axis=0), full_matrices=False)
+    coords = u[:, :2] * s[:2]
     # deterministic sign convention: largest-magnitude entry of each axis positive
     for j in range(coords.shape[1]):
         k = np.argmax(np.abs(coords[:, j]))

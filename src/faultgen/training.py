@@ -367,7 +367,7 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
             eps = rng.standard_normal(x0.shape).astype(np.float32)
             x_t = forward_sample(x0, t, eps, sched)
             try:
-                eps_hat = model.forward(Tensor(x_t), t)
+                eps_hat = model.forward(x_t, t)
                 if loss_cfg is None or loss_cfg.weight == 0:
                     loss = base = base_loss(Tensor(eps), eps_hat)
                     div_val = 0.0

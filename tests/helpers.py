@@ -3,12 +3,13 @@
 The composed attention and feed-forward block, the looped diversity loss, the
 staged reverse step, the per-series corpus generator, the per-value corpus
 writer, the one-expression gelu and layer_norm gradients, the transposed
-weight view and the evaluation networks trained on the tape are the library's
-own earlier spellings, kept here as references for the fused, vectorized,
-in-place, single-formula and closed-form forms.
+weight view, the evaluation networks trained on the tape and the covariance or
+Gram eigendecomposition PCA are the library's own earlier spellings, kept here
+as references for the fused, vectorized, in-place, single-formula, closed-form
+and SVD forms.
 
 These stay independent of the library's own computation paths — they use
-plain numpy (including numpy.linalg, which the library itself avoids). The
+plain numpy, including numpy.linalg. The
 reference forward is spelled from single `ad` ops over parameters looked up by
 name, so it pins the backbone's wiring, not its arithmetic.
 """
@@ -116,6 +117,24 @@ def full_attention_oracle(x, wq, bq, wk, bk, wv, bv, wo, bo, heads, band=None):
     return out @ wo + bo
 
 
+def eig_pca(x):
+    """Top-two principal coordinates from the covariance eigendecomposition when the features are no more
+    than the samples, else from the Gram one, under pca_2d's sign convention (largest-magnitude entry positive)."""
+    n, q = x.shape
+    xc = x - x.mean(axis=0)
+    if q <= n:
+        _, v = np.linalg.eigh(xc.T @ xc / max(n - 1, 1))
+        coords = xc @ v[:, ::-1][:, :2]  # ascending -> the top two
+    else:
+        w, u = np.linalg.eigh(xc @ xc.T / max(n - 1, 1))
+        w, u = w[::-1][:2], u[:, ::-1][:, :2]
+        coords = u * np.sqrt(np.maximum(w, 1e-12) * max(n - 1, 1))
+    for j in range(coords.shape[1]):
+        if coords[np.argmax(np.abs(coords[:, j])), j] < 0:
+            coords[:, j] = -coords[:, j]
+    return coords
+
+
 def mean_pairwise_distance(series_list):
     """Mean flattened-L2 distance over all unordered sample pairs."""
     x = np.stack([np.asarray(s.values if hasattr(s, "values") else s).reshape(-1)
@@ -138,14 +157,14 @@ def composed_attention(q_in, kv_in, p, heads, mask=None):
     b, sq, dim = q_in.shape
     sk = kv_in.shape[-2]
     e = dim // heads
-    q = (q_in @ p["wq"] + p["bq"]).reshape((b, sq, heads, e)).transpose((0, 2, 1, 3))
-    k = (kv_in @ p["wk"] + p["bk"]).reshape((b, sk, heads, e)).transpose((0, 2, 1, 3))
-    v = (kv_in @ p["wv"] + p["bv"]).reshape((b, sk, heads, e)).transpose((0, 2, 1, 3))
-    scores = (q @ k.transpose((0, 1, 3, 2))) * (1.0 / np.sqrt(e))
+    q = ad.transpose((q_in @ p["wq"] + p["bq"]).reshape((b, sq, heads, e)), (0, 2, 1, 3))
+    k = ad.transpose((kv_in @ p["wk"] + p["bk"]).reshape((b, sk, heads, e)), (0, 2, 1, 3))
+    v = ad.transpose((kv_in @ p["wv"] + p["bv"]).reshape((b, sk, heads, e)), (0, 2, 1, 3))
+    scores = (q @ ad.transpose(k, (0, 1, 3, 2))) * (1.0 / np.sqrt(e))
     if mask is not None:
         scores = scores + mask  # lifted to the scores' dtype
     att = ad.softmax(scores, axis=-1)
-    out = (att @ v).transpose((0, 2, 1, 3)).reshape((b, sq, dim))
+    out = ad.transpose(att @ v, (0, 2, 1, 3)).reshape((b, sq, dim))
     return out @ p["wo"] + p["bo"]
 
 
@@ -246,7 +265,7 @@ def loop_diversity_loss(preds, pair_count, margin, rng):
     entries = int(np.prod(preds.shape[1:]))
     terms = []
     for i, j in pairs:
-        diff = preds[i] - preds[j]
+        diff = ad.take(preds, i) - ad.take(preds, j)
         dist = (diff * diff).sum() * (1.0 / entries)
         terms.append(ad.minimum(dist, margin))
     return -ad.stack(terms).mean()

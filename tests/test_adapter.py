@@ -237,7 +237,7 @@ class TestAttach:
         opt = Adam(comp.params.values(), 1e-2)
         rng = np.random.default_rng(0)
         for _ in range(3):
-            x = Tensor(rng.standard_normal((2, 6, 2)).astype(np.float32))
+            x = rng.standard_normal((2, 6, 2)).astype(np.float32)
             eps = Tensor(rng.standard_normal((2, 6, 2)).astype(np.float32))
             eps_hat = comp.forward(x, 1)
             loss = base_loss(eps, eps_hat)

@@ -5,6 +5,7 @@ import ctypes
 import errno
 import json
 import os
+import random
 import shutil
 import struct
 import subprocess
@@ -13,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from faultgen import cli, metrics, training
+from faultgen import cli, config, metrics, training
 from faultgen.cli import build_parser, main
 from faultgen.data import Dataset, load_corpus, save_corpus, write_atomic
 from faultgen.training import load_checkpoint, save_checkpoint
@@ -194,6 +195,9 @@ MALFORMED_CHECKPOINTS = {  # an edit of the pretrained checkpoint, and the comma
     "trend-degree-1e30": (lambda c: c.config["model"].update(trend_degree=10**30), ["generate", "finetune"]),
     "model-dim-1e12": (lambda c: c.config["model"].update(model_dim=10**12), ["generate", "finetune"]),
     "ff-dim-1e12": (lambda c: c.config["model"].update(ff_dim=10**12), ["generate", "finetune"]),
+    "dec-layers-1e30": (lambda c: c.config["model"].update(dec_layers=10**30), ["generate", "finetune"]),
+    "tau-1e30": (lambda c: c.config["model"].update(tau=10**30), ["generate", "finetune"]),
+    "d-1e30": (lambda c: c.config["model"].update(d=10**30), ["generate", "finetune"]),
 }
 
 
@@ -528,6 +532,8 @@ ADAPTER_RULE = "error: need model_dim and heads >= 1, got AdapterConfig"
 TAU_RULE = "error: need trend_degree < tau and fourier_terms <= tau // 2 for tau=8, got"
 WIDTH_RULE = "error: model_dim and ff_dim must be at most 1024, got"
 BATCH_RULE = "error: batch_size must be at most 1024, got"
+LAYERS_RULE = "error: enc_layers and dec_layers must be from 1 to 32, got"
+CORPUS_RULE = "error: generate_normal needs 8 <= tau <= 1024, 1 <= dim <= 256 and 1 <= n_samples <= 10000, got"
 BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} in argv or fragment is a path from `trained`
     "make-data-negative-seed": (["make-data", "--kind", "normal", "--n", "2", "--tau", "8", "--seed", "-1"],
                                 2, "--seed must be >= 0"),
@@ -724,7 +730,24 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
            ("pretrain", "ff-dim-1025", "model.ff_dim", 1025, f"{WIDTH_RULE} 8 and 1025"),
            ("pretrain", "batch-size-1e30", "train.batch_size", 10**30, f"{BATCH_RULE} {10**30}"),
            ("finetune", "batch-size-1025", "train.batch_size", 1025, f"{BATCH_RULE} 1025"),
+           ("pretrain", "enc-layers-1e30", "model.enc_layers", 10**30, f"{LAYERS_RULE} {10**30} and 1"),
+           ("pretrain", "dec-layers-33", "model.dec_layers", 33, f"{LAYERS_RULE} 1 and 33"),
+           ("pretrain", "timesteps-1e30", "diffusion.timesteps", 10**30,
+            f"error: schedule needs 2 <= T <= 10000, got {10**30}"),
        ]},
+    # a series count, length or width beyond its bound (`data.MAX_SERIES`, `MAX_TAU`, `MAX_DIM`) exits 2 before
+    # anything is allocated, and `generate` checks --n before it reads the checkpoint
+    "generate-n-1e8": (["generate", "--checkpoint", "{fine}", "--n", "100000000"],
+                       2, "error: --n must be from 1 to 10000, got 100000000"),
+    "generate-n-1e8-of-a-missing-checkpoint": (["generate", "--checkpoint", "", "--n", "100000000"],
+                                               2, "error: --n must be from 1 to 10000, got 100000000"),
+    **{f"make-data-{name}": (["make-data", "--kind", "normal", f"--{flag}", str(value)], 2, f"{CORPUS_RULE} {got}")
+       for name, flag, value, got in [("n-1e30", "n", 10**30, f"24, 2 and {10**30}"),
+                                      ("n-1e12", "n", 10**12, f"24, 2 and {10**12}"),
+                                      ("n-10001", "n", 10001, "24, 2 and 10001"),
+                                      ("tau-1e30", "tau", 10**30, f"{10**30}, 2 and 64"),
+                                      ("dim-1e30", "dim", 10**30, f"24, {10**30} and 64"),
+                                      ("dim-1e12", "dim", 10**12, f"24, {10**12} and 64")]},
     # every downstream corpus must have the first training corpus's (tau, d); fault12 and fault share an id
     "downstream-test-of-another-tau": (["downstream", "--train", "{normal}", "--train", "{fault}",
                                         "--test", "{normal}", "--test", "{fault12}"],
@@ -785,6 +808,99 @@ def test_a_bad_input_exits_with_one_error_line_and_writes_nothing(trained, tmp_p
     assert len(err.splitlines()) == 1 and "Traceback" not in err
     assert fragment.format(**trained) in err
     assert not out.exists()
+
+
+MUTATION_POOL = [None, True, False, 0, -1, 2.5, 10**30, 1e308, "x", "", [], {}, [[1, 2], [3]]]
+DELETED = object()  # a mutation that deletes the key or list entry
+
+
+def _leaf_paths(tree, path=()):
+    """The path of each leaf of a JSON tree; an empty list or object is a leaf too."""
+    items = list(tree.items() if isinstance(tree, dict) else enumerate(tree) if isinstance(tree, list) else ())
+    if not items:
+        yield path
+    for key, value in items:
+        yield from _leaf_paths(value, path + (key,))
+
+
+def _mutated(tree, path, value):
+    node = tree
+    for key in path[:-1]:
+        node = node[key]
+    if value is DELETED:
+        del node[path[-1]]
+    else:
+        node[path[-1]] = value
+
+
+def test_a_one_field_mutation_of_any_input_exits_0_2_3_or_4_and_in_one_line_when_not_0(trained, tmp_path, capsys):
+    """Seeded one-field mutations of every file and setting the CLI reads: each field of both checkpoints'
+    headers through `generate` or `finetune`, drawn (one array entry, drawn, stands for all of them), each
+    manifest and `fault_spec` field through `evaluate`, each `--override` key through `pretrain` and
+    `finetune`, and `make-data`'s and `generate`'s size flags. A header field takes four of the pool's values
+    and deletion, drawn; a manifest field takes each of them, and an override key or a flag each pool value.
+    Exit 0 is not judged. A `<phase>_steps` of 10**30 is left out: it asks for a run that long, which is no
+    bad input."""
+    rng = random.Random(23)
+    pool = MUTATION_POOL + [DELETED]
+    cases = []  # (name, argv builder taking the case's directory)
+    for which in ("pre", "fine"):
+        with open(trained[which], "rb") as fh:
+            raw = fh.read()
+        (hlen,) = struct.unpack("<I", raw[6:10])
+        fields = {}
+        for path in _leaf_paths(json.loads(raw[10:10 + hlen])):
+            fields.setdefault(path[:1] + path[2:] if path[0] == "arrays" else path, []).append(path)
+        for paths in fields.values():
+            path = rng.choice(paths)
+            for value in rng.sample(pool, 4):
+                def argv(d, path=path, value=value, command=rng.choice(["generate", "finetune"]), raw=raw):
+                    ckpt = d / "bad.ckpt"
+                    ckpt.write_bytes(_header_edited(raw, lambda h: _mutated(h, path, value)))
+                    extra = (["--data", trained["fault"], *_overrides("finetune", "train.finetune_steps=1")]
+                             if command == "finetune" else ["--n", "2"])
+                    return [command, "--checkpoint", str(ckpt), *extra]
+                cases.append((f"{which} header {path} = {value!r}", argv))
+    with open(os.path.join(trained["fault"], "manifest.json")) as fh:
+        manifest = json.load(fh)
+    for path in _leaf_paths(manifest):
+        for value in pool:
+            def argv(d, path=path, value=value):
+                shutil.copytree(trained["fault"], d / "corpus")
+                edited = json.loads(json.dumps(manifest))
+                _mutated(edited, path, value)
+                (d / "corpus" / "manifest.json").write_text(json.dumps(edited))
+                return ["evaluate", "--real", str(d / "corpus"), "--synth", trained["normal"]]
+            cases.append((f"manifest {path} = {value!r}", argv))
+    base = {"pretrain": ["pretrain", "--data", trained["normal"], *_overrides("pretrain", "train.pretrain_steps=1")],
+            "finetune": ["finetune", "--data", trained["fault"], "--checkpoint", trained["pre"],
+                         *_overrides("finetune", "train.finetune_steps=1")]}
+    for phase in base:
+        for section, keys in config.resolve_config("desk", phase).sections.items():
+            for key in keys:
+                for value in MUTATION_POOL:
+                    if key == f"{phase}_steps" and value == 10**30:
+                        continue
+                    cases.append((f"{phase} --override {section}.{key}={value}",
+                                  lambda d, a=base[phase] + ["--override", f"{section}.{key}={value}"]: a))
+    for argv0, flags in ((["make-data", "--kind", "normal", "--n", "4", "--tau", "8"], ("--n", "--tau", "--dim")),
+                         (["generate", "--checkpoint", trained["fine"], "--n", "2"], ("--n",))):
+        for flag in flags:
+            for value in MUTATION_POOL:
+                cases.append((f"{argv0[0]} {flag} {value}", lambda d, a=argv0 + [flag, str(value)]: a))
+
+    failures = []
+    for i, (name, argv) in enumerate(cases):
+        d = tmp_path / str(i)
+        d.mkdir()
+        try:
+            code = main(argv(d) + ["--out", str(d / "out")])
+        except Exception as e:  # the oracle: nothing raised out of main, whatever the input
+            code = f"raised {e!r}"
+        err = capsys.readouterr().err
+        if code not in (0, 2, 3, 4) or (code != 0 and len(err.splitlines()) != 1):
+            failures.append(f"{name}: exit {code}, stderr {err!r}")
+    assert not failures, "\n".join(failures)
 
 
 def test_a_diverged_training_run_leaves_only_its_partial_marker(trained, tmp_path, capsys, monkeypatch):

@@ -11,8 +11,8 @@ import pytest
 
 from faultgen.adapter import AdapterConfig
 from faultgen.config import PHASES, PRESETS, RunConfig, resolve_config
-from faultgen.data import fit_normalizer
-from faultgen.denoiser import MAX_WIDTH, DenoiserConfig, trend_basis
+from faultgen.data import MAX_DIM, MAX_TAU, fit_normalizer
+from faultgen.denoiser import MAX_LAYERS, MAX_WIDTH, DenoiserConfig, trend_basis
 from faultgen.diffusion import make_schedule
 from faultgen.embedding import embed_2d, tsne_2d
 from faultgen.errors import ContractError
@@ -161,6 +161,8 @@ def test_a_model_size_must_be_an_int_not_a_float_or_a_bool(view, key, value):
 
 
 TAU_RULE = "need trend_degree < tau and fourier_terms <= tau // 2 for tau=24, got"
+LAYERS_RULE = "enc_layers and dec_layers must be from 1 to 32, got"
+LENGTH_RULE = "need 2 <= tau <= 1024, 1 <= d <= 256 and T >= 1, got"
 
 
 @pytest.mark.parametrize("view, key, value, message", [
@@ -169,6 +171,12 @@ TAU_RULE = "need trend_degree < tau and fourier_terms <= tau // 2 for tau=24, go
     ("denoiser", "fourier_terms", 13, f"{TAU_RULE} 3 and 13"),  # frequency 13 on 24 points is frequency 11
     ("denoiser", "trend_degree", 24, f"{TAU_RULE} 24 and 4"),  # degree 24 on 24 points sums degrees 0-23
     ("train", "batch_size", MAX_BATCH + 1, f"batch_size must be at most 1024, got {MAX_BATCH + 1}"),
+    ("denoiser", "enc_layers", MAX_LAYERS + 1, f"{LAYERS_RULE} {MAX_LAYERS + 1} and 4"),
+    ("denoiser", "dec_layers", 10**30, f"{LAYERS_RULE} 3 and {10**30}"),
+    ("denoiser", "tau", MAX_TAU + 1, f"{LENGTH_RULE} {MAX_TAU + 1}, 2 and 100"),
+    ("denoiser", "tau", 10**30, f"{LENGTH_RULE} {10**30}, 2 and 100"),
+    ("denoiser", "d", MAX_DIM + 1, f"{LENGTH_RULE} 24, {MAX_DIM + 1} and 100"),
+    ("denoiser", "d", 10**30, f"{LENGTH_RULE} 24, {10**30} and 100"),
 ])
 def test_a_size_beyond_its_bound_is_a_contract_error_naming_the_bound(view, key, value, message):
     cfg = {"denoiser": resolve_config("desk", "pretrain").denoiser_config(24, 2),
@@ -180,7 +188,8 @@ def test_a_size_beyond_its_bound_is_a_contract_error_naming_the_bound(view, key,
 def test_a_size_at_its_bound_is_valid():
     pre = resolve_config("desk", "pretrain")
     dataclasses.replace(pre.denoiser_config(24, 2), model_dim=MAX_WIDTH, ff_dim=MAX_WIDTH, fourier_terms=12,
-                        trend_degree=23)
+                        trend_degree=23, enc_layers=MAX_LAYERS, dec_layers=MAX_LAYERS)
+    pre.denoiser_config(MAX_TAU, MAX_DIM)
     dataclasses.replace(pre.train_config(0), batch_size=MAX_BATCH)
 
 

@@ -17,6 +17,9 @@ from faultgen import data
 from faultgen.cli import main
 from faultgen.data import (
     FAULT_KINDS,
+    MAX_DIM,
+    MAX_SERIES,
+    MAX_TAU,
     Dataset,
     FaultSpec,
     TimeSeries,
@@ -78,6 +81,18 @@ class TestGenerateNormal:
     def test_invalid_dims(self):
         with pytest.raises(ContractError):
             generate_normal(4, 2, 1, seed=0)
+
+    @pytest.mark.parametrize("tau, dim, n", [(MAX_TAU + 1, 2, 3), (10**30, 2, 3), (24, MAX_DIM + 1, 3),
+                                             (24, 10**30, 3), (24, 2, MAX_SERIES + 1), (24, 2, 10**12)])
+    def test_a_size_beyond_its_bound_is_a_contract_error_naming_the_bounds(self, tau, dim, n):
+        message = (f"generate_normal needs 8 <= tau <= {MAX_TAU}, 1 <= dim <= {MAX_DIM} and "
+                   f"1 <= n_samples <= {MAX_SERIES}, got {tau}, {dim} and {n}")
+        with pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            generate_normal(tau, dim, n, seed=0)
+
+    def test_sizes_at_their_bounds_are_valid(self):
+        assert generate_normal(MAX_TAU, MAX_DIM, 1, seed=0).values.shape == (1, MAX_TAU, MAX_DIM)
+        assert len(generate_normal(8, 1, MAX_SERIES, seed=0)) == MAX_SERIES
 
     @pytest.mark.parametrize("seed,noise_std", [(0, 0.05), (17, 0.0), (1001, 0.3)])
     @pytest.mark.parametrize("chunk", [None, 40])

@@ -99,7 +99,7 @@ class TestForward:
         x = rng.standard_normal((1, 4, 2))
         eps = rng.standard_normal((1, 4, 2))
 
-        eps_hat = bb.forward(Tensor(x), 3)
+        eps_hat = bb.forward(x, 3)
         loss = base_loss(Tensor(eps), eps_hat)
         loss.backward()
 
@@ -107,7 +107,7 @@ class TestForward:
             old = p.data
             p.data = arr
             with ad.no_grad():
-                eh = bb.forward(Tensor(x), 3)
+                eh = bb.forward(x, 3)
                 val = float(base_loss(Tensor(eps), eh).data)
             p.data = old
             return val

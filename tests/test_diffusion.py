@@ -6,11 +6,13 @@ import inspect
 import numpy as np
 import pytest
 
+from faultgen import diffusion
 from faultgen.cli import main
 from faultgen.config import resolve_config
-from faultgen.data import fit_normalizer, generate_normal, load_corpus
+from faultgen.data import MAX_SERIES, fit_normalizer, generate_normal, load_corpus
 from faultgen.denoiser import Backbone, DenoiserConfig
-from faultgen.diffusion import X0_CLIP, NoiseSchedule, forward_sample, make_schedule, reverse_step, sample
+from faultgen.diffusion import (MAX_TIMESTEPS, X0_CLIP, NoiseSchedule, forward_sample, make_schedule, reverse_step,
+                                sample)
 from faultgen.errors import ContractError
 from faultgen.training import TrainConfig, load_checkpoint, restore, train
 
@@ -70,6 +72,13 @@ class TestSchedule:
         assert s.T == T and s.beta[0] == b0 and s.beta[-1] == b1
         assert np.all((s.beta > 0) & (s.beta < 1)) and np.all((s.alpha_bar > 0) & (s.alpha_bar < 1))
         assert np.all(np.isfinite(s.posterior_var)) and np.all(s.posterior_var[1:] > 0)
+
+    @pytest.mark.parametrize("T", [MAX_TIMESTEPS + 1, 10**30])
+    def test_a_chain_longer_than_its_bound_is_refused_before_a_table_is_allocated(self, T):
+        with pytest.raises(ContractError, match=f"^schedule needs 2 <= T <= {MAX_TIMESTEPS}, got {T}$"):
+            make_schedule(T, 1e-4, 0.02)
+        with np.errstate(**CLI_RAISES):
+            assert make_schedule(MAX_TIMESTEPS, 1e-4, 0.02).T == MAX_TIMESTEPS
 
     def test_the_schedule_is_linear_only(self):
         assert list(inspect.signature(make_schedule).parameters) == ["timesteps", "beta_start", "beta_end"]
@@ -204,6 +213,13 @@ class TestSample:
         for n in (2, 5):
             assert out[n].tobytes() == out[12][:n].tobytes()
         np.testing.assert_allclose(out[1], out[12][:1], rtol=0, atol=1e-6)  # about 2 float32 ulps at X0_CLIP
+
+    @pytest.mark.parametrize("n", [MAX_SERIES + 1, 10**8, -1])
+    def test_a_series_count_beyond_its_bound_is_refused_before_a_generator_is_made(self, setup, monkeypatch, n):
+        model, sched = setup
+        monkeypatch.setattr(diffusion, "series_rng", None)  # a generator made first would be a TypeError
+        with pytest.raises(ContractError, match=f"^sample needs 0 <= n <= {MAX_SERIES} series, got {n}$"):
+            sample(model, sched, n, seed=5)
 
     @pytest.mark.parametrize("T", [19, 21])
     def test_a_schedule_of_another_T_than_the_models_is_refused(self, setup, T):

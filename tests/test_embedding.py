@@ -1,4 +1,5 @@
-"""2-D projections: PCA against numpy's SVD, t-SNE affinities, KDE curves, CLI exit codes."""
+"""2-D projections: PCA against the covariance and Gram eigendecompositions, t-SNE affinities, KDE curves,
+CLI exit codes."""
 
 import numpy as np
 import pytest
@@ -8,23 +9,14 @@ from faultgen.data import Dataset, TimeSeries, load_corpus
 from faultgen.embedding import _tsne_probabilities, embed_2d, pca_2d, tsne_2d
 from faultgen.errors import ContractError
 
-
-def _svd_pca(x):
-    """Top-two principal coordinates from numpy's SVD, under pca_2d's sign convention."""
-    xc = x - x.mean(axis=0)
-    u, s, _ = np.linalg.svd(xc, full_matrices=False)
-    coords = u[:, :2] * s[:2]
-    for j in range(2):
-        if coords[np.argmax(np.abs(coords[:, j])), j] < 0:
-            coords[:, j] = -coords[:, j]
-    return coords
+from helpers import eig_pca
 
 
 @pytest.mark.parametrize("n, q", [(30, 5), (6, 20), (400, 300), (300, 400)],
                          ids=["covariance", "gram", "covariance-300", "gram-300"])
-def test_pca_matches_numpy_svd(n, q):
+def test_pca_matches_the_covariance_or_gram_eigendecomposition(n, q):
     x = np.random.default_rng(0).standard_normal((n, q)) * np.linspace(3.0, 0.5, q)
-    expected = _svd_pca(x)
+    expected = eig_pca(x)
     np.testing.assert_allclose(pca_2d(x), expected, atol=1e-8 * np.max(np.abs(expected)))
 
 
