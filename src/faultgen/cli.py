@@ -33,6 +33,7 @@ from .data import (
     FAULT_KINDS,
     MAX_SERIES,
     Dataset,
+    check_value_count,
     csv_cell,
     fit_normalizer,
     generate_normal,
@@ -152,6 +153,7 @@ def cmd_generate(args) -> int:
         raise ContractError(f"--n must be from 1 to {MAX_SERIES}, got {args.n}")
     ckpt = load_checkpoint(args.checkpoint)
     model, sched, norm = restore(ckpt)
+    check_value_count(args.n, model.cfg.tau, model.cfg.d)  # as `sample` does, but before --out is made
     data = ckpt.config["data"]
     label = args.label or data["label"]
 

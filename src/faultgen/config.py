@@ -3,7 +3,7 @@
 Two presets ship: `paper`, a large-scale recipe (T=1000 steps, 25k-step
 pretraining, small learning rates) whose values are not the source paper's
 and which has not been run end to end, and `desk`, the scaled-down
-single-core preset the acceptance suite pins (T=100, 2000/500 steps). Both
+preset for a desktop machine that the acceptance suite pins (T=100, 2000/500 steps). Both
 run the linear noise schedule, and `diffusion` holds `make_schedule`'s arguments.
 The presets are the one home of every run setting: components take each
 value as an argument and declare no default, and each view below builds its

@@ -233,11 +233,13 @@ def _extra(spec: FaultSpec, name: str):
 # arrays stay the same size whatever the corpus size.
 _CHUNK_VALUES = 1 << 11
 
-# the largest corpus and model sizes. `generate` denoises all its series as one batch: at the desk preset and tau 24,
-# one step over 10,000 series peaked at 730 MB and took 17 s on a 2-core VM. Attention scores grow as tau squared: a
-# desk training step over 8 series of tau 1024 records 11 score arrays of 128 MB. 10,000 series of tau 24 and 256
-# channels are 246 MB of float32.
+# the largest corpus and model sizes. At the desk preset and tau 24, generating 10,000 series takes about 10 minutes
+# of CPU time. Attention scores grow as tau squared: a desk training step over 8 series of tau 1024 records 11 score
+# arrays of 128 MB. 10,000 series of tau 24 and 256 channels are 246 MB of float32.
 MAX_SERIES, MAX_TAU, MAX_DIM = 10_000, 1024, 256
+# the largest corpus as a whole, n x tau x dim values: 256 MiB of float32. It holds 10,000 series of tau 24 and 256
+# channels, or 256 series at MAX_TAU and MAX_DIM; 10,000 of those would ask for 9.8 GiB.
+MAX_VALUES = 1 << 26
 SINE_COMPONENTS = (2, 4)  # a sine mixture has 2 to 4 components per channel
 AR_COEFFS = (0.5, -0.25)  # inside the AR(2) stationarity triangle
 AR_NOISE_STD = 0.3
@@ -249,6 +251,13 @@ def series_rng(seed: int, role: int, i: int) -> np.random.Generator:
     """Stream i of `role` (series i of a per-series role, else 0), keyed by (seed, role, i) alone. Every draw starts
     here but `make_fault_dataset`'s spec stream and `ContextEncoder`'s constant."""
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(role, i)))
+
+
+def check_value_count(n: int, tau: int, dim: int) -> None:
+    """Raise ContractError if n series of tau steps and dim channels hold more than MAX_VALUES values."""
+    if n * tau * dim > MAX_VALUES:
+        raise ContractError(f"{n} series of {tau} steps and {dim} channels hold {n * tau * dim} values, "
+                            f"above the bound of {MAX_VALUES}")
 
 
 def _chunks(n: int, values_per_series: int):
@@ -283,6 +292,7 @@ def generate_normal(
         raise ContractError(f"unknown base_kind {base_kind!r}")
     if not (np.isfinite(noise_std) and noise_std >= 0):
         raise ContractError(f"noise_std must be a finite standard deviation >= 0, got {noise_std!r}")
+    check_value_count(n_samples, tau, dim)
     values = np.empty((n_samples, tau, dim), dtype=np.float32)
     for idx in _chunks(n_samples, tau * dim):
         rngs = [series_rng(seed, BASE_STREAM, i) for i in idx]
@@ -446,6 +456,7 @@ def make_fault_dataset(
 ) -> Dataset:
     """Inject `kind` into every sample i of `base`, with its spec drawn in turn from `default_rng(seed)` and
     its injection from `series_rng(seed, INJECTION_STREAM, i)`; the manifest records sample 0's `fault_spec`."""
+    check_value_count(len(base), base.tau, base.dim)
     rng = np.random.default_rng(seed)
     std = float(np.std(base.values))
     specs = [default_fault_spec(kind, base.tau, base.dim, rng, magnitude=magnitude, onset=onset,

@@ -40,6 +40,7 @@ CHECKPOINT_MAGIC = b"FDCK"
 CHECKPOINT_VERSION = 1
 ADAM_BETAS = (0.9, 0.999)  # decay rates of Adam's first and second moments
 ADAM_EPS = 1e-8
+ADAM_BLOCK = 1 << 15  # elements per block of `Adam.step`: a block of each of its six arrays stays in cache
 MAX_BATCH = 1024  # 16 times the paper preset's 64; a desk step's tape over 512 series of tau 24 peaked at 630 MB
 
 
@@ -118,9 +119,10 @@ class Adam:
 
     Parameters, gradients and both moments live in four flat buffers, and each
     trainable parameter's `data` and `grad` are views into the first two, so
-    `step` is one elementwise update through two transient scratch buffers,
-    bitwise equal to a per-array loop. Once an optimizer holds a parameter,
-    these arrays may only be written in place: a rebound one silently stops training.
+    `step` is one elementwise update, run over blocks of ADAM_BLOCK elements
+    through two transient scratch blocks, bitwise equal to a per-array loop.
+    Once an optimizer holds a parameter, these arrays may only be written in
+    place: a rebound one silently stops training.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float):
@@ -150,17 +152,22 @@ class Adam:
         self.step_count += 1
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
-        g, m, v = self._grad, self._m, self._v
-        s = np.multiply(g, 1 - b1)
-        m *= b1
-        m += s
-        v *= b2
-        v += np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
-        np.sqrt(np.divide(v, c2, out=s), out=s)
-        s += ADAM_EPS
-        np.divide(m / c1, s, out=s)
-        s *= self.lr * lr_scale
-        self._data -= s
+        lr = self.lr * lr_scale
+        scratch = [np.empty(min(ADAM_BLOCK, self._data.size), self._data.dtype) for _ in range(2)]
+        for lo in range(0, self._data.size, ADAM_BLOCK):
+            block = np.s_[lo:lo + ADAM_BLOCK]
+            g, m, v = self._grad[block], self._m[block], self._v[block]
+            s, u = (a[:g.size] for a in scratch)
+            np.multiply(g, 1 - b1, out=s)
+            m *= b1
+            m += s
+            v *= b2
+            v += np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
+            np.sqrt(np.divide(v, c2, out=s), out=s)
+            s += ADAM_EPS
+            np.divide(np.divide(m, c1, out=u), s, out=s)
+            s *= lr
+            self._data[block] -= s
 
 
 def _warmup_scale(step: int, warmup: int) -> float:

@@ -14,7 +14,7 @@ import sys
 import numpy as np
 import pytest
 
-from faultgen import cli, config, metrics, training
+from faultgen import cli, config, data, metrics, training
 from faultgen.cli import build_parser, main
 from faultgen.data import Dataset, load_corpus, save_corpus, write_atomic
 from faultgen.training import load_checkpoint, save_checkpoint
@@ -748,6 +748,10 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
                                       ("tau-1e30", "tau", 10**30, f"{10**30}, 2 and 64"),
                                       ("dim-1e30", "dim", 10**30, f"24, {10**30} and 64"),
                                       ("dim-1e12", "dim", 10**12, f"24, {10**12} and 64")]},
+    # sizes each within its bound, but a corpus of more values than `data.MAX_VALUES` (9.8 GiB of float32)
+    "make-data-n-10000-tau-1024-dim-256": (["make-data", "--kind", "normal", "--n", "10000", "--tau", "1024",
+                                            "--dim", "256"], 2, "error: 10000 series of 1024 steps and 256 channels "
+                                                                "hold 2621440000 values, above the bound of 67108864"),
     # every downstream corpus must have the first training corpus's (tau, d); fault12 and fault share an id
     "downstream-test-of-another-tau": (["downstream", "--train", "{normal}", "--train", "{fault}",
                                         "--test", "{normal}", "--test", "{fault12}"],
@@ -912,14 +916,26 @@ def test_a_diverged_training_run_leaves_only_its_partial_marker(trained, tmp_pat
     assert [p.name for p in out.iterdir()] == [".partial"]
 
 
-def test_an_overflowing_generate_exits_4_in_one_line_and_leaves_only_its_partial_marker(trained, tmp_path, capsys):
+@pytest.mark.parametrize("n", [2, 4])  # on two CPUs, one shard, or two with one in a forked worker
+def test_an_overflowing_generate_exits_4_in_one_line_and_leaves_only_its_partial_marker(trained, tmp_path, capsys,
+                                                                                        monkeypatch, n):
     # the adapter's output, scaled by a header alpha of 1e30, overflows the decoder's layer_norm
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
     ckpt = _edited(trained["fine"], str(tmp_path / "alpha1e30.ckpt"), lambda c: c["adapter"].update(alpha=1e30))
     out = tmp_path / "gen"
-    assert main(["generate", "--checkpoint", ckpt, "--n", "2", "--out", str(out)]) == 4
+    assert main(["generate", "--checkpoint", ckpt, "--n", str(n), "--out", str(out)]) == 4
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("numeric error: overflow encountered")
     assert [p.name for p in out.iterdir()] == [".partial"]
+
+
+def test_a_generate_beyond_the_value_bound_exits_2_in_one_line_before_it_writes(trained, tmp_path, capsys,
+                                                                                monkeypatch):
+    monkeypatch.setattr(data, "MAX_VALUES", 2 * 8 * 2 - 1)  # the models' series are 8 steps of 2 channels
+    out = tmp_path / "gen"
+    assert main(["generate", "--checkpoint", trained["fine"], "--n", "2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: 2 series of 8 steps and 2 channels hold 32 values, above the bound of 31\n"
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("phase, lr", [("pretrain", "1e30"), ("pretrain", "1e10"), ("pretrain", "1e5"),

@@ -20,6 +20,7 @@ from faultgen.data import (
     MAX_DIM,
     MAX_SERIES,
     MAX_TAU,
+    MAX_VALUES,
     Dataset,
     FaultSpec,
     TimeSeries,
@@ -93,6 +94,28 @@ class TestGenerateNormal:
     def test_sizes_at_their_bounds_are_valid(self):
         assert generate_normal(MAX_TAU, MAX_DIM, 1, seed=0).values.shape == (1, MAX_TAU, MAX_DIM)
         assert len(generate_normal(8, 1, MAX_SERIES, seed=0)) == MAX_SERIES
+
+    def test_a_corpus_beyond_the_value_bound_is_a_contract_error_before_an_array_is_made(self, monkeypatch):
+        # each size is within its bound, but 10,000 series of 1024 x 256 values would ask for 9.8 GiB
+        message = (f"{MAX_SERIES} series of {MAX_TAU} steps and {MAX_DIM} channels hold "
+                   f"{MAX_SERIES * MAX_TAU * MAX_DIM} values, above the bound of {MAX_VALUES}")
+        with monkeypatch.context() as m, pytest.raises(ContractError, match=f"^{re.escape(message)}$"):
+            m.setattr(np, "empty", None)  # an array allocated first would be a TypeError
+            generate_normal(MAX_TAU, MAX_DIM, MAX_SERIES, seed=0)
+
+    def test_the_value_bound_holds_the_largest_documented_corpus_and_256_series_at_the_largest_shape(self):
+        data.check_value_count(MAX_SERIES, 24, MAX_DIM)  # README's make-data example
+        data.check_value_count(MAX_VALUES // (MAX_TAU * MAX_DIM), MAX_TAU, MAX_DIM)
+        with pytest.raises(ContractError, match="257 series of 1024 steps"):
+            data.check_value_count(MAX_VALUES // (MAX_TAU * MAX_DIM) + 1, MAX_TAU, MAX_DIM)
+
+    def test_a_fault_corpus_beyond_the_value_bound_is_refused_before_a_spec_is_drawn(self, monkeypatch):
+        base = generate_normal(8, 2, 4, seed=0)
+        monkeypatch.setattr(data, "MAX_VALUES", 4 * 8 * 2 - 1)
+        monkeypatch.setattr(data, "default_fault_spec", None)  # a spec drawn first would be a TypeError
+        with pytest.raises(ContractError, match="^4 series of 8 steps and 2 channels hold 64 values, above the "
+                                                "bound of 63$"):
+            make_fault_dataset(base, "sudden", seed=0)
 
     @pytest.mark.parametrize("seed,noise_std", [(0, 0.05), (17, 0.0), (1001, 0.3)])
     @pytest.mark.parametrize("chunk", [None, 40])

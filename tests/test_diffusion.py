@@ -2,6 +2,8 @@
 
 import dataclasses
 import inspect
+import os
+import time
 
 import numpy as np
 import pytest
@@ -9,11 +11,11 @@ import pytest
 from faultgen import diffusion
 from faultgen.cli import main
 from faultgen.config import resolve_config
-from faultgen.data import MAX_SERIES, fit_normalizer, generate_normal, load_corpus
+from faultgen.data import MAX_DIM, MAX_SERIES, MAX_TAU, MAX_VALUES, fit_normalizer, generate_normal, load_corpus
 from faultgen.denoiser import Backbone, DenoiserConfig
 from faultgen.diffusion import (MAX_TIMESTEPS, X0_CLIP, NoiseSchedule, forward_sample, make_schedule, reverse_step,
                                 sample)
-from faultgen.errors import ContractError
+from faultgen.errors import ContractError, NumericError
 from faultgen.training import TrainConfig, load_checkpoint, restore, train
 
 from helpers import staged_reverse_step
@@ -170,6 +172,17 @@ class TestReverseStep:
         np.testing.assert_allclose(reverse_step(x, 0, eps_hat, np.zeros_like(x), s), x0_hat, rtol=1e-9)
 
 
+class Spy:
+    """A model that calls `see(x)` before each of its noise predictions."""
+
+    def __init__(self, model, see):
+        self.model, self.cfg, self.see = model, model.cfg, see
+
+    def predict_noise(self, x, t):
+        self.see(x)
+        return self.model.predict_noise(x, t)
+
+
 class TestSample:
     @pytest.fixture(scope="class")
     def setup(self):
@@ -202,17 +215,99 @@ class TestSample:
         a, b = (sample(model, sched, 64, seed=s) for s in (0, 1))
         assert len({x.tobytes() for x in a} & {x.tobytes() for x in b}) == 0
 
-    def test_a_series_keeps_its_bits_among_any_siblings_and_its_value_alone(self):
+    @pytest.fixture(scope="class")
+    def desk(self):
         # desk widths: at model_dim 64 BLAS multiplies a one-row head product with another kernel
         model = Backbone(dataclasses.replace(resolve_config("desk", "pretrain").denoiser_config(24, 2), T=20), seed=0)
         rng = np.random.default_rng(0)
         for head in (model.trend_w, model.seas_w, model.res_w):  # zero at init; a briefly trained head's scale
             head.data[...] = rng.normal(0.0, 0.01, head.data.shape)
-        sched = make_schedule(20, 1e-3, 0.2)
+        return model, make_schedule(20, 1e-3, 0.2)
+
+    def test_a_series_keeps_its_bits_among_any_siblings_and_its_value_alone(self, desk):
+        model, sched = desk
         out = {n: sample(model, sched, n, seed=5) for n in (1, 2, 5, 12)}
         for n in (2, 5):
             assert out[n].tobytes() == out[12][:n].tobytes()
         np.testing.assert_allclose(out[1], out[12][:1], rtol=0, atol=1e-6)  # about 2 float32 ulps at X0_CLIP
+
+    @pytest.mark.parametrize("cpus", [2, 3])
+    @pytest.mark.parametrize("n", [4, 5, 13])
+    def test_series_sharded_across_cpus_keep_the_bytes_of_a_one_cpu_run(self, desk, monkeypatch, n, cpus):
+        model, sched = desk
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = sample(model, sched, n, seed=5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)))
+        assert sample(model, sched, n, seed=5).tobytes() == alone.tobytes()
+
+    def test_no_batch_exceeds_the_chunk_and_chunked_series_keep_the_bytes_of_one_batch(self, setup, monkeypatch):
+        model, sched = setup
+        n = 2 * diffusion.SAMPLE_CHUNK + 3
+        rows = []
+        spy = Spy(model, lambda x: rows.append(len(x)))
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        chunked = sample(spy, sched, n, seed=5)
+        assert max(rows) <= diffusion.SAMPLE_CHUNK and min(rows) >= 2
+        assert sum(rows) == n * sched.T
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert sample(model, sched, n, seed=5).tobytes() == chunked.tobytes()
+        monkeypatch.setattr(diffusion, "SAMPLE_CHUNK", n)
+        assert sample(model, sched, n, seed=5).tobytes() == chunked.tobytes()
+
+    def test_a_nan_weight_in_the_workers_shard_raises_what_a_one_cpu_run_raises(self, setup, monkeypatch):
+        model, sched = setup
+        broken = Backbone(model.cfg, seed=0)
+        broken.in_w.data[0, 0] = np.nan
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        with pytest.raises(NumericError) as alone:
+            sample(broken, sched, 4, seed=5)
+        home = os.getpid()
+
+        def break_in_a_worker(x):
+            if os.getpid() != home:  # a forked worker's copy of the model; this process's stays finite
+                model_copy.in_w.data[0, 0] = np.nan
+
+        model_copy = Backbone(model.cfg, seed=0)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        with pytest.raises(NumericError) as sharded:
+            sample(Spy(model_copy, break_in_a_worker), sched, 4, seed=5)
+        assert str(sharded.value) == str(alone.value)
+        assert np.isfinite(model_copy.in_w.data[0, 0])
+
+    def test_of_several_failing_shards_the_lowest_ones_error_is_raised(self, setup, monkeypatch):
+        model, sched = setup
+        home = os.getpid()
+
+        def fail_in_a_worker(x):
+            if os.getpid() != home:
+                raise ContractError(f"a shard of {len(x)}")
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})  # shards of 3, 3 and 2
+        with pytest.raises(ContractError, match="^a shard of 3$"):
+            sample(Spy(model, fail_in_a_worker), sched, 8, seed=5)
+
+    def test_a_failure_in_this_processs_shard_kills_and_reaps_the_workers(self, setup, monkeypatch):
+        model, sched = setup
+        home = os.getpid()
+
+        def fail_here_and_stall_there(x):
+            if os.getpid() == home:
+                raise ContractError("this process's shard")
+            time.sleep(60)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        start = time.monotonic()
+        with pytest.raises(ContractError, match="^this process's shard$"):
+            sample(Spy(model, fail_here_and_stall_there), sched, 4, seed=5)
+        assert time.monotonic() - start < 30  # the conftest fixture checks that no worker is left
+
+    def test_a_corpus_beyond_the_value_bound_is_refused_before_a_generator_is_made(self, monkeypatch):
+        cfg = DenoiserConfig(tau=MAX_TAU, d=MAX_DIM, T=2, model_dim=8, enc_layers=1, dec_layers=1, heads=2,
+                             ff_dim=8, fourier_terms=1, trend_degree=1)
+        model, n = Backbone(cfg, seed=0), MAX_VALUES // (MAX_TAU * MAX_DIM) + 1
+        monkeypatch.setattr(diffusion, "series_rng", None)  # a generator made first would be a TypeError
+        with pytest.raises(ContractError, match=f"^{n} series of {MAX_TAU} steps and {MAX_DIM} channels hold "):
+            sample(model, make_schedule(2, 1e-3, 0.2), n, seed=5)
 
     @pytest.mark.parametrize("n", [MAX_SERIES + 1, 10**8, -1])
     def test_a_series_count_beyond_its_bound_is_refused_before_a_generator_is_made(self, setup, monkeypatch, n):

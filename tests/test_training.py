@@ -25,6 +25,7 @@ from faultgen.denoiser import Backbone, DenoiserConfig
 from faultgen.diffusion import forward_sample, make_schedule
 from faultgen.errors import CheckpointError, ContractError
 from faultgen.training import (
+    ADAM_BLOCK,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     Adam,
@@ -67,8 +68,8 @@ class LoopAdam:
             self.data[i] = self.data[i] - (self.lr * lr_scale) * update.astype(self.data[i].dtype)
 
 
-def _params(rng, dtype):
-    return [Parameter(f"p{i}", rng.normal(0, 1, s).astype(dtype)) for i, s in enumerate(SHAPES)]
+def _params(rng, dtype, shapes=SHAPES):
+    return [Parameter(f"p{i}", rng.normal(0, 1, s).astype(dtype)) for i, s in enumerate(shapes)]
 
 
 def _assert_bound(opt):
@@ -77,10 +78,11 @@ def _assert_bound(opt):
         assert np.shares_memory(p.grad, opt._grad)
 
 
+@pytest.mark.parametrize("shapes", [SHAPES, [*SHAPES, (3, ADAM_BLOCK // 2 + 7)]])  # 61, or a block and 16,466
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
-def test_fused_adam_matches_per_array_loop_bitwise(dtype):
+def test_fused_adam_matches_per_array_loop_bitwise(dtype, shapes):
     rng = np.random.default_rng(0)
-    params = _params(rng, dtype)
+    params = _params(rng, dtype, shapes)
     assert all(p.data.dtype == np.dtype(dtype) for p in params)
     ref = LoopAdam([p.data for p in params], lr=1e-2)
     opt = Adam(params, lr=1e-2)
