@@ -47,7 +47,7 @@ from .diffusion import sample
 from .embedding import embed_2d
 from .errors import CheckpointError, ContractError, DivergenceError, NumericError
 from .metrics import check_request, downstream_eval, evaluate_corpora
-from .training import load_checkpoint, restore, train
+from .training import check_batch, load_checkpoint, restore, train
 
 FAULT_FLAGS = ("fault", "magnitude", "onset", "duration", "channels", *FAULT_EXTRAS)  # read by --kind fault only
 M_TRIM_THRESHOLD, M_MMAP_THRESHOLD = -1, -3  # glibc's mallopt parameter numbers
@@ -109,6 +109,7 @@ def _train(args, cfg: RunConfig, data: Dataset, model, sched, normalizer, loss_c
     """Train `model` into checkpoints/ and logs/ under --out, copy its header to config.lock, print the summary."""
     tcfg, phase = cfg.train_config(args.seed), cfg.phase
     checkpoints = os.path.join(args.out, "checkpoints")
+    check_batch(model, tcfg.batch_size)  # as `train` does, but before --out is made
     with _in_progress(args.out):
         ckpt = train(data, model, tcfg, sched, normalizer, loss_cfg, checkpoints,
                      os.path.join(args.out, "logs", "loss_curve.csv"))

@@ -510,11 +510,9 @@ class Normalizer:
 
 def fit_normalizer(ds: Dataset, mode: str) -> Normalizer:
     arr = ds.values
-    if mode == "minmax":
-        return Normalizer(mode, arr.min(axis=(0, 1)), arr.max(axis=(0, 1)))
     if mode == "zscore":
         return Normalizer(mode, arr.mean(axis=(0, 1)), arr.std(axis=(0, 1)))
-    raise ContractError(f"unknown normalizer mode {mode!r}")
+    return Normalizer(mode, arr.min(axis=(0, 1)), arr.max(axis=(0, 1)))  # Normalizer refuses a mode but these two
 
 
 # ----------------------------------------------------------------------
@@ -540,13 +538,18 @@ def _fmt(v: np.float32) -> str:
 
 def save_corpus(ds: Dataset, directory) -> None:
     """Write one CSV per sample (header = channel names), then manifest.json, atomically: a directory that
-    holds a manifest holds all of its samples.
+    holds a manifest holds all of its samples. An earlier corpus there goes first, its manifest before its samples.
 
     A cell is float32's shortest round-trip digits in positional form, as
     `_fmt` writes it (`-0.000016872391`, never `-1.6872391e-05`), so
     `load_corpus` reads back the same bits.
     """
     os.makedirs(directory, exist_ok=True)
+    mpath = os.path.join(directory, "manifest.json")
+    if os.path.exists(mpath):
+        os.remove(mpath)
+    for fname in _sample_files(directory):
+        os.remove(os.path.join(directory, fname))
     manifest = {
         "id": ds.id,
         "label": ds.label,
@@ -571,7 +574,12 @@ def save_corpus(ds: Dataset, directory) -> None:
             text = header + "".join([",".join(r) + "\n" for r in series])
             with open(os.path.join(directory, f"sample_{i:05d}.csv"), "w") as fh:
                 fh.write(text)
-    write_atomic(os.path.join(directory, "manifest.json"), json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(mpath, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+
+
+def _sample_files(directory) -> set[str]:
+    """The names of `directory`'s sample files, the ones a corpus's manifest counts."""
+    return {f for f in os.listdir(directory) if f.startswith("sample_") and f.endswith(".csv")}
 
 
 def _read_sample(path, tau: int, names: list[str]) -> np.ndarray:
@@ -622,7 +630,7 @@ def load_corpus(directory) -> Dataset:
     if not (isinstance(names, list) and len(names) == dim and all(isinstance(c, str) for c in names)):
         raise ContractError(f"manifest {mpath}: channel_names must be a list of {dim} strings, got {names!r}")
 
-    present = {f for f in os.listdir(directory) if f.startswith("sample_") and f.endswith(".csv")}
+    present = _sample_files(directory)
     if len(present) != n:
         raise ContractError(f"manifest {mpath} declares {n} samples but {len(present)} files present")
 

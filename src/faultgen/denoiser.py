@@ -27,6 +27,7 @@ MAX_WIDTH = 1024
 # the deepest encoder or decoder stack: 8 times the presets' 4 decoder layers. A desk-width model this deep in both
 # holds 2.7M parameters, and its training step over 8 series of tau 24 took 0.18 s, against 0.03 s at 4 and 4.
 MAX_LAYERS = 32
+MAX_SCORES = 1 << 25  # batch x heads x tau^2 of an attention call: a desk step over 8 series of MAX_TAU, 128 MiB
 
 
 @dataclass
@@ -158,6 +159,12 @@ def multi_head_attention(q_in: Tensor, kv_in: Tensor, p: dict, heads: int,
     """
     return ad.attention(q_in, kv_in, p["wq"], p["bq"], p["wk"], p["bk"], p["wv"], p["bv"],
                         p["wo"], p["bo"], heads, mask)
+
+
+def attention_batch(model) -> int:
+    """The most series one forward of `model` may run within MAX_SCORES, at its attentions' most heads."""
+    heads = max(model.cfg.heads, model.stack.cfg.heads if hasattr(model, "stack") else 1)
+    return MAX_SCORES // (heads * model.cfg.tau ** 2)
 
 
 def feed_forward(x: Tensor, p: dict) -> Tensor:

@@ -6,14 +6,15 @@
 from __future__ import annotations
 
 import ctypes
+import multiprocessing
 import os
-import pickle
 import signal
 from dataclasses import dataclass
 
 import numpy as np
 
 from .data import MAX_SERIES, NOISE_STREAM, check_value_count, series_rng
+from .denoiser import attention_batch
 from .errors import ContractError, NumericError
 
 X0_CLIP = 4.0  # normalized-domain bound; keeps rare off-manifold trajectories from running away
@@ -98,15 +99,13 @@ def sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
     clips the implied clean signal inside `reverse_step`, so every sample lies in [-X0_CLIP, X0_CLIP]: the series
     are in the run's scaled space, and the normalizer's `unscale` maps them back to the corpus's units.
 
-    The series are split into contiguous, near-equal shards, one per CPU this process may run on
-    (`os.sched_getaffinity`, so `taskset` or `os.sched_setaffinity` limits the workers), but at most n // 2, so
-    that every shard holds two series or more. This process runs the first shard, and each other shard runs in a
-    forked worker, which dies with this process; whatever `predict_noise` changes stays in the worker. Each shard
-    runs its series through the whole chain in near-equal chunks of at most SAMPLE_CHUNK, none of a single series,
-    so for n >= 2 each series keeps the bits it has in one batch of all n, on any number of CPUs. If shards fail,
-    this raises the lowest failing shard's exception, with its class and message. Without `os.fork` or
-    `os.sched_getaffinity`, or on one CPU, all runs here. A worker's CPU time and memory count in this process's
-    RUSAGE_CHILDREN, not in its own usage, which the benchmark's `peak_rss_mb` and per-call `user_seconds` read."""
+    The series are split into contiguous, near-equal shards, one per usable CPU (`os.sched_getaffinity`), but at
+    most n // 2. This process runs the first; each other runs in a worker process of the explicitly requested
+    `multiprocessing` "fork" context, which dies with this process and keeps what `predict_noise` changes. A
+    shard runs in near-equal chunks of at most SAMPLE_CHUNK series, and of those whose attention fits
+    `denoiser.MAX_SCORES`, but never one series alone, so for n >= 2 a series keeps its bits of one batch of all
+    n. The lowest failing shard's error is raised; a worker ending without a reply raises RuntimeError. Without
+    `os.fork`, on one CPU, or in a daemonic process, which may start no process, all runs here."""
     if sched.T != model.cfg.T:  # a model runs only the chain it was trained on, as in `train` and `restore`
         raise ContractError(f"the schedule has {sched.T} timesteps, but the model was built for {model.cfg.T}")
     if not 0 <= n <= MAX_SERIES:
@@ -116,24 +115,24 @@ def sample(model, sched: NoiseSchedule, n: int, seed: int) -> np.ndarray:
         return np.zeros((0, model.cfg.tau, model.cfg.d), dtype=np.float32)
 
     def run(shard: range) -> np.ndarray:
-        chunks = _split(shard, -(-len(shard) // SAMPLE_CHUNK))
-        return np.concatenate([_chain(model, sched, rows, seed) for rows in chunks])
+        chunk = max(2, min(SAMPLE_CHUNK, attention_batch(model)))
+        parts = max(1, min(-(-len(shard) // chunk), len(shard) // 2))  # no chunk holds one series of several
+        return np.concatenate([_chain(model, sched, rows, seed) for rows in _split(shard, parts)])
 
     return np.concatenate(_run_shards(run, _split(range(n), _shard_count(n))))
 
 
 def _chain(model, sched: NoiseSchedule, rows: range, seed: int) -> np.ndarray:
     """Series `rows` run through the whole reverse chain as one batch."""
-    shape = (model.cfg.tau, model.cfg.d)
     rngs = [series_rng(seed, NOISE_STREAM, i) for i in rows]
-    x = np.stack([r.standard_normal(shape) for r in rngs]).astype(np.float32)
+
+    def noise() -> np.ndarray:  # one draw for each series from its own stream
+        return np.stack([r.standard_normal((model.cfg.tau, model.cfg.d)) for r in rngs]).astype(np.float32)
+
+    x = noise()
     for t in reversed(range(sched.T)):
         eps_hat = model.predict_noise(x, t)
-        if t > 0:
-            z = np.stack([r.standard_normal(shape) for r in rngs]).astype(np.float32)
-        else:
-            z = np.zeros_like(x)
-        x = reverse_step(x, t, eps_hat, z, sched)
+        x = reverse_step(x, t, eps_hat, noise() if t > 0 else np.zeros_like(x), sched)
         if not np.all(np.isfinite(x)):
             raise NumericError(f"non-finite sample state at step t={t}")
     return x
@@ -147,68 +146,51 @@ def _split(rows: range, parts: int) -> list[range]:
 
 
 def _shard_count(n: int) -> int:
-    """One shard per CPU this process may run on, but at most n // 2, and one where a worker cannot be forked."""
-    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")):
+    """One shard per usable CPU, but at most n // 2; one where no worker can start, as in a daemonic process."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")) or multiprocessing.current_process().daemon:
         return 1
     return max(1, min(len(os.sched_getaffinity(0)), n // 2))
 
 
 def _run_shards(work, shards: list[range]) -> list:
-    """[work(shard) for shard in shards]: the first shard here, each other one in a forked worker."""
-    workers, replies, ends = [], [], []  # (pid, read end of its pipe); each one's reply; each one's wait status
+    """[work(shard) for shard in shards]: the first shard here, each other one in a fork-context worker process.
+    The lowest failing shard's error is raised once every worker has been killed, if still running, and reaped."""
+    workers = []  # (process, read end of its one-way pipe)
     try:
         for shard in shards[1:]:
-            workers.append(_fork(work, shard))
-        first = work(shards[0])
-        for _, fd in workers:  # a worker's reply ends, at EOF, as it exits
-            with open(fd, "rb", closefd=False) as fh:
-                replies.append(fh.read())
-    finally:
-        for pid, _ in workers[len(replies):]:  # the workers not heard from when this process's part raised
-            os.kill(pid, signal.SIGKILL)
-        for pid, fd in workers:
-            os.close(fd)
-            ends.append(os.waitpid(pid, 0)[1])
-    blocks = [first]
-    for reply, end in zip(replies, ends):  # every worker is reaped before the lowest failing shard's error is raised
-        if not reply:
-            raise RuntimeError(f"a sampling worker ended without a reply, wait status {end}")
-        ok, value = pickle.loads(reply)
-        if not ok:
-            raise value
-        blocks.append(value)
-    return blocks
-
-
-def _fork(work, shard: range) -> tuple[int, int]:
-    """Start a worker that sends back the pickled (True, work(shard)), or (False, its exception), and exits."""
-    parent = os.getpid()
-    read, write = os.pipe()
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(read)
-        os.close(write)
-        raise
-    if pid:
-        os.close(write)
-        return pid, read
-    status = 1
-    try:  # the worker: it leaves by os._exit, so it flushes no inherited buffer and runs no exit hook
-        os.close(read)
-        if PRCTL is not None:
-            PRCTL(PR_SET_PDEATHSIG, signal.SIGKILL)
-        if os.getppid() != parent:  # the parent died before the death signal was set
-            os._exit(1)
-        try:
-            reply = pickle.dumps((True, work(shard)), pickle.HIGHEST_PROTOCOL)
-        except BaseException as e:
+            read, write = multiprocessing.Pipe(duplex=False)
+            with write:  # once started, the worker holds the only write end, so its exit ends the pipe
+                proc = multiprocessing.get_context("fork").Process(target=_worker, args=(work, shard, write))
+                proc.start()
+            workers.append((proc, read))
+        blocks = [work(shards[0])]
+        for proc, read in workers:
             try:
-                reply = pickle.dumps((False, e), pickle.HIGHEST_PROTOCOL)
-            except Exception:  # an exception that does not pickle is sent by its class name and message
-                reply = pickle.dumps((False, RuntimeError(f"{type(e).__name__}: {e}")))
-        with open(write, "wb") as fh:
-            fh.write(reply)
-        status = 0
+                ok, value = read.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(f"a sampling worker ended without a reply, exit code {proc.exitcode}") from None
+            if not ok:
+                raise value
+            blocks.append(value)
+        return blocks
     finally:
-        os._exit(status)
+        for proc, read in workers:
+            proc.kill()  # a no-op for a worker that has exited
+            proc.join()
+            read.close()
+
+
+def _worker(work, shard: range, reply) -> None:
+    """A worker's body: it sends back (True, work(shard)), or (False, its exception), and dies with its parent."""
+    if PRCTL is not None:
+        PRCTL(PR_SET_PDEATHSIG, signal.SIGKILL)
+    if os.getppid() != multiprocessing.parent_process().pid:  # the parent died before the death signal was set
+        return
+    try:
+        reply.send((True, work(shard)))
+    except BaseException as e:  # the parent raises it
+        try:
+            reply.send((False, e))
+        except Exception:  # an exception that does not pickle is sent by its class name and message
+            reply.send((False, RuntimeError(f"{type(e).__name__}: {e}")))

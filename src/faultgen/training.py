@@ -32,7 +32,7 @@ from . import autodiff as ad
 from .adapter import AdapterConfig, AdapterStack, attach
 from .autodiff import Parameter, Tensor
 from .data import PAIR_STREAM, TRAIN_STREAM, Dataset, Normalizer, csv_cell, series_rng, write_atomic
-from .denoiser import Backbone, DenoiserConfig
+from .denoiser import MAX_SCORES, Backbone, DenoiserConfig, attention_batch
 from .diffusion import NoiseSchedule, forward_sample, make_schedule
 from .errors import CheckpointError, ContractError, DivergenceError, NumericError
 
@@ -40,7 +40,6 @@ CHECKPOINT_MAGIC = b"FDCK"
 CHECKPOINT_VERSION = 1
 ADAM_BETAS = (0.9, 0.999)  # decay rates of Adam's first and second moments
 ADAM_EPS = 1e-8
-ADAM_BLOCK = 1 << 15  # elements per block of `Adam.step`: a block of each of its six arrays stays in cache
 MAX_BATCH = 1024  # 16 times the paper preset's 64; a desk step's tape over 512 series of tau 24 peaked at 630 MB
 
 
@@ -119,10 +118,9 @@ class Adam:
 
     Parameters, gradients and both moments live in four flat buffers, and each
     trainable parameter's `data` and `grad` are views into the first two, so
-    `step` is one elementwise update, run over blocks of ADAM_BLOCK elements
-    through two transient scratch blocks, bitwise equal to a per-array loop.
-    Once an optimizer holds a parameter, these arrays may only be written in
-    place: a rebound one silently stops training.
+    `step` is one elementwise update through two transient scratch buffers,
+    bitwise equal to a per-array loop. Once an optimizer holds a parameter,
+    these arrays may only be written in place: a rebound one silently stops training.
     """
 
     def __init__(self, params: Iterable[Parameter], lr: float):
@@ -152,22 +150,24 @@ class Adam:
         self.step_count += 1
         c1 = 1.0 - b1**self.step_count
         c2 = 1.0 - b2**self.step_count
-        lr = self.lr * lr_scale
-        scratch = [np.empty(min(ADAM_BLOCK, self._data.size), self._data.dtype) for _ in range(2)]
-        for lo in range(0, self._data.size, ADAM_BLOCK):
-            block = np.s_[lo:lo + ADAM_BLOCK]
-            g, m, v = self._grad[block], self._m[block], self._v[block]
-            s, u = (a[:g.size] for a in scratch)
-            np.multiply(g, 1 - b1, out=s)
-            m *= b1
-            m += s
-            v *= b2
-            v += np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
-            np.sqrt(np.divide(v, c2, out=s), out=s)
-            s += ADAM_EPS
-            np.divide(np.divide(m, c1, out=u), s, out=s)
-            s *= lr
-            self._data[block] -= s
+        g, m, v = self._grad, self._m, self._v
+        s = np.multiply(g, 1 - b1)
+        m *= b1
+        m += s
+        v *= b2
+        v += np.multiply(np.multiply(g, 1 - b2, out=s), g, out=s)
+        np.sqrt(np.divide(v, c2, out=s), out=s)
+        s += ADAM_EPS
+        np.divide(m / c1, s, out=s)
+        s *= self.lr * lr_scale
+        self._data -= s
+
+
+def check_batch(model, batch_size: int) -> None:
+    """Raise ContractError if a training step over `batch_size` series exceeds MAX_SCORES in an attention call."""
+    if batch_size > attention_batch(model):
+        raise ContractError(f"batch_size must be at most {attention_batch(model)} for series of tau {model.cfg.tau}, "
+                            f"so that an attention call holds at most {MAX_SCORES} scores, got {batch_size}")
 
 
 def _warmup_scale(step: int, warmup: int) -> float:
@@ -362,6 +362,7 @@ def train(data: Dataset, model, cfg: TrainConfig, sched: NoiseSchedule, normaliz
     """
     if sched.T != model.cfg.T:  # `restore` would refuse the checkpoint
         raise ContractError(f"the schedule has {sched.T} timesteps, but the model was built for {model.cfg.T}")
+    check_batch(model, cfg.batch_size)
     opt = Adam(model.params.values(), cfg.learning_rate)
     rng, pairs = series_rng(cfg.seed, TRAIN_STREAM, 0), series_rng(cfg.seed, PAIR_STREAM, 0)
     arr = normalizer.scale(data.values)

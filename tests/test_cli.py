@@ -82,6 +82,8 @@ def trained(tmp_path_factory):
     fault12 = str(root / "fault12")  # a fault corpus longer than the models' tau = 8
     assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "4", "--tau", "12",
                  "--out", fault12]) == 0
+    long = str(root / "long")  # series long enough that a batch within MAX_BATCH exceeds the attention bound
+    assert main(["make-data", "--kind", "normal", "--n", "2", "--tau", "256", "--dim", "1", "--out", long]) == 0
     fault1 = str(root / "fault1")  # too few series to fine-tune on
     assert main(["make-data", "--kind", "fault", "--fault", "sudden", "--n", "1", "--tau", "8",
                  "--out", fault1]) == 0
@@ -125,7 +127,7 @@ def trained(tmp_path_factory):
         with open(os.path.join(edited[name], "manifest.json"), "w") as fh:
             json.dump(manifest, fh)
     return {"normal": normal, "fault": fault, "fault12": fault12, "fault1": fault1, "offset30": offset30,
-            "renamed": renamed, "wide": wide, **edited, "pre": pre,
+            "long": long, "renamed": renamed, "wide": wide, **edited, "pre": pre,
             "fine": str(root / "fine" / "checkpoints" / "final.ckpt")}
 
 
@@ -735,6 +737,11 @@ BAD_INPUTS = {  # argv, exit code, a fragment of the one stderr line; a {name} i
            ("pretrain", "timesteps-1e30", "diffusion.timesteps", 10**30,
             f"error: schedule needs 2 <= T <= 10000, got {10**30}"),
        ]},
+    # a batch within MAX_BATCH whose attention scores, 257 x 2 heads x 256^2, exceed `denoiser.MAX_SCORES`
+    "pretrain-batch-257-at-tau-256": (["pretrain", "--data", "{long}",
+                                       *_overrides("pretrain", "train.batch_size=257")],
+                                      2, "error: batch_size must be at most 256 for series of tau 256, so that an "
+                                         "attention call holds at most 33554432 scores, got 257"),
     # a series count, length or width beyond its bound (`data.MAX_SERIES`, `MAX_TAU`, `MAX_DIM`) exits 2 before
     # anything is allocated, and `generate` checks --n before it reads the checkpoint
     "generate-n-1e8": (["generate", "--checkpoint", "{fine}", "--n", "100000000"],

@@ -33,7 +33,7 @@ from faultgen.data import (
 )
 from faultgen.errors import ContractError
 
-from helpers import ar2_stationary_variance, loop_generate_normal, value_save_corpus
+from helpers import ar2_stationary_variance, fail_writes_midway, loop_generate_normal, value_save_corpus
 
 
 def _series(tau=24, d=2, seed=0):
@@ -689,6 +689,22 @@ class TestCorpusIO:
         self._edit_manifest(tmp_path / "c", lambda m: m["fault_spec"].update({field: value}))
         manifest = re.escape(f"manifest {tmp_path / 'c' / 'manifest.json'}: malformed fault_spec: ")
         with pytest.raises(ContractError, match=f"^{manifest}ContractError..{re.escape(message)}"):
+            load_corpus(tmp_path / "c")
+
+    def test_a_smaller_corpus_written_over_a_larger_one_loads_bit_exact(self, tmp_path):
+        save_corpus(generate_normal(24, 2, 10, seed=1), tmp_path / "c")
+        smaller = generate_normal(24, 2, 5, seed=2)
+        save_corpus(smaller, tmp_path / "c")
+        back = load_corpus(tmp_path / "c")
+        assert back.id == smaller.id and back.values.tobytes() == smaller.values.tobytes()
+
+    def test_a_rewrite_that_fails_midway_leaves_no_loadable_corpus(self, tmp_path, monkeypatch):
+        # the earlier manifest goes first, so none vouches for samples that were being overwritten
+        save_corpus(generate_normal(24, 2, 5, seed=1), tmp_path / "c")
+        fail_writes_midway(monkeypatch)
+        with pytest.raises(OSError, match="No space"):
+            save_corpus(generate_normal(24, 2, 5, seed=2), tmp_path / "c")
+        with pytest.raises(ContractError, match="^missing manifest"):
             load_corpus(tmp_path / "c")
 
     @pytest.mark.parametrize("failing", ["sample_00000.csv", "sample_00002.csv", "manifest.json.tmp"])

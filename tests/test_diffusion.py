@@ -2,13 +2,14 @@
 
 import dataclasses
 import inspect
+import multiprocessing
 import os
 import time
 
 import numpy as np
 import pytest
 
-from faultgen import diffusion
+from faultgen import denoiser, diffusion
 from faultgen.cli import main
 from faultgen.config import resolve_config
 from faultgen.data import MAX_DIM, MAX_SERIES, MAX_TAU, MAX_VALUES, fit_normalizer, generate_normal, load_corpus
@@ -300,6 +301,56 @@ class TestSample:
         with pytest.raises(ContractError, match="^this process's shard$"):
             sample(Spy(model, fail_here_and_stall_there), sched, 4, seed=5)
         assert time.monotonic() - start < 30  # the conftest fixture checks that no worker is left
+
+    def test_a_worker_that_exits_without_a_reply_raises_promptly(self, setup, monkeypatch):
+        model, sched = setup
+        home = os.getpid()
+
+        def exit_in_a_worker(x):
+            if os.getpid() != home:
+                os._exit(3)
+
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        start = time.monotonic()
+        with pytest.raises(RuntimeError, match="^a sampling worker ended without a reply"):
+            sample(Spy(model, exit_in_a_worker), sched, 4, seed=5)
+        assert time.monotonic() - start < 30  # the conftest fixture checks that no worker is left
+
+    def test_a_daemonic_caller_samples_in_process_with_the_one_cpu_bytes(self, desk, monkeypatch):
+        model, sched = desk
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        alone = sample(model, sched, 5, seed=5)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fork = multiprocessing.get_context("fork")
+        read, write = fork.Pipe(duplex=False)
+
+        def run():  # a daemonic process may start no process of its own
+            try:
+                write.send(sample(model, sched, 5, seed=5).tobytes())
+            except Exception as e:
+                write.send(repr(e))
+
+        proc = fork.Process(target=run, daemon=True)
+        proc.start()
+        write.close()
+        try:
+            assert read.poll(60), "the daemonic process sent nothing in 60 s"
+            assert read.recv() == alone.tobytes()
+        finally:
+            proc.kill()  # a no-op once it has exited
+            proc.join()
+            read.close()
+
+    def test_chunks_hold_at_most_the_series_whose_attention_scores_fit_the_bound(self, setup, monkeypatch):
+        model, sched = setup
+        n, per_series = 13, model.cfg.heads * model.cfg.tau ** 2
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        whole = sample(model, sched, n, seed=5)
+        for fit, most in [(5, 5), (2, 3), (1, 3), (0, 3)]:  # never a chunk of one series among several
+            rows = []
+            monkeypatch.setattr(denoiser, "MAX_SCORES", fit * per_series + per_series - 1)
+            assert sample(Spy(model, lambda x: rows.append(len(x))), sched, n, seed=5).tobytes() == whole.tobytes()
+            assert max(rows) == most and min(rows) >= 2 and sum(rows) == n * sched.T
 
     def test_a_corpus_beyond_the_value_bound_is_refused_before_a_generator_is_made(self, monkeypatch):
         cfg = DenoiserConfig(tau=MAX_TAU, d=MAX_DIM, T=2, model_dim=8, enc_layers=1, dec_layers=1, heads=2,

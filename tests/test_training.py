@@ -21,11 +21,10 @@ from faultgen.autodiff import Parameter
 from faultgen.cli import main
 from faultgen.config import resolve_config
 from faultgen.data import fit_normalizer, generate_normal, load_corpus
-from faultgen.denoiser import Backbone, DenoiserConfig
+from faultgen.denoiser import MAX_SCORES, Backbone, DenoiserConfig
 from faultgen.diffusion import forward_sample, make_schedule
 from faultgen.errors import CheckpointError, ContractError
 from faultgen.training import (
-    ADAM_BLOCK,
     CHECKPOINT_MAGIC,
     CHECKPOINT_VERSION,
     Adam,
@@ -78,7 +77,7 @@ def _assert_bound(opt):
         assert np.shares_memory(p.grad, opt._grad)
 
 
-@pytest.mark.parametrize("shapes", [SHAPES, [*SHAPES, (3, ADAM_BLOCK // 2 + 7)]])  # 61, or a block and 16,466
+@pytest.mark.parametrize("shapes", [SHAPES, [*SHAPES, (3, 16391)]])  # 61, or 49,234 elements
 @pytest.mark.parametrize("dtype", ["float32", "float64"])
 def test_fused_adam_matches_per_array_loop_bitwise(dtype, shapes):
     rng = np.random.default_rng(0)
@@ -202,6 +201,20 @@ def test_train_rejects_a_schedule_of_another_T_than_its_models_before_writing(tm
             train(data, Backbone(TINY, seed=0),
                   TrainConfig(steps=1, batch_size=2, learning_rate=1e-3, warmup_steps=0, seed=0),
                   make_schedule(T, 1e-3, 0.2), fit_normalizer(data, "minmax"), checkpoint_dir=str(tmp_path / "c"))
+    assert not (tmp_path / "c").exists()
+
+
+def test_train_refuses_a_batch_beyond_the_attention_bound_at_the_most_heads_of_backbone_or_adapter(tmp_path):
+    cfg = dataclasses.replace(TINY, tau=128, d=1, T=2)  # 2 backbone heads
+    data, sched, tcfg = (generate_normal(128, 1, 2, seed=1), make_schedule(2, 1e-3, 0.2),
+                         TrainConfig(steps=0, batch_size=257, learning_rate=1e-3, warmup_steps=0, seed=0))
+    backbone = Backbone(cfg, seed=0)
+    train(data, backbone, tcfg, sched, fit_normalizer(data, "minmax"))  # 257 x 2 x 128^2 scores fit the bound
+    composed = attach(backbone, AdapterStack(AdapterConfig(window=3, heads=8, model_dim=8, alpha=1.0), 1))
+    assert MAX_SCORES // (8 * 128**2) == 256
+    with pytest.raises(ContractError, match="^batch_size must be at most 256 for series of tau 128, so that an "
+                                            f"attention call holds at most {MAX_SCORES} scores, got 257$"):
+        train(data, composed, tcfg, sched, fit_normalizer(data, "minmax"), checkpoint_dir=str(tmp_path / "c"))
     assert not (tmp_path / "c").exists()
 
 
